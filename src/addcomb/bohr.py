@@ -1,38 +1,47 @@
 """Bohr sets: membership, dilation, intersection, regularity, size bounds.
 
 B(Gamma, eps) = {x : ||gamma_j . x|| < eps_j for all j}, strict inequality,
-where ||.|| is distance of the pairing phase to the nearest integer.  All
-membership decisions reduce to integer comparisons: the phase of gamma_j at x
-is c_j(x)/N with c_j an integer, so ||gamma_j . x|| < eps_j iff
-min(c_j, N - c_j) * denom(eps_j) < N * numer(eps_j).
+where ||.|| is distance of the pairing phase to the nearest integer.  The
+phase of gamma_j at x is c_j(x)/N with c_j an integer, so membership is the
+integer test v_j(x) < ceil(eps_j N) with v_j = min(c_j, N - c_j).
 
-Scaling all radii by rho rescales one shared per-element statistic, so a
-single sorted table answers size queries for every dilate of a spec.  That
-makes regularity grids and radius searches cheap after one group pass.
+Dilating every radius by rho only rescales one per-element statistic, so a
+single table per (group, Gamma, radius shape) answers size queries for every
+dilate: the int64 phases v_j are built once into a sorted float key, a count
+is a binary search, and the few points the key cannot separate from the cut
+(a proven band of relative width 8 * 2^-53) are settled by the integer test.
+See _ExactCounter.  The table is cached, so the radius search, the
+materialization and the regularity grid of one Bohr set share it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .groups import (
-    MAX_COORDS_TABLE,
     MAX_MEMBERSHIP_ORDER,
     GroupMismatchError,
     GroupSpec,
     SizeLimitError,
-    coords_table,
+    _coords_of,
 )
 from .report import CheckRecord, record_ge, record_le, require
-from .setstat import GroupSet, group_set
+from .setstat import GroupSet
 
-_INT64_SAFE = 1 << 62
+_CHUNK = 1 << 16
+# sigma and every key weight must be normal doubles with room for a factor
+# N/2 < 2^23, so that the error band of _ExactCounter holds
+_KEY_MIN = 2.0**-1000
+_KEY_MAX = 2.0**1000
+_BAND_LO = 1 - 2.0**-50  # 1 - 8u, exact in binary64
+_BAND_HI = 1 + 2.0**-50
+_ONE = Fraction(1)
 _DEFAULT_GRID_STEPS = 10
 _RADIUS_ROUNDS = (256, 1024, 4096)
 _RADIUS_DENOM = 1 << 30
@@ -102,85 +111,130 @@ def make_bohr_spec(g: GroupSpec, gamma: Sequence[int], eps) -> BohrSpec:
 
 
 class _ExactCounter:
-    """Per-element scaled norm statistic for one (Gamma, eps) pair.
+    """Sorted float key over one (group, Gamma, radius shape), exact by band.
 
-    m(x) = max_j ||gamma_j . x|| / eps_j as the exact integer
-    M(x) = max_j min(c_j, N-c_j) * b_j * (lcm_a / a_j) over the common
-    scale L = N * lcm_a, so x lies in the rho-dilate iff M(x) < rho L.
+    Radii enter only through their shape r_j = eps_j / eps_0: for any spec
+    with these characters and this shape, and any dilation rho, x lies in
+    B(Gamma, rho * eps) iff m(x) < sigma with sigma = rho * eps_0 and
+
+        m(x) = max_j v_j(x) / (r_j N),   v_j(x) = min(c_j(x), N - c_j(x)),
+
+    where c_j(x) in [0, N) is the integer phase of gamma_j at x.  The phases
+    are built once, in int64 chunks, to form the float key
+    k(x) = max_j fl(v_j(x) * w_j) with w_j = fl(1 / (r_j N)); the table keeps
+    only the keys in sorted order and the matching element indices, 16 bytes
+    per element at any order.
+
+    Error band.  Let u = 2^-53.  v_j <= N/2 <= 2^23 is exact in a double, w_j
+    and the product are each rounded once, and the max is exact, so
+    k(x) = m(x)(1 + theta) with |theta| <= 2u + u^2 < 3u, as long as every
+    w_j is a normal double (checked at build).  A query rounds sigma once and
+    widens it by the representable factors 1 -/+ 8u, so lo < sigma(1 - 5u)
+    and hi > sigma(1 + 5u).  Then k(x) < lo proves m(x) < sigma, k(x) >= hi
+    proves m(x) > sigma, and only the points with lo <= k(x) < hi are
+    decided by the integer test v_j(x) < ceil(sigma r_j N) for every j.  A
+    count is two binary searches plus that band; when sigma or a weight
+    falls outside the normal double range, the integer test runs over the
+    whole group instead.
     """
 
-    def __init__(self, g: GroupSpec, gamma: Sequence[int], eps: Sequence[Fraction]):
+    def __init__(self, g: GroupSpec, gamma: tuple[int, ...], shape: tuple[Fraction, ...]):
         if g.order > MAX_MEMBERSHIP_ORDER:
             raise SizeLimitError(f"Bohr materialization capped at order {MAX_MEMBERSHIP_ORDER}")
         self.group = g
+        self.shape = shape
         n = g.order
-        d = len(gamma)
-        if d == 0:
-            self.scale = 1
-            self.by_index: np.ndarray | list[int] = np.zeros(n, dtype=np.int64)
-            self.sorted_values: np.ndarray | list[int] = self.by_index
+        # c_j(x) = sum_i x_i * weights[j, i] mod N
+        self.weights = np.array(
+            [[(c * (n // f)) % n for c, f in zip(g.unindex(t), g.factors)] for t in gamma],
+            dtype=np.int64,
+        ).reshape(len(gamma), g.rank)
+        self.order: np.ndarray | None = None
+        self.sorted_keys: np.ndarray | None = None
+        try:
+            # int / int rounds correctly, as float(Fraction) does
+            w = [r.denominator / (r.numerator * n) for r in shape]
+        except OverflowError:
             return
-        lcm_a = 1
-        for e in eps:
-            lcm_a = math.lcm(lcm_a, e.numerator)
-        self.scale = n * lcm_a
-        mults = [e.denominator * (lcm_a // e.numerator) for e in eps]
-        weights = []
-        for t in gamma:
-            gc = g.unindex(t)
-            weights.append([(gc[i] * (n // f)) % n for i, f in enumerate(g.factors)])
-        bound = (n // 2) * max(mults)
-        if n <= MAX_COORDS_TABLE and bound < _INT64_SAFE:
-            coords = coords_table(g).astype(np.int64)
-            w = np.array(weights, dtype=np.int64).T  # (rank, d)
-            c = (coords @ w) % n
-            v = np.minimum(c, n - c)
-            m = (v * np.array(mults, dtype=np.int64)).max(axis=1)
-            self.by_index = m
-            self.sorted_values = np.sort(m)
+        if not all(_KEY_MIN <= x <= _KEY_MAX for x in w):
+            return
+        if shape:
+            col = np.array(w)[:, None]
+            keys = np.concatenate([(self._phases(idx) * col).max(axis=0) for idx in _index_chunks(n)])
         else:
-            vals = []
-            for x in g.elements():
-                worst = 0
-                for w_row, mult in zip(weights, mults):
-                    c = sum(a * b for a, b in zip(x, w_row)) % n
-                    scaled = min(c, n - c) * mult
-                    if scaled > worst:
-                        worst = scaled
-                vals.append(worst)
-            self.by_index = vals
-            self.sorted_values = sorted(vals)
+            keys = np.zeros(n, dtype=np.float64)
+        self.order = np.argsort(keys)
+        self.sorted_keys = keys[self.order]
 
-    def _threshold(self, rho: Fraction) -> int:
-        # M < rho * L iff M < ceil(rho * L), for both integer and fractional cuts
-        r, s = rho.numerator, rho.denominator
-        return (r * self.scale + s - 1) // s
+    def _phases(self, idx: np.ndarray) -> np.ndarray:
+        """(d, len) int64 table of v_j over an index array."""
+        n = self.group.order
+        c = (self.weights @ _coords_of(self.group, idx).T) % n
+        return np.minimum(c, n - c)
 
-    def count(self, rho: Fraction) -> int:
-        if rho <= 0:
+    def _passes(self, idx: np.ndarray, sigma: Fraction) -> np.ndarray:
+        """The exact integer membership test, on an index array."""
+        n = self.group.order
+        a, b = sigma.numerator * n, sigma.denominator
+        # ceil(sigma * r_j * N), capped at N since v_j <= N/2
+        cuts = [min(-(-a * r.numerator // (b * r.denominator)), n) for r in self.shape]
+        return (self._phases(idx) < np.array(cuts, dtype=np.int64)[:, None]).all(axis=0)
+
+    def _split(self, sigma: Fraction) -> tuple[int, np.ndarray]:
+        """(k, extra): the members at sigma are the first k indices in key
+        order and the indices in extra, which the integer test admitted."""
+        if sigma <= 0:
             raise ValueError("dilation factor must be positive")
-        thr = self._threshold(rho)
-        if isinstance(self.sorted_values, np.ndarray):
-            if thr >= _INT64_SAFE:
-                return len(self.sorted_values)
-            return int(np.searchsorted(self.sorted_values, thr, side="left"))
-        return bisect_left(self.sorted_values, thr)
+        try:
+            s = float(sigma)
+        except OverflowError:
+            s = math.inf
+        if self.sorted_keys is None or not _KEY_MIN <= s <= _KEY_MAX:
+            return 0, np.concatenate([idx[self._passes(idx, sigma)] for idx in _index_chunks(self.group.order)])
+        inside = int(self.sorted_keys.searchsorted(s * _BAND_LO))
+        edge = int(self.sorted_keys.searchsorted(s * _BAND_HI))
+        band = self.order[inside:edge]
+        if edge > inside:
+            band = band[self._passes(band, sigma)]
+        return inside, band
 
-    def member_indices(self, rho: Fraction) -> list[int]:
-        thr = self._threshold(rho)
-        if isinstance(self.by_index, np.ndarray):
-            if thr >= _INT64_SAFE:
-                return list(range(len(self.by_index)))
-            return [int(i) for i in np.nonzero(self.by_index < thr)[0]]
-        return [i for i, m in enumerate(self.by_index) if m < thr]
+    def count(self, sigma: Fraction) -> int:
+        inside, extra = self._split(sigma)
+        return inside + len(extra)
+
+    def member_indices(self, sigma: Fraction) -> np.ndarray:
+        """Sorted indices of the members at query sigma."""
+        inside, extra = self._split(sigma)
+        if inside:
+            extra = np.concatenate((self.order[:inside], extra))
+        return np.sort(extra)
+
+
+def _index_chunks(n: int):
+    for lo in range(0, n, _CHUNK):
+        yield np.arange(lo, min(n, lo + _CHUNK), dtype=np.int64)
+
+
+@lru_cache(maxsize=2)
+def _phase_table(g: GroupSpec, gamma: tuple[int, ...], shape: tuple[Fraction, ...]) -> _ExactCounter:
+    return _ExactCounter(g, gamma, shape)
+
+
+def _counter(spec: BohrSpec) -> tuple[_ExactCounter, Fraction]:
+    """The shared table for spec's characters and radius shape, and eps_0:
+    the rho-dilate of spec is the query sigma = rho * eps_0."""
+    if not spec.eps:
+        return _phase_table(spec.group, (), ()), _ONE
+    e0 = spec.eps[0]
+    return _phase_table(spec.group, spec.gamma, (_ONE, *(e / e0 for e in spec.eps[1:]))), e0
 
 
 def materialize(g: GroupSpec, spec: BohrSpec, check_regular: bool = False) -> BohrSet:
     """Enumerate members exactly; asserts the (N/2) prod eps_j size floor."""
     if spec.group != g:
         raise GroupMismatchError("spec belongs to a different group")
-    counter = _ExactCounter(g, spec.gamma, spec.eps)
-    members = group_set(g, counter.member_indices(Fraction(1)))
+    counter, scale = _counter(spec)
+    members = GroupSet(g, tuple(counter.member_indices(scale).tolist()))
     if 0 not in members.index_set:
         raise AssertionError("Bohr set lost the identity element")
     if members.neg().index_set != members.index_set:
@@ -221,7 +275,7 @@ def size_profile(g: GroupSpec, spec: BohrSpec, rhos: Sequence[Fraction]) -> list
     """
     if spec.group != g:
         raise GroupMismatchError("spec belongs to a different group")
-    counter = _ExactCounter(g, spec.gamma, spec.eps)
+    counter, scale = _counter(spec)
     out = []
     for rho in rhos:
         rho = Fraction(rho)
@@ -229,7 +283,7 @@ def size_profile(g: GroupSpec, spec: BohrSpec, rhos: Sequence[Fraction]) -> list
             raise ValueError("dilation factor must be positive")
         if any(rho * e > 1 for e in spec.eps):
             raise ValueError(f"radius overflow at dilation {rho}")
-        out.append(counter.count(rho))
+        out.append(counter.count(rho * scale))
     return out
 
 
@@ -258,8 +312,8 @@ def default_eta_grid(d: int, steps: int = _DEFAULT_GRID_STEPS) -> tuple[Fraction
     return tuple(grid)
 
 
-def _grid_sizes(counter: _ExactCounter, base_rho: Fraction, grid: Sequence[Fraction]) -> list[tuple[Fraction, int]]:
-    return [(eta, counter.count(base_rho * (1 + eta))) for eta in grid]
+def _grid_sizes(counter: _ExactCounter, sigma: Fraction, grid: Sequence[Fraction]) -> list[tuple[Fraction, int]]:
+    return [(eta, counter.count(sigma * (1 + eta))) for eta in grid]
 
 
 def _grid_verdict(
@@ -295,11 +349,11 @@ def regularity_test(b: BohrSet, eta_grid: Sequence[Fraction] | None = None) -> R
     for eta in grid:
         if d * abs(eta) > Fraction(1, 100):
             raise ValueError(f"grid point {eta} violates d|eta| <= 1/100")
-    counter = _ExactCounter(spec.group, spec.gamma, spec.eps)
-    base_size = counter.count(Fraction(1))
+    counter, scale = _counter(spec)
+    base_size = counter.count(scale)
     if base_size != len(b.members):
         raise AssertionError("materialized member count disagrees with the counting table")
-    sizes = _grid_sizes(counter, Fraction(1), grid)
+    sizes = _grid_sizes(counter, scale, grid)
     return _grid_verdict(d, base_size, sizes, grid)
 
 
@@ -314,7 +368,7 @@ def find_regular_radius(
     not a structural impossibility.
     """
     base = make_bohr_spec(g, gamma, eps)
-    counter = _ExactCounter(g, base.gamma, base.eps)
+    counter, scale = _counter(base)
     d = base.d
     grid = default_eta_grid(d)
     trace: list[tuple[Fraction, int]] = []
@@ -325,10 +379,10 @@ def find_regular_radius(
             if not Fraction(1, 2) < rho < 1 or rho in seen:
                 continue
             seen.add(rho)
-            base_size = counter.count(rho)
+            base_size = counter.count(rho * scale)
             if d == 0:
                 return dilate(base, rho)
-            sizes = _grid_sizes(counter, rho, grid)
+            sizes = _grid_sizes(counter, rho * scale, grid)
             verdict = _grid_verdict(d, base_size, sizes, grid)
             trace.append((rho, base_size))
             if verdict.regular:
@@ -363,8 +417,8 @@ def check_size_bounds(b: BohrSet, others: Sequence[BohrSet] = ()) -> list[CheckR
             )
         )
     )
-    counter = _ExactCounter(g, spec.gamma, spec.eps)
-    half = counter.count(Fraction(1, 2))
+    counter, scale = _counter(spec)
+    half = counter.count(scale / 2)
     records.append(
         require(
             record_le(
@@ -383,8 +437,8 @@ def check_size_bounds(b: BohrSet, others: Sequence[BohrSet] = ()) -> list[CheckR
     wedge = materialize(g, wedge_spec)
     halves = []
     for s in sets:
-        c = _ExactCounter(g, s.spec.gamma, s.spec.eps)
-        halves.append(c.count(Fraction(1, 2)))
+        c, c_scale = _counter(s.spec)
+        halves.append(c.count(c_scale / 2))
     records.append(
         require(
             record_ge(

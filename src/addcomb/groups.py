@@ -238,47 +238,67 @@ def _strides(factors: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=32)
 def _index_tools(factors: tuple[int, ...]):
-    """Dense coords table and stride vectors for vectorised index arithmetic."""
+    """Dense coords table (None above MAX_COORDS_TABLE) and the stride and
+    modulus vectors, for vectorised index arithmetic."""
     order = prod(factors)
-    if order > MAX_COORDS_TABLE:
-        raise SizeLimitError(
-            f"coords table for order {order} exceeds cap {MAX_COORDS_TABLE}"
-        )
     strides = np.array(_strides(factors), dtype=np.int64)
     mods = np.array(factors, dtype=np.int64)
-    idx = np.arange(order, dtype=np.int64)
-    coords = (idx[:, None] // strides[None, :]) % mods[None, :]
+    coords = None
+    if order <= MAX_COORDS_TABLE:
+        idx = np.arange(order, dtype=np.int64)
+        coords = (idx[:, None] // strides[None, :]) % mods[None, :]
     return coords, strides, mods
 
 
 def coords_table(g: GroupSpec) -> np.ndarray:
     """(order, rank) table of coordinates, row i = unindex(i)."""
-    return _index_tools(g.factors)[0]
+    coords = _index_tools(g.factors)[0]
+    if coords is None:
+        raise SizeLimitError(
+            f"coords table for order {g.order} exceeds cap {MAX_COORDS_TABLE}"
+        )
+    return coords
+
+
+def _rows(tools, indices) -> np.ndarray:
+    coords, strides, mods = tools
+    if coords is not None:
+        return coords[indices]
+    return (np.asarray(indices)[..., None] // strides) % mods
+
+
+def _pack(tools, coords: np.ndarray) -> np.ndarray:
+    _, strides, mods = tools
+    return (coords % mods) @ strides
+
+
+def _coords_of(g: GroupSpec, indices) -> np.ndarray:
+    """Coordinates of an index or index array, in a trailing axis: rows of
+    the dense table up to MAX_COORDS_TABLE, mixed-radix division above."""
+    return _rows(_index_tools(g.factors), indices)
 
 
 def add_index_many(g: GroupSpec, indices: np.ndarray, j: int) -> np.ndarray:
     """Vectorised add of a fixed element (by index) to an index array."""
     if g.is_boolean_space:
         return indices ^ j
-    coords, strides, mods = _index_tools(g.factors)
-    cj = coords[j]
-    return ((coords[indices] + cj[None, :]) % mods[None, :]) @ strides
+    tools = _index_tools(g.factors)
+    return _pack(tools, _rows(tools, indices) + _rows(tools, j))
 
 
 def sub_index_many(g: GroupSpec, indices: np.ndarray, j: int) -> np.ndarray:
     """Vectorised subtraction of a fixed element from an index array."""
     if g.is_boolean_space:
         return indices ^ j
-    coords, strides, mods = _index_tools(g.factors)
-    cj = coords[j]
-    return ((coords[indices] - cj[None, :]) % mods[None, :]) @ strides
+    tools = _index_tools(g.factors)
+    return _pack(tools, _rows(tools, indices) - _rows(tools, j))
 
 
 def neg_index_many(g: GroupSpec, indices: np.ndarray) -> np.ndarray:
     if g.is_boolean_space:
         return indices.copy()
-    coords, strides, mods = _index_tools(g.factors)
-    return ((-coords[indices]) % mods[None, :]) @ strides
+    tools = _index_tools(g.factors)
+    return _pack(tools, -_rows(tools, indices))
 
 
 # -- boolean bitset helpers ----------------------------------------------------

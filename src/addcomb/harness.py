@@ -607,6 +607,8 @@ def run_structure(cfg: RunConfig) -> RunReport:
         label_b, B = realize_source(cfg.sets[1], A.group, cfg.seed)
     else:
         label_b, B = label_a, A
+    if not A.members or not B.members:
+        raise ConfigError("structure run needs nonempty sets")
 
     started = time.perf_counter()
     mode = cfg.pipeline

@@ -28,7 +28,6 @@ from .harmonic import FunctionTable, dft, indicator, wht_int
 from .report import CheckRecord, record_eq, record_ge, record_le, require
 
 _PAIR_LOOP_MAX = 1 << 26
-_MEMO_ENTRY_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -246,60 +245,6 @@ def higher_energy(A: GroupSet, k: int) -> int:
         raise ValueError("need k >= 2")
     hist = Counter(corr_counts(A, A))
     return sum(mult * v**k for v, mult in hist.items() if v)
-
-
-def energy_sequence(A: GroupSet, k_max: int) -> list[int]:
-    """[E_1(A), ..., E_{k_max}(A)] from a single correlation pass.
-
-    E_1 is |A|^2; entries from E_2 on agree with higher_energy.
-    """
-    if k_max < 1:
-        raise ValueError("need k_max >= 1")
-    hist = Counter(v for v in corr_counts(A, A) if v)
-    out = []
-    powers = {v: 1 for v in hist}
-    for _ in range(k_max):
-        for v in powers:
-            powers[v] *= v
-        out.append(sum(hist[v] * p for v, p in powers.items()))
-    return out
-
-
-def higher_difference_count(B: GroupSet, k: int) -> int:
-    """Number of (k-1)-tuples (x_1, ..., x_{k-1}) whose common slice
-    B intersect (B+x_1) ... intersect (B+x_{k-1}) is nonempty.
-
-    Counted by recursive descent over nonempty slices; tuples are never
-    materialized over the full group power.
-    """
-    if k < 2:
-        raise ValueError("need k >= 2")
-    g = B.group
-    if not B.members:
-        return 0
-    memo: dict[tuple, int] = {}
-    b_members = B.members
-
-    def descend(members: tuple[int, ...], depth: int) -> int:
-        if depth == 0:
-            return 1
-        key = (members, depth)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        # x keeps the slice nonempty iff x = s - b for s in the slice, b in B
-        xs = sorted({g.sub_index(s, b) for s in members for b in b_members})
-        member_set = set(members)
-        total = 0
-        for x in xs:
-            shifted = {g.add_index(b, x) for b in b_members}
-            total += descend(tuple(sorted(member_set & shifted)), depth - 1)
-        if len(memo) >= _MEMO_ENTRY_CAP:
-            raise SizeLimitError("higher difference recursion exceeded the memo cap")
-        memo[key] = total
-        return total
-
-    return descend(b_members, k - 1)
 
 
 # -- inequality checks -----------------------------------------------------------

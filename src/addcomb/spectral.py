@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from . import f2
-from .groups import GroupSpec, SizeLimitError
+from .groups import GroupSpec, SizeLimitError, add_index_many, sub_index_many
 from .harmonic import FunctionTable, dft, wht_int
 from .setstat import GroupSet, group_set
 
@@ -158,12 +160,18 @@ def _dissociated_meet_middle(g: GroupSpec, elems: tuple[int, ...]) -> bool:
     return True
 
 
-def _grow_span(g: GroupSpec, span_set: frozenset[int], elem: int) -> frozenset[int]:
-    out = set(span_set)
-    for s in span_set:
-        out.add(g.add_index(s, elem))
-        out.add(g.sub_index(s, elem))
-    return frozenset(out)
+def _grow(g: GroupSpec, mask: np.ndarray, elem: int) -> np.ndarray:
+    """Span mask grown in place by one element: S | (S + elem) | (S - elem)."""
+    idx = np.flatnonzero(mask)
+    mask[add_index_many(g, idx, elem)] = True
+    mask[sub_index_many(g, idx, elem)] = True
+    return mask
+
+
+def _zero_mask(g: GroupSpec) -> np.ndarray:
+    mask = np.zeros(g.order, dtype=bool)
+    mask[0] = True
+    return mask
 
 
 def max_dissociated(
@@ -193,7 +201,7 @@ def max_dissociated(
     if len(cands) <= _EXACT_SEARCH_MAX:
         best: list[int] = []
 
-        def descend(i: int, chosen: list[int], span_set: frozenset[int]) -> None:
+        def descend(i: int, chosen: list[int], span_mask: np.ndarray) -> None:
             nonlocal best
             if len(chosen) > len(best):
                 best = list(chosen)
@@ -201,22 +209,22 @@ def max_dissociated(
                 return
             for j in range(i, len(cands)):
                 c = cands[j]
-                if c not in span_set:
+                if not span_mask[c]:
                     chosen.append(c)
-                    descend(j + 1, chosen, _grow_span(g, span_set, c))
+                    descend(j + 1, chosen, _grow(g, span_mask.copy(), c))
                     chosen.pop()
                     if len(chosen) + (len(cands) - j - 1) <= len(best):
                         return
 
-        descend(0, [], frozenset({0}))
+        descend(0, [], _zero_mask(g))
         return DissociatedWitness(g, tuple(best), "exact", len(best))
     picked = []
-    span_set = frozenset({0})
+    span_mask = _zero_mask(g)
     for c in cands:
-        if c not in span_set:
+        if not span_mask[c]:
             picked.append(c)
-            span_set = _grow_span(g, span_set, c)
-            if len(span_set) > _GREEDY_SPAN_CAP:
+            _grow(g, span_mask, c)
+            if np.count_nonzero(span_mask) > _GREEDY_SPAN_CAP:
                 raise SizeLimitError("span tracking exceeded the greedy cap")
     return DissociatedWitness(g, tuple(picked), "greedy", len(picked))
 
@@ -229,10 +237,10 @@ def span(g: GroupSpec, lam: list[int] | tuple[int, ...]) -> GroupSet:
         return group_set(g, f2.subspace_elements(basis))
     if 3 ** len(elems) > _SPAN_CAP:
         raise SizeLimitError(f"span of {len(elems)} characters exceeds the enumeration cap")
-    acc = {0}
+    mask = _zero_mask(g)
     for e in elems:
-        acc = {v for s in acc for v in (s, g.add_index(s, e), g.sub_index(s, e))}
-    return group_set(g, sorted(acc))
+        _grow(g, mask, e)
+    return GroupSet(g, tuple(np.flatnonzero(mask).tolist()))
 
 
 @dataclass(frozen=True)
@@ -248,21 +256,34 @@ class ChangReport:
     ok: bool | None  # None = diagnostic only (constant below the audit floor)
 
 
-def chang_bound(f: FunctionTable, eps: Fraction | int, c_chang: Fraction = CHANG_AUDIT_CONSTANT) -> ChangReport:
+def chang_bound(
+    f: FunctionTable,
+    eps: Fraction | int,
+    c_chang: Fraction = CHANG_AUDIT_CONSTANT,
+    *,
+    spec: Spectrum | None = None,
+    witness: DissociatedWitness | None = None,
+) -> ChangReport:
     """Evaluate c * eps^-2 * log(||f||_2^2 N / ||f||_1^2) against dim(Spec_eps(f)).
 
     The comparison is asserted only when c_chang is at least the audit
-    constant; below that it is reported as a plain diagnostic.
+    constant; below that it is reported as a plain diagnostic.  A caller
+    that already holds Spec_eps(f), and the max_dissociated witness of its
+    members weighted by magnitude, passes them in instead of recomputing.
     """
     eps = Fraction(eps)
-    spec = spectrum(f, eps)
+    if spec is None:
+        spec = spectrum(f, eps)
+    elif spec.eps != eps or spec.group != f.group:
+        raise ValueError("spectrum passed to chang_bound is not Spec_eps(f)")
     g = f.group
     l1 = float(sum(abs(v) for v in f.values))
     l2sq = float(f.l2_squared())
     ratio = l2sq * g.order / (l1 * l1)
     bound = float(c_chang) * float(eps) ** -2 * math.log(max(ratio, 1.0))
-    weights = dict(zip(spec.members, spec.magnitudes))
-    witness = max_dissociated(g, list(spec.members), weights)
+    if witness is None:
+        weights = dict(zip(spec.members, spec.magnitudes))
+        witness = max_dissociated(g, list(spec.members), weights)
     ok: bool | None = None
     if c_chang >= CHANG_AUDIT_CONSTANT:
         ok = witness.certified_size <= max(1.0, bound)

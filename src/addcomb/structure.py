@@ -438,7 +438,7 @@ def extract_subspace(
         "eps_clamped": clamped,
         "spectrum_size": len(spec_phi),
         "codim_bound": _codim_diagnostic(report, params),
-        "chang": chang_bound(phi, eps, params.c_chang),
+        "chang": chang_bound(phi, eps, params.c_chang, spec=spec_phi, witness=witness),
     }
     return StructureResult(
         variant=SubspacePiece(
@@ -580,7 +580,7 @@ def extract_bohr(
                 "spectrum_size": len(spec_phi),
                 "dim_bound": _codim_diagnostic(report, params),
                 "attempts": attempts,
-                "chang": chang_bound(phi, eps, params.c_chang),
+                "chang": chang_bound(phi, eps, params.c_chang, spec=spec_phi, witness=witness),
             }
             diagnostics.update(diag)
             diagnostics.update(_bohr_span_diagnostics(B, phi, lam, params, jump))

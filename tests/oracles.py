@@ -11,6 +11,8 @@ import cmath
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 from addcomb.groups import GroupSpec
 from addcomb.setstat import GroupSet
 
@@ -112,3 +114,20 @@ def dissociated_direct(g: GroupSpec, members) -> bool:
             for c, sign in ((0, 0), (t, 1), (nt, -1))
         ]
     return not any(s == 0 and any(coeffs) for s, coeffs in total)
+
+
+def vanishing_signed_sums(g: GroupSpec, members) -> int:
+    """How many {0, +1, -1} combinations of the members vanish, counting the
+    empty one; the members are dissociated iff this is 1.  Enumerates all
+    3^k sums, coordinate by coordinate, as numpy arrays."""
+    acc = [np.zeros(1, dtype=np.int64) for _ in g.factors]
+    for t in members:
+        tc = g.unindex(t)
+        acc = [
+            np.concatenate((a, (a + c) % n, (a - c) % n))
+            for a, c, n in zip(acc, tc, g.factors)
+        ]
+    zero = np.ones(len(acc[0]), dtype=bool)
+    for a in acc:
+        zero &= a == 0
+    return int(zero.sum())

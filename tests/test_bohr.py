@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addcomb.bohr import (
+    _counter,
     check_size_bounds,
     dilate,
     find_regular_radius,
@@ -159,3 +160,93 @@ def test_dilation_monotonicity_property(data):
     lo, hi = min(rho1, rho2), max(rho1, rho2)
     sizes = size_profile(g, spec, [lo, hi])
     assert sizes[0] <= sizes[1]
+
+
+EXACTNESS_GROUPS = [make_group(f) for f in [(24,), (60,), (97,), (120,), (128,), (4, 6), (6, 10), (3, 4, 5)]]
+
+
+def _wide_fraction(draw, bits: int = 100) -> Fraction:
+    """A value in (0, 1] with a denominator of about `bits` bits."""
+    den = draw(st.integers(min_value=1 << (bits - 1), max_value=1 << bits)) | 1
+    return Fraction(draw(st.integers(min_value=1, max_value=den)), den)
+
+
+def _boundary_fraction(draw, n: int) -> Fraction:
+    """A phase boundary k/(2N) in (0, 1]."""
+    return Fraction(draw(st.integers(min_value=1, max_value=2 * n)), 2 * n)
+
+
+def _assert_counter_exact(g, gamma, eps, rhos):
+    spec = make_bohr_spec(g, gamma, eps)
+    counter, scale = _counter(spec)
+    for rho in rhos:
+        want = bohr_members_direct(g, gamma, [rho * e for e in eps])
+        assert counter.count(rho * scale) == len(want)
+        assert counter.member_indices(rho * scale).tolist() == sorted(want)
+    assert size_profile(g, spec, rhos) == [
+        len(bohr_members_direct(g, gamma, [rho * e for e in eps])) for rho in rhos
+    ]
+    b = materialize(g, spec)
+    assert set(b.members.members) == bohr_members_direct(g, gamma, eps)
+    verdict = regularity_test(b)
+    assert verdict.base_size == len(b)
+    for eta, size in verdict.sizes:
+        assert size == len(bohr_members_direct(g, gamma, [(1 + eta) * e for e in eps]))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_counter_exact_on_wide_denominators(data):
+    g = data.draw(st.sampled_from(EXACTNESS_GROUPS), label="group")
+    d = data.draw(st.integers(min_value=1, max_value=3), label="d")
+    gamma = data.draw(st.lists(st.integers(0, g.order - 1), min_size=d, max_size=d), label="gamma")
+    eps = [_wide_fraction(data.draw) for _ in range(d)]
+    rhos = [_wide_fraction(data.draw) for _ in range(3)]
+    _assert_counter_exact(g, gamma, eps, rhos)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_counter_exact_on_phase_boundaries(data):
+    g = data.draw(st.sampled_from(EXACTNESS_GROUPS), label="group")
+    n = g.order
+    d = data.draw(st.integers(min_value=1, max_value=3), label="d")
+    gamma = data.draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d), label="gamma")
+    eps = [_boundary_fraction(data.draw, n) for _ in range(d)]
+    # rho * eps_0 = k/N is the phase norm ||gamma_0 . x|| of the points with
+    # v_0(x) = k, so the cut often falls exactly on attained values
+    rhos = [Fraction(data.draw(st.integers(1, n // 2)), n) / eps[0] for _ in range(3)]
+    rhos = [rho for rho in rhos if all(rho * e <= 1 for e in eps)] or [Fraction(1)]
+    _assert_counter_exact(g, gamma, eps, rhos)
+
+
+def test_counter_exact_off_the_float_range():
+    """Radius shapes and dilations past the double range use the integer scan."""
+    g = make_group((4, 6))
+    gamma = [5, 13]
+    eps = [Fraction(1, 3), Fraction(1, 2**1100)]
+    _assert_counter_exact(g, gamma, eps, [Fraction(1), Fraction(1, 2)])
+    eps = [Fraction(1, 3), Fraction(2, 5)]
+    _assert_counter_exact(g, gamma, eps, [Fraction(1, 2**1100), Fraction(3, 4)])
+
+
+def test_counter_exact_where_the_float_key_misrounds():
+    # k * fl(1/24) < fl(k/24) for k = 5, 7, 10: the float key of a point on
+    # the cut lands below the rounded cut, and only the band recheck keeps
+    # the strict inequality
+    g = make_group((24,))
+    for k in (5, 7, 10):
+        assert k * (1 / 24) < k / 24
+        _assert_counter_exact(g, [1], [Fraction(1, 2)], [Fraction(k, 12)])
+
+
+def test_materialize_above_the_coords_table_cap():
+    # ||x / N|| < 2^-18 on Z_(2^21) keeps min(x, N - x) < 8
+    g = make_group((1 << 21,))
+    b = materialize(g, make_bohr_spec(g, [1], Fraction(1, 1 << 18)))
+    assert set(b.members.members) == set(range(8)) | set(range(g.order - 7, g.order))
+    # on Z_2048 x Z_1024 the character (1, 0) constrains coordinate 0 alone
+    g = make_group((2048, 1024))
+    b = materialize(g, make_bohr_spec(g, [g.index((1, 0))], Fraction(5, 2048)))
+    assert len(b) == 9 * 1024
+    assert {g.unindex(x)[0] for x in b.members.members} == set(range(5)) | set(range(2044, 2048))

@@ -93,6 +93,25 @@ def test_structure_gate_failure_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("group", ["Z16", "F2^4"])
+def test_structure_on_an_empty_set_is_a_config_error(group, tmp_path, capsys):
+    p = tmp_path / "empty.set"
+    p.write_text(f"{group}\n")
+    code = main(["structure", str(p)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group, line", [("Z16", "3"), ("F2^4", "1,0,1,1")])
+def test_structure_on_a_singleton_succeeds(group, line, tmp_path, capsys):
+    p = tmp_path / "one.set"
+    p.write_text(f"{group}\n{line}\n")
+    out = tmp_path / "res.json"
+    assert main(["structure", str(p), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["results"][0]["size"] == 1
+
+
 def test_structure_with_params_file(subgroup_file, tmp_path, capsys):
     pf = tmp_path / "params.json"
     pf.write_text(json.dumps({"zeta": "1/4"}))

@@ -94,6 +94,19 @@ def test_vectorized_index_ops_match_scalar(g):
         assert negged[i] == g.neg_index(i)
 
 
+@pytest.mark.parametrize("factors", [(1 << 21,), (3, 1024, 700)])
+def test_add_and_sub_many_above_the_coords_table_cap(factors):
+    g = make_group(factors)
+    rng = np.random.default_rng(g.rank)
+    idx = rng.integers(0, g.order, size=200)
+    for j in (1, g.order // 3, g.order - 1):
+        added = add_index_many(g, idx, j)
+        subbed = sub_index_many(g, idx, j)
+        for i, a, s in zip(idx.tolist(), added.tolist(), subbed.tolist()):
+            assert a == g.add_index(i, j)
+            assert s == g.sub_index(i, j)
+
+
 @pytest.mark.parametrize("g", GROUPS, ids=format_group_text)
 def test_coords_table_matches_unindex(g):
     table = coords_table(g)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addcomb.groups import boolean_group, make_group
 from addcomb.harmonic import indicator, table_from_values
@@ -16,7 +18,7 @@ from addcomb.spectral import (
     spectrum,
 )
 
-from .oracles import dissociated_direct, span_direct
+from .oracles import dissociated_direct, span_direct, vanishing_signed_sums
 
 
 def test_dissociated_small_cases():
@@ -157,3 +159,70 @@ def test_chang_bound_below_audit_floor_is_diagnostic():
     g = boolean_group(4)
     rep = chang_bound(indicator(g, [0, 1]), Fraction(1, 2), c_chang=Fraction(1, 100))
     assert rep.ok is None
+
+
+GENERAL_GROUPS = [make_group(f) for f in [(97,), (128,), (6, 10), (4, 4, 5)]]
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_greedy_witness_is_dissociated_and_spans_every_candidate(data):
+    g = data.draw(st.sampled_from(GENERAL_GROUPS), label="group")
+    cands = data.draw(
+        st.lists(st.integers(1, g.order - 1), min_size=25, max_size=40, unique=True), label="cands"
+    )
+    weights = {c: data.draw(st.floats(0, 1), label="weight") for c in cands[::3]}
+    witness = max_dissociated(g, cands, weights)
+    assert witness.mode == "greedy"
+    assert witness.certified_size == len(witness.members)
+    assert set(witness.members) <= set(cands)
+    assert dissociated_direct(g, witness.members)
+    reach = span_direct(g, witness.members)
+    assert all(c in reach for c in cands)
+    # greedy keeps the heaviest candidate, ties broken by index
+    assert witness.members[0] == min(cands, key=lambda c: (-weights.get(c, 0.0), c))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_span_matches_brute_property(data):
+    g = data.draw(st.sampled_from(GENERAL_GROUPS), label="group")
+    lam = data.draw(st.lists(st.integers(0, g.order - 1), max_size=8, unique=True), label="lam")
+    got = span(g, lam)
+    assert list(got.members) == sorted(span_direct(g, lam))
+
+
+def _powers(base: int, k: int) -> list[int]:
+    return [base**i for i in range(k)]
+
+
+@pytest.mark.parametrize("k", [13, 16, 20])
+def test_meet_in_the_middle_on_known_dissociated_sets(k):
+    # distinct powers of 2 have no vanishing signed sum below 2^k
+    g = make_group((1 << k,))
+    lam = _powers(2, k)
+    assert is_dissociated(g, lam)
+    # the sum of the first and the last power adds a relation across both halves
+    assert not is_dissociated(g, lam[:-1] + [lam[0] + lam[-2]])
+
+
+def test_meet_in_the_middle_on_a_product_group():
+    g = make_group((3**7, 3**7))
+    # balanced ternary: powers of 3 in one coordinate never cancel below 3^7
+    lam = [g.index((3**i, 0)) for i in range(7)] + [g.index((0, 3**i)) for i in range(7)]
+    assert is_dissociated(g, lam)
+    # (1, 0) + (0, 3^5) + (0, 1) - (1, 3^5 + 1) = 0
+    assert not is_dissociated(g, lam[:-1] + [g.index((1, 3**5 + 1))])
+
+
+@pytest.mark.parametrize("factors, k", [((1 << 21,), 13), ((1 << 21,), 14), ((1024, 2048), 13)])
+def test_meet_in_the_middle_matches_full_enumeration(factors, k):
+    g = make_group(factors)
+    rng = random.Random(k * g.order)
+    verdicts = set()
+    for _ in range(6):
+        lam = rng.sample(range(1, g.order), k)
+        want = vanishing_signed_sums(g, lam) == 1
+        assert is_dissociated(g, lam) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
