@@ -21,7 +21,6 @@ import numpy as np
 
 MAX_MEMBERSHIP_ORDER = 1 << 24   # bitset / linear-scan operations
 MAX_TRANSFORM_ORDER = 1 << 16    # dense transforms on general groups
-MAX_COORDS_TABLE = 1 << 20       # dense index<->coords tables
 
 Element = tuple
 
@@ -236,69 +235,73 @@ def _strides(factors: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _blocks(factors: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(s_k, s_k * n_k) per coordinate k.  Coordinate k of index i is at
+    least a iff i mod s_k n_k >= a s_k, since the lower coordinates add up
+    to less than s_k; the vectorised index ops read coordinates this way
+    instead of dividing."""
+    return tuple((s, s * n) for s, n in zip(_strides(factors), factors))
+
+
+def _low_part(idx: np.ndarray, block: int, order: int) -> np.ndarray:
+    # i mod order is i itself for every index
+    return idx % block if block < order else idx
+
+
+def _shift(g: GroupSpec, idx: np.ndarray, j: int) -> np.ndarray:
+    """idx + j in the group.  Coordinates add without carries, so the
+    integer sum is right except that each coordinate k with a_k + b_k >= n_k
+    overshoots by n_k s_k."""
+    out = idx + j
+    order = g.order
+    for s, block in _blocks(g.factors):
+        b = j % block // s
+        if b:
+            np.subtract(out, block, out=out, where=_low_part(idx, block, order) >= block - b * s)
+    return out
+
+
 @lru_cache(maxsize=32)
-def _index_tools(factors: tuple[int, ...]):
-    """Dense coords table (None above MAX_COORDS_TABLE) and the stride and
-    modulus vectors, for vectorised index arithmetic."""
-    order = prod(factors)
-    strides = np.array(_strides(factors), dtype=np.int64)
-    mods = np.array(factors, dtype=np.int64)
-    coords = None
-    if order <= MAX_COORDS_TABLE:
-        idx = np.arange(order, dtype=np.int64)
-        coords = (idx[:, None] // strides[None, :]) % mods[None, :]
-    return coords, strides, mods
-
-
-def coords_table(g: GroupSpec) -> np.ndarray:
-    """(order, rank) table of coordinates, row i = unindex(i)."""
-    coords = _index_tools(g.factors)[0]
-    if coords is None:
-        raise SizeLimitError(
-            f"coords table for order {g.order} exceeds cap {MAX_COORDS_TABLE}"
-        )
-    return coords
-
-
-def _rows(tools, indices) -> np.ndarray:
-    coords, strides, mods = tools
-    if coords is not None:
-        return coords[indices]
-    return (np.asarray(indices)[..., None] // strides) % mods
-
-
-def _pack(tools, coords: np.ndarray) -> np.ndarray:
-    _, strides, mods = tools
-    return (coords % mods) @ strides
+def _radix(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array(_strides(factors), dtype=np.int64), np.array(factors, dtype=np.int64)
 
 
 def _coords_of(g: GroupSpec, indices) -> np.ndarray:
-    """Coordinates of an index or index array, in a trailing axis: rows of
-    the dense table up to MAX_COORDS_TABLE, mixed-radix division above."""
-    return _rows(_index_tools(g.factors), indices)
+    """Coordinates of an index or index array, in a trailing axis, by
+    mixed-radix division."""
+    strides, mods = _radix(g.factors)
+    return (np.asarray(indices)[..., None] // strides) % mods
 
 
 def add_index_many(g: GroupSpec, indices: np.ndarray, j: int) -> np.ndarray:
     """Vectorised add of a fixed element (by index) to an index array."""
     if g.is_boolean_space:
         return indices ^ j
-    tools = _index_tools(g.factors)
-    return _pack(tools, _rows(tools, indices) + _rows(tools, j))
+    return _shift(g, np.asarray(indices), int(j))
 
 
 def sub_index_many(g: GroupSpec, indices: np.ndarray, j: int) -> np.ndarray:
     """Vectorised subtraction of a fixed element from an index array."""
     if g.is_boolean_space:
         return indices ^ j
-    tools = _index_tools(g.factors)
-    return _pack(tools, _rows(tools, indices) - _rows(tools, j))
+    j = int(j)
+    # -j has coordinate n_k - b_k wherever b_k != 0
+    neg_j = sum(block for s, block in _blocks(g.factors) if j % block >= s) - j
+    return _shift(g, np.asarray(indices), neg_j)
 
 
 def neg_index_many(g: GroupSpec, indices: np.ndarray) -> np.ndarray:
     if g.is_boolean_space:
         return indices.copy()
-    tools = _index_tools(g.factors)
-    return _pack(tools, -_rows(tools, indices))
+    idx = np.asarray(indices)
+    # -i has coordinate n_k - a_k wherever a_k != 0, so -i = sum of n_k s_k
+    # over those k, minus i
+    out = -idx
+    order = g.order
+    for s, block in _blocks(g.factors):
+        np.add(out, block, out=out, where=_low_part(idx, block, order) >= s)
+    return out
 
 
 # -- boolean bitset helpers ----------------------------------------------------

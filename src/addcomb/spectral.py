@@ -269,13 +269,20 @@ def chang_bound(
     The comparison is asserted only when c_chang is at least the audit
     constant; below that it is reported as a plain diagnostic.  A caller
     that already holds Spec_eps(f), and the max_dissociated witness of its
-    members weighted by magnitude, passes them in instead of recomputing.
+    members weighted by magnitude, passes them in instead of recomputing; a
+    witness is accepted only together with the spectrum it was drawn from.
     """
     eps = Fraction(eps)
     if spec is None:
+        if witness is not None:
+            raise ValueError("a witness passed to chang_bound needs its spectrum")
         spec = spectrum(f, eps)
     elif spec.eps != eps or spec.group != f.group:
         raise ValueError("spectrum passed to chang_bound is not Spec_eps(f)")
+    if witness is not None and (
+        witness.group != f.group or not set(witness.members) <= set(spec.members)
+    ):
+        raise ValueError("witness passed to chang_bound is not drawn from its spectrum")
     g = f.group
     l1 = float(sum(abs(v) for v in f.values))
     l2sq = float(f.l2_squared())

@@ -240,7 +240,7 @@ def test_counter_exact_where_the_float_key_misrounds():
         _assert_counter_exact(g, [1], [Fraction(1, 2)], [Fraction(k, 12)])
 
 
-def test_materialize_above_the_coords_table_cap():
+def test_materialize_on_large_groups():
     # ||x / N|| < 2^-18 on Z_(2^21) keeps min(x, N - x) < 8
     g = make_group((1 << 21,))
     b = materialize(g, make_bohr_spec(g, [1], Fraction(1, 1 << 18)))

@@ -161,6 +161,27 @@ def test_chang_bound_below_audit_floor_is_diagnostic():
     assert rep.ok is None
 
 
+def test_chang_bound_reuses_a_matching_spectrum_and_witness():
+    g = make_group((60,))
+    f = indicator(g, [0, 1, 2, 3, 20, 21, 40])
+    eps = Fraction(1, 4)
+    spec = spectrum(f, eps)
+    weights = dict(zip(spec.members, spec.magnitudes))
+    witness = max_dissociated(g, list(spec.members), weights)
+    assert chang_bound(f, eps, spec=spec, witness=witness) == chang_bound(f, eps)
+    with pytest.raises(ValueError, match="needs its spectrum"):
+        chang_bound(f, eps, witness=witness)
+    outside = next(t for t in range(1, g.order) if t not in spec)
+    stray = max_dissociated(g, [outside])
+    with pytest.raises(ValueError, match="not drawn from"):
+        chang_bound(f, eps, spec=spec, witness=stray)
+    other = max_dissociated(make_group((61,)), list(spec.members))
+    with pytest.raises(ValueError, match="not drawn from"):
+        chang_bound(f, eps, spec=spec, witness=other)
+    with pytest.raises(ValueError, match="not Spec_eps"):
+        chang_bound(f, Fraction(1, 3), spec=spec, witness=witness)
+
+
 GENERAL_GROUPS = [make_group(f) for f in [(97,), (128,), (6, 10), (4, 4, 5)]]
 
 
