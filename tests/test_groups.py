@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from addcomb.groups import (
     GroupMismatchError,
     SizeLimitError,
-    add_index_many,
     _coords_of,
+    add_index_many,
     boolean_group,
     format_group_text,
     make_group,
@@ -92,6 +92,22 @@ def test_vectorized_index_ops_match_scalar(g):
         assert added[i] == g.add_index(i, j)
         assert subbed[i] == g.sub_index(i, j)
         assert negged[i] == g.neg_index(i)
+
+
+@given(st.lists(st.integers(2, 9), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_vectorized_index_ops_match_coordinates_for_every_shift(factors):
+    # every shift j, so each coordinate wraps for some indices and not others;
+    # the reference adds coordinates from mixed-radix division
+    g = make_group(factors)
+    mods = np.array(g.factors)
+    strides = np.array(g.strides)
+    idx = np.arange(g.order, dtype=np.int64)
+    coords = _coords_of(g, idx)
+    assert np.array_equal(neg_index_many(g, idx), (-coords % mods) @ strides)
+    for j in range(g.order):
+        assert np.array_equal(add_index_many(g, idx, j), ((coords + coords[j]) % mods) @ strides)
+        assert np.array_equal(sub_index_many(g, idx, j), ((coords - coords[j]) % mods) @ strides)
 
 
 @pytest.mark.parametrize("factors", [(1 << 21,), (3, 1024, 700)])
