@@ -15,8 +15,8 @@ from fractions import Fraction
 from . import fileio, harness
 from .bohr import RegularRadiusError, find_regular_radius, make_bohr_spec, materialize, regularity_test
 from .groups import GroupMismatchError, SizeLimitError, format_group_text, parse_group_text
-from .harmonic import dft, table_from_values, wht_int
-from .report import CheckFailure
+from .harmonic import dft, table_from_values
+from .report import CheckFailure, format_value
 from .setstat import profile
 from .structure import (
     DensityGuaranteeFailed,
@@ -53,15 +53,15 @@ def _cmd_stats(args) -> int:
     payload = {
         "group": format_group_text(A.group),
         "size": prof.size,
-        "density": harness._frac_str(prof.density),
+        "density": format_value(prof.density),
         "diff_size": prof.diff_size,
-        "doubling": harness._frac_str(prof.doubling),
-        "peak_sq": harness._frac_str(prof.peak_sq),
+        "doubling": format_value(prof.doubling),
+        "peak_sq": format_value(prof.peak_sq),
         "peak_char": prof.peak_char,
         "energy": str(prof.energy),
         "higher": {str(k): str(v) for k, v in prof.higher.items()},
         "sum_size": prof.sum_size,
-        "sum_doubling": harness._frac_str(prof.sum_doubling) if prof.sum_doubling is not None else None,
+        "sum_doubling": format_value(prof.sum_doubling) if prof.sum_doubling is not None else None,
         "checks": [r.to_dict() for r in prof.checks],
         "diagnostics": [r.to_dict() for r in prof.diagnostics],
     }
@@ -82,12 +82,7 @@ def _cmd_spectrum(args) -> int:
     else:
         A = fileio.parse_set(text, path=args.file)
         f = table_from_values(A.group, A.indicator(), kind="int")
-    g = f.group
-    if g.is_boolean_space and f.kind == "int":
-        spectrum = wht_int(g, f.values)
-        out_table = table_from_values(g, spectrum, kind="int")
-    else:
-        out_table = dft(f)
+    out_table = dft(f)
     if args.out:
         fileio.write_function(args.out, out_table)
     else:
@@ -108,9 +103,9 @@ def _cmd_bohr(args) -> int:
     payload = {
         "group": args.group,
         "gamma": list(spec.gamma),
-        "radii": [harness._frac_str(e) for e in spec.eps],
+        "radii": [format_value(e) for e in spec.eps],
         "size": len(b),
-        "density": harness._frac_str(b.density),
+        "density": format_value(b.density),
         "regular": verdict.regular,
         "worst_margin": verdict.worst_margin,
         "note": verdict.note,

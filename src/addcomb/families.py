@@ -18,15 +18,7 @@ from . import f2
 from .groups import GroupSpec, boolean_group, make_group
 from .harmonic import wht_int
 from .report import CheckRecord, record_eq, record_ge, record_le, require
-from .setstat import (
-    GroupSet,
-    corr_counts,
-    difference_set,
-    group_set,
-    higher_energy,
-    peak_coefficient,
-    slice_set,
-)
+from .setstat import GroupSet, difference_set, group_set, higher_energy, slice_set
 
 _KATZ_REL_TOL = 1e-6
 _H_LAMBDA_N_MAX = 20
@@ -114,7 +106,7 @@ def verify_h_lambda(A: GroupSet, spec: HLambdaSpec, k_max: int = 6) -> HLambdaRe
     h_members = f2.subspace_elements(spec.h_basis)
     h_set = group_set(g, h_members)
     records: list[CheckRecord] = []
-    counts = corr_counts(A, A)
+    counts = A.autocorr.tolist()
     a = len(A)
 
     for s in h_members:
@@ -405,14 +397,13 @@ def verify_katz_bound(A: GroupSet, field: FiniteField) -> KatzReport:
     p, d = field.p, field.d
     a = len(A)
     n = A.group.order
-    peak_sq, _ = peak_coefficient(A)
-    peak_sq = float(peak_sq)
+    peak_sq = float(A.peak[0])
     bound_sq = (d - 1) ** 2 * p
     if peak_sq > bound_sq * (1 + _KATZ_REL_TOL):
         raise AssertionError(
             f"index-set peak {peak_sq} exceeds the (d-1)^2 p bound {bound_sq}"
         )
-    k = Fraction(len(difference_set(A, A)), a)
+    k = Fraction(A.diff_size, a)
     records = [
         record_le(
             "index-set peak bound",

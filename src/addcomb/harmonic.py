@@ -1,4 +1,4 @@
-"""Transforms, convolution and correlation over finite abelian groups.
+"""Function tables and their transforms over finite abelian groups.
 
 The transform convention carries no 1/N factor:
 
@@ -6,11 +6,10 @@ The transform convention carries no 1/N factor:
 
 so the Parseval identity reads  N * sum_x |f(x)|^2 = sum_t |fhat(t)|^2.
 On 2-groups the transform is the integer Walsh-Hadamard butterfly and integer
-inputs produce exactly integer outputs; on general groups it is the
-per-coordinate mixed-radix DFT evaluated in complex doubles.  Convolution and
-correlation have an exact direct path (used automatically at small orders and
-whenever integer exactness is required) and a transform path whose rounding is
-verified against a residual bound.
+inputs produce exactly integer outputs (in int64 when the input's L1 norm
+bounds every partial sum below 2^62, in Python integers otherwise); on
+general groups it is the per-coordinate mixed-radix DFT evaluated in complex
+doubles.  Set correlations are counted in setstat, not here.
 """
 
 from __future__ import annotations
@@ -20,19 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import (
-    GroupMismatchError,
-    GroupSpec,
-    MAX_MEMBERSHIP_ORDER,
-    MAX_TRANSFORM_ORDER,
-    SizeLimitError,
-    add_index_many,
-    sub_index_many,
-)
+from .groups import GroupMismatchError, GroupSpec, MAX_TRANSFORM_ORDER, SizeLimitError
 
-DIRECT_CONV_MAX_ORDER = 1 << 12
 _INT64_SAFE = 1 << 62
-_RESIDUAL_TOL = 1e-6
 
 Kind = str  # 'int' | 'real' | 'complex'
 
@@ -129,9 +118,16 @@ def wht_int(g: GroupSpec, values: Sequence[int]) -> list[int]:
     """Exact integer Walsh-Hadamard transform (self-inverse up to N)."""
     if not g.is_boolean_space:
         raise GroupMismatchError("Walsh-Hadamard path needs a 2-group")
-    l1 = sum(abs(int(v)) for v in values)
-    if l1 < _INT64_SAFE:
-        return _wht_int64(np.asarray(values, dtype=np.int64)).tolist()
+    # int64 is exact when the L1 norm, which bounds every partial sum, stays
+    # below 2^62.  N * max|v| bounds the L1 norm; only when that bound is
+    # too coarse is the exact norm summed, so the path is the L1 test's.
+    try:
+        arr = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return _wht_list([int(v) for v in values])
+    top = max(int(arr.max()), -int(arr.min())) if arr.size else 0
+    if top * arr.size < _INT64_SAFE or sum(abs(int(v)) for v in values) < _INT64_SAFE:
+        return _wht_int64(arr).tolist()
     return _wht_list([int(v) for v in values])
 
 
@@ -192,105 +188,3 @@ def _wht_complex(arr: np.ndarray) -> np.ndarray:
         a = np.stack((top, bot), axis=1).reshape(-1)
         h *= 2
     return a.reshape(-1)
-
-
-# -- convolution and correlation ---------------------------------------------
-
-
-def convolve(f: FunctionTable, h: FunctionTable, method: str = "auto") -> FunctionTable:
-    """(f*h)(x) = sum_y f(y) h(x-y)."""
-    return _combine(f, h, flip=True, method=method)
-
-
-def correlate(f: FunctionTable, h: FunctionTable, method: str = "auto") -> FunctionTable:
-    """(f o h)(x) = sum_y f(y) h(y+x)."""
-    return _combine(f, h, flip=False, method=method)
-
-
-def iterated_correlation(f: FunctionTable, k: int, method: str = "auto") -> FunctionTable:
-    """k-th correlation power: f itself at k=1, then (...(f o f) o f...) o f."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    out = f
-    for _ in range(k - 1):
-        out = correlate(out, f, method=method)
-    return out
-
-
-def _combine(f: FunctionTable, h: FunctionTable, flip: bool, method: str) -> FunctionTable:
-    if f.group != h.group:
-        raise GroupMismatchError("convolution operands live on different groups")
-    g = f.group
-    if method == "auto":
-        method = "direct" if g.order <= DIRECT_CONV_MAX_ORDER else "transform"
-    if method == "direct":
-        return _combine_direct(f, h, flip)
-    if method == "transform":
-        return _combine_transform(f, h, flip)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _combine_direct(f: FunctionTable, h: FunctionTable, flip: bool) -> FunctionTable:
-    g = f.group
-    n = g.order
-    exact_int = f.kind == "int" and h.kind == "int"
-    if exact_int:
-        bound = f.l1() * max((abs(v) for v in h.values), default=0)
-        if bound < _INT64_SAFE and n <= MAX_MEMBERSHIP_ORDER:
-            idx = np.arange(n, dtype=np.int64)
-            hv = np.asarray(h.values, dtype=np.int64)
-            acc = np.zeros(n, dtype=np.int64)
-            for y in f.support():
-                # flip: h(x - y) as a function of x; else h(y + x)
-                perm = sub_index_many(g, idx, y) if flip else add_index_many(g, idx, y)
-                acc += f.values[y] * hv[perm]
-            return FunctionTable(g, [int(v) for v in acc], "int")
-        out = [0] * n
-        for y in f.support():
-            fy = f.values[y]
-            for z, hz in enumerate(h.values):
-                if hz:
-                    x = g.add_index(y, z) if flip else g.sub_index(z, y)
-                    out[x] += fy * hz
-        return FunctionTable(g, out, "int")
-    out_c = [0j] * n
-    for y in f.support():
-        fy = complex(f.values[y])
-        for z, hz in enumerate(h.values):
-            if hz:
-                x = g.add_index(y, z) if flip else g.sub_index(z, y)
-                out_c[x] += fy * complex(hz)
-    kind = "complex" if (f.kind == "complex" or h.kind == "complex") else "real"
-    if kind == "real":
-        return FunctionTable(g, [v.real for v in out_c], "real")
-    return FunctionTable(g, out_c, "complex")
-
-
-def _combine_transform(f: FunctionTable, h: FunctionTable, flip: bool) -> FunctionTable:
-    g = f.group
-    exact_int = f.kind == "int" and h.kind == "int"
-    if g.is_boolean_space and exact_int:
-        fh = wht_int(g, f.values)
-        hh = wht_int(g, h.values)
-        prod = [a * b for a, b in zip(fh, hh)]
-        return idft(FunctionTable(g, prod, "int"))
-    fa = f.as_complex_array()
-    if not flip:
-        fa = np.conj(fa)
-    fhat = dft(table_from_values(g, fa.tolist(), "complex")).as_complex_array()
-    if not flip:
-        fhat = np.conj(fhat)
-    hhat = dft(h).as_complex_array()
-    raw = idft(table_from_values(g, (fhat * hhat).tolist(), "complex")).as_complex_array()
-    if exact_int:
-        rounded = np.round(raw.real)
-        resid = float(np.max(np.abs(raw - rounded))) if raw.size else 0.0
-        scale = max(1.0, float(np.max(np.abs(rounded))) if raw.size else 0.0)
-        if resid >= _RESIDUAL_TOL * scale:
-            raise RuntimeError(
-                f"transform-path rounding residual {resid:.3g} exceeds tolerance"
-            )
-        return FunctionTable(g, [int(v) for v in rounded], "int")
-    if f.kind != "complex" and h.kind != "complex":
-        return FunctionTable(g, raw.real.tolist(), "real")
-    return FunctionTable(g, raw.tolist(), "complex")

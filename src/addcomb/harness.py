@@ -32,7 +32,7 @@ from .families import (
 )
 from .groups import GroupSpec, boolean_group, format_group_text, parse_group_text
 from .harmonic import dft, table_from_values, wht_int
-from .report import CheckFailure, CheckRecord, record_eq
+from .report import CheckFailure, CheckRecord, format_value, record_eq
 from .setstat import (
     GroupSet,
     check_energy_difference_bound,
@@ -41,14 +41,12 @@ from .setstat import (
     difference_set,
     group_set,
     higher_energy,
-    peak_coefficient,
     profile,
     sumset,
 )
 from .structure import (
     StructureParams,
     StructureResult,
-    check_hypotheses,
     dichotomy_M,
     extract_bohr,
     extract_subspace,
@@ -291,17 +289,9 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _frac_str(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _jsonable(value):
     if isinstance(value, (Fraction, float)):
-        return _frac_str(value)
+        return format_value(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -316,8 +306,8 @@ def _jsonable(value):
 def structure_result_dict(res: StructureResult) -> dict:
     out: dict = {
         "kind": res.kind,
-        "achieved": _frac_str(res.achieved),
-        "guaranteed": _frac_str(res.guaranteed),
+        "achieved": format_value(res.achieved),
+        "guaranteed": format_value(res.guaranteed),
         "witness_mode": res.witness_mode,
         "records": [r.to_dict() for r in res.records],
         "diagnostics": _jsonable(res.diagnostics),
@@ -327,18 +317,18 @@ def structure_result_dict(res: StructureResult) -> dict:
             "k": res.jump.k,
             "e_k": str(res.jump.e_k),
             "e_next": str(res.jump.e_next),
-            "m_star": _frac_str(res.jump.m_star),
+            "m_star": format_value(res.jump.m_star),
             "k0": res.jump.k0,
         }
     w = res.variant
     if res.kind == "LargeCoefficient":
-        out["witness"] = {"x": w.x, "value": _frac_str(w.value)}
+        out["witness"] = {"x": w.x, "value": format_value(w.value)}
     elif res.kind == "SubspacePiece":
         out["witness"] = {
             "z": w.z,
             "codim": w.codim,
             "size": len(w.subspace),
-            "density": _frac_str(w.density),
+            "density": format_value(w.density),
             "members": list(w.subspace.members) if len(w.subspace) <= 4096 else None,
         }
     elif res.kind == "BohrPiece":
@@ -346,10 +336,10 @@ def structure_result_dict(res: StructureResult) -> dict:
             "z": w.z,
             "dim": w.dim,
             "size": len(w.bohr.members),
-            "density": _frac_str(w.density),
+            "density": format_value(w.density),
             "gamma": list(w.bohr.spec.gamma),
-            "radii": [_frac_str(e) for e in w.bohr.spec.eps],
-            "size_ratio": _frac_str(w.size_ratio),
+            "radii": [format_value(e) for e in w.bohr.spec.eps],
+            "size_ratio": format_value(w.size_ratio),
         }
     return out
 
@@ -374,8 +364,8 @@ def derive_params(
     a, b, order = len(A), len(B), g.order
     s = len(sumset(A, B))
     k = Fraction(s, a)
-    k_prime = Fraction(len(difference_set(A, A)), a)
-    peak_sq, _ = peak_coefficient(A)
+    k_prime = Fraction(A.diff_size, a)
+    peak_sq, _ = A.peak
     if isinstance(peak_sq, int):
         m = Fraction(peak_sq) * k / a**2
     else:
@@ -620,8 +610,8 @@ def run_structure(cfg: RunConfig) -> RunReport:
         hyp = None
     elif mode in ("subspace", "bohr"):
         params = build_params(cfg.params, A, B)
-        hyp = check_hypotheses(A, B, params)
         res = (extract_subspace if mode == "subspace" else extract_bohr)(A, B, params)
+        hyp = res.hypotheses
     else:
         raise ConfigError(f"unknown pipeline {mode!r}")
     report.timings["structure"] = time.perf_counter() - started
@@ -634,8 +624,8 @@ def run_structure(cfg: RunConfig) -> RunReport:
         "group": format_group_text(A.group),
         "size": len(A),
         "diff_size": prof.diff_size,
-        "doubling": _frac_str(prof.doubling),
-        "peak_sq": _frac_str(prof.peak_sq),
+        "doubling": format_value(prof.doubling),
+        "peak_sq": format_value(prof.peak_sq),
         "energies": {str(k): str(v) for k, v in prof.higher.items()},
         "result": structure_result_dict(res),
     }
@@ -669,9 +659,9 @@ def run_example(cfg: RunConfig) -> RunReport:
             entry = {
                 "family": label,
                 "set_text": fileio.dump_set(A),
-                "ratios": [[k, _frac_str(r)] for k, r in rep.ratios],
+                "ratios": [[k, format_value(r)] for k, r in rep.ratios],
                 "alignment": {
-                    str(k): [_frac_str(lo), _frac_str(hi)]
+                    str(k): [format_value(lo), format_value(hi)]
                     for k, (lo, hi) in rep.phi_alignment.items()
                 },
             }

@@ -45,7 +45,8 @@ class CheckRecord:
         }
 
 
-def _show(value) -> str:
+def format_value(value) -> str:
+    """Exact text of a value: p/q or n for fractions, repr for floats."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
     if isinstance(value, float):
@@ -62,7 +63,7 @@ def record_le(name: str, ref: str, lhs, rhs, note: str = "") -> CheckRecord:
             margin = float(Fraction(rhs) / Fraction(lhs))
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         margin = None
-    return CheckRecord(name, ref, _show(lhs), _show(rhs), bool(ok), margin, note)
+    return CheckRecord(name, ref, format_value(lhs), format_value(rhs), bool(ok), margin, note)
 
 
 def record_ge(name: str, ref: str, lhs, rhs, note: str = "") -> CheckRecord:
@@ -74,11 +75,11 @@ def record_ge(name: str, ref: str, lhs, rhs, note: str = "") -> CheckRecord:
             margin = float(Fraction(lhs) / Fraction(rhs))
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         margin = None
-    return CheckRecord(name, ref, _show(lhs), _show(rhs), bool(ok), margin, note)
+    return CheckRecord(name, ref, format_value(lhs), format_value(rhs), bool(ok), margin, note)
 
 
 def record_eq(name: str, ref: str, lhs, rhs, note: str = "") -> CheckRecord:
-    return CheckRecord(name, ref, _show(lhs), _show(rhs), lhs == rhs, None, note)
+    return CheckRecord(name, ref, format_value(lhs), format_value(rhs), lhs == rhs, None, note)
 
 
 def require(record: CheckRecord) -> CheckRecord:

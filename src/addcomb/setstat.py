@@ -4,14 +4,23 @@ All cardinalities and energies are Python integers, densities and doubling
 constants exact fractions, so every inequality asserted here is decided
 exactly.  On 2-groups the heavy counting routes through the integer
 Walsh-Hadamard transform; elsewhere through vectorised index arithmetic.
+
+A GroupSet computes the statistics the pipelines read off its
+autocorrelation once, on first use, and keeps them on the instance for
+as long as the set lives: its transform (the exact integer Walsh
+transform on 2-groups, the complex DFT elsewhere), its autocorrelation
+A o A as an int64 array, the energy histogram (each distinct nonzero
+value of A o A with its multiplicity, as Python ints, so E_k =
+sum m * c^k is exact at every k), |A - A| (the support of A o A) and the
+peak coefficient.  The cached arrays are read-only; there is no cache
+outside the set.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,9 +39,18 @@ from .report import CheckRecord, record_eq, record_ge, record_le, require
 _PAIR_LOOP_MAX = 1 << 26
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class GroupSet:
-    """Subset of a group, stored as strictly sorted element indices."""
+    """Subset of a group, stored as strictly sorted element indices.
+
+    The statistics below are computed on first use and cached on the
+    instance (see the module docstring).
+    """
 
     group: GroupSpec
     members: tuple[int, ...]
@@ -53,24 +71,65 @@ class GroupSet:
     def __contains__(self, i: int) -> bool:
         return i in self.index_set
 
+    def _cached(self, name: str, compute: Callable[[], object]):
+        value = self.__dict__.get(name)
+        if value is None:
+            value = compute()
+            object.__setattr__(self, name, value)
+        return value
+
     @property
     def index_set(self) -> frozenset[int]:
-        cached = self.__dict__.get("_index_set")
-        if cached is None:
-            cached = frozenset(self.members)
-            object.__setattr__(self, "_index_set", cached)
-        return cached
+        return self._cached("_index_set", lambda: frozenset(self.members))
 
     @property
     def mask(self) -> int:
-        cached = self.__dict__.get("_mask")
-        if cached is None:
+        def compute() -> int:
             bits = np.zeros(self.group.order, dtype=np.uint8)
-            if self.members:
-                bits[np.asarray(self.members, dtype=np.int64)] = 1
-            cached = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-            object.__setattr__(self, "_mask", cached)
-        return cached
+            bits[self.as_array()] = 1
+            return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+        return self._cached("_mask", compute)
+
+    @property
+    def transform(self) -> np.ndarray:
+        """Transform of the indicator: int64 on 2-groups, complex128 elsewhere."""
+
+        def compute() -> np.ndarray:
+            g = self.group
+            if g.is_boolean_space:
+                bits = np.zeros(g.order, dtype=np.int64)
+                bits[self.as_array()] = 1
+                return np.asarray(wht_int(g, bits), dtype=np.int64)
+            return np.asarray(dft(self.indicator()).values, dtype=np.complex128)
+
+        return self._cached("_transform", lambda: _read_only(compute()))
+
+    @property
+    def autocorr(self) -> np.ndarray:
+        """(A o A)(x) = |A intersect (A + x)| for every x, as int64."""
+        return self._cached("_autocorr", lambda: _read_only(corr_counts(self, self)))
+
+    @property
+    def energy_hist(self) -> tuple[tuple[int, int], ...]:
+        """Pairs (c, m): the value c > 0 is taken by A o A at m points."""
+
+        def compute() -> tuple[tuple[int, int], ...]:
+            ac = self.autocorr
+            values, mults = np.unique(ac[ac > 0], return_counts=True)
+            return tuple(zip(values.tolist(), mults.tolist()))
+
+        return self._cached("_energy_hist", compute)
+
+    @property
+    def diff_size(self) -> int:
+        """|A - A|, the support size of A o A."""
+        return sum(m for _, m in self.energy_hist)
+
+    @property
+    def peak(self) -> tuple[int | float, int]:
+        """peak_coefficient(A), computed once."""
+        return self._cached("_peak", lambda: peak_coefficient(self))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.members, dtype=np.int64)
@@ -117,8 +176,12 @@ def _mask_to_indices(mask: int, order: int) -> tuple[int, ...]:
 # -- counting kernels -----------------------------------------------------------
 
 
-def corr_counts(A: GroupSet, B: GroupSet | None = None) -> list[int]:
-    """(A o B)(x) = |B intersect (A + x)| = #{(a, b) : b - a = x}, exactly."""
+def corr_counts(A: GroupSet, B: GroupSet | None = None) -> np.ndarray:
+    """(A o B)(x) = |B intersect (A + x)| = #{(a, b) : b - a = x}, as int64.
+
+    On 2-groups this is one inverse Walsh transform of the product of the
+    two sets' cached transforms.
+    """
     if B is None:
         B = A
     if A.group != B.group:
@@ -126,12 +189,9 @@ def corr_counts(A: GroupSet, B: GroupSet | None = None) -> list[int]:
     g = A.group
     n = g.order
     if not A.members or not B.members:
-        return [0] * n
+        return np.zeros(n, dtype=np.int64)
     if g.is_boolean_space:
-        ah = wht_int(g, A.indicator().values)
-        bh = wht_int(g, B.indicator().values)
-        back = wht_int(g, [a * b for a, b in zip(ah, bh)])
-        return [v // n for v in back]
+        return np.asarray(wht_int(g, A.transform * B.transform), dtype=np.int64) // n
     counts = np.zeros(n, dtype=np.int64)
     if len(A) <= len(B):
         b_arr = B.as_array()
@@ -141,17 +201,17 @@ def corr_counts(A: GroupSet, B: GroupSet | None = None) -> list[int]:
         a_arr = A.as_array()
         for b in B.members:
             counts += np.bincount(neg_index_many(g, sub_index_many(g, a_arr, b)), minlength=n)
-    return [int(v) for v in counts]
+    return counts
 
 
-def conv_counts(A: GroupSet, B: GroupSet) -> list[int]:
-    """Number of pairs (a, b) with a + b = x, for every x."""
+def conv_counts(A: GroupSet, B: GroupSet) -> np.ndarray:
+    """Number of pairs (a, b) with a + b = x, for every x, as int64."""
     if A.group != B.group:
         raise GroupMismatchError("sets live on different groups")
     g = A.group
     n = g.order
     if not A.members or not B.members:
-        return [0] * n
+        return np.zeros(n, dtype=np.int64)
     if g.is_boolean_space:
         return corr_counts(A, B)
     counts = np.zeros(n, dtype=np.int64)
@@ -159,7 +219,7 @@ def conv_counts(A: GroupSet, B: GroupSet) -> list[int]:
     big_arr = big.as_array()
     for a in small.members:
         counts += np.bincount(add_index_many(g, big_arr, a), minlength=n)
-    return [int(v) for v in counts]
+    return counts
 
 
 def sumset(A: GroupSet, B: GroupSet) -> GroupSet:
@@ -179,8 +239,7 @@ def sumset(A: GroupSet, B: GroupSet) -> GroupSet:
     if len(A) * len(B) <= 4096:
         out = {g.add_index(a, b) for a in A.members for b in B.members}
         return GroupSet(g, tuple(sorted(out)))
-    counts = conv_counts(A, B)
-    return GroupSet(g, tuple(i for i, c in enumerate(counts) if c))
+    return GroupSet(g, tuple(np.flatnonzero(conv_counts(A, B)).tolist()))
 
 
 def difference_set(A: GroupSet, B: GroupSet) -> GroupSet:
@@ -203,29 +262,27 @@ def doubling_constant(A: GroupSet) -> Fraction:
     """K[A] = |A - A| / |A|."""
     if not A.members:
         raise ValueError("doubling constant needs a nonempty set")
-    return Fraction(len(difference_set(A, A)), len(A))
+    return Fraction(A.diff_size, len(A))
 
 
 def peak_coefficient(A: GroupSet) -> tuple[int | float, int]:
     """Largest nonprincipal squared transform value and its frequency index.
 
     Exact integer on 2-groups; a float elsewhere.  Ties break toward the
-    smallest character index.  A = G returns 0 at index 1.
+    smallest character index.  A = G returns 0 at index 1.  GroupSet.peak
+    caches the result.
     """
     if not A.members:
         raise ValueError("peak coefficient needs a nonempty set")
-    g = A.group
-    fhat = dft(A.indicator())
-    if fhat.kind == "int":
-        best, arg = None, 1
-        for i in range(1, g.order):
-            v = fhat.values[i] * fhat.values[i]
-            if best is None or v > best:
-                best, arg = v, i
-        return best, arg
+    fhat = A.transform
+    if A.group.is_boolean_space:
+        squares = fhat[1:] * fhat[1:]
+        arg = int(np.argmax(squares))
+        return int(squares[arg]), arg + 1
+    values = fhat.tolist()
     best_f, arg = None, 1
-    for i in range(1, g.order):
-        v = abs(fhat.values[i]) ** 2
+    for i in range(1, len(values)):
+        v = abs(values[i]) ** 2
         if best_f is None or v > best_f:
             best_f, arg = v, i
     return best_f, arg
@@ -233,18 +290,16 @@ def peak_coefficient(A: GroupSet) -> tuple[int | float, int]:
 
 def energy(A: GroupSet, B: GroupSet | None = None) -> int:
     """E(A, B) = number of quadruples with a1 - b1 = a2 - b2, exactly."""
-    if B is None:
-        B = A
-    counts = corr_counts(B, A)
-    return sum(c * c for c in counts)
+    if B is None or B is A:
+        return higher_energy(A, 2)
+    return sum(c * c for c in corr_counts(B, A).tolist())
 
 
 def higher_energy(A: GroupSet, k: int) -> int:
-    """E_k(A) = sum_x (A o A)(x)^k."""
+    """E_k(A) = sum_x (A o A)(x)^k, from the cached energy histogram."""
     if k < 2:
         raise ValueError("need k >= 2")
-    hist = Counter(corr_counts(A, A))
-    return sum(mult * v**k for v, mult in hist.items() if v)
+    return sum(m * c**k for c, m in A.energy_hist)
 
 
 # -- inequality checks -----------------------------------------------------------
@@ -356,7 +411,7 @@ def check_energy_difference_bound(A: GroupSet, B: GroupSet, k: int) -> EnergyBou
     s = sumset(A, B)
     e_a_s = energy(A, s)
     e_k_b = higher_energy(B, k)
-    diff = len(difference_set(A, A))
+    diff = A.diff_size
     lhs = e_k_b * e_a_s**k * diff
     rhs = a ** (2 * k + 2) * b ** (2 * k)
     return EnergyBoundReport(
@@ -404,21 +459,20 @@ def profile(
     g = A.group
     n = g.order
     a = len(A)
-    hist = Counter(v for v in corr_counts(A, A) if v)
-    diff_size = sum(hist.values())
-    e2 = sum(m * v * v for v, m in hist.items())
+    diff_size = A.diff_size
     orders = sorted(set(int(k) for k in energy_orders) | {2})
     if orders[0] < 2:
         raise ValueError("energy orders start at 2")
-    higher = {k: sum(m * v**k for v, m in hist.items()) for k in orders}
-    peak_sq, peak_char = peak_coefficient(A)
+    higher = {k: higher_energy(A, k) for k in orders}
+    e2 = higher[2]
+    peak_sq, peak_char = A.peak
     dbl = Fraction(diff_size, a)
     checks: list[CheckRecord] = []
     diagnostics: list[CheckRecord] = []
 
     checks.append(require(record_eq(
         "slice sizes resum to |A|^2", "slice:total",
-        sum(v * m for v, m in hist.items()), a * a,
+        sum(c * m for c, m in A.energy_hist), a * a,
     )))
     checks.append(require(record_ge(
         "energy against difference size", "energy:lower",

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import f2
 from .groups import GroupSpec, SizeLimitError, add_index_many, sub_index_many
-from .harmonic import FunctionTable, dft, wht_int
+from .harmonic import FunctionTable, dft
 from .setstat import GroupSet, group_set
 
 _FLOAT_GUARD = 1e-9
@@ -62,18 +62,28 @@ class DissociatedWitness:
         return len(self.members)
 
 
-def spectrum(f: FunctionTable, eps: Fraction | int) -> Spectrum:
-    """Members and |f_hat| magnitudes of the eps-spectrum, heaviest first."""
+def spectrum(f: FunctionTable, eps: Fraction | int, *, fhat: FunctionTable | None = None) -> Spectrum:
+    """Members and |f_hat| magnitudes of the eps-spectrum, heaviest first.
+
+    A caller that already holds dft(f) passes it as fhat.
+    """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError(f"spectrum threshold must be in (0, 1], got {eps}")
     g = f.group
     if all(v == 0 for v in f.values):
         raise ValueError("spectrum of the zero function is undefined")
-    if g.is_boolean_space and f.kind == "int":
-        what = wht_int(g, f.values)
+    if fhat is None:
+        fhat = dft(f)
+    elif fhat.group != g:
+        raise ValueError("transform passed to spectrum lives on another group")
+    if fhat.kind == "int":
         l1 = sum(abs(v) for v in f.values)
-        picked = [(abs(w), t) for t, w in enumerate(what) if abs(w) * eps.denominator >= eps.numerator * l1]
+        picked = [
+            (abs(w), t)
+            for t, w in enumerate(fhat.values)
+            if abs(w) * eps.denominator >= eps.numerator * l1
+        ]
         picked.sort(key=lambda mt: (-mt[0], mt[1]))
         return Spectrum(
             group=g,
@@ -84,7 +94,6 @@ def spectrum(f: FunctionTable, eps: Fraction | int) -> Spectrum:
             exact=True,
             source=f"{f.kind} table, support {len(f.support())}",
         )
-    fhat = dft(f)
     l1 = float(sum(abs(v) for v in f.values))
     thr = float(eps) * l1
     guard = _FLOAT_GUARD * max(1.0, thr)

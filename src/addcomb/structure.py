@@ -21,20 +21,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import f2
 from .bohr import BohrSet, dilate, find_regular_radius, make_bohr_spec, materialize, size_profile
 from .groups import MAX_TRANSFORM_ORDER, GroupSpec, SizeLimitError, boolean_group
-from .harmonic import FunctionTable, dft, table_from_values, wht_int
+from .harmonic import FunctionTable, dft, table_from_values
 from .report import CheckFailure, CheckRecord, record_eq, record_ge, record_le, require
-from .setstat import (
-    GroupSet,
-    corr_counts,
-    difference_set,
-    group_set,
-    higher_energy,
-    peak_coefficient,
-    sumset,
-)
+from .setstat import GroupSet, corr_counts, group_set, higher_energy, sumset
 from .spectral import chang_bound, max_dissociated, span, spectrum
 
 _PI_UPPER = Fraction(355, 113)  # exceeds pi, so it is safe in upper bounds
@@ -177,6 +171,7 @@ class StructureResult:
     jump: EnergyJump | None = None
     witness_mode: str = ""
     diagnostics: dict = field(default_factory=dict)
+    hypotheses: HypothesisReport | None = None  # as checked by the pipeline
 
     @property
     def kind(self) -> str:
@@ -198,13 +193,10 @@ class HypothesisReport:
     ok: bool  # everything, including the advisory parameter windows
 
 
-def _argmax(values) -> tuple[int, int]:
+def _argmax(values: np.ndarray) -> tuple[int, int]:
     """(value, smallest index attaining it)."""
-    best, arg = None, 0
-    for i, v in enumerate(values):
-        if best is None or v > best:
-            best, arg = v, i
-    return best, arg
+    arg = int(np.argmax(values))
+    return int(values[arg]), arg
 
 
 def check_hypotheses(A: GroupSet, B: GroupSet, params: StructureParams) -> HypothesisReport:
@@ -222,10 +214,10 @@ def check_hypotheses(A: GroupSet, B: GroupSet, params: StructureParams) -> Hypot
         raise ValueError("hypothesis check needs nonempty sets")
     s = len(sumset(A, B))
     k = Fraction(s, a)
-    k_prime = Fraction(len(difference_set(A, A)), a)
+    k_prime = Fraction(A.diff_size, a)
     delta = Fraction(a, order)
     omega = Fraction(b, a)
-    peak_sq, peak_arg = peak_coefficient(A)
+    peak_sq, peak_arg = A.peak
     records = []
     records.append(
         record_eq("size ratio binding", "structure:omega", params.omega, omega, note="omega vs |B|/|A|")
@@ -296,7 +288,7 @@ def find_energy_jump(B: GroupSet, params: StructureParams) -> EnergyJump:
     b = len(B)
     m_star = params.m_star
     k0 = params.k0
-    hist = Counter(v for v in corr_counts(B, B) if v)
+    hist = dict(B.energy_hist)
     powers = {v: v * v for v in hist}  # v^k, currently k = 2
     e_k = sum(hist[v] * p for v, p in powers.items())
     energies = [b * b, e_k]
@@ -320,30 +312,23 @@ def phi_k(B: GroupSet, k: int) -> FunctionTable:
     """The table x -> |B intersect (B+x)|^k; its mass equals E_k(B)."""
     if k < 2:
         raise ValueError("need k >= 2")
-    counts = corr_counts(B, B)
-    values = [c**k for c in counts]
+    values = [c**k for c in B.autocorr.tolist()]
     table = table_from_values(B.group, values, kind="int")
     require(
         record_eq("phi mass", "structure:phi_mass", sum(values), higher_energy(B, k), note=f"k={k}")
     )
-    _check_phi_transform_sign(table)
     return table
 
 
-def _check_phi_transform_sign(phi: FunctionTable) -> None:
-    g = phi.group
-    if g.is_boolean_space:
-        what = wht_int(g, phi.values)
-        bad = [t for t, w in enumerate(what) if w < 0]
+def _check_phi_transform_sign(phi: FunctionTable, phi_hat: FunctionTable) -> None:
+    """A correlation power is positive definite: its transform is >= 0."""
+    if phi_hat.kind == "int":
+        bad = [t for t, w in enumerate(phi_hat.values) if w < 0]
         if bad:
             raise AssertionError(f"transform of a correlation power went negative at {bad[:5]}")
         return
-    if g.order > MAX_TRANSFORM_ORDER:
-        return
-    fhat = dft(phi)
     scale = float(sum(phi.values))
-    for t in range(g.order):
-        v = fhat.values[t]
+    for t, v in enumerate(phi_hat.values):
         if v.real < -1e-6 * scale or abs(v.imag) > 1e-6 * scale:
             raise AssertionError(f"transform of a correlation power went negative at {t}")
 
@@ -357,18 +342,20 @@ def _spectrum_threshold(params: StructureParams) -> tuple[Fraction, bool]:
 
 def _pipeline_front(
     A: GroupSet, B: GroupSet, params: StructureParams, check: bool
-) -> tuple[HypothesisReport, EnergyJump, FunctionTable, Fraction, object]:
+) -> tuple[HypothesisReport, EnergyJump, FunctionTable, FunctionTable, Fraction, object]:
     report = check_hypotheses(A, B, params)
     if check and not report.core_ok:
         bad = next(r for r in report.records if not r.ok)
         raise HypothesisFailure(bad)
     jump = find_energy_jump(B, params)
     phi = phi_k(B, jump.k)
+    phi_hat = dft(phi)
+    _check_phi_transform_sign(phi, phi_hat)
     eps, clamped = _spectrum_threshold(params)
-    spec_phi = spectrum(phi, eps)
+    spec_phi = spectrum(phi, eps, fhat=phi_hat)
     weights = dict(zip(spec_phi.members, spec_phi.magnitudes))
     witness = max_dissociated(B.group, list(spec_phi.members), weights)
-    return report, jump, phi, eps, (spec_phi, witness, clamped)
+    return report, jump, phi, phi_hat, eps, (spec_phi, witness, clamped)
 
 
 def _codim_diagnostic(report: HypothesisReport, params: StructureParams) -> float:
@@ -391,7 +378,7 @@ def extract_subspace(
     g = A.group
     if not g.is_boolean_space:
         raise ValueError("subspace extraction needs a 2-group; use extract_bohr")
-    report, jump, phi, eps, (spec_phi, witness, clamped) = _pipeline_front(A, B, params, check)
+    report, jump, phi, _, eps, (spec_phi, witness, clamped) = _pipeline_front(A, B, params, check)
     n = g.rank
     lam = witness.members
     basis = f2.nullspace_basis(lam, n)
@@ -401,8 +388,7 @@ def extract_subspace(
     counts = corr_counts(lset, B)
     achieved, z = _argmax(counts)
     guaranteed = (1 - params.zeta) * params.omega * len(lset) / (params.t * (params.m + params.kappa))
-    bb = corr_counts(B, B)
-    corr_sum = sum(bb[x] for x in lset.members)
+    corr_sum = int(B.autocorr[lset.as_array()].sum())
     sum_rec = record_ge(
         "correlation mass on the subspace",
         "structure:corr_sum",
@@ -450,6 +436,7 @@ def extract_subspace(
         jump=jump,
         witness_mode=witness.mode,
         diagnostics=diagnostics,
+        hypotheses=report,
     )
 
 
@@ -467,7 +454,7 @@ def _bohr_attempt(
     b_star = materialize(g, reg_spec, check_regular=True)
     counts = corr_counts(b_star.members, B)
     achieved, z = _argmax(counts)
-    sq_sum = sum(c * c for c in counts)
+    sq_sum = sum(c * c for c in counts.tolist())
     guaranteed = (
         (1 - 2 * params.zeta) * params.omega * len(b_star.members) / (params.t * (params.m + params.kappa))
     )
@@ -508,7 +495,7 @@ def _bohr_attempt(
 
 
 def _bohr_span_diagnostics(
-    B: GroupSet, phi: FunctionTable, lam: tuple[int, ...], params: StructureParams, jump: EnergyJump
+    B: GroupSet, phi_hat: FunctionTable, lam: tuple[int, ...], params: StructureParams, jump: EnergyJump
 ) -> dict:
     """Spectral-mass and transform-floor checks over Span(Lambda)."""
     g = B.group
@@ -525,17 +512,14 @@ def _bohr_span_diagnostics(
         * g.order
         / (params.t * (params.m + params.kappa))
     )
+    fhat_b = B.transform.tolist()
     if g.is_boolean_space:
-        what_phi = wht_int(g, phi.values)
-        what_b = wht_int(g, B.indicator().values)
-        mass = sum(what_phi[x] * what_b[x] * what_b[x] for x in members)
+        mass = sum(phi_hat.values[x] * fhat_b[x] * fhat_b[x] for x in members)
         out["spectral_mass"] = record_ge(
             "spectral mass on the span", "structure:spectral_mass", Fraction(mass), floor
         )
     else:
-        fhat_phi = dft(phi)
-        fhat_b = dft(B.indicator())
-        mass = sum(fhat_phi.values[x].real * abs(fhat_b.values[x]) ** 2 for x in members)
+        mass = sum(phi_hat.values[x].real * abs(fhat_b[x]) ** 2 for x in members)
         out["spectral_mass"] = record_ge(
             "spectral mass on the span", "structure:spectral_mass", mass, float(floor)
         )
@@ -554,7 +538,7 @@ def extract_bohr(
     if not 0 < params.zeta < Fraction(1, 2):
         raise ValueError("Bohr extraction needs zeta < 1/2")
     g = A.group
-    report, jump, phi, eps, (spec_phi, witness, clamped) = _pipeline_front(A, B, params, check)
+    report, jump, phi, phi_hat, eps, (spec_phi, witness, clamped) = _pipeline_front(A, B, params, check)
     lam = witness.members
     attempts = []
     c = params.c_local
@@ -583,7 +567,7 @@ def extract_bohr(
                 "chang": chang_bound(phi, eps, params.c_chang, spec=spec_phi, witness=witness),
             }
             diagnostics.update(diag)
-            diagnostics.update(_bohr_span_diagnostics(B, phi, lam, params, jump))
+            diagnostics.update(_bohr_span_diagnostics(B, phi_hat, lam, params, jump))
             size_ratio = Fraction(len(b_star.members), g.order)
             return StructureResult(
                 variant=BohrPiece(
@@ -599,6 +583,7 @@ def extract_bohr(
                 jump=jump,
                 witness_mode=witness.mode,
                 diagnostics=diagnostics,
+                hypotheses=report,
             )
         c = 2 * c
     raise DensityGuaranteeFailed(
@@ -628,13 +613,12 @@ def certify_difference_subset(A: GroupSet, eps_param: Fraction | int) -> Structu
     if a == 0:
         raise ValueError("need a nonempty set")
     order = g.order
-    diff = difference_set(A, A)
-    k = Fraction(len(diff), a)
+    k = Fraction(A.diff_size, a)
     delta = Fraction(a, order)
     gate = record_le("smallness gate", "dichotomy:gate_2eps", 100 * k * k * delta, eps)
     if not gate.ok:
         raise HypothesisFailure(gate)
-    peak_sq, peak_arg = peak_coefficient(A)
+    peak_sq, peak_arg = A.peak
     threshold = (2 - eps) * a * a / k
     if isinstance(peak_sq, int):
         large = Fraction(peak_sq) >= threshold
@@ -665,9 +649,8 @@ def certify_difference_subset(A: GroupSet, eps_param: Fraction | int) -> Structu
 
 
 def _verify_difference_membership(A: GroupSet, members, ref: str) -> CheckRecord:
-    diff_counts = corr_counts(A, A)
-    members = list(members)
-    missing = [x for x in members if diff_counts[x] == 0]
+    members = np.asarray(members, dtype=np.int64)
+    missing = members[A.autocorr[members] == 0].tolist()
     if missing:
         raise InclusionFailed(
             f"{len(missing)} members are outside A-A (first few: {missing[:5]})", missing
@@ -684,30 +667,26 @@ def _verify_difference_membership(A: GroupSet, members, ref: str) -> CheckRecord
 def _certify_subspace_branch(
     A: GroupSet, b: GroupSet, params: StructureParams, eps: Fraction, gate: CheckRecord
 ) -> StructureResult:
+    # on a 2-group -A = A, so the pipeline's count against b is the count
+    # against A: result.achieved = |A intersect (L + z)| at the best z
     result = extract_subspace(A, b, params)
-    piece = result.variant
-    lset = piece.subspace
-    counts = corr_counts(lset, A)
-    achieved, z = _argmax(counts)
+    lset = result.variant.subspace
+    z = result.variant.z
     half_plus = (Fraction(1, 2) + eps / 8) * len(lset)
     cert = record_ge(
         "majority-overlap certificate",
         "dichotomy:half_plus",
-        Fraction(achieved),
+        result.achieved,
         half_plus,
         note=f"z={z}",
     )
     if not cert.ok:
         raise DensityGuaranteeFailed(
             "2-eps subspace certificate failed the direct count",
-            {"achieved": achieved, "needed": half_plus, "subspace_size": len(lset)},
+            {"achieved": int(result.achieved), "needed": half_plus, "subspace_size": len(lset)},
         )
     inclusion = _verify_difference_membership(A, lset.members, "dichotomy:inclusion_subspace")
     result.records.extend([gate, require(cert), inclusion])
-    result.variant = SubspacePiece(
-        subspace=lset, z=z, density=Fraction(achieved, len(lset)), codim=piece.codim
-    )
-    result.achieved = Fraction(achieved)
     result.guaranteed = half_plus
     return result
 
@@ -745,7 +724,7 @@ def _certify_bohr_branch(
         raise AssertionError("profile sizes disagree with materialized dilates")
     lo_counts = corr_counts(b_lo.members, A)
     hi_counts = corr_counts(b_hi.members, A)
-    score, z = _argmax([x + y for x, y in zip(lo_counts, hi_counts)])
+    score, z = _argmax(lo_counts + hi_counts)
     need = (Fraction(1, 2) + eps / 8) * (len(b_lo.members) + len(b_hi.members))
     cert = record_ge(
         "two-dilate majority certificate",
@@ -806,12 +785,11 @@ def dichotomy_M(
     in_neg = B_sub.index_set <= A.neg().index_set
     if not (in_a or in_neg):
         raise ValueError("B_sub must be a subset of A or of -A")
-    diff = difference_set(A, A)
-    k = Fraction(len(diff), a)
+    k = Fraction(A.diff_size, a)
     gate = record_le("smallness gate", "dichotomy:gate_M", 100 * k * k * a, g.order)
     if not gate.ok:
         raise HypothesisFailure(gate)
-    peak_sq, peak_arg = peak_coefficient(A)
+    peak_sq, peak_arg = A.peak
     if M is None:
         raw = Fraction(peak_sq) * k / (a * a)
         if not isinstance(peak_sq, int):
@@ -871,14 +849,9 @@ def _coset_decomposition(
     Asserts that these cosets cover at least |A|/(16M) points and that
     their count times |L| stays below 16M|A|.
     """
-    g = A.group
     basis = f2.echelon_basis(lset.members)
-    counts = corr_counts(lset, A)
-    by_label: dict[int, int] = {}
-    for z in range(g.order):
-        label = f2.coset_label(basis, z)
-        if label not in by_label:
-            by_label[label] = counts[z]
+    # |A intersect (L + z)| for every coset of L that meets A
+    by_label = Counter(f2.coset_label(basis, x) for x in A.members)
     a = len(A)
     sq_sum = sum(c * c for c in by_label.values())
     records.append(
@@ -1043,10 +1016,10 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
         a = len(cur)
         order = cur_g.order
         delta = Fraction(a, order)
-        k = Fraction(len(difference_set(cur, cur)), a)
+        k = Fraction(cur.diff_size, a)
         if 100 * k * k * delta > 1:
             break
-        peak_sq, peak_arg = peak_coefficient(cur)
+        peak_sq, peak_arg = cur.peak
         m_exact = Fraction(peak_sq) * k / (a * a)
         records.append(
             require(
@@ -1110,8 +1083,7 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
             cur_g, cur = new_g, new_set
         else:
             # split along the kernel of the peak character, keep the denser side
-            what = wht_int(cur_g, cur.indicator().values)
-            coeff = what[peak_arg]
+            coeff = int(cur.transform[peak_arg])
             side0 = (a + coeff) // 2
             if (a + coeff) % 2:
                 raise AssertionError("parity mismatch in the half-space split")
@@ -1157,7 +1129,7 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
     else:
         raise AssertionError("regularization failed to terminate within rank(G) rounds")
     final_delta = Fraction(len(cur), cur_g.order)
-    final_k = Fraction(len(difference_set(cur, cur)), len(cur))
+    final_k = Fraction(cur.diff_size, len(cur))
     records.append(
         require(
             record_ge(

@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addcomb.groups import boolean_group, format_group_text, make_group
+from addcomb import harmonic
 from addcomb.harmonic import (
     FunctionTable,
-    convolve,
-    correlate,
+    _wht_list,
     dft,
     idft,
     indicator,
-    iterated_correlation,
     table_from_values,
     wht_int,
 )
@@ -50,6 +49,27 @@ def test_wht_int_matches_direct_on_boolean_groups():
             assert abs(a - b.real) < 1e-6 and abs(b.imag) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "values, int64_path",
+    [
+        # max|v| * N passes 2^62 in every case, so the exact L1 decides
+        ([(1 << 62) - 1] + [0] * 15, True),
+        ([1 << 62] + [0] * 15, False),
+        ([1 << 58, -(1 << 58)] * 7 + [1 << 58, 1 - (1 << 58)], True),  # L1 = 2^62 - 1
+        ([1 << 58, -(1 << 58)] * 8, False),  # L1 = 2^62
+        ([(1 << 62) - 1] + [1] * 15, False),
+        ([1 << 63] + [0] * 15, False),  # beyond int64 altogether
+    ],
+)
+def test_wht_int_path_at_the_int64_boundary(monkeypatch, values, int64_path):
+    g = boolean_group(4)
+    calls = []
+    real = harmonic._wht_int64
+    monkeypatch.setattr(harmonic, "_wht_int64", lambda arr: calls.append(1) or real(arr))
+    assert wht_int(g, values) == _wht_list(values)
+    assert bool(calls) == int64_path
+
+
 def test_wht_int_is_exact_at_scale():
     # big entries that would lose precision in float64
     g = boolean_group(4)
@@ -80,41 +100,6 @@ def test_inversion_roundtrip(g):
     back = idft(dft(table_from_values(g, values, kind="int")))
     for a, b in zip(back.values, values):
         assert abs(a - b) < 1e-8
-
-
-@pytest.mark.parametrize("method", ["direct", "transform"])
-def test_convolution_against_definition(method):
-    g = make_group((3, 4))
-    rng = random.Random(31)
-    f = table_from_values(g, _random_values(g, rng), kind="int")
-    h = table_from_values(g, _random_values(g, rng), kind="int")
-    got = convolve(f, h, method=method)
-    for x in range(g.order):
-        want = sum(f[y] * h[g.sub_index(x, y)] for y in range(g.order))
-        assert abs(got[x] - want) < 1e-7
-
-
-@pytest.mark.parametrize("method", ["direct", "transform"])
-def test_correlation_against_definition(method):
-    g = make_group((10,))
-    rng = random.Random(32)
-    f = table_from_values(g, _random_values(g, rng), kind="int")
-    h = table_from_values(g, _random_values(g, rng), kind="int")
-    got = correlate(f, h, method=method)
-    for x in range(g.order):
-        want = sum(f[y] * h[g.add_index(y, x)] for y in range(g.order))
-        assert abs(got[x] - want) < 1e-7
-
-
-def test_iterated_correlation_counts_difference_representations():
-    g = make_group((9,))
-    members = [0, 1, 3]
-    f = indicator(g, members)
-    assert iterated_correlation(f, 1).values == f.values
-    corr = iterated_correlation(f, 2)
-    for x in range(g.order):
-        want = sum(1 for a in members for b in members if g.sub_index(b, a) == x)
-        assert abs(corr[x] - want) < 1e-9
 
 
 def test_indicator_kind_and_support():

@@ -28,6 +28,7 @@ from addcomb.setstat import (
 
 from .oracles import (
     corr_direct,
+    dft_direct,
     difference_direct,
     energy_direct,
     higher_energy_direct,
@@ -243,3 +244,48 @@ def test_corr_total_mass_property(data):
     A = group_set(g, members)
     counts = corr_counts(A, A)
     assert sum(int(v) for v in counts) == len(A) ** 2
+
+
+_CACHE_GROUPS = [
+    make_group(f)
+    for f in [(2,), (2, 2, 2), (2, 2, 2, 2, 2), (7,), (12,), (20,), (3, 4), (2, 3, 3)]
+]
+
+
+@st.composite
+def _sets_on_cache_groups(draw):
+    g = draw(st.sampled_from(_CACHE_GROUPS))
+    shape = draw(st.sampled_from(["empty", "singleton", "full", "random"]))
+    if shape == "empty":
+        members = []
+    elif shape == "singleton":
+        members = [draw(st.integers(0, g.order - 1))]
+    elif shape == "full":
+        members = range(g.order)
+    else:
+        members = draw(st.sets(st.integers(0, g.order - 1), min_size=1, max_size=g.order))
+    return group_set(g, members)
+
+
+@given(_sets_on_cache_groups())
+@settings(max_examples=60, deadline=None)
+def test_cached_statistics_match_oracles(A):
+    g = A.group
+    assert A.autocorr.tolist() == corr_direct(A, A)
+    assert A.autocorr is A.autocorr and not A.autocorr.flags.writeable
+    assert A.diff_size == len(difference_direct(A, A))
+    # k = 64 makes c^k pass 2^63 for every value c >= 2 of A o A
+    for k in (2, 3, 64):
+        assert higher_energy(A, k) == higher_energy_direct(A, k)
+    if not A.members:
+        with pytest.raises(ValueError):
+            A.peak
+        return
+    peak_sq, arg = A.peak
+    want = peak_direct(A)
+    assert abs(peak_sq - want) <= 1e-6 * max(1.0, want)
+    assert 1 <= arg < g.order
+    if g.is_boolean_space:
+        assert isinstance(peak_sq, int)
+        squares = [round(abs(v) ** 2) for v in dft_direct(g, A.indicator().values)]
+        assert arg == 1 + squares[1:].index(peak_sq)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from addcomb import setstat, structure
 from addcomb.families import make_h_lambda, make_planted, HLambdaSpec
 from addcomb.groups import boolean_group, make_group
 from addcomb.harness import derive_params
@@ -364,3 +365,21 @@ def test_regularize_rejects_general_groups():
     g = make_group((12,))
     with pytest.raises(ValueError):
         regularize_density(group_set(g, [0, 1]))
+
+
+def test_extract_subspace_correlates_b_with_itself_once(monkeypatch):
+    A = make_planted(boolean_group(10), subgroup_dim=5, cosets=2, noise=3, seed=4).set
+    params = derive_params(A, A)
+    real = setstat.corr_counts
+    self_pairs = []
+
+    def counting(X, Y=None):
+        if Y is None or Y.members == X.members:
+            self_pairs.append(X.members)
+        return real(X, Y)
+
+    for module in (setstat, structure):
+        monkeypatch.setattr(module, "corr_counts", counting)
+    B = group_set(A.group, A.members)  # a fresh set, so nothing is cached yet
+    extract_subspace(B, B, params)
+    assert self_pairs == [B.members]
