@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import fileio, harness
 from .bohr import RegularRadiusError, find_regular_radius, make_bohr_spec, materialize, regularity_test
 from .groups import GroupMismatchError, SizeLimitError, format_group_text, parse_group_text
-from .harmonic import dft, table_from_values
+from .harmonic import dft
 from .report import CheckFailure, format_value
 from .setstat import profile
 from .structure import (
@@ -81,7 +81,7 @@ def _cmd_spectrum(args) -> int:
         f = fileio.parse_function(text, path=args.file)
     else:
         A = fileio.parse_set(text, path=args.file)
-        f = table_from_values(A.group, A.indicator(), kind="int")
+        f = A.indicator()
     out_table = dft(f)
     if args.out:
         fileio.write_function(args.out, out_table)
@@ -244,10 +244,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CheckFailure, AssertionError, NoJump, DensityGuaranteeFailed, InclusionFailed, HypothesisFailure) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK
-    except (RegularRadiusError,) as exc:
+    except (CheckFailure, AssertionError, NoJump, DensityGuaranteeFailed, InclusionFailed, HypothesisFailure,
+            RegularRadiusError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
     except SizeLimitError as exc:

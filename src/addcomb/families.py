@@ -173,7 +173,7 @@ def verify_h_lambda(A: GroupSet, spec: HLambdaSpec, k_max: int = 6) -> HLambdaRe
             break
         phi_hat = wht_int(g, [c**k for c in counts])
         expected = h_hat ** (k + 1)
-        vals = [Fraction(phi_hat[chi], expected) for chi in perp_elems if chi]
+        vals = [Fraction(int(phi_hat[chi]), expected) for chi in perp_elems if chi]
         if vals:
             phi_alignment[k] = (min(vals), max(vals))
     return HLambdaReport(spec=spec, records=records, ratios=ratios, phi_alignment=phi_alignment)

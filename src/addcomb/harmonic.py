@@ -1,20 +1,29 @@
 """Function tables and their transforms over finite abelian groups.
 
+A FunctionTable holds its values as one numpy array indexed by element
+index, and FunctionTable alone picks the dtype: an int table is int64 when
+its L1 norm is below 2^62 and an object array of Python ints otherwise; a
+complex table is complex128; a real table is float64, or an object array
+when a value is a Fraction, which stays exact.  The L1 norm bounds every
+partial sum and every transform value, so sums and Walsh butterflies over
+an int64 table cannot overflow.  A product that can pass 2^63 (a square,
+a power, a transform value times another) is taken on Python ints or
+object arrays, never in int64.
+
 The transform convention carries no 1/N factor:
 
     fhat(t) = sum_x f(x) * conj(chi_t(x)),
 
 so the Parseval identity reads  N * sum_x |f(x)|^2 = sum_t |fhat(t)|^2.
-On 2-groups the transform is the integer Walsh-Hadamard butterfly and integer
-inputs produce exactly integer outputs (in int64 when the input's L1 norm
-bounds every partial sum below 2^62, in Python integers otherwise); on
-general groups it is the per-coordinate mixed-radix DFT evaluated in complex
-doubles.  Set correlations are counted in setstat, not here.
+On 2-groups the transform is the Walsh-Hadamard butterfly, exact on int
+tables; on general groups it is the per-coordinate mixed-radix DFT
+evaluated in complex doubles.  Set correlations are counted in setstat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,12 +35,24 @@ _INT64_SAFE = 1 << 62
 Kind = str  # 'int' | 'real' | 'complex'
 
 
-@dataclass
+def magnitudes(values: np.ndarray) -> np.ndarray:
+    """|v| for every entry, rounded as Python's abs() rounds it (np.abs on
+    complex128 does not, np.hypot does), so reported floats do not move."""
+    if values.dtype == np.complex128:
+        return np.hypot(values.real, values.imag)
+    return np.abs(values)
+
+
+@dataclass(eq=False)
 class FunctionTable:
-    """Dense table of a function on a group, indexed by element index."""
+    """Dense table of a function on a group, indexed by element index.
+
+    values is a numpy array with the dtype the module docstring gives; an
+    array that already has that dtype is kept, not copied.
+    """
 
     group: GroupSpec
-    values: list
+    values: np.ndarray
     kind: Kind
 
     def __post_init__(self) -> None:
@@ -39,25 +60,46 @@ class FunctionTable:
             raise GroupMismatchError(
                 f"table has {len(self.values)} entries for order {self.group.order}"
             )
-        if self.kind not in ("int", "real", "complex"):
+        if self.kind == "int":
+            self.values = _int_array(self.values)
+        elif self.kind == "complex":
+            self.values = np.asarray(self.values, dtype=np.complex128)
+        elif self.kind == "real":
+            arr = np.asarray(self.values)
+            if not (arr.dtype == object and any(isinstance(v, Fraction) for v in arr)):
+                arr = arr.astype(np.float64, copy=False)
+            self.values = arr
+        else:
             raise ValueError(f"bad kind {self.kind!r}")
 
-    def __getitem__(self, i: int):
-        return self.values[i]
-
     def l1(self):
-        return sum(abs(v) for v in self.values)
+        mags = magnitudes(self.values)
+        if mags.dtype == np.int64:
+            return int(mags.sum())
+        return sum(mags.tolist())  # Python's order, so float sums repeat exactly
 
     def l2_squared(self):
-        if self.kind == "complex":
-            return sum(abs(v) * abs(v) for v in self.values)
-        return sum(v * v for v in self.values)
+        mags = magnitudes(self.values)
+        if mags.dtype == np.int64:
+            mags = mags.astype(object)  # the squares may pass 2^63
+        return sum((mags * mags).tolist())
 
     def support(self) -> list[int]:
-        return [i for i, v in enumerate(self.values) if v != 0]
+        return np.flatnonzero(self.values).tolist()
 
-    def as_complex_array(self) -> np.ndarray:
-        return np.asarray([complex(v) for v in self.values], dtype=np.complex128)
+
+def _int_array(values) -> np.ndarray:
+    try:
+        arr = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([int(v) for v in values], dtype=object)
+    if max(int(arr.max()), -int(arr.min())) * arr.size < _INT64_SAFE:
+        return arr  # N * max|v| bounds the L1 norm
+    # |-2^63| wraps to -2^63, which reads as 2^63 in uint64; summing the
+    # two 32-bit halves apart keeps both sums exact up to 2^31 entries.
+    mags = np.abs(arr).view(np.uint64)
+    l1 = (int((mags >> 32).sum()) << 32) + int((mags & 0xFFFFFFFF).sum())
+    return arr if l1 < _INT64_SAFE else arr.astype(object)
 
 
 def table_from_values(g: GroupSpec, values: Iterable, kind: Kind | None = None) -> FunctionTable:
@@ -65,10 +107,8 @@ def table_from_values(g: GroupSpec, values: Iterable, kind: Kind | None = None) 
     if kind is None:
         if all(isinstance(v, (int, np.integer)) for v in vals):
             kind = "int"
-            vals = [int(v) for v in vals]
         elif any(isinstance(v, complex) for v in vals):
             kind = "complex"
-            vals = [complex(v) for v in vals]
         else:
             kind = "real"
             vals = [float(v) for v in vals]
@@ -76,9 +116,8 @@ def table_from_values(g: GroupSpec, values: Iterable, kind: Kind | None = None) 
 
 
 def indicator(g: GroupSpec, indices: Iterable[int]) -> FunctionTable:
-    vals = [0] * g.order
-    for i in indices:
-        vals[i] = 1
+    vals = np.zeros(g.order, dtype=np.int64)
+    vals[np.asarray(list(indices), dtype=np.int64)] = 1
     return FunctionTable(g, vals, "int")
 
 
@@ -101,34 +140,31 @@ def _wht_list(vals: list) -> list:
     return out
 
 
-def _wht_int64(arr: np.ndarray) -> np.ndarray:
-    a = arr.astype(np.int64, copy=True)
-    n = a.shape[0]
+def _wht(arr: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard butterfly into a fresh array of arr's dtype."""
+    a = arr.copy()
     h = 1
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bot = a[:, 0, :] - a[:, 1, :]
-        a = np.stack((top, bot), axis=1).reshape(-1)
+    while h < a.shape[0]:
+        pairs = a.reshape(-1, 2, h)  # a view: the updates below land in a
+        top = pairs[:, 0, :].copy()
+        pairs[:, 0, :] += pairs[:, 1, :]
+        np.subtract(top, pairs[:, 1, :], out=pairs[:, 1, :])
         h *= 2
     return a
 
 
-def wht_int(g: GroupSpec, values: Sequence[int]) -> list[int]:
-    """Exact integer Walsh-Hadamard transform (self-inverse up to N)."""
+def wht_int(g: GroupSpec, values: Sequence[int]) -> np.ndarray:
+    """Exact integer Walsh-Hadamard transform (self-inverse up to N).
+
+    int64 when the values make an int64 table (whose L1 norm bounds every
+    partial sum below 2^62), an object array of Python ints otherwise.
+    """
     if not g.is_boolean_space:
         raise GroupMismatchError("Walsh-Hadamard path needs a 2-group")
-    # int64 is exact when the L1 norm, which bounds every partial sum, stays
-    # below 2^62.  N * max|v| bounds the L1 norm; only when that bound is
-    # too coarse is the exact norm summed, so the path is the L1 test's.
-    try:
-        arr = np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        return _wht_list([int(v) for v in values])
-    top = max(int(arr.max()), -int(arr.min())) if arr.size else 0
-    if top * arr.size < _INT64_SAFE or sum(abs(int(v)) for v in values) < _INT64_SAFE:
-        return _wht_int64(arr).tolist()
-    return _wht_list([int(v) for v in values])
+    arr = FunctionTable(g, values, "int").values
+    if arr.dtype == object:
+        return np.array(_wht_list(arr.tolist()), dtype=object)
+    return _wht(arr)
 
 
 # -- mixed-radix DFT -------------------------------------------------------------
@@ -147,13 +183,10 @@ def dft(f: FunctionTable) -> FunctionTable:
         return FunctionTable(g, wht_int(g, f.values), "int")
     if g.order > MAX_TRANSFORM_ORDER and not g.is_boolean_space:
         raise SizeLimitError(f"dense transform beyond order {MAX_TRANSFORM_ORDER}")
+    arr = f.values.astype(np.complex128)
     if g.is_boolean_space:
-        arr = f.as_complex_array()
-        out = _wht_complex(arr)
-        return FunctionTable(g, out.tolist(), "complex")
-    arr = _axes_view(g, f.as_complex_array())
-    out = np.fft.fftn(arr).reshape(-1)
-    return FunctionTable(g, out.tolist(), "complex")
+        return FunctionTable(g, _wht(arr), "complex")
+    return FunctionTable(g, np.fft.fftn(_axes_view(g, arr)).reshape(-1), "complex")
 
 
 def idft(fhat: FunctionTable) -> FunctionTable:
@@ -162,29 +195,10 @@ def idft(fhat: FunctionTable) -> FunctionTable:
     n = g.order
     if g.is_boolean_space and fhat.kind == "int":
         back = wht_int(g, fhat.values)
-        vals = []
-        for v in back:
-            q, r = divmod(v, n)
-            if r:
-                raise ValueError("table is not an integer transform on this group")
-            vals.append(q)
-        return FunctionTable(g, vals, "int")
+        if np.any(back % n):
+            raise ValueError("table is not an integer transform on this group")
+        return FunctionTable(g, back // n, "int")
+    arr = fhat.values.astype(np.complex128)
     if g.is_boolean_space:
-        arr = _wht_complex(fhat.as_complex_array()) / n
-        return FunctionTable(g, arr.tolist(), "complex")
-    arr = _axes_view(g, fhat.as_complex_array())
-    out = np.fft.ifftn(arr).reshape(-1)
-    return FunctionTable(g, out.tolist(), "complex")
-
-
-def _wht_complex(arr: np.ndarray) -> np.ndarray:
-    a = arr.astype(np.complex128, copy=True)
-    h = 1
-    n = a.shape[0]
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bot = a[:, 0, :] - a[:, 1, :]
-        a = np.stack((top, bot), axis=1).reshape(-1)
-        h *= 2
-    return a.reshape(-1)
+        return FunctionTable(g, _wht(arr) / n, "complex")
+    return FunctionTable(g, np.fft.ifftn(_axes_view(g, arr)).reshape(-1), "complex")

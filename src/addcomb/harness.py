@@ -31,7 +31,7 @@ from .families import (
     verify_katz_bound,
 )
 from .groups import GroupSpec, boolean_group, format_group_text, parse_group_text
-from .harmonic import dft, table_from_values, wht_int
+from .harmonic import dft, magnitudes, table_from_values, wht_int
 from .report import CheckFailure, CheckRecord, format_value, record_eq
 from .setstat import (
     GroupSet,
@@ -42,7 +42,7 @@ from .setstat import (
     group_set,
     higher_energy,
     profile,
-    sumset,
+    sumset_size,
 )
 from .structure import (
     StructureParams,
@@ -362,7 +362,7 @@ def derive_params(
     """
     g = A.group
     a, b, order = len(A), len(B), g.order
-    s = len(sumset(A, B))
+    s = sumset_size(A, B)
     k = Fraction(s, a)
     k_prime = Fraction(A.diff_size, a)
     peak_sq, _ = A.peak
@@ -451,14 +451,14 @@ def _parseval_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
             if g.is_boolean_space:
                 spectrum = wht_int(g, values)
                 lhs = g.order * sum(v * v for v in values)
-                rhs = sum(w * w for w in spectrum)
+                rhs = int(spectrum @ spectrum)  # N * sum v^2 <= 64 N^2, well inside int64
                 if lhs != rhs:
                     mismatches += 1
             else:
                 f = table_from_values(g, values, kind="int")
                 fhat = dft(f)
                 lhs_f = g.order * sum(v * v for v in values)
-                rhs_f = sum(abs(w) ** 2 for w in fhat.values)
+                rhs_f = sum(m**2 for m in magnitudes(fhat.values).tolist())
                 err = abs(lhs_f - rhs_f) / max(lhs_f, 1.0)
                 worst = max(worst, err)
                 if err > 1e-6:

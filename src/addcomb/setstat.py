@@ -11,8 +11,8 @@ as long as the set lives: its transform (the exact integer Walsh
 transform on 2-groups, the complex DFT elsewhere), its autocorrelation
 A o A as an int64 array, the energy histogram (each distinct nonzero
 value of A o A with its multiplicity, as Python ints, so E_k =
-sum m * c^k is exact at every k), |A - A| (the support of A o A) and the
-peak coefficient.  The cached arrays are read-only; there is no cache
+sum m * c^k is exact at every k), |A - A| (the support of A o A), |A + A|
+(the same number on 2-groups) and the peak coefficient.  The cached arrays are read-only; there is no cache
 outside the set.
 """
 
@@ -33,7 +33,7 @@ from .groups import (
     sub_index_many,
     xor_translate_mask,
 )
-from .harmonic import FunctionTable, dft, indicator, wht_int
+from .harmonic import FunctionTable, dft, indicator, magnitudes, wht_int
 from .report import CheckRecord, record_eq, record_ge, record_le, require
 
 _PAIR_LOOP_MAX = 1 << 26
@@ -94,16 +94,7 @@ class GroupSet:
     @property
     def transform(self) -> np.ndarray:
         """Transform of the indicator: int64 on 2-groups, complex128 elsewhere."""
-
-        def compute() -> np.ndarray:
-            g = self.group
-            if g.is_boolean_space:
-                bits = np.zeros(g.order, dtype=np.int64)
-                bits[self.as_array()] = 1
-                return np.asarray(wht_int(g, bits), dtype=np.int64)
-            return np.asarray(dft(self.indicator()).values, dtype=np.complex128)
-
-        return self._cached("_transform", lambda: _read_only(compute()))
+        return self._cached("_transform", lambda: _read_only(dft(self.indicator()).values))
 
     @property
     def autocorr(self) -> np.ndarray:
@@ -125,6 +116,13 @@ class GroupSet:
     def diff_size(self) -> int:
         """|A - A|, the support size of A o A."""
         return sum(m for _, m in self.energy_hist)
+
+    @property
+    def sum_size(self) -> int:
+        """|A + A|; on 2-groups A + A = A - A, so it is diff_size."""
+        if self.group.is_boolean_space:
+            return self.diff_size
+        return self._cached("_sum_size", lambda: len(sumset(self, self)))
 
     @property
     def peak(self) -> tuple[int | float, int]:
@@ -191,7 +189,7 @@ def corr_counts(A: GroupSet, B: GroupSet | None = None) -> np.ndarray:
     if not A.members or not B.members:
         return np.zeros(n, dtype=np.int64)
     if g.is_boolean_space:
-        return np.asarray(wht_int(g, A.transform * B.transform), dtype=np.int64) // n
+        return wht_int(g, A.transform * B.transform) // n
     counts = np.zeros(n, dtype=np.int64)
     if len(A) <= len(B):
         b_arr = B.as_array()
@@ -242,6 +240,11 @@ def sumset(A: GroupSet, B: GroupSet) -> GroupSet:
     return GroupSet(g, tuple(np.flatnonzero(conv_counts(A, B)).tolist()))
 
 
+def sumset_size(A: GroupSet, B: GroupSet) -> int:
+    """|A + B|, read from A's cache when B is A."""
+    return A.sum_size if B is A else len(sumset(A, B))
+
+
 def difference_set(A: GroupSet, B: GroupSet) -> GroupSet:
     """A - B."""
     return sumset(A, B.neg())
@@ -279,13 +282,11 @@ def peak_coefficient(A: GroupSet) -> tuple[int | float, int]:
         squares = fhat[1:] * fhat[1:]
         arg = int(np.argmax(squares))
         return int(squares[arg]), arg + 1
-    values = fhat.tolist()
-    best_f, arg = None, 1
-    for i in range(1, len(values)):
-        v = abs(values[i]) ** 2
-        if best_f is None or v > best_f:
-            best_f, arg = v, i
-    return best_f, arg
+    # squaring is monotone, so the first largest magnitude carries the
+    # first largest square; the square is taken in Python, as reported
+    mags = magnitudes(fhat[1:])
+    arg = int(np.argmax(mags))
+    return float(mags[arg]) ** 2, arg + 1
 
 
 def energy(A: GroupSet, B: GroupSet | None = None) -> int:
@@ -519,7 +520,7 @@ def profile(
     if B is not None:
         if not B.members:
             raise ValueError("cannot profile against an empty companion set")
-        sum_size = len(sumset(A, B))
+        sum_size = sumset_size(A, B)
         sum_doubling = Fraction(sum_size, a)
         omega = Fraction(len(B), a)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import f2
 from .groups import GroupSpec, SizeLimitError, add_index_many, sub_index_many
-from .harmonic import FunctionTable, dft
+from .harmonic import FunctionTable, dft, magnitudes
 from .setstat import GroupSet, group_set
 
 _FLOAT_GUARD = 1e-9
@@ -71,49 +71,34 @@ def spectrum(f: FunctionTable, eps: Fraction | int, *, fhat: FunctionTable | Non
     if not 0 < eps <= 1:
         raise ValueError(f"spectrum threshold must be in (0, 1], got {eps}")
     g = f.group
-    if all(v == 0 for v in f.values):
+    support = np.count_nonzero(f.values)
+    if not support:
         raise ValueError("spectrum of the zero function is undefined")
     if fhat is None:
         fhat = dft(f)
     elif fhat.group != g:
         raise ValueError("transform passed to spectrum lives on another group")
+    mags = magnitudes(fhat.values)
     if fhat.kind == "int":
-        l1 = sum(abs(v) for v in f.values)
-        picked = [
-            (abs(w), t)
-            for t, w in enumerate(fhat.values)
-            if abs(w) * eps.denominator >= eps.numerator * l1
-        ]
-        picked.sort(key=lambda mt: (-mt[0], mt[1]))
-        return Spectrum(
-            group=g,
-            eps=eps,
-            members=tuple(t for _, t in picked),
-            magnitudes=tuple(float(m) for m, _ in picked),
-            borderline=(),
-            exact=True,
-            source=f"{f.kind} table, support {len(f.support())}",
-        )
-    l1 = float(sum(abs(v) for v in f.values))
-    thr = float(eps) * l1
-    guard = _FLOAT_GUARD * max(1.0, thr)
-    picked_f = []
-    border = []
-    for t in range(g.order):
-        mag = abs(fhat.values[t])
-        if mag >= thr - guard:
-            picked_f.append((mag, t))
-            if abs(mag - thr) <= guard:
-                border.append(t)
-    picked_f.sort(key=lambda mt: (-mt[0], mt[1]))
+        # |fhat| >= eps * ||f||_1 over the integers is |fhat| >= ceil(eps * ||f||_1)
+        cut = -(-eps.numerator * f.l1() // eps.denominator)
+        picked = np.flatnonzero(mags >= cut)
+        border = picked[:0]
+    else:
+        thr = float(eps) * float(f.l1())
+        guard = _FLOAT_GUARD * max(1.0, thr)
+        picked = np.flatnonzero(mags >= thr - guard)
+        border = picked[np.abs(mags[picked] - thr) <= guard]
+    # heaviest first, ties by index: picked ascends and the sort is stable
+    picked = picked[np.argsort(-mags[picked], kind="stable")]
     return Spectrum(
         group=g,
         eps=eps,
-        members=tuple(t for _, t in picked_f),
-        magnitudes=tuple(m for m, _ in picked_f),
-        borderline=tuple(border),
-        exact=False,
-        source=f"{f.kind} table, support {len(f.support())}",
+        members=tuple(picked.tolist()),
+        magnitudes=tuple(float(m) for m in mags[picked].tolist()),
+        borderline=tuple(border.tolist()),
+        exact=fhat.kind == "int",
+        source=f"{f.kind} table, support {support}",
     )
 
 
@@ -196,12 +181,7 @@ def max_dissociated(
     span).  Larger general inputs fall back to greedy in decreasing weight
     order, recorded in the witness mode.
     """
-    seen: set[int] = set()
-    cands = []
-    for c in candidates:
-        if c != 0 and c not in seen:
-            seen.add(c)
-            cands.append(c)
+    cands = [c for c in dict.fromkeys(candidates) if c != 0]
     if weights is not None:
         cands.sort(key=lambda c: (-weights.get(c, 0.0), c))
     if g.is_boolean_space:
@@ -293,13 +273,12 @@ def chang_bound(
     ):
         raise ValueError("witness passed to chang_bound is not drawn from its spectrum")
     g = f.group
-    l1 = float(sum(abs(v) for v in f.values))
+    l1 = float(f.l1())
     l2sq = float(f.l2_squared())
     ratio = l2sq * g.order / (l1 * l1)
     bound = float(c_chang) * float(eps) ** -2 * math.log(max(ratio, 1.0))
     if witness is None:
-        weights = dict(zip(spec.members, spec.magnitudes))
-        witness = max_dissociated(g, list(spec.members), weights)
+        witness = max_dissociated(g, spec.members)  # heaviest first already
     ok: bool | None = None
     if c_chang >= CHANG_AUDIT_CONSTANT:
         ok = witness.certified_size <= max(1.0, bound)

@@ -26,9 +26,9 @@ import numpy as np
 from . import f2
 from .bohr import BohrSet, dilate, find_regular_radius, make_bohr_spec, materialize, size_profile
 from .groups import MAX_TRANSFORM_ORDER, GroupSpec, SizeLimitError, boolean_group
-from .harmonic import FunctionTable, dft, table_from_values
+from .harmonic import FunctionTable, dft, magnitudes
 from .report import CheckFailure, CheckRecord, record_eq, record_ge, record_le, require
-from .setstat import GroupSet, corr_counts, group_set, higher_energy, sumset
+from .setstat import GroupSet, corr_counts, group_set, higher_energy, sumset, sumset_size
 from .spectral import chang_bound, max_dissociated, span, spectrum
 
 _PI_UPPER = Fraction(355, 113)  # exceeds pi, so it is safe in upper bounds
@@ -212,7 +212,7 @@ def check_hypotheses(A: GroupSet, B: GroupSet, params: StructureParams) -> Hypot
     a, b, order = len(A), len(B), g.order
     if a == 0 or b == 0:
         raise ValueError("hypothesis check needs nonempty sets")
-    s = len(sumset(A, B))
+    s = sumset_size(A, B)
     k = Fraction(s, a)
     k_prime = Fraction(A.diff_size, a)
     delta = Fraction(a, order)
@@ -312,25 +312,25 @@ def phi_k(B: GroupSet, k: int) -> FunctionTable:
     """The table x -> |B intersect (B+x)|^k; its mass equals E_k(B)."""
     if k < 2:
         raise ValueError("need k >= 2")
-    values = [c**k for c in B.autocorr.tolist()]
-    table = table_from_values(B.group, values, kind="int")
+    table = FunctionTable(B.group, B.autocorr.astype(object) ** k, "int")
     require(
-        record_eq("phi mass", "structure:phi_mass", sum(values), higher_energy(B, k), note=f"k={k}")
+        record_eq("phi mass", "structure:phi_mass", table.l1(), higher_energy(B, k), note=f"k={k}")
     )
     return table
 
 
 def _check_phi_transform_sign(phi: FunctionTable, phi_hat: FunctionTable) -> None:
     """A correlation power is positive definite: its transform is >= 0."""
+    w = phi_hat.values
     if phi_hat.kind == "int":
-        bad = [t for t, w in enumerate(phi_hat.values) if w < 0]
-        if bad:
-            raise AssertionError(f"transform of a correlation power went negative at {bad[:5]}")
+        bad = np.flatnonzero(w < 0)
+        if bad.size:
+            raise AssertionError(f"transform of a correlation power went negative at {bad[:5].tolist()}")
         return
-    scale = float(sum(phi.values))
-    for t, v in enumerate(phi_hat.values):
-        if v.real < -1e-6 * scale or abs(v.imag) > 1e-6 * scale:
-            raise AssertionError(f"transform of a correlation power went negative at {t}")
+    scale = float(phi.l1())
+    bad = np.flatnonzero((w.real < -1e-6 * scale) | (np.abs(w.imag) > 1e-6 * scale))
+    if bad.size:
+        raise AssertionError(f"transform of a correlation power went negative at {bad[0]}")
 
 
 def _spectrum_threshold(params: StructureParams) -> tuple[Fraction, bool]:
@@ -353,8 +353,7 @@ def _pipeline_front(
     _check_phi_transform_sign(phi, phi_hat)
     eps, clamped = _spectrum_threshold(params)
     spec_phi = spectrum(phi, eps, fhat=phi_hat)
-    weights = dict(zip(spec_phi.members, spec_phi.magnitudes))
-    witness = max_dissociated(B.group, list(spec_phi.members), weights)
+    witness = max_dissociated(B.group, spec_phi.members)  # heaviest first already
     return report, jump, phi, phi_hat, eps, (spec_phi, witness, clamped)
 
 
@@ -503,7 +502,7 @@ def _bohr_span_diagnostics(
     if 3 ** len(lam) > 1 << 16 or (not g.is_boolean_space and g.order > MAX_TRANSFORM_ORDER):
         out["span_checks"] = "skipped (size)"
         return out
-    members = span(g, lam).members
+    members = span(g, lam).as_array()
     floor = (
         (1 - params.zeta)
         * params.omega
@@ -512,14 +511,18 @@ def _bohr_span_diagnostics(
         * g.order
         / (params.t * (params.m + params.kappa))
     )
-    fhat_b = B.transform.tolist()
+    phi_span = phi_hat.values[members]
+    fhat_b = B.transform[members]
     if g.is_boolean_space:
-        mass = sum(phi_hat.values[x] * fhat_b[x] * fhat_b[x] for x in members)
+        # phi_hat * |B_hat|^2 may pass 2^63: multiply as Python ints
+        mass = int((phi_span.astype(object) * (fhat_b * fhat_b)).sum())
         out["spectral_mass"] = record_ge(
             "spectral mass on the span", "structure:spectral_mass", Fraction(mass), floor
         )
     else:
-        mass = sum(phi_hat.values[x].real * abs(fhat_b[x]) ** 2 for x in members)
+        # summed in Python, in span order, as the report has always shown it
+        mags = magnitudes(fhat_b).tolist()
+        mass = sum(w * m**2 for w, m in zip(phi_span.real.tolist(), mags))
         out["spectral_mass"] = record_ge(
             "spectral mass on the span", "structure:spectral_mass", mass, float(floor)
         )

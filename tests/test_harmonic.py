@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from addcomb.harmonic import (
     table_from_values,
     wht_int,
 )
+from addcomb.spectral import spectrum
 
 from .oracles import dft_direct
 
@@ -44,7 +47,7 @@ def test_wht_int_matches_direct_on_boolean_groups():
         values = _random_values(g, rng, -9, 9)
         got = wht_int(g, values)
         want = dft_direct(g, values)
-        for a, b in zip(got, want):
+        for a, b in zip(got.tolist(), want):
             assert isinstance(a, int)
             assert abs(a - b.real) < 1e-6 and abs(b.imag) < 1e-6
 
@@ -64,10 +67,36 @@ def test_wht_int_matches_direct_on_boolean_groups():
 def test_wht_int_path_at_the_int64_boundary(monkeypatch, values, int64_path):
     g = boolean_group(4)
     calls = []
-    real = harmonic._wht_int64
-    monkeypatch.setattr(harmonic, "_wht_int64", lambda arr: calls.append(1) or real(arr))
-    assert wht_int(g, values) == _wht_list(values)
+    real = harmonic._wht
+    monkeypatch.setattr(harmonic, "_wht", lambda arr: calls.append(1) or real(arr))
+    assert wht_int(g, values).tolist() == _wht_list(values)
     assert bool(calls) == int64_path
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_int_tables_at_the_int64_boundary(data):
+    g = data.draw(st.sampled_from([boolean_group(4), make_group((6,))]), label="group")
+    # L1 = 2^62 - 1 (int64), 2^62 (object), and past int64 altogether
+    l1 = data.draw(st.sampled_from([(1 << 62) - 1, 1 << 62, (1 << 63) + (1 << 61)]), label="l1")
+    cuts = sorted(data.draw(st.lists(st.integers(0, l1), min_size=g.order - 1, max_size=g.order - 1)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=g.order, max_size=g.order))
+    values = [s * (hi - lo) for s, lo, hi in zip(signs, [0, *cuts], [*cuts, l1])]
+    table = FunctionTable(g, values, "int")
+    assert table.values.dtype == (np.int64 if l1 < 1 << 62 else object)
+    assert table.l1() == l1 and table.values.tolist() == values
+    fhat = dft(table)
+    if not g.is_boolean_space:
+        for a, b in zip(fhat.values.tolist(), dft_direct(g, values)):
+            assert abs(a - b) <= 1e-9 * l1
+        return
+    want = _wht_list(values)
+    assert wht_int(g, values).tolist() == want
+    assert fhat.values.tolist() == want
+    assert idft(fhat).values.tolist() == values
+    eps = data.draw(st.sampled_from([Fraction(1, 16), Fraction(1, 3), Fraction(3, 4)]), label="eps")
+    picked = [t for t, w in enumerate(want) if abs(w) * eps.denominator >= eps.numerator * l1]
+    assert spectrum(table, eps).members == tuple(sorted(picked, key=lambda t: (-abs(want[t]), t)))
 
 
 def test_wht_int_is_exact_at_scale():
@@ -77,7 +106,7 @@ def test_wht_int_is_exact_at_scale():
     spectrum = wht_int(g, values)
     assert spectrum[0] == sum(values)
     back = wht_int(g, spectrum)
-    assert back == [v * g.order for v in values]
+    assert back.tolist() == [v * g.order for v in values]
 
 
 @pytest.mark.parametrize("g", GROUPS, ids=format_group_text)
@@ -123,4 +152,4 @@ def test_table_length_guard():
 def test_wht_involution_property(values):
     g = boolean_group(3)
     twice = wht_int(g, wht_int(g, values))
-    assert twice == [v * g.order for v in values]
+    assert twice.tolist() == [v * g.order for v in values]

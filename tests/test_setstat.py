@@ -24,6 +24,7 @@ from addcomb.setstat import (
     profile,
     slice_set,
     sumset,
+    sumset_size,
 )
 
 from .oracles import (
@@ -274,6 +275,9 @@ def test_cached_statistics_match_oracles(A):
     assert A.autocorr.tolist() == corr_direct(A, A)
     assert A.autocorr is A.autocorr and not A.autocorr.flags.writeable
     assert A.diff_size == len(difference_direct(A, A))
+    assert A.sum_size == sumset_size(A, A) == len(sumset_direct(A, A))
+    B = group_set(g, A.members[::2])
+    assert sumset_size(A, B) == len(sumset_direct(A, B))
     # k = 64 makes c^k pass 2^63 for every value c >= 2 of A o A
     for k in (2, 3, 64):
         assert higher_energy(A, k) == higher_energy_direct(A, k)

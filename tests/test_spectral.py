@@ -100,6 +100,10 @@ def test_spectrum_exact_on_boolean_int_tables():
     assert set(spec.members) == {0, 4, 8, 12}
     assert spec.magnitudes[0] == 4.0
     assert spec.borderline == ()
+    # |fhat| = 3, 1, 1, 1 against eps * L1 = 3/2 and 1: the cut is ceil(eps * L1)
+    f = indicator(boolean_group(2), [0, 1, 2])
+    assert spectrum(f, Fraction(1, 2)).members == (0,)
+    assert spectrum(f, Fraction(1, 3)).members == (0, 1, 2, 3)
 
 
 def test_spectrum_sorted_heaviest_first_ties_by_index():

@@ -3,12 +3,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from addcomb import setstat, structure
 from addcomb.families import make_h_lambda, make_planted, HLambdaSpec
 from addcomb.groups import boolean_group, make_group
+from addcomb.harmonic import FunctionTable, _wht_list
 from addcomb.harness import derive_params
+from addcomb.report import format_value
 from addcomb.setstat import (
     corr_counts,
     difference_set,
@@ -101,6 +104,23 @@ def test_phi_k_is_the_correlation_power():
     phi = phi_k(A, 3)
     assert phi.kind == "int"
     assert list(phi.values) == [v**3 for v in corr]
+
+
+def test_span_mass_is_exact_past_int64():
+    # B is the subgroup annihilated by lam = (1, 6), so |B_hat|^2 = 256 on
+    # Span(lam); with phi_hat just above 2^55 every product passes 2^63
+    g = boolean_group(6)
+    B = group_set(g, [x for x in range(g.order) if x & 1 == 0 and (x >> 1 & 1) == (x >> 2 & 1)])
+    phi_values = [(1 << 55) + 977 * (t + 1) for t in range(g.order)]
+    phi_hat = FunctionTable(g, phi_values, "int")
+    assert phi_hat.values.dtype == np.int64
+    params = StructureParams(m=1, m_prime=1, kappa=1, zeta=Fraction(1, 8), t=2)
+    jump = structure.EnergyJump(k=2, e_k=1, e_next=1, m_star=params.m_star, k0=params.k0)
+    out = structure._bohr_span_diagnostics(B, phi_hat, (1, 6), params, jump)
+    b_hat = _wht_list([int(x in B.index_set) for x in range(g.order)])
+    products = [phi_values[x] * b_hat[x] ** 2 for x in (0, 1, 6, 7)]
+    assert min(products) > 1 << 63
+    assert out["spectral_mass"].lhs == format_value(Fraction(sum(products)))
 
 
 def test_check_hypotheses_binds_omega():
