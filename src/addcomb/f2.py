@@ -40,7 +40,12 @@ def independent_subset(vectors: Sequence[int]) -> list[int]:
     """Greedy subset of the input (in order) forming a basis of its span."""
     rows: list[int] = []
     picked: list[int] = []
+    # the inputs lie in F2^b, b their largest bit length, so once the rows
+    # have rank b every later vector reduces to 0
+    full_rank = max((v.bit_length() for v in vectors), default=0)
     for v in vectors:
+        if len(rows) == full_rank:
+            break
         w = v
         for r in rows:
             w = min(w, w ^ r)

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-MAX_MEMBERSHIP_ORDER = 1 << 24   # bitset / linear-scan operations
+MAX_MEMBERSHIP_ORDER = 1 << 24   # index-array / linear-scan operations
 MAX_TRANSFORM_ORDER = 1 << 16    # dense transforms on general groups
 
 Element = tuple
@@ -302,32 +302,3 @@ def neg_index_many(g: GroupSpec, indices: np.ndarray) -> np.ndarray:
     for s, block in _blocks(g.factors):
         np.add(out, block, out=out, where=_low_part(idx, block, order) >= s)
     return out
-
-
-# -- boolean bitset helpers ----------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def _lowbit_selectors(n: int) -> tuple[int, ...]:
-    """Selector masks over 2^n bit positions: selector k picks indices with bit k = 0."""
-    size = 1 << n
-    out = []
-    for k in range(n):
-        block = (1 << (1 << k)) - 1
-        step = 1 << (k + 1)
-        sel = 0
-        for base in range(0, size, step):
-            sel |= block << base
-        out.append(sel)
-    return tuple(out)
-
-
-def xor_translate_mask(mask: int, shift: int, n: int) -> int:
-    """Translate a 2^n-bit membership mask by XOR with `shift`."""
-    sels = _lowbit_selectors(n)
-    for k in range(n):
-        if (shift >> k) & 1:
-            b = 1 << k
-            sel = sels[k]
-            mask = ((mask & sel) << b) | ((mask >> b) & sel)
-    return mask

@@ -2,8 +2,12 @@
 
 All cardinalities and energies are Python integers, densities and doubling
 constants exact fractions, so every inequality asserted here is decided
-exactly.  On 2-groups the heavy counting routes through the integer
-Walsh-Hadamard transform; elsewhere through vectorised index arithmetic.
+exactly.  A set is its strictly sorted tuple of element indices, read as an
+int64 array wherever it is counted.  Every pair count goes through
+conv_counts: on 2-groups one inverse integer Walsh-Hadamard transform of
+the two sets' cached transforms, elsewhere one bincount pass per member of
+the smaller set.  corr_counts is conv_counts(-A, B), and sumset is the
+support of conv_counts.
 
 A GroupSet computes the statistics the pipelines read off its
 autocorrelation once, on first use, and keeps them on the instance for
@@ -12,8 +16,9 @@ transform on 2-groups, the complex DFT elsewhere), its autocorrelation
 A o A as an int64 array, the energy histogram (each distinct nonzero
 value of A o A with its multiplicity, as Python ints, so E_k =
 sum m * c^k is exact at every k), |A - A| (the support of A o A), |A + A|
-(the same number on 2-groups) and the peak coefficient.  The cached arrays are read-only; there is no cache
-outside the set.
+(the same number on 2-groups) and the peak coefficient.  A.neg() takes
+over A's autocorrelation, since (-A) o (-A) = A o A.  The cached arrays
+are read-only; there is no cache outside the set.
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ from .groups import (
     SizeLimitError,
     add_index_many,
     neg_index_many,
-    sub_index_many,
-    xor_translate_mask,
 )
 from .harmonic import FunctionTable, dft, indicator, magnitudes, wht_int
 from .report import CheckRecord, record_eq, record_ge, record_le, require
@@ -81,15 +84,6 @@ class GroupSet:
     @property
     def index_set(self) -> frozenset[int]:
         return self._cached("_index_set", lambda: frozenset(self.members))
-
-    @property
-    def mask(self) -> int:
-        def compute() -> int:
-            bits = np.zeros(self.group.order, dtype=np.uint8)
-            bits[self.as_array()] = 1
-            return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-        return self._cached("_mask", compute)
 
     @property
     def transform(self) -> np.ndarray:
@@ -142,10 +136,15 @@ class GroupSet:
         return GroupSet(g, tuple(sorted(int(v) for v in add_index_many(g, self.as_array(), x))))
 
     def neg(self) -> "GroupSet":
+        """-A; it takes over A's autocorrelation, since (-A) o (-A) = A o A."""
         g = self.group
         if not self.members or g.is_boolean_space:
             return self
-        return GroupSet(g, tuple(sorted(int(v) for v in neg_index_many(g, self.as_array()))))
+        out = GroupSet(g, tuple(np.sort(neg_index_many(g, self.as_array())).tolist()))
+        autocorr = self.__dict__.get("_autocorr")
+        if autocorr is not None:
+            object.__setattr__(out, "_autocorr", autocorr)
+        return out
 
 
 def group_set(g: GroupSpec, members: Iterable[int]) -> GroupSet:
@@ -160,28 +159,25 @@ def full_set(g: GroupSpec) -> GroupSet:
     return GroupSet(g, tuple(range(g.order)))
 
 
-def set_from_mask(g: GroupSpec, mask: int) -> GroupSet:
-    return GroupSet(g, _mask_to_indices(mask, g.order))
-
-
-def _mask_to_indices(mask: int, order: int) -> tuple[int, ...]:
-    nbytes = (order + 7) // 8
-    raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little", count=order)
-    return tuple(int(v) for v in np.nonzero(bits)[0])
-
-
 # -- counting kernels -----------------------------------------------------------
 
 
 def corr_counts(A: GroupSet, B: GroupSet | None = None) -> np.ndarray:
     """(A o B)(x) = |B intersect (A + x)| = #{(a, b) : b - a = x}, as int64.
 
-    On 2-groups this is one inverse Walsh transform of the product of the
-    two sets' cached transforms.
+    This is conv_counts(-A, B); on 2-groups -A is A itself, so both
+    transforms come from the sets' caches.
     """
-    if B is None:
-        B = A
+    return conv_counts(A.neg(), A if B is None else B)
+
+
+def conv_counts(A: GroupSet, B: GroupSet) -> np.ndarray:
+    """Number of pairs (a, b) with a + b = x, for every x, as int64.
+
+    On 2-groups this is one inverse Walsh transform of the product of the
+    two sets' cached transforms; elsewhere one bincount pass over the
+    larger set shifted by each member of the smaller.
+    """
     if A.group != B.group:
         raise GroupMismatchError("sets live on different groups")
     g = A.group
@@ -191,28 +187,6 @@ def corr_counts(A: GroupSet, B: GroupSet | None = None) -> np.ndarray:
     if g.is_boolean_space:
         return wht_int(g, A.transform * B.transform) // n
     counts = np.zeros(n, dtype=np.int64)
-    if len(A) <= len(B):
-        b_arr = B.as_array()
-        for a in A.members:
-            counts += np.bincount(sub_index_many(g, b_arr, a), minlength=n)
-    else:
-        a_arr = A.as_array()
-        for b in B.members:
-            counts += np.bincount(neg_index_many(g, sub_index_many(g, a_arr, b)), minlength=n)
-    return counts
-
-
-def conv_counts(A: GroupSet, B: GroupSet) -> np.ndarray:
-    """Number of pairs (a, b) with a + b = x, for every x, as int64."""
-    if A.group != B.group:
-        raise GroupMismatchError("sets live on different groups")
-    g = A.group
-    n = g.order
-    if not A.members or not B.members:
-        return np.zeros(n, dtype=np.int64)
-    if g.is_boolean_space:
-        return corr_counts(A, B)
-    counts = np.zeros(n, dtype=np.int64)
     small, big = (A, B) if len(A) <= len(B) else (B, A)
     big_arr = big.as_array()
     for a in small.members:
@@ -221,23 +195,8 @@ def conv_counts(A: GroupSet, B: GroupSet) -> np.ndarray:
 
 
 def sumset(A: GroupSet, B: GroupSet) -> GroupSet:
-    """A + B."""
-    if A.group != B.group:
-        raise GroupMismatchError("sets live on different groups")
-    g = A.group
-    if not A.members or not B.members:
-        return GroupSet(g, ())
-    if g.is_boolean_space:
-        small, big = (A, B) if len(A) <= len(B) else (B, A)
-        acc = 0
-        bm = big.mask
-        for a in small.members:
-            acc |= xor_translate_mask(bm, a, g.rank)
-        return set_from_mask(g, acc)
-    if len(A) * len(B) <= 4096:
-        out = {g.add_index(a, b) for a in A.members for b in B.members}
-        return GroupSet(g, tuple(sorted(out)))
-    return GroupSet(g, tuple(np.flatnonzero(conv_counts(A, B)).tolist()))
+    """A + B, the support of conv_counts(A, B)."""
+    return GroupSet(A.group, tuple(np.flatnonzero(conv_counts(A, B)).tolist()))
 
 
 def sumset_size(A: GroupSet, B: GroupSet) -> int:
@@ -252,13 +211,9 @@ def difference_set(A: GroupSet, B: GroupSet) -> GroupSet:
 
 def slice_set(A: GroupSet, x: int) -> GroupSet:
     """A_x = A intersect (A + x); its size is the autocorrelation at x."""
-    g = A.group
-    if g.is_boolean_space:
-        return set_from_mask(g, A.mask & xor_translate_mask(A.mask, x, g.rank))
-    if not A.members:
-        return A
-    shifted = set(int(v) for v in add_index_many(g, A.as_array(), x))
-    return GroupSet(g, tuple(sorted(A.index_set & shifted)))
+    arr = A.as_array()
+    shifted = add_index_many(A.group, arr, x)
+    return GroupSet(A.group, tuple(np.intersect1d(arr, shifted, assume_unique=True).tolist()))
 
 
 def doubling_constant(A: GroupSet) -> Fraction:

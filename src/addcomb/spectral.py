@@ -171,19 +171,16 @@ def _zero_mask(g: GroupSpec) -> np.ndarray:
 def max_dissociated(
     g: GroupSpec,
     candidates: list[int] | tuple[int, ...],
-    weights: dict[int, float] | None = None,
 ) -> DissociatedWitness:
     """Largest dissociated subset of the candidates.
 
     Exact on 2-groups (rank by elimination) and on candidate lists of at
     most 24 characters (branch and bound over the span-growth tree, using
     that adjoining mu keeps dissociativity iff mu is outside the current
-    span).  Larger general inputs fall back to greedy in decreasing weight
-    order, recorded in the witness mode.
+    span).  Larger general inputs fall back to greedy in the order given
+    (callers pass spectra heaviest first), recorded in the witness mode.
     """
     cands = [c for c in dict.fromkeys(candidates) if c != 0]
-    if weights is not None:
-        cands.sort(key=lambda c: (-weights.get(c, 0.0), c))
     if g.is_boolean_space:
         picked = f2.independent_subset(cands)
         return DissociatedWitness(g, tuple(picked), "exact", len(picked))
@@ -258,7 +255,7 @@ def chang_bound(
     The comparison is asserted only when c_chang is at least the audit
     constant; below that it is reported as a plain diagnostic.  A caller
     that already holds Spec_eps(f), and the max_dissociated witness of its
-    members weighted by magnitude, passes them in instead of recomputing; a
+    members in spectrum order, passes them in instead of recomputing; a
     witness is accepted only together with the spectrum it was drawn from.
     """
     eps = Fraction(eps)

@@ -910,7 +910,9 @@ def brute_force_3B_subspace(
     if not b_prime.members:
         return None
     triple = sumset(sumset(b_prime, b_prime), b_prime)
-    triple_mask = triple.mask
+    in_triple = np.zeros(g.order, dtype=bool)
+    in_triple[triple.as_array()] = True
+    idx = np.arange(g.order)
     if ambient is None:
         amb_basis = [1 << i for i in range(g.rank)]
     else:
@@ -918,19 +920,19 @@ def brute_force_3B_subspace(
     m = len(amb_basis)
     if not 0 <= max_codim <= m:
         raise ValueError(f"max_codim must lie in [0, {m}]")
-    from .groups import xor_translate_mask
 
     for codim in range(max_codim + 1):
         dim = m - codim
         for coord_basis in f2.dual_spaces(m, dim, cap=_SUBSPACES_PER_LEVEL_CAP):
             h_basis = [_embed(amb_basis, w) for w in coord_basis]
-            valid = triple_mask
+            # valid[z] says z + span(h_basis so far) lies inside B'+B'+B'
+            valid = in_triple
             for vec in h_basis:
-                valid &= xor_translate_mask(valid, vec, g.rank)
-                if not valid:
+                valid = valid & valid[idx ^ vec]
+                if not valid.any():
                     break
-            if valid:
-                z = _lowest_set_bit_index(valid)
+            if valid.any():
+                z = int(np.flatnonzero(valid)[0])
                 h = group_set(g, f2.subspace_elements(h_basis))
                 return h, z
     return None

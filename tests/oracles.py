@@ -44,6 +44,16 @@ def corr_direct(A: GroupSet, B: GroupSet) -> list[int]:
     return out
 
 
+def conv_direct(A: GroupSet, B: GroupSet) -> list[int]:
+    """#{(a, b) : a + b = x} for every x, by scanning all pairs."""
+    g = A.group
+    out = [0] * g.order
+    for a in A.members:
+        for b in B.members:
+            out[g.add_index(a, b)] += 1
+    return out
+
+
 def sumset_direct(A: GroupSet, B: GroupSet) -> set[int]:
     g = A.group
     return {g.add_index(a, b) for a in A.members for b in B.members}

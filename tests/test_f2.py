@@ -77,6 +77,20 @@ def test_independent_subset_preserves_span_and_order():
         assert v in vectors
 
 
+@given(st.integers(1, 9), st.data())
+@settings(max_examples=60, deadline=None)
+def test_independent_subset_picks_exactly_what_leaves_the_earlier_span(n, data):
+    # lists several times longer than n run far past full rank
+    vectors = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=3 * n, max_size=6 * n))
+    picked = independent_subset(vectors)
+    chosen = []
+    for v in vectors:
+        if v not in _span_by_enumeration(chosen):
+            assert picked[len(chosen)] == v
+            chosen.append(v)
+    assert picked == chosen
+
+
 def test_nullspace_is_the_orthogonal_complement():
     rng = random.Random(9)
     n = 8

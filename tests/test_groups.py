@@ -12,13 +12,11 @@ from addcomb.groups import (
     SizeLimitError,
     _coords_of,
     add_index_many,
-    boolean_group,
     format_group_text,
     make_group,
     neg_index_many,
     parse_group_text,
     sub_index_many,
-    xor_translate_mask,
 )
 
 GROUPS = [make_group(f) for f in [(24,), (2, 2, 2), (4, 6), (101,), (3, 5, 2)]]
@@ -150,22 +148,6 @@ def test_char_eval_unit_modulus():
         for x in range(0, g.order, 2):
             z = g.char_eval(g.unindex(t), g.unindex(x))
             assert abs(abs(z) - 1.0) < 1e-12
-
-
-@given(st.integers(min_value=1, max_value=10), st.data())
-@settings(max_examples=60, deadline=None)
-def test_xor_translate_mask_permutes_membership(n, data):
-    g = boolean_group(n)
-    members = data.draw(
-        st.sets(st.integers(min_value=0, max_value=g.order - 1), max_size=g.order)
-    )
-    shift = data.draw(st.integers(min_value=0, max_value=g.order - 1))
-    mask = 0
-    for i in members:
-        mask |= 1 << i
-    shifted = xor_translate_mask(mask, shift, n)
-    expected = {i ^ shift for i in members}
-    assert shifted == sum(1 << i for i in expected)
 
 
 def test_bohr_norm_symmetry():

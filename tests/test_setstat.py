@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addcomb.groups import GroupMismatchError, boolean_group, format_group_text, make_group
@@ -13,6 +13,7 @@ from addcomb.setstat import (
     check_energy_difference_bound,
     check_generalized_triangle,
     check_katz_koester,
+    conv_counts,
     corr_counts,
     difference_set,
     doubling_constant,
@@ -28,6 +29,7 @@ from addcomb.setstat import (
 )
 
 from .oracles import (
+    conv_direct,
     corr_direct,
     dft_direct,
     difference_direct,
@@ -293,3 +295,48 @@ def test_cached_statistics_match_oracles(A):
         assert isinstance(peak_sq, int)
         squares = [round(abs(v) ** 2) for v in dft_direct(g, A.indicator().values)]
         assert arg == 1 + squares[1:].index(peak_sq)
+
+
+# Z5xZ20 takes |A| * |B| past 4096, where sumset once switched from a
+# scalar pair loop to conv_counts
+_KERNEL_GROUPS = [boolean_group(n) for n in range(1, 7)] + [
+    make_group(f) for f in [(7,), (30,), (3, 4), (2, 3, 3), (5, 20)]
+]
+
+
+def _kernel_set(draw, g):
+    shape = draw(st.sampled_from(["empty", "singleton", "full", "random"]))
+    if shape == "empty":
+        return group_set(g, [])
+    if shape == "singleton":
+        return group_set(g, [draw(st.integers(0, g.order - 1))])
+    if shape == "full":
+        return full_set(g)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    return group_set(g, [i for i in range(g.order) if rng.random() < density])
+
+
+@st.composite
+def _kernel_pairs(draw):
+    g = draw(st.sampled_from(_KERNEL_GROUPS))
+    return _kernel_set(draw, g), _kernel_set(draw, g), draw(st.integers(0, g.order - 1))
+
+
+_Z5XZ20 = _KERNEL_GROUPS[-1]
+
+
+@given(_kernel_pairs())
+@example((group_set(_Z5XZ20, range(64)), group_set(_Z5XZ20, range(36, 100)), 21))
+@example((group_set(_Z5XZ20, range(65)), group_set(_Z5XZ20, range(36, 100)), 21))
+@example((full_set(_Z5XZ20), full_set(_Z5XZ20), 99))
+@settings(max_examples=150, deadline=None)
+def test_pair_counting_kernel_matches_oracles(case):
+    A, B, x = case
+    g = A.group
+    assert conv_counts(A, B).tolist() == conv_direct(A, B)
+    assert corr_counts(A, B).tolist() == corr_direct(A, B)
+    assert set(sumset(A, B).members) == sumset_direct(A, B)
+    assert set(difference_set(A, B).members) == difference_direct(A, B)
+    want = set(A.members) & {g.add_index(a, x) for a in A.members}
+    assert set(slice_set(A, x).members) == want

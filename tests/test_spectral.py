@@ -59,9 +59,7 @@ def test_max_dissociated_boolean_is_rank():
 
 def test_max_dissociated_weights_steer_greedy_order():
     g = make_group((50,))
-    cands = list(range(1, 26))
-    heavy = {25: 10.0, 24: 9.0}
-    witness = max_dissociated(g, cands, weights=heavy)
+    witness = max_dissociated(g, [25, 24, *range(1, 24)])
     assert witness.mode == "greedy"
     assert witness.members[0] == 25
     assert is_dissociated(g, witness.members)
@@ -170,8 +168,7 @@ def test_chang_bound_reuses_a_matching_spectrum_and_witness():
     f = indicator(g, [0, 1, 2, 3, 20, 21, 40])
     eps = Fraction(1, 4)
     spec = spectrum(f, eps)
-    weights = dict(zip(spec.members, spec.magnitudes))
-    witness = max_dissociated(g, list(spec.members), weights)
+    witness = max_dissociated(g, list(spec.members))
     assert chang_bound(f, eps, spec=spec, witness=witness) == chang_bound(f, eps)
     with pytest.raises(ValueError, match="needs its spectrum"):
         chang_bound(f, eps, witness=witness)
@@ -197,7 +194,7 @@ def test_greedy_witness_is_dissociated_and_spans_every_candidate(data):
         st.lists(st.integers(1, g.order - 1), min_size=25, max_size=40, unique=True), label="cands"
     )
     weights = {c: data.draw(st.floats(0, 1), label="weight") for c in cands[::3]}
-    witness = max_dissociated(g, cands, weights)
+    witness = max_dissociated(g, sorted(cands, key=lambda c: (-weights.get(c, 0.0), c)))
     assert witness.mode == "greedy"
     assert witness.certified_size == len(witness.members)
     assert set(witness.members) <= set(cands)

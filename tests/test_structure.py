@@ -285,6 +285,20 @@ def test_certify_difference_subset_general_group():
             assert x in diff
 
 
+def test_certify_difference_subset_counts_the_autocorrelation_once(monkeypatch):
+    # the Bohr branch runs with B = -A, whose autocorrelation is A's
+    A = group_set(make_group((1009,)), [5])
+    real = setstat.corr_counts
+    calls = []
+    monkeypatch.setattr(setstat, "corr_counts", lambda X, Y=None: calls.append(1) or real(X, Y))
+    res = certify_difference_subset(A, Fraction(1, 2))
+    assert res.kind == "BohrPiece"
+    assert len(calls) == 1
+    neg = A.neg()
+    assert neg.members != A.members
+    assert neg.autocorr.tolist() == corr_direct(neg, neg)
+
+
 def test_certify_gate_failure():
     g = make_group((30,))
     A = group_set(g, range(10))
