@@ -1,21 +1,19 @@
-"""Finite abelian groups in cartesian form: elements, characters, indexing.
+"""Finite abelian groups in cartesian form: elements and indexing.
 
 Elements of Z_{n_1} x ... x Z_{n_r} are coordinate tuples with coordinate j
 reduced mod n_j.  Characters are identified with elements once and for all
-through the self-dual pairing, and evaluated through exact rational phases so
-that phase comparisons (Bohr membership in particular) never touch floating
-point.  Element indices pack coordinates in mixed radix with coordinate 0 as
-the least significant digit; on 2-groups the index is the plain bit packing.
+through the self-dual pairing; exact Bohr membership is counted in integers
+by `bohr._ExactCounter`, never through floating-point phases.  Element
+indices pack coordinates in mixed radix with coordinate 0 as the least
+significant digit; on 2-groups the index is the plain bit packing.
 """
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +36,9 @@ class GroupSpec:
     """Direct product of cyclic groups, kept in the cartesian form given."""
 
     factors: tuple[int, ...]
+    # derived from factors once; every kernel call reads them
+    order: int = field(init=False, repr=False, compare=False)
+    is_boolean_space: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         factors = tuple(int(n) for n in self.factors)
@@ -51,18 +52,12 @@ class GroupSpec:
             raise SizeLimitError(
                 f"group order {order} exceeds the supported cap {MAX_MEMBERSHIP_ORDER}"
             )
-
-    @property
-    def order(self) -> int:
-        return prod(self.factors)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "is_boolean_space", all(n == 2 for n in factors))
 
     @property
     def rank(self) -> int:
         return len(self.factors)
-
-    @property
-    def is_boolean_space(self) -> bool:
-        return all(n == 2 for n in self.factors)
 
     @property
     def strides(self) -> tuple[int, ...]:
@@ -138,48 +133,6 @@ class GroupSpec:
 
     def sub_index(self, i: int, j: int) -> int:
         return self.add_index(i, self.neg_index(j))
-
-    def elements(self) -> Iterator[Element]:
-        for i in range(self.order):
-            yield self.unindex(i)
-
-    # -- characters ----------------------------------------------------------
-
-    def char_phase(self, t: Element, x: Element) -> Fraction:
-        """Exact phase of the character pairing, as a fraction of a full turn.
-
-        The character attached to frequency t sends x to
-        exp(2 pi i * sum_j t_j x_j / n_j); the returned value is the fractional
-        part of that angle sum, in [0, 1).
-        """
-        self._check(t)
-        self._check(x)
-        order = self.order
-        num = 0
-        for a, b, n in zip(t, x, self.factors):
-            num += a * b * (order // n)
-        return Fraction(num % order, order)
-
-    def char_eval(self, t: Element, x: Element) -> complex:
-        """Unit complex value of the character; exact at quarter-turn phases."""
-        phase = self.char_phase(t, x)
-        exact = _QUARTER_TURNS.get(phase)
-        if exact is not None:
-            return exact
-        return cmath.exp(2j * cmath.pi * float(phase))
-
-    def bohr_norm(self, t: Element, x: Element) -> Fraction:
-        """Distance of the pairing phase to the nearest integer, exactly."""
-        p = self.char_phase(t, x)
-        return min(p, 1 - p)
-
-
-_QUARTER_TURNS = {
-    Fraction(0, 1): complex(1, 0),
-    Fraction(1, 4): complex(0, 1),
-    Fraction(1, 2): complex(-1, 0),
-    Fraction(3, 4): complex(0, -1),
-}
 
 
 def make_group(factors: Sequence[int]) -> GroupSpec:

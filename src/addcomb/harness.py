@@ -692,11 +692,11 @@ def run_config(cfg: RunConfig) -> RunReport:
     return _RUNNERS[cfg.kind](cfg)
 
 
-def run_all(configs: Sequence[RunConfig], max_workers: int | None = None) -> list[RunReport]:
+def run_all(configs: Sequence[RunConfig]) -> list[RunReport]:
     """Run experiments concurrently; reports come back in config order."""
     if len(configs) <= 1:
         return [run_config(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=max_workers or min(8, len(configs))) as pool:
+    with ThreadPoolExecutor(max_workers=min(8, len(configs))) as pool:
         return list(pool.map(run_config, configs))
 
 

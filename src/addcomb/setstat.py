@@ -151,10 +151,6 @@ def group_set(g: GroupSpec, members: Iterable[int]) -> GroupSet:
     return GroupSet(g, tuple(sorted(set(int(i) for i in members))))
 
 
-def group_set_from_elements(g: GroupSpec, elements: Iterable[Sequence[int]]) -> GroupSet:
-    return group_set(g, (g.index(g.element(tuple(e))) for e in elements))
-
-
 def full_set(g: GroupSpec) -> GroupSet:
     return GroupSet(g, tuple(range(g.order)))
 

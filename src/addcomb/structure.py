@@ -29,7 +29,7 @@ from .groups import MAX_TRANSFORM_ORDER, GroupSpec, SizeLimitError, boolean_grou
 from .harmonic import FunctionTable, dft, magnitudes
 from .report import CheckFailure, CheckRecord, record_eq, record_ge, record_le, require
 from .setstat import GroupSet, corr_counts, group_set, higher_energy, sumset, sumset_size
-from .spectral import chang_bound, max_dissociated, span, spectrum
+from .spectral import DissociatedWitness, Spectrum, chang_bound, max_dissociated, span, spectrum
 
 _PI_UPPER = Fraction(355, 113)  # exceeds pi, so it is safe in upper bounds
 # Relative slack for comparisons against float transform values.  It always
@@ -180,17 +180,10 @@ class StructureResult:
 
 @dataclass
 class HypothesisReport:
-    group: GroupSpec
-    a: int
-    b: int
-    order: int
-    delta: Fraction
-    omega: Fraction
-    k: Fraction
-    k_prime: Fraction
+    delta: Fraction  # |A|/N
+    k_prime: Fraction  # |A-A|/|A|
     records: list[CheckRecord]
     core_ok: bool  # the three capacity conditions plus the omega binding
-    ok: bool  # everything, including the advisory parameter windows
 
 
 def _argmax(values: np.ndarray) -> tuple[int, int]:
@@ -208,19 +201,18 @@ def check_hypotheses(A: GroupSet, B: GroupSet, params: StructureParams) -> Hypot
     """
     if A.group != B.group:
         raise ValueError("A and B must live on the same group")
-    g = A.group
-    a, b, order = len(A), len(B), g.order
+    a, b, order = len(A), len(B), A.group.order
     if a == 0 or b == 0:
         raise ValueError("hypothesis check needs nonempty sets")
     s = sumset_size(A, B)
     k = Fraction(s, a)
     k_prime = Fraction(A.diff_size, a)
-    delta = Fraction(a, order)
-    omega = Fraction(b, a)
     peak_sq, peak_arg = A.peak
     records = []
     records.append(
-        record_eq("size ratio binding", "structure:omega", params.omega, omega, note="omega vs |B|/|A|")
+        record_eq(
+            "size ratio binding", "structure:omega", params.omega, Fraction(b, a), note="omega vs |B|/|A|"
+        )
     )
     if isinstance(peak_sq, int):
         peak_rec = record_le(
@@ -266,19 +258,7 @@ def check_hypotheses(A: GroupSet, B: GroupSet, params: StructureParams) -> Hypot
             note="t vs m'(m+kappa)/omega",
         )
     )
-    return HypothesisReport(
-        group=g,
-        a=a,
-        b=b,
-        order=order,
-        delta=delta,
-        omega=omega,
-        k=k,
-        k_prime=k_prime,
-        records=records,
-        core_ok=core_ok,
-        ok=core_ok and all(r.ok for r in records),
-    )
+    return HypothesisReport(delta=Fraction(a, order), k_prime=k_prime, records=records, core_ok=core_ok)
 
 
 def find_energy_jump(B: GroupSet, params: StructureParams) -> EnergyJump:
@@ -340,9 +320,55 @@ def _spectrum_threshold(params: StructureParams) -> tuple[Fraction, bool]:
     return eps, False
 
 
-def _pipeline_front(
-    A: GroupSet, B: GroupSet, params: StructureParams, check: bool
-) -> tuple[HypothesisReport, EnergyJump, FunctionTable, FunctionTable, Fraction, object]:
+@dataclass(frozen=True)
+class _Front:
+    """What both jump pipelines compute before they build a piece: the
+    hypotheses, the jump, phi_k and its transform, Spec_eps(phi) and the
+    dissociated witness Lambda drawn from it."""
+
+    params: StructureParams
+    report: HypothesisReport
+    jump: EnergyJump
+    phi: FunctionTable
+    phi_hat: FunctionTable
+    eps: Fraction
+    clamped: bool
+    spec: Spectrum
+    witness: DissociatedWitness
+
+    def result(
+        self,
+        variant: SubspacePiece | BohrPiece,
+        achieved: int,
+        guaranteed: Fraction,
+        records: list[CheckRecord],
+        bound_key: str,
+        **extra,
+    ) -> StructureResult:
+        """The certified piece, with the diagnostics both pipelines report."""
+        diagnostics = {
+            "eps_spectrum": self.eps,
+            "eps_clamped": self.clamped,
+            "spectrum_size": len(self.spec),
+            bound_key: _codim_diagnostic(self.report, self.params),
+            "chang": chang_bound(
+                self.phi, self.eps, self.params.c_chang, spec=self.spec, witness=self.witness
+            ),
+            **extra,
+        }
+        return StructureResult(
+            variant=variant,
+            achieved=Fraction(achieved),
+            guaranteed=guaranteed,
+            records=records,
+            jump=self.jump,
+            witness_mode=self.witness.mode,
+            diagnostics=diagnostics,
+            hypotheses=self.report,
+        )
+
+
+def _pipeline_front(A: GroupSet, B: GroupSet, params: StructureParams, check: bool) -> _Front:
     report = check_hypotheses(A, B, params)
     if check and not report.core_ok:
         bad = next(r for r in report.records if not r.ok)
@@ -352,9 +378,9 @@ def _pipeline_front(
     phi_hat = dft(phi)
     _check_phi_transform_sign(phi, phi_hat)
     eps, clamped = _spectrum_threshold(params)
-    spec_phi = spectrum(phi, eps, fhat=phi_hat)
-    witness = max_dissociated(B.group, spec_phi.members)  # heaviest first already
-    return report, jump, phi, phi_hat, eps, (spec_phi, witness, clamped)
+    spec = spectrum(phi, eps, fhat=phi_hat)
+    witness = max_dissociated(B.group, spec.members)  # heaviest first already
+    return _Front(params, report, jump, phi, phi_hat, eps, clamped, spec, witness)
 
 
 def _codim_diagnostic(report: HypothesisReport, params: StructureParams) -> float:
@@ -364,6 +390,21 @@ def _codim_diagnostic(report: HypothesisReport, params: StructureParams) -> floa
     base = math.log(float(1 / report.delta * report.k_prime))
     cross = (math.log(y) / math.log(float(params.t))) * math.log(float((params.m + params.kappa) / params.omega))
     return oz**-2 * tmk * (max(base, 0.0) + max(cross, 0.0))
+
+
+def _recount(piece: GroupSet, B: GroupSet) -> tuple[np.ndarray, int, int]:
+    """(counts, achieved, z): |B intersect (piece + x)| for every x, its
+    maximum, and the smallest translate attaining it."""
+    counts = corr_counts(piece, B)
+    achieved, z = _argmax(counts)
+    return counts, achieved, z
+
+
+def _density_floor(params: StructureParams, n: int, loss: int) -> Fraction:
+    """(1 - loss zeta) omega n / (t (m+kappa)).  With n = |piece| this is
+    the count the pipeline guarantees: a subspace loses one zeta, a Bohr
+    set two."""
+    return (1 - loss * params.zeta) * params.omega * n / (params.t * (params.m + params.kappa))
 
 
 def extract_subspace(
@@ -377,16 +418,15 @@ def extract_subspace(
     g = A.group
     if not g.is_boolean_space:
         raise ValueError("subspace extraction needs a 2-group; use extract_bohr")
-    report, jump, phi, _, eps, (spec_phi, witness, clamped) = _pipeline_front(A, B, params, check)
+    front = _pipeline_front(A, B, params, check)
     n = g.rank
-    lam = witness.members
+    lam = front.witness.members
     basis = f2.nullspace_basis(lam, n)
     if len(basis) != n - len(lam):
         raise AssertionError("annihilator dimension disagrees with the dissociated rank")
     lset = group_set(g, f2.subspace_elements(basis))
-    counts = corr_counts(lset, B)
-    achieved, z = _argmax(counts)
-    guaranteed = (1 - params.zeta) * params.omega * len(lset) / (params.t * (params.m + params.kappa))
+    _, achieved, z = _recount(lset, B)
+    guaranteed = _density_floor(params, len(lset), loss=1)
     corr_sum = int(B.autocorr[lset.as_array()].sum())
     sum_rec = record_ge(
         "correlation mass on the subspace",
@@ -406,91 +446,19 @@ def extract_subspace(
         raise DensityGuaranteeFailed(
             "subspace density certificate failed the direct count",
             {
-                "k": jump.k,
-                "eps": eps,
-                "clamped": clamped,
+                "k": front.jump.k,
+                "eps": front.eps,
+                "clamped": front.clamped,
                 "lambda": lam,
                 "subspace_size": len(lset),
                 "corr_sum": corr_sum,
                 "achieved": achieved,
                 "guaranteed": guaranteed,
-                "witness_mode": witness.mode,
+                "witness_mode": front.witness.mode,
             },
         )
-    records = [require(sum_rec), require(cert_rec)]
-    diagnostics = {
-        "eps_spectrum": eps,
-        "eps_clamped": clamped,
-        "spectrum_size": len(spec_phi),
-        "codim_bound": _codim_diagnostic(report, params),
-        "chang": chang_bound(phi, eps, params.c_chang, spec=spec_phi, witness=witness),
-    }
-    return StructureResult(
-        variant=SubspacePiece(
-            subspace=lset, z=z, density=Fraction(achieved, len(lset)), codim=len(lam)
-        ),
-        achieved=Fraction(achieved),
-        guaranteed=guaranteed,
-        records=records,
-        jump=jump,
-        witness_mode=witness.mode,
-        diagnostics=diagnostics,
-        hypotheses=report,
-    )
-
-
-def _bohr_attempt(
-    B: GroupSet,
-    lam: tuple[int, ...],
-    rho: Fraction,
-    params: StructureParams,
-) -> tuple[BohrSet, int, int, Fraction, list[CheckRecord], dict]:
-    g = B.group
-    if lam:
-        reg_spec = find_regular_radius(g, lam, min(rho, Fraction(1)))
-    else:
-        reg_spec = make_bohr_spec(g, (), ())
-    b_star = materialize(g, reg_spec, check_regular=True)
-    counts = corr_counts(b_star.members, B)
-    achieved, z = _argmax(counts)
-    sq_sum = sum(c * c for c in counts.tolist())
-    guaranteed = (
-        (1 - 2 * params.zeta) * params.omega * len(b_star.members) / (params.t * (params.m + params.kappa))
-    )
-    sq_floor = (
-        (1 - 2 * params.zeta)
-        * params.omega
-        * len(B)
-        * len(b_star.members) ** 2
-        / (params.t * (params.m + params.kappa))
-    )
-    records = [
-        record_ge(
-            "translate energy of the Bohr piece",
-            "structure:corr_sq_sum",
-            Fraction(sq_sum),
-            sq_floor,
-            note=f"|B_*|={len(b_star.members)}",
-        ),
-        record_ge(
-            "Bohr density certificate",
-            "structure:density_bohr",
-            Fraction(achieved),
-            guaranteed,
-            note=f"dim {len(lam)}, z={z}",
-        ),
-    ]
-    diag = {}
-    if lam:
-        worst = max(reg_spec.eps)
-        diag["sufficiency"] = record_le(
-            "radius smallness for spectral alignment",
-            "structure:radius_sufficient",
-            2 * _PI_UPPER * len(lam) * worst,
-            params.zeta / 4,
-            note="pi bounded above by 355/113",
-        )
-    return b_star, z, achieved, guaranteed, records, diag
+    piece = SubspacePiece(subspace=lset, z=z, density=Fraction(achieved, len(lset)), codim=len(lam))
+    return front.result(piece, achieved, guaranteed, [sum_rec, cert_rec], "codim_bound")
 
 
 def _bohr_span_diagnostics(
@@ -503,14 +471,7 @@ def _bohr_span_diagnostics(
         out["span_checks"] = "skipped (size)"
         return out
     members = span(g, lam).as_array()
-    floor = (
-        (1 - params.zeta)
-        * params.omega
-        * len(B)
-        * jump.e_k
-        * g.order
-        / (params.t * (params.m + params.kappa))
-    )
+    floor = _density_floor(params, len(B) * jump.e_k * g.order, loss=1)
     phi_span = phi_hat.values[members]
     fhat_b = B.transform[members]
     if g.is_boolean_space:
@@ -535,69 +496,114 @@ def extract_bohr(
     """Jump pipeline on a general group: a regular Bohr set dense in B.
 
     Asserts |B intersect (B_*+z)| >= (1-2 zeta) omega |B_*| / (t (m+kappa))
-    by direct count.  The radius constant is escalated a bounded number of
-    times before failure is surfaced.
+    by direct count, together with the translate energy sum_x |B intersect
+    (B_*+x)|^2 >= that floor times |B| |B_*|.  A failed count doubles the
+    radius constant c_local, at most _ESCALATION_TRIES times; the failure
+    is then raised with every attempt in its trace.
     """
     if not 0 < params.zeta < Fraction(1, 2):
         raise ValueError("Bohr extraction needs zeta < 1/2")
     g = A.group
-    report, jump, phi, phi_hat, eps, (spec_phi, witness, clamped) = _pipeline_front(A, B, params, check)
-    lam = witness.members
+    front = _pipeline_front(A, B, params, check)
+    lam = front.witness.members
     attempts = []
     c = params.c_local
     for _ in range(1 + _ESCALATION_TRIES):
         rho = c * params.zeta / (params.m_star * max(len(lam), 1))
-        b_star, z, achieved, guaranteed, records, diag = _bohr_attempt(B, lam, rho, params)
+        if lam:
+            reg_spec = find_regular_radius(g, lam, min(rho, Fraction(1)))
+        else:
+            reg_spec = make_bohr_spec(g, (), ())
+        b_star = materialize(g, reg_spec, check_regular=True)
+        size = len(b_star.members)
+        counts, achieved, z = _recount(b_star.members, B)
+        guaranteed = _density_floor(params, size, loss=2)
+        records = [
+            record_ge(
+                "translate energy of the Bohr piece",
+                "structure:corr_sq_sum",
+                Fraction(sum(x * x for x in counts.tolist())),
+                guaranteed * len(B) * size,
+                note=f"|B_*|={size}",
+            ),
+            record_ge(
+                "Bohr density certificate",
+                "structure:density_bohr",
+                Fraction(achieved),
+                guaranteed,
+                note=f"dim {len(lam)}, z={z}",
+            ),
+        ]
+        extra = {}
+        if lam:
+            extra["sufficiency"] = record_le(
+                "radius smallness for spectral alignment",
+                "structure:radius_sufficient",
+                2 * _PI_UPPER * len(lam) * max(reg_spec.eps),
+                params.zeta / 4,
+                note="pi bounded above by 355/113",
+            )
         attempts.append(
             {
                 "c_local": c,
                 "rho": rho,
-                "size": len(b_star.members),
+                "size": size,
                 "achieved": achieved,
                 "guaranteed": guaranteed,
-                "sufficiency": diag.get("sufficiency"),
+                "sufficiency": extra.get("sufficiency"),
             }
         )
         if all(r.ok for r in records):
-            for r in records:
-                require(r)
-            diagnostics = {
-                "eps_spectrum": eps,
-                "eps_clamped": clamped,
-                "spectrum_size": len(spec_phi),
-                "dim_bound": _codim_diagnostic(report, params),
-                "attempts": attempts,
-                "chang": chang_bound(phi, eps, params.c_chang, spec=spec_phi, witness=witness),
-            }
-            diagnostics.update(diag)
-            diagnostics.update(_bohr_span_diagnostics(B, phi_hat, lam, params, jump))
-            size_ratio = Fraction(len(b_star.members), g.order)
-            return StructureResult(
-                variant=BohrPiece(
-                    bohr=b_star,
-                    z=z,
-                    density=Fraction(achieved, len(b_star.members)),
-                    dim=len(lam),
-                    size_ratio=size_ratio,
-                ),
-                achieved=Fraction(achieved),
-                guaranteed=guaranteed,
-                records=records,
-                jump=jump,
-                witness_mode=witness.mode,
-                diagnostics=diagnostics,
-                hypotheses=report,
+            extra.update(_bohr_span_diagnostics(B, front.phi_hat, lam, params, front.jump))
+            piece = BohrPiece(
+                bohr=b_star,
+                z=z,
+                density=Fraction(achieved, size),
+                dim=len(lam),
+                size_ratio=Fraction(size, g.order),
             )
+            return front.result(piece, achieved, guaranteed, records, "dim_bound", attempts=attempts, **extra)
         c = 2 * c
     raise DensityGuaranteeFailed(
         "Bohr density certificate failed after radius escalation",
-        {"k": jump.k, "lambda": lam, "witness_mode": witness.mode, "attempts": attempts},
+        {"k": front.jump.k, "lambda": lam, "witness_mode": front.witness.mode, "attempts": attempts},
     )
 
 
 def _auto_m_prime(k: Fraction, m: Fraction, kappa: Fraction) -> Fraction:
     """Energy cap for B = -A implied by the peak cap: (1 + kappa/(k m)) m."""
     return (1 + kappa / (k * m)) * m
+
+
+def _m_params(m: Fraction, omega: Fraction) -> StructureParams:
+    """Pipeline knobs of the M-dichotomy: m' = 2m, kappa 1, zeta 1/8, t 2."""
+    return StructureParams(
+        m=m, m_prime=2 * m, kappa=Fraction(1), zeta=Fraction(1, 8), t=Fraction(2), omega=omega
+    )
+
+
+def _large_coefficient(
+    A: GroupSet, threshold: Fraction, strict: bool, ref: str, gate: CheckRecord, diagnostics: dict
+) -> StructureResult | None:
+    """The peak of |A_hat|^2 as a LargeCoefficient result when it reaches
+    threshold (passes it, if strict); None sends the caller to the
+    structured branch.  On a float transform the threshold is raised by
+    _FLOAT_SLACK, so noise can only send a borderline peak to the branch
+    whose conclusion is recounted."""
+    peak_sq, peak_arg = A.peak
+    if isinstance(peak_sq, int):
+        value, bound = Fraction(peak_sq), threshold
+    else:
+        value, bound = peak_sq, float(threshold) * (1 + _FLOAT_SLACK)
+    if not (value > bound if strict else value >= bound):
+        return None
+    return StructureResult(
+        variant=LargeCoefficient(x=peak_arg, value=value),
+        achieved=Fraction(peak_sq),
+        guaranteed=threshold,
+        records=[gate, record_ge("large coefficient", ref, value, threshold)],
+        diagnostics=diagnostics,
+    )
 
 
 def certify_difference_subset(A: GroupSet, eps_param: Fraction | int) -> StructureResult:
@@ -621,20 +627,11 @@ def certify_difference_subset(A: GroupSet, eps_param: Fraction | int) -> Structu
     gate = record_le("smallness gate", "dichotomy:gate_2eps", 100 * k * k * delta, eps)
     if not gate.ok:
         raise HypothesisFailure(gate)
-    peak_sq, peak_arg = A.peak
-    threshold = (2 - eps) * a * a / k
-    if isinstance(peak_sq, int):
-        large = Fraction(peak_sq) >= threshold
-    else:
-        large = peak_sq >= float(threshold) * (1 + _FLOAT_SLACK)
-    if large:
-        value = Fraction(peak_sq) if isinstance(peak_sq, int) else peak_sq
-        return StructureResult(
-            variant=LargeCoefficient(x=peak_arg, value=value),
-            achieved=Fraction(peak_sq),
-            guaranteed=threshold,
-            records=[gate, record_ge("large coefficient", "dichotomy:large_2eps", value, threshold)],
-        )
+    large = _large_coefficient(
+        A, (2 - eps) * a * a / k, strict=False, ref="dichotomy:large_2eps", gate=gate, diagnostics={}
+    )
+    if large is not None:
+        return large
     b = A.neg()
     kappa = eps / 100 if g.is_boolean_space else eps / 200
     m = 2 - eps
@@ -792,8 +789,8 @@ def dichotomy_M(
     gate = record_le("smallness gate", "dichotomy:gate_M", 100 * k * k * a, g.order)
     if not gate.ok:
         raise HypothesisFailure(gate)
-    peak_sq, peak_arg = A.peak
     if M is None:
+        peak_sq = A.peak[0]
         raw = Fraction(peak_sq) * k / (a * a)
         if not isinstance(peak_sq, int):
             raw = raw * (1 - Fraction(1, 10**9))  # keep float noise off integer edges
@@ -802,28 +799,12 @@ def dichotomy_M(
     M = Fraction(M)
     if not 1 <= M <= k:
         raise ValueError(f"M must lie in [1, K] = [1, {k}], got {M}")
-    threshold = M * a * a / k
-    if isinstance(peak_sq, int):
-        large = Fraction(peak_sq) > threshold
-    else:
-        large = peak_sq > float(threshold) * (1 + _FLOAT_SLACK)
-    if large:
-        value = Fraction(peak_sq) if isinstance(peak_sq, int) else peak_sq
-        return StructureResult(
-            variant=LargeCoefficient(x=peak_arg, value=value),
-            achieved=Fraction(peak_sq),
-            guaranteed=threshold,
-            records=[gate, record_ge("large coefficient", "dichotomy:large_M", value, threshold)],
-            diagnostics={"m": M},
-        )
-    params = StructureParams(
-        m=M,
-        m_prime=2 * M,
-        kappa=Fraction(1),
-        zeta=Fraction(1, 8),
-        t=Fraction(2),
-        omega=Fraction(len(B_sub), a),
+    large = _large_coefficient(
+        A, M * a * a / k, strict=True, ref="dichotomy:large_M", gate=gate, diagnostics={"m": M}
     )
+    if large is not None:
+        return large
+    params = _m_params(M, Fraction(len(B_sub), a))
     if g.is_boolean_space:
         result = extract_subspace(A, B_sub, params)
         piece_size = len(result.variant.subspace)
@@ -949,13 +930,8 @@ def _embed(basis: list[int], coords: int) -> int:
     return out
 
 
-def _lowest_set_bit_index(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 @dataclass(frozen=True)
 class RegularizationStep:
-    branch: str  # "piece" (dense subspace translate) or "increment" (half space)
     codim: int
     translate: int  # in the coordinates of the original group
     density_before: Fraction
@@ -998,11 +974,11 @@ def _coords_in_basis(basis: list[int], v: int) -> int:
 def regularize_density(A: GroupSet) -> RegularizationTrace:
     """Pass to denser and denser pieces until 100 K^2 delta exceeds 1.
 
-    Each round either restricts to a dense subspace translate found by the
-    extraction pipeline (density at least doubles) or keeps the denser side
-    of a half-space split at the peak frequency (density grows by a factor
-    1 + delta/8).  Both branches drop the ambient dimension, so the loop
-    ends after at most rank(G) rounds.
+    Each round runs the extraction pipeline with the M-dichotomy knobs at
+    m = |A_hat|^2_max K/|A|^2, restricts to the subspace translate it
+    certifies and re-coordinatizes that translate as a smaller 2-group.
+    Every round the kept density at least doubles (a recounted record) and
+    the ambient dimension drops, so the loop ends within rank(G) rounds.
     """
     g = A.group
     if not g.is_boolean_space:
@@ -1019,13 +995,11 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
     translate = 0
     for _ in range(g.rank + 1):
         a = len(cur)
-        order = cur_g.order
-        delta = Fraction(a, order)
+        delta = Fraction(a, cur_g.order)
         k = Fraction(cur.diff_size, a)
         if 100 * k * k * delta > 1:
             break
-        peak_sq, peak_arg = cur.peak
-        m_exact = Fraction(peak_sq) * k / (a * a)
+        m_exact = Fraction(cur.peak[0]) * k / (a * a)
         records.append(
             require(
                 record_ge(
@@ -1037,100 +1011,51 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
                 )
             )
         )
-        if m_exact <= 1 / (16 * delta):
-            params = StructureParams(
-                m=m_exact,
-                m_prime=2 * m_exact,
-                kappa=Fraction(1),
-                zeta=Fraction(1, 8),
-                t=Fraction(2),
-                omega=Fraction(1),
-            )
-            result = extract_subspace(cur, cur, params)
-            piece = result.variant
-            lbasis = f2.echelon_basis(piece.subspace.members)
-            z = piece.z
-            member_test = piece.subspace.index_set
-            if not lbasis:
-                # a zero-dimensional piece is a single point; keep one spare
-                # direction so the quotient stays a representable group (the
-                # kept density is then >= 1/2, still past the doubling floor)
-                lbasis = [1]
-                member_test = frozenset((0, 1))
-            new_members = sorted(
-                _coords_in_basis(lbasis, x ^ z) for x in cur.members if (x ^ z) in member_test
-            )
-            new_g = boolean_group(len(lbasis))
-            new_set = group_set(new_g, new_members)
-            density_after = Fraction(len(new_set), new_g.order)
-            records.append(
-                require(
-                    record_ge(
-                        "density doubling",
-                        "regularize:double",
-                        density_after,
-                        2 * delta,
-                        note=f"codim {piece.codim}",
-                    )
+        # The loop gate gives 100 K^2 delta <= 1, so delta <= 1/100 (as
+        # K >= 1), and the peak is at most |A|^2, so m <= K.  Hence
+        # m <= K <= 1/(10 sqrt(delta)) < 1/(16 delta).  So the pipeline's
+        # piece always applies, and the half-space density increment, which
+        # the argument keeps for m > 1/(16 delta), can never be reached.
+        if m_exact > 1 / (16 * delta):
+            raise AssertionError(f"peak ratio m={m_exact} passed 1/(16 delta) under the loop gate")
+        piece = extract_subspace(cur, cur, _m_params(m_exact, Fraction(1))).variant
+        lbasis = f2.echelon_basis(piece.subspace.members)
+        z = piece.z
+        member_test = piece.subspace.index_set
+        if not lbasis:
+            # a zero-dimensional piece is a single point; keep one spare
+            # direction so the quotient stays a representable group (the
+            # kept density is then >= 1/2, still past the doubling floor)
+            lbasis = [1]
+            member_test = frozenset((0, 1))
+        new_members = sorted(
+            _coords_in_basis(lbasis, x ^ z) for x in cur.members if (x ^ z) in member_test
+        )
+        new_g = boolean_group(len(lbasis))
+        new_set = group_set(new_g, new_members)
+        density_after = Fraction(len(new_set), new_g.order)
+        records.append(
+            require(
+                record_ge(
+                    "density doubling",
+                    "regularize:double",
+                    density_after,
+                    2 * delta,
+                    note=f"codim {piece.codim}",
                 )
             )
-            translate ^= _embed(basis, z)
-            steps.append(
-                RegularizationStep(
-                    branch="piece",
-                    codim=piece.codim,
-                    translate=translate,
-                    density_before=delta,
-                    density_after=density_after,
-                )
+        )
+        translate ^= _embed(basis, z)
+        steps.append(
+            RegularizationStep(
+                codim=piece.codim,
+                translate=translate,
+                density_before=delta,
+                density_after=density_after,
             )
-            basis = [_embed(basis, row) for row in lbasis]
-            cur_g, cur = new_g, new_set
-        else:
-            # split along the kernel of the peak character, keep the denser side
-            coeff = int(cur.transform[peak_arg])
-            side0 = (a + coeff) // 2
-            if (a + coeff) % 2:
-                raise AssertionError("parity mismatch in the half-space split")
-            side1 = a - side0
-            if side0 >= side1:
-                z, count = 0, side0
-            else:
-                z, count = 1 << _lowest_set_bit_index(peak_arg), side1
-            records.append(
-                require(
-                    record_ge(
-                        "half-space increment",
-                        "regularize:increment",
-                        16 * order * count,
-                        8 * a * order + a * a,
-                    )
-                )
-            )
-            kbasis = f2.nullspace_basis([peak_arg], cur_g.rank)
-            kbasis = f2.echelon_basis(kbasis)
-            new_members = sorted(
-                _coords_in_basis(kbasis, x ^ z)
-                for x in cur.members
-                if f2.in_span(kbasis, x ^ z)
-            )
-            new_g = boolean_group(len(kbasis))
-            new_set = group_set(new_g, new_members)
-            density_after = Fraction(len(new_set), new_g.order)
-            if not density_after > delta:
-                raise AssertionError("half-space split failed to raise the density")
-            translate ^= _embed(basis, z)
-            steps.append(
-                RegularizationStep(
-                    branch="increment",
-                    codim=1,
-                    translate=translate,
-                    density_before=delta,
-                    density_after=density_after,
-                )
-            )
-            basis = [_embed(basis, row) for row in kbasis]
-            cur_g, cur = new_g, new_set
+        )
+        basis = [_embed(basis, row) for row in lbasis]
+        cur_g, cur = new_g, new_set
     else:
         raise AssertionError("regularization failed to terminate within rank(G) rounds")
     final_delta = Fraction(len(cur), cur_g.order)

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,33 +125,3 @@ def test_coords_table_matches_unindex(g):
     assert table.shape == (g.order, g.rank)
     for i in range(g.order):
         assert tuple(int(c) for c in table[i]) == g.unindex(i)
-
-
-def test_char_phase_is_bilinear_pairing():
-    g = make_group((4, 6))
-    for t in range(0, g.order, 5):
-        tc = g.unindex(t)
-        for x in range(0, g.order, 3):
-            for y in range(0, g.order, 7):
-                xc, yc = g.unindex(x), g.unindex(y)
-                lhs = g.char_phase(tc, g.add(xc, yc)) % 1
-                rhs = (g.char_phase(tc, xc) + g.char_phase(tc, yc)) % 1
-                assert lhs == rhs
-                assert isinstance(lhs, Fraction)
-
-
-def test_char_eval_unit_modulus():
-    g = make_group((3, 5))
-    for t in range(g.order):
-        for x in range(0, g.order, 2):
-            z = g.char_eval(g.unindex(t), g.unindex(x))
-            assert abs(abs(z) - 1.0) < 1e-12
-
-
-def test_bohr_norm_symmetry():
-    g = make_group((12,))
-    t = g.unindex(1)
-    for x in range(12):
-        nx = g.neg_index(x)
-        assert g.bohr_norm(t, g.unindex(x)) == g.bohr_norm(t, g.unindex(nx))
-        assert 0 <= g.bohr_norm(t, g.unindex(x)) <= Fraction(1, 2)

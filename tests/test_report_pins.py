@@ -1,0 +1,69 @@
+"""Report bodies pinned by digest.
+
+Each case runs the CLI with a fixed configuration, drops the `timings`
+block (the only part of a report allowed to vary between runs) and
+compares the sha256 of the canonical JSON body with a recorded value.  A
+refactor that keeps behaviour must keep these digests; a change that alters
+a body on purpose updates the digest and says so in CHANGES.md.
+
+Only exact paths are pinned here: 2-group transforms are integer Walsh
+transforms and the chosen verify suites count exactly.  Bodies on general
+groups carry float DFT values that may move between numpy versions.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from addcomb.cli import main
+from addcomb.families import make_planted
+from addcomb.fileio import write_set
+from addcomb.groups import boolean_group
+
+PINNED = {
+    "example-h-lambda": "846d5574221f3c2fa0e7f506e497c6d2a69d2149c369b48b9e699c1c5bc56369",
+    "structure-h-lambda": "61d900bba3249e7a8919759004d2f64ab702aa9ea5b96d4b8908cf4b3fe4a2cf",
+    "dichotomy-planted-f2-12": "882c8979449e576e1b678a5c0e1fc04ea04ee0e14245df9bff30f6d93d71a93f",
+    "verify-seed-7": "af1809f834dbc1bc236e1747edda1183822a51e68c7933206810c6401562ae9e",
+}
+
+
+def _body_digest(path) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        body = json.load(fh)
+    body.pop("timings", None)
+    text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture
+def in_tmp(tmp_path, monkeypatch, capsys):
+    # structure reports name their set file, so run on relative paths
+    monkeypatch.chdir(tmp_path)
+    yield tmp_path
+    capsys.readouterr()
+
+
+def test_readme_pair_bodies_are_pinned(in_tmp):
+    args = ["example", "h-lambda", "--n", "8", "--k", "3", "--lambda", "5"]
+    assert main(args + ["--set-out", "A.txt", "--out", "ex.json"]) == 0
+    assert main(["structure", "A.txt", "--out", "st.json"]) == 0
+    assert _body_digest("ex.json") == PINNED["example-h-lambda"]
+    assert _body_digest("st.json") == PINNED["structure-h-lambda"]
+
+
+def test_dichotomy_body_on_planted_f2_12_is_pinned(in_tmp):
+    inst = make_planted(boolean_group(12), subgroup_dim=4, cosets=2, noise=0, seed=3)
+    write_set("P.txt", inst.set)
+    assert main(["structure", "P.txt", "--mode", "dichotomy", "--out", "d.json"]) == 0
+    assert _body_digest("d.json") == PINNED["dichotomy-planted-f2-12"]
+
+
+def test_verify_seed_7_body_is_pinned(in_tmp):
+    suites = "triangle,energy-bound,bohr-size,katz-koester,energy-mono"
+    args = ["verify", "--seed", "7", "--suites", suites, "--instances", "5"]
+    assert main(args + ["--out", "v.json"]) == 0
+    assert _body_digest("v.json") == PINNED["verify-seed-7"]

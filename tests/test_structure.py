@@ -230,6 +230,19 @@ def test_dichotomy_large_coefficient_branch():
     assert res.variant.x in (1, 999)
 
 
+def test_large_coefficient_comparisons_at_the_threshold():
+    # A = {0, e1, e2}: the peak is 9 = |A|^2 and K = 4/3, so both
+    # thresholds, (2 - 2/3)|A|^2/K and (4/3)|A|^2/K, equal the peak exactly
+    A = group_set(boolean_group(10), [0, 1, 2])
+    assert A.peak[0] == 9
+    assert Fraction(A.diff_size, len(A)) == Fraction(4, 3)
+    two_eps = certify_difference_subset(A, Fraction(2, 3))
+    assert two_eps.kind == "LargeCoefficient"  # 2 - eps compares with >=
+    assert two_eps.achieved == two_eps.guaranteed == 9
+    m_branch = dichotomy_M(A, M=Fraction(4, 3))
+    assert m_branch.kind == "SubspacePiece"  # M compares strictly
+
+
 def test_dichotomy_exactly_one_branch_fires():
     rng = random.Random(17)
     for _ in range(6):
@@ -368,14 +381,23 @@ def test_regularize_density_terminates_with_gate():
 
 
 def test_regularize_branches_are_all_piece_steps():
-    # under the smallness gate the peak bound forces m <= 1/(16 delta),
-    # so the half-space increment branch can never fire
-    rng = random.Random(31)
-    g = boolean_group(12)
-    for _ in range(4):
-        A = group_set(g, rng.sample(range(g.order), rng.randrange(20, 80)))
+    # every round restricts to the pipeline's subspace piece; noise-free
+    # coset unions sit under the smallness gate, so each takes a step
+    for n, dim, cosets in [(10, 2, 2), (11, 3, 2), (12, 2, 3), (13, 3, 3), (14, 4, 3)]:
+        A = make_planted(boolean_group(n), subgroup_dim=dim, cosets=cosets, noise=0, seed=n).set
         trace = regularize_density(A)
-        assert all(step.branch == "piece" for step in trace.steps)
+        assert trace.steps
+        for step in trace.steps:
+            assert step.density_after >= 2 * step.density_before
+        assert trace.steps[-1].density_after == trace.final_delta
+        # recount the final piece from A: the members of A in span(basis) + translate
+        span = {0}
+        for row in trace.basis:
+            span |= {v ^ row for v in span}
+        assert len(span) == trace.final_group.order
+        direct = sorted(x for x in A.members if (x ^ trace.translate) in span)
+        assert list(trace.lift().members) == direct
+        assert Fraction(len(direct), len(span)) == trace.final_delta
 
 
 def test_regularize_on_subgroup_stops_at_full_density():
