@@ -303,12 +303,12 @@ def intersect(spec1: BohrSpec, spec2: BohrSpec) -> BohrSpec:
     return BohrSpec(spec1.group, tuple(order), tuple(radii[t] for t in order))
 
 
-def default_eta_grid(d: int, steps: int = _DEFAULT_GRID_STEPS) -> tuple[Fraction, ...]:
-    """Symmetric grid eta = +-i/(1000 d), all satisfying d|eta| <= 1/100."""
+def default_eta_grid(d: int) -> tuple[Fraction, ...]:
+    """Symmetric grid eta = +-i/(1000 d), i = 1..10, so d|eta| <= 1/100."""
     if d == 0:
         return ()
     grid = []
-    for i in range(1, steps + 1):
+    for i in range(1, _DEFAULT_GRID_STEPS + 1):
         grid.append(Fraction(i, 1000 * d))
         grid.append(Fraction(-i, 1000 * d))
     return tuple(grid)
@@ -341,16 +341,14 @@ def _grid_verdict(
     )
 
 
-def regularity_test(b: BohrSet, eta_grid: Sequence[Fraction] | None = None) -> RegularityVerdict:
-    """Check (1 - 100 d|eta|)|B| < |B_(1+eta)| < (1 + 100 d|eta|)|B| on a grid."""
+def regularity_test(b: BohrSet) -> RegularityVerdict:
+    """Check (1 - 100 d|eta|)|B| < |B_(1+eta)| < (1 + 100 d|eta|)|B| on the
+    default grid."""
     spec = b.spec
     d = spec.d
     if d == 0:
         return RegularityVerdict(True, None, (), (), len(b.members), note="dimension 0 is vacuously regular")
-    grid = tuple(eta_grid) if eta_grid is not None else default_eta_grid(d)
-    for eta in grid:
-        if d * abs(eta) > Fraction(1, 100):
-            raise ValueError(f"grid point {eta} violates d|eta| <= 1/100")
+    grid = default_eta_grid(d)
     counter, scale = _counter(spec)
     base_size = counter.count(scale)
     if base_size != len(b.members):

@@ -56,8 +56,8 @@ def _cmd_stats(args) -> int:
         "density": format_value(prof.density),
         "diff_size": prof.diff_size,
         "doubling": format_value(prof.doubling),
-        "peak_sq": format_value(prof.peak_sq),
-        "peak_char": prof.peak_char,
+        "peak_sq": format_value(prof.peak.hi),
+        "peak_char": prof.peak.arg,
         "energy": str(prof.energy),
         "higher": {str(k): str(v) for k, v in prof.higher.items()},
         "sum_size": prof.sum_size,

@@ -9,18 +9,16 @@ is re-verified here as a hard assertion.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import f2
 from .groups import GroupSpec, boolean_group, make_group
-from .harmonic import wht_int
+from .harmonic import prime_factors, wht_int
 from .report import CheckRecord, record_eq, record_ge, record_le, require
 from .setstat import GroupSet, difference_set, group_set, higher_energy, slice_set
 
-_KATZ_REL_TOL = 1e-6
 _H_LAMBDA_N_MAX = 20
 
 
@@ -91,13 +89,13 @@ class HLambdaReport:
         return all(r.ok for r in self.records)
 
 
-def verify_h_lambda(A: GroupSet, spec: HLambdaSpec, k_max: int = 6) -> HLambdaReport:
+def verify_h_lambda(A: GroupSet, spec: HLambdaSpec) -> HLambdaReport:
     """Check the slice structure and energy concentration of an H+Lambda set.
 
     Slices: A_s = A for s in H; A_s is a union of exactly two H-cosets for
-    s in (A-A) minus H.  Ratios r_k measure how much of E_k lives on H; on
-    the canonical (k=3, lambda=5) shape they must increase strictly over
-    even k.  Failures raise; this family is fully understood, so any
+    s in (A-A) minus H.  Ratios r_k, k = 2..6, measure how much of E_k
+    lives on H; on the canonical (k=3, lambda=5) shape they must increase
+    strictly over even k.  Failures raise; this family is fully understood, so any
     violation is a bug witness.
     """
     g = A.group
@@ -144,7 +142,7 @@ def verify_h_lambda(A: GroupSet, spec: HLambdaSpec, k_max: int = 6) -> HLambdaRe
     )
 
     ratios: list[tuple[int, Fraction]] = []
-    for k in range(2, k_max + 1):
+    for k in range(2, 7):
         e_k = higher_energy(A, k)
         on_h = sum(counts[s] ** k for s in h_members)
         ratios.append((k, Fraction(on_h, e_k)))
@@ -154,7 +152,7 @@ def verify_h_lambda(A: GroupSet, spec: HLambdaSpec, k_max: int = 6) -> HLambdaRe
     # cells of A o A are capped at lambda*|H| and attain the cap on H, so the
     # H share is non-decreasing in k; with two cosets every cell hits the cap
     # and the share is exactly constant, hence the non-strict comparison
-    if len(even) >= 2 and spec.lambda_size >= 2:
+    if spec.lambda_size >= 2:
         mono = record_ge(
             "even-k concentration never falls",
             "family:r_k_monotone",
@@ -169,8 +167,6 @@ def verify_h_lambda(A: GroupSet, spec: HLambdaSpec, k_max: int = 6) -> HLambdaRe
     perp_elems = f2.subspace_elements(h_perp) if h_perp is not None else list(range(g.order))
     h_hat = 1 << spec.k
     for k in (2, 3):
-        if k > k_max:
-            break
         phi_hat = wht_int(g, [c**k for c in counts])
         expected = h_hat ** (k + 1)
         vals = [Fraction(int(phi_hat[chi]), expected) for chi in perp_elems if chi]
@@ -212,6 +208,11 @@ def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]
     return _poly_trim(tuple(a))
 
 
+def _poly_digits(idx: int, p: int, deg: int) -> tuple[int, ...]:
+    """The polynomial of degree < deg whose base-p digits are idx, constant first."""
+    return tuple(idx // p**i % p for i in range(deg))
+
+
 def _poly_is_irreducible(m: tuple[int, ...], p: int) -> bool:
     """Trial division by all monic polynomials of degree up to deg(m)/2."""
     d = len(m) - 1
@@ -219,38 +220,9 @@ def _poly_is_irreducible(m: tuple[int, ...], p: int) -> bool:
         return False
     for deg in range(1, d // 2 + 1):
         for idx in range(p**deg):
-            coeffs = []
-            v = idx
-            for _ in range(deg):
-                coeffs.append(v % p)
-                v //= p
-            cand = tuple(coeffs) + (1,)
-            if not _poly_mod(m, cand, p):
+            if not _poly_mod(m, _poly_digits(idx, p, deg) + (1,), p):
                 return False
     return True
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, math.isqrt(n) + 1):
-        if n % q == 0:
-            return False
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -299,46 +271,28 @@ def _element_order_full(
     return all(pow_mod(e, n // q) != (1,) for q in factors)
 
 
-def make_finite_field(p: int, d: int, seed: int | None = None) -> FiniteField:
+def make_finite_field(p: int, d: int) -> FiniteField:
     """Deterministic field: lex-smallest monic irreducible modulus, and the
-    lex-smallest full-order generator (or a seeded random one)."""
-    if not _is_prime(p):
+    lex-smallest full-order generator."""
+    if prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     if d < 1 or p**d > 1 << 20:
         raise ValueError("need d >= 1 with p^d <= 2^20")
     modulus = None
     for idx in range(p**d):
-        coeffs = []
-        v = idx
-        for _ in range(d):
-            coeffs.append(v % p)
-            v //= p
-        cand = tuple(coeffs) + (1,)
+        cand = _poly_digits(idx, p, d) + (1,)
         if _poly_is_irreducible(cand, p):
             modulus = cand
             break
     if modulus is None:
         raise AssertionError("no monic irreducible of the requested degree")
     n = p**d - 1
-    factors = _prime_factors(n)
-
-    def elements():
-        if seed is None:
-            idxs = range(1, p**d)
-        else:
-            idxs = list(range(1, p**d))
-            random.Random(seed).shuffle(idxs)
-        for idx in idxs:
-            coeffs = []
-            v = idx
-            for _ in range(d):
-                coeffs.append(v % p)
-                v //= p
-            yield _poly_trim(tuple(coeffs))
+    factors = sorted(set(prime_factors(n)))
 
     generator = None
-    for e in elements():
-        if e and _element_order_full(e, modulus, p, n, factors):
+    for idx in range(1, p**d):
+        e = _poly_trim(_poly_digits(idx, p, d))
+        if _element_order_full(e, modulus, p, n, factors):
             generator = e
             break
     if generator is None:
@@ -378,8 +332,8 @@ def make_katz_set(field: FiniteField) -> GroupSet:
 class KatzReport:
     field_p: int
     field_d: int
-    peak_sq: float
-    bound_sq: float
+    peak_sq: int | float  # upper end of the peak's enclosure
+    bound_sq: int
     records: list[CheckRecord]
 
     @property
@@ -390,33 +344,34 @@ class KatzReport:
 def verify_katz_bound(A: GroupSet, field: FiniteField) -> KatzReport:
     """Hard-assert the peak bound (d-1) sqrt(p) and report the derived chain.
 
-    The bound is a theorem for these sets, so exceeding it (beyond float
-    tolerance) raises.  The chain: peak^2 <= (d-1)^2 |A| <= (d-1)^2 |A|^2 / K,
-    plus the smallness comparison K^2 |A| / N vs |A|^3 / N.
+    The bound is a theorem for these sets, so a proven excess raises: the
+    lower end of the peak's enclosure above it.  The chain: peak^2 <=
+    (d-1)^2 |A| <= (d-1)^2 |A|^2 / K, plus the smallness comparison
+    K^2 |A| / N vs |A|^3 / N.
     """
     p, d = field.p, field.d
     a = len(A)
     n = A.group.order
-    peak_sq = float(A.peak[0])
+    peak = A.peak
     bound_sq = (d - 1) ** 2 * p
-    if peak_sq > bound_sq * (1 + _KATZ_REL_TOL):
+    if peak.lo > bound_sq:
         raise AssertionError(
-            f"index-set peak {peak_sq} exceeds the (d-1)^2 p bound {bound_sq}"
+            f"index-set peak {peak.lo} exceeds the (d-1)^2 p bound {bound_sq}"
         )
     k = Fraction(A.diff_size, a)
     records = [
         record_le(
             "index-set peak bound",
             "family:katz_peak",
-            peak_sq,
-            bound_sq * (1 + _KATZ_REL_TOL),
+            peak.lo,
+            bound_sq,
             note=f"(d-1)^2 p = {bound_sq}",
         ),
         record_le(
             "peak capacity via |A|",
             "family:katz_chain_a",
-            peak_sq,
-            (d - 1) ** 2 * a * (1 + _KATZ_REL_TOL),
+            peak.lo,
+            (d - 1) ** 2 * a,
         ),
         record_le(
             "doubling relaxation",
@@ -432,7 +387,7 @@ def verify_katz_bound(A: GroupSet, field: FiniteField) -> KatzReport:
             Fraction(a**3, n),
         ),
     ]
-    return KatzReport(field_p=p, field_d=d, peak_sq=peak_sq, bound_sq=bound_sq, records=records)
+    return KatzReport(field_p=p, field_d=d, peak_sq=peak.hi, bound_sq=bound_sq, records=records)
 
 
 # -- random and planted instances --------------------------------------------------

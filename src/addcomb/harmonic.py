@@ -17,11 +17,15 @@ The transform convention carries no 1/N factor:
 so the Parseval identity reads  N * sum_x |f(x)|^2 = sum_t |fhat(t)|^2.
 On 2-groups the transform is the Walsh-Hadamard butterfly, exact on int
 tables; on general groups it is the per-coordinate mixed-radix DFT
-evaluated in complex doubles.  Set correlations are counted in setstat.
+evaluated in complex doubles, and transform_error bounds how far the
+computed values can be from the exact ones.  That bound is the one error
+model of the package: every branch or asserted check read off a float
+transform goes through it.  Set correlations are counted in setstat.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -31,6 +35,8 @@ import numpy as np
 from .groups import GroupMismatchError, GroupSpec, MAX_TRANSFORM_ORDER, SizeLimitError
 
 _INT64_SAFE = 1 << 62
+_U = 2.0**-53  # unit roundoff of binary64
+_BLUESTEIN_MIN = 50  # pocketfft never takes Bluestein's algorithm below this length
 
 Kind = str  # 'int' | 'real' | 'complex'
 
@@ -202,3 +208,73 @@ def idft(fhat: FunctionTable) -> FunctionTable:
     if g.is_boolean_space:
         return FunctionTable(g, _wht(arr) / n, "complex")
     return FunctionTable(g, np.fft.ifftn(_axes_view(g, arr)).reshape(-1), "complex")
+
+
+# -- error model -----------------------------------------------------------------
+
+
+def prime_factors(n: int) -> list[int]:
+    """Prime factors of n with multiplicity, ascending."""
+    out = []
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            out.append(q)
+            n //= q
+        q += 1
+    return out + [n] if n > 1 else out
+
+
+def _axis_error(n: int) -> float:
+    """Relative normwise error of a length-n pocketfft transform, over u."""
+    primes = prime_factors(n)
+    mixed = sum(7.0 if p == 2 else math.sqrt(p) * (p + 3) + 7 for p in primes)
+    if n < _BLUESTEIN_MIN or primes[-1] ** 2 <= n:
+        return mixed
+    return max(mixed, 8 * math.sqrt(n) * (16 * math.log2(4 * n) + 1))
+
+
+def transform_error(f: FunctionTable) -> float:
+    """A proven bound E on the error of dft(f): ||y - fhat||_2 <= E for the
+    computed y and the exact fhat, so E also bounds every |y(t) - fhat(t)|
+    and every |magnitudes(y)(t) - |fhat(t)||.  0 on the exact integer
+    Walsh path; elsewhere, with u = 2^-53,
+
+        E = (rho / (1 - rho) + 8u) sqrt(N) ||f||_2,
+
+    the form c u log2(N) sqrt(N) ||f||_2 plus input rounding.  Derivation
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 24.1) for numpy >= 1.24, whose fftn runs pocketfft along one
+    axis after another.  The exact transform of an axis of length n scales
+    2-norms by sqrt(n), so ||fhat||_2 = sqrt(N) ||f||_2 and the axes'
+    relative normwise errors add up to rho (rho / (1 - rho) covers their
+    products).  On a 2-group a float Walsh level rounds once: u per level.
+
+    Mixed radix.  With twiddles accurate to u, Theorem 24.2 gives 6.7u,
+    counted 7u, per radix-2 level (a radix-4 or radix-8 pass counts as 2 or
+    3 levels).  A pass of odd prime radix p is at worst p-term inner
+    products, sqrt(p) (p + 3) u, plus 7u for its twiddles.  So c <= 16 for
+    pocketfft's hard-coded radices (up to 11) and c = (sqrt(p) (p + 3) + 7)
+    / log2(p) for its generic pass.
+
+    Bluestein.  For n >= 50 whose largest prime p has p^2 > n, pocketfft
+    may instead convolve with a unit chirp b of length 2n - 1, through
+    transforms of a length M < 4n with radices up to 11, so rho_M <= 16u
+    log2(4n).  With |bhat| <= ||b||_1 < 2n the forward and the inverse
+    transform lose at most 2n rho_M ||f||_2 each, b's own transform
+    sqrt(8) n rho_M ||f||_2, and the three products with chirps 12nu ||f||_2:
+    all within 8n (rho_M + u) ||f||_2, so c <= 8 sqrt(n) (16 log2(4n) + 1)
+    / log2(n).  pocketfft picks this path by a cost estimate, so such an
+    axis takes the larger of the two bounds.
+
+    8u covers rounding f to doubles (u), hypot (one ulp, 2u), evaluating E,
+    and a caller's fsum and two square roots comparing 2-norms (5u).  The
+    constants are rounded up by far more than evaluating E loses (its float
+    2-norm is within N u relatively, under 2^-29 at the size caps).
+    """
+    g = f.group
+    if g.is_boolean_space and f.kind == "int":
+        return 0.0
+    rho = (g.rank if g.is_boolean_space else sum(_axis_error(n) for n in g.factors)) * _U
+    norm = float(np.linalg.norm(f.values.astype(np.complex128)))
+    return (rho / (1 - rho) + 8 * _U) * math.sqrt(g.order) * norm

@@ -11,6 +11,7 @@ body.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +32,7 @@ from .families import (
     verify_katz_bound,
 )
 from .groups import GroupSpec, boolean_group, format_group_text, parse_group_text
-from .harmonic import dft, magnitudes, table_from_values, wht_int
+from .harmonic import dft, magnitudes, table_from_values, transform_error, wht_int
 from .report import CheckFailure, CheckRecord, format_value, record_eq
 from .setstat import (
     GroupSet,
@@ -45,6 +46,7 @@ from .setstat import (
     sumset_size,
 )
 from .structure import (
+    HypothesisFailure,
     StructureParams,
     StructureResult,
     dichotomy_M,
@@ -356,29 +358,16 @@ def derive_params(
 ) -> StructureParams:
     """Tightest parameters the capacity hypotheses allow for this (A, B).
 
-    m, m', kappa are set to the exact attained ratios (with a hair of slack
-    when the transform is floating point), so check_hypotheses passes by
-    construction and the guarantees are as strong as the data permits.
+    m, m', kappa are set to the exact attained ratios, m from the upper end
+    of the peak's enclosure, so check_hypotheses passes by construction and
+    the guarantees are as strong as the data permits.
     """
     g = A.group
     a, b, order = len(A), len(B), g.order
     s = sumset_size(A, B)
     k = Fraction(s, a)
     k_prime = Fraction(A.diff_size, a)
-    peak_sq, _ = A.peak
-    if isinstance(peak_sq, int):
-        m = Fraction(peak_sq) * k / a**2
-    else:
-        pad = 1 + Fraction(1, 10**6)
-        m = Fraction(peak_sq).limit_denominator(10**12) * k / a**2
-        # the pad keeps m above the true ratio despite float error, but it
-        # must not push m past the attained doubling on exactly tight
-        # inputs; the window edge still dominates the measured ratio
-        if m <= k < m * pad:
-            m = k
-        else:
-            m = m * pad
-    m = max(m, Fraction(1, a))
+    m = max(Fraction(A.peak.hi) * k / a**2, Fraction(1, a))
     eb = higher_energy(B, 2)
     m_prime = max(Fraction(eb) * k_prime / b**3, m)
     kappa = Fraction(s * s, a * order)
@@ -456,12 +445,12 @@ def _parseval_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
                     mismatches += 1
             else:
                 f = table_from_values(g, values, kind="int")
-                fhat = dft(f)
                 lhs_f = g.order * sum(v * v for v in values)
-                rhs_f = sum(m**2 for m in magnitudes(fhat.values).tolist())
-                err = abs(lhs_f - rhs_f) / max(lhs_f, 1.0)
-                worst = max(worst, err)
-                if err > 1e-6:
+                rhs_f = math.fsum(m * m for m in magnitudes(dft(f).values).tolist())
+                worst = max(worst, abs(lhs_f - rhs_f) / max(lhs_f, 1.0))
+                # both sides are squared 2-norms of the transform, and the
+                # computed one is within transform_error of the exact one
+                if abs(math.sqrt(rhs_f) - math.sqrt(lhs_f)) > transform_error(f):
                     mismatches += 1
         note = f"{cfg.instances} tables on {format_group_text(g)}"
         if not g.is_boolean_space:
@@ -604,16 +593,21 @@ def run_structure(cfg: RunConfig) -> RunReport:
     mode = cfg.pipeline
     if mode == "auto":
         mode = "subspace" if A.group.is_boolean_space else "bohr"
-    if mode == "dichotomy":
-        m_override = cfg.params.get("m")
-        res = dichotomy_M(A, M=Fraction(m_override) if m_override else None, B_sub=B)
-        hyp = None
-    elif mode in ("subspace", "bohr"):
-        params = build_params(cfg.params, A, B)
-        res = (extract_subspace if mode == "subspace" else extract_bohr)(A, B, params)
-        hyp = res.hypotheses
-    else:
+    if mode not in ("subspace", "bohr", "dichotomy"):
         raise ConfigError(f"unknown pipeline {mode!r}")
+    res = hyp = None
+    try:
+        if mode == "dichotomy":
+            m_override = cfg.params.get("m")
+            res = dichotomy_M(A, M=Fraction(m_override) if m_override else None, B_sub=B)
+        else:
+            params = build_params(cfg.params, A, B)
+            res = (extract_subspace if mode == "subspace" else extract_bohr)(A, B, params)
+            hyp = res.hypotheses
+    except (CheckFailure, HypothesisFailure) as exc:
+        # a failed gate or hypothesis is a result: the report keeps its
+        # record, and report.ok carries the failure to the exit status
+        report.records.append(exc.record.to_dict())
     report.timings["structure"] = time.perf_counter() - started
 
     prof = profile(A, energy_orders=(2, 3, 4))
@@ -625,9 +619,9 @@ def run_structure(cfg: RunConfig) -> RunReport:
         "size": len(A),
         "diff_size": prof.diff_size,
         "doubling": format_value(prof.doubling),
-        "peak_sq": format_value(prof.peak_sq),
+        "peak_sq": format_value(prof.peak.hi),
         "energies": {str(k): str(v) for k, v in prof.higher.items()},
-        "result": structure_result_dict(res),
+        "result": structure_result_dict(res) if res is not None else None,
     }
     if hyp is not None:
         entry["hypotheses"] = {
@@ -635,7 +629,8 @@ def run_structure(cfg: RunConfig) -> RunReport:
             "records": [r.to_dict() for r in hyp.records],
         }
         report.add_records(hyp.records)
-    report.add_records(res.records)
+    if res is not None:
+        report.add_records(res.records)
     report.results.append(entry)
     return report
 
@@ -673,7 +668,7 @@ def run_example(cfg: RunConfig) -> RunReport:
             entry = {
                 "family": f"katz[{fld.p},{fld.d}]",
                 "set_text": fileio.dump_set(A),
-                "peak_sq": repr(rep.peak_sq),
+                "peak_sq": format_value(rep.peak_sq),
                 "bound_sq": str(rep.bound_sq),
                 "modulus": list(fld.modulus),
                 "generator": list(fld.generator),

@@ -16,13 +16,16 @@ transform on 2-groups, the complex DFT elsewhere), its autocorrelation
 A o A as an int64 array, the energy histogram (each distinct nonzero
 value of A o A with its multiplicity, as Python ints, so E_k =
 sum m * c^k is exact at every k), |A - A| (the support of A o A), |A + A|
-(the same number on 2-groups) and the peak coefficient.  A.neg() takes
+(the same number on 2-groups) and the peak coefficient, held as an
+enclosure [lo, hi] of |A_hat|^2 from harmonic.transform_error (lo == hi on
+2-groups, where the transform is exact).  A.neg() takes
 over A's autocorrelation, since (-A) o (-A) = A o A.  The cached arrays
 are read-only; there is no cache outside the set.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -36,7 +39,7 @@ from .groups import (
     add_index_many,
     neg_index_many,
 )
-from .harmonic import FunctionTable, dft, indicator, magnitudes, wht_int
+from .harmonic import FunctionTable, dft, indicator, magnitudes, transform_error, wht_int
 from .report import CheckRecord, record_eq, record_ge, record_le, require
 
 _PAIR_LOOP_MAX = 1 << 26
@@ -119,7 +122,7 @@ class GroupSet:
         return self._cached("_sum_size", lambda: len(sumset(self, self)))
 
     @property
-    def peak(self) -> tuple[int | float, int]:
+    def peak(self) -> "Peak":
         """peak_coefficient(A), computed once."""
         return self._cached("_peak", lambda: peak_coefficient(self))
 
@@ -219,25 +222,39 @@ def doubling_constant(A: GroupSet) -> Fraction:
     return Fraction(A.diff_size, len(A))
 
 
-def peak_coefficient(A: GroupSet) -> tuple[int | float, int]:
-    """Largest nonprincipal squared transform value and its frequency index.
+@dataclass(frozen=True)
+class Peak:
+    """The largest nonprincipal |A_hat(t)|^2, enclosed: lo <= |A_hat(arg)|^2,
+    max_t |A_hat(t)|^2 <= hi and 0 <= lo <= hi <= |A|^2.  Integer endpoints
+    are ints (lo == hi on 2-groups); others are floats rounded outward."""
 
-    Exact integer on 2-groups; a float elsewhere.  Ties break toward the
-    smallest character index.  A = G returns 0 at index 1.  GroupSet.peak
-    caches the result.
-    """
+    lo: int | float
+    hi: int | float
+    arg: int
+
+
+def _outward(q: Fraction, toward: float) -> int | float:
+    """q as an int when it is one, else the float nearest q on the side of toward."""
+    if q.denominator == 1:
+        return q.numerator
+    x = float(q)
+    return x if (x >= q if toward > 0 else x <= q) else math.nextafter(x, toward)
+
+
+def peak_coefficient(A: GroupSet) -> Peak:
+    """Largest nonprincipal squared transform value, enclosed by the
+    transform's proven error, at the first largest computed magnitude (ties
+    break toward the smallest index).  A = G gives lo = 0 at index 1.
+    GroupSet.peak caches the result."""
     if not A.members:
         raise ValueError("peak coefficient needs a nonempty set")
-    fhat = A.transform
-    if A.group.is_boolean_space:
-        squares = fhat[1:] * fhat[1:]
-        arg = int(np.argmax(squares))
-        return int(squares[arg]), arg + 1
-    # squaring is monotone, so the first largest magnitude carries the
-    # first largest square; the square is taken in Python, as reported
-    mags = magnitudes(fhat[1:])
+    mags = magnitudes(A.transform[1:])
     arg = int(np.argmax(mags))
-    return float(mags[arg]) ** 2, arg + 1
+    top = Fraction(mags[arg].item())
+    err = Fraction(transform_error(A.indicator()))
+    lo = max(top - err, 0) ** 2
+    hi = min((top + err) ** 2, len(A) ** 2)
+    return Peak(_outward(lo, -math.inf), _outward(hi, math.inf), arg + 1)
 
 
 def energy(A: GroupSet, B: GroupSet | None = None) -> int:
@@ -388,8 +405,7 @@ class SetProfile:
     density: Fraction
     diff_size: int
     doubling: Fraction
-    peak_sq: int | float
-    peak_char: int
+    peak: Peak
     energy: int
     higher: dict[int, int]
     sum_size: int | None
@@ -417,7 +433,7 @@ def profile(
         raise ValueError("energy orders start at 2")
     higher = {k: higher_energy(A, k) for k in orders}
     e2 = higher[2]
-    peak_sq, peak_char = A.peak
+    peak = A.peak
     dbl = Fraction(diff_size, a)
     checks: list[CheckRecord] = []
     diagnostics: list[CheckRecord] = []
@@ -444,23 +460,15 @@ def profile(
     )))
     # Exact peak lower bound from Parseval + Cauchy-Schwarz:
     #   peak^2 * |A-A| * (N - |A|) >= |A|^3 * (N - |A-A|); tight on subgroups.
-    rhs_peak = a**3 * (n - diff_size)
-    if isinstance(peak_sq, int):
-        checks.append(require(record_ge(
-            "peak squared lower bound", "peak:parseval-lower",
-            peak_sq * diff_size * (n - a), rhs_peak,
-        )))
-    else:
-        lhs_f = peak_sq * diff_size * (n - a)
-        checks.append(require(record_ge(
-            "peak squared lower bound", "peak:parseval-lower",
-            lhs_f * (1 + 1e-9) + 1e-9, rhs_peak,
-            note="float transform path, relative guard 1e-9",
-        )))
+    # A lower bound fails only when the peak's upper end is below it.
+    checks.append(require(record_ge(
+        "peak squared lower bound", "peak:parseval-lower",
+        Fraction(peak.hi) * diff_size * (n - a), a**3 * (n - diff_size),
+    )))
     # Idealized asymptotic form, reported but never asserted.
     diagnostics.append(record_ge(
         "peak squared, idealized form", "peak:idealized",
-        Fraction(peak_sq) if isinstance(peak_sq, int) else peak_sq,
+        peak.hi,
         Fraction(a * a) / dbl - a,
         note="diagnostic only; the exact surrogate above is what is asserted",
     ))
@@ -481,8 +489,7 @@ def profile(
         density=Fraction(a, n),
         diff_size=diff_size,
         doubling=dbl,
-        peak_sq=peak_sq,
-        peak_char=peak_char,
+        peak=peak,
         energy=e2,
         higher=higher,
         sum_size=sum_size,

@@ -1,9 +1,11 @@
 """Large spectra, dissociated sets, Span, and additive dimension.
 
-Spec_eps(f) = {t : |f_hat(t)| >= eps * ||f||_1}.  On 2-groups with integer
-tables the membership test is an exact integer comparison; everywhere else a
-small downward guard band keeps borderline frequencies in (over-inclusion is
-sound for the extraction pipelines) and flags them.
+Spec_eps(f) = {t : |f_hat(t)| >= eps * ||f||_1}, decided against the
+transform's proven error E (harmonic.transform_error): a frequency is kept
+when its computed magnitude reaches eps ||f||_1 - E and flagged borderline
+below eps ||f||_1 + E, so no member is dropped (over-inclusion is sound for
+the extraction pipelines).  On 2-groups with integer tables E = 0 and the
+test is an exact integer comparison.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ import numpy as np
 
 from . import f2
 from .groups import GroupSpec, SizeLimitError, add_index_many, sub_index_many
-from .harmonic import FunctionTable, dft, magnitudes
+from .harmonic import FunctionTable, dft, magnitudes, transform_error
 from .setstat import GroupSet, group_set
 
-_FLOAT_GUARD = 1e-9
 _EXHAUSTIVE_MAX = 12
 _MEET_MIDDLE_MAX = 20
 _EXACT_SEARCH_MAX = 24
@@ -39,16 +40,12 @@ class Spectrum:
     magnitudes: tuple[float, ...]
     borderline: tuple[int, ...]
     exact: bool
-    source: str
 
     def __len__(self) -> int:
         return len(self.members)
 
     def __contains__(self, t: int) -> bool:
         return t in set(self.members)
-
-    def magnitude(self, t: int) -> float:
-        return self.magnitudes[self.members.index(t)]
 
 
 @dataclass(frozen=True)
@@ -71,24 +68,17 @@ def spectrum(f: FunctionTable, eps: Fraction | int, *, fhat: FunctionTable | Non
     if not 0 < eps <= 1:
         raise ValueError(f"spectrum threshold must be in (0, 1], got {eps}")
     g = f.group
-    support = np.count_nonzero(f.values)
-    if not support:
+    if not np.any(f.values):
         raise ValueError("spectrum of the zero function is undefined")
     if fhat is None:
         fhat = dft(f)
     elif fhat.group != g:
         raise ValueError("transform passed to spectrum lives on another group")
     mags = magnitudes(fhat.values)
-    if fhat.kind == "int":
-        # |fhat| >= eps * ||f||_1 over the integers is |fhat| >= ceil(eps * ||f||_1)
-        cut = -(-eps.numerator * f.l1() // eps.denominator)
-        picked = np.flatnonzero(mags >= cut)
-        border = picked[:0]
-    else:
-        thr = float(eps) * float(f.l1())
-        guard = _FLOAT_GUARD * max(1.0, thr)
-        picked = np.flatnonzero(mags >= thr - guard)
-        border = picked[np.abs(mags[picked] - thr) <= guard]
+    thr = eps * Fraction(f.l1())
+    err = Fraction(transform_error(f))
+    picked = np.flatnonzero(_at_least(mags, thr - err))
+    border = picked[~_at_least(mags[picked], thr + err)]
     # heaviest first, ties by index: picked ascends and the sort is stable
     picked = picked[np.argsort(-mags[picked], kind="stable")]
     return Spectrum(
@@ -98,8 +88,15 @@ def spectrum(f: FunctionTable, eps: Fraction | int, *, fhat: FunctionTable | Non
         magnitudes=tuple(float(m) for m in mags[picked].tolist()),
         borderline=tuple(border.tolist()),
         exact=fhat.kind == "int",
-        source=f"{f.kind} table, support {support}",
     )
+
+
+def _at_least(values: np.ndarray, cut: Fraction) -> np.ndarray:
+    """values >= cut exactly: ceil(cut) for integers, the next double up for doubles."""
+    if values.dtype == np.float64:
+        c = float(cut)
+        return values >= (c if c >= cut else math.nextafter(c, math.inf))
+    return values >= math.ceil(cut)
 
 
 def _signed_sum(g: GroupSpec, elems: tuple[int, ...], signs: tuple[int, ...]) -> int:

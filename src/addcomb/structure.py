@@ -26,16 +26,12 @@ import numpy as np
 from . import f2
 from .bohr import BohrSet, dilate, find_regular_radius, make_bohr_spec, materialize, size_profile
 from .groups import MAX_TRANSFORM_ORDER, GroupSpec, SizeLimitError, boolean_group
-from .harmonic import FunctionTable, dft, magnitudes
+from .harmonic import FunctionTable, dft, magnitudes, transform_error
 from .report import CheckFailure, CheckRecord, record_eq, record_ge, record_le, require
 from .setstat import GroupSet, corr_counts, group_set, higher_energy, sumset, sumset_size
 from .spectral import DissociatedWitness, Spectrum, chang_bound, max_dissociated, span, spectrum
 
 _PI_UPPER = Fraction(355, 113)  # exceeds pi, so it is safe in upper bounds
-# Relative slack for comparisons against float transform values.  It always
-# points toward the structured branch, whose conclusion is re-verified by
-# exact counting, so noise can only cost sharpness, never soundness.
-_FLOAT_SLACK = 1e-9
 _ESCALATION_TRIES = 3
 _BRUTE_N_MAX = 14
 _REGULARIZE_N_MAX = 16
@@ -142,7 +138,7 @@ class EnergyJump:
 @dataclass(frozen=True)
 class LargeCoefficient:
     x: int
-    value: Fraction | float  # squared transform value at x
+    value: int | float  # proven lower bound on the squared transform value at x
 
 
 @dataclass(frozen=True)
@@ -197,7 +193,8 @@ def check_hypotheses(A: GroupSet, B: GroupSet, params: StructureParams) -> Hypot
 
     Core conditions (capacity of peak, energy, sumset, and the omega
     binding) gate the extraction guarantees; the m/m_prime/t windows are
-    recorded as advisory context.
+    recorded as advisory context.  The peak capacity is checked with the
+    upper end of the peak's enclosure, so it holds for the true peak.
     """
     if A.group != B.group:
         raise ValueError("A and B must live on the same group")
@@ -207,30 +204,22 @@ def check_hypotheses(A: GroupSet, B: GroupSet, params: StructureParams) -> Hypot
     s = sumset_size(A, B)
     k = Fraction(s, a)
     k_prime = Fraction(A.diff_size, a)
-    peak_sq, peak_arg = A.peak
+    peak = A.peak
     records = []
     records.append(
         record_eq(
             "size ratio binding", "structure:omega", params.omega, Fraction(b, a), note="omega vs |B|/|A|"
         )
     )
-    if isinstance(peak_sq, int):
-        peak_rec = record_le(
+    records.append(
+        record_le(
             "peak capacity",
             "structure:peak_cap",
-            Fraction(peak_sq) * k,
+            Fraction(peak.hi) * k,
             params.m * a * a,
-            note=f"peak at x={peak_arg}",
+            note=f"peak at x={peak.arg}",
         )
-    else:
-        peak_rec = record_le(
-            "peak capacity",
-            "structure:peak_cap",
-            peak_sq * float(k),
-            float(params.m * a * a) * (1 + _FLOAT_SLACK),
-            note=f"peak at x={peak_arg} (float transform, relative slack {_FLOAT_SLACK})",
-        )
-    records.append(peak_rec)
+    )
     eb = higher_energy(B, 2)
     records.append(
         record_le(
@@ -300,17 +289,13 @@ def phi_k(B: GroupSet, k: int) -> FunctionTable:
 
 
 def _check_phi_transform_sign(phi: FunctionTable, phi_hat: FunctionTable) -> None:
-    """A correlation power is positive definite: its transform is >= 0."""
+    """A correlation power is positive definite: its transform is real and
+    >= 0.  Only a value the transform's proven error cannot explain fails."""
     w = phi_hat.values
-    if phi_hat.kind == "int":
-        bad = np.flatnonzero(w < 0)
-        if bad.size:
-            raise AssertionError(f"transform of a correlation power went negative at {bad[:5].tolist()}")
-        return
-    scale = float(phi.l1())
-    bad = np.flatnonzero((w.real < -1e-6 * scale) | (np.abs(w.imag) > 1e-6 * scale))
+    err = transform_error(phi)
+    bad = np.flatnonzero((w.real < -err) | (np.abs(w.imag) > err))
     if bad.size:
-        raise AssertionError(f"transform of a correlation power went negative at {bad[0]}")
+        raise AssertionError(f"transform of a correlation power went negative at {bad[:5].tolist()}")
 
 
 def _spectrum_threshold(params: StructureParams) -> tuple[Fraction, bool]:
@@ -368,9 +353,9 @@ class _Front:
         )
 
 
-def _pipeline_front(A: GroupSet, B: GroupSet, params: StructureParams, check: bool) -> _Front:
+def _pipeline_front(A: GroupSet, B: GroupSet, params: StructureParams) -> _Front:
     report = check_hypotheses(A, B, params)
-    if check and not report.core_ok:
+    if not report.core_ok:
         bad = next(r for r in report.records if not r.ok)
         raise HypothesisFailure(bad)
     jump = find_energy_jump(B, params)
@@ -407,9 +392,7 @@ def _density_floor(params: StructureParams, n: int, loss: int) -> Fraction:
     return (1 - loss * params.zeta) * params.omega * n / (params.t * (params.m + params.kappa))
 
 
-def extract_subspace(
-    A: GroupSet, B: GroupSet, params: StructureParams, check: bool = True
-) -> StructureResult:
+def extract_subspace(A: GroupSet, B: GroupSet, params: StructureParams) -> StructureResult:
     """Jump pipeline on a 2-group: a subspace translate dense in B.
 
     Asserts, by direct count, that the returned translate z satisfies
@@ -418,7 +401,7 @@ def extract_subspace(
     g = A.group
     if not g.is_boolean_space:
         raise ValueError("subspace extraction needs a 2-group; use extract_bohr")
-    front = _pipeline_front(A, B, params, check)
+    front = _pipeline_front(A, B, params)
     n = g.rank
     lam = front.witness.members
     basis = f2.nullspace_basis(lam, n)
@@ -490,9 +473,7 @@ def _bohr_span_diagnostics(
     return out
 
 
-def extract_bohr(
-    A: GroupSet, B: GroupSet, params: StructureParams, check: bool = True
-) -> StructureResult:
+def extract_bohr(A: GroupSet, B: GroupSet, params: StructureParams) -> StructureResult:
     """Jump pipeline on a general group: a regular Bohr set dense in B.
 
     Asserts |B intersect (B_*+z)| >= (1-2 zeta) omega |B_*| / (t (m+kappa))
@@ -504,7 +485,7 @@ def extract_bohr(
     if not 0 < params.zeta < Fraction(1, 2):
         raise ValueError("Bohr extraction needs zeta < 1/2")
     g = A.group
-    front = _pipeline_front(A, B, params, check)
+    front = _pipeline_front(A, B, params)
     lam = front.witness.members
     attempts = []
     c = params.c_local
@@ -585,23 +566,19 @@ def _m_params(m: Fraction, omega: Fraction) -> StructureParams:
 def _large_coefficient(
     A: GroupSet, threshold: Fraction, strict: bool, ref: str, gate: CheckRecord, diagnostics: dict
 ) -> StructureResult | None:
-    """The peak of |A_hat|^2 as a LargeCoefficient result when it reaches
-    threshold (passes it, if strict); None sends the caller to the
-    structured branch.  On a float transform the threshold is raised by
-    _FLOAT_SLACK, so noise can only send a borderline peak to the branch
-    whose conclusion is recounted."""
-    peak_sq, peak_arg = A.peak
-    if isinstance(peak_sq, int):
-        value, bound = Fraction(peak_sq), threshold
-    else:
-        value, bound = peak_sq, float(threshold) * (1 + _FLOAT_SLACK)
-    if not (value > bound if strict else value >= bound):
+    """The peak of |A_hat|^2 as a LargeCoefficient result when the lower
+    end of its enclosure reaches threshold (passes it, if strict), so the
+    certified value is proven; None sends the caller to the structured
+    branch, whose conclusion is recounted.  An enclosure that straddles the
+    threshold goes there too."""
+    peak = A.peak
+    if not (peak.lo > threshold if strict else peak.lo >= threshold):
         return None
     return StructureResult(
-        variant=LargeCoefficient(x=peak_arg, value=value),
-        achieved=Fraction(peak_sq),
+        variant=LargeCoefficient(x=peak.arg, value=peak.lo),
+        achieved=Fraction(peak.lo),
         guaranteed=threshold,
-        records=[gate, record_ge("large coefficient", ref, value, threshold)],
+        records=[gate, record_ge("large coefficient", ref, peak.lo, threshold)],
         diagnostics=diagnostics,
     )
 
@@ -764,16 +741,15 @@ def _certify_bohr_branch(
 
 
 def dichotomy_M(
-    A: GroupSet,
-    M: Fraction | int | None = None,
-    B_sub: GroupSet | None = None,
-    decompose: bool = True,
+    A: GroupSet, M: Fraction | int | None = None, B_sub: GroupSet | None = None
 ) -> StructureResult:
     """Either a coefficient above M|A|^2/K, or a piece of density 1/(8M).
 
     Requires 100 K^2 |A| <= N with K = |A-A|/|A|.  B_sub must sit inside A
-    or -A; omega is bound to |B_sub|/|A|.  On 2-groups the structured branch
-    is followed by the coset decomposition of A along the subspace.
+    or -A; omega is bound to |B_sub|/|A|.  The default M is the least
+    integer that caps the peak's enclosure, ceil(hi K/|A|^2), within [1, K].
+    On 2-groups with B_sub = A the structured branch is followed by the
+    coset decomposition of A along the subspace.
     """
     g = A.group
     a = len(A)
@@ -790,11 +766,7 @@ def dichotomy_M(
     if not gate.ok:
         raise HypothesisFailure(gate)
     if M is None:
-        peak_sq = A.peak[0]
-        raw = Fraction(peak_sq) * k / (a * a)
-        if not isinstance(peak_sq, int):
-            raw = raw * (1 - Fraction(1, 10**9))  # keep float noise off integer edges
-        M = Fraction(math.ceil(raw))
+        M = Fraction(math.ceil(Fraction(A.peak.hi) * k / (a * a)))
         M = max(Fraction(1), min(M, k))
     M = Fraction(M)
     if not 1 <= M <= k:
@@ -820,7 +792,7 @@ def dichotomy_M(
     )
     result.records.extend([gate, require(eight_m)])
     result.diagnostics["m"] = M
-    if g.is_boolean_space and decompose and B_sub.index_set == A.index_set:
+    if g.is_boolean_space and B_sub.index_set == A.index_set:
         result.diagnostics["decomposition"] = _coset_decomposition(A, result.variant.subspace, M, result.records)
     return result
 
@@ -875,13 +847,11 @@ def _coset_decomposition(
     return {"heavy_cosets": len(heavy), "covered": covered, "cut": cut}
 
 
-def brute_force_3B_subspace(
-    b_prime: GroupSet, max_codim: int, ambient: GroupSet | None = None
-) -> tuple[GroupSet, int] | None:
+def brute_force_3B_subspace(b_prime: GroupSet, max_codim: int) -> tuple[GroupSet, int] | None:
     """Largest subspace H with H + z inside B'+B'+B', by exhaustive search.
 
-    Scans codimensions inside the ambient subspace in increasing order
-    (so decreasing subspace size) and returns the first hit.
+    Scans codimensions in increasing order (so decreasing subspace size)
+    and returns the first hit.
     """
     g = b_prime.group
     if not g.is_boolean_space:
@@ -894,18 +864,12 @@ def brute_force_3B_subspace(
     in_triple = np.zeros(g.order, dtype=bool)
     in_triple[triple.as_array()] = True
     idx = np.arange(g.order)
-    if ambient is None:
-        amb_basis = [1 << i for i in range(g.rank)]
-    else:
-        amb_basis = f2.echelon_basis(ambient.members)
-    m = len(amb_basis)
+    m = g.rank
     if not 0 <= max_codim <= m:
         raise ValueError(f"max_codim must lie in [0, {m}]")
 
     for codim in range(max_codim + 1):
-        dim = m - codim
-        for coord_basis in f2.dual_spaces(m, dim, cap=_SUBSPACES_PER_LEVEL_CAP):
-            h_basis = [_embed(amb_basis, w) for w in coord_basis]
+        for h_basis in f2.dual_spaces(m, m - codim, cap=_SUBSPACES_PER_LEVEL_CAP):
             # valid[z] says z + span(h_basis so far) lies inside B'+B'+B'
             valid = in_triple
             for vec in h_basis:
@@ -999,7 +963,7 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
         k = Fraction(cur.diff_size, a)
         if 100 * k * k * delta > 1:
             break
-        m_exact = Fraction(cur.peak[0]) * k / (a * a)
+        m_exact = Fraction(cur.peak.hi) * k / (a * a)
         records.append(
             require(
                 record_ge(

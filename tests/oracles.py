@@ -8,6 +8,7 @@ with Fraction arithmetic.  No numpy transforms, no bitset tricks.
 from __future__ import annotations
 
 import cmath
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -30,6 +31,22 @@ def dft_direct(g: GroupSpec, values) -> list[complex]:
             acc += complex(values[x]) * cmath.exp(-2j * cmath.pi * float(phase))
         out.append(acc)
     return out
+
+
+def dft_entry_fsum(g: GroupSpec, values, t: int) -> complex:
+    """fhat(t) summed by math.fsum over the support of values.  The phase
+    t . x is reduced exactly, as an integer mod N, before its one float
+    step, so the sum is within a few ulps of sum |f(x)| of the exact value."""
+    n = g.order
+    tc = g.unindex(t)
+    re, im = [], []
+    for x, v in enumerate(values):
+        if v:
+            r = sum(a * b * (n // f) for a, b, f in zip(tc, g.unindex(x), g.factors)) % n
+            angle = 2 * math.pi * r / n
+            re.append(v * math.cos(angle))
+            im.append(-v * math.sin(angle))
+    return complex(math.fsum(re), math.fsum(im))
 
 
 def corr_direct(A: GroupSet, B: GroupSet) -> list[int]:

@@ -384,11 +384,23 @@ def test_criterion_10_difference_subset_membership():
 def test_criterion_11_density_regularization():
     def work(failures):
         rng = random.Random(1111)
+        sets = []
         for i in range(20):
             n = (12, 13, 14)[i % 3]
             g = boolean_group(n)
-            A = group_set(g, rng.sample(range(g.order), rng.randrange(30, 301)))
+            sets.append(group_set(g, rng.sample(range(g.order), rng.randrange(30, 301))))
+        # the random sets start above the gate 100 K^2 delta > 1 and take no
+        # step; noise-free coset unions start under it, so each must take one
+        for n, d, c in ((12, 2, 2), (12, 3, 2), (13, 2, 3), (13, 4, 2), (14, 3, 3), (14, 5, 2)):
+            A = make_planted(boolean_group(n), subgroup_dim=d, cosets=c, noise=0, seed=100 + n).set
+            k = Fraction(A.diff_size, len(A))
+            if 100 * k * k * Fraction(len(A), A.group.order) > 1:
+                failures.append(f"planted ({n},{d},{c}) does not start under the gate")
+            sets.append(A)
+        total_steps = 0
+        for i, A in enumerate(sets):
             trace = regularize_density(A)
+            total_steps += len(trace.steps)
             final_delta = Fraction(len(trace.final_set), trace.final_group.order)
             if final_delta != trace.final_delta:
                 failures.append(f"#{i}: reported final density disagrees")
@@ -402,8 +414,10 @@ def test_criterion_11_density_regularization():
                 failures.append(f"#{i}: lift left the original set")
             if len(lifted) != len(trace.final_set):
                 failures.append(f"#{i}: lift changed the size")
+        if total_steps < 6:
+            failures.append(f"only {total_steps} regularization steps over all sets")
 
-    _run(11, "density regularization, 20 random sets, exact stopping rule", 600.0, work)
+    _run(11, "density regularization, 20 random sets and 6 coset unions, exact stopping rule", 600.0, work)
 
 
 def _matching_instances():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from addcomb.cli import main
+from addcomb.families import make_planted
 from addcomb.fileio import dump_set, parse_set, read_function, write_set
 from addcomb.groups import boolean_group, make_group
 from addcomb.setstat import group_set
@@ -91,6 +92,22 @@ def test_structure_gate_failure_exits_one(tmp_path, capsys):
     code = main(["structure", str(p), "--mode", "dichotomy"])
     capsys.readouterr()
     assert code == 1
+
+
+def test_structure_gate_failure_still_writes_its_report(tmp_path, capsys):
+    inst = make_planted(boolean_group(12), subgroup_dim=4, cosets=3, noise=5, seed=3)
+    p = tmp_path / "P.txt"
+    write_set(p, inst.set)
+    out = tmp_path / "d.json"
+    assert main(["structure", str(p), "--mode", "dichotomy", "--out", str(out)]) == 1
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    assert data["ok"] is False
+    (record,) = data["records"]
+    assert record["ref"] == "dichotomy:gate_M" and record["ok"] is False
+    assert (record["lhs"], record["rhs"]) == ("9859600/53", "4096")
+    assert data["results"][0]["result"] is None
+    assert data["results"][0]["size"] == len(inst.set)
 
 
 @pytest.mark.parametrize("group", ["Z16", "F2^4"])

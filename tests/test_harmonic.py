@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addcomb.groups import boolean_group, format_group_text, make_group
+from addcomb.groups import boolean_group, format_group_text, make_group, parse_group_text
 from addcomb import harmonic
 from addcomb.harmonic import (
     FunctionTable,
@@ -17,11 +17,12 @@ from addcomb.harmonic import (
     idft,
     indicator,
     table_from_values,
+    transform_error,
     wht_int,
 )
 from addcomb.spectral import spectrum
 
-from .oracles import dft_direct
+from .oracles import dft_direct, dft_entry_fsum
 
 GROUPS = [make_group(f) for f in [(8,), (2, 2, 2), (12,), (3, 4), (5, 5)]]
 
@@ -153,3 +154,28 @@ def test_wht_involution_property(values):
     g = boolean_group(3)
     twice = wht_int(g, wht_int(g, values))
     assert twice.tolist() == [v * g.order for v in values]
+
+
+# Prime (Bluestein), twice a prime, a power of two, a product of powers of
+# two, a small prime, and mixed radices.
+@pytest.mark.parametrize("text", ["Z65521", "Z65498", "Z65536", "Z256xZ256", "Z101", "Z60", "Z4xZ6"])
+def test_transform_error_bounds_every_entry(text):
+    g = parse_group_text(text)
+    rng = random.Random(g.order)
+    tables = [indicator(g, rng.sample(range(g.order), g.order // 4))]
+    if g.order <= 1024:
+        tables.append(table_from_values(g, _random_values(g, rng, -8, 8), kind="int"))
+    freqs = range(g.order) if g.order <= 128 else [0, 1, g.order - 1] + rng.sample(range(g.order), 12)
+    for f in tables:
+        got = dft(f).values
+        values = f.values.tolist()
+        worst = max(abs(got[t] - dft_entry_fsum(g, values, t)) for t in freqs)
+        assert worst < transform_error(f)
+
+
+def test_transform_error_is_zero_only_on_the_exact_walsh_path():
+    g = boolean_group(6)
+    values = list(range(g.order))
+    assert transform_error(table_from_values(g, values, kind="int")) == 0
+    assert transform_error(table_from_values(g, values, kind="real")) > 0
+    assert transform_error(table_from_values(make_group((64,)), values, kind="int")) > 0

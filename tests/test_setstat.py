@@ -138,28 +138,31 @@ def test_doubling_constant_values():
 def test_peak_coefficient_matches_direct_transform(g):
     rng = random.Random(g.order + 13)
     A = _random_set(g, rng)
-    peak_sq, arg = peak_coefficient(A)
+    peak = peak_coefficient(A)
     want = peak_direct(A)
-    assert abs(float(peak_sq) - want) < 1e-6 * (1 + want)
-    assert 1 <= arg < g.order
+    # the direct sum carries its own float error, far below 1e-9
+    assert peak.lo - 1e-9 <= want <= peak.hi + 1e-9
+    assert peak.hi - peak.lo < 1e-6 * (1 + want)
+    assert 1 <= peak.arg < g.order
     if g.is_boolean_space:
-        assert isinstance(peak_sq, int)
+        assert isinstance(peak.lo, int) and peak.lo == peak.hi
 
 
 def test_peak_tie_breaks_to_smallest_index():
     g = boolean_group(4)
     H = group_set(g, range(4))  # perp is spanned by indices 4 and 8
-    peak_sq, arg = peak_coefficient(H)
-    assert peak_sq == len(H) ** 2
-    assert arg == 4
+    peak = peak_coefficient(H)
+    assert peak.lo == peak.hi == len(H) ** 2
+    assert peak.arg == 4
 
 
 def test_peak_of_subgroup_is_its_square():
     g = make_group((12,))
     H = group_set(g, [0, 4, 8])
-    peak_sq, arg = peak_coefficient(H)
-    assert abs(float(peak_sq) - 9.0) < 1e-9
-    assert arg in (3, 6, 9)
+    peak = peak_coefficient(H)
+    # the enclosure is clipped at |H|^2, which the peak attains
+    assert 9.0 - 1e-9 < peak.lo <= peak.hi == 9
+    assert peak.arg in (3, 6, 9)
 
 
 def test_generalized_triangle_subgroup_equality():
@@ -287,14 +290,15 @@ def test_cached_statistics_match_oracles(A):
         with pytest.raises(ValueError):
             A.peak
         return
-    peak_sq, arg = A.peak
+    peak = A.peak
     want = peak_direct(A)
-    assert abs(peak_sq - want) <= 1e-6 * max(1.0, want)
-    assert 1 <= arg < g.order
+    assert peak.lo - 1e-9 <= want <= peak.hi + 1e-9
+    assert peak.hi - peak.lo <= 1e-6 * max(1.0, want)
+    assert 1 <= peak.arg < g.order
     if g.is_boolean_space:
-        assert isinstance(peak_sq, int)
+        assert isinstance(peak.lo, int) and peak.lo == peak.hi
         squares = [round(abs(v) ** 2) for v in dft_direct(g, A.indicator().values)]
-        assert arg == 1 + squares[1:].index(peak_sq)
+        assert peak.arg == 1 + squares[1:].index(peak.lo)
 
 
 # Z5xZ20 takes |A| * |B| past 4096, where sumset once switched from a

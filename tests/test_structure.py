@@ -234,7 +234,7 @@ def test_large_coefficient_comparisons_at_the_threshold():
     # A = {0, e1, e2}: the peak is 9 = |A|^2 and K = 4/3, so both
     # thresholds, (2 - 2/3)|A|^2/K and (4/3)|A|^2/K, equal the peak exactly
     A = group_set(boolean_group(10), [0, 1, 2])
-    assert A.peak[0] == 9
+    assert A.peak.lo == A.peak.hi == 9
     assert Fraction(A.diff_size, len(A)) == Fraction(4, 3)
     two_eps = certify_difference_subset(A, Fraction(2, 3))
     assert two_eps.kind == "LargeCoefficient"  # 2 - eps compares with >=
@@ -367,9 +367,14 @@ def test_brute_force_3B_requires_boolean():
 def test_regularize_density_terminates_with_gate():
     rng = random.Random(29)
     g = boolean_group(12)
-    for _ in range(3):
-        A = group_set(g, rng.sample(range(g.order), 40))
+    sets = [group_set(g, rng.sample(range(g.order), 40)) for _ in range(3)]
+    # the random sets start above the gate; these coset unions start under it
+    for d, c in ((1, 3), (2, 2), (3, 2)):
+        sets.append(make_planted(g, subgroup_dim=d, cosets=c, noise=0, seed=d).set)
+    total_steps = 0
+    for A in sets:
         trace = regularize_density(A)
+        total_steps += len(trace.steps)
         final_a = len(trace.final_set)
         final_n = trace.final_group.order
         assert 100 * trace.final_k**2 * Fraction(final_a, final_n) > 1
@@ -378,6 +383,7 @@ def test_regularize_density_terminates_with_gate():
         lifted = trace.lift()
         assert set(lifted.members) <= set(A.members)
         assert len(lifted) == final_a
+    assert total_steps >= 3
 
 
 def test_regularize_branches_are_all_piece_steps():
