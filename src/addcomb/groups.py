@@ -227,6 +227,25 @@ def _coords_of(g: GroupSpec, indices) -> np.ndarray:
     return (np.asarray(indices)[..., None] // strides) % mods
 
 
+def difference_table(g: GroupSpec, xs) -> np.ndarray:
+    """T[i, y] = y - xs[i] for every element index y, shape (len(xs), N).
+
+    Each coordinate of y - x is (y_k - x_k) mod n_k, read off by mixed-radix
+    division one coordinate at a time, so the table is exact and the
+    temporaries stay the size of the table."""
+    xs = np.asarray(xs, dtype=np.int64).reshape(-1, 1)
+    ys = np.arange(g.order, dtype=np.int64)
+    if g.is_boolean_space:
+        return ys ^ xs
+    out = np.zeros((len(xs), g.order), dtype=np.int64)
+    for s, n in zip(g.strides, g.factors):
+        diff = ys // s % n - xs // s % n
+        diff %= n
+        diff *= s
+        out += diff
+    return out
+
+
 def add_index_many(g: GroupSpec, indices: np.ndarray, j: int) -> np.ndarray:
     """Vectorised add of a fixed element (by index) to an index array."""
     if g.is_boolean_space:

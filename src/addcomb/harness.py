@@ -15,7 +15,7 @@ import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -38,13 +38,13 @@ from .setstat import (
     GroupSet,
     check_energy_difference_bound,
     check_generalized_triangle,
-    check_katz_koester,
-    difference_set,
     group_set,
     higher_energy,
+    katz_koester_rows,
     profile,
     sumset_size,
 )
+from .spectral import ChangReport
 from .structure import (
     HypothesisFailure,
     StructureParams,
@@ -300,6 +300,8 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, CheckRecord):
         return value.to_dict()
+    if isinstance(value, ChangReport):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     return str(value)
@@ -522,10 +524,9 @@ def _kk_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
         for _ in range(cfg.instances):
             A = _random_subset(rng, g, rng.randrange(2, g.order // 2))
             B = _random_subset(rng, g, rng.randrange(2, g.order // 2))
-            for x in difference_set(A, A).members:
-                if not check_katz_koester(A, B, x).ok:
-                    failures += 1
-                displacements += 1
+            rows = katz_koester_rows(A, B)
+            failures += int((~rows.holds).sum())
+            displacements += len(rows.xs)
         note = f"{displacements} displacements over {cfg.instances} pairs on {format_group_text(g)}"
         records.append(record_eq("slice sum containment", "inclusion:katz-koester", failures, 0, note=note))
     return records

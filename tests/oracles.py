@@ -76,6 +76,20 @@ def sumset_direct(A: GroupSet, B: GroupSet) -> set[int]:
     return {g.add_index(a, b) for a in A.members for b in B.members}
 
 
+def katz_koester_direct(
+    A: GroupSet, B: GroupSet, x: int, sums: GroupSet | None = None
+) -> tuple[int, int, bool]:
+    """(|B + A_x|, |S_x|, B + A_x <= S_x) with S = A + B unless given, from
+    the definitions X_x = X intersect (X + x) on Python sets."""
+    g = A.group
+    a = set(A.members)
+    s = sumset_direct(A, B) if sums is None else set(sums.members)
+    a_x = {y for y in a if g.sub_index(y, x) in a}
+    left = {g.add_index(b, y) for b in B.members for y in a_x}
+    right = {y for y in s if g.sub_index(y, x) in s}
+    return len(left), len(right), left <= right
+
+
 def difference_direct(A: GroupSet, B: GroupSet) -> set[int]:
     g = A.group
     return {g.sub_index(a, b) for a in A.members for b in B.members}

@@ -10,6 +10,7 @@ from addcomb.groups import (
     SizeLimitError,
     _coords_of,
     add_index_many,
+    difference_table,
     format_group_text,
     make_group,
     neg_index_many,
@@ -104,6 +105,16 @@ def test_vectorized_index_ops_match_coordinates_for_every_shift(factors):
     for j in range(g.order):
         assert np.array_equal(add_index_many(g, idx, j), ((coords + coords[j]) % mods) @ strides)
         assert np.array_equal(sub_index_many(g, idx, j), ((coords - coords[j]) % mods) @ strides)
+
+
+@pytest.mark.parametrize("g", GROUPS + [make_group((2,) * 5)], ids=format_group_text)
+def test_difference_table_matches_scalar_subtraction(g):
+    xs = list(range(0, g.order, 3))
+    table = difference_table(g, xs)
+    assert table.shape == (len(xs), g.order)
+    for row, x in zip(table.tolist(), xs):
+        assert row == [g.sub_index(y, x) for y in range(g.order)]
+    assert difference_table(g, []).shape == (0, g.order)
 
 
 @pytest.mark.parametrize("factors", [(1 << 21,), (3, 1024, 700)])

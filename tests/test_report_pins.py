@@ -25,9 +25,11 @@ from addcomb.groups import boolean_group
 
 PINNED = {
     "example-h-lambda": "846d5574221f3c2fa0e7f506e497c6d2a69d2149c369b48b9e699c1c5bc56369",
-    "structure-h-lambda": "61d900bba3249e7a8919759004d2f64ab702aa9ea5b96d4b8908cf4b3fe4a2cf",
-    "dichotomy-planted-f2-12": "882c8979449e576e1b678a5c0e1fc04ea04ee0e14245df9bff30f6d93d71a93f",
+    "structure-h-lambda": "ca52def3596846983025d39196404ce524897cfad5a1adcecac7dabcb657795f",
+    "dichotomy-planted-f2-12": "5d4c93959a82fd334140f5a298ffd0e5ade2b80b346e3a0105aa48bc00ae4bb8",
     "verify-seed-7": "af1809f834dbc1bc236e1747edda1183822a51e68c7933206810c6401562ae9e",
+    "verify-kk-Z4xZ6": "2f94d7f231bfc4baea2fc7e963fe01875342fd74d340f714c80962da4666d73d",
+    "verify-kk-F2^5": "a29602955184f2ecdcafd87b7d1b936fb98034857d004ddaa97195d99aaed78a",
 }
 
 
@@ -67,3 +69,10 @@ def test_verify_seed_7_body_is_pinned(in_tmp):
     args = ["verify", "--seed", "7", "--suites", suites, "--instances", "5"]
     assert main(args + ["--out", "v.json"]) == 0
     assert _body_digest("v.json") == PINNED["verify-seed-7"]
+
+
+@pytest.mark.parametrize("group", ["Z4xZ6", "F2^5"])
+def test_katz_koester_verify_body_is_pinned(in_tmp, group):
+    args = ["verify", "--seed", "11", "--suites", "katz-koester", "--instances", "20"]
+    assert main(args + ["--group", group, "--out", "v.json"]) == 0
+    assert _body_digest("v.json") == PINNED[f"verify-kk-{group}"]

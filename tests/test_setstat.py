@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from addcomb import setstat
 from addcomb.groups import GroupMismatchError, boolean_group, format_group_text, make_group
 from addcomb.setstat import (
     GroupSet,
@@ -21,6 +23,7 @@ from addcomb.setstat import (
     full_set,
     group_set,
     higher_energy,
+    katz_koester_rows,
     peak_coefficient,
     profile,
     slice_set,
@@ -35,6 +38,7 @@ from .oracles import (
     difference_direct,
     energy_direct,
     higher_energy_direct,
+    katz_koester_direct,
     peak_direct,
     sumset_direct,
 )
@@ -207,6 +211,85 @@ def test_katz_koester_inclusion_everywhere():
     A, B = _random_set(g, rng), _random_set(g, rng)
     for x in difference_set(A, A).members:
         assert check_katz_koester(A, B, x).ok
+
+
+KK_GROUPS = [make_group(f) for f in [(7,), (30,), (4, 6), (2, 3, 3), (2,) * 5]]
+
+
+def _rows_against_oracle(A, B, sums=None, rows_per_block=None):
+    """katz_koester_rows with blocks of `rows_per_block` displacements (the
+    default block size when None), after checking every row, sizes and
+    verdict, against katz_koester_direct."""
+    budget = rows_per_block * A.group.order if rows_per_block else setstat._KK_BLOCK_ELEMENTS
+    with mock.patch.object(setstat, "_KK_BLOCK_ELEMENTS", budget):
+        rows = katz_koester_rows(A, B, sums=sums)
+    assert rows.xs.tolist() == sorted(difference_direct(A, A))
+    got = list(zip(rows.left.tolist(), rows.right.tolist(), rows.holds.tolist()))
+    assert got == [katz_koester_direct(A, B, x, sums) for x in rows.xs.tolist()]
+    return rows
+
+
+def _kk_pair(data, g):
+    subsets = st.sets(st.integers(0, g.order - 1), min_size=1)
+    return group_set(g, data.draw(subsets)), group_set(g, data.draw(subsets))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_katz_koester_rows_match_direct_oracle(data):
+    g = data.draw(st.sampled_from(KK_GROUPS), label="group")
+    A, B = _kk_pair(data, g)
+    # None keeps the default, which holds every displacement in one block
+    rows_per_block = data.draw(st.sampled_from([None, 1, 2]), label="rows per block")
+    rows = _rows_against_oracle(A, B, rows_per_block=rows_per_block)
+    assert rows.holds.all()
+
+
+@pytest.mark.parametrize("g", KK_GROUPS, ids=format_group_text)
+def test_katz_koester_rows_on_singleton_and_full_sets(g):
+    rng = random.Random(g.order)
+    G = full_set(g)
+    B = _random_set(g, rng)
+    single = _rows_against_oracle(group_set(g, [rng.randrange(g.order)]), B)
+    assert single.xs.tolist() == [0]
+    assert single.left.tolist() == single.right.tolist() == [len(B)]
+    full = _rows_against_oracle(G, B, rows_per_block=2)
+    assert full.xs.tolist() == list(range(g.order))
+    assert full.left.tolist() == full.right.tolist() == [g.order] * g.order
+
+
+@pytest.mark.parametrize("g", KK_GROUPS, ids=format_group_text)
+def test_katz_koester_rows_span_several_blocks(g):
+    rng = random.Random(7 * g.order)
+    A, B = _random_set(g, rng), _random_set(g, rng)
+    assert len(difference_direct(A, A)) > 1
+    _rows_against_oracle(A, B, rows_per_block=1)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_katz_koester_rows_fail_where_oracle_fails_on_a_thinned_sumset(data):
+    # drop one member s of A + B from the right-hand side: every x with s in
+    # B + A_x or s + x in B + A_x now fails, x = 0 among them (A_0 = A)
+    g = data.draw(st.sampled_from(KK_GROUPS), label="group")
+    A, B = _kk_pair(data, g)
+    S = sumset_direct(A, B)
+    drop = data.draw(st.sampled_from(sorted(S)), label="dropped")
+    thinned = group_set(g, S - {drop})
+    rows_per_block = data.draw(st.sampled_from([None, 1, 3]), label="rows per block")
+    # the helper has matched every verdict with the oracle's, so both fail
+    # at exactly the same displacements
+    rows = _rows_against_oracle(A, B, thinned, rows_per_block=rows_per_block)
+    assert 0 in rows.xs[~rows.holds].tolist()
+
+
+def test_katz_koester_rows_reject_foreign_sets_and_displacements():
+    g = make_group((6,))
+    A = group_set(g, [0, 1])
+    with pytest.raises(GroupMismatchError):
+        katz_koester_rows(A, group_set(make_group((2, 3)), [1]))
+    with pytest.raises(ValueError):
+        katz_koester_rows(A, A, [6])
 
 
 def test_profile_consistency_checks_pass():
