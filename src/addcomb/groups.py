@@ -202,15 +202,16 @@ def _low_part(idx: np.ndarray, block: int, order: int) -> np.ndarray:
     return idx % block if block < order else idx
 
 
-def _shift(g: GroupSpec, idx: np.ndarray, j: int) -> np.ndarray:
-    """idx + j in the group.  Coordinates add without carries, so the
-    integer sum is right except that each coordinate k with a_k + b_k >= n_k
-    overshoots by n_k s_k."""
+def _shift(g: GroupSpec, idx: np.ndarray, j) -> np.ndarray:
+    """idx + j in the group, j an index or an index array that broadcasts
+    against idx.  Coordinates add without carries, so the integer sum is
+    right except that each coordinate k with a_k + b_k >= n_k overshoots by
+    n_k s_k."""
     out = idx + j
     order = g.order
     for s, block in _blocks(g.factors):
         b = j % block // s
-        if b:
+        if isinstance(b, np.ndarray) or b:
             np.subtract(out, block, out=out, where=_low_part(idx, block, order) >= block - b * s)
     return out
 
@@ -227,39 +228,27 @@ def _coords_of(g: GroupSpec, indices) -> np.ndarray:
     return (np.asarray(indices)[..., None] // strides) % mods
 
 
-def difference_table(g: GroupSpec, xs) -> np.ndarray:
-    """T[i, y] = y - xs[i] for every element index y, shape (len(xs), N).
-
-    Each coordinate of y - x is (y_k - x_k) mod n_k, read off by mixed-radix
-    division one coordinate at a time, so the table is exact and the
-    temporaries stay the size of the table."""
-    xs = np.asarray(xs, dtype=np.int64).reshape(-1, 1)
-    ys = np.arange(g.order, dtype=np.int64)
-    if g.is_boolean_space:
-        return ys ^ xs
-    out = np.zeros((len(xs), g.order), dtype=np.int64)
-    for s, n in zip(g.strides, g.factors):
-        diff = ys // s % n - xs // s % n
-        diff %= n
-        diff *= s
-        out += diff
-    return out
+def _index_arg(j):
+    return j if isinstance(j, np.ndarray) else int(j)
 
 
-def add_index_many(g: GroupSpec, indices: np.ndarray, j: int) -> np.ndarray:
-    """Vectorised add of a fixed element (by index) to an index array."""
+def add_index_many(g: GroupSpec, indices: np.ndarray, j) -> np.ndarray:
+    """Vectorised add of a fixed element (by index) to an index array.  j
+    may also be an index array; it broadcasts against indices."""
     if g.is_boolean_space:
         return indices ^ j
-    return _shift(g, np.asarray(indices), int(j))
+    return _shift(g, np.asarray(indices), _index_arg(j))
 
 
-def sub_index_many(g: GroupSpec, indices: np.ndarray, j: int) -> np.ndarray:
-    """Vectorised subtraction of a fixed element from an index array."""
+def sub_index_many(g: GroupSpec, indices: np.ndarray, j) -> np.ndarray:
+    """Vectorised subtraction of a fixed element from an index array.  j
+    may also be an index array; it broadcasts against indices, so
+    sub_index_many(g, ys[:, None], xs) is the table of y - x."""
     if g.is_boolean_space:
         return indices ^ j
-    j = int(j)
+    j = _index_arg(j)
     # -j has coordinate n_k - b_k wherever b_k != 0
-    neg_j = sum(block for s, block in _blocks(g.factors) if j % block >= s) - j
+    neg_j = sum(block * (j % block >= s) for s, block in _blocks(g.factors)) - j
     return _shift(g, np.asarray(indices), neg_j)
 
 

@@ -147,14 +147,15 @@ def _wht_list(vals: list) -> list:
 
 
 def _wht(arr: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard butterfly into a fresh array of arr's dtype."""
+    """Walsh-Hadamard butterfly along axis 0 into a fresh array of arr's
+    dtype (of every column, when arr is a table of columns)."""
     a = arr.copy()
     h = 1
     while h < a.shape[0]:
-        pairs = a.reshape(-1, 2, h)  # a view: the updates below land in a
-        top = pairs[:, 0, :].copy()
-        pairs[:, 0, :] += pairs[:, 1, :]
-        np.subtract(top, pairs[:, 1, :], out=pairs[:, 1, :])
+        pairs = a.reshape(-1, 2, h, *a.shape[1:])  # a view: the updates below land in a
+        top = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(top, pairs[:, 1], out=pairs[:, 1])
         h *= 2
     return a
 
@@ -171,6 +172,17 @@ def wht_int(g: GroupSpec, values: Sequence[int]) -> np.ndarray:
     if arr.dtype == object:
         return np.array(_wht_list(arr.tolist()), dtype=object)
     return _wht(arr)
+
+
+def wht_int_columns(g: GroupSpec, table: np.ndarray) -> np.ndarray:
+    """Exact integer Walsh-Hadamard transform of every column of an (N, k)
+    int64 table.  The caller keeps each column's L1 norm below 2^62, which
+    bounds every partial sum of the butterflies."""
+    if not g.is_boolean_space:
+        raise GroupMismatchError("Walsh-Hadamard path needs a 2-group")
+    if table.dtype != np.int64 or table.ndim != 2 or table.shape[0] != g.order:
+        raise GroupMismatchError(f"need an int64 table of shape ({g.order}, k), got {table.dtype} {table.shape}")
+    return _wht(table)
 
 
 # -- mixed-radix DFT -------------------------------------------------------------

@@ -11,8 +11,10 @@ support of conv_counts.
 
 The Katz-Koester check (katz_koester_rows) counts A + B once per pair and
 reads every displacement x from one index table of y - x: A_x, (A+B)_x and
-B + A_x are boolean rows over the group, compared cell by cell, a block
-of displacements at a time.  check_katz_koester is its one-row call.
+B + A_x are boolean columns over the group, compared cell by cell, a block
+of displacements at a time.  B + A_x is, like conv_counts, one integer
+Walsh transform pass on 2-groups and one shifted copy per member of B
+elsewhere.  check_katz_koester is its one-row call.
 
 A GroupSet computes the statistics the pipelines read off its
 autocorrelation once, on first use, and keeps them on the instance for
@@ -42,10 +44,18 @@ from .groups import (
     GroupSpec,
     SizeLimitError,
     add_index_many,
-    difference_table,
     neg_index_many,
+    sub_index_many,
 )
-from .harmonic import FunctionTable, dft, indicator, magnitudes, transform_error, wht_int
+from .harmonic import (
+    FunctionTable,
+    dft,
+    indicator,
+    magnitudes,
+    transform_error,
+    wht_int,
+    wht_int_columns,
+)
 from .report import CheckRecord, record_eq, record_ge, record_le, require
 
 _PAIR_LOOP_MAX = 1 << 26
@@ -299,48 +309,69 @@ def _mask(A: GroupSet) -> np.ndarray:
     return out
 
 
-def katz_koester_rows(
-    A: GroupSet,
-    B: GroupSet,
-    xs: Sequence[int] | None = None,
-    *,
-    sums: GroupSet | None = None,
-) -> SliceInclusion:
+def katz_koester_rows(A: GroupSet, B: GroupSet, xs: Sequence[int] | None = None) -> SliceInclusion:
     """B + A_x inside (A+B)_x for every x of xs (A - A when omitted), each
     row decided cell by cell over the group.
 
-    A + B is counted once.  A block of displacements reads A_x and (A+B)_x
-    as boolean rows through one table of y - x, and B + A_x is the OR of
-    |B| column-permuted copies of the A_x rows (z is in it iff z - b is in
-    A_x for some b).  Blocks hold at most _KK_BLOCK_ELEMENTS cells, at
-    least one row.  `sums` replaces A + B on the right-hand side.
+    A + B is counted once.  A block of displacements is a table with one
+    column per x and one row per element y: A_x and (A+B)_x are read off
+    as boolean columns through the table of y - x, B + A_x comes from
+    _plus_columns, and x holds iff no cell is in B + A_x and not in
+    (A+B)_x.  Blocks hold at most _KK_BLOCK_ELEMENTS cells, at least one
+    column.
     """
-    if A.group != B.group or (sums is not None and sums.group != A.group):
+    if A.group != B.group:
         raise GroupMismatchError("sets live on different groups")
     g = A.group
     xs = np.asarray(difference_set(A, A).members if xs is None else xs, dtype=np.int64)
     if xs.size and not (0 <= xs.min() and xs.max() < g.order):
         raise ValueError("displacements must be element indices in range")
+    ys = np.arange(g.order, dtype=np.int64)[:, None]
     a_mask = _mask(A)
-    s_mask = _mask(sumset(A, B) if sums is None else sums)
-    b_arr = B.as_array()
-    rows = max(1, _KK_BLOCK_ELEMENTS // g.order)
+    s_mask = _mask(sumset(A, B))
+    width = max(1, _KK_BLOCK_ELEMENTS // g.order)
     left = np.empty(len(xs), dtype=np.int64)
     right = np.empty(len(xs), dtype=np.int64)
     holds = np.empty(len(xs), dtype=bool)
-    for lo in range(0, len(xs), rows):
-        block = slice(lo, lo + rows)
-        shifted = difference_table(g, xs[block])
-        a_rows = a_mask[shifted] & a_mask
-        s_rows = s_mask[shifted] & s_mask
-        left_rows = np.zeros_like(a_rows)
-        for b_lo in range(0, len(b_arr), rows):
-            for perm in difference_table(g, b_arr[b_lo : b_lo + rows]):
-                left_rows |= a_rows[:, perm]
-        left[block] = left_rows.sum(axis=1)
-        right[block] = s_rows.sum(axis=1)
-        holds[block] = ~(left_rows & ~s_rows).any(axis=1)
+    for lo in range(0, len(xs), width):
+        block = slice(lo, lo + width)
+        shifted = sub_index_many(g, ys, xs[block])
+        a_cols = a_mask[shifted] & a_mask[:, None]
+        s_cols = s_mask[shifted] & s_mask[:, None]
+        left_cols = _plus_columns(B, a_cols)
+        left[block] = left_cols.sum(axis=0)
+        right[block] = s_cols.sum(axis=0)
+        holds[block] = ~(left_cols & ~s_cols).any(axis=0)
     return SliceInclusion(xs=xs, left=left, right=right, holds=holds)
+
+
+def _plus_columns(B: GroupSet, cols: np.ndarray) -> np.ndarray:
+    """B + C for every boolean column C of cols, an (N, k) table.
+
+    On 2-groups: the support of the column convolutions with B, one
+    integer Walsh transform of the columns, times B's cached transform,
+    transformed back.  A 0/1 column has L1 norm at most N, and
+    sum_t |C_hat(t)|^2 = N |C| (Parseval), so by Cauchy-Schwarz the L1 norm
+    of C_hat * B_hat is at most N sqrt(|C| |B|) <= N^2 <= 2^48 under the
+    order cap: the int64 butterflies are exact.  Elsewhere: the OR over b
+    in B of the columns with their rows moved by b (row z of the moved copy
+    is row z - b), the row orders read from one table of z - b per chunk
+    of B.
+    """
+    g = B.group
+    if g.is_boolean_space:
+        cols_hat = wht_int_columns(g, cols.astype(np.int64))
+        return wht_int_columns(g, cols_hat * B.transform[:, None]) != 0
+    ys = np.arange(g.order, dtype=np.int64)
+    b_arr = B.as_array()
+    out = np.zeros_like(cols)
+    moved = np.empty_like(cols)
+    step = max(1, _KK_BLOCK_ELEMENTS // g.order)
+    for lo in range(0, len(b_arr), step):
+        for rows in sub_index_many(g, ys, b_arr[lo : lo + step, None]):
+            np.take(cols, rows, axis=0, out=moved)
+            out |= moved
+    return out
 
 
 def check_katz_koester(A: GroupSet, B: GroupSet, x: int) -> CheckRecord:

@@ -10,7 +10,6 @@ from addcomb.groups import (
     SizeLimitError,
     _coords_of,
     add_index_many,
-    difference_table,
     format_group_text,
     make_group,
     neg_index_many,
@@ -108,13 +107,17 @@ def test_vectorized_index_ops_match_coordinates_for_every_shift(factors):
 
 
 @pytest.mark.parametrize("g", GROUPS + [make_group((2,) * 5)], ids=format_group_text)
-def test_difference_table_matches_scalar_subtraction(g):
-    xs = list(range(0, g.order, 3))
-    table = difference_table(g, xs)
-    assert table.shape == (len(xs), g.order)
-    for row, x in zip(table.tolist(), xs):
-        assert row == [g.sub_index(y, x) for y in range(g.order)]
-    assert difference_table(g, []).shape == (0, g.order)
+def test_index_ops_broadcast_over_an_array_of_shifts(g):
+    # a column of elements against a row of shifts: the table of y + x and y - x
+    ys = np.arange(g.order, dtype=np.int64)[:, None]
+    xs = np.arange(0, g.order, 3, dtype=np.int64)
+    added = add_index_many(g, ys, xs)
+    subbed = sub_index_many(g, ys, xs)
+    assert added.shape == subbed.shape == (g.order, len(xs))
+    for col, x in enumerate(xs.tolist()):
+        assert added[:, col].tolist() == [g.add_index(y, x) for y in range(g.order)]
+        assert subbed[:, col].tolist() == [g.sub_index(y, x) for y in range(g.order)]
+    assert sub_index_many(g, ys, xs[:0]).shape == (g.order, 0)
 
 
 @pytest.mark.parametrize("factors", [(1 << 21,), (3, 1024, 700)])

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addcomb.groups import boolean_group, format_group_text, make_group, parse_group_text
+from addcomb.groups import (
+    GroupMismatchError,
+    boolean_group,
+    format_group_text,
+    make_group,
+    parse_group_text,
+)
 from addcomb import harmonic
 from addcomb.harmonic import (
     FunctionTable,
@@ -19,6 +25,7 @@ from addcomb.harmonic import (
     table_from_values,
     transform_error,
     wht_int,
+    wht_int_columns,
 )
 from addcomb.spectral import spectrum
 
@@ -51,6 +58,20 @@ def test_wht_int_matches_direct_on_boolean_groups():
         for a, b in zip(got.tolist(), want):
             assert isinstance(a, int)
             assert abs(a - b.real) < 1e-6 and abs(b.imag) < 1e-6
+
+
+def test_wht_int_columns_transforms_each_column():
+    g = boolean_group(5)
+    rng = random.Random(5)
+    columns = [_random_values(g, rng, -9, 9) for _ in range(3)]
+    got = wht_int_columns(g, np.array(columns, dtype=np.int64).T)
+    assert got.shape == (g.order, 3)
+    for col, values in zip(got.T.tolist(), columns):
+        assert col == wht_int(g, values).tolist()
+    with pytest.raises(GroupMismatchError):
+        wht_int_columns(make_group((4, 8)), np.zeros((32, 1), dtype=np.int64))
+    with pytest.raises(GroupMismatchError):
+        wht_int_columns(g, np.zeros(g.order, dtype=np.int64))
 
 
 @pytest.mark.parametrize(

@@ -216,13 +216,21 @@ def test_katz_koester_inclusion_everywhere():
 KK_GROUPS = [make_group(f) for f in [(7,), (30,), (4, 6), (2, 3, 3), (2,) * 5]]
 
 
-def _rows_against_oracle(A, B, sums=None, rows_per_block=None):
-    """katz_koester_rows with blocks of `rows_per_block` displacements (the
+def _rows_against_oracle(A, B, sums=None, xs_per_block=None):
+    """katz_koester_rows with blocks of `xs_per_block` displacements (the
     default block size when None), after checking every row, sizes and
-    verdict, against katz_koester_direct."""
-    budget = rows_per_block * A.group.order if rows_per_block else setstat._KK_BLOCK_ELEMENTS
+    verdict, against katz_koester_direct.  `sums` replaces A + B on the
+    right-hand side of both."""
+    budget = xs_per_block * A.group.order if xs_per_block else setstat._KK_BLOCK_ELEMENTS
     with mock.patch.object(setstat, "_KK_BLOCK_ELEMENTS", budget):
-        rows = katz_koester_rows(A, B, sums=sums)
+        if sums is None:
+            rows = katz_koester_rows(A, B)
+        else:
+            # the displacements are given, so the patched sumset only
+            # reaches the right-hand side
+            xs = sorted(difference_direct(A, A))
+            with mock.patch.object(setstat, "sumset", lambda *_: sums):
+                rows = katz_koester_rows(A, B, xs)
     assert rows.xs.tolist() == sorted(difference_direct(A, A))
     got = list(zip(rows.left.tolist(), rows.right.tolist(), rows.holds.tolist()))
     assert got == [katz_koester_direct(A, B, x, sums) for x in rows.xs.tolist()]
@@ -240,8 +248,8 @@ def test_katz_koester_rows_match_direct_oracle(data):
     g = data.draw(st.sampled_from(KK_GROUPS), label="group")
     A, B = _kk_pair(data, g)
     # None keeps the default, which holds every displacement in one block
-    rows_per_block = data.draw(st.sampled_from([None, 1, 2]), label="rows per block")
-    rows = _rows_against_oracle(A, B, rows_per_block=rows_per_block)
+    xs_per_block = data.draw(st.sampled_from([None, 1, 2]), label="displacements per block")
+    rows = _rows_against_oracle(A, B, xs_per_block=xs_per_block)
     assert rows.holds.all()
 
 
@@ -253,7 +261,7 @@ def test_katz_koester_rows_on_singleton_and_full_sets(g):
     single = _rows_against_oracle(group_set(g, [rng.randrange(g.order)]), B)
     assert single.xs.tolist() == [0]
     assert single.left.tolist() == single.right.tolist() == [len(B)]
-    full = _rows_against_oracle(G, B, rows_per_block=2)
+    full = _rows_against_oracle(G, B, xs_per_block=2)
     assert full.xs.tolist() == list(range(g.order))
     assert full.left.tolist() == full.right.tolist() == [g.order] * g.order
 
@@ -263,7 +271,7 @@ def test_katz_koester_rows_span_several_blocks(g):
     rng = random.Random(7 * g.order)
     A, B = _random_set(g, rng), _random_set(g, rng)
     assert len(difference_direct(A, A)) > 1
-    _rows_against_oracle(A, B, rows_per_block=1)
+    _rows_against_oracle(A, B, xs_per_block=1)
 
 
 @given(st.data())
@@ -276,10 +284,10 @@ def test_katz_koester_rows_fail_where_oracle_fails_on_a_thinned_sumset(data):
     S = sumset_direct(A, B)
     drop = data.draw(st.sampled_from(sorted(S)), label="dropped")
     thinned = group_set(g, S - {drop})
-    rows_per_block = data.draw(st.sampled_from([None, 1, 3]), label="rows per block")
+    xs_per_block = data.draw(st.sampled_from([None, 1, 3]), label="displacements per block")
     # the helper has matched every verdict with the oracle's, so both fail
     # at exactly the same displacements
-    rows = _rows_against_oracle(A, B, thinned, rows_per_block=rows_per_block)
+    rows = _rows_against_oracle(A, B, thinned, xs_per_block=xs_per_block)
     assert 0 in rows.xs[~rows.holds].tolist()
 
 
