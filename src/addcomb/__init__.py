@@ -8,7 +8,9 @@ integer Walsh transform on 2-groups, rationals.  Floating point appears in
 the DFT on general groups and in the Bohr phase keys, and every branch or
 asserted check read off it goes through a proven error bound:
 harmonic.transform_error for the DFT, the key's rounding band for Bohr
-sets.  Certificates are recounted by integers.
+sets.  Pair counts on general groups are a rounded float convolution only
+where harmonic.conv_error proves the rounding exact, and a direct integer
+count elsewhere.  Certificates are recounted by integers.
 """
 
 from __future__ import annotations

@@ -51,10 +51,12 @@ def parse_element(g: GroupSpec, text: str, *, path="<string>", line_no=0) -> int
         coords = tuple(int(p) for p in parts)
     except ValueError:
         raise FileFormatError(path, line_no, f"bad coordinate in {text!r}") from None
-    for c, n in zip(coords, g.factors):
+    index = 0
+    for c, n, s in zip(coords, g.factors, g.strides):
         if not 0 <= c < n:
             raise FileFormatError(path, line_no, f"coordinate {c} out of range for Z{n}")
-    return g.index(coords)
+        index += c * s
+    return index
 
 
 def dump_set(A: GroupSet) -> str:

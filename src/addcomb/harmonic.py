@@ -20,7 +20,9 @@ tables; on general groups it is the per-coordinate mixed-radix DFT
 evaluated in complex doubles, and transform_error bounds how far the
 computed values can be from the exact ones.  That bound is the one error
 model of the package: every branch or asserted check read off a float
-transform goes through it.  Set correlations are counted in setstat.
+transform goes through it, and conv_error, built on it and on the same
+per-axis constants, bounds a convolution taken back through the inverse
+transform.  Set correlations are counted in setstat.
 """
 
 from __future__ import annotations
@@ -287,6 +289,59 @@ def transform_error(f: FunctionTable) -> float:
     g = f.group
     if g.is_boolean_space and f.kind == "int":
         return 0.0
+    return (_relative_error(g) + 8 * _U) * math.sqrt(g.order) * _l2(f)
+
+
+def _relative_error(g: GroupSpec) -> float:
+    """rho / (1 - rho): the relative normwise error of one float transform
+    of g, forward or inverse, before scaling (see transform_error)."""
     rho = (g.rank if g.is_boolean_space else sum(_axis_error(n) for n in g.factors)) * _U
-    norm = float(np.linalg.norm(f.values.astype(np.complex128)))
-    return (rho / (1 - rho) + 8 * _U) * math.sqrt(g.order) * norm
+    return rho / (1 - rho)
+
+
+def _l2(f: FunctionTable) -> float:
+    return float(np.linalg.norm(f.values.astype(np.complex128)))
+
+
+def conv_error(f: FunctionTable, h: FunctionTable) -> float:
+    """A proven bound on every |z(x) - (f * h)(x)|, where f * h is the
+    exact convolution and z = idft(y_f * y_h) is computed in complex
+    doubles from computed transforms y_f, y_h of f and h within
+    transform_error of the exact ones (dft's, or the conjugates of a
+    reflected table's: they carry the same bound).  So when it is below
+    1/2 and f * h is an integer table, rounding the real part of z gives
+    f * h exactly.
+
+    With F, H the exact transforms, P = F H is the exact transform of
+    f * h.  Writing E_f, E_h for the transform errors, ||F||_inf <=
+    ||f||_1 = a, ||H||_inf <= ||h||_1 = b and ||P||_2 <= pi = min(a ||H||_2,
+    b ||F||_2), where ||F||_2 = sqrt(N) ||f||_2:
+
+      y_f y_h - P = F (y_h - H) + (y_f - F) H + (y_f - F)(y_h - H)
+                    has 2-norm at most d1 = a E_h + b E_f + E_f E_h;
+      the pointwise complex products round by at most sqrt(2) gamma_2
+        times |y_f y_h| (Higham, Lemma 3.5), so the computed product p has
+        ||p - P||_2 <= d = d1 + sqrt(2) gamma_2 (pi + d1);
+      the exact inverse transform divides 2-norms by sqrt(N), and the
+        computed one adds the relative error rho / (1 - rho) of
+        transform_error plus 2u per axis for its 1/n scaling (rounding
+        1/n, then the product).
+
+    So ||z - f * h||_2 <= (d + (rho / (1 - rho) + 2 r u)(pi + d)) / sqrt(N)
+    for rank r, and an entry is bounded by the 2-norm.  The factor
+    1 + 2^-20 covers evaluating this in doubles: the norms are within N u
+    relatively (under 2^-37 at the order cap), and the few dozen rounded
+    operations on nonnegative terms lose less still.
+    """
+    g = f.group
+    if h.group != g:
+        raise GroupMismatchError("tables live on different groups")
+    root_n = math.sqrt(g.order)
+    e_f, e_h = transform_error(f), transform_error(h)
+    a, b = float(f.l1()), float(h.l1())
+    pi = min(a * root_n * _l2(h), b * root_n * _l2(f))
+    d1 = a * e_h + b * e_f + e_f * e_h
+    gamma2 = 2 * _U / (1 - 2 * _U)
+    d = d1 + math.sqrt(2) * gamma2 * (pi + d1)
+    inverse = _relative_error(g) + 2 * g.rank * _U
+    return (d + inverse * (pi + d)) / root_n * (1 + 2.0**-20)

@@ -5,8 +5,13 @@ constants exact fractions, so every inequality asserted here is decided
 exactly.  A set is its strictly sorted tuple of element indices, read as an
 int64 array wherever it is counted.  Every pair count goes through
 conv_counts: on 2-groups one inverse integer Walsh-Hadamard transform of
-the two sets' cached transforms, elsewhere one bincount pass per member of
-the smaller set.  corr_counts is conv_counts(-A, B), and sumset is the
+the product of the two sets' cached transforms.  Elsewhere it is the
+inverse DFT of that product, rounded, when a cost rule prefers a
+transform to a loop (the smaller set has more than
+_FFT_COST * N.bit_length() members, and N is within MAX_TRANSFORM_ORDER)
+and harmonic.conv_error proves every entry within 1/2 of its integer;
+otherwise one bincount pass per member of the smaller set.  Either way the
+counts are exact.  corr_counts is conv_counts(-A, B), and sumset is the
 support of conv_counts.
 
 The Katz-Koester check (katz_koester_rows) counts A + B once per pair and
@@ -25,9 +30,11 @@ value of A o A with its multiplicity, as Python ints, so E_k =
 sum m * c^k is exact at every k), |A - A| (the support of A o A), |A + A|
 (the same number on 2-groups) and the peak coefficient, held as an
 enclosure [lo, hi] of |A_hat|^2 from harmonic.transform_error (lo == hi on
-2-groups, where the transform is exact).  A.neg() takes
-over A's autocorrelation, since (-A) o (-A) = A o A.  The cached arrays
-are read-only; there is no cache outside the set.
+2-groups, where the transform is exact).  A.neg() reads its
+autocorrelation and its transform off A, since (-A) o (-A) = A o A and
+-A's transform is the conjugate of A's, so a set and its negation share
+one transform.  The cached arrays are read-only; there is no cache outside
+the set.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .groups import (
+    MAX_TRANSFORM_ORDER,
     GroupMismatchError,
     GroupSpec,
     SizeLimitError,
@@ -49,7 +57,9 @@ from .groups import (
 )
 from .harmonic import (
     FunctionTable,
+    conv_error,
     dft,
+    idft,
     indicator,
     magnitudes,
     transform_error,
@@ -59,6 +69,7 @@ from .harmonic import (
 from .report import CheckRecord, record_eq, record_ge, record_le, require
 
 _PAIR_LOOP_MAX = 1 << 26
+_FFT_COST = 4  # conv_counts transforms once the smaller set passes this times N.bit_length()
 _KK_BLOCK_ELEMENTS = 1 << 18   # cells per block of katz_koester_rows
 
 
@@ -107,13 +118,26 @@ class GroupSet:
 
     @property
     def transform(self) -> np.ndarray:
-        """Transform of the indicator: int64 on 2-groups, complex128 elsewhere."""
-        return self._cached("_transform", lambda: _read_only(dft(self.indicator()).values))
+        """Transform of the indicator: int64 on 2-groups, complex128 elsewhere.
+        A set made by neg() conjugates its source's (see neg)."""
+
+        def compute() -> np.ndarray:
+            source = self.__dict__.get("_neg_of")
+            if source is not None:
+                return _read_only(np.conj(source.transform))
+            return _read_only(dft(self.indicator()).values)
+
+        return self._cached("_transform", compute)
 
     @property
     def autocorr(self) -> np.ndarray:
         """(A o A)(x) = |A intersect (A + x)| for every x, as int64."""
-        return self._cached("_autocorr", lambda: _read_only(corr_counts(self, self)))
+
+        def compute() -> np.ndarray:
+            source = self.__dict__.get("_neg_of")
+            return source.autocorr if source is not None else _read_only(corr_counts(self, self))
+
+        return self._cached("_autocorr", compute)
 
     @property
     def energy_hist(self) -> tuple[tuple[int, int], ...]:
@@ -156,14 +180,19 @@ class GroupSet:
         return GroupSet(g, tuple(sorted(int(v) for v in add_index_many(g, self.as_array(), x))))
 
     def neg(self) -> "GroupSet":
-        """-A; it takes over A's autocorrelation, since (-A) o (-A) = A o A."""
+        """-A.  It reads its autocorrelation and its transform off A, each
+        computed once on A: (-A) o (-A) = A o A, and the exact transform of
+        -A's real indicator is the conjugate of A's, so the conjugate of
+        A's computed transform carries A's transform_error bound.  The
+        negation of a set made by neg() is its source."""
         g = self.group
         if not self.members or g.is_boolean_space:
             return self
+        source = self.__dict__.get("_neg_of")
+        if source is not None:
+            return source
         out = GroupSet(g, tuple(np.sort(neg_index_many(g, self.as_array())).tolist()))
-        autocorr = self.__dict__.get("_autocorr")
-        if autocorr is not None:
-            object.__setattr__(out, "_autocorr", autocorr)
+        object.__setattr__(out, "_neg_of", self)
         return out
 
 
@@ -191,8 +220,14 @@ def conv_counts(A: GroupSet, B: GroupSet) -> np.ndarray:
     """Number of pairs (a, b) with a + b = x, for every x, as int64.
 
     On 2-groups this is one inverse Walsh transform of the product of the
-    two sets' cached transforms; elsewhere one bincount pass over the
-    larger set shifted by each member of the smaller.
+    two sets' cached transforms, exact in integers.  Elsewhere it is the
+    rounded real part of the inverse DFT of that product when three things
+    hold: the order is at most MAX_TRANSFORM_ORDER; the smaller set has
+    more than _FFT_COST * N.bit_length() members, so that a loop over it
+    would cost more than a transform; and harmonic.conv_error, a proven
+    bound on every entry's float error, is below 1/2, so the rounding is
+    exact.  Otherwise it is one bincount pass over the larger set shifted
+    by each member of the smaller.
     """
     if A.group != B.group:
         raise GroupMismatchError("sets live on different groups")
@@ -202,8 +237,15 @@ def conv_counts(A: GroupSet, B: GroupSet) -> np.ndarray:
         return np.zeros(n, dtype=np.int64)
     if g.is_boolean_space:
         return wht_int(g, A.transform * B.transform) // n
-    counts = np.zeros(n, dtype=np.int64)
     small, big = (A, B) if len(A) <= len(B) else (B, A)
+    if (
+        len(small) > _FFT_COST * n.bit_length()
+        and n <= MAX_TRANSFORM_ORDER
+        and conv_error(A.indicator(), B.indicator()) < 0.5
+    ):
+        product = FunctionTable(g, A.transform * B.transform, "complex")
+        return np.rint(idft(product).values.real).astype(np.int64)
+    counts = np.zeros(n, dtype=np.int64)
     big_arr = big.as_array()
     for a in small.members:
         counts += np.bincount(add_index_many(g, big_arr, a), minlength=n)

@@ -50,14 +50,13 @@ def dft_entry_fsum(g: GroupSpec, values, t: int) -> complex:
 
 
 def corr_direct(A: GroupSet, B: GroupSet) -> list[int]:
-    """(B o A)(x) = |B intersect (A + x)| by scanning all pairs."""
+    """(B o A)(x) = |B intersect (A + x)| by scanning all pairs: each pair
+    (a, b) lies in it at x = b - a."""
     g = A.group
     out = [0] * g.order
-    b = set(B.members)
     for a in A.members:
-        for x in range(g.order):
-            if g.add_index(a, x) in b:
-                out[x] += 1
+        for b in B.members:
+            out[g.sub_index(b, a)] += 1
     return out
 
 

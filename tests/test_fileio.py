@@ -39,6 +39,24 @@ def test_element_errors_carry_line_numbers():
         parse_element(g, "one,2")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1", "expected 2 coordinates, got 1"),
+        ("1,2,3", "expected 2 coordinates, got 3"),
+        ("one,2", "bad coordinate in 'one,2'"),
+        ("1,", "bad coordinate in '1,'"),
+        ("1,9", "coordinate 9 out of range for Z6"),
+        ("-1,2", "coordinate -1 out of range for Z4"),
+        ("4,0", "coordinate 4 out of range for Z4"),
+    ],
+)
+def test_element_error_messages(text, message):
+    with pytest.raises(FileFormatError) as exc:
+        parse_element(make_group((4, 6)), text, path="x.set", line_no=7)
+    assert str(exc.value) == f"x.set:7: {message}"
+
+
 def test_set_round_trip_through_file(tmp_path):
     g = make_group((4, 6))
     A = group_set(g, [0, 5, 17, 23])

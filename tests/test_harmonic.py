@@ -19,6 +19,7 @@ from addcomb import harmonic
 from addcomb.harmonic import (
     FunctionTable,
     _wht_list,
+    conv_error,
     dft,
     idft,
     indicator,
@@ -29,7 +30,9 @@ from addcomb.harmonic import (
 )
 from addcomb.spectral import spectrum
 
-from .oracles import dft_direct, dft_entry_fsum
+from addcomb.setstat import group_set
+
+from .oracles import conv_direct, dft_direct, dft_entry_fsum
 
 GROUPS = [make_group(f) for f in [(8,), (2, 2, 2), (12,), (3, 4), (5, 5)]]
 
@@ -192,6 +195,22 @@ def test_transform_error_bounds_every_entry(text):
         values = f.values.tolist()
         worst = max(abs(got[t] - dft_entry_fsum(g, values, t)) for t in freqs)
         assert worst < transform_error(f)
+
+
+@pytest.mark.parametrize("text", ["Z60", "Z4xZ6", "Z101", "Z4096"])
+def test_conv_error_bounds_every_entry(text):
+    g = parse_group_text(text)
+    rng = random.Random(g.order)
+    sizes = [(g.order, g.order), (g.order // 2, g.order // 3), (1, g.order // 4)]
+    if g.order > 1024:  # the pair oracle is quadratic
+        sizes = [(150, 150), (300, 40)]
+    for a, b in sizes:
+        A = group_set(g, rng.sample(range(g.order), a))
+        B = group_set(g, rng.sample(range(g.order), b))
+        f, h = A.indicator(), B.indicator()
+        z = idft(FunctionTable(g, dft(f).values * dft(h).values, "complex")).values
+        worst = max(abs(zx - c) for zx, c in zip(z.tolist(), conv_direct(A, B)))
+        assert worst <= conv_error(f, h) < 0.5
 
 
 def test_transform_error_is_zero_only_on_the_exact_walsh_path():

@@ -4,12 +4,21 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addcomb import setstat
-from addcomb.groups import GroupMismatchError, boolean_group, format_group_text, make_group
+from addcomb.groups import (
+    MAX_TRANSFORM_ORDER,
+    GroupMismatchError,
+    boolean_group,
+    format_group_text,
+    make_group,
+    parse_group_text,
+)
+from addcomb.harmonic import dft
 from addcomb.setstat import (
     GroupSet,
     check_energy_difference_bound,
@@ -393,13 +402,24 @@ def test_cached_statistics_match_oracles(A):
 
 
 # Z5xZ20 takes |A| * |B| past 4096, where sumset once switched from a
-# scalar pair loop to conv_counts
+# scalar pair loop to conv_counts.  From Z101 on both conv_counts paths
+# run: Z101 is a prime axis of length >= 50, where pocketfft may take
+# Bluestein's algorithm.
 _KERNEL_GROUPS = [boolean_group(n) for n in range(1, 7)] + [
-    make_group(f) for f in [(7,), (30,), (3, 4), (2, 3, 3), (5, 20)]
+    make_group(f) for f in [(7,), (30,), (3, 4), (2, 3, 3), (5, 20), (101,), (4096,), (4, 6, 8, 16)]
 ]
 
 
+def _threshold(g):
+    """The largest smaller-set size for which conv_counts keeps the direct loop."""
+    return setstat._FFT_COST * g.order.bit_length()
+
+
 def _kernel_set(draw, g):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if g.order > 1024:
+        # the pair oracles are quadratic: sizes around the cost threshold
+        return group_set(g, rng.sample(range(g.order), draw(st.integers(0, 3 * _threshold(g)))))
     shape = draw(st.sampled_from(["empty", "singleton", "full", "random"]))
     if shape == "empty":
         return group_set(g, [])
@@ -407,7 +427,6 @@ def _kernel_set(draw, g):
         return group_set(g, [draw(st.integers(0, g.order - 1))])
     if shape == "full":
         return full_set(g)
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.1, 0.5, 0.9]))
     return group_set(g, [i for i in range(g.order) if rng.random() < density])
 
@@ -418,13 +437,27 @@ def _kernel_pairs(draw):
     return _kernel_set(draw, g), _kernel_set(draw, g), draw(st.integers(0, g.order - 1))
 
 
-_Z5XZ20 = _KERNEL_GROUPS[-1]
+_Z5XZ20, _Z101, _Z4096, _Z4X6X8X16 = _KERNEL_GROUPS[-4:]
+
+
+def _threshold_pair(g, above):
+    """Two spread-out sets whose smaller one sits at the cost threshold, or
+    one member above it."""
+    k = _threshold(g) + above
+    return group_set(g, range(0, g.order, g.order // k)[:k]), group_set(g, range(1, g.order, g.order // (k + 9)))
 
 
 @given(_kernel_pairs())
 @example((group_set(_Z5XZ20, range(64)), group_set(_Z5XZ20, range(36, 100)), 21))
 @example((group_set(_Z5XZ20, range(65)), group_set(_Z5XZ20, range(36, 100)), 21))
 @example((full_set(_Z5XZ20), full_set(_Z5XZ20), 99))
+@example((*_threshold_pair(_Z101, 0), 3))
+@example((*_threshold_pair(_Z101, 1), 3))
+@example((full_set(_Z101), full_set(_Z101), 50))
+@example((*_threshold_pair(_Z4096, 0), 17))
+@example((*_threshold_pair(_Z4096, 1), 17))
+@example((*_threshold_pair(_Z4X6X8X16, 0), 5))
+@example((*_threshold_pair(_Z4X6X8X16, 1), 5))
 @settings(max_examples=150, deadline=None)
 def test_pair_counting_kernel_matches_oracles(case):
     A, B, x = case
@@ -435,3 +468,78 @@ def test_pair_counting_kernel_matches_oracles(case):
     assert set(difference_set(A, B).members) == difference_direct(A, B)
     want = set(A.members) & {g.add_index(a, x) for a in A.members}
     assert set(slice_set(A, x).members) == want
+
+
+@pytest.mark.parametrize("g", [_Z101, _Z4096, _Z4X6X8X16], ids=format_group_text)
+def test_conv_counts_transforms_only_above_the_cost_threshold(g):
+    for above, calls in ((0, 0), (1, 1)):
+        A, B = _threshold_pair(g, above)
+        with mock.patch.object(setstat, "idft", wraps=setstat.idft) as spy:
+            assert conv_counts(A, B).tolist() == conv_direct(A, B)
+        assert spy.call_count == calls
+
+
+def test_conv_counts_falls_back_to_the_direct_loop_when_the_bound_fails():
+    g = _Z4096
+    rng = random.Random(4)
+    A, B = (group_set(g, rng.sample(range(g.order), 300)) for _ in range(2))
+    with mock.patch.object(setstat, "conv_error", return_value=1.0), \
+            mock.patch.object(setstat, "idft", wraps=setstat.idft) as spy:
+        got = conv_counts(A, B)
+    assert spy.call_count == 0
+    assert got.tolist() == conv_direct(A, B)
+
+
+def test_neg_conjugates_the_transform_so_each_set_transforms_once(monkeypatch):
+    g = _Z4096
+    calls = []
+
+    def counting_dft(f):
+        calls.append(f)
+        return dft(f)
+
+    monkeypatch.setattr(setstat, "dft", counting_dft)
+    rng = random.Random(5)
+    for first in ("autocorr", "sum_size"):
+        calls.clear()
+        A = group_set(g, rng.sample(range(g.order), 500))
+        getattr(A, first)
+        A.autocorr, A.sum_size
+        assert len(calls) == 1
+        minus = A.neg()
+        assert minus.neg() is A
+        assert np.array_equal(minus.transform, np.conj(A.transform))
+        assert minus.autocorr is A.autocorr
+        assert len(calls) == 1
+        assert A.autocorr.tolist() == corr_direct(A, A)
+        assert A.sum_size == len(sumset_direct(A, A))
+
+
+@pytest.mark.parametrize("text", ["Z65521", "Z256xZ256"])
+def test_full_set_convolution_at_the_order_cap(text):
+    g = parse_group_text(text)
+    F = full_set(g)
+    with mock.patch.object(setstat, "idft", wraps=setstat.idft) as spy:
+        counts = conv_counts(F, F)
+    assert spy.call_count == 1
+    assert (counts == g.order).all()
+
+
+def test_subgroup_autocorrelation_at_the_order_cap():
+    g = make_group((65536,))
+    A = group_set(g, range(0, g.order, 16))
+    counts = corr_counts(A, A)
+    want = np.zeros(g.order, dtype=np.int64)
+    want[A.as_array()] = len(A)
+    assert np.array_equal(counts, want)
+
+
+def test_conv_counts_loops_directly_above_the_transform_cap():
+    g = make_group((131072,))
+    assert g.order > MAX_TRANSFORM_ORDER
+    rng = random.Random(6)
+    A, B = (group_set(g, rng.sample(range(g.order), 300)) for _ in range(2))
+    with mock.patch.object(setstat, "idft", wraps=setstat.idft) as spy:
+        got = conv_counts(A, B)
+    assert spy.call_count == 0
+    assert got.tolist() == conv_direct(A, B)
