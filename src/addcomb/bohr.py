@@ -17,7 +17,7 @@ materialization and the regularity grid of one Bohr set share it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -90,7 +90,6 @@ class RegularityVerdict:
 class BohrSet:
     spec: BohrSpec
     members: GroupSet
-    regular: RegularityVerdict | None = None
 
     def __len__(self) -> int:
         return len(self.members)
@@ -231,7 +230,7 @@ def _counter(spec: BohrSpec) -> tuple[_ExactCounter, Fraction]:
     return _phase_table(spec.group, spec.gamma, (_ONE, *(e / e0 for e in spec.eps[1:]))), e0
 
 
-def materialize(g: GroupSpec, spec: BohrSpec, check_regular: bool = False) -> BohrSet:
+def materialize(g: GroupSpec, spec: BohrSpec) -> BohrSet:
     """Enumerate members exactly; asserts the (N/2) prod eps_j size floor."""
     if spec.group != g:
         raise GroupMismatchError("spec belongs to a different group")
@@ -252,10 +251,7 @@ def materialize(g: GroupSpec, spec: BohrSpec, check_regular: bool = False) -> Bo
             note=f"|B| = {len(members)} vs (N/2) prod eps over order {g.order}",
         )
     )
-    out = BohrSet(spec, members)
-    if check_regular:
-        out = replace(out, regular=regularity_test(out))
-    return out
+    return BohrSet(spec, members)
 
 
 def dilate(spec: BohrSpec, rho: Fraction) -> BohrSpec:

@@ -60,8 +60,6 @@ def _cmd_stats(args) -> int:
         "peak_char": prof.peak.arg,
         "energy": str(prof.energy),
         "higher": {str(k): str(v) for k, v in prof.higher.items()},
-        "sum_size": prof.sum_size,
-        "sum_doubling": format_value(prof.sum_doubling) if prof.sum_doubling is not None else None,
         "checks": [r.to_dict() for r in prof.checks],
         "diagnostics": [r.to_dict() for r in prof.diagnostics],
     }
@@ -75,7 +73,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    text = open(args.file, "r", encoding="ascii").read()
+    with open(args.file, "r", encoding="ascii") as fh:
+        text = fh.read()
     head = text.lstrip().splitlines()[0] if text.strip() else ""
     if head.startswith("group="):
         f = fileio.parse_function(text, path=args.file)
@@ -163,16 +162,8 @@ def _cmd_verify(args) -> int:
             d["group"] = args.group
         configs = [harness.config_from_dict(d)]
     reports = harness.run_all(configs)
-    worst = EXIT_OK
-    for cfg, report in zip(configs, reports):
-        out = cfg.output or args.out
-        if out:
-            harness.write_report(report, out)
-        if args.summary or not out:
-            sys.stdout.write(report.summary_text())
-        if not report.ok:
-            worst = EXIT_CHECK
-    return worst
+    codes = [_emit(report, cfg.output or args.out, args.summary) for cfg, report in zip(configs, reports)]
+    return max(codes, default=EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:

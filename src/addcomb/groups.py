@@ -63,40 +63,13 @@ class GroupSpec:
     def strides(self) -> tuple[int, ...]:
         return _strides(self.factors)
 
-    # -- element arithmetic ------------------------------------------------
-
-    def element(self, coords: Sequence[int]) -> Element:
-        """Reduce arbitrary integer coordinates into the group."""
-        if len(coords) != self.rank:
-            raise GroupMismatchError(
-                f"expected {self.rank} coordinates, got {len(coords)}"
-            )
-        return tuple(c % n for c, n in zip(coords, self.factors))
-
-    def zero(self) -> Element:
-        return (0,) * self.rank
-
-    def add(self, x: Element, y: Element) -> Element:
-        self._check(x)
-        self._check(y)
-        return tuple((a + b) % n for a, b, n in zip(x, y, self.factors))
-
-    def neg(self, x: Element) -> Element:
-        self._check(x)
-        return tuple((-a) % n for a, n in zip(x, self.factors))
-
-    def sub(self, x: Element, y: Element) -> Element:
-        self._check(x)
-        self._check(y)
-        return tuple((a - b) % n for a, b, n in zip(x, y, self.factors))
+    # -- indexing ----------------------------------------------------------
 
     def _check(self, x: Element) -> None:
         if len(x) != self.rank:
             raise GroupMismatchError(f"element {x!r} does not fit rank {self.rank}")
         if any(not 0 <= a < n for a, n in zip(x, self.factors)):
             raise GroupMismatchError(f"element {x!r} out of range for {self.factors}")
-
-    # -- indexing ----------------------------------------------------------
 
     def index(self, x: Element) -> int:
         self._check(x)

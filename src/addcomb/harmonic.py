@@ -303,19 +303,20 @@ def _l2(f: FunctionTable) -> float:
     return float(np.linalg.norm(f.values.astype(np.complex128)))
 
 
-def conv_error(f: FunctionTable, h: FunctionTable) -> float:
-    """A proven bound on every |z(x) - (f * h)(x)|, where f * h is the
-    exact convolution and z = idft(y_f * y_h) is computed in complex
-    doubles from computed transforms y_f, y_h of f and h within
-    transform_error of the exact ones (dft's, or the conjugates of a
-    reflected table's: they carry the same bound).  So when it is below
-    1/2 and f * h is an integer table, rounding the real part of z gives
-    f * h exactly.
+def conv_error(g: GroupSpec, a: int, b: int) -> float:
+    """A proven bound on every |z(x) - (f * h)(x)|, where f and h are 0/1
+    indicators of sets of sizes a and b in g, f * h is their exact
+    convolution and z = idft(y_f * y_h) is computed in complex doubles from
+    float transforms y_f, y_h of f and h within transform_error of the
+    exact ones (dft's, or the conjugates of a reflected set's: they carry
+    the same bound).  So when it is below 1/2, rounding the real part of z
+    gives f * h exactly.
 
-    With F, H the exact transforms, P = F H is the exact transform of
-    f * h.  Writing E_f, E_h for the transform errors, ||F||_inf <=
-    ||f||_1 = a, ||H||_inf <= ||h||_1 = b and ||P||_2 <= pi = min(a ||H||_2,
-    b ||F||_2), where ||F||_2 = sqrt(N) ||f||_2:
+    The indicators' norms are ||f||_1 = a and ||f||_2 = sqrt(a), so their
+    transform errors are E_f = (rho / (1 - rho) + 8u) sqrt(N) sqrt(a) and
+    E_h likewise with b.  With F, H the exact transforms, P = F H is the
+    exact transform of f * h, ||F||_inf <= a, ||H||_inf <= b and ||P||_2 <=
+    pi = min(a ||H||_2, b ||F||_2), where ||F||_2 = sqrt(N) sqrt(a):
 
       y_f y_h - P = F (y_h - H) + (y_f - F) H + (y_f - F)(y_h - H)
                     has 2-norm at most d1 = a E_h + b E_f + E_f E_h;
@@ -329,19 +330,17 @@ def conv_error(f: FunctionTable, h: FunctionTable) -> float:
 
     So ||z - f * h||_2 <= (d + (rho / (1 - rho) + 2 r u)(pi + d)) / sqrt(N)
     for rank r, and an entry is bounded by the 2-norm.  The factor
-    1 + 2^-20 covers evaluating this in doubles: the norms are within N u
-    relatively (under 2^-37 at the order cap), and the few dozen rounded
-    operations on nonnegative terms lose less still.
+    1 + 2^-20 covers evaluating this in doubles: the few dozen rounded
+    operations and square roots on nonnegative terms lose under 2^-40
+    relatively.
     """
-    g = f.group
-    if h.group != g:
-        raise GroupMismatchError("tables live on different groups")
     root_n = math.sqrt(g.order)
-    e_f, e_h = transform_error(f), transform_error(h)
-    a, b = float(f.l1()), float(h.l1())
-    pi = min(a * root_n * _l2(h), b * root_n * _l2(f))
+    rel = _relative_error(g)
+    e_f = (rel + 8 * _U) * root_n * math.sqrt(a)
+    e_h = (rel + 8 * _U) * root_n * math.sqrt(b)
+    pi = root_n * min(a * math.sqrt(b), b * math.sqrt(a))
     d1 = a * e_h + b * e_f + e_f * e_h
     gamma2 = 2 * _U / (1 - 2 * _U)
     d = d1 + math.sqrt(2) * gamma2 * (pi + d1)
-    inverse = _relative_error(g) + 2 * g.rank * _U
+    inverse = rel + 2 * g.rank * _U
     return (d + inverse * (pi + d)) / root_n * (1 + 2.0**-20)

@@ -241,7 +241,7 @@ def conv_counts(A: GroupSet, B: GroupSet) -> np.ndarray:
     if (
         len(small) > _FFT_COST * n.bit_length()
         and n <= MAX_TRANSFORM_ORDER
-        and conv_error(A.indicator(), B.indicator()) < 0.5
+        and conv_error(g, len(A), len(B)) < 0.5
     ):
         product = FunctionTable(g, A.transform * B.transform, "complex")
         return np.rint(idft(product).values.real).astype(np.int64)
@@ -548,18 +548,11 @@ class SetProfile:
     peak: Peak
     energy: int
     higher: dict[int, int]
-    sum_size: int | None
-    sum_doubling: Fraction | None
-    omega: Fraction | None
     checks: list[CheckRecord] = field(default_factory=list)
     diagnostics: list[CheckRecord] = field(default_factory=list)
 
 
-def profile(
-    A: GroupSet,
-    B: GroupSet | None = None,
-    energy_orders: Sequence[int] = (2, 3, 4),
-) -> SetProfile:
+def profile(A: GroupSet, energy_orders: Sequence[int] = (2, 3, 4)) -> SetProfile:
     """Aggregate statistics; unconditional consistency checks are asserted,
     asymptotic idealizations are reported as diagnostics only."""
     if not A.members:
@@ -613,16 +606,6 @@ def profile(
         note="diagnostic only; the exact surrogate above is what is asserted",
     ))
 
-    sum_size = None
-    sum_doubling = None
-    omega = None
-    if B is not None:
-        if not B.members:
-            raise ValueError("cannot profile against an empty companion set")
-        sum_size = sumset_size(A, B)
-        sum_doubling = Fraction(sum_size, a)
-        omega = Fraction(len(B), a)
-
     return SetProfile(
         group=g,
         size=a,
@@ -632,9 +615,6 @@ def profile(
         peak=peak,
         energy=e2,
         higher=higher,
-        sum_size=sum_size,
-        sum_doubling=sum_doubling,
-        omega=omega,
         checks=checks,
         diagnostics=diagnostics,
     )

@@ -6,6 +6,14 @@ when its computed magnitude reaches eps ||f||_1 - E and flagged borderline
 below eps ||f||_1 + E, so no member is dropped (over-inclusion is sound for
 the extraction pipelines).  On 2-groups with integer tables E = 0 and the
 test is an exact integer comparison.
+
+Span(Lambda) is the set of {0, +1, -1} sums of Lambda, kept as a boolean
+mask over the group and grown one member at a time (S | S + mu | S - mu).
+Lambda with mu adjoined is dissociated iff Lambda is and mu lies outside
+Span(Lambda), so the same mask pass decides dissociativity: the test, the
+greedy witness and the branch and bound all grow spans.  A dissociated set
+has distinct {0, 1}-sums, so it has at most log2(N) <= 24 members, and the
+test and the greedy witness each make at most log2(N) passes of size N.
 """
 
 from __future__ import annotations
@@ -13,20 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from . import f2
-from .groups import GroupSpec, SizeLimitError, add_index_many, sub_index_many
+from .groups import GroupSpec, add_index_many, sub_index_many
 from .harmonic import FunctionTable, dft, magnitudes, transform_error
 from .setstat import GroupSet, group_set
 
-_EXHAUSTIVE_MAX = 12
-_MEET_MIDDLE_MAX = 20
 _EXACT_SEARCH_MAX = 24
-_SPAN_CAP = 1 << 20
-_GREEDY_SPAN_CAP = 1 << 22
 CHANG_AUDIT_CONSTANT = Fraction(8)
 
 
@@ -99,58 +102,6 @@ def _at_least(values: np.ndarray, cut: Fraction) -> np.ndarray:
     return values >= math.ceil(cut)
 
 
-def _signed_sum(g: GroupSpec, elems: tuple[int, ...], signs: tuple[int, ...]) -> int:
-    acc = 0
-    for e, s in zip(elems, signs):
-        if s == 1:
-            acc = g.add_index(acc, e)
-        elif s == -1:
-            acc = g.sub_index(acc, e)
-    return acc
-
-
-def is_dissociated(g: GroupSpec, lam: list[int] | tuple[int, ...]) -> bool:
-    """True iff no nontrivial {0, +1, -1} combination of lam vanishes."""
-    elems = tuple(lam)
-    if len(set(elems)) != len(elems):
-        return False  # x - x = 0 is a nontrivial relation
-    if 0 in elems:
-        return False
-    if g.is_boolean_space:
-        # signs collapse mod 2, so dissociated = linearly independent
-        return f2.rank(elems) == len(elems)
-    if len(elems) <= _EXHAUSTIVE_MAX:
-        for signs in product((-1, 0, 1), repeat=len(elems)):
-            if any(signs) and _signed_sum(g, elems, signs) == 0:
-                return False
-        return True
-    if len(elems) <= _MEET_MIDDLE_MAX:
-        return _dissociated_meet_middle(g, elems)
-    raise SizeLimitError(f"dissociativity check capped at {_MEET_MIDDLE_MAX} characters, got {len(elems)}")
-
-
-def _dissociated_meet_middle(g: GroupSpec, elems: tuple[int, ...]) -> bool:
-    half = len(elems) // 2
-    left, right = elems[:half], elems[half:]
-    # sum value -> reachable by some nonzero sign assignment of the left half
-    nonzero_left: dict[int, bool] = {0: False}
-    for signs in product((-1, 0, 1), repeat=len(left)):
-        s = _signed_sum(g, left, signs)
-        if any(signs):
-            nonzero_left[s] = True
-        else:
-            nonzero_left.setdefault(s, False)
-    for signs in product((-1, 0, 1), repeat=len(right)):
-        s = _signed_sum(g, right, signs)
-        target = g.neg_index(s)
-        if any(signs):
-            if target in nonzero_left:
-                return False
-        elif nonzero_left.get(target, False):
-            return False
-    return True
-
-
 def _grow(g: GroupSpec, mask: np.ndarray, elem: int) -> np.ndarray:
     """Span mask grown in place by one element: S | (S + elem) | (S - elem)."""
     idx = np.flatnonzero(mask)
@@ -165,17 +116,36 @@ def _zero_mask(g: GroupSpec) -> np.ndarray:
     return mask
 
 
+def is_dissociated(g: GroupSpec, lam: list[int] | tuple[int, ...]) -> bool:
+    """True iff no nontrivial {0, +1, -1} combination of lam vanishes, that
+    is, iff each member lies outside the span of the members before it.
+
+    One span mask grows member by member and the test stops at the first
+    member already in it (0 and repeats included).  A dissociated set has
+    distinct {0, 1}-sums, hence at most log2(N) members, so at most
+    log2(N) mask passes of size N are made.
+    """
+    mask = _zero_mask(g)
+    for e in lam:
+        if mask[e]:
+            return False
+        _grow(g, mask, e)
+    return True
+
+
 def max_dissociated(
     g: GroupSpec,
     candidates: list[int] | tuple[int, ...],
 ) -> DissociatedWitness:
     """Largest dissociated subset of the candidates.
 
-    Exact on 2-groups (rank by elimination) and on candidate lists of at
-    most 24 characters (branch and bound over the span-growth tree, using
-    that adjoining mu keeps dissociativity iff mu is outside the current
-    span).  Larger general inputs fall back to greedy in the order given
-    (callers pass spectra heaviest first), recorded in the witness mode.
+    Adjoining mu keeps a set dissociated iff mu lies outside its span, and
+    a dissociated set has at most log2(N) members.  Exact on 2-groups
+    (rank by elimination) and on candidate lists of at most 24 characters
+    (branch and bound over the span-growth tree).  Larger general inputs
+    fall back to greedy span growth in the order given (callers pass
+    spectra heaviest first), recorded in the witness mode: one mask pass
+    of size N per pick, so at most log2(N).
     """
     cands = [c for c in dict.fromkeys(candidates) if c != 0]
     if g.is_boolean_space:
@@ -207,21 +177,15 @@ def max_dissociated(
         if not span_mask[c]:
             picked.append(c)
             _grow(g, span_mask, c)
-            if np.count_nonzero(span_mask) > _GREEDY_SPAN_CAP:
-                raise SizeLimitError("span tracking exceeded the greedy cap")
     return DissociatedWitness(g, tuple(picked), "greedy", len(picked))
 
 
 def span(g: GroupSpec, lam: list[int] | tuple[int, ...]) -> GroupSet:
-    """All sums over lam with coefficients in {0, +1, -1}, as a set."""
-    elems = tuple(dict.fromkeys(lam))
-    if g.is_boolean_space:
-        basis = f2.echelon_basis(elems)
-        return group_set(g, f2.subspace_elements(basis))
-    if 3 ** len(elems) > _SPAN_CAP:
-        raise SizeLimitError(f"span of {len(elems)} characters exceeds the enumeration cap")
+    """All sums over lam with coefficients in {0, +1, -1}, as a set (on
+    2-groups, the linear span).  One mask pass of size N per distinct
+    member: the output is at most N elements, the work N |lam|."""
     mask = _zero_mask(g)
-    for e in elems:
+    for e in dict.fromkeys(lam):
         _grow(g, mask, e)
     return GroupSet(g, tuple(np.flatnonzero(mask).tolist()))
 

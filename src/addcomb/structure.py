@@ -495,7 +495,7 @@ def extract_bohr(A: GroupSet, B: GroupSet, params: StructureParams) -> Structure
             reg_spec = find_regular_radius(g, lam, min(rho, Fraction(1)))
         else:
             reg_spec = make_bohr_spec(g, (), ())
-        b_star = materialize(g, reg_spec, check_regular=True)
+        b_star = materialize(g, reg_spec)
         size = len(b_star.members)
         counts, achieved, z = _recount(b_star.members, B)
         guaranteed = _density_floor(params, size, loss=2)
@@ -718,7 +718,7 @@ def _certify_bohr_branch(
     eta_set = materialize(g, dilate(spec_star, eta))
     inclusion = _verify_difference_membership(A, eta_set.members.members, "dichotomy:inclusion_bohr")
     final_spec = find_regular_radius(g, spec_star.gamma, tuple(eta * e for e in spec_star.eps))
-    final = materialize(g, final_spec, check_regular=True)
+    final = materialize(g, final_spec)
     if not final.members.index_set <= eta_set.members.index_set:
         raise AssertionError("regularized shrink left the verified dilate")
     final_inclusion = _verify_difference_membership(A, final.members.members, "dichotomy:inclusion_final")

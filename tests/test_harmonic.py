@@ -210,7 +210,7 @@ def test_conv_error_bounds_every_entry(text):
         f, h = A.indicator(), B.indicator()
         z = idft(FunctionTable(g, dft(f).values * dft(h).values, "complex")).values
         worst = max(abs(zx - c) for zx, c in zip(z.tolist(), conv_direct(A, B)))
-        assert worst <= conv_error(f, h) < 0.5
+        assert worst <= conv_error(g, a, b) < 0.5
 
 
 def test_transform_error_is_zero_only_on_the_exact_walsh_path():

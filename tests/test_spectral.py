@@ -248,3 +248,30 @@ def test_meet_in_the_middle_matches_full_enumeration(factors, k):
         assert is_dissociated(g, lam) == want
         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def test_is_dissociated_past_twenty_characters():
+    # 2^0..2^20 in Z_{2^22}: every nonzero signed sum has size below 2^21
+    g = make_group((1 << 22,))
+    lam = _powers(2, 21)
+    assert is_dissociated(g, lam)
+    assert not is_dissociated(g, lam[:-1] + [lam[3] + lam[17]])
+
+
+def test_span_of_thirteen_characters_matches_brute():
+    g = make_group((101,))
+    lam = [1, 3, 7, 12, 20, 33, 41, 50, 58, 66, 77, 89, 95]
+    assert set(span(g, lam).members) == span_direct(g, lam)
+
+
+SMALL_GROUPS = [boolean_group(5), make_group((4, 6)), make_group((2, 3, 3))]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_is_dissociated_matches_brute_property(data):
+    g = data.draw(st.sampled_from(SMALL_GROUPS), label="group")
+    lam = data.draw(st.lists(st.integers(0, g.order - 1), max_size=6, unique=True), label="lam")
+    assert is_dissociated(g, lam) == dissociated_direct(g, lam)
+    if lam:  # a repeat is the relation x - x = 0
+        assert not is_dissociated(g, lam + lam[-1:])
