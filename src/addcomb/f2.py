@@ -22,10 +22,6 @@ def echelon_basis(vectors: Iterable[int]) -> list[int]:
     return rows
 
 
-def rank(vectors: Iterable[int]) -> int:
-    return len(echelon_basis(vectors))
-
-
 def reduce_vector(basis: Sequence[int], v: int) -> int:
     for r in basis:
         v = min(v, v ^ r)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -190,23 +191,12 @@ def wht_int_columns(g: GroupSpec, table: np.ndarray) -> np.ndarray:
 # -- mixed-radix DFT -------------------------------------------------------------
 
 
-def _axes_view(g: GroupSpec, arr: np.ndarray) -> np.ndarray:
-    # Coordinate 0 is the least significant index digit, hence the last axis
-    # of the C-order reshape.
-    return arr.reshape(tuple(reversed(g.factors)))
-
-
 def dft(f: FunctionTable) -> FunctionTable:
     """Transform of f, indexed by character frequency index."""
     g = f.group
     if g.is_boolean_space and f.kind == "int":
         return FunctionTable(g, wht_int(g, f.values), "int")
-    if g.order > MAX_TRANSFORM_ORDER and not g.is_boolean_space:
-        raise SizeLimitError(f"dense transform beyond order {MAX_TRANSFORM_ORDER}")
-    arr = f.values.astype(np.complex128)
-    if g.is_boolean_space:
-        return FunctionTable(g, _wht(arr), "complex")
-    return FunctionTable(g, np.fft.fftn(_axes_view(g, arr)).reshape(-1), "complex")
+    return FunctionTable(g, dft_columns(g, f.values[:, None])[:, 0], "complex")
 
 
 def idft(fhat: FunctionTable) -> FunctionTable:
@@ -218,10 +208,39 @@ def idft(fhat: FunctionTable) -> FunctionTable:
         if np.any(back % n):
             raise ValueError("table is not an integer transform on this group")
         return FunctionTable(g, back // n, "int")
-    arr = fhat.values.astype(np.complex128)
+    return FunctionTable(g, idft_columns(g, fhat.values[:, None])[:, 0], "complex")
+
+
+def dft_columns(g: GroupSpec, table: np.ndarray) -> np.ndarray:
+    """Transform of every column of an (N, k) table, in complex doubles:
+    the float Walsh butterfly on 2-groups, fftn over the group axes
+    elsewhere.  pocketfft runs the same one-dimensional transforms on a
+    stack as on one table, so each column comes out as dft gives it, and
+    transform_errors bounds its error."""
+    return _transform_columns(g, table, inverse=False)
+
+
+def idft_columns(g: GroupSpec, table: np.ndarray) -> np.ndarray:
+    """Inverse transform of every column of an (N, k) table (see dft_columns)."""
+    return _transform_columns(g, table, inverse=True)
+
+
+def _transform_columns(g: GroupSpec, table: np.ndarray, inverse: bool) -> np.ndarray:
+    if table.ndim != 2 or table.shape[0] != g.order:
+        raise GroupMismatchError(f"need a table of shape ({g.order}, k), got {table.shape}")
+    if g.order > MAX_TRANSFORM_ORDER and not g.is_boolean_space:
+        raise SizeLimitError(f"dense transform beyond order {MAX_TRANSFORM_ORDER}")
+    arr = np.asarray(table, dtype=np.complex128)
     if g.is_boolean_space:
-        return FunctionTable(g, _wht(arr) / n, "complex")
-    return FunctionTable(g, np.fft.ifftn(_axes_view(g, arr)).reshape(-1), "complex")
+        out = _wht(arr)
+        return out / g.order if inverse else out
+    # Coordinate 0 is the least significant index digit, hence the last
+    # group axis of the C-order reshape.  Each column is transformed as one
+    # contiguous row of a (k, N) stack, and comes back as one again.
+    shape = tuple(reversed(g.factors))
+    fn = np.fft.ifftn if inverse else np.fft.fftn
+    rows = fn(arr.T.reshape(arr.shape[1], *shape), axes=tuple(range(1, len(shape) + 1)))
+    return rows.reshape(arr.shape[1], g.order).T
 
 
 # -- error model -----------------------------------------------------------------
@@ -239,6 +258,7 @@ def prime_factors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
+@lru_cache(maxsize=None)
 def _axis_error(n: int) -> float:
     """Relative normwise error of a length-n pocketfft transform, over u."""
     primes = prime_factors(n)
@@ -289,7 +309,18 @@ def transform_error(f: FunctionTable) -> float:
     g = f.group
     if g.is_boolean_space and f.kind == "int":
         return 0.0
-    return (_relative_error(g) + 8 * _U) * math.sqrt(g.order) * _l2(f)
+    return _error_scale(g) * _l2(f)
+
+
+def transform_errors(g: GroupSpec, table: np.ndarray) -> np.ndarray:
+    """transform_error of every column of an (N, k) table, as dft_columns
+    transforms it: in floats, so nonzero on 2-groups too."""
+    return _error_scale(g) * np.linalg.norm(table.astype(np.complex128), axis=0)
+
+
+def _error_scale(g: GroupSpec) -> float:
+    """(rho / (1 - rho) + 8u) sqrt(N): transform_error over ||f||_2."""
+    return (_relative_error(g) + 8 * _U) * math.sqrt(g.order)
 
 
 def _relative_error(g: GroupSpec) -> float:
@@ -336,8 +367,8 @@ def conv_error(g: GroupSpec, a: int, b: int) -> float:
     """
     root_n = math.sqrt(g.order)
     rel = _relative_error(g)
-    e_f = (rel + 8 * _U) * root_n * math.sqrt(a)
-    e_h = (rel + 8 * _U) * root_n * math.sqrt(b)
+    e_f = _error_scale(g) * math.sqrt(a)
+    e_h = _error_scale(g) * math.sqrt(b)
     pi = root_n * min(a * math.sqrt(b), b * math.sqrt(a))
     d1 = a * e_h + b * e_f + e_f * e_h
     gamma2 = 2 * _U / (1 - 2 * _U)

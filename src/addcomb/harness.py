@@ -6,6 +6,14 @@ sources, parameter overrides, and a seed (mandatory whenever a randomized
 generator or suite is requested).  Reports serialize to JSON with timings
 kept out of the body, so identical config + seed gives a byte-identical
 body.
+
+The counting suites (parseval, energy-bound, katz-koester, energy-mono)
+draw all their instances first and then check them as stacks: the
+instances of a group are the columns of one table, transformed once per
+block, and each instance's records are read off its column (see setstat).
+Their checks draw nothing, so the draws come in the order a one-instance
+loop would take them.  Parseval draws each block of tables, the whole
+table whenever it fits a block, in one call.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import fileio
 from .bohr import check_size_bounds, make_bohr_spec, materialize
@@ -32,15 +42,17 @@ from .families import (
     verify_katz_bound,
 )
 from .groups import GroupSpec, boolean_group, format_group_text, parse_group_text
-from .harmonic import dft, magnitudes, table_from_values, transform_error, wht_int
+from .harmonic import dft_columns, magnitudes, transform_errors, wht_int_columns
 from .report import CheckFailure, CheckRecord, format_value, record_eq
 from .setstat import (
     GroupSet,
-    check_energy_difference_bound,
     check_generalized_triangle,
+    column_blocks,
+    energy_difference_bounds,
     group_set,
+    higher_energies,
     higher_energy,
-    katz_koester_rows,
+    katz_koester_stack,
     profile,
     sumset_size,
 )
@@ -431,28 +443,43 @@ def _random_subset(rng: random.Random, g: GroupSpec, size: int) -> GroupSet:
     return group_set(g, rng.sample(range(g.order), size))
 
 
+def _draw_table(rng: random.Random, order: int, width: int) -> np.ndarray:
+    """An (order, width) int64 table of values uniform in -8..8, drawn
+    column after column in one rng.randbytes call: a byte below 255 =
+    15 * 17 reads as byte % 17 - 8, and rejected bytes are drawn again."""
+    need = order * width
+    kept = np.empty(0, dtype=np.uint8)
+    while kept.size < need:
+        raw = np.frombuffer(rng.randbytes(need - kept.size), dtype=np.uint8)
+        kept = np.concatenate((kept, raw[raw < 255]))
+    return np.ascontiguousarray((kept.astype(np.int64) % 17 - 8).reshape(width, order).T)
+
+
 @_suite("parseval")
 def _parseval_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("F2^8", "Z24", "Z101", "Z4xZ6")):
         mismatches = 0
         worst = 0.0
-        for _ in range(cfg.instances):
-            values = [rng.randrange(-8, 9) for _ in range(g.order)]
+        instances = range(cfg.instances)
+        for block in column_blocks(len(instances), g.order):
+            table = _draw_table(rng, g.order, len(instances[block]))
+            lhs = g.order * (table * table).sum(axis=0)  # N * sum v^2 <= 64 N^2
             if g.is_boolean_space:
-                spectrum = wht_int(g, values)
-                lhs = g.order * sum(v * v for v in values)
-                rhs = int(spectrum @ spectrum)  # N * sum v^2 <= 64 N^2, well inside int64
-                if lhs != rhs:
-                    mismatches += 1
-            else:
-                f = table_from_values(g, values, kind="int")
-                lhs_f = g.order * sum(v * v for v in values)
-                rhs_f = math.fsum(m * m for m in magnitudes(dft(f).values).tolist())
-                worst = max(worst, abs(lhs_f - rhs_f) / max(lhs_f, 1.0))
+                spectrum = wht_int_columns(g, table)
+                # every entry is at most the L1 norm 8N, so the sum of the
+                # squares is at most 64 N^3: int64 up to N = 2^18
+                if 64 * g.order**3 >= 1 << 63:
+                    spectrum = spectrum.astype(object)
+                mismatches += int((lhs != (spectrum * spectrum).sum(axis=0)).sum())
+                continue
+            mags = magnitudes(dft_columns(g, table))
+            for j, (lhs_j, bound) in enumerate(zip(lhs.tolist(), transform_errors(g, table).tolist())):
+                rhs_j = math.fsum(m * m for m in mags[:, j].tolist())
+                worst = max(worst, abs(lhs_j - rhs_j) / max(lhs_j, 1.0))
                 # both sides are squared 2-norms of the transform, and the
                 # computed one is within transform_error of the exact one
-                if abs(math.sqrt(rhs_f) - math.sqrt(lhs_f)) > transform_error(f):
+                if abs(math.sqrt(rhs_j) - math.sqrt(lhs_j)) > bound:
                     mismatches += 1
         note = f"{cfg.instances} tables on {format_group_text(g)}"
         if not g.is_boolean_space:
@@ -487,13 +514,13 @@ def _triangle_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
 def _energy_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z24", "F2^8")):
-        failures = 0
-        for i in range(cfg.instances):
-            A = _random_subset(rng, g, rng.randrange(2, max(3, g.order // 4)))
-            B = _random_subset(rng, g, rng.randrange(2, max(3, g.order // 4)))
-            rep = check_energy_difference_bound(A, B, k=2 + (i % 2))
-            if not rep.holds:
-                failures += 1
+        pairs = [
+            (_random_subset(rng, g, rng.randrange(2, max(3, g.order // 4))),
+             _random_subset(rng, g, rng.randrange(2, max(3, g.order // 4))))
+            for _ in range(cfg.instances)
+        ]
+        reports = energy_difference_bounds(pairs, [2 + (i % 2) for i in range(cfg.instances)])
+        failures = sum(not rep.holds for rep in reports)
         note = f"{cfg.instances} pairs on {format_group_text(g)}, k in 2..3"
         records.append(record_eq("energy floor from differences", "energy:k_floor", failures, 0, note=note))
     return records
@@ -519,14 +546,14 @@ def _bohr_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
 def _kk_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z30",)):
-        failures = 0
-        displacements = 0
-        for _ in range(cfg.instances):
-            A = _random_subset(rng, g, rng.randrange(2, g.order // 2))
-            B = _random_subset(rng, g, rng.randrange(2, g.order // 2))
-            rows = katz_koester_rows(A, B)
-            failures += int((~rows.holds).sum())
-            displacements += len(rows.xs)
+        pairs = [
+            (_random_subset(rng, g, rng.randrange(2, g.order // 2)),
+             _random_subset(rng, g, rng.randrange(2, g.order // 2)))
+            for _ in range(cfg.instances)
+        ]
+        rows = katz_koester_stack(pairs)
+        failures = sum(int((~r.holds).sum()) for r in rows)
+        displacements = sum(len(r.xs) for r in rows)
         note = f"{displacements} displacements over {cfg.instances} pairs on {format_group_text(g)}"
         records.append(record_eq("slice sum containment", "inclusion:katz-koester", failures, 0, note=note))
     return records
@@ -536,11 +563,10 @@ def _kk_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
 def _energy_mono_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z24", "F2^6")):
+        sets = [_random_subset(rng, g, rng.randrange(2, max(3, g.order // 2))) for _ in range(cfg.instances)]
         convex_fail = 0
         cap_fail = 0
-        for _ in range(cfg.instances):
-            A = _random_subset(rng, g, rng.randrange(2, max(3, g.order // 2)))
-            e = {k: higher_energy(A, k) for k in range(2, 7)}
+        for A, e in zip(sets, higher_energies(sets, 6)):
             for k in range(3, 6):
                 if e[k - 1] * e[k + 1] < e[k] ** 2:
                     convex_fail += 1

@@ -3,23 +3,34 @@
 All cardinalities and energies are Python integers, densities and doubling
 constants exact fractions, so every inequality asserted here is decided
 exactly.  A set is its strictly sorted tuple of element indices, read as an
-int64 array wherever it is counted.  Every pair count goes through
-conv_counts: on 2-groups one inverse integer Walsh-Hadamard transform of
-the product of the two sets' cached transforms.  Elsewhere it is the
-inverse DFT of that product, rounded, when a cost rule prefers a
-transform to a loop (the smaller set has more than
-_FFT_COST * N.bit_length() members, and N is within MAX_TRANSFORM_ORDER)
-and harmonic.conv_error proves every entry within 1/2 of its integer;
-otherwise one bincount pass per member of the smaller set.  Either way the
-counts are exact.  corr_counts is conv_counts(-A, B), and sumset is the
-support of conv_counts.
+int64 array wherever it is counted.
 
-The Katz-Koester check (katz_koester_rows) counts A + B once per pair and
-reads every displacement x from one index table of y - x: A_x, (A+B)_x and
-B + A_x are boolean columns over the group, compared cell by cell, a block
-of displacements at a time.  B + A_x is, like conv_counts, one integer
-Walsh transform pass on 2-groups and one shifted copy per member of B
-elsewhere.  check_katz_koester is its one-row call.
+Pair counts are stacked: conv_columns counts many pairs (A, B) at once,
+one pair per column of an (N, k) table.  On 2-groups that is one inverse
+integer Walsh-Hadamard transform of the stacked products of the sets'
+transforms.  Elsewhere it is one inverse DFT of those products, rounded,
+for every column where harmonic.conv_error proves each entry within 1/2
+of its integer, and one bincount pass per member of the smaller set for
+any other column.  Either way the counts are exact.  conv_counts, which
+the pipelines call, is its one-column call when a cost rule prefers a
+transform to a loop (on 2-groups always; elsewhere when the smaller set
+has more than _FFT_COST * N.bit_length() members and N is within
+MAX_TRANSFORM_ORDER), and the loop otherwise.  corr_counts is
+conv_counts(-A, B), and sumset is the support of conv_counts.
+
+The checks the verify suites run many times are stacked the same way,
+and their one-instance calls are one-column calls: sumsets,
+energy_difference_bounds (check_energy_difference_bound is its one-pair
+call), higher_energies, and katz_koester_stack (katz_koester_rows is its
+one-pair call, check_katz_koester its one-row call).  The Katz-Koester
+check counts A + B once per pair and reads every displacement x from one
+index table of y - x: A_x, (A+B)_x and B + A_x are boolean columns over
+the group, compared cell by cell.  B + A_x is one integer Walsh transform
+pass on 2-groups and one shifted copy per member of the B's elsewhere.  A
+stack is cut in blocks of at most _KK_BLOCK_ELEMENTS cells
+(column_blocks), so its memory grows neither with the number of
+instances nor with the group order, and its energies are summed in int64
+only under a stated bound, in Python ints otherwise.
 
 A GroupSet computes the statistics the pipelines read off its
 autocorrelation once, on first use, and keeps them on the instance for
@@ -42,7 +53,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,18 +71,18 @@ from .harmonic import (
     FunctionTable,
     conv_error,
     dft,
-    idft,
+    dft_columns,
+    idft_columns,
     indicator,
     magnitudes,
     transform_error,
-    wht_int,
     wht_int_columns,
 )
 from .report import CheckRecord, record_eq, record_ge, record_le, require
 
 _PAIR_LOOP_MAX = 1 << 26
 _FFT_COST = 4  # conv_counts transforms once the smaller set passes this times N.bit_length()
-_KK_BLOCK_ELEMENTS = 1 << 18   # cells per block of katz_koester_rows
+_KK_BLOCK_ELEMENTS = 1 << 18   # cells per stacked block of columns
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -219,15 +231,13 @@ def corr_counts(A: GroupSet, B: GroupSet | None = None) -> np.ndarray:
 def conv_counts(A: GroupSet, B: GroupSet) -> np.ndarray:
     """Number of pairs (a, b) with a + b = x, for every x, as int64.
 
-    On 2-groups this is one inverse Walsh transform of the product of the
-    two sets' cached transforms, exact in integers.  Elsewhere it is the
-    rounded real part of the inverse DFT of that product when three things
-    hold: the order is at most MAX_TRANSFORM_ORDER; the smaller set has
-    more than _FFT_COST * N.bit_length() members, so that a loop over it
-    would cost more than a transform; and harmonic.conv_error, a proven
-    bound on every entry's float error, is below 1/2, so the rounding is
-    exact.  Otherwise it is one bincount pass over the larger set shifted
-    by each member of the smaller.
+    The one-column call of conv_columns on 2-groups, and elsewhere when the
+    order is at most MAX_TRANSFORM_ORDER and the smaller set has more than
+    _FFT_COST * N.bit_length() members, so that a loop over it would cost
+    more than a transform.  Otherwise it is one bincount pass over the
+    larger set shifted by each member of the smaller.  Both sets keep the
+    transforms computed here: the pipelines count with the same sets many
+    times.
     """
     if A.group != B.group:
         raise GroupMismatchError("sets live on different groups")
@@ -235,21 +245,151 @@ def conv_counts(A: GroupSet, B: GroupSet) -> np.ndarray:
     n = g.order
     if not A.members or not B.members:
         return np.zeros(n, dtype=np.int64)
-    if g.is_boolean_space:
-        return wht_int(g, A.transform * B.transform) // n
-    small, big = (A, B) if len(A) <= len(B) else (B, A)
-    if (
-        len(small) > _FFT_COST * n.bit_length()
-        and n <= MAX_TRANSFORM_ORDER
-        and conv_error(g, len(A), len(B)) < 0.5
+    if g.is_boolean_space or (
+        min(len(A), len(B)) > _FFT_COST * n.bit_length() and n <= MAX_TRANSFORM_ORDER
     ):
-        product = FunctionTable(g, A.transform * B.transform, "complex")
-        return np.rint(idft(product).values.real).astype(np.int64)
-    counts = np.zeros(n, dtype=np.int64)
+        A.transform, B.transform  # computed once, kept on each set
+        return conv_columns(g, [(A, B)])[:, 0]
+    return _conv_loop(A, B)
+
+
+def _conv_loop(A: GroupSet, B: GroupSet) -> np.ndarray:
+    g = A.group
+    small, big = (A, B) if len(A) <= len(B) else (B, A)
+    counts = np.zeros(g.order, dtype=np.int64)
     big_arr = big.as_array()
     for a in small.members:
-        counts += np.bincount(add_index_many(g, big_arr, a), minlength=n)
+        counts += np.bincount(add_index_many(g, big_arr, a), minlength=g.order)
     return counts
+
+
+def conv_columns(g: GroupSpec, pairs: Sequence[tuple[GroupSet, GroupSet]]) -> np.ndarray:
+    """conv_counts of every pair (A, B) on g, as the columns of one (N, k)
+    int64 table; the caller keeps k * N within a block (column_blocks).
+
+    Each column is decided exactly.  On 2-groups all of them come from one
+    integer Walsh transform of the stacked products of the sets'
+    transforms, divided by N.  Its int64 butterflies are exact: a product
+    column has L1 norm at most sqrt(sum_t |A_hat(t)|^2 sum_t |B_hat(t)|^2)
+    = N sqrt(|A| |B|) <= N^2 <= 2^48 (Cauchy-Schwarz, Parseval and the
+    membership cap).  Elsewhere, within MAX_TRANSFORM_ORDER, each column
+    whose conv_error(g, |A|, |B|) is below 1/2 is the rounded real part
+    of one inverse DFT of the stacked products; any other column, and
+    every column beyond the transform cap, takes the direct loop.  A
+    transform a set has kept is read, the others are computed in one
+    stacked pass and not kept (see _transforms).
+    """
+    n = g.order
+    if any(A.group != g or B.group != g for A, B in pairs):
+        raise GroupMismatchError("sets live on different groups")
+    live = [j for j, (A, B) in enumerate(pairs) if A.members and B.members]
+    if g.is_boolean_space:
+        fast = live
+    elif n <= MAX_TRANSFORM_ORDER:
+        fast = [j for j in live if conv_error(g, len(pairs[j][0]), len(pairs[j][1])) < 0.5]
+    else:
+        fast = []
+    out = _stack(n, len(pairs), np.int64)
+    if fast:
+        hats = _transforms(g, [X for j in fast for X in pairs[j]])
+        products = _stack(n, len(fast), hats[0].dtype, np.empty)
+        for i in range(len(fast)):
+            np.multiply(hats[2 * i], hats[2 * i + 1], out=products[:, i])
+        if g.is_boolean_space:
+            out[:, fast] = wht_int_columns(g, products) // n
+        else:
+            out[:, fast] = np.rint(idft_columns(g, products).real)
+    for j in sorted(set(live) - set(fast)):
+        out[:, j] = _conv_loop(*pairs[j])
+    return out
+
+
+def column_blocks(count: int, order: int, per_item: int = 1) -> Iterator[slice]:
+    """Slices of range(count), each a block of items whose stack of
+    per_item columns of order cells apiece holds at most
+    _KK_BLOCK_ELEMENTS cells, one item at least: a stack's memory does not
+    grow with the number of items."""
+    step = max(1, _KK_BLOCK_ELEMENTS // (order * per_item))
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
+def _stack(n: int, k: int, dtype, fill=np.zeros) -> np.ndarray:
+    """An (n, k) table of fill((k, n)) whose columns are contiguous in
+    memory, so each column is written, transformed and read as one run."""
+    return fill((k, n), dtype=dtype).T
+
+
+def _indicator_table(g: GroupSpec, sets: Sequence[GroupSet], dtype) -> np.ndarray:
+    """The indicators of sets as the columns of one (N, k) table."""
+    table = _stack(g.order, len(sets), dtype)
+    sizes = [len(X) for X in sets]
+    rows = np.fromiter(chain.from_iterable(X.members for X in sets), dtype=np.int64, count=sum(sizes))
+    table[rows, np.repeat(np.arange(len(sets)), sizes)] = 1
+    return table
+
+
+def _transforms(g: GroupSpec, sets: Sequence[GroupSet]) -> list[np.ndarray]:
+    """The transform of each set, as GroupSet.transform gives it.  One a
+    set has kept is read, or its source's conjugated for a set made by
+    neg().  The others come from one stacked transform of their sources'
+    indicators, each source once (the integer Walsh transform on 2-groups,
+    whose int64 butterflies are exact since an indicator's L1 norm is at
+    most N), and are not kept, so a stack's memory stays within its
+    block."""
+    out: list[np.ndarray | None] = [None] * len(sets)
+    todo: dict[int, tuple[GroupSet, list[int]]] = {}
+    for j, X in enumerate(sets):
+        source = X.__dict__.get("_neg_of", X)
+        if source.__dict__.get("_transform") is not None:
+            out[j] = X.transform
+        else:
+            todo.setdefault(id(source), (source, []))[1].append(j)
+    if todo:
+        table = _indicator_table(g, [source for source, _ in todo.values()], np.int64)
+        hats = wht_int_columns(g, table) if g.is_boolean_space else dft_columns(g, table)
+        for hat, (source, columns) in zip(hats.T, todo.values()):
+            for j in columns:
+                out[j] = hat if sets[j] is source else np.conj(hat)
+    return out
+
+
+def _supports(g: GroupSpec, counts: np.ndarray) -> list[GroupSet]:
+    return [GroupSet(g, tuple(np.flatnonzero(col).tolist())) for col in counts.T]
+
+
+def _stack_group(sets: Iterable[GroupSet]) -> GroupSpec:
+    groups = {X.group for X in sets}
+    if len(groups) != 1:
+        raise GroupMismatchError("sets live on different groups")
+    return groups.pop()
+
+
+def sumsets(pairs: Sequence[tuple[GroupSet, GroupSet]]) -> list[GroupSet]:
+    """A + B for every pair (A, B): the supports of stacked pair counts."""
+    if not pairs:
+        return []
+    g = _stack_group(X for pair in pairs for X in pair)
+    out: list[GroupSet] = []
+    for block in column_blocks(len(pairs), g.order):
+        out.extend(_supports(g, conv_columns(g, pairs[block])))
+    return out
+
+
+def _power_sums(counts: np.ndarray, top: int) -> list[list[int]]:
+    """sums[k - 2][j] = sum_x c(x)^k for k = 2..top and every column c of
+    counts, a table of nonnegative int64 counts, as Python ints.  Since
+    sum_x c^k <= max(c)^(k - 1) sum_x c, a column where that is below 2^63
+    at k = top is summed in int64, and any other in Python ints."""
+    peaks = counts.max(axis=0, initial=0).tolist()
+    masses = counts.sum(axis=0).tolist()  # pair counts: at most N^2 per column
+    safe = np.array([m ** (top - 1) * s < 1 << 63 for m, s in zip(peaks, masses)], dtype=bool)
+    sums = np.zeros((top - 1, counts.shape[1]), dtype=object)
+    for cols, table in ((safe, counts[:, safe]), (~safe, counts[:, ~safe].astype(object))):
+        power = table
+        for k in range(2, top + 1):
+            power = power * table
+            sums[k - 2, cols] = power.sum(axis=0).tolist()
+    return sums.tolist()
 
 
 def sumset(A: GroupSet, B: GroupSet) -> GroupSet:
@@ -345,73 +485,107 @@ class SliceInclusion:
     holds: np.ndarray
 
 
-def _mask(A: GroupSet) -> np.ndarray:
-    out = np.zeros(A.group.order, dtype=bool)
-    out[A.as_array()] = True
+def katz_koester_rows(A: GroupSet, B: GroupSet, xs: Sequence[int] | None = None) -> SliceInclusion:
+    """B + A_x inside (A+B)_x for every x of xs (A - A when omitted): the
+    one-pair call of katz_koester_stack."""
+    return katz_koester_stack([(A, B)], None if xs is None else [xs])[0]
+
+
+def katz_koester_stack(
+    pairs: Sequence[tuple[GroupSet, GroupSet]], xs: Sequence[Sequence[int]] | None = None
+) -> list[SliceInclusion]:
+    """B + A_x inside (A+B)_x for every pair (A, B) and every x of xs[i],
+    the displacements of pair i (A - A when xs is None), each row decided
+    cell by cell over the group.
+
+    A + B (and A - A) of a block of pairs come from one stack of pair
+    counts.  The displacements of all the pairs in the block are the
+    columns of one table with one row per element y, cut in blocks of at
+    most _KK_BLOCK_ELEMENTS cells: A_x and (A+B)_x are read off as boolean
+    columns through the table of y - x, B + A_x comes from _plus_columns,
+    and x holds iff no cell is in B + A_x and not in (A+B)_x.
+    """
+    if not pairs:
+        return []
+    g = _stack_group(X for pair in pairs for X in pair)
+    if xs is not None and len(xs) != len(pairs):
+        raise ValueError("need one list of displacements per pair")
+    ys = np.arange(g.order, dtype=np.int64)[:, None]
+    out: list[SliceInclusion] = []
+    for block in column_blocks(len(pairs), g.order):
+        As = [A for A, _ in pairs[block]]
+        Bs = [B for _, B in pairs[block]]
+        if xs is None:
+            disp = [D.as_array() for D in sumsets([(A, A.neg()) for A in As])]
+        else:
+            disp = [np.asarray(x, dtype=np.int64) for x in xs[block]]
+            if any(d.size and not (0 <= d.min() and d.max() < g.order) for d in disp):
+                raise ValueError("displacements must be element indices in range")
+        a_masks = _indicator_table(g, As, bool)
+        s_masks = _indicator_table(g, sumsets(pairs[block]), bool)
+        a_flat, s_flat = a_masks.T.ravel(), s_masks.T.ravel()  # pair p's column at p * N
+        if g.is_boolean_space:
+            b_side = np.array(_transforms(g, Bs)).T
+        else:
+            b_side = _indicator_table(g, Bs, bool)
+        owners = np.repeat(np.arange(len(As)), [d.size for d in disp])
+        all_xs = np.concatenate(disp)
+        left = np.empty(len(all_xs), dtype=np.int64)
+        right = np.empty(len(all_xs), dtype=np.int64)
+        holds = np.empty(len(all_xs), dtype=bool)
+        for cols in column_blocks(len(all_xs), g.order):
+            own = owners[cols]
+            shifted = sub_index_many(g, ys, all_xs[cols])
+            shifted += own * g.order
+            a_cols = a_flat[shifted] & _owner_columns(a_masks, own)
+            s_cols = s_flat[shifted] & _owner_columns(s_masks, own)
+            left_cols = _plus_columns(g, b_side, a_cols, own)
+            left[cols] = left_cols.sum(axis=0)
+            right[cols] = s_cols.sum(axis=0)
+            holds[cols] = ~(left_cols & ~s_cols).any(axis=0)
+        cuts = np.cumsum([d.size for d in disp])[:-1]
+        out.extend(
+            SliceInclusion(xs=d, left=lf, right=rt, holds=hd)
+            for d, lf, rt, hd in zip(disp, np.split(left, cuts), np.split(right, cuts), np.split(holds, cuts))
+        )
     return out
 
 
-def katz_koester_rows(A: GroupSet, B: GroupSet, xs: Sequence[int] | None = None) -> SliceInclusion:
-    """B + A_x inside (A+B)_x for every x of xs (A - A when omitted), each
-    row decided cell by cell over the group.
+def _owner_columns(table: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    """Column owners[j] of table for every j, owners ascending: one column,
+    broadcast, when a block holds one pair's displacements only."""
+    return table[:, owners[:1]] if owners[0] == owners[-1] else table[:, owners]
 
-    A + B is counted once.  A block of displacements is a table with one
-    column per x and one row per element y: A_x and (A+B)_x are read off
-    as boolean columns through the table of y - x, B + A_x comes from
-    _plus_columns, and x holds iff no cell is in B + A_x and not in
-    (A+B)_x.  Blocks hold at most _KK_BLOCK_ELEMENTS cells, at least one
-    column.
+
+def _plus_columns(g: GroupSpec, b_side: np.ndarray, cols: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    """B + C for every boolean column C of cols, an (N, k) table, where the
+    B of column j is the set of column owners[j] of b_side.
+
+    On 2-groups b_side holds the B's integer transforms, and B + C is the
+    support of the convolution of C with B: one integer Walsh transform of
+    the columns, times their B's transforms, transformed back.  A 0/1
+    column has L1 norm at most N, and sum_t |C_hat(t)|^2 = N |C|
+    (Parseval), so by Cauchy-Schwarz the L1 norm of C_hat * B_hat is at
+    most N sqrt(|C| |B|) <= N^2 <= 2^48 under the membership cap: the int64
+    butterflies are exact.  Elsewhere b_side holds the B's indicators, and
+    B + C is the OR, over the members b of the union of the B's, of C with
+    its rows moved by b (row z of the moved copy is row z - b), taken into
+    the columns whose B holds b; the row orders are read from one table of
+    z - b per chunk of members.
     """
-    if A.group != B.group:
-        raise GroupMismatchError("sets live on different groups")
-    g = A.group
-    xs = np.asarray(difference_set(A, A).members if xs is None else xs, dtype=np.int64)
-    if xs.size and not (0 <= xs.min() and xs.max() < g.order):
-        raise ValueError("displacements must be element indices in range")
-    ys = np.arange(g.order, dtype=np.int64)[:, None]
-    a_mask = _mask(A)
-    s_mask = _mask(sumset(A, B))
-    width = max(1, _KK_BLOCK_ELEMENTS // g.order)
-    left = np.empty(len(xs), dtype=np.int64)
-    right = np.empty(len(xs), dtype=np.int64)
-    holds = np.empty(len(xs), dtype=bool)
-    for lo in range(0, len(xs), width):
-        block = slice(lo, lo + width)
-        shifted = sub_index_many(g, ys, xs[block])
-        a_cols = a_mask[shifted] & a_mask[:, None]
-        s_cols = s_mask[shifted] & s_mask[:, None]
-        left_cols = _plus_columns(B, a_cols)
-        left[block] = left_cols.sum(axis=0)
-        right[block] = s_cols.sum(axis=0)
-        holds[block] = ~(left_cols & ~s_cols).any(axis=0)
-    return SliceInclusion(xs=xs, left=left, right=right, holds=holds)
-
-
-def _plus_columns(B: GroupSet, cols: np.ndarray) -> np.ndarray:
-    """B + C for every boolean column C of cols, an (N, k) table.
-
-    On 2-groups: the support of the column convolutions with B, one
-    integer Walsh transform of the columns, times B's cached transform,
-    transformed back.  A 0/1 column has L1 norm at most N, and
-    sum_t |C_hat(t)|^2 = N |C| (Parseval), so by Cauchy-Schwarz the L1 norm
-    of C_hat * B_hat is at most N sqrt(|C| |B|) <= N^2 <= 2^48 under the
-    order cap: the int64 butterflies are exact.  Elsewhere: the OR over b
-    in B of the columns with their rows moved by b (row z of the moved copy
-    is row z - b), the row orders read from one table of z - b per chunk
-    of B.
-    """
-    g = B.group
     if g.is_boolean_space:
         cols_hat = wht_int_columns(g, cols.astype(np.int64))
-        return wht_int_columns(g, cols_hat * B.transform[:, None]) != 0
+        return wht_int_columns(g, cols_hat * _owner_columns(b_side, owners)) != 0
     ys = np.arange(g.order, dtype=np.int64)
-    b_arr = B.as_array()
+    members = np.flatnonzero(_owner_columns(b_side, owners).any(axis=1))
+    mixed = owners[0] != owners[-1]
     out = np.zeros_like(cols)
     moved = np.empty_like(cols)
-    step = max(1, _KK_BLOCK_ELEMENTS // g.order)
-    for lo in range(0, len(b_arr), step):
-        for rows in sub_index_many(g, ys, b_arr[lo : lo + step, None]):
+    for chunk in column_blocks(len(members), g.order):
+        for b, rows in zip(members[chunk], sub_index_many(g, ys, members[chunk, None])):
             np.take(cols, rows, axis=0, out=moved)
+            if mixed:
+                moved &= b_side[b, owners]
             out |= moved
     return out
 
@@ -507,32 +681,73 @@ class EnergyBoundReport:
 
 
 def check_energy_difference_bound(A: GroupSet, B: GroupSet, k: int) -> EnergyBoundReport:
-    """E_k(B) * E(A, A+B)^k >= |A|^(2k+1) |B|^(2k) / K' with K' = |A-A|/|A|.
+    """E_k(B) * E(A, A+B)^k >= |A|^(2k+1) |B|^(2k) / K' with K' = |A-A|/|A|:
+    the one-pair call of energy_difference_bounds."""
+    return energy_difference_bounds([(A, B)], [k])[0]
 
-    Compared with cleared denominators:
+
+def energy_difference_bounds(
+    pairs: Sequence[tuple[GroupSet, GroupSet]], ks: Sequence[int]
+) -> list[EnergyBoundReport]:
+    """check_energy_difference_bound of every pair (A, B) at order ks[i],
+    compared with cleared denominators:
     E_k(B) * E(A, A+B)^k * |A-A| >= |A|^(2k+2) * |B|^(2k).
+
+    A block of pairs takes two stacks of pair counts: A + B, A o A and
+    B o B first, then (A+B) o A.  The energies are power sums of their
+    columns (_power_sums), so every side is an exact integer.
     """
-    if k < 2:
+    if len(ks) != len(pairs):
+        raise ValueError("need one order k per pair")
+    if any(k < 2 for k in ks):
         raise ValueError("need k >= 2")
-    if not A.members or not B.members:
+    if any(not A.members or not B.members for A, B in pairs):
         raise ValueError("both sets must be nonempty")
-    a, b = len(A), len(B)
-    s = sumset(A, B)
-    e_a_s = energy(A, s)
-    e_k_b = higher_energy(B, k)
-    diff = A.diff_size
-    lhs = e_k_b * e_a_s**k * diff
-    rhs = a ** (2 * k + 2) * b ** (2 * k)
-    return EnergyBoundReport(
-        k=k,
-        e_k_b=e_k_b,
-        e_a_s=e_a_s,
-        diff_size=diff,
-        lhs=lhs,
-        rhs=rhs,
-        margin=Fraction(lhs, rhs),
-        holds=lhs >= rhs,
-    )
+    if not pairs:
+        return []
+    g = _stack_group(X for pair in pairs for X in pair)
+    reports = []
+    for block in column_blocks(len(pairs), g.order, per_item=3):
+        chunk = pairs[block]
+        As = [A for A, _ in chunk]
+        Bs = [B for _, B in chunk]
+        c = len(chunk)
+        counts = conv_columns(g, [*chunk, *((A.neg(), A) for A in As), *((B.neg(), B) for B in Bs)])
+        sums = _supports(g, counts[:, :c])
+        diffs = np.count_nonzero(counts[:, c : 2 * c], axis=0).tolist()
+        e_b = _power_sums(counts[:, 2 * c :], 3)
+        e_as = _power_sums(conv_columns(g, [(S.neg(), A) for S, A in zip(sums, As)]), 2)[0]
+        for j, (A, B) in enumerate(chunk):
+            k = ks[block][j]
+            a, b = len(A), len(B)
+            lhs = e_b[k - 2][j] * e_as[j] ** k * diffs[j]
+            rhs = a ** (2 * k + 2) * b ** (2 * k)
+            reports.append(EnergyBoundReport(
+                k=k,
+                e_k_b=e_b[k - 2][j],
+                e_a_s=e_as[j],
+                diff_size=diffs[j],
+                lhs=lhs,
+                rhs=rhs,
+                margin=Fraction(lhs, rhs),
+                holds=lhs >= rhs,
+            ))
+    return reports
+
+
+def higher_energies(sets: Sequence[GroupSet], top: int) -> list[dict[int, int]]:
+    """E_k(A) for k = 2..top and every set A: power sums of the columns of
+    stacked autocorrelations A o A, exact (see _power_sums)."""
+    if top < 2:
+        raise ValueError("need k >= 2")
+    if not sets:
+        return []
+    g = _stack_group(sets)
+    out: list[dict[int, int]] = []
+    for block in column_blocks(len(sets), g.order):
+        sums = _power_sums(conv_columns(g, [(A.neg(), A) for A in sets[block]]), top)
+        out.extend({k: sums[k - 2][j] for k in range(2, top + 1)} for j in range(len(sums[0])))
+    return out
 
 
 # -- profile ----------------------------------------------------------------------

@@ -114,6 +114,20 @@ def peak_direct(A: GroupSet) -> float:
     return max(abs(w) ** 2 for w in spectrum[1:])
 
 
+def f2_rank(vectors) -> int:
+    """Rank over GF(2) of bitmask vectors, by eliminating each vector's
+    highest set bit against the pivot stored for that bit."""
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
 def bohr_members_direct(g: GroupSpec, gamma, eps) -> set[int]:
     """Membership from the definition: every scaled phase strictly below
     its radius.  ||gamma . x|| is computed as an exact Fraction of N."""

@@ -207,3 +207,33 @@ def test_verify_missing_config_file(tmp_path, capsys):
     code = main(["verify", "--config", str(tmp_path / "none.json")])
     capsys.readouterr()
     assert code == 2
+
+
+_SUITE_RECORDS = {
+    "parseval": [("energy identity", "parseval")] * 4,
+    "triangle": [("tuple-count triangle", "triangle:count")] * 2,
+    "energy-bound": [("energy floor from differences", "energy:k_floor")] * 2,
+    "bohr-size": [
+        ("Bohr size floor", "bohr:size_lower"),
+        ("half-radius doubling cap", "bohr:size_halving"),
+        ("intersection entropy floor", "bohr:size_intersection"),
+    ] * 2,
+    "katz-koester": [("slice sum containment", "inclusion:katz-koester")],
+    "energy-mono": [
+        ("energy log-convexity", "energy:log_convex"),
+        ("energy growth cap", "energy:growth_cap"),
+    ] * 2,
+}
+
+
+@pytest.mark.parametrize("instances", [0, 1])
+@pytest.mark.parametrize("suite", sorted(_SUITE_RECORDS))
+def test_verify_with_zero_or_one_instance(suite, instances, tmp_path, capsys):
+    # a stack of zero or one column keeps every record of the suite
+    out = tmp_path / "v.json"
+    args = ["verify", "--seed", "7", "--suites", suite, "--instances", str(instances)]
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    records = json.loads(out.read_text())["records"]
+    assert [(r["name"], r["ref"]) for r in records] == _SUITE_RECORDS[suite]
+    assert all(r["ok"] for r in records)

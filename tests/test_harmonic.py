@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -211,6 +212,19 @@ def test_conv_error_bounds_every_entry(text):
         z = idft(FunctionTable(g, dft(f).values * dft(h).values, "complex")).values
         worst = max(abs(zx - c) for zx, c in zip(z.tolist(), conv_direct(A, B)))
         assert worst <= conv_error(g, a, b) < 0.5
+
+
+@pytest.mark.parametrize("text", ["Z60", "Z101", "Z4096", "Z65521"])
+def test_conv_error_carries_both_transform_errors(text):
+    # the observed errors sit far below the bound, so check its terms: each
+    # transform's own error, weighted by the other set's size, over sqrt(N)
+    g = parse_group_text(text)
+    rng = random.Random(g.order)
+    for a, b in [(1, 1), (1, g.order), (g.order // 3, g.order // 7), (g.order, g.order)]:
+        f = indicator(g, rng.sample(range(g.order), a))
+        h = indicator(g, rng.sample(range(g.order), b))
+        floor = (a * transform_error(h) + b * transform_error(f)) / math.sqrt(g.order)
+        assert conv_error(g, a, b) >= floor > 0
 
 
 def test_transform_error_is_zero_only_on_the_exact_walsh_path():

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import addcomb.harness as harness
@@ -32,6 +35,29 @@ def _verify_cfg(**kw):
     base = dict(kind="verify", name="t", seed=5, instances=4, group="Z24", suites=["parseval"])
     base.update(kw)
     return config_from_dict(base)
+
+
+def test_parseval_tables_come_from_randbytes_by_rejection():
+    table = harness._draw_table(random.Random("7:parseval"), 256, 5)
+    assert table.shape == (256, 5) and table.dtype == np.int64
+    assert hashlib.sha256(table.tobytes()).hexdigest() == (
+        "02a69b6d7c7f34ce7347b2396d2bc5419dc2befbc1381bd63e9891c656b76e5f"
+    )
+
+    class Chunks:
+        def __init__(self, *chunks):
+            self.chunks = list(chunks)
+
+        def randbytes(self, n):
+            chunk = self.chunks.pop(0)
+            assert len(chunk) == n
+            return chunk
+
+    # a byte below 255 reads as byte % 17 - 8, and the table fills column
+    # by column; each 255 is rejected and drawn again
+    rng = Chunks(bytes([255, 0, 1, 255]), bytes([19, 255]), bytes([254]))
+    assert harness._draw_table(rng, 2, 2).tolist() == [[-8, -6], [-7, 8]]
+    assert not rng.chunks
 
 
 def test_config_rejects_unknown_keys_and_kinds():
@@ -165,10 +191,12 @@ def test_run_verify_is_deterministic_and_green():
 
 def test_run_verify_reports_a_corrupted_oracle(monkeypatch):
     # a lying energy routine must surface as a failing record, not an abort
-    real = harness.higher_energy
+    real = harness.higher_energies
     # shrinking one interior order breaks log-convexity at the next order up
     monkeypatch.setattr(
-        harness, "higher_energy", lambda A, k: real(A, k) // 1000 + 1 if k == 3 else real(A, k)
+        harness,
+        "higher_energies",
+        lambda sets, top: [{k: e // 1000 + 1 if k == 3 else e for k, e in row.items()} for row in real(sets, top)],
     )
     rep = run_verify(_verify_cfg(suites=["energy-mono"]))
     assert not rep.ok

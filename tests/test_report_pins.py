@@ -30,6 +30,7 @@ PINNED = {
     "verify-seed-7": "af1809f834dbc1bc236e1747edda1183822a51e68c7933206810c6401562ae9e",
     "verify-kk-Z4xZ6": "2f94d7f231bfc4baea2fc7e963fe01875342fd74d340f714c80962da4666d73d",
     "verify-kk-F2^5": "a29602955184f2ecdcafd87b7d1b936fb98034857d004ddaa97195d99aaed78a",
+    "verify-parseval-F2^8": "a6ee3a11c77df0399ae78e59fff529466f046885ec945d267dca0aed978598a9",
 }
 
 
@@ -76,3 +77,10 @@ def test_katz_koester_verify_body_is_pinned(in_tmp, group):
     args = ["verify", "--seed", "11", "--suites", "katz-koester", "--instances", "20"]
     assert main(args + ["--group", group, "--out", "v.json"]) == 0
     assert _body_digest("v.json") == PINNED[f"verify-kk-{group}"]
+
+
+def test_parseval_verify_body_on_f2_8_is_pinned(in_tmp):
+    # exact Walsh transforms of tables drawn block by block from randbytes
+    args = ["verify", "--seed", "7", "--suites", "parseval", "--group", "F2^8", "--instances", "5"]
+    assert main(args + ["--out", "v.json"]) == 0
+    assert _body_digest("v.json") == PINNED["verify-parseval-F2^8"]

@@ -24,20 +24,25 @@ from addcomb.setstat import (
     check_energy_difference_bound,
     check_generalized_triangle,
     check_katz_koester,
+    conv_columns,
     conv_counts,
     corr_counts,
     difference_set,
     doubling_constant,
     energy,
+    energy_difference_bounds,
     full_set,
     group_set,
+    higher_energies,
     higher_energy,
     katz_koester_rows,
+    katz_koester_stack,
     peak_coefficient,
     profile,
     slice_set,
     sumset,
     sumset_size,
+    sumsets,
 )
 
 from .oracles import (
@@ -235,10 +240,10 @@ def _rows_against_oracle(A, B, sums=None, xs_per_block=None):
         if sums is None:
             rows = katz_koester_rows(A, B)
         else:
-            # the displacements are given, so the patched sumset only
+            # the displacements are given, so the patched sumsets only
             # reaches the right-hand side
             xs = sorted(difference_direct(A, A))
-            with mock.patch.object(setstat, "sumset", lambda *_: sums):
+            with mock.patch.object(setstat, "sumsets", lambda pairs: [sums] * len(pairs)):
                 rows = katz_koester_rows(A, B, xs)
     assert rows.xs.tolist() == sorted(difference_direct(A, A))
     got = list(zip(rows.left.tolist(), rows.right.tolist(), rows.holds.tolist()))
@@ -474,7 +479,7 @@ def test_pair_counting_kernel_matches_oracles(case):
 def test_conv_counts_transforms_only_above_the_cost_threshold(g):
     for above, calls in ((0, 0), (1, 1)):
         A, B = _threshold_pair(g, above)
-        with mock.patch.object(setstat, "idft", wraps=setstat.idft) as spy:
+        with mock.patch.object(setstat, "idft_columns", wraps=setstat.idft_columns) as spy:
             assert conv_counts(A, B).tolist() == conv_direct(A, B)
         assert spy.call_count == calls
 
@@ -484,7 +489,7 @@ def test_conv_counts_falls_back_to_the_direct_loop_when_the_bound_fails():
     rng = random.Random(4)
     A, B = (group_set(g, rng.sample(range(g.order), 300)) for _ in range(2))
     with mock.patch.object(setstat, "conv_error", return_value=1.0), \
-            mock.patch.object(setstat, "idft", wraps=setstat.idft) as spy:
+            mock.patch.object(setstat, "idft_columns", wraps=setstat.idft_columns) as spy:
         got = conv_counts(A, B)
     assert spy.call_count == 0
     assert got.tolist() == conv_direct(A, B)
@@ -519,7 +524,7 @@ def test_neg_conjugates_the_transform_so_each_set_transforms_once(monkeypatch):
 def test_full_set_convolution_at_the_order_cap(text):
     g = parse_group_text(text)
     F = full_set(g)
-    with mock.patch.object(setstat, "idft", wraps=setstat.idft) as spy:
+    with mock.patch.object(setstat, "idft_columns", wraps=setstat.idft_columns) as spy:
         counts = conv_counts(F, F)
     assert spy.call_count == 1
     assert (counts == g.order).all()
@@ -539,7 +544,125 @@ def test_conv_counts_loops_directly_above_the_transform_cap():
     assert g.order > MAX_TRANSFORM_ORDER
     rng = random.Random(6)
     A, B = (group_set(g, rng.sample(range(g.order), 300)) for _ in range(2))
-    with mock.patch.object(setstat, "idft", wraps=setstat.idft) as spy:
+    with mock.patch.object(setstat, "idft_columns", wraps=setstat.idft_columns) as spy:
         got = conv_counts(A, B)
     assert spy.call_count == 0
     assert got.tolist() == conv_direct(A, B)
+
+
+# -- stacked kernels -------------------------------------------------------------
+
+_COLUMN_GROUPS = [parse_group_text(t) for t in ("F2^5", "Z24", "Z4xZ6", "Z101")]
+
+
+@st.composite
+def _column_stacks(draw, nonempty=False):
+    """A group, a stack of 0..6 pairs of sets on it (empty, singleton, full
+    and random sets), and the columns a block holds (None: the default,
+    which holds them all)."""
+    g = draw(st.sampled_from(_COLUMN_GROUPS), label="group")
+    pairs = []
+    for _ in range(draw(st.integers(1 if nonempty else 0, 6), label="columns")):
+        A, B = _kernel_set(draw, g), _kernel_set(draw, g)
+        pairs.append((A or full_set(g), B or full_set(g)) if nonempty else (A, B))
+    return g, pairs, draw(st.sampled_from([None, 1, 2]), label="columns per block")
+
+
+def _blocks_of(g, per_block):
+    budget = per_block * g.order if per_block else setstat._KK_BLOCK_ELEMENTS
+    return mock.patch.object(setstat, "_KK_BLOCK_ELEMENTS", budget)
+
+
+def _columns(table):
+    return [table[:, j].tolist() for j in range(table.shape[1])]
+
+
+@given(_column_stacks())
+@settings(max_examples=80, deadline=None)
+def test_conv_columns_and_sumsets_match_oracles(case):
+    g, pairs, per_block = case
+    counts = conv_columns(g, pairs)
+    assert counts.shape == (g.order, len(pairs)) and counts.dtype == np.int64
+    assert _columns(counts) == [conv_direct(A, B) for A, B in pairs]
+    assert _columns(conv_columns(g, [(A.neg(), B) for A, B in pairs])) == [corr_direct(A, B) for A, B in pairs]
+    with _blocks_of(g, per_block):
+        sums = sumsets(pairs)
+    assert [set(S.members) for S in sums] == [sumset_direct(A, B) for A, B in pairs]
+
+
+@given(_column_stacks())
+@settings(max_examples=60, deadline=None)
+def test_conv_columns_fall_back_to_the_loop_per_column(case):
+    # the bound fails on every column whose first set has odd size: those
+    # columns loop, the others share one inverse transform
+    g, pairs, _ = case
+    real = setstat.conv_error
+    with mock.patch.object(setstat, "conv_error", side_effect=lambda g, a, b: 1.0 if a % 2 else real(g, a, b)), \
+            mock.patch.object(setstat, "idft_columns", wraps=setstat.idft_columns) as spy:
+        counts = conv_columns(g, pairs)
+    assert _columns(counts) == [conv_direct(A, B) for A, B in pairs]
+    if not g.is_boolean_space:
+        exact = sum(1 for A, B in pairs if A.members and B.members and len(A) % 2 == 0)
+        assert spy.call_count == (exact > 0)
+        assert [call.args[1].shape[1] for call in spy.call_args_list] == ([exact] if exact else [])
+
+
+def test_conv_columns_reject_foreign_sets():
+    g = make_group((6,))
+    with pytest.raises(GroupMismatchError):
+        conv_columns(g, [(group_set(g, [1]), group_set(make_group((2, 3)), [1]))])
+    with pytest.raises(GroupMismatchError):
+        sumsets([(group_set(g, [1]), group_set(g, [2])), (group_set(make_group((7,)), [1]),) * 2])
+
+
+@given(_column_stacks(nonempty=True), st.lists(st.sampled_from([2, 3]), min_size=6, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_energy_difference_bounds_match_oracles(case, ks):
+    g, pairs, per_block = case
+    ks = ks[: len(pairs)]
+    with _blocks_of(g, per_block):
+        reports = energy_difference_bounds(pairs, ks)
+    assert len(reports) == len(pairs)
+    for (A, B), k, rep in zip(pairs, ks, reports):
+        assert rep.k == k
+        assert rep.e_k_b == higher_energy_direct(B, k)
+        assert rep.e_a_s == energy_direct(A, group_set(g, sumset_direct(A, B)))
+        assert rep.diff_size == len(difference_direct(A, A))
+        assert rep.lhs == rep.e_k_b * rep.e_a_s**k * rep.diff_size
+        assert rep.rhs == len(A) ** (2 * k + 2) * len(B) ** (2 * k)
+        assert rep.holds and rep.margin == Fraction(rep.lhs, rep.rhs)
+
+
+@given(_column_stacks())
+@settings(max_examples=40, deadline=None)
+def test_higher_energies_match_oracle(case):
+    g, pairs, per_block = case
+    sets = [A for A, _ in pairs]
+    with _blocks_of(g, per_block):
+        got = higher_energies(sets, 6)
+    assert got == [{k: higher_energy_direct(A, k) for k in range(2, 7)} for A in sets]
+
+
+def test_higher_energies_sum_past_int64_exactly():
+    # |A| = 2^11 puts |A|^7 past 2^63, so the full set's column is summed in
+    # Python ints; the singleton's stays in int64
+    g = boolean_group(11)
+    big, small = full_set(g), group_set(g, [5])
+    got = higher_energies([big, small], 6)
+    assert got == [{k: g.order * g.order**k for k in range(2, 7)}, {k: 1 for k in range(2, 7)}]
+    assert got[0] == {k: higher_energy(big, k) for k in range(2, 7)}
+
+
+@given(_column_stacks())
+@settings(max_examples=40, deadline=None)
+def test_katz_koester_stack_matches_direct_oracle(case):
+    g, pairs, per_block = case
+    if g.order > 30:
+        pairs = [(A, B) for A, B in pairs if len(A) * len(B) <= 400]
+    with _blocks_of(g, per_block):
+        rows = katz_koester_stack(pairs)
+    assert len(rows) == len(pairs)
+    for (A, B), r in zip(pairs, rows):
+        assert r.xs.tolist() == sorted(difference_direct(A, A))
+        got = list(zip(r.left.tolist(), r.right.tolist(), r.holds.tolist()))
+        assert got == [katz_koester_direct(A, B, x) for x in r.xs.tolist()]
