@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .groups import SizeLimitError
 
 
@@ -33,22 +35,39 @@ def in_span(basis: Sequence[int], v: int) -> bool:
 
 
 def independent_subset(vectors: Sequence[int]) -> list[int]:
-    """Greedy subset of the input (in order) forming a basis of its span."""
-    rows: list[int] = []
+    """Greedy subset of the input (in order) forming a basis of its span:
+    each vector that lies outside the span of the ones before it.  Zeros
+    and repeats lie inside, so they are never picked.
+
+    Elimination on an int64 array, over prefixes of doubling length: a
+    prefix's new part is reduced by the rows picked so far, then its first
+    nonzero vector is picked, and its reduced form, a new row, reduces the
+    rest of the part.  Every row has a pivot bit that the rows after it do
+    not have, and reducing by the rows in the order they were picked
+    clears each pivot in turn, so a vector lies in the span iff it reduces
+    to 0.  The inputs lie in F2^b, b their largest bit length, so once the
+    rows have rank b every later vector reduces to 0 and the pass stops.
+    """
+    vecs = np.asarray(vectors, dtype=np.int64)
+    full_rank = int(np.bitwise_or.reduce(vecs)).bit_length()
+    rows: list[tuple[int, int]] = []  # (row, pivot bit)
     picked: list[int] = []
-    # the inputs lie in F2^b, b their largest bit length, so once the rows
-    # have rank b every later vector reduces to 0
-    full_rank = max((v.bit_length() for v in vectors), default=0)
-    for v in vectors:
-        if len(rows) == full_rank:
-            break
-        w = v
-        for r in rows:
-            w = min(w, w ^ r)
-        if w:
-            rows.append(w)
-            rows.sort(reverse=True)
-            picked.append(v)
+    lo = 0
+    while lo < vecs.size and len(rows) < full_rank:
+        hi = min(2 * lo + 1, vecs.size)
+        part, w = vecs[lo:hi], vecs[lo:hi].copy()
+        for row, pivot in rows:
+            w ^= -((w >> pivot) & 1) & row
+        nonzero = np.flatnonzero(w)
+        while nonzero.size and len(rows) < full_rank:
+            i = int(nonzero[0])
+            row = int(w[i])
+            pivot = row.bit_length() - 1
+            rows.append((row, pivot))
+            picked.append(int(part[i]))
+            w[i:] ^= -((w[i:] >> pivot) & 1) & row
+            nonzero = i + np.flatnonzero(w[i:])
+        lo = hi
     return picked
 
 

@@ -6,9 +6,10 @@ its L1 norm is below 2^62 and an object array of Python ints otherwise; a
 complex table is complex128; a real table is float64, or an object array
 when a value is a Fraction, which stays exact.  The L1 norm bounds every
 partial sum and every transform value, so sums and Walsh butterflies over
-an int64 table cannot overflow.  A product that can pass 2^63 (a square,
-a power, a transform value times another) is taken on Python ints or
-object arrays, never in int64.
+an int64 table cannot overflow.  A product (a square, a power, a
+transform value times another) is taken in int64 only under a stated
+bound that keeps it and every partial sum below 2^63, as l2_squared and
+structure.phi_k do; otherwise it is taken on Python ints or object arrays.
 
 The transform convention carries no 1/N factor:
 
@@ -23,6 +24,16 @@ model of the package: every branch or asserted check read off a float
 transform goes through it, and conv_error, built on it and on the same
 per-axis constants, bounds a convolution taken back through the inverse
 transform.  Set correlations are counted in setstat.
+
+The butterfly runs in the constant-geometry layout of Pease (1968): each
+of its log2 N levels reads the even and the odd entries of one buffer and
+writes their sums and differences to the two contiguous halves of another,
+so a level is two whole-array passes, whatever its span.  It makes the
+additions of the in-place radix-2 butterfly, one per entry per level, in
+the same level order, only at permuted addresses, and after log2 N levels
+the permutation is the identity.  So every entry is still a partial Walsh
+sum, at most the L1 norm in magnitude (the int64 rule above stands), and a
+float level still rounds once per entry (transform_error's u per level).
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ import numpy as np
 
 from .groups import GroupMismatchError, GroupSpec, MAX_TRANSFORM_ORDER, SizeLimitError
 
-_INT64_SAFE = 1 << 62
+INT64_SAFE = 1 << 62
 _U = 2.0**-53  # unit roundoff of binary64
 _BLUESTEIN_MIN = 50  # pocketfft never takes Bluestein's algorithm below this length
 
@@ -90,7 +101,10 @@ class FunctionTable:
     def l2_squared(self):
         mags = magnitudes(self.values)
         if mags.dtype == np.int64:
-            mags = mags.astype(object)  # the squares may pass 2^63
+            # the sum of the squares is at most max|v| times the L1 norm
+            if int(mags.max()) * int(mags.sum()) < 1 << 63:
+                return int((mags * mags).sum())
+            mags = mags.astype(object)
         return sum((mags * mags).tolist())
 
     def support(self) -> list[int]:
@@ -102,13 +116,13 @@ def _int_array(values) -> np.ndarray:
         arr = np.asarray(values, dtype=np.int64)
     except OverflowError:
         return np.array([int(v) for v in values], dtype=object)
-    if max(int(arr.max()), -int(arr.min())) * arr.size < _INT64_SAFE:
+    if max(int(arr.max()), -int(arr.min())) * arr.size < INT64_SAFE:
         return arr  # N * max|v| bounds the L1 norm
     # |-2^63| wraps to -2^63, which reads as 2^63 in uint64; summing the
     # two 32-bit halves apart keeps both sums exact up to 2^31 entries.
     mags = np.abs(arr).view(np.uint64)
     l1 = (int((mags >> 32).sum()) << 32) + int((mags & 0xFFFFFFFF).sum())
-    return arr if l1 < _INT64_SAFE else arr.astype(object)
+    return arr if l1 < INT64_SAFE else arr.astype(object)
 
 
 def table_from_values(g: GroupSpec, values: Iterable, kind: Kind | None = None) -> FunctionTable:
@@ -133,33 +147,25 @@ def indicator(g: GroupSpec, indices: Iterable[int]) -> FunctionTable:
 # -- Walsh-Hadamard (2-groups) -------------------------------------------------
 
 
-def _wht_list(vals: list) -> list:
-    """In-place style butterfly on a fresh list; exact over Python numbers."""
-    out = list(vals)
-    n = len(out)
-    h = 1
-    while h < n:
-        for base in range(0, n, 2 * h):
-            for j in range(base, base + h):
-                x = out[j]
-                y = out[j + h]
-                out[j] = x + y
-                out[j + h] = x - y
-        h *= 2
-    return out
-
-
 def _wht(arr: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard butterfly along axis 0 into a fresh array of arr's
-    dtype (of every column, when arr is a table of columns)."""
-    a = arr.copy()
-    h = 1
-    while h < a.shape[0]:
-        pairs = a.reshape(-1, 2, h, *a.shape[1:])  # a view: the updates below land in a
-        top = pairs[:, 0].copy()
-        pairs[:, 0] += pairs[:, 1]
-        np.subtract(top, pairs[:, 1], out=pairs[:, 1])
-        h *= 2
+    dtype and memory layout (of every column, when arr is a table of
+    columns), in the constant-geometry layout of the module docstring.
+
+    Level j adds and subtracts the pairs of entries whose indices differ in
+    bit j, as the in-place butterfly's level of span 2^j does: the input
+    index rotated right j times has bit j last, so the pairs are the even
+    and odd entries, and writing their sums to the low half and their
+    differences to the high half rotates the index once more.  The values
+    are those of the in-place butterfly, bit for bit in floats too."""
+    a = arr.copy(order="K")
+    b = np.empty_like(a)
+    half = a.shape[0] // 2
+    for _ in range(a.shape[0].bit_length() - 1):
+        even, odd = a[0::2], a[1::2]
+        np.add(even, odd, out=b[:half])
+        np.subtract(even, odd, out=b[half:])
+        a, b = b, a
     return a
 
 
@@ -171,10 +177,7 @@ def wht_int(g: GroupSpec, values: Sequence[int]) -> np.ndarray:
     """
     if not g.is_boolean_space:
         raise GroupMismatchError("Walsh-Hadamard path needs a 2-group")
-    arr = FunctionTable(g, values, "int").values
-    if arr.dtype == object:
-        return np.array(_wht_list(arr.tolist()), dtype=object)
-    return _wht(arr)
+    return _wht(FunctionTable(g, values, "int").values)
 
 
 def wht_int_columns(g: GroupSpec, table: np.ndarray) -> np.ndarray:

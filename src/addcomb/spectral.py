@@ -88,7 +88,7 @@ def spectrum(f: FunctionTable, eps: Fraction | int, *, fhat: FunctionTable | Non
         group=g,
         eps=eps,
         members=tuple(picked.tolist()),
-        magnitudes=tuple(float(m) for m in mags[picked].tolist()),
+        magnitudes=tuple(mags[picked].astype(np.float64).tolist()),
         borderline=tuple(border.tolist()),
         exact=fhat.kind == "int",
     )
@@ -147,10 +147,10 @@ def max_dissociated(
     spectra heaviest first), recorded in the witness mode: one mask pass
     of size N per pick, so at most log2(N).
     """
-    cands = [c for c in dict.fromkeys(candidates) if c != 0]
     if g.is_boolean_space:
-        picked = f2.independent_subset(cands)
+        picked = f2.independent_subset(candidates)  # 0 and repeats lie in the span
         return DissociatedWitness(g, tuple(picked), "exact", len(picked))
+    cands = [c for c in dict.fromkeys(candidates) if c != 0]
     if len(cands) <= _EXACT_SEARCH_MAX:
         best: list[int] = []
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import f2
 from .bohr import BohrSet, dilate, find_regular_radius, make_bohr_spec, materialize, size_profile
 from .groups import MAX_TRANSFORM_ORDER, GroupSpec, SizeLimitError, boolean_group
-from .harmonic import FunctionTable, dft, magnitudes, transform_error
+from .harmonic import INT64_SAFE, FunctionTable, dft, magnitudes, transform_error
 from .report import CheckFailure, CheckRecord, record_eq, record_ge, record_le, require
 from .setstat import GroupSet, corr_counts, group_set, higher_energy, sumset, sumset_size
 from .spectral import DissociatedWitness, Spectrum, chang_bound, max_dissociated, span, spectrum
@@ -281,10 +281,12 @@ def phi_k(B: GroupSet, k: int) -> FunctionTable:
     """The table x -> |B intersect (B+x)|^k; its mass equals E_k(B)."""
     if k < 2:
         raise ValueError("need k >= 2")
-    table = FunctionTable(B.group, B.autocorr.astype(object) ** k, "int")
-    require(
-        record_eq("phi mass", "structure:phi_mass", table.l1(), higher_energy(B, k), note=f"k={k}")
-    )
+    e_k = higher_energy(B, k)
+    # E_k(B) bounds every entry and every partial sum of the table, so below
+    # 2^62 the powers are exact in int64 (FunctionTable's rule)
+    corr = B.autocorr if e_k < INT64_SAFE else B.autocorr.astype(object)
+    table = FunctionTable(B.group, corr**k, "int")
+    require(record_eq("phi mass", "structure:phi_mass", table.l1(), e_k, note=f"k={k}"))
     return table
 
 

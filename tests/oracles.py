@@ -33,6 +33,23 @@ def dft_direct(g: GroupSpec, values) -> list[complex]:
     return out
 
 
+def walsh_direct(values) -> list:
+    """The Walsh-Hadamard transform sum_x f(x) (-1)^popcount(x & t) of a
+    list of 2^n Python numbers, by the textbook in-place butterfly on a
+    list: span 1 first, each level replacing the pair (x, y) of entries h
+    apart by (x + y, x - y).  Exact on ints; on complex values it rounds
+    as that butterfly does, one addition per entry per level."""
+    out = list(values)
+    h = 1
+    while h < len(out):
+        for base in range(0, len(out), 2 * h):
+            for j in range(base, base + h):
+                x, y = out[j], out[j + h]
+                out[j], out[j + h] = x + y, x - y
+        h *= 2
+    return out
+
+
 def dft_entry_fsum(g: GroupSpec, values, t: int) -> complex:
     """fhat(t) summed by math.fsum over the support of values.  The phase
     t . x is reduced exactly, as an integer mod N, before its one float

@@ -176,3 +176,29 @@ def test_independent_subset_of_large_generating_family():
             for v in combo:
                 acc ^= v
             assert acc != 0
+
+
+def test_independent_subset_on_a_full_group_spectrum():
+    # The shape a spectrum of phi_k takes on F2^16 around a planted
+    # subspace V of dimension 4: its 2^12 annihilator characters first,
+    # then the rest of the group, with zeros and repeats mixed in.
+    n = 16
+    rng = random.Random(16)
+    basis = [rng.randrange(1, 1 << n) for _ in range(4)]
+    annihilator = [t for t in range(1 << n) if all(bin(t & v).count("1") % 2 == 0 for v in basis)]
+    assert len(annihilator) == 1 << 12
+    rest = sorted(set(range(1 << n)) - set(annihilator))
+    rng.shuffle(annihilator)
+    rng.shuffle(rest)
+    vectors = annihilator + rest
+    for _ in range(200):
+        vectors.insert(rng.randrange(len(vectors) + 1), rng.choice([0, rng.choice(vectors)]))
+    chosen, span = [], {0}
+    for v in vectors:
+        if v not in span:
+            chosen.append(v)
+            span |= {x ^ v for x in span}
+    picked = independent_subset(vectors)
+    assert picked == chosen and len(picked) == n
+    assert set(picked[:12]) <= set(annihilator) and not set(picked[12:]) & set(annihilator)
+    assert _span_by_enumeration(picked[:12]) == set(annihilator)

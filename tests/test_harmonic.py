@@ -19,9 +19,9 @@ from addcomb.groups import (
 from addcomb import harmonic
 from addcomb.harmonic import (
     FunctionTable,
-    _wht_list,
     conv_error,
     dft,
+    dft_columns,
     idft,
     indicator,
     table_from_values,
@@ -31,9 +31,9 @@ from addcomb.harmonic import (
 )
 from addcomb.spectral import spectrum
 
-from addcomb.setstat import group_set
+from addcomb.setstat import _stack, group_set
 
-from .oracles import conv_direct, dft_direct, dft_entry_fsum
+from .oracles import conv_direct, dft_direct, dft_entry_fsum, walsh_direct
 
 GROUPS = [make_group(f) for f in [(8,), (2, 2, 2), (12,), (3, 4), (5, 5)]]
 
@@ -90,13 +90,66 @@ def test_wht_int_columns_transforms_each_column():
         ([1 << 63] + [0] * 15, False),  # beyond int64 altogether
     ],
 )
-def test_wht_int_path_at_the_int64_boundary(monkeypatch, values, int64_path):
-    g = boolean_group(4)
-    calls = []
-    real = harmonic._wht
-    monkeypatch.setattr(harmonic, "_wht", lambda arr: calls.append(1) or real(arr))
-    assert wht_int(g, values).tolist() == _wht_list(values)
-    assert bool(calls) == int64_path
+def test_wht_int_path_at_the_int64_boundary(values, int64_path):
+    got = wht_int(boolean_group(4), values)
+    assert got.dtype == (np.int64 if int64_path else object)
+    assert got.tolist() == walsh_direct(values)
+
+
+def _column_table(data, g, k, dtype, layout):
+    """k columns on g in the C-order (N, k) layout or in setstat's stack
+    layout, with int64, bigint or float complex entries."""
+    if dtype == "int64":
+        values = st.integers(-(1 << 40), 1 << 40)
+    elif dtype == "object":
+        values = st.integers(-(1 << 80), 1 << 80)
+    else:
+        part = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        values = st.builds(complex, part, part)
+    columns = [data.draw(st.lists(values, min_size=g.order, max_size=g.order)) for _ in range(k)]
+    kind = {"int64": np.int64, "object": object, "complex128": np.complex128}[dtype]
+    table = np.array(columns, dtype=kind).T.copy() if layout == "C" else _stack(g.order, k, kind)
+    if layout != "C":
+        for j, col in enumerate(columns):
+            table[:, j] = col
+    return table, columns
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_walsh_butterfly_matches_the_list_butterfly(data):
+    g = boolean_group(data.draw(st.integers(1, 10), label="n"))
+    layout = data.draw(st.sampled_from(["C", "stack"]), label="layout")
+    k = data.draw(st.integers(1, 5), label="k")
+    dtype = data.draw(st.sampled_from(["int64", "object", "complex128"]), label="dtype")
+    table, columns = _column_table(data, g, k, dtype, layout)
+    if dtype == "int64":
+        got = wht_int_columns(g, table)
+    elif dtype == "object":
+        got = harmonic._wht(table)  # wht_int's path past int64, on a stack
+    else:
+        got = dft_columns(g, table)  # the float path: the same additions, bit for bit
+    assert got.dtype == table.dtype
+    assert got.flags.c_contiguous == table.flags.c_contiguous
+    assert got.flags.f_contiguous == table.flags.f_contiguous
+    for j, col in enumerate(columns):
+        assert got[:, j].tolist() == walsh_direct(col)
+
+
+def test_walsh_butterfly_at_the_transform_cap():
+    g = boolean_group(16)
+    rng = random.Random(16)
+    values = [rng.randrange(-1000, 1001) for _ in range(g.order)]
+    assert wht_int(g, values).tolist() == walsh_direct(values)
+
+
+def test_walsh_oracle_is_the_character_sum():
+    for n in (1, 3, 5):
+        g = boolean_group(n)
+        rng = random.Random(n)
+        values = _random_values(g, rng, -9, 9)
+        direct = [sum(v * (-1) ** bin(x & t).count("1") for x, v in enumerate(values)) for t in range(g.order)]
+        assert walsh_direct(values) == direct
 
 
 @given(st.data())
@@ -116,7 +169,7 @@ def test_int_tables_at_the_int64_boundary(data):
         for a, b in zip(fhat.values.tolist(), dft_direct(g, values)):
             assert abs(a - b) <= 1e-9 * l1
         return
-    want = _wht_list(values)
+    want = walsh_direct(values)
     assert wht_int(g, values).tolist() == want
     assert fhat.values.tolist() == want
     assert idft(fhat).values.tolist() == values
@@ -163,6 +216,23 @@ def test_indicator_kind_and_support():
     assert f.kind == "int"
     assert f.support() == [1, 5]
     assert f.l1() == 2 and f.l2_squared() == 2
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1 << 31, (1 << 31) - 1],  # max|v| * L1 = 2^63 - 2^31
+        [-(1 << 31), 1 << 31],  # max|v| * L1 = 2^63, and so is the sum
+        [1 << 31, 1 << 31, 1],  # just above
+        [1 << 31] * 8,  # the sum of the squares is 2^65
+        [3, -4, 0, 7],
+    ],
+)
+def test_l2_squared_is_exact_on_either_side_of_2_63(values):
+    g = boolean_group(3)
+    table = FunctionTable(g, values + [0] * (g.order - len(values)), "int")
+    assert table.values.dtype == np.int64
+    assert table.l2_squared() == sum(v * v for v in values)
 
 
 def test_table_length_guard():

@@ -275,3 +275,17 @@ def test_is_dissociated_matches_brute_property(data):
     assert is_dissociated(g, lam) == dissociated_direct(g, lam)
     if lam:  # a repeat is the relation x - x = 0
         assert not is_dissociated(g, lam + lam[-1:])
+
+
+def test_max_dissociated_on_2_groups_ignores_zeros_and_repeats():
+    g = boolean_group(10)
+    rng = random.Random(10)
+    for _ in range(20):
+        cands = rng.sample(range(1, g.order), rng.randrange(1, 40))
+        noisy = []
+        for c in cands:  # zeros anywhere, each repeat after its first place
+            noisy.append(c)
+            noisy.extend(rng.choice([0, rng.choice(noisy)]) for _ in range(rng.randrange(3)))
+        clean = max_dissociated(g, cands)
+        assert max_dissociated(g, noisy) == clean
+        assert clean.mode == "exact" and is_dissociated(g, clean.members)

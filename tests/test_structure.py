@@ -9,7 +9,7 @@ import pytest
 from addcomb import setstat, structure
 from addcomb.families import make_h_lambda, make_planted, HLambdaSpec
 from addcomb.groups import boolean_group, make_group
-from addcomb.harmonic import FunctionTable, _wht_list
+from addcomb.harmonic import FunctionTable
 from addcomb.harness import derive_params
 from addcomb.report import format_value
 from addcomb.setstat import (
@@ -36,7 +36,7 @@ from addcomb.structure import (
     regularize_density,
 )
 
-from .oracles import corr_direct
+from .oracles import corr_direct, walsh_direct
 
 
 def _subgroup(n, dim):
@@ -106,6 +106,24 @@ def test_phi_k_is_the_correlation_power():
     assert list(phi.values) == [v**3 for v in corr]
 
 
+@pytest.mark.parametrize(
+    "members, k",
+    [
+        ([0, 5, 9], 39),  # E_k = 3^39 + 3 * 2^39, about 0.88 * 2^62
+        ([0, 5], 60),  # E_k = 2^61
+        ([0, 5], 61),  # E_k = 2^62
+        ([0, 5], 62),  # E_k = 2^63: every entry fits int64, the mass does not
+        ([0, 5, 9], 40),  # 3^40 passes 2^63
+    ],
+)
+def test_phi_k_is_int64_exactly_below_2_62(members, k):
+    B = group_set(boolean_group(4), members)
+    e_k = sum(c**k for c in corr_direct(B, B))
+    phi = phi_k(B, k)
+    assert phi.values.tolist() == [c**k for c in corr_direct(B, B)]
+    assert phi.values.dtype == (np.int64 if e_k < 1 << 62 else object)
+
+
 def test_span_mass_is_exact_past_int64():
     # B is the subgroup annihilated by lam = (1, 6), so |B_hat|^2 = 256 on
     # Span(lam); with phi_hat just above 2^55 every product passes 2^63
@@ -117,7 +135,7 @@ def test_span_mass_is_exact_past_int64():
     params = StructureParams(m=1, m_prime=1, kappa=1, zeta=Fraction(1, 8), t=2)
     jump = structure.EnergyJump(k=2, e_k=1, e_next=1, m_star=params.m_star, k0=params.k0)
     out = structure._bohr_span_diagnostics(B, phi_hat, (1, 6), params, jump)
-    b_hat = _wht_list([int(x in B.index_set) for x in range(g.order)])
+    b_hat = walsh_direct([int(x in B.index_set) for x in range(g.order)])
     products = [phi_values[x] * b_hat[x] ** 2 for x in (0, 1, 6, 7)]
     assert min(products) > 1 << 63
     assert out["spectral_mass"].lhs == format_value(Fraction(sum(products)))
