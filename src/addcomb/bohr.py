@@ -101,7 +101,7 @@ class BohrSet:
 
 def make_bohr_spec(g: GroupSpec, gamma: Sequence[int], eps) -> BohrSpec:
     """Normalize radii (a single rational is broadcast to every character)."""
-    gam = tuple(gamma)
+    gam = tuple(int(t) for t in gamma)  # Python ints: they key the table cache and the report
     if isinstance(eps, (Fraction, int, str)):
         rad = tuple(Fraction(eps) for _ in gam)
     else:
@@ -235,10 +235,10 @@ def materialize(g: GroupSpec, spec: BohrSpec) -> BohrSet:
     if spec.group != g:
         raise GroupMismatchError("spec belongs to a different group")
     counter, scale = _counter(spec)
-    members = GroupSet(g, tuple(counter.member_indices(scale).tolist()))
-    if 0 not in members.index_set:
+    members = GroupSet(g, counter.member_indices(scale))
+    if 0 not in members:
         raise AssertionError("Bohr set lost the identity element")
-    if members.neg().index_set != members.index_set:
+    if members.neg() != members:
         raise AssertionError("Bohr set is not symmetric under negation")
     num = math.prod(e.numerator for e in spec.eps)
     den = math.prod(e.denominator for e in spec.eps)

@@ -8,6 +8,7 @@ configuration or input, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -166,7 +167,9 @@ def _cmd_verify(args) -> int:
     return max(codes, default=EXIT_OK)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing only reads it."""
     parser = argparse.ArgumentParser(
         prog="addcomb",
         description="Exact additive-structure statistics and extraction pipelines.",
@@ -231,8 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CheckFailure, AssertionError, NoJump, DensityGuaranteeFailed, InclusionFailed, HypothesisFailure,

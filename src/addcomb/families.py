@@ -70,8 +70,7 @@ def make_h_lambda(spec: HLambdaSpec, seed: int | None = None) -> GroupSet:
             if not f2.in_span(f2.echelon_basis(basis + chosen), v):
                 chosen.append(v)
         lam = tuple(chosen)
-    members = sorted({x ^ v for x in h for v in lam})
-    out = group_set(spec.group, members)
+    out = group_set(spec.group, (x ^ v for x in h for v in lam))
     if len(out) != (1 << spec.k) * spec.lambda_size:
         raise AssertionError("H-coset union has the wrong size")
     return out
@@ -102,20 +101,20 @@ def verify_h_lambda(A: GroupSet, spec: HLambdaSpec) -> HLambdaReport:
     if g != spec.group:
         raise ValueError("set does not live on the spec's group")
     h_members = f2.subspace_elements(spec.h_basis)
-    h_set = group_set(g, h_members)
+    h_set = frozenset(h_members)
     records: list[CheckRecord] = []
     counts = A.autocorr.tolist()
     a = len(A)
 
     for s in h_members:
-        if slice_set(A, s).members != A.members:
+        if slice_set(A, s) != A:
             raise AssertionError(f"slice at s={s} in H is not all of A")
     records.append(
         record_eq("H-slices equal A", "family:slice_h", len(h_members), len(h_members))
     )
 
     diff = difference_set(A, A)
-    outside = [s for s in diff.members if s not in h_set.index_set]
+    outside = [s for s in diff.members.tolist() if s not in h_set]
     two_cosets = 2 * (1 << spec.k)
     h_basis = list(spec.h_basis)
     for s in outside:
@@ -123,7 +122,7 @@ def verify_h_lambda(A: GroupSet, spec: HLambdaSpec) -> HLambdaReport:
         if len(sl) != two_cosets:
             raise AssertionError(f"slice at s={s} has size {len(sl)}, expected {two_cosets}")
         for b in h_basis:
-            if sl.index_set != frozenset(x ^ b for x in sl.members):
+            if sl.translate(b) != sl:
                 raise AssertionError(f"slice at s={s} is not H-invariant")
     records.append(
         record_eq(
@@ -450,7 +449,7 @@ def make_planted(
             members.add(v)
             noise_points.append(v)
     return PlantedInstance(
-        set=group_set(g, sorted(members)),
+        set=group_set(g, members),
         subgroup=sub,
         coset_reps=tuple(reps),
         noise=tuple(noise_points),

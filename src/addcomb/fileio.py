@@ -12,6 +12,8 @@ import os
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from .groups import (
     GroupMismatchError,
     GroupSpec,
@@ -20,7 +22,7 @@ from .groups import (
     parse_group_text,
 )
 from .harmonic import FunctionTable
-from .setstat import GroupSet, group_set
+from .setstat import GroupSet
 
 
 class FileFormatError(ValueError):
@@ -61,7 +63,7 @@ def parse_element(g: GroupSpec, text: str, *, path="<string>", line_no=0) -> int
 
 def dump_set(A: GroupSet) -> str:
     lines = [format_group_text(A.group)]
-    lines.extend(format_element(A.group, i) for i in A.members)
+    lines.extend(format_element(A.group, i) for i in A.members.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -86,15 +88,13 @@ def parse_set(text: str, *, path="<string>", expect_group: GroupSpec | None = No
             f"{path}: set lives on {format_group_text(g)}, "
             f"expected {format_group_text(expect_group)}"
         )
-    members: list[int] = []
-    seen: set[int] = set()
-    for line_no, line in lines[1:]:
-        idx = parse_element(g, line, path=path, line_no=line_no)
-        if idx in seen:
-            raise FileFormatError(path, line_no, f"duplicate element {line!r}")
-        seen.add(idx)
-        members.append(idx)
-    return group_set(g, members)
+    body = lines[1:]
+    indices = np.array([parse_element(g, text, path=path, line_no=no) for no, text in body], dtype=np.int64)
+    members, first = np.unique(indices, return_index=True)  # first: where each element first appears
+    if len(members) < len(indices):  # report the first line that repeats an earlier one
+        line_no, line = body[np.setdiff1d(np.arange(len(body)), first)[0]]
+        raise FileFormatError(path, line_no, f"duplicate element {line!r}")
+    return GroupSet(g, members)
 
 
 def read_set(path: str | os.PathLike, expect_group: GroupSpec | None = None) -> GroupSet:

@@ -8,8 +8,8 @@ when a value is a Fraction, which stays exact.  The L1 norm bounds every
 partial sum and every transform value, so sums and Walsh butterflies over
 an int64 table cannot overflow.  A product (a square, a power, a
 transform value times another) is taken in int64 only under a stated
-bound that keeps it and every partial sum below 2^63, as l2_squared and
-structure.phi_k do; otherwise it is taken on Python ints or object arrays.
+bound that keeps it and every partial sum below 2^63, as sum_of_squares
+and structure.phi_k do; otherwise it is taken on Python ints or objects.
 
 The transform convention carries no 1/N factor:
 
@@ -100,15 +100,23 @@ class FunctionTable:
 
     def l2_squared(self):
         mags = magnitudes(self.values)
-        if mags.dtype == np.int64:
-            # the sum of the squares is at most max|v| times the L1 norm
-            if int(mags.max()) * int(mags.sum()) < 1 << 63:
-                return int((mags * mags).sum())
-            mags = mags.astype(object)
+        if self.kind == "int":
+            return sum_of_squares(mags)
         return sum((mags * mags).tolist())
 
     def support(self) -> list[int]:
         return np.flatnonzero(self.values).tolist()
+
+
+def sum_of_squares(values: np.ndarray) -> int:
+    """sum v^2 over an array of nonnegative integers, as a Python int: in
+    int64 when max(v) * sum(v), which bounds it, is below 2^63, and in
+    Python ints otherwise."""
+    if values.dtype == np.int64:
+        if int(values.max(initial=0)) * int(values.sum()) < 1 << 63:
+            return int((values * values).sum())
+        values = values.astype(object)
+    return sum((values * values).tolist())
 
 
 def _int_array(values) -> np.ndarray:
@@ -138,9 +146,9 @@ def table_from_values(g: GroupSpec, values: Iterable, kind: Kind | None = None) 
     return FunctionTable(g, vals, kind)
 
 
-def indicator(g: GroupSpec, indices: Iterable[int]) -> FunctionTable:
+def indicator(g: GroupSpec, indices: Sequence[int]) -> FunctionTable:
     vals = np.zeros(g.order, dtype=np.int64)
-    vals[np.asarray(list(indices), dtype=np.int64)] = 1
+    vals[np.asarray(indices, dtype=np.int64)] = 1
     return FunctionTable(g, vals, "int")
 
 

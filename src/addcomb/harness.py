@@ -345,13 +345,13 @@ def structure_result_dict(res: StructureResult) -> dict:
             "codim": w.codim,
             "size": len(w.subspace),
             "density": format_value(w.density),
-            "members": list(w.subspace.members) if len(w.subspace) <= 4096 else None,
+            "members": w.subspace.members.tolist() if len(w.subspace) <= 4096 else None,
         }
     elif res.kind == "BohrPiece":
         out["witness"] = {
             "z": w.z,
             "dim": w.dim,
-            "size": len(w.bohr.members),
+            "size": len(w.bohr),
             "density": format_value(w.density),
             "gamma": list(w.bohr.spec.gamma),
             "radii": [format_value(e) for e in w.bohr.spec.eps],
@@ -440,7 +440,7 @@ def _suite_groups(cfg: RunConfig, default: Sequence[str]) -> list[GroupSpec]:
 
 
 def _random_subset(rng: random.Random, g: GroupSpec, size: int) -> GroupSet:
-    return group_set(g, rng.sample(range(g.order), size))
+    return GroupSet(g, np.sort(rng.sample(range(g.order), size)))  # the draws are distinct
 
 
 def _draw_table(rng: random.Random, order: int, width: int) -> np.ndarray:
@@ -613,7 +613,7 @@ def run_structure(cfg: RunConfig) -> RunReport:
         label_b, B = realize_source(cfg.sets[1], A.group, cfg.seed)
     else:
         label_b, B = label_a, A
-    if not A.members or not B.members:
+    if len(A) == 0 or len(B) == 0:
         raise ConfigError("structure run needs nonempty sets")
 
     started = time.perf_counter()

@@ -2,8 +2,8 @@
 
 All cardinalities and energies are Python integers, densities and doubling
 constants exact fractions, so every inequality asserted here is decided
-exactly.  A set is its strictly sorted tuple of element indices, read as an
-int64 array wherever it is counted.
+exactly.  A set is its strictly sorted, read-only int64 array of element
+indices, counted as it is; writers turn it into Python ints at the edge.
 
 Pair counts are stacked: conv_columns counts many pairs (A, B) at once,
 one pair per column of an (N, k) table.  On 2-groups that is one inverse
@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -75,6 +74,7 @@ from .harmonic import (
     idft_columns,
     indicator,
     magnitudes,
+    sum_of_squares,
     transform_error,
     wht_int_columns,
 )
@@ -85,37 +85,58 @@ _FFT_COST = 4  # conv_counts transforms once the smaller set passes this times N
 _KK_BLOCK_ELEMENTS = 1 << 18   # cells per stacked block of columns
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
+def read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
+class _Members(np.ndarray):
+    """The type of GroupSet.members: read-only, it hashes as its bytes, as a
+    tuple of indices would (bench/tracer.py keys correlations on members)."""
+
+    def __hash__(self) -> int:
+        if self.flags.writeable:
+            raise TypeError("unhashable type: writable array")
+        return hash(self.tobytes())
+
+
+@dataclass(frozen=True, eq=False)
 class GroupSet:
-    """Subset of a group, stored as strictly sorted element indices.
+    """Subset of a group: the strictly sorted, read-only int64 array of its
+    element indices (an int64 array passed in is viewed, not copied).
 
     The statistics below are computed on first use and cached on the
     instance (see the module docstring).
     """
 
     group: GroupSpec
-    members: tuple[int, ...]
+    members: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.group.order
-        prev = -1
-        for i in self.members:
-            if not prev < i < n:
-                raise GroupMismatchError(
-                    "members must be strictly sorted element indices in range"
-                )
-            prev = i
+        try:
+            a = np.asarray(self.members, dtype=np.int64)
+        except OverflowError:
+            a = np.array([-1])  # out of range
+        if a.ndim != 1 or a.size and (a[0] < 0 or a[-1] >= self.group.order or np.count_nonzero(a[1:] <= a[:-1])):
+            raise GroupMismatchError("members must be strictly sorted element indices in range")
+        a = a.view(_Members)
+        a.setflags(write=False)
+        object.__setattr__(self, "members", a)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroupSet):
+            return NotImplemented
+        return self.group == other.group and self.members.tobytes() == other.members.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.members.tobytes()))
 
     def __len__(self) -> int:
         return len(self.members)
 
     def __contains__(self, i: int) -> bool:
-        return i in self.index_set
+        k = int(np.searchsorted(self.members, i))
+        return k < len(self.members) and bool(self.members[k] == i)
 
     def _cached(self, name: str, compute: Callable[[], object]):
         value = self.__dict__.get(name)
@@ -125,10 +146,6 @@ class GroupSet:
         return value
 
     @property
-    def index_set(self) -> frozenset[int]:
-        return self._cached("_index_set", lambda: frozenset(self.members))
-
-    @property
     def transform(self) -> np.ndarray:
         """Transform of the indicator: int64 on 2-groups, complex128 elsewhere.
         A set made by neg() conjugates its source's (see neg)."""
@@ -136,8 +153,8 @@ class GroupSet:
         def compute() -> np.ndarray:
             source = self.__dict__.get("_neg_of")
             if source is not None:
-                return _read_only(np.conj(source.transform))
-            return _read_only(dft(self.indicator()).values)
+                return read_only(np.conj(source.transform))
+            return read_only(dft(self.indicator()).values)
 
         return self._cached("_transform", compute)
 
@@ -147,7 +164,7 @@ class GroupSet:
 
         def compute() -> np.ndarray:
             source = self.__dict__.get("_neg_of")
-            return source.autocorr if source is not None else _read_only(corr_counts(self, self))
+            return source.autocorr if source is not None else read_only(corr_counts(self, self))
 
         return self._cached("_autocorr", compute)
 
@@ -179,17 +196,11 @@ class GroupSet:
         """peak_coefficient(A), computed once."""
         return self._cached("_peak", lambda: peak_coefficient(self))
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.members, dtype=np.int64)
-
     def indicator(self) -> FunctionTable:
         return indicator(self.group, self.members)
 
     def translate(self, x: int) -> "GroupSet":
-        g = self.group
-        if not self.members:
-            return self
-        return GroupSet(g, tuple(sorted(int(v) for v in add_index_many(g, self.as_array(), x))))
+        return GroupSet(self.group, np.sort(add_index_many(self.group, self.members, x)))
 
     def neg(self) -> "GroupSet":
         """-A.  It reads its autocorrelation and its transform off A, each
@@ -198,22 +209,22 @@ class GroupSet:
         A's computed transform carries A's transform_error bound.  The
         negation of a set made by neg() is its source."""
         g = self.group
-        if not self.members or g.is_boolean_space:
+        if len(self) == 0 or g.is_boolean_space:
             return self
         source = self.__dict__.get("_neg_of")
         if source is not None:
             return source
-        out = GroupSet(g, tuple(np.sort(neg_index_many(g, self.as_array())).tolist()))
+        out = GroupSet(g, np.sort(neg_index_many(g, self.members)))
         object.__setattr__(out, "_neg_of", self)
         return out
 
 
 def group_set(g: GroupSpec, members: Iterable[int]) -> GroupSet:
-    return GroupSet(g, tuple(sorted(set(int(i) for i in members))))
+    return GroupSet(g, np.unique(list(members)))
 
 
 def full_set(g: GroupSpec) -> GroupSet:
-    return GroupSet(g, tuple(range(g.order)))
+    return GroupSet(g, np.arange(g.order, dtype=np.int64))
 
 
 # -- counting kernels -----------------------------------------------------------
@@ -243,7 +254,7 @@ def conv_counts(A: GroupSet, B: GroupSet) -> np.ndarray:
         raise GroupMismatchError("sets live on different groups")
     g = A.group
     n = g.order
-    if not A.members or not B.members:
+    if len(A) == 0 or len(B) == 0:
         return np.zeros(n, dtype=np.int64)
     if g.is_boolean_space or (
         min(len(A), len(B)) > _FFT_COST * n.bit_length() and n <= MAX_TRANSFORM_ORDER
@@ -257,9 +268,8 @@ def _conv_loop(A: GroupSet, B: GroupSet) -> np.ndarray:
     g = A.group
     small, big = (A, B) if len(A) <= len(B) else (B, A)
     counts = np.zeros(g.order, dtype=np.int64)
-    big_arr = big.as_array()
     for a in small.members:
-        counts += np.bincount(add_index_many(g, big_arr, a), minlength=g.order)
+        counts += np.bincount(add_index_many(g, big.members, a), minlength=g.order)
     return counts
 
 
@@ -282,7 +292,7 @@ def conv_columns(g: GroupSpec, pairs: Sequence[tuple[GroupSet, GroupSet]]) -> np
     n = g.order
     if any(A.group != g or B.group != g for A, B in pairs):
         raise GroupMismatchError("sets live on different groups")
-    live = [j for j, (A, B) in enumerate(pairs) if A.members and B.members]
+    live = [j for j, (A, B) in enumerate(pairs) if len(A) and len(B)]
     if g.is_boolean_space:
         fast = live
     elif n <= MAX_TRANSFORM_ORDER:
@@ -322,9 +332,8 @@ def _stack(n: int, k: int, dtype, fill=np.zeros) -> np.ndarray:
 def _indicator_table(g: GroupSpec, sets: Sequence[GroupSet], dtype) -> np.ndarray:
     """The indicators of sets as the columns of one (N, k) table."""
     table = _stack(g.order, len(sets), dtype)
-    sizes = [len(X) for X in sets]
-    rows = np.fromiter(chain.from_iterable(X.members for X in sets), dtype=np.int64, count=sum(sizes))
-    table[rows, np.repeat(np.arange(len(sets)), sizes)] = 1
+    rows = np.concatenate([X.members for X in sets])
+    table[rows, np.repeat(np.arange(len(sets)), [len(X) for X in sets])] = 1
     return table
 
 
@@ -354,7 +363,7 @@ def _transforms(g: GroupSpec, sets: Sequence[GroupSet]) -> list[np.ndarray]:
 
 
 def _supports(g: GroupSpec, counts: np.ndarray) -> list[GroupSet]:
-    return [GroupSet(g, tuple(np.flatnonzero(col).tolist())) for col in counts.T]
+    return [GroupSet(g, np.flatnonzero(col)) for col in counts.T]
 
 
 def _stack_group(sets: Iterable[GroupSet]) -> GroupSpec:
@@ -394,7 +403,7 @@ def _power_sums(counts: np.ndarray, top: int) -> list[list[int]]:
 
 def sumset(A: GroupSet, B: GroupSet) -> GroupSet:
     """A + B, the support of conv_counts(A, B)."""
-    return GroupSet(A.group, tuple(np.flatnonzero(conv_counts(A, B)).tolist()))
+    return GroupSet(A.group, np.flatnonzero(conv_counts(A, B)))
 
 
 def sumset_size(A: GroupSet, B: GroupSet) -> int:
@@ -409,14 +418,13 @@ def difference_set(A: GroupSet, B: GroupSet) -> GroupSet:
 
 def slice_set(A: GroupSet, x: int) -> GroupSet:
     """A_x = A intersect (A + x); its size is the autocorrelation at x."""
-    arr = A.as_array()
-    shifted = add_index_many(A.group, arr, x)
-    return GroupSet(A.group, tuple(np.intersect1d(arr, shifted, assume_unique=True).tolist()))
+    shifted = add_index_many(A.group, A.members, x)
+    return GroupSet(A.group, np.intersect1d(A.members, shifted, assume_unique=True))
 
 
 def doubling_constant(A: GroupSet) -> Fraction:
     """K[A] = |A - A| / |A|."""
-    if not A.members:
+    if len(A) == 0:
         raise ValueError("doubling constant needs a nonempty set")
     return Fraction(A.diff_size, len(A))
 
@@ -445,7 +453,7 @@ def peak_coefficient(A: GroupSet) -> Peak:
     transform's proven error, at the first largest computed magnitude (ties
     break toward the smallest index).  A = G gives lo = 0 at index 1.
     GroupSet.peak caches the result."""
-    if not A.members:
+    if len(A) == 0:
         raise ValueError("peak coefficient needs a nonempty set")
     mags = magnitudes(A.transform[1:])
     arg = int(np.argmax(mags))
@@ -460,7 +468,7 @@ def energy(A: GroupSet, B: GroupSet | None = None) -> int:
     """E(A, B) = number of quadruples with a1 - b1 = a2 - b2, exactly."""
     if B is None or B is A:
         return higher_energy(A, 2)
-    return sum(c * c for c in corr_counts(B, A).tolist())
+    return sum_of_squares(corr_counts(B, A))
 
 
 def higher_energy(A: GroupSet, k: int) -> int:
@@ -516,7 +524,7 @@ def katz_koester_stack(
         As = [A for A, _ in pairs[block]]
         Bs = [B for _, B in pairs[block]]
         if xs is None:
-            disp = [D.as_array() for D in sumsets([(A, A.neg()) for A in As])]
+            disp = [D.members for D in sumsets([(A, A.neg()) for A in As])]
         else:
             disp = [np.asarray(x, dtype=np.int64) for x in xs[block]]
             if any(d.size and not (0 <= d.min() and d.max() < g.order) for d in disp):
@@ -701,7 +709,7 @@ def energy_difference_bounds(
         raise ValueError("need one order k per pair")
     if any(k < 2 for k in ks):
         raise ValueError("need k >= 2")
-    if any(not A.members or not B.members for A, B in pairs):
+    if any(len(A) == 0 or len(B) == 0 for A, B in pairs):
         raise ValueError("both sets must be nonempty")
     if not pairs:
         return []
@@ -770,7 +778,7 @@ class SetProfile:
 def profile(A: GroupSet, energy_orders: Sequence[int] = (2, 3, 4)) -> SetProfile:
     """Aggregate statistics; unconditional consistency checks are asserted,
     asymptotic idealizations are reported as diagnostics only."""
-    if not A.members:
+    if len(A) == 0:
         raise ValueError("cannot profile the empty set")
     g = A.group
     n = g.order

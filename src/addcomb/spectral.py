@@ -27,36 +27,36 @@ import numpy as np
 from . import f2
 from .groups import GroupSpec, add_index_many, sub_index_many
 from .harmonic import FunctionTable, dft, magnitudes, transform_error
-from .setstat import GroupSet, group_set
+from .setstat import GroupSet, read_only
 
 _EXACT_SEARCH_MAX = 24
 CHANG_AUDIT_CONSTANT = Fraction(8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Frequencies t with |f_hat(t)| >= eps * ||f||_1, heaviest first."""
 
     group: GroupSpec
     eps: Fraction
-    members: tuple[int, ...]
+    members: np.ndarray  # read-only int64
     magnitudes: tuple[float, ...]
-    borderline: tuple[int, ...]
+    borderline: np.ndarray  # read-only int64
     exact: bool
 
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, t: int) -> bool:
-        return t in set(self.members)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DissociatedWitness:
     group: GroupSpec
-    members: tuple[int, ...]
+    members: np.ndarray  # read-only int64, in the order picked
     mode: str  # "exact" | "greedy"
     certified_size: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "members", read_only(np.array(self.members, dtype=np.int64)))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -87,9 +87,9 @@ def spectrum(f: FunctionTable, eps: Fraction | int, *, fhat: FunctionTable | Non
     return Spectrum(
         group=g,
         eps=eps,
-        members=tuple(picked.tolist()),
+        members=read_only(picked),
         magnitudes=tuple(mags[picked].astype(np.float64).tolist()),
-        borderline=tuple(border.tolist()),
+        borderline=read_only(border),
         exact=fhat.kind == "int",
     )
 
@@ -135,7 +135,7 @@ def is_dissociated(g: GroupSpec, lam: list[int] | tuple[int, ...]) -> bool:
 
 def max_dissociated(
     g: GroupSpec,
-    candidates: list[int] | tuple[int, ...],
+    candidates: np.ndarray | list[int],
 ) -> DissociatedWitness:
     """Largest dissociated subset of the candidates.
 
@@ -149,8 +149,8 @@ def max_dissociated(
     """
     if g.is_boolean_space:
         picked = f2.independent_subset(candidates)  # 0 and repeats lie in the span
-        return DissociatedWitness(g, tuple(picked), "exact", len(picked))
-    cands = [c for c in dict.fromkeys(candidates) if c != 0]
+        return DissociatedWitness(g, picked, "exact", len(picked))
+    cands = [c for c in dict.fromkeys(np.asarray(candidates).tolist()) if c != 0]  # searched in Python ints
     if len(cands) <= _EXACT_SEARCH_MAX:
         best: list[int] = []
 
@@ -170,14 +170,14 @@ def max_dissociated(
                         return
 
         descend(0, [], _zero_mask(g))
-        return DissociatedWitness(g, tuple(best), "exact", len(best))
+        return DissociatedWitness(g, best, "exact", len(best))
     picked = []
     span_mask = _zero_mask(g)
     for c in cands:
         if not span_mask[c]:
             picked.append(c)
             _grow(g, span_mask, c)
-    return DissociatedWitness(g, tuple(picked), "greedy", len(picked))
+    return DissociatedWitness(g, picked, "greedy", len(picked))
 
 
 def span(g: GroupSpec, lam: list[int] | tuple[int, ...]) -> GroupSet:
@@ -187,7 +187,7 @@ def span(g: GroupSpec, lam: list[int] | tuple[int, ...]) -> GroupSet:
     mask = _zero_mask(g)
     for e in dict.fromkeys(lam):
         _grow(g, mask, e)
-    return GroupSet(g, tuple(np.flatnonzero(mask).tolist()))
+    return GroupSet(g, np.flatnonzero(mask))
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def chang_bound(
     elif spec.eps != eps or spec.group != f.group:
         raise ValueError("spectrum passed to chang_bound is not Spec_eps(f)")
     if witness is not None and (
-        witness.group != f.group or not set(witness.members) <= set(spec.members)
+        witness.group != f.group or not np.isin(witness.members, spec.members).all()
     ):
         raise ValueError("witness passed to chang_bound is not drawn from its spectrum")
     g = f.group

@@ -17,7 +17,6 @@ step, and the density regularization loop.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,9 +25,9 @@ import numpy as np
 from . import f2
 from .bohr import BohrSet, dilate, find_regular_radius, make_bohr_spec, materialize, size_profile
 from .groups import MAX_TRANSFORM_ORDER, GroupSpec, SizeLimitError, boolean_group
-from .harmonic import INT64_SAFE, FunctionTable, dft, magnitudes, transform_error
+from .harmonic import INT64_SAFE, FunctionTable, dft, magnitudes, sum_of_squares, transform_error
 from .report import CheckFailure, CheckRecord, record_eq, record_ge, record_le, require
-from .setstat import GroupSet, corr_counts, group_set, higher_energy, sumset, sumset_size
+from .setstat import GroupSet, conv_counts, corr_counts, group_set, higher_energy, sumset, sumset_size
 from .spectral import DissociatedWitness, Spectrum, chang_bound, max_dissociated, span, spectrum
 
 _PI_UPPER = Fraction(355, 113)  # exceeds pi, so it is safe in upper bounds
@@ -252,7 +251,7 @@ def check_hypotheses(A: GroupSet, B: GroupSet, params: StructureParams) -> Hypot
 
 def find_energy_jump(B: GroupSet, params: StructureParams) -> EnergyJump:
     """Smallest k in [2, k0] with E_{k+1}(B) >= |B| E_k(B) / m_star, exactly."""
-    if not B.members:
+    if len(B) == 0:
         raise ValueError("energy jump needs a nonempty set")
     b = len(B)
     m_star = params.m_star
@@ -406,13 +405,13 @@ def extract_subspace(A: GroupSet, B: GroupSet, params: StructureParams) -> Struc
     front = _pipeline_front(A, B, params)
     n = g.rank
     lam = front.witness.members
-    basis = f2.nullspace_basis(lam, n)
+    basis = f2.nullspace_basis(lam.tolist(), n)
     if len(basis) != n - len(lam):
         raise AssertionError("annihilator dimension disagrees with the dissociated rank")
     lset = group_set(g, f2.subspace_elements(basis))
     _, achieved, z = _recount(lset, B)
     guaranteed = _density_floor(params, len(lset), loss=1)
-    corr_sum = int(B.autocorr[lset.as_array()].sum())
+    corr_sum = int(B.autocorr[lset.members].sum())
     sum_rec = record_ge(
         "correlation mass on the subspace",
         "structure:corr_sum",
@@ -434,7 +433,7 @@ def extract_subspace(A: GroupSet, B: GroupSet, params: StructureParams) -> Struc
                 "k": front.jump.k,
                 "eps": front.eps,
                 "clamped": front.clamped,
-                "lambda": lam,
+                "lambda": lam.tolist(),
                 "subspace_size": len(lset),
                 "corr_sum": corr_sum,
                 "achieved": achieved,
@@ -447,7 +446,7 @@ def extract_subspace(A: GroupSet, B: GroupSet, params: StructureParams) -> Struc
 
 
 def _bohr_span_diagnostics(
-    B: GroupSet, phi_hat: FunctionTable, lam: tuple[int, ...], params: StructureParams, jump: EnergyJump
+    B: GroupSet, phi_hat: FunctionTable, lam: np.ndarray, params: StructureParams, jump: EnergyJump
 ) -> dict:
     """Spectral-mass and transform-floor checks over Span(Lambda)."""
     g = B.group
@@ -455,7 +454,7 @@ def _bohr_span_diagnostics(
     if 3 ** len(lam) > 1 << 16 or (not g.is_boolean_space and g.order > MAX_TRANSFORM_ORDER):
         out["span_checks"] = "skipped (size)"
         return out
-    members = span(g, lam).as_array()
+    members = span(g, lam).members
     floor = _density_floor(params, len(B) * jump.e_k * g.order, loss=1)
     phi_span = phi_hat.values[members]
     fhat_b = B.transform[members]
@@ -493,19 +492,19 @@ def extract_bohr(A: GroupSet, B: GroupSet, params: StructureParams) -> Structure
     c = params.c_local
     for _ in range(1 + _ESCALATION_TRIES):
         rho = c * params.zeta / (params.m_star * max(len(lam), 1))
-        if lam:
+        if len(lam):
             reg_spec = find_regular_radius(g, lam, min(rho, Fraction(1)))
         else:
             reg_spec = make_bohr_spec(g, (), ())
         b_star = materialize(g, reg_spec)
-        size = len(b_star.members)
+        size = len(b_star)
         counts, achieved, z = _recount(b_star.members, B)
         guaranteed = _density_floor(params, size, loss=2)
         records = [
             record_ge(
                 "translate energy of the Bohr piece",
                 "structure:corr_sq_sum",
-                Fraction(sum(x * x for x in counts.tolist())),
+                Fraction(sum_of_squares(counts)),
                 guaranteed * len(B) * size,
                 note=f"|B_*|={size}",
             ),
@@ -518,7 +517,7 @@ def extract_bohr(A: GroupSet, B: GroupSet, params: StructureParams) -> Structure
             ),
         ]
         extra = {}
-        if lam:
+        if len(lam):
             extra["sufficiency"] = record_le(
                 "radius smallness for spectral alignment",
                 "structure:radius_sufficient",
@@ -549,7 +548,7 @@ def extract_bohr(A: GroupSet, B: GroupSet, params: StructureParams) -> Structure
         c = 2 * c
     raise DensityGuaranteeFailed(
         "Bohr density certificate failed after radius escalation",
-        {"k": front.jump.k, "lambda": lam, "witness_mode": front.witness.mode, "attempts": attempts},
+        {"k": front.jump.k, "lambda": lam.tolist(), "witness_mode": front.witness.mode, "attempts": attempts},
     )
 
 
@@ -627,9 +626,8 @@ def certify_difference_subset(A: GroupSet, eps_param: Fraction | int) -> Structu
     return _certify_bohr_branch(A, b, params, eps, gate)
 
 
-def _verify_difference_membership(A: GroupSet, members, ref: str) -> CheckRecord:
-    members = np.asarray(members, dtype=np.int64)
-    missing = members[A.autocorr[members] == 0].tolist()
+def _verify_difference_membership(A: GroupSet, piece: GroupSet, ref: str) -> CheckRecord:
+    missing = piece.members[A.autocorr[piece.members] == 0].tolist()
     if missing:
         raise InclusionFailed(
             f"{len(missing)} members are outside A-A (first few: {missing[:5]})", missing
@@ -637,8 +635,8 @@ def _verify_difference_membership(A: GroupSet, members, ref: str) -> CheckRecord
     return record_eq(
         "difference-set membership",
         ref,
-        len(members) - len(missing),
-        len(members),
+        len(piece) - len(missing),
+        len(piece),
         note="every member has (A o A)(x) > 0",
     )
 
@@ -664,7 +662,7 @@ def _certify_subspace_branch(
             "2-eps subspace certificate failed the direct count",
             {"achieved": int(result.achieved), "needed": half_plus, "subspace_size": len(lset)},
         )
-    inclusion = _verify_difference_membership(A, lset.members, "dichotomy:inclusion_subspace")
+    inclusion = _verify_difference_membership(A, lset, "dichotomy:inclusion_subspace")
     result.records.extend([gate, require(cert), inclusion])
     result.guaranteed = half_plus
     return result
@@ -699,12 +697,12 @@ def _certify_bohr_branch(
         )
     b_lo = materialize(g, dilate(spec_star, rhos[chosen - 1]))
     b_hi = materialize(g, dilate(spec_star, rhos[chosen]))
-    if (len(b_lo.members), len(b_hi.members)) != (sizes[chosen - 1], sizes[chosen]):
+    if (len(b_lo), len(b_hi)) != (sizes[chosen - 1], sizes[chosen]):
         raise AssertionError("profile sizes disagree with materialized dilates")
     lo_counts = corr_counts(b_lo.members, A)
     hi_counts = corr_counts(b_hi.members, A)
     score, z = _argmax(lo_counts + hi_counts)
-    need = (Fraction(1, 2) + eps / 8) * (len(b_lo.members) + len(b_hi.members))
+    need = (Fraction(1, 2) + eps / 8) * (len(b_lo) + len(b_hi))
     cert = record_ge(
         "two-dilate majority certificate",
         "dichotomy:half_plus",
@@ -718,20 +716,20 @@ def _certify_bohr_branch(
             {"score": score, "needed": need, "j": chosen, "sizes": sizes[:8]},
         )
     eta_set = materialize(g, dilate(spec_star, eta))
-    inclusion = _verify_difference_membership(A, eta_set.members.members, "dichotomy:inclusion_bohr")
+    inclusion = _verify_difference_membership(A, eta_set.members, "dichotomy:inclusion_bohr")
     final_spec = find_regular_radius(g, spec_star.gamma, tuple(eta * e for e in spec_star.eps))
     final = materialize(g, final_spec)
-    if not final.members.index_set <= eta_set.members.index_set:
+    if not np.isin(final.members.members, eta_set.members.members).all():
         raise AssertionError("regularized shrink left the verified dilate")
-    final_inclusion = _verify_difference_membership(A, final.members.members, "dichotomy:inclusion_final")
+    final_inclusion = _verify_difference_membership(A, final.members, "dichotomy:inclusion_final")
     records = result.records + [gate, require(cert), inclusion, final_inclusion]
     return StructureResult(
         variant=BohrPiece(
             bohr=final,
             z=z,
-            density=Fraction(score, len(b_lo.members) + len(b_hi.members)),
+            density=Fraction(score, len(b_lo) + len(b_hi)),
             dim=d,
-            size_ratio=Fraction(len(final.members), g.order),
+            size_ratio=Fraction(len(final), g.order),
         ),
         achieved=Fraction(score),
         guaranteed=need,
@@ -759,9 +757,7 @@ def dichotomy_M(
         raise ValueError("need a nonempty set")
     if B_sub is None:
         B_sub = A
-    in_a = B_sub.index_set <= A.index_set
-    in_neg = B_sub.index_set <= A.neg().index_set
-    if not (in_a or in_neg):
+    if not (np.isin(B_sub.members, A.members).all() or np.isin(B_sub.members, A.neg().members).all()):
         raise ValueError("B_sub must be a subset of A or of -A")
     k = Fraction(A.diff_size, a)
     gate = record_le("smallness gate", "dichotomy:gate_M", 100 * k * k * a, g.order)
@@ -784,7 +780,7 @@ def dichotomy_M(
         piece_size = len(result.variant.subspace)
     else:
         result = extract_bohr(A, B_sub, params)
-        piece_size = len(result.variant.bohr.members)
+        piece_size = len(result.variant.bohr)
     eight_m = record_ge(
         "piece density vs omega/(8M)",
         "dichotomy:density_8M",
@@ -794,7 +790,7 @@ def dichotomy_M(
     )
     result.records.extend([gate, require(eight_m)])
     result.diagnostics["m"] = M
-    if g.is_boolean_space and B_sub.index_set == A.index_set:
+    if g.is_boolean_space and B_sub == A:
         result.diagnostics["decomposition"] = _coset_decomposition(A, result.variant.subspace, M, result.records)
     return result
 
@@ -807,11 +803,11 @@ def _coset_decomposition(
     Asserts that these cosets cover at least |A|/(16M) points and that
     their count times |L| stays below 16M|A|.
     """
-    basis = f2.echelon_basis(lset.members)
+    _, labels = _coords_in_basis(f2.echelon_basis(lset.members.tolist()), A.members)
     # |A intersect (L + z)| for every coset of L that meets A
-    by_label = Counter(f2.coset_label(basis, x) for x in A.members)
+    counts = np.unique(labels, return_counts=True)[1]
     a = len(A)
-    sq_sum = sum(c * c for c in by_label.values())
+    sq_sum = sum_of_squares(counts)
     records.append(
         require(
             record_ge(
@@ -824,8 +820,8 @@ def _coset_decomposition(
         )
     )
     cut = Fraction(len(lset)) / (16 * M)
-    heavy = {label: c for label, c in by_label.items() if c >= cut}
-    covered = sum(heavy.values())
+    heavy = [c for c in counts.tolist() if c >= cut]
+    covered = sum(heavy)
     records.append(
         require(
             record_ge(
@@ -860,11 +856,9 @@ def brute_force_3B_subspace(b_prime: GroupSet, max_codim: int) -> tuple[GroupSet
         raise ValueError("the 3B' search works on 2-groups only")
     if g.rank > _BRUTE_N_MAX:
         raise SizeLimitError(f"3B' search capped at rank {_BRUTE_N_MAX}")
-    if not b_prime.members:
+    if len(b_prime) == 0:
         return None
-    triple = sumset(sumset(b_prime, b_prime), b_prime)
-    in_triple = np.zeros(g.order, dtype=bool)
-    in_triple[triple.as_array()] = True
+    in_triple = conv_counts(sumset(b_prime, b_prime), b_prime) > 0
     idx = np.arange(g.order)
     m = g.rank
     if not 0 <= max_codim <= m:
@@ -885,14 +879,11 @@ def brute_force_3B_subspace(b_prime: GroupSet, max_codim: int) -> tuple[GroupSet
     return None
 
 
-def _embed(basis: list[int], coords: int) -> int:
+def _embed(basis: list[int], coords):
+    """The XOR of basis[i] over the bits i of coords, an int or an int64 array."""
     out = 0
-    i = 0
-    while coords:
-        if coords & 1:
-            out ^= basis[i]
-        coords >>= 1
-        i += 1
+    for i, row in enumerate(basis):
+        out = out ^ (coords >> i & 1) * row
     return out
 
 
@@ -918,23 +909,20 @@ class RegularizationTrace:
 
     def lift(self) -> GroupSet:
         """The final set mapped back into the original group."""
-        lifted = [
-            _embed(list(self.basis), x) ^ self.translate for x in self.final_set.members
-        ]
-        return group_set(self.original.group, sorted(lifted))
+        lifted = _embed(list(self.basis), self.final_set.members) ^ self.translate
+        return GroupSet(self.original.group, np.sort(lifted))  # the lift is one to one
 
 
-def _coords_in_basis(basis: list[int], v: int) -> int:
-    coords = 0
-    rest = v
+def _coords_in_basis(basis: list[int], v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coords, rest) for each entry of v, reduced by an echelon basis: its
+    coordinates in the basis, and the remainder, which labels its coset of
+    the span (f2.coset_label) and is 0 exactly on the span."""
+    coords = np.zeros_like(v)
     for i, row in enumerate(basis):
-        lead = 1 << (row.bit_length() - 1)
-        if rest & lead:
-            coords |= 1 << i
-            rest ^= row
-    if rest:
-        raise AssertionError("vector left the subspace during reduction")
-    return coords
+        bit = v >> (row.bit_length() - 1) & 1
+        coords |= bit << i
+        v = v ^ bit * row
+    return coords, v
 
 
 def regularize_density(A: GroupSet) -> RegularizationTrace:
@@ -951,7 +939,7 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
         raise ValueError("density regularization works on 2-groups only")
     if g.rank > _REGULARIZE_N_MAX:
         raise SizeLimitError(f"regularization capped at rank {_REGULARIZE_N_MAX}")
-    if not A.members:
+    if len(A) == 0:
         raise ValueError("need a nonempty set")
     records: list[CheckRecord] = []
     steps: list[RegularizationStep] = []
@@ -985,20 +973,14 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
         if m_exact > 1 / (16 * delta):
             raise AssertionError(f"peak ratio m={m_exact} passed 1/(16 delta) under the loop gate")
         piece = extract_subspace(cur, cur, _m_params(m_exact, Fraction(1))).variant
-        lbasis = f2.echelon_basis(piece.subspace.members)
+        # a zero-dimensional piece is a single point; keep one spare
+        # direction so the quotient stays a representable group (the kept
+        # density is then >= 1/2, still past the doubling floor)
+        lbasis = f2.echelon_basis(piece.subspace.members.tolist()) or [1]
         z = piece.z
-        member_test = piece.subspace.index_set
-        if not lbasis:
-            # a zero-dimensional piece is a single point; keep one spare
-            # direction so the quotient stays a representable group (the
-            # kept density is then >= 1/2, still past the doubling floor)
-            lbasis = [1]
-            member_test = frozenset((0, 1))
-        new_members = sorted(
-            _coords_in_basis(lbasis, x ^ z) for x in cur.members if (x ^ z) in member_test
-        )
+        coords, rest = _coords_in_basis(lbasis, cur.members ^ z)
         new_g = boolean_group(len(lbasis))
-        new_set = group_set(new_g, new_members)
+        new_set = GroupSet(new_g, np.sort(coords[rest == 0]))  # the members in L + z
         density_after = Fraction(len(new_set), new_g.order)
         records.append(
             require(

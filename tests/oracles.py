@@ -71,8 +71,8 @@ def corr_direct(A: GroupSet, B: GroupSet) -> list[int]:
     (a, b) lies in it at x = b - a."""
     g = A.group
     out = [0] * g.order
-    for a in A.members:
-        for b in B.members:
+    for a in A.members.tolist():
+        for b in B.members.tolist():
             out[g.sub_index(b, a)] += 1
     return out
 
@@ -81,15 +81,37 @@ def conv_direct(A: GroupSet, B: GroupSet) -> list[int]:
     """#{(a, b) : a + b = x} for every x, by scanning all pairs."""
     g = A.group
     out = [0] * g.order
-    for a in A.members:
-        for b in B.members:
+    for a in A.members.tolist():
+        for b in B.members.tolist():
             out[g.add_index(a, b)] += 1
     return out
 
 
+def sorted_set(indices) -> list[int]:
+    """The distinct indices as a sorted list of Python ints: what a set's
+    members spell out."""
+    return sorted({int(i) for i in indices})
+
+
+def translate_direct(A: GroupSet, x: int) -> list[int]:
+    g = A.group
+    return sorted_set(g.add_index(a, x) for a in A.members.tolist())
+
+
+def neg_direct(A: GroupSet) -> list[int]:
+    return sorted_set(A.group.neg_index(a) for a in A.members.tolist())
+
+
+def slice_direct(A: GroupSet, x: int) -> list[int]:
+    """A_x = A intersect (A + x): the y in A with y - x in A."""
+    g = A.group
+    a = set(A.members.tolist())
+    return sorted_set(y for y in a if g.sub_index(y, x) in a)
+
+
 def sumset_direct(A: GroupSet, B: GroupSet) -> set[int]:
     g = A.group
-    return {g.add_index(a, b) for a in A.members for b in B.members}
+    return {g.add_index(a, b) for a in A.members.tolist() for b in B.members.tolist()}
 
 
 def katz_koester_direct(
@@ -98,23 +120,23 @@ def katz_koester_direct(
     """(|B + A_x|, |S_x|, B + A_x <= S_x) with S = A + B unless given, from
     the definitions X_x = X intersect (X + x) on Python sets."""
     g = A.group
-    a = set(A.members)
-    s = sumset_direct(A, B) if sums is None else set(sums.members)
+    a = set(A.members.tolist())
+    s = sumset_direct(A, B) if sums is None else set(sums.members.tolist())
     a_x = {y for y in a if g.sub_index(y, x) in a}
-    left = {g.add_index(b, y) for b in B.members for y in a_x}
+    left = {g.add_index(b, y) for b in B.members.tolist() for y in a_x}
     right = {y for y in s if g.sub_index(y, x) in s}
     return len(left), len(right), left <= right
 
 
 def difference_direct(A: GroupSet, B: GroupSet) -> set[int]:
     g = A.group
-    return {g.sub_index(a, b) for a in A.members for b in B.members}
+    return {g.sub_index(a, b) for a in A.members.tolist() for b in B.members.tolist()}
 
 
 def energy_direct(A: GroupSet, B: GroupSet) -> int:
     """Quadruples (a1, b1, a2, b2) with a1 - b1 = a2 - b2."""
     g = A.group
-    diffs = Counter(g.sub_index(a, b) for a in A.members for b in B.members)
+    diffs = Counter(g.sub_index(a, b) for a in A.members.tolist() for b in B.members.tolist())
     return sum(m * m for m in diffs.values())
 
 
@@ -126,7 +148,7 @@ def higher_energy_direct(A: GroupSet, k: int) -> int:
 def peak_direct(A: GroupSet) -> float:
     """max |Ahat(t)|^2 over t != 0, via the direct transform."""
     g = A.group
-    values = [1 if i in set(A.members) else 0 for i in range(g.order)]
+    values = [1 if i in set(A.members.tolist()) else 0 for i in range(g.order)]
     spectrum = dft_direct(g, values)
     return max(abs(w) ** 2 for w in spectrum[1:])
 

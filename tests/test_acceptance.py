@@ -73,7 +73,8 @@ def _run(number, label, budget, worker):
 
 def _overlap(A, members, z):
     g = A.group
-    return sum(1 for s in members if g.add_index(s, z) in A.index_set)
+    a = set(A.members.tolist())
+    return sum(1 for s in members.tolist() if g.add_index(s, z) in a)
 
 
 def test_criterion_01_parseval():
@@ -203,7 +204,7 @@ def test_criterion_06_coset_union_example():
         for s in diff.members:
             sl = slice_set(A, s)
             if s in h:
-                if sl.members != A.members:
+                if sl.members.tolist() != A.members.tolist():
                     failures.append(f"slice at {s} is not A")
             else:
                 outside += 1

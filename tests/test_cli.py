@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from addcomb import cli
 from addcomb.cli import main
 from addcomb.families import make_planted
 from addcomb.fileio import dump_set, parse_set, read_function, write_set
@@ -25,6 +26,29 @@ def test_stats_exit_and_payload(subgroup_file, tmp_path, capsys):
     assert data["size"] == 8
     assert data["higher"]["2"] == str(8**3)
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(subgroup_file, tmp_path, monkeypatch, capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    seen = []
+    parse = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: seen.append(parse(argv)) or seen[-1])
+    out = tmp_path / "stats.json"
+    assert main(["stats", subgroup_file, "--k", "2,5", "--out", str(out)]) == 0
+    assert main(["verify", "--suites", "parseval", "--instances", "1", "--group", "Z5"]) == 0
+    assert main(["stats", subgroup_file]) == 0
+    capsys.readouterr()
+    first, second, third = seen
+    assert len({id(first), id(second), id(third)}) == 3
+    assert (first.command, first.k, first.out) == ("stats", "2,5", str(out))
+    assert (second.command, second.seed, second.suites, second.instances, second.group) == (
+        "verify", 0, "parseval", 1, "Z5"
+    )
+    assert (second.config, second.out, second.summary) == (None, None, False)
+    assert not hasattr(second, "k")
+    assert (third.command, third.k, third.out) == ("stats", "2,3,4", None)
+    assert not hasattr(third, "suites")
 
 
 def test_stats_reports_oversized_group(tmp_path, capsys):

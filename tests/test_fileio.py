@@ -64,7 +64,7 @@ def test_set_round_trip_through_file(tmp_path):
     write_set(p, A)
     back = read_set(p)
     assert back.group == g
-    assert back.members == A.members
+    assert back.members.tolist() == A.members.tolist()
 
 
 def test_set_text_has_comments_and_blanks_allowed():
@@ -77,6 +77,11 @@ def test_set_parse_rejects_duplicates_and_bad_heads():
     with pytest.raises(FileFormatError) as exc:
         parse_set("Z6\n1\n1\n")
     assert "duplicate" in str(exc.value)
+    # the first line that repeats an earlier element, counted in the file
+    with pytest.raises(FileFormatError) as exc:
+        parse_set("# head\nZ6\n5\n2\n\n4  # four\n2\n5\n4\n", path="s.txt")
+    assert str(exc.value) == "s.txt:7: duplicate element '2'"
+    assert exc.value.line_no == 7
     with pytest.raises(FileFormatError):
         parse_set("")
     with pytest.raises(FileFormatError):
@@ -87,7 +92,7 @@ def test_set_expect_group_mismatch():
     with pytest.raises(GroupMismatchError):
         parse_set("Z6\n1\n", expect_group=make_group((7,)))
     A = parse_set("Z6\n1\n", expect_group=make_group((6,)))
-    assert A.members == (1,)
+    assert A.members.tolist() == [1]
 
 
 def test_function_round_trip_int(tmp_path):

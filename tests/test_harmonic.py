@@ -24,6 +24,7 @@ from addcomb.harmonic import (
     dft_columns,
     idft,
     indicator,
+    sum_of_squares,
     table_from_values,
     transform_error,
     wht_int,
@@ -175,7 +176,7 @@ def test_int_tables_at_the_int64_boundary(data):
     assert idft(fhat).values.tolist() == values
     eps = data.draw(st.sampled_from([Fraction(1, 16), Fraction(1, 3), Fraction(3, 4)]), label="eps")
     picked = [t for t, w in enumerate(want) if abs(w) * eps.denominator >= eps.numerator * l1]
-    assert spectrum(table, eps).members == tuple(sorted(picked, key=lambda t: (-abs(want[t]), t)))
+    assert spectrum(table, eps).members.tolist() == sorted(picked, key=lambda t: (-abs(want[t]), t))
 
 
 def test_wht_int_is_exact_at_scale():
@@ -233,6 +234,24 @@ def test_l2_squared_is_exact_on_either_side_of_2_63(values):
     table = FunctionTable(g, values + [0] * (g.order - len(values)), "int")
     assert table.values.dtype == np.int64
     assert table.l2_squared() == sum(v * v for v in values)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [(1 << 31) - 1, 1 << 31],  # max * sum = 2^63 - 2^31: summed in int64
+        [1 << 31, 1 << 31],  # max * sum = 2^63, and so is the sum of the squares
+        [1 << 32, 1 << 31, 3],  # 2^64 wraps to 0 in int64
+        [1 << 31] * 8,
+        [0, 5, 0, 7],
+        [],
+    ],
+)
+def test_sum_of_squares_takes_python_ints_past_the_bound(counts):
+    # past the bound an int64 sum would wrap, so matching the Python-int
+    # oracle shows which path ran
+    got = sum_of_squares(np.array(counts, dtype=np.int64))
+    assert type(got) is int and got == sum(c * c for c in counts)
 
 
 def test_table_length_guard():

@@ -126,7 +126,7 @@ def test_load_configs_shared_keys_and_duplicates(tmp_path):
 def test_realize_source_variants(tmp_path):
     g = make_group((24,))
     label, A = realize_source({"kind": "literal", "members": [0, 3, 7]}, g, None)
-    assert A.members == (0, 3, 7) and label == "literal[3]"
+    assert A.members.tolist() == [0, 3, 7] and label == "literal[3]"
 
     _, B = realize_source({"kind": "literal", "group": "Z4xZ6", "members": [[1, 2], [3, 5]]}, None, None)
     assert B.group.factors == (4, 6) and len(B) == 2
@@ -135,7 +135,7 @@ def test_realize_source_variants(tmp_path):
     assert len(C) == 5
 
     _, H = realize_source({"kind": "subgroup", "n": 6, "dim": 2}, None, None)
-    assert H.members == (0, 1, 2, 3)
+    assert H.members.tolist() == [0, 1, 2, 3]
 
     _, P = realize_source({"kind": "planted", "n": 9, "dim": 2, "cosets": 3}, None, 4)
     assert len(P) == 12
@@ -149,7 +149,7 @@ def test_realize_source_variants(tmp_path):
     sf = tmp_path / "s.set"
     write_set(sf, A)
     label, F = realize_source({"kind": "file", "path": str(sf)}, g, None)
-    assert F.members == A.members
+    assert F.members.tolist() == A.members.tolist()
 
     with pytest.raises(ConfigError):
         realize_source({"kind": "mystery"}, g, None)

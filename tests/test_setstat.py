@@ -53,8 +53,12 @@ from .oracles import (
     energy_direct,
     higher_energy_direct,
     katz_koester_direct,
+    neg_direct,
     peak_direct,
+    slice_direct,
+    sorted_set,
     sumset_direct,
+    translate_direct,
 )
 
 GROUPS = [make_group(f) for f in [(18,), (2, 2, 2, 2), (3, 8)]]
@@ -68,19 +72,74 @@ def _random_set(g, rng, lo=2, hi=None):
 def test_group_set_sorts_and_dedupes():
     g = make_group((10,))
     A = group_set(g, [7, 1, 7, 3])
-    assert A.members == (1, 3, 7)
+    assert A.members.tolist() == [1, 3, 7]
     assert len(A) == 3
-    assert A.index_set == frozenset({1, 3, 7})
+    assert [i in A for i in range(10)] == [i in {1, 3, 7} for i in range(10)]
+
+
+# each group with a twin of the same order that is another group
+_TWINS = [
+    (make_group((18,)), make_group((2, 9))),
+    (boolean_group(4), make_group((16,))),
+    (make_group((3, 8)), make_group((24,))),
+    (make_group((7,)), make_group((7,))),
+]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_set_invariants_against_the_sorted_set_oracle(data):
+    g, twin = data.draw(st.sampled_from(_TWINS), label="group")
+    indices = st.lists(st.integers(0, g.order - 1), max_size=16)
+    xs, ys = data.draw(indices, label="xs"), data.draw(indices, label="ys")
+    x = data.draw(st.integers(0, g.order - 1), label="x")
+    A, B = group_set(g, xs), group_set(g, ys)
+    a = sorted_set(xs)
+    assert A.members.tolist() == a and A.members.dtype == np.int64
+    # members is read-only, and so is every array built on it
+    assert not A.members.flags.writeable
+    if a:
+        with pytest.raises(ValueError):
+            A.members[0] = 0
+        # construction rejects unsorted, repeated, negative and >= N members
+        bad = [a + a[-1:], [-1] + a, a + [g.order]]
+        if len(a) > 1:
+            bad.append(a[::-1])
+        for members in bad:
+            with pytest.raises(GroupMismatchError):
+                GroupSet(g, np.array(members, dtype=np.int64))
+            with pytest.raises(GroupMismatchError):
+                GroupSet(g, tuple(members))
+    # one set, built by five paths, is one value
+    same = [
+        GroupSet(g, tuple(a)),
+        GroupSet(g, np.array(a, dtype=np.int64)),
+        group_set(g, reversed(xs)),
+        A.translate(0),
+        A.neg().neg(),
+    ]
+    for S in same:
+        assert S == A and hash(S) == hash(A) and hash(S.members) == hash(A.members)
+    # the same indices on another group are another set
+    if twin != g:
+        assert GroupSet(twin, A.members) != A
+    assert A.translate(x).members.tolist() == translate_direct(A, x)
+    assert A.neg().members.tolist() == neg_direct(A)
+    assert sumset(A, B).members.tolist() == sorted(sumset_direct(A, B))
+    assert slice_set(A, x).members.tolist() == slice_direct(A, x)
+    for S in (A.translate(x), A.neg(), sumset(A, B), slice_set(A, x)):
+        assert S.members.dtype == np.int64 and not S.members.flags.writeable
+    assert [i in A for i in range(g.order)] == [i in set(a) for i in range(g.order)]
 
 
 def test_translate_and_neg():
     g = make_group((12,))
     A = group_set(g, [0, 1, 5])
-    assert A.translate(3).members == (3, 4, 8)
-    assert A.neg().members == (0, 7, 11)
+    assert A.translate(3).members.tolist() == [3, 4, 8]
+    assert A.neg().members.tolist() == [0, 7, 11]
     gb = boolean_group(3)
     B = group_set(gb, [1, 6])
-    assert B.neg().members == B.members
+    assert B.neg().members.tolist() == B.members.tolist()
 
 
 @pytest.mark.parametrize("g", GROUPS, ids=format_group_text)
@@ -391,7 +450,7 @@ def test_cached_statistics_match_oracles(A):
     # k = 64 makes c^k pass 2^63 for every value c >= 2 of A o A
     for k in (2, 3, 64):
         assert higher_energy(A, k) == higher_energy_direct(A, k)
-    if not A.members:
+    if len(A) == 0:
         with pytest.raises(ValueError):
             A.peak
         return
@@ -535,7 +594,7 @@ def test_subgroup_autocorrelation_at_the_order_cap():
     A = group_set(g, range(0, g.order, 16))
     counts = corr_counts(A, A)
     want = np.zeros(g.order, dtype=np.int64)
-    want[A.as_array()] = len(A)
+    want[A.members] = len(A)
     assert np.array_equal(counts, want)
 
 
@@ -602,7 +661,7 @@ def test_conv_columns_fall_back_to_the_loop_per_column(case):
         counts = conv_columns(g, pairs)
     assert _columns(counts) == [conv_direct(A, B) for A, B in pairs]
     if not g.is_boolean_space:
-        exact = sum(1 for A, B in pairs if A.members and B.members and len(A) % 2 == 0)
+        exact = sum(1 for A, B in pairs if len(A) and len(B) and len(A) % 2 == 0)
         assert spy.call_count == (exact > 0)
         assert [call.args[1].shape[1] for call in spy.call_args_list] == ([exact] if exact else [])
 

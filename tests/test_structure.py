@@ -45,7 +45,8 @@ def _subgroup(n, dim):
 
 def _count_overlap(B, piece_members, z):
     g = B.group
-    return sum(1 for s in piece_members if g.add_index(s, z) in B.index_set)
+    b = set(B.members.tolist())
+    return sum(1 for s in piece_members.tolist() if g.add_index(s, z) in b)
 
 
 def test_params_validation():
@@ -135,7 +136,8 @@ def test_span_mass_is_exact_past_int64():
     params = StructureParams(m=1, m_prime=1, kappa=1, zeta=Fraction(1, 8), t=2)
     jump = structure.EnergyJump(k=2, e_k=1, e_next=1, m_star=params.m_star, k0=params.k0)
     out = structure._bohr_span_diagnostics(B, phi_hat, (1, 6), params, jump)
-    b_hat = walsh_direct([int(x in B.index_set) for x in range(g.order)])
+    b = set(B.members.tolist())
+    b_hat = walsh_direct([int(x in b) for x in range(g.order)])
     products = [phi_values[x] * b_hat[x] ** 2 for x in (0, 1, 6, 7)]
     assert min(products) > 1 << 63
     assert out["spectral_mass"].lhs == format_value(Fraction(sum(products)))
@@ -326,7 +328,7 @@ def test_certify_difference_subset_counts_the_autocorrelation_once(monkeypatch):
     assert res.kind == "BohrPiece"
     assert len(calls) == 1
     neg = A.neg()
-    assert neg.members != A.members
+    assert neg.members.tolist() != A.members.tolist()
     assert neg.autocorr.tolist() == corr_direct(neg, neg)
 
 
@@ -351,7 +353,7 @@ def test_brute_force_3B_subspace_against_exhaustive_search():
     for _ in range(6):
         B = group_set(g, rng.sample(range(32), rng.randrange(3, 10)))
         triple = sumset(sumset(B, B), B)
-        tset = triple.index_set
+        tset = set(triple.members.tolist())
         got = brute_force_3B_subspace(B, max_codim=5)
 
         best = None
@@ -437,7 +439,7 @@ def test_regularize_singleton():
     A = group_set(g, [77])
     trace = regularize_density(A)
     assert len(trace.final_set) == 1
-    assert trace.lift().members == A.members
+    assert trace.lift().members.tolist() == A.members.tolist()
     assert 100 * trace.final_k**2 * trace.final_delta > 1
 
 
@@ -454,12 +456,12 @@ def test_extract_subspace_correlates_b_with_itself_once(monkeypatch):
     self_pairs = []
 
     def counting(X, Y=None):
-        if Y is None or Y.members == X.members:
-            self_pairs.append(X.members)
+        if Y is None or Y.members.tolist() == X.members.tolist():
+            self_pairs.append(X.members.tolist())
         return real(X, Y)
 
     for module in (setstat, structure):
         monkeypatch.setattr(module, "corr_counts", counting)
     B = group_set(A.group, A.members)  # a fresh set, so nothing is cached yet
     extract_subspace(B, B, params)
-    assert self_pairs == [B.members]
+    assert self_pairs == [B.members.tolist()]
