@@ -4,13 +4,14 @@ Fourier and energy statistics of subsets of finite abelian groups, the
 energy-jump structure-extraction pipelines (subspace and Bohr variants),
 their corollary drivers, and generators for the two worked example
 families.  Everything asserted is computed exactly: integer counts, the
-integer Walsh transform on 2-groups, rationals.  Floating point appears in
-the DFT on general groups and in the Bohr phase keys, and every branch or
-asserted check read off it goes through a proven error bound:
-harmonic.transform_error for the DFT, the key's rounding band for Bohr
-sets.  Pair counts on general groups are a rounded float convolution only
-where harmonic.conv_error proves the rounding exact, and a direct integer
-count elsewhere.  Certificates are recounted by integers.
+integer Walsh transform on 2-groups, rationals, and Bohr membership on an
+exact integer key.  The DFT on general groups is the one floating-point
+kernel, and every branch or asserted check read off it goes through one
+proven error model: harmonic.transform_error for a transform and
+harmonic.conv_error for a convolution.  Pair counts on general groups are a
+rounded float convolution only where conv_error proves the rounding exact,
+and a direct integer count elsewhere.  Certificates are recounted by
+integers.
 """
 
 from __future__ import annotations

@@ -7,11 +7,13 @@ integer test v_j(x) < ceil(eps_j N) with v_j = min(c_j, N - c_j).
 
 Dilating every radius by rho only rescales one per-element statistic, so a
 single table per (group, Gamma, radius shape) answers size queries for every
-dilate: the int64 phases v_j are built once into a sorted float key, a count
-is a binary search, and the few points the key cannot separate from the cut
-(a proven band of relative width 8 * 2^-53) are settled by the integer test.
-See _ExactCounter.  The table is cached, so the radius search, the
-materialization and the regularity grid of one Bohr set share it.
+dilate: the int64 phases v_j are built once into a sorted int64 key, 12
+bytes per element with its index, and a count is one binary search for an
+integer cut, exact with no rounding.  A radius shape whose key would not fit
+in int64 (N max_j w_j >= 2^62, see _ExactCounter) keeps no table, and each
+query runs the integer test over the whole group.  The table is cached, so
+the radius search, the materialization and the regularity grid of one Bohr
+set share it.
 """
 
 from __future__ import annotations
@@ -35,12 +37,8 @@ from .report import CheckRecord, record_ge, record_le, require
 from .setstat import GroupSet
 
 _CHUNK = 1 << 16
-# sigma and every key weight must be normal doubles with room for a factor
-# N/2 < 2^23, so that the error band of _ExactCounter holds
-_KEY_MIN = 2.0**-1000
-_KEY_MAX = 2.0**1000
-_BAND_LO = 1 - 2.0**-50  # 1 - 8u, exact in binary64
-_BAND_HI = 1 + 2.0**-50
+# keys are built while N * max_j w_j is below this; query cuts are clamped to it
+_KEY_BOUND = 1 << 62
 _ONE = Fraction(1)
 _DEFAULT_GRID_STEPS = 10
 _RADIUS_ROUNDS = (256, 1024, 4096)
@@ -110,7 +108,7 @@ def make_bohr_spec(g: GroupSpec, gamma: Sequence[int], eps) -> BohrSpec:
 
 
 class _ExactCounter:
-    """Sorted float key over one (group, Gamma, radius shape), exact by band.
+    """Sorted integer key over one (group, Gamma, radius shape).
 
     Radii enter only through their shape r_j = eps_j / eps_0: for any spec
     with these characters and this shape, and any dilation rho, x lies in
@@ -118,25 +116,21 @@ class _ExactCounter:
 
         m(x) = max_j v_j(x) / (r_j N),   v_j(x) = min(c_j(x), N - c_j(x)),
 
-    where c_j(x) in [0, N) is the integer phase of gamma_j at x.  The phases
-    are built once, in int64 chunks, to form the float key
-    k(x) = max_j fl(v_j(x) * w_j) with w_j = fl(1 / (r_j N)); the table keeps
-    only the keys in sorted order (float64) and the matching element indices
-    (int32, as N <= 2^24), 12 bytes per element at any order.  The two most
-    recent tables stay cached after the call that built them returns, so up
-    to 24 N bytes are held: 384 KiB at N = 2^14, 384 MiB at the 2^24 cap.
+    where c_j(x) in [0, N) is the integer phase of gamma_j at x.  Write
+    r_j = p_j / q_j in lowest terms, L = lcm_j p_j and w_j = q_j L / p_j, an
+    integer.  The key k(x) = max_j v_j(x) w_j is then exactly m(x) N L, and
+    as k(x) is an integer, x is a member at sigma iff k(x) < ceil(sigma N L).
+    A count is one binary search for that cut in the sorted keys.
 
-    Error band.  Let u = 2^-53.  v_j <= N/2 <= 2^23 is exact in a double, w_j
-    and the product are each rounded once, and the max is exact, so
-    k(x) = m(x)(1 + theta) with |theta| <= 2u + u^2 < 3u, as long as every
-    w_j is a normal double (checked at build).  A query rounds sigma once and
-    widens it by the representable factors 1 -/+ 8u, so lo < sigma(1 - 5u)
-    and hi > sigma(1 + 5u).  Then k(x) < lo proves m(x) < sigma, k(x) >= hi
-    proves m(x) > sigma, and only the points with lo <= k(x) < hi are
-    decided by the integer test v_j(x) < ceil(sigma r_j N) for every j.  A
-    count is two binary searches plus that band; when sigma or a weight
-    falls outside the normal double range, the integer test runs over the
-    whole group instead.
+    The keys are built once, in int64 chunks, when N max_j w_j < 2^62: every
+    product v_j w_j <= (N/2) w_j then fits, and a cut clamped at 2^62 lies
+    above every key.  The table keeps only the keys in sorted order (int64)
+    and the matching element indices (int32, as N <= 2^24), 12 bytes per
+    element at any order.  The two most recent tables stay cached after the
+    call that built them returns, so up to 24 N bytes are held: 384 KiB at
+    N = 2^14, 384 MiB at the 2^24 cap.  A shape past the bound (some w_j of
+    62 - log2 N bits or more) keeps no keys: each query runs the integer test
+    v_j(x) < ceil(sigma r_j N) for every j over the whole group instead.
     """
 
     def __init__(self, g: GroupSpec, gamma: tuple[int, ...], shape: tuple[Fraction, ...]):
@@ -150,20 +144,18 @@ class _ExactCounter:
             [[(c * (n // f)) % n for c, f in zip(g.unindex(t), g.factors)] for t in gamma],
             dtype=np.int64,
         ).reshape(len(gamma), g.rank)
+        lcm = math.lcm(*(r.numerator for r in shape))
+        w = [r.denominator * lcm // r.numerator for r in shape]
+        self.scale = n * lcm  # k(x) = m(x) * scale
         self.order: np.ndarray | None = None
         self.sorted_keys: np.ndarray | None = None
-        try:
-            # int / int rounds correctly, as float(Fraction) does
-            w = [r.denominator / (r.numerator * n) for r in shape]
-        except OverflowError:
-            return
-        if not all(_KEY_MIN <= x <= _KEY_MAX for x in w):
+        if n * max(w, default=0) >= _KEY_BOUND:
             return
         if shape:
-            col = np.array(w)[:, None]
+            col = np.array(w, dtype=np.int64)[:, None]
             keys = np.concatenate([(self._phases(idx) * col).max(axis=0) for idx in _index_chunks(n)])
         else:
-            keys = np.zeros(n, dtype=np.float64)
+            keys = np.zeros(n, dtype=np.int64)
         self.order = np.argsort(keys).astype(np.int32)
         self.sorted_keys = keys[self.order]
 
@@ -181,34 +173,25 @@ class _ExactCounter:
         cuts = [min(-(-a * r.numerator // (b * r.denominator)), n) for r in self.shape]
         return (self._phases(idx) < np.array(cuts, dtype=np.int64)[:, None]).all(axis=0)
 
-    def _split(self, sigma: Fraction) -> tuple[int, np.ndarray]:
-        """(k, extra): the members at sigma are the first k indices in key
-        order and the indices in extra, which the integer test admitted."""
+    def _cut(self, sigma: Fraction) -> int:
+        """ceil(sigma N L), clamped at 2^62: a cut past int64 would make the
+        search compare the whole key array as Python objects."""
         if sigma <= 0:
             raise ValueError("dilation factor must be positive")
-        try:
-            s = float(sigma)
-        except OverflowError:
-            s = math.inf
-        if self.sorted_keys is None or not _KEY_MIN <= s <= _KEY_MAX:
-            return 0, np.concatenate([idx[self._passes(idx, sigma)] for idx in _index_chunks(self.group.order)])
-        inside = int(self.sorted_keys.searchsorted(s * _BAND_LO))
-        edge = int(self.sorted_keys.searchsorted(s * _BAND_HI))
-        band = self.order[inside:edge]
-        if edge > inside:
-            band = band[self._passes(band, sigma)]
-        return inside, band
+        return min(-(-sigma.numerator * self.scale // sigma.denominator), _KEY_BOUND)
 
     def count(self, sigma: Fraction) -> int:
-        inside, extra = self._split(sigma)
-        return inside + len(extra)
+        if self.sorted_keys is None:
+            return len(self.member_indices(sigma))
+        return int(self.sorted_keys.searchsorted(self._cut(sigma)))
 
     def member_indices(self, sigma: Fraction) -> np.ndarray:
         """Sorted indices of the members at query sigma."""
-        inside, extra = self._split(sigma)
-        if inside:
-            extra = np.concatenate((self.order[:inside], extra))
-        return np.sort(extra)
+        if self.sorted_keys is not None:
+            return np.sort(self.order[: self.count(sigma)])
+        if sigma <= 0:
+            raise ValueError("dilation factor must be positive")
+        return np.concatenate([idx[self._passes(idx, sigma)] for idx in _index_chunks(self.group.order)])
 
 
 def _index_chunks(n: int):

@@ -33,7 +33,10 @@ EXIT_RESOURCE = 3
 
 
 def _parse_fractions(text: str) -> list[Fraction]:
-    return [Fraction(part) for part in text.split(",") if part.strip()]
+    try:
+        return [Fraction(part) for part in text.split(",") if part.strip()]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise harness.ConfigError(f"bad fraction list {text!r}: {exc}") from None
 
 
 def _parse_ints(text: str) -> list[int]:

@@ -22,8 +22,7 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -126,23 +125,37 @@ def config_from_dict(d: dict) -> RunConfig:
         raise ConfigError(f"unknown run kind {kind!r}")
     group = None
     if d.get("group"):
+        if not isinstance(d["group"], str):
+            raise ConfigError(f"group must be a string, got {d['group']!r}")
         try:
             group = parse_group_text(d["group"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    suites = tuple(d.get("suites", DEFAULT_SUITES))
+    suites = d.get("suites", DEFAULT_SUITES)
+    if not isinstance(suites, (list, tuple)) or not all(isinstance(s, str) for s in suites):
+        raise ConfigError(f"suites must be a list of suite names, got {suites!r}")
     bad = [s for s in suites if s not in _SUITES]
     if kind == "verify" and bad:
         raise ConfigError(f"unknown suites: {bad}; known: {sorted(_SUITES)}")
+    sets = d.get("sets", [])
+    if not isinstance(sets, (list, tuple)) or not all(isinstance(s, dict) for s in sets):
+        raise ConfigError(f"sets must be a list of set-source objects, got {sets!r}")
+    params = d.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be an object, got {params!r}")
+    try:
+        instances = int(d.get("instances", 25))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"instances must be an integer, got {d['instances']!r}") from None
     cfg = RunConfig(
         kind=kind,
         name=str(d.get("name", "run")),
         group=group,
-        sets=list(d.get("sets", [])),
+        sets=list(sets),
         pipeline=str(d.get("pipeline", "auto")),
-        params=dict(d.get("params", {})),
-        suites=suites,
-        instances=int(d.get("instances", 25)),
+        params=dict(params),
+        suites=tuple(suites),
+        instances=instances,
         seed=d.get("seed"),
         output=d.get("output"),
     )
@@ -395,30 +408,24 @@ def derive_params(
     )
 
 
+def _override(key: str, raw) -> Fraction | int:
+    """One parameter override as given in a config: an int for k0_pad, a
+    rational (an int, a float or "p/q" text) for every other field."""
+    try:
+        return int(raw) if key == "k0_pad" else Fraction(raw)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"bad structure parameter {key}={raw!r}: {exc}") from None
+
+
 def build_params(overrides: dict, A: GroupSet, B: GroupSet) -> StructureParams:
-    known = {"m", "m_prime", "kappa", "zeta", "t", "omega", "c_local", "k0_pad", "c_chang"}
-    unknown = set(overrides) - known
+    unknown = set(overrides) - {f.name for f in fields(StructureParams)}
     if unknown:
         raise ConfigError(f"unknown parameter overrides: {sorted(unknown)}")
-    zeta = Fraction(overrides["zeta"]) if "zeta" in overrides else Fraction(1, 8)
-    t = Fraction(overrides["t"]) if "t" in overrides else Fraction(2)
-    base = derive_params(A, B, zeta=zeta, t=t)
-    fields = {
-        "m": base.m,
-        "m_prime": base.m_prime,
-        "kappa": base.kappa,
-        "zeta": base.zeta,
-        "t": base.t,
-        "omega": base.omega,
-        "c_local": base.c_local,
-        "k0_pad": base.k0_pad,
-        "c_chang": base.c_chang,
-    }
-    for key, raw in overrides.items():
-        fields[key] = int(raw) if key == "k0_pad" else Fraction(raw)
+    values = {key: _override(key, raw) for key, raw in overrides.items()}
+    base = derive_params(A, B, **{k: v for k, v in values.items() if k in ("zeta", "t")})
     try:
-        return StructureParams(**fields)
-    except (ValueError, ZeroDivisionError) as exc:
+        return replace(base, **values)
+    except ValueError as exc:
         raise ConfigError(f"bad structure parameters: {exc}") from None
 
 
@@ -625,8 +632,8 @@ def run_structure(cfg: RunConfig) -> RunReport:
     res = hyp = None
     try:
         if mode == "dichotomy":
-            m_override = cfg.params.get("m")
-            res = dichotomy_M(A, M=Fraction(m_override) if m_override else None, B_sub=B)
+            M = _override("m", cfg.params["m"]) if "m" in cfg.params else None
+            res = dichotomy_M(A, M=M, B_sub=B)
         else:
             params = build_params(cfg.params, A, B)
             res = (extract_subspace if mode == "subspace" else extract_bohr)(A, B, params)
@@ -715,11 +722,9 @@ def run_config(cfg: RunConfig) -> RunReport:
 
 
 def run_all(configs: Sequence[RunConfig]) -> list[RunReport]:
-    """Run experiments concurrently; reports come back in config order."""
-    if len(configs) <= 1:
-        return [run_config(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=min(8, len(configs))) as pool:
-        return list(pool.map(run_config, configs))
+    """Run experiments one after another (threads would only contend for the
+    GIL); reports come back in config order."""
+    return [run_config(c) for c in configs]
 
 
 def write_report(report: RunReport, path: str) -> None:

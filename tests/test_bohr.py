@@ -220,8 +220,59 @@ def test_counter_exact_on_phase_boundaries(data):
     _assert_counter_exact(g, gamma, eps, rhos)
 
 
+def _small_fraction(draw, n: int) -> Fraction:
+    """A value in (0, 1] with a denominator of at most 4N."""
+    den = draw(st.integers(min_value=1, max_value=4 * n))
+    return Fraction(draw(st.integers(min_value=1, max_value=den)), den)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_counter_int64_key_exact_on_small_denominators(data):
+    g = data.draw(st.sampled_from(EXACTNESS_GROUPS), label="group")
+    n = g.order
+    d = data.draw(st.integers(min_value=1, max_value=3), label="d")
+    gamma = data.draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d), label="gamma")
+    eps = [_small_fraction(data.draw, n) for _ in range(d)]
+    # sigma = k/N puts the cut k * lcm on the keys of the points with v_0 = k;
+    # the other dilations mostly put it between two keys
+    rhos = [Fraction(data.draw(st.integers(1, n // 2)), n) / eps[0] for _ in range(2)]
+    rhos += [_small_fraction(data.draw, n) for _ in range(2)]
+    rhos = [rho for rho in rhos if all(rho * e <= 1 for e in eps)] or [Fraction(1)]
+    assert _counter(make_bohr_spec(g, gamma, eps))[0].sorted_keys is not None
+    _assert_counter_exact(g, gamma, eps, rhos)
+
+
+# against a radius 1/2 on Z128: shape factor 2^-55 or 2^55, so N max w = 2^62
+_AT_BOUND = Fraction(1, 2**56)
+# shape factor 1/(2^55 - 1) or 2^55 - 1, so N max w = 2^62 - 128
+_BELOW_BOUND = Fraction(1, 2**56 - 2)
+
+
+@pytest.mark.parametrize(
+    "gamma, eps, keyed",
+    [
+        ([1, 64], [Fraction(1, 2), _BELOW_BOUND], True),
+        ([1, 64], [Fraction(1, 2), _AT_BOUND], False),
+        ([64, 1], [_BELOW_BOUND, Fraction(1, 2)], True),
+        ([64, 1], [_AT_BOUND, Fraction(1, 2)], False),
+    ],
+)
+def test_counter_key_bound(gamma, eps, keyed):
+    """Keys are built while N max_j w_j < 2^62; from 2^62 on, the integer scan runs."""
+    g = make_group((128,))
+    counter, _ = _counter(make_bohr_spec(g, gamma, eps))
+    assert (counter.sorted_keys is not None) is keyed
+    _assert_counter_exact(g, gamma, eps, [Fraction(1), Fraction(1, 3), Fraction(3, 4)])
+    # a cut far past int64 is clamped above every key: every element passes
+    assert counter.count(Fraction(2**70)) == g.order
+    if keyed:
+        assert counter._cut(Fraction(2**70)) == 2**62
+
+
 def test_counter_exact_off_the_float_range():
-    """Radius shapes and dilations past the double range use the integer scan."""
+    """A radius shape past the int64 key bound uses the integer scan; a
+    dilation past the double range is one more cut on the int64 key."""
     g = make_group((4, 6))
     gamma = [5, 13]
     eps = [Fraction(1, 3), Fraction(1, 2**1100)]
@@ -231,9 +282,9 @@ def test_counter_exact_off_the_float_range():
 
 
 def test_counter_exact_where_the_float_key_misrounds():
-    # k * fl(1/24) < fl(k/24) for k = 5, 7, 10: the float key of a point on
-    # the cut lands below the rounded cut, and only the band recheck keeps
-    # the strict inequality
+    # k * fl(1/24) < fl(k/24) for k = 5, 7, 10: a rounded float key of a
+    # point on the cut would land below the rounded cut; the integer key of
+    # that point equals its cut, and the strict inequality excludes it
     g = make_group((24,))
     for k in (5, 7, 10):
         assert k * (1 / 24) < k / 24

@@ -233,6 +233,41 @@ def test_verify_missing_config_file(tmp_path, capsys):
     assert code == 2
 
 
+_SUBGROUP_SOURCE = [{"kind": "subgroup", "n": 4, "dim": 1}]
+
+
+@pytest.mark.parametrize(
+    "command, payload, flags",
+    [
+        ("verify", {"seed": 1, "suites": 5}, []),
+        ("verify", {"seed": 1, "instances": None}, []),
+        ("verify", {"kind": "structure", "seed": 1, "sets": ["abc"]}, []),
+        ("verify", {"kind": "structure", "seed": 1, "sets": _SUBGROUP_SOURCE, "params": [1]}, []),
+        ("structure", {"m": "1/0"}, []),
+        ("structure", {"m": "1/0"}, ["--mode", "dichotomy"]),
+        ("structure", {"m": None}, []),
+        ("structure", {"m": None}, ["--mode", "dichotomy"]),
+        ("bohr", None, ["--group", "Z10", "--gamma", "1", "--eps", "1/0"]),
+    ],
+    ids=[
+        "suites-int", "instances-null", "sets-str", "params-list",
+        "m-zero-den", "m-zero-den-dichotomy", "m-null", "m-null-dichotomy", "eps-zero-den",
+    ],
+)
+def test_bad_config_values_are_config_errors(command, payload, flags, subgroup_file, tmp_path, capsys):
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps(payload))
+    argv = {
+        "verify": ["verify", "--config", str(given)],
+        "structure": ["structure", subgroup_file, "--params", str(given)],
+        "bohr": ["bohr"],
+    }[command]
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 _SUITE_RECORDS = {
     "parseval": [("energy identity", "parseval")] * 4,
     "triangle": [("tuple-count triangle", "triangle:count")] * 2,
