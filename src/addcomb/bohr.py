@@ -14,6 +14,12 @@ in int64 (N max_j w_j >= 2^62, see _ExactCounter) keeps no table, and each
 query runs the integer test over the whole group.  The table is cached, so
 the radius search, the materialization and the regularity grid of one Bohr
 set share it.
+
+The integer test is one function, _member_rows, over a stack of Bohr sets
+at once.  The verify suite's size bounds (size_bound_stack) need a few
+sizes of many unrelated Bohr sets, where a table per set would be built
+for two or three queries: they are counted by that test instead, on one
+table of the phases of all their characters, in one pass over the group.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
+from functools import lru_cache, partial, reduce
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,9 +38,10 @@ from .groups import (
     GroupSpec,
     SizeLimitError,
     _coords_of,
+    neg_index_many,
 )
 from .report import CheckRecord, record_ge, record_le, require
-from .setstat import GroupSet
+from .setstat import GroupSet, column_blocks
 
 _CHUNK = 1 << 16
 # keys are built while N * max_j w_j is below this; query cuts are clamped to it
@@ -130,7 +137,9 @@ class _ExactCounter:
     call that built them returns, so up to 24 N bytes are held: 384 KiB at
     N = 2^14, 384 MiB at the 2^24 cap.  A shape past the bound (some w_j of
     62 - log2 N bits or more) keeps no keys: each query runs the integer test
-    v_j(x) < ceil(sigma r_j N) for every j over the whole group instead.
+    v_j(x) < ceil(sigma r_j N) for every j over the whole group instead, as
+    the one-row call of _member_rows, the scan that also counts the stacked
+    size bounds of size_bound_stack.
     """
 
     def __init__(self, g: GroupSpec, gamma: tuple[int, ...], shape: tuple[Fraction, ...]):
@@ -139,11 +148,7 @@ class _ExactCounter:
         self.group = g
         self.shape = shape
         n = g.order
-        # c_j(x) = sum_i x_i * weights[j, i] mod N
-        self.weights = np.array(
-            [[(c * (n // f)) % n for c, f in zip(g.unindex(t), g.factors)] for t in gamma],
-            dtype=np.int64,
-        ).reshape(len(gamma), g.rank)
+        self.weights = _weights(g, gamma)
         lcm = math.lcm(*(r.numerator for r in shape))
         w = [r.denominator * lcm // r.numerator for r in shape]
         self.scale = n * lcm  # k(x) = m(x) * scale
@@ -153,25 +158,20 @@ class _ExactCounter:
             return
         if shape:
             col = np.array(w, dtype=np.int64)[:, None]
-            keys = np.concatenate([(self._phases(idx) * col).max(axis=0) for idx in _index_chunks(n)])
+            phases = (_phases(g, self.weights, idx) for idx in _index_chunks(n))
+            keys = np.concatenate([(v * col).max(axis=0) for v in phases])
         else:
             keys = np.zeros(n, dtype=np.int64)
         self.order = np.argsort(keys).astype(np.int32)
         self.sorted_keys = keys[self.order]
 
-    def _phases(self, idx: np.ndarray) -> np.ndarray:
-        """(d, len) int64 table of v_j over an index array."""
-        n = self.group.order
-        c = (self.weights @ _coords_of(self.group, idx).T) % n
-        return np.minimum(c, n - c)
-
     def _passes(self, idx: np.ndarray, sigma: Fraction) -> np.ndarray:
-        """The exact integer membership test, on an index array."""
-        n = self.group.order
-        a, b = sigma.numerator * n, sigma.denominator
-        # ceil(sigma * r_j * N), capped at N since v_j <= N/2
-        cuts = [min(-(-a * r.numerator // (b * r.denominator)), n) for r in self.shape]
-        return (self._phases(idx) < np.array(cuts, dtype=np.int64)[:, None]).all(axis=0)
+        """The exact integer membership test, on an index array: the
+        one-row call of _member_rows."""
+        cuts = [_radius_cut(sigma * r, self.group.order) for r in self.shape]
+        chars = np.arange(len(cuts), dtype=np.int64)[None, :]
+        v = _phases(self.group, self.weights, idx)
+        return _member_rows(v, chars, np.array([cuts], dtype=np.int64))[0]
 
     def _cut(self, sigma: Fraction) -> int:
         """ceil(sigma N L), clamped at 2^62: a cut past int64 would make the
@@ -199,6 +199,38 @@ def _index_chunks(n: int):
         yield np.arange(lo, min(n, lo + _CHUNK), dtype=np.int64)
 
 
+def _weights(g: GroupSpec, gamma: Sequence[int]) -> np.ndarray:
+    """The (d, rank) int64 table with c_j(x) = sum_i x_i weights[j, i] mod N."""
+    n = g.order
+    return np.array(
+        [[(c * (n // f)) % n for c, f in zip(g.unindex(t), g.factors)] for t in gamma],
+        dtype=np.int64,
+    ).reshape(len(gamma), g.rank)
+
+
+def _phases(g: GroupSpec, weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(d, len) int64 table of v_j = min(c_j, N - c_j) over an index array."""
+    n = g.order
+    c = (weights @ _coords_of(g, idx).T) % n
+    return np.minimum(c, n - c)
+
+
+def _radius_cut(eps: Fraction, n: int) -> int:
+    """ceil(eps N), capped at N since v_j <= N/2: v_j < ceil(eps N) iff
+    v_j / N < eps, as v_j is an integer."""
+    return min(-(-eps.numerator * n // eps.denominator), n)
+
+
+def _member_rows(v: np.ndarray, chars: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The integer membership test of a stack of Bohr sets over the elements
+    of a phase table v: row r of the (rows, len) result holds where
+    v[chars[r, j]] < cuts[r, j] for every j."""
+    out = np.ones((chars.shape[0], v.shape[1]), dtype=bool)
+    for j in range(chars.shape[1]):
+        out &= v[chars[:, j]] < cuts[:, j, None]
+    return out
+
+
 @lru_cache(maxsize=2)
 def _phase_table(g: GroupSpec, gamma: tuple[int, ...], shape: tuple[Fraction, ...]) -> _ExactCounter:
     return _ExactCounter(g, gamma, shape)
@@ -219,22 +251,34 @@ def materialize(g: GroupSpec, spec: BohrSpec) -> BohrSet:
         raise GroupMismatchError("spec belongs to a different group")
     counter, scale = _counter(spec)
     members = GroupSet(g, counter.member_indices(scale))
-    if 0 not in members:
+    _check_members(spec, len(members), 0 in members, members.neg() == members)
+    return BohrSet(spec, members)
+
+
+def _check_members(spec: BohrSpec, size: int, has_identity: bool, symmetric: bool) -> int:
+    """materialize's three checks on a Bohr set of this size: it holds the
+    identity, it is symmetric under negation, and it meets the size floor
+    (N/2) prod eps_j.  Returns the size."""
+    if not has_identity:
         raise AssertionError("Bohr set lost the identity element")
-    if members.neg() != members:
+    if not symmetric:
         raise AssertionError("Bohr set is not symmetric under negation")
-    num = math.prod(e.numerator for e in spec.eps)
-    den = math.prod(e.denominator for e in spec.eps)
+    n = spec.group.order
+    num, den = _radius_product(spec)
     require(
         record_ge(
             "Bohr size floor",
             "bohr:size_lower",
-            2 * len(members) * den,
-            g.order * num,
-            note=f"|B| = {len(members)} vs (N/2) prod eps over order {g.order}",
+            2 * size * den,
+            n * num,
+            note=f"|B| = {size} vs (N/2) prod eps over order {n}",
         )
     )
-    return BohrSet(spec, members)
+    return size
+
+
+def _radius_product(spec: BohrSpec) -> tuple[int, int]:
+    return math.prod(e.numerator for e in spec.eps), math.prod(e.denominator for e in spec.eps)
 
 
 def dilate(spec: BohrSpec, rho: Fraction) -> BohrSpec:
@@ -380,53 +424,112 @@ def check_size_bounds(b: BohrSet, others: Sequence[BohrSet] = ()) -> list[CheckR
     """Assert the size floor, the half-radius doubling cap, and the
     intersection entropy bound |/\\ B^(i)| * N^(m-1) >= prod |B^(i)_(1/2)|.
     """
-    spec = b.spec
-    g = spec.group
-    records = []
-    num = math.prod(e.numerator for e in spec.eps)
-    den = math.prod(e.denominator for e in spec.eps)
-    records.append(
-        require(
-            record_ge(
-                "Bohr size floor",
-                "bohr:size_lower",
-                2 * len(b.members) * den,
-                g.order * num,
-                note=f"d={spec.d}",
-            )
-        )
-    )
-    counter, scale = _counter(spec)
-    half = counter.count(scale / 2)
-    records.append(
-        require(
-            record_le(
-                "half-radius doubling cap",
-                "bohr:size_halving",
-                len(b.members),
-                8 ** (spec.d + 1) * half,
-                note=f"|B|={len(b.members)}, |B_1/2|={half}",
-            )
-        )
-    )
     sets = [b, *others]
-    wedge_spec = sets[0].spec
-    for other in sets[1:]:
-        wedge_spec = intersect(wedge_spec, other.spec)
-    wedge = materialize(g, wedge_spec)
-    halves = []
-    for s in sets:
-        c, c_scale = _counter(s.spec)
-        halves.append(c.count(c_scale / 2))
-    records.append(
-        require(
-            record_ge(
-                "intersection entropy floor",
-                "bohr:size_intersection",
-                len(wedge.members) * g.order ** (len(sets) - 1),
-                math.prod(halves),
-                note=f"m={len(sets)} sets, wedge size {len(wedge.members)}",
-            )
+    # the halves are counted first: the wedge's table would evict theirs
+    halves = [counter.count(scale / 2) for counter, scale in (_counter(s.spec) for s in sets)]
+    wedge = reduce(intersect, (s.spec for s in sets))
+    return _size_bound_records(
+        b.spec, len(b.members), halves, lambda: len(materialize(wedge.group, wedge).members)
+    )
+
+
+def _size_bound_records(
+    spec: BohrSpec, size: int, halves: Sequence[int], wedge_size: Callable[[], int]
+) -> list[CheckRecord]:
+    """check_size_bounds' three records for a Bohr set of this spec and
+    size, whose m sets have these half-radius sizes (its own first), each
+    required as it is made; wedge_size materializes the intersection of
+    the m sets between the second record and the third."""
+    n = spec.group.order
+    num, den = _radius_product(spec)
+    floor = require(
+        record_ge("Bohr size floor", "bohr:size_lower", 2 * size * den, n * num, note=f"d={spec.d}")
+    )
+    cap = require(
+        record_le(
+            "half-radius doubling cap",
+            "bohr:size_halving",
+            size,
+            8 ** (spec.d + 1) * halves[0],
+            note=f"|B|={size}, |B_1/2|={halves[0]}",
         )
     )
+    wedge = wedge_size()
+    entropy = require(
+        record_ge(
+            "intersection entropy floor",
+            "bohr:size_intersection",
+            wedge * n ** (len(halves) - 1),
+            math.prod(halves),
+            note=f"m={len(halves)} sets, wedge size {wedge}",
+        )
+    )
+    return [floor, cap, entropy]
+
+
+def size_bound_stack(g: GroupSpec, instances: Sequence[Sequence[BohrSpec]]) -> list[CheckRecord]:
+    """For every instance (b, *others) of specs on g: materialize each of
+    its sets in turn, then check_size_bounds(b, others).  The records, and
+    a failing check's CheckFailure, are those of these calls made one
+    instance after another, in the same order.
+
+    Every Bohr set a block of instances needs (each set, its wedge and each
+    set at half its radii) is a row of one integer membership test,
+    _member_rows, over one (characters, elements) table of the phases v_j
+    of the union of the block's characters, built in _index_chunks blocks.
+    The same test at the negated elements decides symmetry.  A block holds
+    at most _KK_BLOCK_ELEMENTS cells of rows by elements, or one instance
+    (column_blocks), so memory grows neither with the number of instances
+    nor with the group order.
+    """
+    if any(spec.group != g for sets in instances for spec in sets):
+        raise GroupMismatchError("spec belongs to a different group")
+    records: list[CheckRecord] = []
+    per_item = max((2 * len(sets) + 1 for sets in instances), default=1)
+    for block in column_blocks(len(instances), g.order, per_item):
+        rows: list[BohrSpec] = []
+        for sets in instances[block]:
+            rows += [*sets, reduce(intersect, sets), *(dilate(s, Fraction(1, 2)) for s in sets)]
+        sizes, identity, symmetric = (a.tolist() for a in _scan(g, rows))
+        at = 0
+        for sets in instances[block]:
+            m = len(sets)
+            for j, spec in enumerate(sets, at):
+                _check_members(spec, sizes[j], identity[j], symmetric[j])
+            w = at + m
+            records += _size_bound_records(
+                sets[0],
+                sizes[at],
+                sizes[w + 1 : w + 1 + m],
+                partial(_check_members, rows[w], sizes[w], identity[w], symmetric[w]),
+            )
+            at = w + 1 + m
     return records
+
+
+def _scan(g: GroupSpec, specs: Sequence[BohrSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|B|, whether B holds the identity, and whether B is symmetric under
+    negation, for the Bohr set B of every spec: one phase pass over the
+    union of their characters."""
+    if g.order > MAX_MEMBERSHIP_ORDER:
+        raise SizeLimitError(f"Bohr materialization capped at order {MAX_MEMBERSHIP_ORDER}")
+    gamma = sorted({t for spec in specs for t in spec.gamma})
+    column = {t: j for j, t in enumerate(gamma)}
+    width = max((spec.d for spec in specs), default=0)
+    chars = np.zeros((len(specs), width), dtype=np.int64)
+    # a padded slot always passes, as v_j <= N/2 < N
+    cuts = np.full((len(specs), width), g.order, dtype=np.int64)
+    for r, spec in enumerate(specs):
+        chars[r, : spec.d] = [column[t] for t in spec.gamma]
+        cuts[r, : spec.d] = [_radius_cut(e, g.order) for e in spec.eps]
+    weights = _weights(g, gamma)
+    sizes = np.zeros(len(specs), dtype=np.int64)
+    symmetric = np.ones(len(specs), dtype=bool)
+    for idx in _index_chunks(g.order):
+        member = _member_rows(_phases(g, weights, idx), chars, cuts)
+        if idx[0] == 0:
+            identity = member[:, 0]
+        sizes += member.sum(axis=1)
+        mirror = _member_rows(_phases(g, weights, neg_index_many(g, idx)), chars, cuts)
+        symmetric &= (member == mirror).all(axis=1)
+    return sizes, identity, symmetric

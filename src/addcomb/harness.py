@@ -7,13 +7,17 @@ generator or suite is requested).  Reports serialize to JSON with timings
 kept out of the body, so identical config + seed gives a byte-identical
 body.
 
-The counting suites (parseval, energy-bound, katz-koester, energy-mono)
-draw all their instances first and then check them as stacks: the
-instances of a group are the columns of one table, transformed once per
-block, and each instance's records are read off its column (see setstat).
-Their checks draw nothing, so the draws come in the order a one-instance
-loop would take them.  Parseval draws each block of tables, the whole
-table whenever it fits a block, in one call.
+Every suite draws all of a group's instances first and then checks them
+in one stacked call.  For energy-bound, katz-koester and energy-mono the
+instances are the columns of one table, transformed once per block, and
+each instance's records are read off its column (see setstat).  triangle
+counts every instance's tuples as rows of one sorted table
+(setstat.triangle_stack), and bohr-size counts every Bohr set it needs on
+one integer phase pass over the group (bohr.size_bound_stack), emitting
+the records of the one-instance calls in their order.  The checks draw
+nothing, so the draws come in the order a one-instance loop would take
+them.  Parseval draws each block of tables, the whole table whenever it
+fits a block, in one call.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fileio
-from .bohr import check_size_bounds, make_bohr_spec, materialize
+from .bohr import make_bohr_spec, size_bound_stack
 from .families import (
     HLambdaSpec,
     make_finite_field,
@@ -45,7 +49,6 @@ from .harmonic import dft_columns, magnitudes, transform_errors, wht_int_columns
 from .report import CheckFailure, CheckRecord, format_value, record_eq
 from .setstat import (
     GroupSet,
-    check_generalized_triangle,
     column_blocks,
     energy_difference_bounds,
     group_set,
@@ -54,6 +57,7 @@ from .setstat import (
     katz_koester_stack,
     profile,
     sumset_size,
+    triangle_stack,
 )
 from .spectral import ChangReport
 from .structure import (
@@ -123,14 +127,7 @@ def config_from_dict(d: dict) -> RunConfig:
     kind = d.get("kind", "verify")
     if kind not in ("verify", "structure", "example"):
         raise ConfigError(f"unknown run kind {kind!r}")
-    group = None
-    if d.get("group"):
-        if not isinstance(d["group"], str):
-            raise ConfigError(f"group must be a string, got {d['group']!r}")
-        try:
-            group = parse_group_text(d["group"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    group = _group_value(d["group"], "group") if d.get("group") else None
     suites = d.get("suites", DEFAULT_SUITES)
     if not isinstance(suites, (list, tuple)) or not all(isinstance(s, str) for s in suites):
         raise ConfigError(f"suites must be a list of suite names, got {suites!r}")
@@ -147,6 +144,9 @@ def config_from_dict(d: dict) -> RunConfig:
         instances = int(d.get("instances", 25))
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"instances must be an integer, got {d['instances']!r}") from None
+    output = d.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError(f"output must be a path or null, got {output!r}")
     cfg = RunConfig(
         kind=kind,
         name=str(d.get("name", "run")),
@@ -157,7 +157,7 @@ def config_from_dict(d: dict) -> RunConfig:
         suites=tuple(suites),
         instances=instances,
         seed=d.get("seed"),
-        output=d.get("output"),
+        output=output,
     )
     if cfg.instances < 0:
         raise ConfigError("instances must be nonnegative")
@@ -167,6 +167,15 @@ def config_from_dict(d: dict) -> RunConfig:
     if randomized and cfg.seed is None:
         raise ConfigError("seed is mandatory for randomized runs")
     return cfg
+
+
+def _group_value(raw, where: str) -> GroupSpec:
+    if not isinstance(raw, str):
+        raise ConfigError(f"{where} must be a string, got {raw!r}")
+    try:
+        return parse_group_text(raw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_configs(path: str) -> list[RunConfig]:
@@ -201,72 +210,95 @@ def load_configs(path: str) -> list[RunConfig]:
 
 
 def realize_source(source: dict, default_group: GroupSpec | None, seed: int | None) -> tuple[str, GroupSet]:
+    """The labelled set a set-source object describes.  A missing field, or
+    one of the wrong type, raises ConfigError."""
     kind = source.get("kind")
     opts = {k: v for k, v in source.items() if k != "kind"}
+    where = f"set source {kind!r}"
 
     def _group(required: bool = True) -> GroupSpec | None:
         if "group" in opts:
-            return parse_group_text(opts.pop("group"))
+            return _group_value(opts.pop("group"), f"{where}: group")
         if default_group is None and required:
-            raise ConfigError(f"set source {kind!r} needs a group")
+            raise ConfigError(f"{where} needs a group")
         return default_group
+
+    def _int(key: str, *default) -> int:
+        raw = opts.pop(key, *default)
+        try:
+            return int(raw)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{where}: {key} must be an integer, got {raw!r}") from None
+
+    def _seed(raw):
+        # what random.Random accepts from JSON
+        if raw is not None and not isinstance(raw, (int, float, str)):
+            raise ConfigError(f"{where}: seed must be a number or a string, got {raw!r}")
+        return raw
 
     def _need_seed() -> int:
         if seed is None:
-            raise ConfigError(f"set source {kind!r} needs a seed")
-        return seed
+            raise ConfigError(f"{where} needs a seed")
+        return _seed(seed)
+
+    def _members(g: GroupSpec) -> GroupSet:
+        members = opts.pop("members")
+        if not isinstance(members, list):
+            raise ConfigError(f"{where}: members must be a list, got {members!r}")
+        try:
+            if members and isinstance(members[0], (list, tuple)):
+                members = [g.index(tuple(m)) for m in members]
+            return group_set(g, members)
+        except TypeError as exc:
+            raise ConfigError(f"{where}: bad members: {exc}") from None
 
     try:
         if kind == "file":
             path = opts.pop("path")
+            if not isinstance(path, str):
+                raise ConfigError(f"{where}: path must be a string, got {path!r}")
             A = fileio.read_set(path, expect_group=default_group)
             label = f"file:{path}"
         elif kind == "literal":
-            g = _group()
-            members = opts.pop("members")
-            if members and isinstance(members[0], (list, tuple)):
-                members = [g.index(tuple(m)) for m in members]
-            A = group_set(g, members)
+            A = _members(_group())
             label = f"literal[{len(A)}]"
         elif kind == "random":
             g = _group()
-            size = int(opts.pop("size"))
+            size = _int("size")
             A = make_random_set(g, size, _need_seed())
             label = f"random[{size}]"
         elif kind == "subgroup":
-            n = int(opts.pop("n"))
-            dim = int(opts.pop("dim"))
+            n = _int("n")
+            dim = _int("dim")
             if not 0 <= dim <= n:
                 raise ConfigError(f"subgroup dim {dim} out of range for n={n}")
             A = group_set(boolean_group(n), range(1 << dim))
             label = f"subgroup[{n},{dim}]"
         elif kind == "planted":
-            n = int(opts.pop("n"))
+            n = _int("n")
             inst = make_planted(
                 boolean_group(n),
-                subgroup_dim=int(opts.pop("dim")),
-                cosets=int(opts.pop("cosets")),
-                noise=int(opts.pop("noise", 0)),
+                subgroup_dim=_int("dim"),
+                cosets=_int("cosets"),
+                noise=_int("noise", 0),
                 seed=_need_seed(),
             )
             A = inst.set
             label = f"planted[{n}]"
         elif kind == "h-lambda":
-            spec = HLambdaSpec(
-                n=int(opts.pop("n")), k=int(opts.pop("k")), lambda_size=int(opts.pop("lambda"))
-            )
-            A = make_h_lambda(spec, seed=opts.pop("seed", None))
+            spec = HLambdaSpec(n=_int("n"), k=_int("k"), lambda_size=_int("lambda"))
+            A = make_h_lambda(spec, seed=_seed(opts.pop("seed", None)))
             label = f"h-lambda[{spec.n},{spec.k},{spec.lambda_size}]"
         elif kind == "katz":
-            fld = make_finite_field(int(opts.pop("p")), int(opts.pop("d")))
+            fld = make_finite_field(_int("p"), _int("d"))
             A = make_katz_set(fld)
             label = f"katz[{fld.p},{fld.d}]"
         else:
             raise ConfigError(f"unknown set source kind {kind!r}")
     except KeyError as exc:
-        raise ConfigError(f"set source {kind!r} missing field {exc}") from None
+        raise ConfigError(f"{where} missing field {exc}") from None
     if opts:
-        raise ConfigError(f"set source {kind!r}: unused fields {sorted(opts)}")
+        raise ConfigError(f"{where}: unused fields {sorted(opts)}")
     return label, A
 
 
@@ -499,19 +531,16 @@ def _parseval_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
 def _triangle_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z15", "F2^5")):
-        failures = 0
-        worst: Fraction | None = None
+        pick = lambda lo, hi: rng.sample(range(g.order), rng.randrange(lo, hi + 1))
+        Ws, Ys, Xs, Zs = [], [], [], []
         for _ in range(cfg.instances):
-            pick = lambda lo, hi: rng.sample(range(g.order), rng.randrange(lo, hi + 1))
-            W = [(x,) for x in pick(1, 4)]
-            Y = [(x,) for x in pick(1, 4)]
-            X = pick(1, 4)
-            Z = pick(1, 4)
-            rep = check_generalized_triangle(g, W, Y, X, Z)
-            if not rep.holds:
-                failures += 1
-            if rep.margin is not None:
-                worst = rep.margin if worst is None else min(worst, rep.margin)
+            Ws.append([(x,) for x in pick(1, 4)])
+            Ys.append([(x,) for x in pick(1, 4)])
+            Xs.append(pick(1, 4))
+            Zs.append(pick(1, 4))
+        lhs, rhs = triangle_stack(g, Ws, Ys, Xs, Zs)
+        failures = int((lhs > rhs).sum())
+        worst = min((Fraction(r, l) for l, r in zip(lhs.tolist(), rhs.tolist()) if l), default=None)
         note = f"{cfg.instances} tuple families on {format_group_text(g)}, min margin {worst}"
         records.append(record_eq("tuple-count triangle", "triangle:count", failures, 0, note=note))
     return records
@@ -538,14 +567,14 @@ def _bohr_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z101", "Z60")):
         pool = list(range(1, g.order))
+        instances = []
         for i in range(max(1, cfg.instances // 5)):
             d = 1 + (i % 2)
             gamma = rng.sample(pool, d)
             eps = [Fraction(rng.randrange(1, 9), 16) for _ in range(d)]
-            spec = make_bohr_spec(g, gamma, eps)
-            b = materialize(g, spec)
-            other = materialize(g, make_bohr_spec(g, rng.sample(pool, 1), [Fraction(1, 4)]))
-            records.extend(check_size_bounds(b, others=[other]))
+            other = make_bohr_spec(g, rng.sample(pool, 1), [Fraction(1, 4)])
+            instances.append((make_bohr_spec(g, gamma, eps), other))
+        records.extend(size_bound_stack(g, instances))
     return records
 
 

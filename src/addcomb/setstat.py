@@ -21,16 +21,19 @@ conv_counts(-A, B), and sumset is the support of conv_counts.
 The checks the verify suites run many times are stacked the same way,
 and their one-instance calls are one-column calls: sumsets,
 energy_difference_bounds (check_energy_difference_bound is its one-pair
-call), higher_energies, and katz_koester_stack (katz_koester_rows is its
-one-pair call, check_katz_koester its one-row call).  The Katz-Koester
-check counts A + B once per pair and reads every displacement x from one
-index table of y - x: A_x, (A+B)_x and B + A_x are boolean columns over
-the group, compared cell by cell.  B + A_x is one integer Walsh transform
-pass on 2-groups and one shifted copy per member of the B's elsewhere.  A
-stack is cut in blocks of at most _KK_BLOCK_ELEMENTS cells
-(column_blocks), so its memory grows neither with the number of
-instances nor with the group order, and its energies are summed in int64
-only under a stated bound, in Python ints otherwise.
+call), higher_energies, katz_koester_stack (katz_koester_rows is its
+one-pair call, check_katz_koester its one-row call), and triangle_stack
+(check_generalized_triangle is its one-instance call), which counts
+distinct tuples as the rows of one int64 table, sorted once per block of
+instances.  The Katz-Koester check counts A + B once per pair and reads
+every displacement x from one index table of y - x: A_x, (A+B)_x and
+B + A_x are boolean columns over the group, compared cell by cell.
+B + A_x is one integer Walsh transform pass on 2-groups and one shifted
+copy per member of the B's elsewhere.  A stack is cut in blocks of at
+most _KK_BLOCK_ELEMENTS cells (column_blocks), so its memory grows
+neither with the number of instances nor with the group order, and its
+energies are summed in int64 only under a stated bound, in Python ints
+otherwise.
 
 A GroupSet computes the statistics the pipelines read off its
 autocorrelation once, on first use, and keeps them on the instance for
@@ -627,53 +630,114 @@ def check_generalized_triangle(
     X: Sequence[int],
     Z: Sequence[int],
 ) -> TriangleReport:
-    """|W||X| * |Y - diag(Z)| <= |(W, Y, Z) - diag(X)| by exhaustive tuple arithmetic.
+    """|W||X| * |Y - diag(Z)| <= |(W, Y, Z) - diag(X)|: the one-instance
+    call of triangle_stack.
 
     W and Y are families of index tuples (lengths 1 or 2); X and Z are plain
-    index sequences.  Tuples are encoded base-N for set membership.
+    index sequences.  The inequality compares cardinalities, so duplicates
+    count once.
     """
-    # the inequality compares set cardinalities, so duplicates must not count
-    Wt = sorted(set(tuple(int(c) for c in w) for w in W))
-    Yt = sorted(set(tuple(int(c) for c in y) for y in Y))
-    Xs = sorted(set(int(x) for x in X))
-    Zs = sorted(set(int(z) for z in Z))
-    if not Wt or not Yt or not Xs or not Zs:
-        raise ValueError("all four families must be nonempty")
-    k1, k2 = len(Wt[0]), len(Yt[0])
-    if not (1 <= k1 <= 2 and 1 <= k2 <= 2):
-        raise ValueError("tuple lengths must be 1 or 2")
-    if any(len(w) != k1 for w in Wt) or any(len(y) != k2 for y in Yt):
-        raise ValueError("ragged tuple family")
-    for fam in (Wt, Yt, Xs, Zs):
-        if len(fam) > 1000:
-            raise SizeLimitError("triangle check capped at 1000 members per family")
-    if len(Wt) * len(Yt) * len(Xs) * len(Zs) > _PAIR_LOOP_MAX:
-        raise SizeLimitError("triangle check product too large")
-    n = g.order
-
-    def enc(parts: Iterable[int]) -> int:
-        out = 0
-        for p in parts:
-            out = out * n + p
-        return out
-
-    y_diag = {enc(g.sub_index(c, z) for c in y) for y in Yt for z in Zs}
-    lhs = len(Wt) * len(Xs) * len(y_diag)
-    big = set()
-    for x in Xs:
-        w_shift = [enc(g.sub_index(c, x) for c in w) for w in Wt]
-        y_shift = [tuple(g.sub_index(c, x) for c in y) for y in Yt]
-        z_shift = [g.sub_index(z, x) for z in Zs]
-        for head_w in w_shift:
-            for y in y_shift:
-                head = head_w
-                for c in y:
-                    head = head * n + c
-                for zc in z_shift:
-                    big.add(head * n + zc)
-    rhs = len(big)
+    lhs, rhs = (int(side[0]) for side in triangle_stack(g, [W], [Y], [X], [Z]))
     margin = Fraction(rhs, lhs) if lhs else None
     return TriangleReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs, margin=margin)
+
+
+def triangle_stack(
+    g: GroupSpec,
+    Ws: Sequence[Sequence[Sequence[int]]],
+    Ys: Sequence[Sequence[Sequence[int]]],
+    Xs: Sequence[Sequence[int]],
+    Zs: Sequence[Sequence[int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of check_generalized_triangle for every instance i,
+    (Ws[i], Ys[i], Xs[i], Zs[i]): int64 arrays of lhs = |W||X| |Y - diag(Z)|
+    and rhs = |(W, Y, Z) - diag(X)|.  Every W tuple of the stack has one
+    length, and every Y tuple one length, each 1 or 2.
+
+    A family of every instance is one int64 table of rows, its distinct
+    members sorted by instance.  The tuples of Y - diag(Z) and of
+    (W, Y, Z) - diag(X) are rows of each instance's product of families,
+    their coordinates from sub_index_many, and each side counts distinct
+    (instance, row) pairs: one lexsort, one compare of adjacent rows and one
+    bincount.  A row is never packed into one integer: with tuples of length
+    2 it lies in G^5, past int64 once N > 2^12.  A block of instances holds
+    at most _KK_BLOCK_ELEMENTS product rows, or one instance (column_blocks).
+    """
+    m = len(Ws)
+    if not len(Ys) == len(Xs) == len(Zs) == m:
+        raise ValueError("need one W, Y, X and Z family per instance")
+    singletons = lambda fams: [[(c,) for c in fam] for fam in fams]
+    fams = [_family_rows(g, F) for F in (Ws, Ys, singletons(Xs), singletons(Zs))]
+    sizes = np.array([counts for _, counts, _ in fams]).reshape(4, m)
+    if not sizes.all():
+        raise ValueError("all four families must be nonempty")
+    if (sizes > 1000).any():
+        raise SizeLimitError("triangle check capped at 1000 members per family")
+    products = sizes.prod(axis=0)
+    if (products > _PAIR_LOOP_MAX).any():
+        raise SizeLimitError("triangle check product too large")
+    W, Y, X, Z = fams
+    lhs = sizes[0] * sizes[2]
+    rhs = np.empty(m, dtype=np.int64)
+    for block in column_blocks(m, int(products.max(initial=1))):
+        width = len(rhs[block])
+        inst, (y, z) = _family_products(block, [Y, Z])
+        lhs[block] *= _distinct_counts(inst, sub_index_many(g, y, z), width)
+        inst, (w, y, z, x) = _family_products(block, [W, Y, Z, X])
+        rows = np.concatenate([sub_index_many(g, t, x) for t in (w, y, z)], axis=1)
+        rhs[block] = _distinct_counts(inst, rows, width)
+    return lhs, rhs
+
+
+def _family_rows(g: GroupSpec, fams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One triangle family of tuples of every instance as (rows, counts,
+    starts): the distinct members in one (R, k) int64 table, sorted by
+    instance, and the number and first row of each instance's members."""
+    lengths = {len(t) for fam in fams for t in fam}
+    if len(lengths) > 1:
+        raise ValueError("ragged tuple family")
+    if not lengths <= {1, 2}:
+        raise ValueError("tuple lengths must be 1 or 2")
+    inst = np.repeat(np.arange(len(fams)), [len(fam) for fam in fams])
+    flat = [c for fam in fams for t in fam for c in t]
+    rows = np.array(flat, dtype=np.int64).reshape(-1, max(lengths, default=1))
+    if rows.size and not (0 <= rows.min() and rows.max() < g.order):
+        raise ValueError("triangle families must hold element indices in range")
+    keep = _distinct(inst, rows)
+    counts = np.bincount(inst[keep], minlength=len(fams))
+    return rows[keep], counts, np.cumsum(counts) - counts
+
+
+def _family_products(block: slice, fams) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Every tuple of members, one from each family, of every instance in
+    block: the instance of each tuple (counted from the block's first) and,
+    per family, the rows of its members.  A tuple's rank r within its
+    instance is read in mixed radix, the last family's digit lowest."""
+    total = np.prod([counts[block] for _, counts, _ in fams], axis=0)
+    local = np.repeat(np.arange(len(total)), total)
+    inst = local + block.start
+    r = np.arange(len(local)) - np.repeat(np.cumsum(total) - total, total)
+    picks = []
+    for rows, counts, starts in reversed(fams):
+        n = counts[inst]
+        picks.append(rows[starts[inst] + r % n])
+        r //= n
+    return local, picks[::-1]
+
+
+def _distinct(inst: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of the distinct (instance, row) pairs, in (instance, row)
+    order: one lexsort, then the first of every run of equal pairs."""
+    order = np.lexsort((*rows.T[::-1], inst))
+    inst, rows = inst[order], rows[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (inst[1:] != inst[:-1]) | (rows[1:] != rows[:-1]).any(axis=1)
+    return order[first]
+
+
+def _distinct_counts(inst: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
+    """How many distinct rows each instance 0..width-1 holds."""
+    return np.bincount(inst[_distinct(inst, rows)], minlength=width)
 
 
 @dataclass

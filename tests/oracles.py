@@ -128,6 +128,21 @@ def katz_koester_direct(
     return len(left), len(right), left <= right
 
 
+def triangle_direct(g: GroupSpec, W, Y, X, Z) -> tuple[int, int]:
+    """(|W||X| |Y - diag(Z)|, |(W, Y, Z) - diag(X)|) from the definitions,
+    on Python sets of tuples: a tuple minus diag(x) subtracts x from each
+    coordinate, and (W, Y, Z) is the set of concatenations w + y + (z,)."""
+    W, Y = {tuple(w) for w in W}, {tuple(y) for y in Y}
+    X, Z = set(X), set(Z)
+
+    def minus(t, x):
+        return tuple(g.sub_index(c, x) for c in t)
+
+    y_diag = {minus(y, z) for y in Y for z in Z}
+    big = {minus(w + y + (z,), x) for w in W for y in Y for z in Z for x in X}
+    return len(W) * len(X) * len(y_diag), len(big)
+
+
 def difference_direct(A: GroupSet, B: GroupSet) -> set[int]:
     g = A.group
     return {g.sub_index(a, b) for a in A.members.tolist() for b in B.members.tolist()}

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import functools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addcomb import bohr
 from addcomb.bohr import (
     _counter,
+    _scan,
     check_size_bounds,
     dilate,
     find_regular_radius,
@@ -16,10 +20,12 @@ from addcomb.bohr import (
     make_bohr_spec,
     materialize,
     regularity_test,
+    size_bound_stack,
     size_profile,
 )
 from addcomb.f2 import nullspace_basis, subspace_elements
 from addcomb.groups import boolean_group, make_group
+from addcomb.report import CheckFailure
 
 from .oracles import bohr_members_direct
 
@@ -301,3 +307,78 @@ def test_materialize_on_large_groups():
     b = materialize(g, make_bohr_spec(g, [g.index((1, 0))], Fraction(5, 2048)))
     assert len(b) == 9 * 1024
     assert {g.unindex(x)[0] for x in b.members.members} == set(range(5)) | set(range(2044, 2048))
+
+
+def _assert_stack_matches(g, instances):
+    """size_bound_stack against the definition and the one-instance calls:
+    every set, wedge and half-radius set it counts has the size
+    bohr_members_direct gives, and its records are those of materialize and
+    check_size_bounds, instance after instance."""
+    rows = []
+    for sets in instances:
+        rows += [*sets, functools.reduce(intersect, sets), *(dilate(s, Fraction(1, 2)) for s in sets)]
+    sizes, identity, symmetric = _scan(g, rows)
+    assert sizes.tolist() == [len(bohr_members_direct(g, s.gamma, s.eps)) for s in rows]
+    assert identity.all() and symmetric.all()
+    expected = []
+    for b, *others in instances:
+        expected += check_size_bounds(materialize(g, b), [materialize(g, o) for o in others])
+    assert size_bound_stack(g, instances) == expected
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_size_bound_stack_counts_match_the_definition(data):
+    g = data.draw(st.sampled_from(EXACTNESS_GROUPS), label="group")
+    n = g.order
+    char = st.integers(min_value=0, max_value=n - 1)
+
+    def spec(d):
+        gamma = data.draw(st.lists(char, min_size=d, max_size=d), label="gamma")
+        return make_bohr_spec(g, gamma, [_small_fraction(data.draw, n) for _ in range(d)])
+
+    count = data.draw(st.integers(min_value=1, max_value=3), label="instances")
+    instances = [
+        [spec(data.draw(st.integers(1, 3))) for _ in range(data.draw(st.integers(1, 3)))]
+        for _ in range(count)
+    ]
+    _assert_stack_matches(g, instances)
+
+
+def test_size_bound_stack_past_the_key_bound():
+    # the radius shape of the first set keeps no key table (see
+    # test_counter_key_bound); the stack counts it on the same integer test
+    g = make_group((128,))
+    b = make_bohr_spec(g, [1, 64], [Fraction(1, 2), _AT_BOUND])
+    assert _counter(b)[0].sorted_keys is None
+    other = make_bohr_spec(g, [3], Fraction(1, 4))
+    _assert_stack_matches(g, [[b, other], [other, b]])
+
+
+def test_size_bound_stack_requires_what_the_one_instance_calls_require(monkeypatch):
+    # the same records reach require in the same order, so the first that
+    # fails raises the same CheckFailure
+    g = make_group((60,))
+    instances = [
+        [make_bohr_spec(g, [1], Fraction(1, 4)), make_bohr_spec(g, [7], Fraction(1, 3))],
+        [make_bohr_spec(g, [2, 9], [Fraction(1, 2), Fraction(3, 8)]), make_bohr_spec(g, [5], Fraction(1, 4))],
+    ]
+    required = []
+    real = bohr.require
+
+    def recording(rec):
+        required.append(rec)
+        return real(rec)
+
+    monkeypatch.setattr(bohr, "require", recording)
+    for b, *others in instances:
+        check_size_bounds(materialize(g, b), [materialize(g, o) for o in others])
+    one, required[:] = list(required), []
+    size_bound_stack(g, instances)
+    assert len(one) == 12
+    assert required == one
+    real_le = bohr.record_le
+    monkeypatch.setattr(bohr, "record_le", lambda *a, **k: replace(real_le(*a, **k), ok=False))
+    with pytest.raises(CheckFailure) as failed:
+        size_bound_stack(g, instances)
+    assert failed.value.record == replace(one[3], ok=False)

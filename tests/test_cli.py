@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 
 import pytest
 
@@ -266,6 +268,43 @@ def test_bad_config_values_are_config_errors(command, payload, flags, subgroup_f
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"seed": 1, "sets": [{"kind": "random", "group": "Z16", "size": None}]},
+        {"seed": 1, "sets": [{"kind": "random", "group": 5, "size": 3}]},
+        {"seed": 1, "sets": [{"kind": "literal", "group": "Z16", "members": 5}]},
+        {"seed": [1], "sets": [{"kind": "random", "group": "Z16", "size": 3}]},
+    ],
+    ids=["size-null", "group-int", "members-int", "seed-list"],
+)
+def test_wrong_typed_set_sources_are_config_errors(config, tmp_path, capsys):
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps({"kind": "structure", **config}))
+    assert main(["verify", "--config", str(given)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_output_must_be_a_path(tmp_path, capsys):
+    # an integer output would be opened as that file descriptor
+    sink = tmp_path / "sink"
+    fd = os.open(sink, os.O_WRONLY | os.O_CREAT)
+    try:
+        given = tmp_path / "given.json"
+        given.write_text(json.dumps({"seed": 1, "suites": ["triangle"], "output": fd}))
+        assert main(["verify", "--config", str(given)]) == 2
+    finally:
+        with contextlib.suppress(OSError):  # closed already if the report went to it
+            os.close(fd)
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""
+    assert sink.read_bytes() == b""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["given.json", "sink"]
 
 
 _SUITE_RECORDS = {

@@ -13,6 +13,7 @@ from addcomb import setstat
 from addcomb.groups import (
     MAX_TRANSFORM_ORDER,
     GroupMismatchError,
+    SizeLimitError,
     boolean_group,
     format_group_text,
     make_group,
@@ -43,6 +44,7 @@ from addcomb.setstat import (
     sumset,
     sumset_size,
     sumsets,
+    triangle_stack,
 )
 
 from .oracles import (
@@ -58,6 +60,7 @@ from .oracles import (
     slice_direct,
     sorted_set,
     sumset_direct,
+    triangle_direct,
     translate_direct,
 )
 
@@ -267,6 +270,62 @@ def test_generalized_triangle_pairs():
     Y = [(0, 5)]
     rep = check_generalized_triangle(g, W, Y, [0, 1], [2, 6])
     assert rep.holds
+
+
+# Z_(2^21): a row of (W, Y, Z) - diag(X) with pairs lies in G^5, and a code
+# packing it base N would need 105 bits
+TRIANGLE_GROUPS = [make_group((15,)), boolean_group(5), make_group((4, 6)), make_group((1 << 21,))]
+
+
+@st.composite
+def _triangle_instance(draw, n: int, k1: int, k2: int):
+    index = st.integers(min_value=0, max_value=n - 1)
+    # drawn with repeats: the sides count distinct members
+    family = lambda k: st.lists(st.tuples(*[index] * k), min_size=1, max_size=4)
+    plain = st.lists(index, min_size=1, max_size=4)
+    return draw(family(k1)), draw(family(k2)), draw(plain), draw(plain)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_triangle_stack_matches_direct_count(data):
+    g = data.draw(st.sampled_from(TRIANGLE_GROUPS), label="group")
+    k1 = data.draw(st.integers(min_value=1, max_value=2), label="k1")
+    k2 = data.draw(st.integers(min_value=1, max_value=2), label="k2")
+    instance = _triangle_instance(g.order, k1, k2)
+    instances = data.draw(st.lists(instance, min_size=1, max_size=5), label="instances")
+    lhs, rhs = triangle_stack(g, *zip(*instances))
+    assert [(int(l), int(r)) for l, r in zip(lhs, rhs)] == [triangle_direct(g, *inst) for inst in instances]
+
+
+def test_triangle_stack_keeps_coordinates_a_packed_code_would_drop():
+    # base 2^21, coordinate 0 of a 5-coordinate row is worth 2^84: these two
+    # rows differ there alone
+    g = make_group((1 << 21,))
+    lhs, rhs = triangle_stack(g, [[(0, 5), (1, 5)]], [[(2, 3)]], [[0]], [[4]])
+    assert (lhs.tolist(), rhs.tolist()) == ([2], [2])
+    assert triangle_direct(g, [(0, 5), (1, 5)], [(2, 3)], [0], [4]) == (2, 2)
+
+
+def test_triangle_stack_of_no_instances_and_bad_families():
+    g = make_group((15,))
+    lhs, rhs = triangle_stack(g, [], [], [], [])
+    assert lhs.size == rhs.size == 0
+    for W, Y, X, Z in [
+        ([(1,)], [], [0], [0]),
+        ([(1,), (1, 2)], [(1,)], [0], [0]),
+        ([(1, 2, 3)], [(1,)], [0], [0]),
+        ([(1,)], [(1,)], [15], [0]),
+    ]:
+        with pytest.raises(ValueError):
+            check_generalized_triangle(g, W, Y, X, Z)
+    with pytest.raises(ValueError):
+        triangle_stack(g, [[(1,)]], [], [[0]], [[0]])
+    # the caps count distinct members
+    g = make_group((2048,))
+    assert check_generalized_triangle(g, [(1,)], [(1,)], [0], [0] * 1001).holds
+    with pytest.raises(SizeLimitError):
+        check_generalized_triangle(g, [(1,)], [(1,)], [0], range(1001))
 
 
 def test_energy_difference_bound_margin_at_least_one():
