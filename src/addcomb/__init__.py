@@ -26,6 +26,7 @@ from .bohr import (
     make_bohr_spec,
     materialize,
     regularity_test,
+    size_bound_stack,
     size_profile,
 )
 from .families import (
@@ -53,20 +54,20 @@ from .harmonic import FunctionTable, dft, idft, table_from_values, wht_int
 from .report import CheckFailure, CheckRecord
 from .setstat import (
     GroupSet,
-    check_energy_difference_bound,
-    check_generalized_triangle,
-    check_katz_koester,
     corr_counts,
     difference_set,
     doubling_constant,
     energy,
+    energy_difference_bounds,
     full_set,
     group_set,
     higher_energy,
+    katz_koester_stack,
     peak_coefficient,
     profile,
     slice_set,
     sumset,
+    triangle_stack,
 )
 from .spectral import chang_bound, max_dissociated, span, spectrum
 from .structure import (
@@ -123,10 +124,7 @@ __all__ = [
     "brute_force_3B_subspace",
     "certify_difference_subset",
     "chang_bound",
-    "check_energy_difference_bound",
-    "check_generalized_triangle",
     "check_hypotheses",
-    "check_katz_koester",
     "corr_counts",
     "dft",
     "dichotomy_M",
@@ -134,6 +132,7 @@ __all__ = [
     "dilate",
     "doubling_constant",
     "energy",
+    "energy_difference_bounds",
     "extract_bohr",
     "extract_subspace",
     "find_energy_jump",
@@ -144,6 +143,7 @@ __all__ = [
     "higher_energy",
     "idft",
     "intersect",
+    "katz_koester_stack",
     "make_bohr_spec",
     "make_finite_field",
     "make_group",
@@ -159,12 +159,14 @@ __all__ = [
     "profile",
     "regularity_test",
     "regularize_density",
+    "size_bound_stack",
     "size_profile",
     "slice_set",
     "span",
     "spectrum",
     "sumset",
     "table_from_values",
+    "triangle_stack",
     "verify_h_lambda",
     "verify_katz_bound",
     "wht_int",

@@ -16,10 +16,11 @@ the radius search, the materialization and the regularity grid of one Bohr
 set share it.
 
 The integer test is one function, _member_rows, over a stack of Bohr sets
-at once.  The verify suite's size bounds (size_bound_stack) need a few
-sizes of many unrelated Bohr sets, where a table per set would be built
-for two or three queries: they are counted by that test instead, on one
-table of the phases of all their characters, in one pass over the group.
+at once.  The size bounds are checked in one place, size_bound_stack, on
+a stack of instances.  They need a few sizes of many unrelated Bohr sets,
+where a table per set would be built for two or three queries: they are
+counted by that test instead, on one table of the phases of all their
+characters, in one pass over the group.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
-from typing import Callable, Sequence
+from functools import lru_cache, reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -420,58 +421,14 @@ def find_regular_radius(
     )
 
 
-def check_size_bounds(b: BohrSet, others: Sequence[BohrSet] = ()) -> list[CheckRecord]:
-    """Assert the size floor, the half-radius doubling cap, and the
-    intersection entropy bound |/\\ B^(i)| * N^(m-1) >= prod |B^(i)_(1/2)|.
-    """
-    sets = [b, *others]
-    # the halves are counted first: the wedge's table would evict theirs
-    halves = [counter.count(scale / 2) for counter, scale in (_counter(s.spec) for s in sets)]
-    wedge = reduce(intersect, (s.spec for s in sets))
-    return _size_bound_records(
-        b.spec, len(b.members), halves, lambda: len(materialize(wedge.group, wedge).members)
-    )
-
-
-def _size_bound_records(
-    spec: BohrSpec, size: int, halves: Sequence[int], wedge_size: Callable[[], int]
-) -> list[CheckRecord]:
-    """check_size_bounds' three records for a Bohr set of this spec and
-    size, whose m sets have these half-radius sizes (its own first), each
-    required as it is made; wedge_size materializes the intersection of
-    the m sets between the second record and the third."""
-    n = spec.group.order
-    num, den = _radius_product(spec)
-    floor = require(
-        record_ge("Bohr size floor", "bohr:size_lower", 2 * size * den, n * num, note=f"d={spec.d}")
-    )
-    cap = require(
-        record_le(
-            "half-radius doubling cap",
-            "bohr:size_halving",
-            size,
-            8 ** (spec.d + 1) * halves[0],
-            note=f"|B|={size}, |B_1/2|={halves[0]}",
-        )
-    )
-    wedge = wedge_size()
-    entropy = require(
-        record_ge(
-            "intersection entropy floor",
-            "bohr:size_intersection",
-            wedge * n ** (len(halves) - 1),
-            math.prod(halves),
-            note=f"m={len(halves)} sets, wedge size {wedge}",
-        )
-    )
-    return [floor, cap, entropy]
-
-
 def size_bound_stack(g: GroupSpec, instances: Sequence[Sequence[BohrSpec]]) -> list[CheckRecord]:
-    """For every instance (b, *others) of specs on g: materialize each of
-    its sets in turn, then check_size_bounds(b, others).  The records, and
-    a failing check's CheckFailure, are those of these calls made one
-    instance after another, in the same order.
+    """Three records for every instance (b, *others) of m specs on g, each
+    required as it is made: the size floor of b, the half-radius doubling
+    cap |B| <= 8^(d+1) |B_1/2| of b, and the intersection entropy bound
+    |/\\ B^(i)| * N^(m-1) >= prod |B^(i)_(1/2)|.  Before them, every set of
+    the instance passes materialize's checks (_check_members), and the
+    wedge passes them between the cap and the entropy bound, so the first
+    check that fails raises its CheckFailure.
 
     Every Bohr set a block of instances needs (each set, its wedge and each
     set at half its radii) is a row of one integer membership test,
@@ -484,9 +441,10 @@ def size_bound_stack(g: GroupSpec, instances: Sequence[Sequence[BohrSpec]]) -> l
     """
     if any(spec.group != g for sets in instances for spec in sets):
         raise GroupMismatchError("spec belongs to a different group")
+    n = g.order
     records: list[CheckRecord] = []
     per_item = max((2 * len(sets) + 1 for sets in instances), default=1)
-    for block in column_blocks(len(instances), g.order, per_item):
+    for block in column_blocks(len(instances), n, per_item):
         rows: list[BohrSpec] = []
         for sets in instances[block]:
             rows += [*sets, reduce(intersect, sets), *(dilate(s, Fraction(1, 2)) for s in sets)]
@@ -496,13 +454,32 @@ def size_bound_stack(g: GroupSpec, instances: Sequence[Sequence[BohrSpec]]) -> l
             m = len(sets)
             for j, spec in enumerate(sets, at):
                 _check_members(spec, sizes[j], identity[j], symmetric[j])
-            w = at + m
-            records += _size_bound_records(
-                sets[0],
-                sizes[at],
-                sizes[w + 1 : w + 1 + m],
-                partial(_check_members, rows[w], sizes[w], identity[w], symmetric[w]),
+            spec, size, w = sets[0], sizes[at], at + m
+            halves = sizes[w + 1 : w + 1 + m]
+            num, den = _radius_product(spec)
+            floor = require(
+                record_ge("Bohr size floor", "bohr:size_lower", 2 * size * den, n * num, note=f"d={spec.d}")
             )
+            cap = require(
+                record_le(
+                    "half-radius doubling cap",
+                    "bohr:size_halving",
+                    size,
+                    8 ** (spec.d + 1) * halves[0],
+                    note=f"|B|={size}, |B_1/2|={halves[0]}",
+                )
+            )
+            wedge = _check_members(rows[w], sizes[w], identity[w], symmetric[w])
+            entropy = require(
+                record_ge(
+                    "intersection entropy floor",
+                    "bohr:size_intersection",
+                    wedge * n ** (m - 1),
+                    math.prod(halves),
+                    note=f"m={m} sets, wedge size {wedge}",
+                )
+            )
+            records += [floor, cap, entropy]
             at = w + 1 + m
     return records
 

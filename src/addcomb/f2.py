@@ -99,11 +99,13 @@ def nullspace_basis(vectors: Iterable[int], n: int) -> list[int]:
     return basis
 
 
-def subspace_elements(basis: Sequence[int]) -> list[int]:
-    """All 2^k masks spanned by the basis, in generation order."""
-    elems = [0]
-    for b in basis:
-        elems.extend([e ^ b for e in elems])
+def subspace_elements(basis: Sequence[int]) -> np.ndarray:
+    """All 2^k masks spanned by the basis, as an int64 array whose entry c
+    is the XOR of basis[i] over the bits i of c: the masks with
+    coordinates c in the basis."""
+    elems = np.zeros(1 << len(basis), dtype=np.int64)
+    for i, b in enumerate(basis):
+        elems[1 << i : 2 << i] = elems[: 1 << i] ^ b
     return elems
 
 

@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import f2
 from .groups import GroupSpec, boolean_group, make_group
 from .harmonic import prime_factors, wht_int
@@ -59,7 +61,7 @@ def make_h_lambda(spec: HLambdaSpec, seed: int | None = None) -> GroupSet:
     of H extended by Lambda linearly independent, so all size and slice
     statistics match the standard instance.
     """
-    h = f2.subspace_elements(spec.h_basis)
+    h = f2.subspace_elements(spec.h_basis).tolist()
     lam = spec.lam
     if seed is not None:
         rng = random.Random(seed)
@@ -100,7 +102,7 @@ def verify_h_lambda(A: GroupSet, spec: HLambdaSpec) -> HLambdaReport:
     g = A.group
     if g != spec.group:
         raise ValueError("set does not live on the spec's group")
-    h_members = f2.subspace_elements(spec.h_basis)
+    h_members = f2.subspace_elements(spec.h_basis).tolist()
     h_set = frozenset(h_members)
     records: list[CheckRecord] = []
     counts = A.autocorr.tolist()
@@ -163,7 +165,7 @@ def verify_h_lambda(A: GroupSet, spec: HLambdaSpec) -> HLambdaReport:
 
     phi_alignment: dict[int, tuple[Fraction, Fraction]] = {}
     h_perp = f2.nullspace_basis(h_basis, spec.n) if h_basis else None
-    perp_elems = f2.subspace_elements(h_perp) if h_perp is not None else list(range(g.order))
+    perp_elems = f2.subspace_elements(h_perp).tolist() if h_perp is not None else list(range(g.order))
     h_hat = 1 << spec.k
     for k in (2, 3):
         phi_hat = wht_int(g, [c**k for c in counts])
@@ -426,9 +428,8 @@ def make_planted(
         v = rng.randrange(1, g.order)
         if not f2.in_span(f2.echelon_basis(basis), v):
             basis.append(v)
-    sub_elems = f2.subspace_elements(f2.echelon_basis(basis))
-    sub = group_set(g, sub_elems)
     rref = f2.echelon_basis(basis)
+    sub = GroupSet(g, np.sort(f2.subspace_elements(rref)))
     reps: list[int] = []
     labels: set[int] = set()
     attempts = 0
@@ -441,7 +442,7 @@ def make_planted(
         if label not in labels:
             labels.add(label)
             reps.append(z)
-    members = {x ^ z for x in sub_elems for z in reps}
+    members = {x ^ z for x in sub.members.tolist() for z in reps}
     noise_points: list[int] = []
     while len(noise_points) < noise:
         v = rng.randrange(g.order)

@@ -14,10 +14,11 @@ each instance's records are read off its column (see setstat).  triangle
 counts every instance's tuples as rows of one sorted table
 (setstat.triangle_stack), and bohr-size counts every Bohr set it needs on
 one integer phase pass over the group (bohr.size_bound_stack), emitting
-the records of the one-instance calls in their order.  The checks draw
-nothing, so the draws come in the order a one-instance loop would take
-them.  Parseval draws each block of tables, the whole table whenever it
-fits a block, in one call.
+each instance's records in instance order.  These stacked calls are the
+only entry points of the checks.  The checks draw nothing, so the draws
+come instance after instance, in the order of a loop over the instances.
+Parseval draws each block of tables, the whole table whenever it fits a
+block, in one call.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import numpy as np
 from . import fileio
 from .bohr import make_bohr_spec, size_bound_stack
 from .families import (
+    FiniteField,
     HLambdaSpec,
     make_finite_field,
     make_h_lambda,
@@ -209,9 +211,12 @@ def load_configs(path: str) -> list[RunConfig]:
 # -- set sources ---------------------------------------------------------------
 
 
-def realize_source(source: dict, default_group: GroupSpec | None, seed: int | None) -> tuple[str, GroupSet]:
-    """The labelled set a set-source object describes.  A missing field, or
-    one of the wrong type, raises ConfigError."""
+def realize_source(
+    source: dict, default_group: GroupSpec | None, seed: int | None
+) -> tuple[str, GroupSet, HLambdaSpec | FiniteField | None]:
+    """The labelled set a set-source object describes, and the HLambdaSpec
+    or FiniteField an h-lambda or katz set is built from (None for other
+    kinds).  A missing field, or one of the wrong type, raises ConfigError."""
     kind = source.get("kind")
     opts = {k: v for k, v in source.items() if k != "kind"}
     where = f"set source {kind!r}"
@@ -252,6 +257,7 @@ def realize_source(source: dict, default_group: GroupSpec | None, seed: int | No
         except TypeError as exc:
             raise ConfigError(f"{where}: bad members: {exc}") from None
 
+    recipe = None
     try:
         if kind == "file":
             path = opts.pop("path")
@@ -286,20 +292,20 @@ def realize_source(source: dict, default_group: GroupSpec | None, seed: int | No
             A = inst.set
             label = f"planted[{n}]"
         elif kind == "h-lambda":
-            spec = HLambdaSpec(n=_int("n"), k=_int("k"), lambda_size=_int("lambda"))
-            A = make_h_lambda(spec, seed=_seed(opts.pop("seed", None)))
-            label = f"h-lambda[{spec.n},{spec.k},{spec.lambda_size}]"
+            recipe = HLambdaSpec(n=_int("n"), k=_int("k"), lambda_size=_int("lambda"))
+            A = make_h_lambda(recipe, seed=_seed(opts.pop("seed", None)))
+            label = f"h-lambda[{recipe.n},{recipe.k},{recipe.lambda_size}]"
         elif kind == "katz":
-            fld = make_finite_field(_int("p"), _int("d"))
-            A = make_katz_set(fld)
-            label = f"katz[{fld.p},{fld.d}]"
+            recipe = make_finite_field(_int("p"), _int("d"))
+            A = make_katz_set(recipe)
+            label = f"katz[{recipe.p},{recipe.d}]"
         else:
             raise ConfigError(f"unknown set source kind {kind!r}")
     except KeyError as exc:
         raise ConfigError(f"{where} missing field {exc}") from None
     if opts:
         raise ConfigError(f"{where}: unused fields {sorted(opts)}")
-    return label, A
+    return label, A, recipe
 
 
 # -- reports -------------------------------------------------------------------
@@ -644,9 +650,9 @@ def run_structure(cfg: RunConfig) -> RunReport:
     if not cfg.sets:
         raise ConfigError("structure run needs at least one set source")
     report = RunReport(config=cfg.to_dict())
-    label_a, A = realize_source(cfg.sets[0], cfg.group, cfg.seed)
+    label_a, A, _ = realize_source(cfg.sets[0], cfg.group, cfg.seed)
     if len(cfg.sets) > 1:
-        label_b, B = realize_source(cfg.sets[1], A.group, cfg.seed)
+        label_b, B, _ = realize_source(cfg.sets[1], A.group, cfg.seed)
     else:
         label_b, B = label_a, A
     if len(A) == 0 or len(B) == 0:
@@ -706,13 +712,12 @@ def run_example(cfg: RunConfig) -> RunReport:
     report = RunReport(config=cfg.to_dict())
     for source in cfg.sets:
         kind = source.get("kind")
+        if kind not in ("h-lambda", "katz"):
+            raise ConfigError(f"example source must be h-lambda or katz, got {kind!r}")
         started = time.perf_counter()
+        label, A, recipe = realize_source(source, None, cfg.seed)
         if kind == "h-lambda":
-            label, A = realize_source(source, None, cfg.seed)
-            spec = HLambdaSpec(
-                n=int(source["n"]), k=int(source["k"]), lambda_size=int(source["lambda"])
-            )
-            rep = verify_h_lambda(A, spec)
+            rep = verify_h_lambda(A, recipe)
             report.add_records(rep.records)
             entry = {
                 "family": label,
@@ -723,21 +728,17 @@ def run_example(cfg: RunConfig) -> RunReport:
                     for k, (lo, hi) in rep.phi_alignment.items()
                 },
             }
-        elif kind == "katz":
-            fld = make_finite_field(int(source["p"]), int(source["d"]))
-            A = make_katz_set(fld)
-            rep = verify_katz_bound(A, fld)
+        else:
+            rep = verify_katz_bound(A, recipe)
             report.add_records(rep.records)
             entry = {
-                "family": f"katz[{fld.p},{fld.d}]",
+                "family": label,
                 "set_text": fileio.dump_set(A),
                 "peak_sq": format_value(rep.peak_sq),
                 "bound_sq": str(rep.bound_sq),
-                "modulus": list(fld.modulus),
-                "generator": list(fld.generator),
+                "modulus": list(recipe.modulus),
+                "generator": list(recipe.generator),
             }
-        else:
-            raise ConfigError(f"example source must be h-lambda or katz, got {kind!r}")
         report.timings[entry["family"]] = time.perf_counter() - started
         report.results.append(entry)
     return report

@@ -19,15 +19,13 @@ MAX_TRANSFORM_ORDER), and the loop otherwise.  corr_counts is
 conv_counts(-A, B), and sumset is the support of conv_counts.
 
 The checks the verify suites run many times are stacked the same way,
-and their one-instance calls are one-column calls: sumsets,
-energy_difference_bounds (check_energy_difference_bound is its one-pair
-call), higher_energies, katz_koester_stack (katz_koester_rows is its
-one-pair call, check_katz_koester its one-row call), and triangle_stack
-(check_generalized_triangle is its one-instance call), which counts
-distinct tuples as the rows of one int64 table, sorted once per block of
-instances.  The Katz-Koester check counts A + B once per pair and reads
-every displacement x from one index table of y - x: A_x, (A+B)_x and
-B + A_x are boolean columns over the group, compared cell by cell.
+and the stack is each check's one entry point, a single instance being
+a stack of one: sumsets, energy_difference_bounds, higher_energies,
+katz_koester_stack, and triangle_stack, which counts distinct tuples as
+the rows of one int64 table, sorted once per block of instances.  The
+Katz-Koester check counts A + B once per pair and reads every
+displacement x from one index table of y - x: A_x, (A+B)_x and B + A_x
+are boolean columns over the group, compared cell by cell.
 B + A_x is one integer Walsh transform pass on 2-groups and one shifted
 copy per member of the B's elsewhere.  A stack is cut in blocks of at
 most _KK_BLOCK_ELEMENTS cells (column_blocks), so its memory grows
@@ -496,12 +494,6 @@ class SliceInclusion:
     holds: np.ndarray
 
 
-def katz_koester_rows(A: GroupSet, B: GroupSet, xs: Sequence[int] | None = None) -> SliceInclusion:
-    """B + A_x inside (A+B)_x for every x of xs (A - A when omitted): the
-    one-pair call of katz_koester_stack."""
-    return katz_koester_stack([(A, B)], None if xs is None else [xs])[0]
-
-
 def katz_koester_stack(
     pairs: Sequence[tuple[GroupSet, GroupSet]], xs: Sequence[Sequence[int]] | None = None
 ) -> list[SliceInclusion]:
@@ -601,47 +593,6 @@ def _plus_columns(g: GroupSpec, b_side: np.ndarray, cols: np.ndarray, owners: np
     return out
 
 
-def check_katz_koester(A: GroupSet, B: GroupSet, x: int) -> CheckRecord:
-    """Containment of B + A_x inside (A+B)_x: one row of katz_koester_rows."""
-    row = katz_koester_rows(A, B, [x])
-    return CheckRecord(
-        name=f"slice sum containment at x={x}",
-        ref="inclusion:katz-koester",
-        lhs=str(int(row.left[0])),
-        rhs=str(int(row.right[0])),
-        ok=bool(row.holds[0]),
-        margin=None,
-        note="B + A_x inside (A+B)_x",
-    )
-
-
-@dataclass
-class TriangleReport:
-    lhs: int
-    rhs: int
-    holds: bool
-    margin: Fraction | None
-
-
-def check_generalized_triangle(
-    g: GroupSpec,
-    W: Sequence[Sequence[int]],
-    Y: Sequence[Sequence[int]],
-    X: Sequence[int],
-    Z: Sequence[int],
-) -> TriangleReport:
-    """|W||X| * |Y - diag(Z)| <= |(W, Y, Z) - diag(X)|: the one-instance
-    call of triangle_stack.
-
-    W and Y are families of index tuples (lengths 1 or 2); X and Z are plain
-    index sequences.  The inequality compares cardinalities, so duplicates
-    count once.
-    """
-    lhs, rhs = (int(side[0]) for side in triangle_stack(g, [W], [Y], [X], [Z]))
-    margin = Fraction(rhs, lhs) if lhs else None
-    return TriangleReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs, margin=margin)
-
-
 def triangle_stack(
     g: GroupSpec,
     Ws: Sequence[Sequence[Sequence[int]]],
@@ -649,10 +600,12 @@ def triangle_stack(
     Xs: Sequence[Sequence[int]],
     Zs: Sequence[Sequence[int]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The two sides of check_generalized_triangle for every instance i,
-    (Ws[i], Ys[i], Xs[i], Zs[i]): int64 arrays of lhs = |W||X| |Y - diag(Z)|
-    and rhs = |(W, Y, Z) - diag(X)|.  Every W tuple of the stack has one
-    length, and every Y tuple one length, each 1 or 2.
+    """The two sides of |W||X| |Y - diag(Z)| <= |(W, Y, Z) - diag(X)| for
+    every instance i, (Ws[i], Ys[i], Xs[i], Zs[i]), as int64 arrays lhs and
+    rhs.  W and Y are families of index tuples, X and Z plain index
+    sequences; every W tuple of the stack has one length, and every Y tuple
+    one length, each 1 or 2.  The sides are cardinalities, so duplicates
+    count once.
 
     A family of every instance is one int64 table of rows, its distinct
     members sorted by instance.  The tuples of Y - diag(Z) and of
@@ -752,18 +705,12 @@ class EnergyBoundReport:
     holds: bool
 
 
-def check_energy_difference_bound(A: GroupSet, B: GroupSet, k: int) -> EnergyBoundReport:
-    """E_k(B) * E(A, A+B)^k >= |A|^(2k+1) |B|^(2k) / K' with K' = |A-A|/|A|:
-    the one-pair call of energy_difference_bounds."""
-    return energy_difference_bounds([(A, B)], [k])[0]
-
-
 def energy_difference_bounds(
     pairs: Sequence[tuple[GroupSet, GroupSet]], ks: Sequence[int]
 ) -> list[EnergyBoundReport]:
-    """check_energy_difference_bound of every pair (A, B) at order ks[i],
-    compared with cleared denominators:
-    E_k(B) * E(A, A+B)^k * |A-A| >= |A|^(2k+2) * |B|^(2k).
+    """E_k(B) * E(A, A+B)^k >= |A|^(2k+1) |B|^(2k) / K' with K' = |A-A|/|A|,
+    for every pair (A, B) at order k = ks[i], compared with cleared
+    denominators: E_k(B) * E(A, A+B)^k * |A-A| >= |A|^(2k+2) * |B|^(2k).
 
     A block of pairs takes two stacks of pair counts: A + B, A o A and
     B o B first, then (A+B) o A.  The energies are power sums of their

@@ -27,7 +27,7 @@ from .bohr import BohrSet, dilate, find_regular_radius, make_bohr_spec, material
 from .groups import MAX_TRANSFORM_ORDER, GroupSpec, SizeLimitError, boolean_group
 from .harmonic import INT64_SAFE, FunctionTable, dft, magnitudes, sum_of_squares, transform_error
 from .report import CheckFailure, CheckRecord, record_eq, record_ge, record_le, require
-from .setstat import GroupSet, conv_counts, corr_counts, group_set, higher_energy, sumset, sumset_size
+from .setstat import GroupSet, conv_counts, corr_counts, higher_energy, sumset, sumset_size
 from .spectral import DissociatedWitness, Spectrum, chang_bound, max_dissociated, span, spectrum
 
 _PI_UPPER = Fraction(355, 113)  # exceeds pi, so it is safe in upper bounds
@@ -408,7 +408,7 @@ def extract_subspace(A: GroupSet, B: GroupSet, params: StructureParams) -> Struc
     basis = f2.nullspace_basis(lam.tolist(), n)
     if len(basis) != n - len(lam):
         raise AssertionError("annihilator dimension disagrees with the dissociated rank")
-    lset = group_set(g, f2.subspace_elements(basis))
+    lset = GroupSet(g, np.sort(f2.subspace_elements(basis)))
     _, achieved, z = _recount(lset, B)
     guaranteed = _density_floor(params, len(lset), loss=1)
     corr_sum = int(B.autocorr[lset.members].sum())
@@ -874,17 +874,9 @@ def brute_force_3B_subspace(b_prime: GroupSet, max_codim: int) -> tuple[GroupSet
                     break
             if valid.any():
                 z = int(np.flatnonzero(valid)[0])
-                h = group_set(g, f2.subspace_elements(h_basis))
+                h = GroupSet(g, np.sort(f2.subspace_elements(h_basis)))
                 return h, z
     return None
-
-
-def _embed(basis: list[int], coords):
-    """The XOR of basis[i] over the bits i of coords, an int or an int64 array."""
-    out = 0
-    for i, row in enumerate(basis):
-        out = out ^ (coords >> i & 1) * row
-    return out
 
 
 @dataclass(frozen=True)
@@ -909,7 +901,7 @@ class RegularizationTrace:
 
     def lift(self) -> GroupSet:
         """The final set mapped back into the original group."""
-        lifted = _embed(list(self.basis), self.final_set.members) ^ self.translate
+        lifted = f2.subspace_elements(self.basis)[self.final_set.members] ^ self.translate
         return GroupSet(self.original.group, np.sort(lifted))  # the lift is one to one
 
 
@@ -993,7 +985,8 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
                 )
             )
         )
-        translate ^= _embed(basis, z)
+        lift = f2.subspace_elements(basis)  # lift[c] has coordinates c in basis
+        translate ^= int(lift[z])
         steps.append(
             RegularizationStep(
                 codim=piece.codim,
@@ -1002,7 +995,7 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
                 density_after=density_after,
             )
         )
-        basis = [_embed(basis, row) for row in lbasis]
+        basis = lift[lbasis].tolist()
         cur_g, cur = new_g, new_set
     else:
         raise AssertionError("regularization failed to terminate within rank(G) rounds")

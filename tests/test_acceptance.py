@@ -14,10 +14,9 @@ from fractions import Fraction
 
 from addcomb.bohr import (
     RegularRadiusError,
-    check_size_bounds,
     find_regular_radius,
     make_bohr_spec,
-    materialize,
+    size_bound_stack,
 )
 from addcomb.families import (
     HLambdaSpec,
@@ -32,14 +31,14 @@ from addcomb.groups import boolean_group, make_group
 from addcomb.harmonic import FunctionTable, dft, wht_int
 from addcomb.harness import derive_params
 from addcomb.setstat import (
-    check_energy_difference_bound,
-    check_generalized_triangle,
-    check_katz_koester,
     difference_set,
     energy,
+    energy_difference_bounds,
     group_set,
     higher_energy,
+    katz_koester_stack,
     slice_set,
+    triangle_stack,
 )
 from addcomb.structure import (
     check_hypotheses,
@@ -115,7 +114,7 @@ def test_criterion_02_energy_difference_bound():
                 A = group_set(g, rng.sample(range(g.order), a))
                 B = group_set(g, rng.sample(range(g.order), b))
                 k = rng.choice((2, 3))
-                rep = check_energy_difference_bound(A, B, k)
+                [rep] = energy_difference_bounds([(A, B)], [k])
                 if not rep.holds or rep.margin < 1:
                     failures.append(f"{g.factors} #{i} k={k}: margin {rep.margin}")
 
@@ -128,19 +127,19 @@ def test_criterion_03_generalized_triangle():
         for g in (make_group((15,)), boolean_group(5)):
             for i in range(100):
                 pick = lambda: rng.sample(range(g.order), rng.randrange(2, 7))
-                rep = check_generalized_triangle(
-                    g, [(w,) for w in pick()], [(y,) for y in pick()], pick(), pick()
+                [lhs], [rhs] = triangle_stack(
+                    g, [[(w,) for w in pick()]], [[(y,) for y in pick()]], [pick()], [pick()]
                 )
-                if not rep.holds:
-                    failures.append(f"{g.factors} #{i}: {rep.lhs} > {rep.rhs}")
+                if not lhs <= rhs:
+                    failures.append(f"{g.factors} #{i}: {lhs} > {rhs}")
         # a subgroup makes every factor collapse and the bound is met with equality
         for g, H in (
             (make_group((15,)), [0, 5, 10]),
             (boolean_group(5), [0, 1, 2, 3]),
         ):
-            rep = check_generalized_triangle(g, [(h,) for h in H], [(h,) for h in H], H, H)
-            if not (rep.lhs == rep.rhs == len(H) ** 3 and rep.margin == 1):
-                failures.append(f"subgroup equality failed on {g.factors}: {rep}")
+            [lhs], [rhs] = triangle_stack(g, [[(h,) for h in H]], [[(h,) for h in H]], [H], [H])
+            if not lhs == rhs == len(H) ** 3:
+                failures.append(f"subgroup equality failed on {g.factors}: {lhs} vs {rhs}")
 
     _run(3, "triangle inequality, 200 random singleton families + equality", 30.0, work)
 
@@ -152,10 +151,9 @@ def test_criterion_04_slice_sum_containment():
         for i in range(100):
             A = group_set(g, rng.sample(range(30), rng.randrange(2, 11)))
             B = group_set(g, rng.sample(range(30), rng.randrange(2, 11)))
-            for x in difference_set(A, A).members:
-                rec = check_katz_koester(A, B, x)
-                if not rec.ok:
-                    failures.append(f"#{i} x={x}")
+            [rows] = katz_koester_stack([(A, B)], [difference_set(A, A).members])
+            for x in rows.xs[~rows.holds].tolist():
+                failures.append(f"#{i} x={x}")
 
     _run(4, "slice sum containment at every displacement, 100 pairs", 10.0, work)
 
@@ -174,8 +172,8 @@ def test_criterion_05_bohr_size_and_regularity():
             eps = [rng.choice(eps_choices) for _ in range(d)]
             spec = make_bohr_spec(g, gamma, eps)
             other_gamma = rng.sample(range(1, g.order), rng.randrange(1, 4))
-            other = materialize(g, make_bohr_spec(g, other_gamma, Fraction(1, 3)))
-            for rec in check_size_bounds(materialize(g, spec), [other]):
+            other = make_bohr_spec(g, other_gamma, Fraction(1, 3))
+            for rec in size_bound_stack(g, [[spec, other]]):
                 if not rec.ok:
                     failures.append(f"#{i} {rec.ref}")
             try:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -13,7 +14,6 @@ from addcomb import bohr
 from addcomb.bohr import (
     _counter,
     _scan,
-    check_size_bounds,
     dilate,
     find_regular_radius,
     intersect,
@@ -124,9 +124,9 @@ def test_size_bounds_reports_pass_on_random_specs():
         d = rng.randrange(1, 3)
         gamma = rng.sample(range(1, 101), d)
         eps = [Fraction(rng.randrange(1, 8), 16) for _ in range(d)]
-        b = materialize(g, make_bohr_spec(g, gamma, eps))
-        other = materialize(g, make_bohr_spec(g, [rng.randrange(1, 101)], Fraction(1, 4)))
-        for rec in check_size_bounds(b, others=[other]):
+        b = make_bohr_spec(g, gamma, eps)
+        other = make_bohr_spec(g, [rng.randrange(1, 101)], Fraction(1, 4))
+        for rec in size_bound_stack(g, [[b, other]]):
             assert rec.ok
 
 
@@ -310,20 +310,33 @@ def test_materialize_on_large_groups():
 
 
 def _assert_stack_matches(g, instances):
-    """size_bound_stack against the definition and the one-instance calls:
-    every set, wedge and half-radius set it counts has the size
-    bohr_members_direct gives, and its records are those of materialize and
-    check_size_bounds, instance after instance."""
+    """size_bound_stack against the definition: every set, wedge and
+    half-radius set it counts has the size bohr_members_direct gives, and
+    each instance's three records compare the sides that these sizes give,
+    instance after instance."""
     rows = []
     for sets in instances:
         rows += [*sets, functools.reduce(intersect, sets), *(dilate(s, Fraction(1, 2)) for s in sets)]
     sizes, identity, symmetric = _scan(g, rows)
     assert sizes.tolist() == [len(bohr_members_direct(g, s.gamma, s.eps)) for s in rows]
     assert identity.all() and symmetric.all()
+    n = g.order
     expected = []
-    for b, *others in instances:
-        expected += check_size_bounds(materialize(g, b), [materialize(g, o) for o in others])
-    assert size_bound_stack(g, instances) == expected
+    for sets in instances:
+        b = sets[0]
+        size = len(bohr_members_direct(g, b.gamma, b.eps))
+        halves = [len(bohr_members_direct(g, s.gamma, [e / 2 for e in s.eps])) for s in sets]
+        wedge = len(set.intersection(*(bohr_members_direct(g, s.gamma, s.eps) for s in sets)))
+        num = math.prod(e.numerator for e in b.eps)
+        den = math.prod(e.denominator for e in b.eps)
+        expected += [
+            ("bohr:size_lower", 2 * size * den, n * num),
+            ("bohr:size_halving", size, 8 ** (b.d + 1) * halves[0]),
+            ("bohr:size_intersection", wedge * n ** (len(sets) - 1), math.prod(halves)),
+        ]
+    records = size_bound_stack(g, instances)
+    assert [(r.ref, int(r.lhs), int(r.rhs)) for r in records] == expected
+    assert all(r.ok for r in records)
 
 
 @given(st.data())
@@ -356,8 +369,9 @@ def test_size_bound_stack_past_the_key_bound():
 
 
 def test_size_bound_stack_requires_what_the_one_instance_calls_require(monkeypatch):
-    # the same records reach require in the same order, so the first that
-    # fails raises the same CheckFailure
+    # per instance: each set's floor, then the floor, the cap, the wedge's
+    # floor and the entropy record reach require, in this order, so the
+    # first that fails raises its CheckFailure
     g = make_group((60,))
     instances = [
         [make_bohr_spec(g, [1], Fraction(1, 4)), make_bohr_spec(g, [7], Fraction(1, 3))],
@@ -371,14 +385,11 @@ def test_size_bound_stack_requires_what_the_one_instance_calls_require(monkeypat
         return real(rec)
 
     monkeypatch.setattr(bohr, "require", recording)
-    for b, *others in instances:
-        check_size_bounds(materialize(g, b), [materialize(g, o) for o in others])
-    one, required[:] = list(required), []
     size_bound_stack(g, instances)
-    assert len(one) == 12
-    assert required == one
+    per_instance = ["bohr:size_lower"] * 3 + ["bohr:size_halving", "bohr:size_lower", "bohr:size_intersection"]
+    assert [rec.ref for rec in required] == per_instance * 2
     real_le = bohr.record_le
     monkeypatch.setattr(bohr, "record_le", lambda *a, **k: replace(real_le(*a, **k), ok=False))
     with pytest.raises(CheckFailure) as failed:
         size_bound_stack(g, instances)
-    assert failed.value.record == replace(one[3], ok=False)
+    assert failed.value.record == replace(required[3], ok=False)

@@ -289,6 +289,23 @@ def test_wrong_typed_set_sources_are_config_errors(config, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ({"kind": "katz", "d": 2}, "config error: set source 'katz' missing field 'p'"),
+        ({"kind": "katz", "p": 3, "d": "two"}, "config error: set source 'katz': d must be an integer, got 'two'"),
+    ],
+    ids=["p-missing", "d-str"],
+)
+def test_malformed_example_sources_are_config_errors(source, message, tmp_path, capsys):
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps({"kind": "example", "sets": [source]}))
+    assert main(["verify", "--config", str(given)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == message
+    assert "Traceback" not in err
+
+
 def test_output_must_be_a_path(tmp_path, capsys):
     # an integer output would be opened as that file descriptor
     sink = tmp_path / "sink"

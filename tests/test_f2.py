@@ -107,12 +107,28 @@ def test_nullspace_is_the_orthogonal_complement():
 def test_subspace_elements_terminates_and_is_complete():
     # regression: extending a list while lazily iterating it never ends
     basis = echelon_basis([0b1000, 0b0100, 0b0010, 0b0001])
-    elems = subspace_elements(basis)
+    elems = subspace_elements(basis).tolist()
     assert sorted(elems) == list(range(16))
-    assert subspace_elements([]) == [0]
-    got = subspace_elements(echelon_basis([0b1010, 0b0101]))
+    assert subspace_elements([]).tolist() == [0]
+    got = subspace_elements(echelon_basis([0b1010, 0b0101])).tolist()
     assert sorted(got) == sorted(_span_by_enumeration([0b1010, 0b0101]))
     assert len(got) == len(set(got)) == 4
+
+
+def test_subspace_elements_are_indexed_by_coordinates():
+    # entry c is the combination of the basis vectors picked by the bits of c
+    rng = random.Random(17)
+    for _ in range(30):
+        basis = echelon_basis(rng.randrange(1, 1 << 12) for _ in range(rng.randrange(0, 7)))
+        elems = subspace_elements(basis).tolist()
+        expected = []
+        for c in range(1 << len(basis)):
+            x = 0
+            for i, b in enumerate(basis):
+                if c >> i & 1:
+                    x ^= b
+            expected.append(x)
+        assert elems == expected
 
 
 def test_coset_label_constant_on_cosets_distinct_across():

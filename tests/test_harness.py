@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import addcomb.harness as harness
+from addcomb.families import HLambdaSpec
 from addcomb.groups import boolean_group, make_group
 from addcomb.harness import (
     ConfigError,
@@ -125,30 +126,30 @@ def test_load_configs_shared_keys_and_duplicates(tmp_path):
 
 def test_realize_source_variants(tmp_path):
     g = make_group((24,))
-    label, A = realize_source({"kind": "literal", "members": [0, 3, 7]}, g, None)
-    assert A.members.tolist() == [0, 3, 7] and label == "literal[3]"
+    label, A, recipe = realize_source({"kind": "literal", "members": [0, 3, 7]}, g, None)
+    assert A.members.tolist() == [0, 3, 7] and label == "literal[3]" and recipe is None
 
-    _, B = realize_source({"kind": "literal", "group": "Z4xZ6", "members": [[1, 2], [3, 5]]}, None, None)
+    _, B, _ = realize_source({"kind": "literal", "group": "Z4xZ6", "members": [[1, 2], [3, 5]]}, None, None)
     assert B.group.factors == (4, 6) and len(B) == 2
 
-    _, C = realize_source({"kind": "random", "size": 5}, g, 3)
+    _, C, _ = realize_source({"kind": "random", "size": 5}, g, 3)
     assert len(C) == 5
 
-    _, H = realize_source({"kind": "subgroup", "n": 6, "dim": 2}, None, None)
+    _, H, _ = realize_source({"kind": "subgroup", "n": 6, "dim": 2}, None, None)
     assert H.members.tolist() == [0, 1, 2, 3]
 
-    _, P = realize_source({"kind": "planted", "n": 9, "dim": 2, "cosets": 3}, None, 4)
+    _, P, _ = realize_source({"kind": "planted", "n": 9, "dim": 2, "cosets": 3}, None, 4)
     assert len(P) == 12
 
-    _, E = realize_source({"kind": "h-lambda", "n": 8, "k": 3, "lambda": 5}, None, None)
-    assert len(E) == 40
+    _, E, spec = realize_source({"kind": "h-lambda", "n": 8, "k": 3, "lambda": 5}, None, None)
+    assert len(E) == 40 and spec == HLambdaSpec(n=8, k=3, lambda_size=5)
 
-    _, K = realize_source({"kind": "katz", "p": 3, "d": 2}, None, None)
-    assert K.group.factors == (8,) and len(K) == 3
+    _, K, fld = realize_source({"kind": "katz", "p": 3, "d": 2}, None, None)
+    assert K.group.factors == (8,) and len(K) == 3 and (fld.p, fld.d) == (3, 2)
 
     sf = tmp_path / "s.set"
     write_set(sf, A)
-    label, F = realize_source({"kind": "file", "path": str(sf)}, g, None)
+    label, F, _ = realize_source({"kind": "file", "path": str(sf)}, g, None)
     assert F.members.tolist() == A.members.tolist()
 
     with pytest.raises(ConfigError):

@@ -22,9 +22,6 @@ from addcomb.groups import (
 from addcomb.harmonic import dft
 from addcomb.setstat import (
     GroupSet,
-    check_energy_difference_bound,
-    check_generalized_triangle,
-    check_katz_koester,
     conv_columns,
     conv_counts,
     corr_counts,
@@ -36,7 +33,6 @@ from addcomb.setstat import (
     group_set,
     higher_energies,
     higher_energy,
-    katz_koester_rows,
     katz_koester_stack,
     peak_coefficient,
     profile,
@@ -248,9 +244,8 @@ def test_peak_of_subgroup_is_its_square():
 def test_generalized_triangle_subgroup_equality():
     g = boolean_group(4)
     H = list(range(4))
-    rep = check_generalized_triangle(g, [(h,) for h in H], [(h,) for h in H], H, H)
-    assert rep.holds and rep.lhs == rep.rhs == len(H) ** 3
-    assert rep.margin == 1
+    lhs, rhs = triangle_stack(g, [[(h,) for h in H]], [[(h,) for h in H]], [H], [H])
+    assert lhs.tolist() == rhs.tolist() == [len(H) ** 3]
 
 
 def test_generalized_triangle_random_instances():
@@ -261,15 +256,16 @@ def test_generalized_triangle_random_instances():
         Y = [(rng.randrange(15),) for _ in range(rng.randrange(1, 4))]
         X = rng.sample(range(15), rng.randrange(1, 4))
         Z = rng.sample(range(15), rng.randrange(1, 4))
-        assert check_generalized_triangle(g, W, Y, X, Z).holds
+        lhs, rhs = triangle_stack(g, [W], [Y], [X], [Z])
+        assert lhs[0] <= rhs[0]
 
 
 def test_generalized_triangle_pairs():
     g = make_group((7,))
     W = [(1, 2), (3, 4)]
     Y = [(0, 5)]
-    rep = check_generalized_triangle(g, W, Y, [0, 1], [2, 6])
-    assert rep.holds
+    lhs, rhs = triangle_stack(g, [W], [Y], [[0, 1]], [[2, 6]])
+    assert lhs[0] <= rhs[0]
 
 
 # Z_(2^21): a row of (W, Y, Z) - diag(X) with pairs lies in G^5, and a code
@@ -318,14 +314,15 @@ def test_triangle_stack_of_no_instances_and_bad_families():
         ([(1,)], [(1,)], [15], [0]),
     ]:
         with pytest.raises(ValueError):
-            check_generalized_triangle(g, W, Y, X, Z)
+            triangle_stack(g, [W], [Y], [X], [Z])
     with pytest.raises(ValueError):
         triangle_stack(g, [[(1,)]], [], [[0]], [[0]])
     # the caps count distinct members
     g = make_group((2048,))
-    assert check_generalized_triangle(g, [(1,)], [(1,)], [0], [0] * 1001).holds
+    lhs, rhs = triangle_stack(g, [[(1,)]], [[(1,)]], [[0]], [[0] * 1001])
+    assert lhs[0] <= rhs[0]
     with pytest.raises(SizeLimitError):
-        check_generalized_triangle(g, [(1,)], [(1,)], [0], range(1001))
+        triangle_stack(g, [[(1,)]], [[(1,)]], [[0]], [range(1001)])
 
 
 def test_energy_difference_bound_margin_at_least_one():
@@ -333,7 +330,7 @@ def test_energy_difference_bound_margin_at_least_one():
     rng = random.Random(5)
     for _ in range(20):
         A, B = _random_set(g, rng), _random_set(g, rng)
-        rep = check_energy_difference_bound(A, B, k=2 + rng.randrange(2))
+        [rep] = energy_difference_bounds([(A, B)], [2 + rng.randrange(2)])
         assert rep.holds and rep.margin >= 1
 
 
@@ -341,28 +338,29 @@ def test_katz_koester_inclusion_everywhere():
     g = make_group((30,))
     rng = random.Random(6)
     A, B = _random_set(g, rng), _random_set(g, rng)
-    for x in difference_set(A, A).members:
-        assert check_katz_koester(A, B, x).ok
+    [rows] = katz_koester_stack([(A, B)], [difference_set(A, A).members])
+    assert rows.holds.all()
 
 
 KK_GROUPS = [make_group(f) for f in [(7,), (30,), (4, 6), (2, 3, 3), (2,) * 5]]
 
 
 def _rows_against_oracle(A, B, sums=None, xs_per_block=None):
-    """katz_koester_rows with blocks of `xs_per_block` displacements (the
-    default block size when None), after checking every row, sizes and
-    verdict, against katz_koester_direct.  `sums` replaces A + B on the
-    right-hand side of both."""
+    """The rows of the one-pair stack katz_koester_stack([(A, B)]), with
+    blocks of `xs_per_block` displacements (the default block size when
+    None), after checking every row, sizes and verdict, against
+    katz_koester_direct.  `sums` replaces A + B on the right-hand side of
+    both."""
     budget = xs_per_block * A.group.order if xs_per_block else setstat._KK_BLOCK_ELEMENTS
     with mock.patch.object(setstat, "_KK_BLOCK_ELEMENTS", budget):
         if sums is None:
-            rows = katz_koester_rows(A, B)
+            [rows] = katz_koester_stack([(A, B)])
         else:
             # the displacements are given, so the patched sumsets only
             # reaches the right-hand side
             xs = sorted(difference_direct(A, A))
             with mock.patch.object(setstat, "sumsets", lambda pairs: [sums] * len(pairs)):
-                rows = katz_koester_rows(A, B, xs)
+                [rows] = katz_koester_stack([(A, B)], [xs])
     assert rows.xs.tolist() == sorted(difference_direct(A, A))
     got = list(zip(rows.left.tolist(), rows.right.tolist(), rows.holds.tolist()))
     assert got == [katz_koester_direct(A, B, x, sums) for x in rows.xs.tolist()]
@@ -427,9 +425,9 @@ def test_katz_koester_rows_reject_foreign_sets_and_displacements():
     g = make_group((6,))
     A = group_set(g, [0, 1])
     with pytest.raises(GroupMismatchError):
-        katz_koester_rows(A, group_set(make_group((2, 3)), [1]))
+        katz_koester_stack([(A, group_set(make_group((2, 3)), [1]))])
     with pytest.raises(ValueError):
-        katz_koester_rows(A, A, [6])
+        katz_koester_stack([(A, A)], [[6]])
 
 
 def test_profile_consistency_checks_pass():
