@@ -275,10 +275,12 @@ def _element_order_full(
 def make_finite_field(p: int, d: int) -> FiniteField:
     """Deterministic field: lex-smallest monic irreducible modulus, and the
     lex-smallest full-order generator."""
-    if prime_factors(p) != [p]:
-        raise ValueError(f"{p} is not prime")
+    # the cap first: it bounds p by 2^20, so the trial division below
+    # takes at most 2^10 steps
     if d < 1 or p**d > 1 << 20:
         raise ValueError("need d >= 1 with p^d <= 2^20")
+    if prime_factors(p) != [p]:
+        raise ValueError(f"{p} is not prime")
     modulus = None
     for idx in range(p**d):
         cand = _poly_digits(idx, p, d) + (1,)

@@ -375,12 +375,35 @@ def conv_error(g: GroupSpec, a: int, b: int) -> float:
     1 + 2^-20 covers evaluating this in doubles: the few dozen rounded
     operations and square roots on nonnegative terms lose under 2^-40
     relatively.
+
+    conv_errors evaluates this bound on arrays of sizes, bit for bit; the
+    stacked pair counts of setstat call that form.
     """
     root_n = math.sqrt(g.order)
     rel = _relative_error(g)
     e_f = _error_scale(g) * math.sqrt(a)
     e_h = _error_scale(g) * math.sqrt(b)
     pi = root_n * min(a * math.sqrt(b), b * math.sqrt(a))
+    d1 = a * e_h + b * e_f + e_f * e_h
+    gamma2 = 2 * _U / (1 - 2 * _U)
+    d = d1 + math.sqrt(2) * gamma2 * (pi + d1)
+    inverse = rel + 2 * g.rank * _U
+    return (d + inverse * (pi + d)) / root_n * (1 + 2.0**-20)
+
+
+def conv_errors(g: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """conv_error(g, a[j], b[j]) for every j, as a float64 array: the same
+    operations in the same order, elementwise (numpy's sqrt, like
+    math.sqrt, is correctly rounded), so every value is bit for bit the
+    scalar's.  The group's constants are evaluated once."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    root_n = math.sqrt(g.order)
+    rel = _relative_error(g)
+    scale = _error_scale(g)
+    e_f = scale * np.sqrt(a)
+    e_h = scale * np.sqrt(b)
+    pi = root_n * np.minimum(a * np.sqrt(b), b * np.sqrt(a))
     d1 = a * e_h + b * e_f + e_f * e_h
     gamma2 = 2 * _U / (1 - 2 * _U)
     d = d1 + math.sqrt(2) * gamma2 * (pi + d1)

@@ -15,8 +15,14 @@ counts every instance's tuples as rows of one sorted table
 (setstat.triangle_stack), and bohr-size counts every Bohr set it needs on
 one integer phase pass over the group (bohr.size_bound_stack), emitting
 each instance's records in instance order.  These stacked calls are the
-only entry points of the checks.  The checks draw nothing, so the draws
-come instance after instance, in the order of a loop over the instances.
+only entry points of the checks.
+
+The checks draw nothing: each suite draws all the sets of a group in one
+array pass (_draw_subsets), first the size of every set, then the members
+of every set, and the bohr-size characters likewise.  Integers come from
+rng.randbytes words by rejection, never by a modulo, and a set's repeated
+members are drawn again, so every set is uniform over the subsets of its
+size, and the cost follows the members drawn, not the group order.
 Parseval draws each block of tables, the whole table whenever it fits a
 block, in one call.
 """
@@ -484,8 +490,64 @@ def _suite_groups(cfg: RunConfig, default: Sequence[str]) -> list[GroupSpec]:
     return [parse_group_text(t) for t in default]
 
 
-def _random_subset(rng: random.Random, g: GroupSpec, size: int) -> GroupSet:
-    return GroupSet(g, np.sort(rng.sample(range(g.order), size)))  # the draws are distinct
+def _draw_below(rng: random.Random, count: int, n: int) -> np.ndarray:
+    """count independent ints uniform in range(n), 1 <= n <= 2^32, as an
+    int64 array: little-endian uint32 words from rng.randbytes, masked to
+    the bits of n - 1.  A masked word at or past n is rejected and drawn
+    again (at most half of them are), so no value is favoured."""
+    if count and n < 1:
+        raise ValueError(f"no value to draw in range({n})")
+    mask = (1 << (n - 1).bit_length()) - 1
+    kept = np.empty(0, dtype=np.int64)
+    while kept.size < count:
+        words = np.frombuffer(rng.randbytes(4 * (count - kept.size)), dtype="<u4") & mask
+        kept = np.concatenate((kept, words[words < n].astype(np.int64)))
+    return kept
+
+
+def _draw_subsets(rng: random.Random, n: int, sizes: np.ndarray) -> list[np.ndarray]:
+    """For each k of sizes, a k-subset of range(n), uniform over all of
+    them, as a strictly sorted int64 array: every set of the stack in one
+    array pass.
+
+    A set of k <= n / 2 members is drawn; a larger one is the complement
+    of a drawn set of n - k.  Member j of drawn set i is the key
+    i * n + value.  Every set starts as its size in uniform draws
+    (_draw_below); each round sorts the keys once, keeps the distinct ones
+    and draws each set's missing members again, until every set is full.
+    A round looks at the values only through which of them are equal, so
+    the law of each set is invariant under every permutation of range(n):
+    it is uniform.  A draw of m <= n / 2 members takes fewer than 2m values
+    in expectation (each value is new with probability above 1/2), so the
+    cost follows the members, never the number of sets times n, and the
+    keys are all the memory a draw holds; the sorted keys of set i, less
+    i * n, are its members."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.size and sizes.max() > n:
+        raise ValueError(f"cannot draw {sizes.max()} distinct elements of {n}")
+    flip = 2 * sizes > n
+    sizes = np.where(flip, n - sizes, sizes)
+    sets = np.arange(len(sizes))
+    keys = np.empty(0, dtype=np.int64)
+    missing = sizes
+    while missing.any():
+        owners = np.repeat(sets, missing)
+        keys = np.sort(np.concatenate((keys, owners * n + _draw_below(rng, owners.size, n))))
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        missing = sizes - np.bincount(keys // n, minlength=len(sizes))
+    members = keys - np.repeat(sets, sizes) * n
+    ends = np.cumsum(sizes).tolist()
+    out = [members[end - k : end] for end, k in zip(ends, sizes.tolist())]
+    for i in np.flatnonzero(flip).tolist():
+        out[i] = np.setdiff1d(np.arange(n), out[i], assume_unique=True)
+    return out
+
+
+def _random_sets(rng: random.Random, g: GroupSpec, count: int, lo: int, hi: int) -> list[GroupSet]:
+    """count random subsets of g, sizes uniform in range(lo, hi), drawn
+    sizes first, then the members of every set (_draw_subsets)."""
+    sizes = lo + _draw_below(rng, count, hi - lo)
+    return [GroupSet(g, members) for members in _draw_subsets(rng, g.order, sizes)]
 
 
 def _draw_table(rng: random.Random, order: int, width: int) -> np.ndarray:
@@ -537,14 +599,11 @@ def _parseval_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
 def _triangle_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z15", "F2^5")):
-        pick = lambda lo, hi: rng.sample(range(g.order), rng.randrange(lo, hi + 1))
-        Ws, Ys, Xs, Zs = [], [], [], []
-        for _ in range(cfg.instances):
-            Ws.append([(x,) for x in pick(1, 4)])
-            Ys.append([(x,) for x in pick(1, 4)])
-            Xs.append(pick(1, 4))
-            Zs.append(pick(1, 4))
-        lhs, rhs = triangle_stack(g, Ws, Ys, Xs, Zs)
+        # sets 4i..4i+3 are instance i's W, Y, X and Z, 1 to 4 members each
+        sizes = 1 + _draw_below(rng, 4 * cfg.instances, 4)
+        fams = [fam.tolist() for fam in _draw_subsets(rng, g.order, sizes)]
+        Ws, Ys = ([[(x,) for x in fam] for fam in fams[i::4]] for i in (0, 1))
+        lhs, rhs = triangle_stack(g, Ws, Ys, fams[2::4], fams[3::4])
         failures = int((lhs > rhs).sum())
         worst = min((Fraction(r, l) for l, r in zip(lhs.tolist(), rhs.tolist()) if l), default=None)
         note = f"{cfg.instances} tuple families on {format_group_text(g)}, min margin {worst}"
@@ -556,11 +615,8 @@ def _triangle_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
 def _energy_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z24", "F2^8")):
-        pairs = [
-            (_random_subset(rng, g, rng.randrange(2, max(3, g.order // 4))),
-             _random_subset(rng, g, rng.randrange(2, max(3, g.order // 4))))
-            for _ in range(cfg.instances)
-        ]
+        sets = _random_sets(rng, g, 2 * cfg.instances, 2, max(3, g.order // 4))
+        pairs = list(zip(sets[0::2], sets[1::2]))
         reports = energy_difference_bounds(pairs, [2 + (i % 2) for i in range(cfg.instances)])
         failures = sum(not rep.holds for rep in reports)
         note = f"{cfg.instances} pairs on {format_group_text(g)}, k in 2..3"
@@ -572,14 +628,17 @@ def _energy_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
 def _bohr_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z101", "Z60")):
-        pool = list(range(1, g.order))
-        instances = []
-        for i in range(max(1, cfg.instances // 5)):
-            d = 1 + (i % 2)
-            gamma = rng.sample(pool, d)
-            eps = [Fraction(rng.randrange(1, 9), 16) for _ in range(d)]
-            other = make_bohr_spec(g, rng.sample(pool, 1), [Fraction(1, 4)])
-            instances.append((make_bohr_spec(g, gamma, eps), other))
+        # instance i: 1 + i % 2 nonzero characters, each with a radius k/16
+        # for k in 1..8, and one more character with radius 1/4
+        count = max(1, cfg.instances // 5)
+        dims = np.array([(1 + i % 2, 1) for i in range(count)]).ravel()
+        chars = [(1 + c).tolist() for c in _draw_subsets(rng, g.order - 1, dims)]
+        radii = iter((1 + _draw_below(rng, int(dims[0::2].sum()), 8)).tolist())
+        instances = [
+            (make_bohr_spec(g, gamma, [Fraction(next(radii), 16) for _ in gamma]),
+             make_bohr_spec(g, other, [Fraction(1, 4)]))
+            for gamma, other in zip(chars[0::2], chars[1::2])
+        ]
         records.extend(size_bound_stack(g, instances))
     return records
 
@@ -588,12 +647,8 @@ def _bohr_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
 def _kk_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z30",)):
-        pairs = [
-            (_random_subset(rng, g, rng.randrange(2, g.order // 2)),
-             _random_subset(rng, g, rng.randrange(2, g.order // 2)))
-            for _ in range(cfg.instances)
-        ]
-        rows = katz_koester_stack(pairs)
+        sets = _random_sets(rng, g, 2 * cfg.instances, 2, g.order // 2)
+        rows = katz_koester_stack(list(zip(sets[0::2], sets[1::2])))
         failures = sum(int((~r.holds).sum()) for r in rows)
         displacements = sum(len(r.xs) for r in rows)
         note = f"{displacements} displacements over {cfg.instances} pairs on {format_group_text(g)}"
@@ -605,7 +660,7 @@ def _kk_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
 def _energy_mono_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z24", "F2^6")):
-        sets = [_random_subset(rng, g, rng.randrange(2, max(3, g.order // 2))) for _ in range(cfg.instances)]
+        sets = _random_sets(rng, g, cfg.instances, 2, max(3, g.order // 2))
         convex_fail = 0
         cap_fail = 0
         for A, e in zip(sets, higher_energies(sets, 6)):

@@ -6,12 +6,13 @@ exactly.  A set is its strictly sorted, read-only int64 array of element
 indices, counted as it is; writers turn it into Python ints at the edge.
 
 Pair counts are stacked: conv_columns counts many pairs (A, B) at once,
-one pair per column of an (N, k) table.  On 2-groups that is one inverse
-integer Walsh-Hadamard transform of the stacked products of the sets'
-transforms.  Elsewhere it is one inverse DFT of those products, rounded,
-for every column where harmonic.conv_error proves each entry within 1/2
-of its integer, and one bincount pass per member of the smaller set for
-any other column.  Either way the counts are exact.  conv_counts, which
+one pair per column of an (N, k) table, and corr_columns the correlations
+A o B likewise.  On 2-groups that is one inverse integer Walsh-Hadamard
+transform of the stacked products of the sets' transforms.  Elsewhere it
+is one inverse DFT of those products, rounded, for every column where
+harmonic.conv_errors proves each entry within 1/2 of its integer (one
+call for the whole stack), and one bincount pass per member of the
+smaller set for any other column.  Either way the counts are exact.  conv_counts, which
 the pipelines call, is its one-column call when a cost rule prefers a
 transform to a loop (on 2-groups always; elsewhere when the smaller set
 has more than _FFT_COST * N.bit_length() members and N is within
@@ -45,8 +46,10 @@ enclosure [lo, hi] of |A_hat|^2 from harmonic.transform_error (lo == hi on
 2-groups, where the transform is exact).  A.neg() reads its
 autocorrelation and its transform off A, since (-A) o (-A) = A o A and
 -A's transform is the conjugate of A's, so a set and its negation share
-one transform.  The cached arrays are read-only; there is no cache outside
-the set.
+one transform.  The stacked kernels build no -A at all: corr_columns
+multiplies conj(A_hat) by B_hat, the product A.neg() would give, and
+builds A.neg() only for a column that takes the direct loop.  The cached
+arrays are read-only; there is no cache outside the set.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from .groups import (
 )
 from .harmonic import (
     FunctionTable,
-    conv_error,
+    conv_errors,
     dft,
     dft_columns,
     idft_columns,
@@ -284,20 +287,40 @@ def conv_columns(g: GroupSpec, pairs: Sequence[tuple[GroupSet, GroupSet]]) -> np
     column has L1 norm at most sqrt(sum_t |A_hat(t)|^2 sum_t |B_hat(t)|^2)
     = N sqrt(|A| |B|) <= N^2 <= 2^48 (Cauchy-Schwarz, Parseval and the
     membership cap).  Elsewhere, within MAX_TRANSFORM_ORDER, each column
-    whose conv_error(g, |A|, |B|) is below 1/2 is the rounded real part
-    of one inverse DFT of the stacked products; any other column, and
-    every column beyond the transform cap, takes the direct loop.  A
-    transform a set has kept is read, the others are computed in one
-    stacked pass and not kept (see _transforms).
+    whose conv_error(g, |A|, |B|) is below 1/2 (one harmonic.conv_errors
+    call decides them all) is the rounded real part of one inverse DFT of
+    the stacked products; any other column, and every column beyond the
+    transform cap, takes the direct loop.  A transform a set has kept is
+    read, the others are computed in one stacked pass and not kept (see
+    _transforms).
     """
+    return _pair_columns(g, pairs, [False] * len(pairs))
+
+
+def corr_columns(g: GroupSpec, pairs: Sequence[tuple[GroupSet, GroupSet]]) -> np.ndarray:
+    """corr_counts of every pair (A, B) on g, (A o B)(x) = #{b - a = x}, as
+    the columns of one (N, k) int64 table: conv_columns of the pairs
+    (-A, B), with the products conj(A_hat) * B_hat, which is the transform
+    A.neg() carries (see GroupSet.neg), so no -A is built unless its column
+    takes the direct loop.  The conjugate carries A's error bound, so the
+    columns are decided as in conv_columns."""
+    return _pair_columns(g, pairs, [True] * len(pairs))
+
+
+def _pair_columns(
+    g: GroupSpec, pairs: Sequence[tuple[GroupSet, GroupSet]], reflect: Sequence[bool]
+) -> np.ndarray:
+    """The columns of conv_columns, each pair j with reflect[j] taken as in
+    corr_columns: one stack for the kernels that need both kinds."""
     n = g.order
     if any(A.group != g or B.group != g for A, B in pairs):
         raise GroupMismatchError("sets live on different groups")
     live = [j for j, (A, B) in enumerate(pairs) if len(A) and len(B)]
     if g.is_boolean_space:
         fast = live
-    elif n <= MAX_TRANSFORM_ORDER:
-        fast = [j for j in live if conv_error(g, len(pairs[j][0]), len(pairs[j][1])) < 0.5]
+    elif n <= MAX_TRANSFORM_ORDER and live:
+        sizes = np.array([(len(pairs[j][0]), len(pairs[j][1])) for j in live])
+        fast = np.array(live)[conv_errors(g, sizes[:, 0], sizes[:, 1]) < 0.5].tolist()
     else:
         fast = []
     out = _stack(n, len(pairs), np.int64)
@@ -305,13 +328,16 @@ def conv_columns(g: GroupSpec, pairs: Sequence[tuple[GroupSet, GroupSet]]) -> np
         hats = _transforms(g, [X for j in fast for X in pairs[j]])
         products = _stack(n, len(fast), hats[0].dtype, np.empty)
         for i in range(len(fast)):
-            np.multiply(hats[2 * i], hats[2 * i + 1], out=products[:, i])
+            # -A = A on 2-groups, whose integer transforms are real
+            first = np.conj(hats[2 * i]) if reflect[fast[i]] and not g.is_boolean_space else hats[2 * i]
+            np.multiply(first, hats[2 * i + 1], out=products[:, i])
         if g.is_boolean_space:
             out[:, fast] = wht_int_columns(g, products) // n
         else:
             out[:, fast] = np.rint(idft_columns(g, products).real)
     for j in sorted(set(live) - set(fast)):
-        out[:, j] = _conv_loop(*pairs[j])
+        A, B = pairs[j]
+        out[:, j] = _conv_loop(A.neg() if reflect[j] else A, B)
     return out
 
 
@@ -519,7 +545,7 @@ def katz_koester_stack(
         As = [A for A, _ in pairs[block]]
         Bs = [B for _, B in pairs[block]]
         if xs is None:
-            disp = [D.members for D in sumsets([(A, A.neg()) for A in As])]
+            disp = [D.members for D in _supports(g, corr_columns(g, [(A, A) for A in As]))]
         else:
             disp = [np.asarray(x, dtype=np.int64) for x in xs[block]]
             if any(d.size and not (0 <= d.min() and d.max() < g.order) for d in disp):
@@ -731,11 +757,12 @@ def energy_difference_bounds(
         As = [A for A, _ in chunk]
         Bs = [B for _, B in chunk]
         c = len(chunk)
-        counts = conv_columns(g, [*chunk, *((A.neg(), A) for A in As), *((B.neg(), B) for B in Bs)])
+        stack = [*chunk, *((A, A) for A in As), *((B, B) for B in Bs)]
+        counts = _pair_columns(g, stack, [False] * c + [True] * 2 * c)
         sums = _supports(g, counts[:, :c])
         diffs = np.count_nonzero(counts[:, c : 2 * c], axis=0).tolist()
         e_b = _power_sums(counts[:, 2 * c :], 3)
-        e_as = _power_sums(conv_columns(g, [(S.neg(), A) for S, A in zip(sums, As)]), 2)[0]
+        e_as = _power_sums(corr_columns(g, list(zip(sums, As))), 2)[0]
         for j, (A, B) in enumerate(chunk):
             k = ks[block][j]
             a, b = len(A), len(B)
@@ -764,7 +791,7 @@ def higher_energies(sets: Sequence[GroupSet], top: int) -> list[dict[int, int]]:
     g = _stack_group(sets)
     out: list[dict[int, int]] = []
     for block in column_blocks(len(sets), g.order):
-        sums = _power_sums(conv_columns(g, [(A.neg(), A) for A in sets[block]]), top)
+        sums = _power_sums(corr_columns(g, [(A, A) for A in sets[block]]), top)
         out.extend({k: sums[k - 2][j] for k in range(2, top + 1)} for j in range(len(sums[0])))
     return out
 

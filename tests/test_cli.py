@@ -180,6 +180,12 @@ def test_example_katz(capsys):
     assert "pass" in out and "FAIL" not in out
 
 
+def test_example_katz_checks_the_cap_before_primality(capsys):
+    # p = 2^61 - 1 is prime: trial division would take 2^30 steps
+    assert main(["example", "katz", "--p", "2305843009213693951", "--d", "2"]) == 2
+    assert capsys.readouterr().err.strip() == "config error: need d >= 1 with p^d <= 2^20"
+
+
 def test_verify_from_flags(tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(

@@ -20,6 +20,7 @@ from addcomb import harmonic
 from addcomb.harmonic import (
     FunctionTable,
     conv_error,
+    conv_errors,
     dft,
     dft_columns,
     idft,
@@ -314,6 +315,23 @@ def test_conv_error_carries_both_transform_errors(text):
         h = indicator(g, rng.sample(range(g.order), b))
         floor = (a * transform_error(h) + b * transform_error(f)) / math.sqrt(g.order)
         assert conv_error(g, a, b) >= floor > 0
+
+
+# 2-groups, mixed radices, and prime axes of length >= 50 (Bluestein)
+_ERROR_GROUPS = [parse_group_text(t) for t in ("F2^1", "F2^16", "Z2", "Z60", "Z4xZ6", "Z101", "Z65521", "Z101xZ103")]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_conv_errors_are_conv_error_bit_for_bit(data):
+    g = data.draw(st.sampled_from(_ERROR_GROUPS), label="group")
+    size = st.one_of(st.sampled_from([0, 1, g.order]), st.integers(0, g.order))
+    a = np.array(data.draw(st.lists(size, max_size=8), label="a"), dtype=np.int64)
+    b = np.array(data.draw(st.lists(size, min_size=len(a), max_size=len(a)), label="b"), dtype=np.int64)
+    got = conv_errors(g, a, b)
+    assert got.dtype == np.float64 and got.shape == a.shape
+    want = [conv_error(g, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
 def test_transform_error_is_zero_only_on_the_exact_walsh_path():

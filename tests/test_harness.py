@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +41,23 @@ def _verify_cfg(**kw):
     return config_from_dict(base)
 
 
+class _Chunks:
+    """A stand-in rng whose randbytes hands out the given chunks in order,
+    each of exactly the length asked for."""
+
+    def __init__(self, *chunks):
+        self.chunks = list(chunks)
+
+    def randbytes(self, n):
+        chunk = self.chunks.pop(0)
+        assert len(chunk) == n
+        return chunk
+
+
+def _words(*values):
+    return np.array(values, dtype="<u4").tobytes()
+
+
 def test_parseval_tables_come_from_randbytes_by_rejection():
     table = harness._draw_table(random.Random("7:parseval"), 256, 5)
     assert table.shape == (256, 5) and table.dtype == np.int64
@@ -45,20 +65,67 @@ def test_parseval_tables_come_from_randbytes_by_rejection():
         "02a69b6d7c7f34ce7347b2396d2bc5419dc2befbc1381bd63e9891c656b76e5f"
     )
 
-    class Chunks:
-        def __init__(self, *chunks):
-            self.chunks = list(chunks)
-
-        def randbytes(self, n):
-            chunk = self.chunks.pop(0)
-            assert len(chunk) == n
-            return chunk
-
     # a byte below 255 reads as byte % 17 - 8, and the table fills column
     # by column; each 255 is rejected and drawn again
-    rng = Chunks(bytes([255, 0, 1, 255]), bytes([19, 255]), bytes([254]))
+    rng = _Chunks(bytes([255, 0, 1, 255]), bytes([19, 255]), bytes([254]))
     assert harness._draw_table(rng, 2, 2).tolist() == [[-8, -6], [-7, 8]]
     assert not rng.chunks
+
+
+@pytest.mark.parametrize(
+    "n, sizes",
+    [(1, [0, 1, 1]), (6, [0, 1, 3, 4, 6, 2]), (256, [0, 1, 2, 128, 129, 255, 256, 85]), (1 << 21, [0, 1, 2, 3, (1 << 21) - 2])],
+)
+def test_drawn_sets_have_their_sizes_in_order_and_range(n, sizes):
+    draw = lambda seed: harness._draw_subsets(random.Random(seed), n, np.array(sizes))
+    sets = draw("s")
+    assert [len(members) for members in sets] == sizes
+    for members in sets:
+        assert members.dtype == np.int64
+        assert (np.diff(members) > 0).all()
+        assert members.size == 0 or (0 <= members[0] and members[-1] < n)
+    assert [m.tolist() for m in draw("s")] == [m.tolist() for m in sets]
+    assert n == 1 or [m.tolist() for m in draw("t")] != [m.tolist() for m in sets]
+
+
+def test_small_sets_on_a_group_of_order_2_21_are_drawn_without_a_table():
+    # one int64 row of the group would take 16 MiB
+    g = make_group((1 << 21,))
+    tracemalloc.start()
+    try:
+        sets = harness._random_sets(random.Random(3), g, 400, 1, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert {len(A) for A in sets} == {1, 2, 3, 4}
+    assert len({x for A in sets for x in A.members.tolist()}) > 900  # spread over the group
+
+
+@pytest.mark.parametrize("k, quantile", [(3, 43.8), (4, 36.1)])
+def test_subsets_of_z6_are_uniform(k, quantile):
+    # 12000 draws over the 20 three-subsets (19 degrees of freedom) or the
+    # 15 four-subsets, complements of drawn pairs (14): the chi-square
+    # statistic stays below its 0.999 quantile
+    sets = harness._draw_subsets(random.Random(6), 6, np.full(12000, k))
+    counts = Counter(tuple(m.tolist()) for m in sets)
+    assert sorted(counts) == list(itertools.combinations(range(6), k))
+    expected = len(sets) / len(counts)
+    assert sum((c - expected) ** 2 / expected for c in counts.values()) < quantile
+
+
+def test_draws_reject_masked_words_past_the_range_and_redraw_repeats():
+    # n = 6: words are masked to 3 bits (9 reads as 1) and 6 or 7 is
+    # rejected; of a set's repeated members one is kept, the rest drawn again
+    rng = _Chunks(_words(9, 1, 6), _words(4), _words(4), _words(15), _words(0))
+    [members] = harness._draw_subsets(rng, 6, np.array([3]))
+    assert members.tolist() == [0, 1, 4]
+    assert not rng.chunks
+    with pytest.raises(ValueError):
+        harness._draw_subsets(random.Random(1), 3, np.array([4]))
+    with pytest.raises(ValueError):
+        harness._draw_below(random.Random(1), 2, 0)
+    assert harness._draw_below(random.Random(1), 0, 0).size == 0
 
 
 def test_config_rejects_unknown_keys_and_kinds():

@@ -27,9 +27,9 @@ PINNED = {
     "example-h-lambda": "846d5574221f3c2fa0e7f506e497c6d2a69d2149c369b48b9e699c1c5bc56369",
     "structure-h-lambda": "ca52def3596846983025d39196404ce524897cfad5a1adcecac7dabcb657795f",
     "dichotomy-planted-f2-12": "5d4c93959a82fd334140f5a298ffd0e5ade2b80b346e3a0105aa48bc00ae4bb8",
-    "verify-seed-7": "af1809f834dbc1bc236e1747edda1183822a51e68c7933206810c6401562ae9e",
-    "verify-kk-Z4xZ6": "2f94d7f231bfc4baea2fc7e963fe01875342fd74d340f714c80962da4666d73d",
-    "verify-kk-F2^5": "a29602955184f2ecdcafd87b7d1b936fb98034857d004ddaa97195d99aaed78a",
+    "verify-seed-7": "8499cbb4cfe2d001f9fbf42a168291f0be9a9c546d4c252a623f5b37d1bc3cf7",
+    "verify-kk-Z4xZ6": "2836e7cfef2e2021e564f4df40ddfab3f2d0521c2ad5b384e70e8966d6e97cb2",
+    "verify-kk-F2^5": "b7e3833b1606688ce6fba09ed7fe0cd78e6d3e1c0b55f3c5a162d3aa46ad89fb",
     "verify-parseval-F2^8": "a6ee3a11c77df0399ae78e59fff529466f046885ec945d267dca0aed978598a9",
 }
 

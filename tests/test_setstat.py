@@ -22,8 +22,10 @@ from addcomb.groups import (
 from addcomb.harmonic import dft
 from addcomb.setstat import (
     GroupSet,
+    GroupSet,
     conv_columns,
     conv_counts,
+    corr_columns,
     corr_counts,
     difference_set,
     doubling_constant,
@@ -604,7 +606,7 @@ def test_conv_counts_falls_back_to_the_direct_loop_when_the_bound_fails():
     g = _Z4096
     rng = random.Random(4)
     A, B = (group_set(g, rng.sample(range(g.order), 300)) for _ in range(2))
-    with mock.patch.object(setstat, "conv_error", return_value=1.0), \
+    with mock.patch.object(setstat, "conv_errors", side_effect=lambda g, a, b: np.ones(len(a))), \
             mock.patch.object(setstat, "idft_columns", wraps=setstat.idft_columns) as spy:
         got = conv_counts(A, B)
     assert spy.call_count == 0
@@ -701,6 +703,7 @@ def test_conv_columns_and_sumsets_match_oracles(case):
     assert counts.shape == (g.order, len(pairs)) and counts.dtype == np.int64
     assert _columns(counts) == [conv_direct(A, B) for A, B in pairs]
     assert _columns(conv_columns(g, [(A.neg(), B) for A, B in pairs])) == [corr_direct(A, B) for A, B in pairs]
+    assert _columns(corr_columns(g, pairs)) == [corr_direct(A, B) for A, B in pairs]
     with _blocks_of(g, per_block):
         sums = sumsets(pairs)
     assert [set(S.members) for S in sums] == [sumset_direct(A, B) for A, B in pairs]
@@ -712,8 +715,8 @@ def test_conv_columns_fall_back_to_the_loop_per_column(case):
     # the bound fails on every column whose first set has odd size: those
     # columns loop, the others share one inverse transform
     g, pairs, _ = case
-    real = setstat.conv_error
-    with mock.patch.object(setstat, "conv_error", side_effect=lambda g, a, b: 1.0 if a % 2 else real(g, a, b)), \
+    real = setstat.conv_errors
+    with mock.patch.object(setstat, "conv_errors", side_effect=lambda g, a, b: np.where(a % 2, 1.0, real(g, a, b))), \
             mock.patch.object(setstat, "idft_columns", wraps=setstat.idft_columns) as spy:
         counts = conv_columns(g, pairs)
     assert _columns(counts) == [conv_direct(A, B) for A, B in pairs]
@@ -721,6 +724,32 @@ def test_conv_columns_fall_back_to_the_loop_per_column(case):
         exact = sum(1 for A, B in pairs if len(A) and len(B) and len(A) % 2 == 0)
         assert spy.call_count == (exact > 0)
         assert [call.args[1].shape[1] for call in spy.call_args_list] == ([exact] if exact else [])
+
+
+@given(_column_stacks())
+@settings(max_examples=60, deadline=None)
+def test_corr_columns_build_a_negation_only_for_loop_columns(case):
+    # as above, the columns whose first set has odd size loop; a reflected
+    # column reads conj(A_hat), so only a looping column builds -A
+    g, pairs, _ = case
+    real_errors, real_neg = setstat.conv_errors, GroupSet.neg
+    with mock.patch.object(setstat, "conv_errors", side_effect=lambda g, a, b: np.where(a % 2, 1.0, real_errors(g, a, b))), \
+            mock.patch.object(GroupSet, "neg", autospec=True, side_effect=real_neg) as neg:
+        counts = corr_columns(g, pairs)
+    assert _columns(counts) == [corr_direct(A, B) for A, B in pairs]
+    looped = [] if g.is_boolean_space else [A for A, B in pairs if len(A) % 2 and len(B)]
+    assert [call.args[0] for call in neg.call_args_list] == looped
+
+
+def test_corr_columns_loop_directly_above_the_transform_cap():
+    g = make_group((131072,))
+    assert g.order > MAX_TRANSFORM_ORDER
+    rng = random.Random(8)
+    pairs = [tuple(group_set(g, rng.sample(range(g.order), k)) for k in sizes) for sizes in ((40, 60), (1, 30), (0, 5))]
+    with mock.patch.object(setstat, "idft_columns", wraps=setstat.idft_columns) as spy:
+        counts = corr_columns(g, pairs)
+    assert spy.call_count == 0
+    assert _columns(counts) == [corr_direct(A, B) for A, B in pairs]
 
 
 def test_conv_columns_reject_foreign_sets():
