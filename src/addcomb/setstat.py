@@ -12,11 +12,11 @@ transform of the stacked products of the sets' transforms.  Elsewhere it
 is one inverse DFT of those products, rounded, for every column where
 harmonic.conv_errors proves each entry within 1/2 of its integer (one
 call for the whole stack), and one bincount pass per member of the
-smaller set for any other column.  Either way the counts are exact.  conv_counts, which
-the pipelines call, is its one-column call when a cost rule prefers a
-transform to a loop (on 2-groups always; elsewhere when the smaller set
-has more than _FFT_COST * N.bit_length() members and N is within
-MAX_TRANSFORM_ORDER), and the loop otherwise.  corr_counts is
+smaller set for any other column.  Either way the counts are exact.
+conv_counts, which the pipelines call, is its one-column call when a
+cost rule prefers a transform to a loop (on 2-groups always; elsewhere
+when the smaller set has more than _FFT_COST * N.bit_length() members and
+N is within MAX_TRANSFORM_ORDER), and the loop otherwise.  corr_counts is
 conv_counts(-A, B), and sumset is the support of conv_counts.
 
 The checks the verify suites run many times are stacked the same way,
@@ -545,7 +545,7 @@ def katz_koester_stack(
         As = [A for A, _ in pairs[block]]
         Bs = [B for _, B in pairs[block]]
         if xs is None:
-            disp = [D.members for D in _supports(g, corr_columns(g, [(A, A) for A in As]))]
+            disp = [np.flatnonzero(col) for col in corr_columns(g, [(A, A) for A in As]).T]
         else:
             disp = [np.asarray(x, dtype=np.int64) for x in xs[block]]
             if any(d.size and not (0 <= d.min() and d.max() < g.order) for d in disp):

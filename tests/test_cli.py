@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from addcomb import cli
+from addcomb import cli, families
 from addcomb.cli import main
 from addcomb.families import make_planted
 from addcomb.fileio import dump_set, parse_set, read_function, write_set
@@ -180,8 +180,13 @@ def test_example_katz(capsys):
     assert "pass" in out and "FAIL" not in out
 
 
-def test_example_katz_checks_the_cap_before_primality(capsys):
-    # p = 2^61 - 1 is prime: trial division would take 2^30 steps
+def test_example_katz_checks_the_cap_before_primality(monkeypatch, capsys):
+    # p = 2^61 - 1 is prime: trial division would take 2^30 steps, so the
+    # test fails at once if the primality test runs first
+    def no_trial_division(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr(families, "prime_factors", no_trial_division)
     assert main(["example", "katz", "--p", "2305843009213693951", "--d", "2"]) == 2
     assert capsys.readouterr().err.strip() == "config error: need d >= 1 with p^d <= 2^20"
 
