@@ -74,7 +74,12 @@ def test_parseval_tables_come_from_randbytes_by_rejection():
 
 @pytest.mark.parametrize(
     "n, sizes",
-    [(1, [0, 1, 1]), (6, [0, 1, 3, 4, 6, 2]), (256, [0, 1, 2, 128, 129, 255, 256, 85]), (1 << 21, [0, 1, 2, 3, (1 << 21) - 2])],
+    [
+        (1, [0, 1, 1]),
+        (6, [0, 1, 3, 4, 6, 2]),
+        (256, [0, 1, 2, 128, 129, 255, 256, 85]),
+        (1 << 21, [0, 1, 2, 3, (1 << 21) - 2]),
+    ],
 )
 def test_drawn_sets_have_their_sizes_in_order_and_range(n, sizes):
     draw = lambda seed: harness._draw_subsets(random.Random(seed), n, np.array(sizes))

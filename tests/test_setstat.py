@@ -733,7 +733,8 @@ def test_corr_columns_build_a_negation_only_for_loop_columns(case):
     # column reads conj(A_hat), so only a looping column builds -A
     g, pairs, _ = case
     real_errors, real_neg = setstat.conv_errors, GroupSet.neg
-    with mock.patch.object(setstat, "conv_errors", side_effect=lambda g, a, b: np.where(a % 2, 1.0, real_errors(g, a, b))), \
+    odd_fails = lambda g, a, b: np.where(a % 2, 1.0, real_errors(g, a, b))
+    with mock.patch.object(setstat, "conv_errors", side_effect=odd_fails), \
             mock.patch.object(GroupSet, "neg", autospec=True, side_effect=real_neg) as neg:
         counts = corr_columns(g, pairs)
     assert _columns(counts) == [corr_direct(A, B) for A, B in pairs]
