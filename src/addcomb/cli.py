@@ -77,15 +77,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    with open(args.file, "r", encoding="ascii") as fh:
-        text = fh.read()
-    head = text.lstrip().splitlines()[0] if text.strip() else ""
-    if head.startswith("group="):
-        f = fileio.parse_function(text, path=args.file)
-    else:
-        A = fileio.parse_set(text, path=args.file)
-        f = A.indicator()
-    out_table = dft(f)
+    out_table = dft(fileio.read_table(args.file))
     if args.out:
         fileio.write_function(args.out, out_table)
     else:

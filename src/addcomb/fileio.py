@@ -3,14 +3,24 @@
 Set file: first line is the group ("F2^8", "Z24", "Z4xZ6"), then one
 element per line as comma-separated coordinates (coordinate 0 first).
 Function file: header "group=<spec> kind=<int|real|complex>", then one
-"index value" pair per line; omitted indices are zero.
+"index value" pair per line; omitted indices are zero.  In both, `#`
+starts a comment, blank lines are skipped, any line ending (LF, CRLF,
+CR) is read, and whitespace around a line or a coordinate is ignored.
+
+A set file is read in whole-array passes: one splitlines pass for the
+content lines, one count of each line's commas, one int64 table of every
+coordinate token (np.array keeps int()'s syntax: signs, leading zeros,
+underscores), one broadcast range check against the factors, one dot
+with the strides for the indices, and one np.unique for duplicates.
+The per-line parser, parse_element, runs only after a vector check has
+failed, to name the first offending line as `path:line: message`; a
+valid file never reaches it.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -34,11 +44,18 @@ class FileFormatError(ValueError):
         self.line_no = line_no
 
 
-def _content_lines(text: str) -> Iterable[tuple[int, str]]:
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield i, line
+def _stripped_lines(text: str) -> list[str]:
+    """Every line of text, its comment and surrounding whitespace dropped
+    (blank lines come out empty)."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    return list(map(str.strip, lines))
+
+
+def _numbered(lines: list[str], start: int = 1) -> list[tuple[int, str]]:
+    """The nonempty lines with their line numbers, the first one numbered start."""
+    return [(no, line) for no, line in enumerate(lines, start=start) if line]
 
 
 def format_element(g: GroupSpec, index: int) -> str:
@@ -72,27 +89,49 @@ def write_set(path: str | os.PathLike, A: GroupSet) -> None:
         fh.write(dump_set(A))
 
 
-def parse_set(text: str, *, path="<string>", expect_group: GroupSpec | None = None) -> GroupSet:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FileFormatError(path, 1, "missing group line")
-    line_no, head = lines[0]
+def _element_indices(g: GroupSpec, body: list[str]) -> np.ndarray | None:
+    """The element index of every line of body, as an int64 array, or None
+    when a line has the wrong number of coordinates, a token int() rejects
+    or a coordinate out of range."""
+    if not body:
+        return np.empty(0, dtype=np.int64)
+    if {line.count(",") for line in body} != {g.rank - 1}:
+        return None
     try:
-        g = parse_group_text(head)
+        table = np.array(",".join(body).split(","), dtype=np.int64).reshape(len(body), g.rank)
+    except (ValueError, OverflowError):
+        return None
+    if not ((table >= 0) & (table < g.factors)).all():
+        return None
+    return table @ np.array(g.strides, dtype=np.int64)
+
+
+def parse_set(text: str, *, path="<string>", expect_group: GroupSpec | None = None) -> GroupSet:
+    lines = _stripped_lines(text)
+    head = next((i for i, line in enumerate(lines) if line), None)
+    if head is None:
+        raise FileFormatError(path, 1, "missing group line")
+    try:
+        g = parse_group_text(lines[head])
     except SizeLimitError:
         raise
     except ValueError as exc:
-        raise FileFormatError(path, line_no, str(exc)) from None
+        raise FileFormatError(path, head + 1, str(exc)) from None
     if expect_group is not None and g != expect_group:
         raise GroupMismatchError(
             f"{path}: set lives on {format_group_text(g)}, "
             f"expected {format_group_text(expect_group)}"
         )
-    body = lines[1:]
-    indices = np.array([parse_element(g, text, path=path, line_no=no) for no, text in body], dtype=np.int64)
+    rest = lines[head + 1 :]
+    body = list(filter(None, rest))
+    indices = _element_indices(g, body)
+    if indices is None:  # a vector check failed: parse_element raises at the first bad line
+        indices = np.array(
+            [parse_element(g, line, path=path, line_no=no) for no, line in _numbered(rest, head + 2)], dtype=np.int64
+        )
     members, first = np.unique(indices, return_index=True)  # first: where each element first appears
     if len(members) < len(indices):  # report the first line that repeats an earlier one
-        line_no, line = body[np.setdiff1d(np.arange(len(body)), first)[0]]
+        line_no, line = _numbered(rest, head + 2)[np.setdiff1d(np.arange(len(body)), first)[0]]
         raise FileFormatError(path, line_no, f"duplicate element {line!r}")
     return GroupSet(g, members)
 
@@ -138,7 +177,7 @@ def write_function(path: str | os.PathLike, table: FunctionTable) -> None:
 
 
 def parse_function(text: str, *, path="<string>") -> FunctionTable:
-    lines = list(_content_lines(text))
+    lines = _numbered(_stripped_lines(text))
     if not lines:
         raise FileFormatError(path, 1, "missing header line")
     line_no, head = lines[0]
@@ -180,3 +219,13 @@ def parse_function(text: str, *, path="<string>") -> FunctionTable:
 def read_function(path: str | os.PathLike) -> FunctionTable:
     with open(path, "r", encoding="ascii") as fh:
         return parse_function(fh.read(), path=path)
+
+
+def read_table(path: str | os.PathLike) -> FunctionTable:
+    """A function file's table, or a set file's indicator: the file is a
+    function file when its first content line is a key=value header."""
+    with open(path, "r", encoding="ascii") as fh:
+        text = fh.read()
+    if "=" in next(filter(None, _stripped_lines(text)), ""):
+        return parse_function(text, path=path)
+    return parse_set(text, path=path).indicator()

@@ -80,6 +80,7 @@ from .structure import (
 SCHEMA = "addcomb-report/1"
 
 _SUITES: dict[str, Callable[[random.Random, "RunConfig"], list[CheckRecord]]] = {}
+_MIN_ORDER: dict[str, int] = {}  # the least group order each suite can draw its sets on
 DEFAULT_SUITES = (
     "parseval",
     "triangle",
@@ -142,6 +143,13 @@ def config_from_dict(d: dict) -> RunConfig:
     bad = [s for s in suites if s not in _SUITES]
     if kind == "verify" and bad:
         raise ConfigError(f"unknown suites: {bad}; known: {sorted(_SUITES)}")
+    if kind == "verify" and group is not None:
+        for s in suites:
+            if group.order < _MIN_ORDER[s]:
+                raise ConfigError(
+                    f"suite {s} needs a group of order at least {_MIN_ORDER[s]}, "
+                    f"got {format_group_text(group)} of order {group.order}"
+                )
     sets = d.get("sets", [])
     if not isinstance(sets, (list, tuple)) or not all(isinstance(s, dict) for s in sets):
         raise ConfigError(f"sets must be a list of set-source objects, got {sets!r}")
@@ -476,9 +484,10 @@ def build_params(overrides: dict, A: GroupSet, B: GroupSet) -> StructureParams:
 # -- verification suites -------------------------------------------------------
 
 
-def _suite(name: str):
+def _suite(name: str, min_order: int = 2):
     def deco(fn):
         _SUITES[name] = fn
+        _MIN_ORDER[name] = min_order
         return fn
 
     return deco
@@ -595,14 +604,14 @@ def _parseval_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     return records
 
 
-@_suite("triangle")
+@_suite("triangle", min_order=4)  # families of up to 4 distinct members
 def _triangle_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z15", "F2^5")):
         # sets 4i..4i+3 are instance i's W, Y, X and Z, 1 to 4 members each
         sizes = 1 + _draw_below(rng, 4 * cfg.instances, 4)
-        fams = [fam.tolist() for fam in _draw_subsets(rng, g.order, sizes)]
-        Ws, Ys = ([[(x,) for x in fam] for fam in fams[i::4]] for i in (0, 1))
+        fams = _draw_subsets(rng, g.order, sizes)
+        Ws, Ys = ([fam[:, None] for fam in fams[i::4]] for i in (0, 1))
         lhs, rhs = triangle_stack(g, Ws, Ys, fams[2::4], fams[3::4])
         failures = int((lhs > rhs).sum())
         worst = min((Fraction(r, l) for l, r in zip(lhs.tolist(), rhs.tolist()) if l), default=None)
@@ -643,7 +652,7 @@ def _bohr_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     return records
 
 
-@_suite("katz-koester")
+@_suite("katz-koester", min_order=6)  # sizes in range(2, N // 2), nonempty from N = 6
 def _kk_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z30",)):

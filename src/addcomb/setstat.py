@@ -621,17 +621,18 @@ def _plus_columns(g: GroupSpec, b_side: np.ndarray, cols: np.ndarray, owners: np
 
 def triangle_stack(
     g: GroupSpec,
-    Ws: Sequence[Sequence[Sequence[int]]],
-    Ys: Sequence[Sequence[Sequence[int]]],
+    Ws: Sequence[np.ndarray | Sequence[Sequence[int]]],
+    Ys: Sequence[np.ndarray | Sequence[Sequence[int]]],
     Xs: Sequence[Sequence[int]],
     Zs: Sequence[Sequence[int]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two sides of |W||X| |Y - diag(Z)| <= |(W, Y, Z) - diag(X)| for
     every instance i, (Ws[i], Ys[i], Xs[i], Zs[i]), as int64 arrays lhs and
-    rhs.  W and Y are families of index tuples, X and Z plain index
-    sequences; every W tuple of the stack has one length, and every Y tuple
-    one length, each 1 or 2.  The sides are cardinalities, so duplicates
-    count once.
+    rhs.  W and Y are families of index tuples, each an int64 array of
+    shape (members, length) or a sequence of tuples; X and Z are plain index
+    sequences or 1-d arrays.  Every W tuple of the stack has one length, and
+    every Y tuple one length, each 1 or 2.  The sides are cardinalities, so
+    duplicates count once.
 
     A family of every instance is one int64 table of rows, its distinct
     members sorted by instance.  The tuples of Y - diag(Z) and of
@@ -645,7 +646,7 @@ def triangle_stack(
     m = len(Ws)
     if not len(Ys) == len(Xs) == len(Zs) == m:
         raise ValueError("need one W, Y, X and Z family per instance")
-    singletons = lambda fams: [[(c,) for c in fam] for fam in fams]
+    singletons = lambda fams: [np.asarray(fam, dtype=np.int64)[:, None] for fam in fams]
     fams = [_family_rows(g, F) for F in (Ws, Ys, singletons(Xs), singletons(Zs))]
     sizes = np.array([counts for _, counts, _ in fams]).reshape(4, m)
     if not sizes.all():
@@ -672,19 +673,28 @@ def _family_rows(g: GroupSpec, fams) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """One triangle family of tuples of every instance as (rows, counts,
     starts): the distinct members in one (R, k) int64 table, sorted by
     instance, and the number and first row of each instance's members."""
-    lengths = {len(t) for fam in fams for t in fam}
-    if len(lengths) > 1:
+    tables = [fam if isinstance(fam, np.ndarray) else _tuple_table(fam) for fam in fams]
+    filled = [t for t in tables if len(t)]
+    shapes = {t.shape[1:] for t in filled}
+    if len(shapes) > 1:
         raise ValueError("ragged tuple family")
-    if not lengths <= {1, 2}:
+    if not shapes <= {(1,), (2,)}:
         raise ValueError("tuple lengths must be 1 or 2")
-    inst = np.repeat(np.arange(len(fams)), [len(fam) for fam in fams])
-    flat = [c for fam in fams for t in fam for c in t]
-    rows = np.array(flat, dtype=np.int64).reshape(-1, max(lengths, default=1))
+    inst = np.repeat(np.arange(len(fams)), [len(t) for t in tables])
+    rows = np.concatenate(filled).astype(np.int64, copy=False) if filled else np.empty((0, 1), dtype=np.int64)
     if rows.size and not (0 <= rows.min() and rows.max() < g.order):
         raise ValueError("triangle families must hold element indices in range")
     keep = _distinct(inst, rows)
     counts = np.bincount(inst[keep], minlength=len(fams))
     return rows[keep], counts, np.cumsum(counts) - counts
+
+
+def _tuple_table(fam: Sequence[Sequence[int]]) -> np.ndarray:
+    """A family given as index tuples, as an int64 table, one row per tuple."""
+    lengths = {len(t) for t in fam}
+    if len(lengths) > 1:
+        raise ValueError("ragged tuple family")
+    return np.array(fam, dtype=np.int64).reshape(len(fam), max(lengths, default=1))
 
 
 def _family_products(block: slice, fams) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from addcomb.groups import GroupSpec
+from addcomb.groups import GroupSpec, SizeLimitError, parse_group_text
 from addcomb.setstat import GroupSet
 
 
@@ -85,6 +85,62 @@ def conv_direct(A: GroupSet, B: GroupSet) -> list[int]:
         for b in B.members.tolist():
             out[g.add_index(a, b)] += 1
     return out
+
+
+class DirectParseError(Exception):
+    """A set file parse_set_direct rejects: its text is "path:line: message"."""
+
+    def __init__(self, path: str, line_no: int, message: str):
+        super().__init__(f"{path}:{line_no}: {message}")
+        self.line_no = line_no
+
+
+def parse_set_direct(text: str, path: str = "<string>") -> tuple[GroupSpec, list[int]]:
+    """The group and sorted element indices of a set file, read one line at
+    a time: a line's content is what precedes its first '#', stripped; the
+    first content line names the group, each later one is an element whose
+    comma-separated coordinates int() reads.  Every element line is checked
+    in file order (coordinate count, then each token, then each range), and
+    only when all are good is the first line repeating an earlier element
+    an error."""
+    content = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            content.append((line_no, line))
+    if not content:
+        raise DirectParseError(path, 1, "missing group line")
+    line_no, head = content[0]
+    try:
+        g = parse_group_text(head)
+    except SizeLimitError:
+        raise
+    except ValueError as exc:
+        raise DirectParseError(path, line_no, str(exc)) from None
+    elements = []
+    for line_no, line in content[1:]:
+        parts = line.split(",")
+        if len(parts) != len(g.factors):
+            raise DirectParseError(path, line_no, f"expected {len(g.factors)} coordinates, got {len(parts)}")
+        coords = []
+        for part in parts:
+            try:
+                coords.append(int(part.strip()))
+            except ValueError:
+                raise DirectParseError(path, line_no, f"bad coordinate in {line!r}") from None
+        index, weight = 0, 1
+        for c, n in zip(coords, g.factors):
+            if c < 0 or c >= n:
+                raise DirectParseError(path, line_no, f"coordinate {c} out of range for Z{n}")
+            index += c * weight
+            weight *= n
+        elements.append((line_no, line, index))
+    seen = set()
+    for line_no, line, index in elements:
+        if index in seen:
+            raise DirectParseError(path, line_no, f"duplicate element {line!r}")
+        seen.add(index)
+    return g, sorted(seen)
 
 
 def sorted_set(indices) -> list[int]:

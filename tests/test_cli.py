@@ -1,17 +1,23 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from addcomb import cli, families
+from addcomb import cli, families, harness
 from addcomb.cli import main
 from addcomb.families import make_planted
 from addcomb.fileio import dump_set, parse_set, read_function, write_set
-from addcomb.groups import boolean_group, make_group
+from addcomb.groups import boolean_group, make_group, parse_group_text
 from addcomb.setstat import group_set
+
+from .test_fileio import set_files
 
 
 @pytest.fixture
@@ -81,6 +87,18 @@ def test_spectrum_round_trip(subgroup_file, tmp_path, capsys):
     vals = sorted(set(table.values))
     assert vals == [0, 8]
     assert sum(1 for v in table.values if v) == 128
+
+
+@pytest.mark.parametrize("header", ["# a function\r\n\r\ngroup=Z6 kind=int\r\n", "kind=int group=Z6\n"])
+def test_spectrum_reads_a_function_file_after_comments_in_either_field_order(header, tmp_path, capsys):
+    outputs = []
+    for text in ("group=Z6 kind=int\n0 2\n3 4\n", header + "0 2\n3 4\n"):
+        p = tmp_path / "f.fn"
+        p.write_bytes(text.encode("ascii"))
+        assert main(["spectrum", str(p)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0]
+    assert outputs[0].out.startswith("group=Z6 kind=complex\n0 6.0+0.0j\n")
 
 
 def test_spectrum_of_function_file(tmp_path, capsys):
@@ -240,6 +258,34 @@ def test_verify_unknown_suite_is_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "group, suites, message",
+    [
+        # katz-koester draws sizes in range(2, N // 2), empty below N = 6
+        ("Z4", "katz-koester", "suite katz-koester needs a group of order at least 6, got Z4 of order 4"),
+        ("Z5", "parseval,katz-koester", "suite katz-koester needs a group of order at least 6, got Z5 of order 5"),
+        # triangle draws families of up to 4 distinct members
+        ("Z3", "triangle", "suite triangle needs a group of order at least 4, got Z3 of order 3"),
+        ("F2^1", "triangle,katz-koester", "suite triangle needs a group of order at least 4, got F2^1 of order 2"),
+    ],
+)
+def test_verify_names_the_suite_a_group_is_too_small_for(group, suites, message, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("drew before checking the group")
+
+    monkeypatch.setattr(harness, "_draw_below", fail)
+    assert main(["verify", "--seed", "1", "--group", group, "--suites", suites]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("group, suite", [("Z6", "katz-koester"), ("Z4", "triangle"), ("F2^2", "triangle")])
+def test_verify_runs_on_the_smallest_group_a_suite_allows(group, suite, capsys):
+    assert main(["verify", "--seed", "1", "--group", group, "--suites", suite, "--instances", "5"]) == 0
+    capsys.readouterr()
+
+
 def test_verify_missing_config_file(tmp_path, capsys):
     code = main(["verify", "--config", str(tmp_path / "none.json")])
     capsys.readouterr()
@@ -363,3 +409,30 @@ def test_verify_with_zero_or_one_instance(suite, instances, tmp_path, capsys):
     records = json.loads(out.read_text())["records"]
     assert [(r["name"], r["ref"]) for r in records] == _SUITE_RECORDS[suite]
     assert all(r["ok"] for r in records)
+
+
+def _special_set(head: str, members: str) -> str:
+    g = parse_group_text(head)
+    picks = {"empty": [], "singleton": [g.order - 1], "full": range(g.order)}[members]
+    return dump_set(group_set(g, picks))
+
+
+@given(st.one_of(
+    set_files(["Z6", "Z4xZ6", "F2^3", "Z2xZ3xZ5"]),
+    st.builds(_special_set, st.sampled_from(["Z2", "Z6", "F2^3", "Z4xZ6"]), st.sampled_from(["empty", "singleton", "full"])),
+))
+@settings(max_examples=150, deadline=None)
+def test_stats_exit_codes_on_fuzzed_set_files(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.set")
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["stats", path])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1) and not err.getvalue():
+        assert json.loads(out.getvalue())["size"] >= 1
+    else:
+        assert err.getvalue().startswith({1: "check failed:", 2: "config error:", 3: "resource cap:"}[code])

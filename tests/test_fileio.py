@@ -3,7 +3,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from addcomb import fileio
 from addcomb.fileio import (
     FileFormatError,
     dump_function,
@@ -17,9 +20,11 @@ from addcomb.fileio import (
     write_function,
     write_set,
 )
-from addcomb.groups import GroupMismatchError, boolean_group, make_group
+from addcomb.groups import GroupMismatchError, boolean_group, make_group, parse_group_text
 from addcomb.harmonic import FunctionTable
 from addcomb.setstat import group_set
+
+from .oracles import DirectParseError, parse_set_direct
 
 
 def test_element_round_trip():
@@ -86,6 +91,108 @@ def test_set_parse_rejects_duplicates_and_bad_heads():
         parse_set("")
     with pytest.raises(FileFormatError):
         parse_set("Q8\n0\n")
+
+
+SET_FILE_GROUPS = ["Z6", "Z4xZ6", "F2^3", "Z2xZ3xZ5", "Z101"]
+
+
+@st.composite
+def _coordinate(draw, n: int) -> str:
+    """One coordinate token for Z_n: mostly a value in range, written
+    plainly or with a sign, leading zeros, an underscore or spaces; now and
+    then one a reader must reject."""
+    c = draw(st.integers(min_value=0, max_value=n - 1))
+    kind = draw(st.sampled_from(["plain"] * 30 + ["styled"] * 6 + ["spaced"] * 3 + ["negative", "range", "huge", "junk"]))
+    if kind == "plain":
+        return str(c)
+    if kind == "styled":
+        signed = f"-{c}" if c == 0 else f"+0{c}"  # "-0" is 0
+        return draw(st.sampled_from([f"+{c}", f"0{c}", f"00{c}", f"0_{c}", "_".join(str(c)), signed]))
+    if kind == "spaced":
+        return draw(st.sampled_from([f" {c}", f"{c} ", f"\t{c}", f"{c} {c}"]))
+    if kind == "negative":
+        return str(-1 - draw(st.integers(min_value=0, max_value=3)))
+    if kind == "range":
+        return str(n + draw(st.integers(min_value=0, max_value=3)))
+    if kind == "huge":
+        return draw(st.sampled_from([str(1 << 63), str(-(1 << 63) - 1), "9" * 30, "-" + "9" * 30]))
+    return draw(st.sampled_from(["", "x", "1.0", "1e2", "0x1", "_1", "1__0", "+-1", "- 1"]))
+
+
+@st.composite
+def set_files(draw, groups=SET_FILE_GROUPS) -> str:
+    """The text of a set file, valid or not: a group line (rarely a bad
+    one), then element lines mixed with comments, blank lines, wrong
+    coordinate counts and repeats of earlier lines, each ended by LF, CRLF
+    or CR, with whitespace and trailing comments around them."""
+    head = draw(st.sampled_from(groups + ["Q8"] if draw(st.integers(0, 30)) == 0 else groups))
+    factors = (2,) if head == "Q8" else parse_group_text(head).factors
+    lines = [draw(st.sampled_from([head, f"  {head}", f"{head}  # group", f"# a set\n{head}"]))]
+    elements: list[str] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        kind = draw(st.sampled_from(["element"] * 16 + ["repeat", "comment", "blank", "count"]))
+        if kind == "repeat" and elements:
+            line = draw(st.sampled_from(elements))
+        elif kind == "comment":
+            line = draw(st.sampled_from(["# note", "  #", "#1,2,3"]))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", "   ", "\t"]))
+        else:
+            rank = len(factors) + (draw(st.sampled_from([-1, 1])) if kind == "count" else 0)
+            coords = [draw(_coordinate(factors[j % len(factors)])) for j in range(max(rank, 0))]
+            line = draw(st.sampled_from([",", ", ", " ,"])).join(coords)
+            elements.append(line)
+        if line.strip() and not line.lstrip().startswith("#"):
+            line = draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", "  ", " # note", "#x"]))
+        lines.append(line)
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _parsed(parse, text: str):
+    """(group, members) of a parse, or (line number, message) of its error."""
+    try:
+        result = parse(text)
+    except (FileFormatError, DirectParseError) as exc:
+        return exc.line_no, str(exc)
+    if isinstance(result, tuple):
+        return result
+    return result.group, result.members.tolist()
+
+
+@given(set_files())
+@settings(max_examples=400, deadline=None)
+@example("Z4xZ6\r\n1, 2\r\n\r\n# c\r\n+3,0_5\r1,02\n")
+@example("Z4xZ6\n1\n2,3,4\n")  # coordinate counts that only add up over the file
+@example("# a set\n\nQ8\n1\n")
+@example("Z6\n1\n1\n7\n")  # a bad line after a repeat: the bad line is named
+@example("Z6\n1\n9\n1\n")  # and before one
+@example("Z6\n" + "9" * 30 + "\n")
+@example("Z6\n-9223372036854775809\n")
+@example("Z4xZ6\n1,2,\n")
+@example("F2^3\n")
+@example("")
+def test_parse_set_matches_the_line_by_line_oracle(text):
+    expected = _parsed(lambda t: parse_set_direct(t, path="f.set"), text)
+    assert _parsed(lambda t: parse_set(t, path="f.set"), text) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# a set\r\nZ4xZ6\r\n\r\n0, 0\r\n  1 ,1  # note\r\n+3,05\r\n",
+        "F2^3\r1,0,1\r\r0,0,0 #x\r",
+        "Z6\n",
+        "  Z101  \n\t7\n100\n0_1\n",
+    ],
+)
+def test_valid_set_files_never_reach_the_line_parser(text, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("parse_element called on a valid file")
+
+    monkeypatch.setattr(fileio, "parse_element", fail)
+    A = parse_set(text, path="f.set")
+    assert (A.group, A.members.tolist()) == parse_set_direct(text, path="f.set")
 
 
 def test_set_expect_group_mismatch():

@@ -292,7 +292,11 @@ def test_triangle_stack_matches_direct_count(data):
     k2 = data.draw(st.integers(min_value=1, max_value=2), label="k2")
     instance = _triangle_instance(g.order, k1, k2)
     instances = data.draw(st.lists(instance, min_size=1, max_size=5), label="instances")
-    lhs, rhs = triangle_stack(g, *zip(*instances))
+    if data.draw(st.booleans(), label="as arrays"):  # every family as an int64 array, one row per tuple
+        families = [[np.array(fam, dtype=np.int64) for fam in inst] for inst in instances]
+    else:
+        families = instances
+    lhs, rhs = triangle_stack(g, *zip(*families))
     assert [(int(l), int(r)) for l, r in zip(lhs, rhs)] == [triangle_direct(g, *inst) for inst in instances]
 
 
@@ -319,6 +323,16 @@ def test_triangle_stack_of_no_instances_and_bad_families():
             triangle_stack(g, [W], [Y], [X], [Z])
     with pytest.raises(ValueError):
         triangle_stack(g, [[(1,)]], [], [[0]], [[0]])
+    one = np.array([[1]])
+    for W, Y in [
+        (np.array([1]), one),  # not a table of tuples
+        (np.array([[1, 2, 3]]), one),
+        (one, np.array([[15]])),
+    ]:
+        with pytest.raises(ValueError):
+            triangle_stack(g, [W], [Y], [[0]], [[0]])
+    with pytest.raises(ValueError, match="ragged"):  # one length across the stack
+        triangle_stack(g, [one, np.array([[1, 2]])], [one, one], [[0], [0]], [[0], [0]])
     # the caps count distinct members
     g = make_group((2048,))
     lhs, rhs = triangle_stack(g, [[(1,)]], [[(1,)]], [[0]], [[0] * 1001])
