@@ -223,9 +223,10 @@ def read_function(path: str | os.PathLike) -> FunctionTable:
 
 def read_table(path: str | os.PathLike) -> FunctionTable:
     """A function file's table, or a set file's indicator: the file is a
-    function file when its first content line is a key=value header."""
+    function file when its first content line starts with "group="."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    if "=" in next(filter(None, _stripped_lines(text)), ""):
+    head = next(filter(None, (line.partition("#")[0].strip() for line in text.splitlines())), "")
+    if head.startswith("group="):
         return parse_function(text, path=path)
     return parse_set(text, path=path).indicator()

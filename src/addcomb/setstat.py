@@ -673,7 +673,10 @@ def _family_rows(g: GroupSpec, fams) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """One triangle family of tuples of every instance as (rows, counts,
     starts): the distinct members in one (R, k) int64 table, sorted by
     instance, and the number and first row of each instance's members."""
-    tables = [fam if isinstance(fam, np.ndarray) else _tuple_table(fam) for fam in fams]
+    try:
+        tables = [np.asarray(fam, dtype=np.int64) for fam in fams]
+    except ValueError:  # numpy refuses a family whose tuples differ in length
+        raise ValueError("ragged tuple family") from None
     filled = [t for t in tables if len(t)]
     shapes = {t.shape[1:] for t in filled}
     if len(shapes) > 1:
@@ -687,14 +690,6 @@ def _family_rows(g: GroupSpec, fams) -> tuple[np.ndarray, np.ndarray, np.ndarray
     keep = _distinct(inst, rows)
     counts = np.bincount(inst[keep], minlength=len(fams))
     return rows[keep], counts, np.cumsum(counts) - counts
-
-
-def _tuple_table(fam: Sequence[Sequence[int]]) -> np.ndarray:
-    """A family given as index tuples, as an int64 table, one row per tuple."""
-    lengths = {len(t) for t in fam}
-    if len(lengths) > 1:
-        raise ValueError("ragged tuple family")
-    return np.array(fam, dtype=np.int64).reshape(len(fam), max(lengths, default=1))
 
 
 def _family_products(block: slice, fams) -> tuple[np.ndarray, list[np.ndarray]]:

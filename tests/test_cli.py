@@ -89,10 +89,9 @@ def test_spectrum_round_trip(subgroup_file, tmp_path, capsys):
     assert sum(1 for v in table.values if v) == 128
 
 
-@pytest.mark.parametrize("header", ["# a function\r\n\r\ngroup=Z6 kind=int\r\n", "kind=int group=Z6\n"])
-def test_spectrum_reads_a_function_file_after_comments_in_either_field_order(header, tmp_path, capsys):
+def test_spectrum_reads_a_function_file_after_comments(tmp_path, capsys):
     outputs = []
-    for text in ("group=Z6 kind=int\n0 2\n3 4\n", header + "0 2\n3 4\n"):
+    for text in ("group=Z6 kind=int\n0 2\n3 4\n", "# a function\r\n\r\ngroup=Z6 kind=int\r\n0 2\n3 4\n"):
         p = tmp_path / "f.fn"
         p.write_bytes(text.encode("ascii"))
         assert main(["spectrum", str(p)]) == 0

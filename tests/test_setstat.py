@@ -331,6 +331,8 @@ def test_triangle_stack_of_no_instances_and_bad_families():
     ]:
         with pytest.raises(ValueError):
             triangle_stack(g, [W], [Y], [[0]], [[0]])
+    with pytest.raises(ValueError, match="ragged"):  # one length within a family
+        triangle_stack(g, [[(1,), (1, 2)]], [[(1,)]], [[0]], [[0]])
     with pytest.raises(ValueError, match="ragged"):  # one length across the stack
         triangle_stack(g, [one, np.array([[1, 2]])], [one, one], [[0], [0]], [[0], [0]])
     # the caps count distinct members
