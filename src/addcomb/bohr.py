@@ -15,6 +15,12 @@ query runs the integer test over the whole group.  The table is cached, so
 the radius search, the materialization and the regularity grid of one Bohr
 set share it.
 
+The regularity grid eta = +-i/(1000 d), i = 1..10, gives 100 d|eta| = i/10,
+so Bourgain's test (1 - 100 d|eta|)|B| < |B_(1+eta)| < (1 + 100 d|eta|)|B|
+is the integer test (10 - i)|B| < 10|B_(1+eta)| < (10 + i)|B|.  The 21 cuts
+of a candidate radius (eta = 0 and the grid) are integers, counted by one
+search of the sorted keys, and the verdict compares integers only.
+
 The integer test is one function, _member_rows, over a stack of Bohr sets
 at once.  The size bounds are checked in one place, size_bound_stack, on
 a stack of instances.  They need a few sizes of many unrelated Bohr sets,
@@ -48,7 +54,8 @@ _CHUNK = 1 << 16
 # keys are built while N * max_j w_j is below this; query cuts are clamped to it
 _KEY_BOUND = 1 << 62
 _ONE = Fraction(1)
-_DEFAULT_GRID_STEPS = 10
+# the regularity grid eta = +-i/(1000 d), i = 1..10, as the steps +-i in grid order
+_GRID_STEPS = tuple(s * i for i in range(1, 11) for s in (1, -1))
 _RADIUS_ROUNDS = (256, 1024, 4096)
 _RADIUS_DENOM = 1 << 30
 
@@ -86,7 +93,6 @@ class BohrSpec:
 class RegularityVerdict:
     regular: bool
     worst_margin: float | None
-    grid: tuple[Fraction, ...]
     sizes: tuple[tuple[Fraction, int], ...]
     base_size: int
     note: str = "finite grid evidence, not an all-eta proof"
@@ -174,17 +180,18 @@ class _ExactCounter:
         v = _phases(self.group, self.weights, idx)
         return _member_rows(v, chars, np.array([cuts], dtype=np.int64))[0]
 
-    def _cut(self, sigma: Fraction) -> int:
-        """ceil(sigma N L), clamped at 2^62: a cut past int64 would make the
-        search compare the whole key array as Python objects."""
-        if sigma <= 0:
-            raise ValueError("dilation factor must be positive")
-        return min(-(-sigma.numerator * self.scale // sigma.denominator), _KEY_BOUND)
+    def _cut(self, num: int, den: int) -> int:
+        """ceil(sigma N L) at sigma = num / den > 0, clamped at 2^62: a cut
+        past int64 would make the search compare the whole key array as
+        Python objects."""
+        return min(-(-num * self.scale // den), _KEY_BOUND)
 
     def count(self, sigma: Fraction) -> int:
+        if sigma <= 0:
+            raise ValueError("dilation factor must be positive")
         if self.sorted_keys is None:
             return len(self.member_indices(sigma))
-        return int(self.sorted_keys.searchsorted(self._cut(sigma)))
+        return int(self.sorted_keys.searchsorted(self._cut(sigma.numerator, sigma.denominator)))
 
     def member_indices(self, sigma: Fraction) -> np.ndarray:
         """Sorted indices of the members at query sigma."""
@@ -331,38 +338,34 @@ def default_eta_grid(d: int) -> tuple[Fraction, ...]:
     """Symmetric grid eta = +-i/(1000 d), i = 1..10, so d|eta| <= 1/100."""
     if d == 0:
         return ()
-    grid = []
-    for i in range(1, _DEFAULT_GRID_STEPS + 1):
-        grid.append(Fraction(i, 1000 * d))
-        grid.append(Fraction(-i, 1000 * d))
-    return tuple(grid)
+    return tuple(Fraction(k, 1000 * d) for k in _GRID_STEPS)
 
 
-def _grid_sizes(counter: _ExactCounter, sigma: Fraction, grid: Sequence[Fraction]) -> list[tuple[Fraction, int]]:
-    return [(eta, counter.count(sigma * (1 + eta))) for eta in grid]
+def _grid_counts(counter: _ExactCounter, sigma: Fraction, d: int) -> list[int]:
+    """|B| at query sigma, then |B_(1+eta)| at every eta of
+    default_eta_grid(d), in its order.  At the step k = +-i, sigma (1 + eta)
+    is sigma (1000 d + k) / (1000 d), so every cut ceil(sigma (1 + eta) N L)
+    is computed in integers and one searchsorted counts all 21 of them; a
+    table with no keys counts them one by one."""
+    den = 1000 * d
+    ks = [den, *(den + k for k in _GRID_STEPS)]
+    if counter.sorted_keys is None:
+        return [counter.count(sigma * Fraction(k, den)) for k in ks]
+    cuts = [counter._cut(sigma.numerator * k, sigma.denominator * den) for k in ks]
+    return counter.sorted_keys.searchsorted(np.array(cuts, dtype=np.int64)).tolist()
 
 
-def _grid_verdict(
-    d: int, base_size: int, sizes: Sequence[tuple[Fraction, int]], grid: Sequence[Fraction]
-) -> RegularityVerdict:
-    regular = True
-    worst: Fraction | None = None
-    for eta, size in sizes:
-        mag = abs(eta)
-        low = (1 - 100 * d * mag) * base_size
-        high = (1 + 100 * d * mag) * base_size
-        ok = low < size < high
-        margin = min(Fraction(size) - low, high - Fraction(size))
-        regular = regular and ok
-        if worst is None or margin < worst:
-            worst = margin
-    return RegularityVerdict(
-        regular=regular,
-        worst_margin=None if worst is None else float(worst),
-        grid=tuple(grid),
-        sizes=tuple(sizes),
-        base_size=base_size,
-    )
+def _grid_margins(counts: list[int]) -> list[int]:
+    """For the counts of _grid_counts, ten times the margin of every grid
+    point in the test (1 - 100 d|eta|)|B| < |B_(1+eta)| < (1 + 100 d|eta|)|B|.
+    As 100 d|eta| = i/10, that is min(10|B_eta| - (10 - i)|B|,
+    (10 + i)|B| - 10|B_eta|), an integer: the point passes iff it is
+    positive."""
+    base = counts[0]
+    return [
+        min(10 * size - (10 - abs(k)) * base, (10 + abs(k)) * base - 10 * size)
+        for k, size in zip(_GRID_STEPS, counts[1:])
+    ]
 
 
 def regularity_test(b: BohrSet) -> RegularityVerdict:
@@ -371,14 +374,18 @@ def regularity_test(b: BohrSet) -> RegularityVerdict:
     spec = b.spec
     d = spec.d
     if d == 0:
-        return RegularityVerdict(True, None, (), (), len(b.members), note="dimension 0 is vacuously regular")
-    grid = default_eta_grid(d)
+        return RegularityVerdict(True, None, (), len(b.members), note="dimension 0 is vacuously regular")
     counter, scale = _counter(spec)
-    base_size = counter.count(scale)
-    if base_size != len(b.members):
+    counts = _grid_counts(counter, scale, d)
+    if counts[0] != len(b.members):
         raise AssertionError("materialized member count disagrees with the counting table")
-    sizes = _grid_sizes(counter, scale, grid)
-    return _grid_verdict(d, base_size, sizes, grid)
+    worst = min(_grid_margins(counts))
+    return RegularityVerdict(
+        regular=worst > 0,
+        worst_margin=worst / 10,
+        sizes=tuple(zip(default_eta_grid(d), counts[1:])),
+        base_size=counts[0],
+    )
 
 
 def find_regular_radius(
@@ -394,7 +401,6 @@ def find_regular_radius(
     base = make_bohr_spec(g, gamma, eps)
     counter, scale = _counter(base)
     d = base.d
-    grid = default_eta_grid(d)
     trace: list[tuple[Fraction, int]] = []
     seen: set[Fraction] = set()
     for points in rounds:
@@ -403,13 +409,11 @@ def find_regular_radius(
             if not Fraction(1, 2) < rho < 1 or rho in seen:
                 continue
             seen.add(rho)
-            base_size = counter.count(rho * scale)
             if d == 0:
                 return dilate(base, rho)
-            sizes = _grid_sizes(counter, rho * scale, grid)
-            verdict = _grid_verdict(d, base_size, sizes, grid)
-            trace.append((rho, base_size))
-            if verdict.regular:
+            counts = _grid_counts(counter, rho * scale, d)
+            trace.append((rho, counts[0]))
+            if min(_grid_margins(counts)) > 0:
                 return dilate(base, rho)
     lines = [f"  rho={r}  size={s}" for r, s in trace[:64]]
     if len(trace) > 64:

@@ -216,11 +216,6 @@ def parse_function(text: str, *, path="<string>") -> FunctionTable:
     return FunctionTable(group=g, values=values, kind=kind)
 
 
-def read_function(path: str | os.PathLike) -> FunctionTable:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_function(fh.read(), path=path)
-
-
 def read_table(path: str | os.PathLike) -> FunctionTable:
     """A function file's table, or a set file's indicator: the file is a
     function file when its first content line starts with "group="."""

@@ -80,7 +80,8 @@ from .structure import (
 SCHEMA = "addcomb-report/1"
 
 _SUITES: dict[str, Callable[[random.Random, "RunConfig"], list[CheckRecord]]] = {}
-_MIN_ORDER: dict[str, int] = {}  # the least group order each suite can draw its sets on
+# the least group order each suite can draw its sets on, given the instance count
+_MIN_ORDER: dict[str, Callable[[int], int]] = {}
 DEFAULT_SUITES = (
     "parseval",
     "triangle",
@@ -143,11 +144,16 @@ def config_from_dict(d: dict) -> RunConfig:
     bad = [s for s in suites if s not in _SUITES]
     if kind == "verify" and bad:
         raise ConfigError(f"unknown suites: {bad}; known: {sorted(_SUITES)}")
+    try:
+        instances = int(d.get("instances", 25))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"instances must be an integer, got {d['instances']!r}") from None
     if kind == "verify" and group is not None:
         for s in suites:
-            if group.order < _MIN_ORDER[s]:
+            need = _MIN_ORDER[s](instances)
+            if group.order < need:
                 raise ConfigError(
-                    f"suite {s} needs a group of order at least {_MIN_ORDER[s]}, "
+                    f"suite {s} needs a group of order at least {need}, "
                     f"got {format_group_text(group)} of order {group.order}"
                 )
     sets = d.get("sets", [])
@@ -156,10 +162,6 @@ def config_from_dict(d: dict) -> RunConfig:
     params = d.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"params must be an object, got {params!r}")
-    try:
-        instances = int(d.get("instances", 25))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"instances must be an integer, got {d['instances']!r}") from None
     output = d.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output must be a path or null, got {output!r}")
@@ -484,10 +486,10 @@ def build_params(overrides: dict, A: GroupSet, B: GroupSet) -> StructureParams:
 # -- verification suites -------------------------------------------------------
 
 
-def _suite(name: str, min_order: int = 2):
+def _suite(name: str, min_order: int | Callable[[int], int] = 2):
     def deco(fn):
         _SUITES[name] = fn
-        _MIN_ORDER[name] = min_order
+        _MIN_ORDER[name] = min_order if callable(min_order) else lambda instances: min_order
         return fn
 
     return deco
@@ -633,7 +635,8 @@ def _energy_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     return records
 
 
-@_suite("bohr-size")
+# from 10 instances on, the second instance draws two distinct nonzero characters
+@_suite("bohr-size", min_order=lambda instances: 3 if instances >= 10 else 2)
 def _bohr_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z101", "Z60")):

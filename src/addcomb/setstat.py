@@ -57,7 +57,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -142,63 +143,44 @@ class GroupSet:
         k = int(np.searchsorted(self.members, i))
         return k < len(self.members) and bool(self.members[k] == i)
 
-    def _cached(self, name: str, compute: Callable[[], object]):
-        value = self.__dict__.get(name)
-        if value is None:
-            value = compute()
-            object.__setattr__(self, name, value)
-        return value
-
-    @property
+    @cached_property
     def transform(self) -> np.ndarray:
         """Transform of the indicator: int64 on 2-groups, complex128 elsewhere.
         A set made by neg() conjugates its source's (see neg)."""
+        source = self.__dict__.get("_neg_of")
+        if source is not None:
+            return read_only(np.conj(source.transform))
+        return read_only(dft(self.indicator()).values)
 
-        def compute() -> np.ndarray:
-            source = self.__dict__.get("_neg_of")
-            if source is not None:
-                return read_only(np.conj(source.transform))
-            return read_only(dft(self.indicator()).values)
-
-        return self._cached("_transform", compute)
-
-    @property
+    @cached_property
     def autocorr(self) -> np.ndarray:
         """(A o A)(x) = |A intersect (A + x)| for every x, as int64."""
+        source = self.__dict__.get("_neg_of")
+        return source.autocorr if source is not None else read_only(corr_counts(self, self))
 
-        def compute() -> np.ndarray:
-            source = self.__dict__.get("_neg_of")
-            return source.autocorr if source is not None else read_only(corr_counts(self, self))
-
-        return self._cached("_autocorr", compute)
-
-    @property
+    @cached_property
     def energy_hist(self) -> tuple[tuple[int, int], ...]:
         """Pairs (c, m): the value c > 0 is taken by A o A at m points."""
-
-        def compute() -> tuple[tuple[int, int], ...]:
-            ac = self.autocorr
-            values, mults = np.unique(ac[ac > 0], return_counts=True)
-            return tuple(zip(values.tolist(), mults.tolist()))
-
-        return self._cached("_energy_hist", compute)
+        ac = self.autocorr
+        values, mults = np.unique(ac[ac > 0], return_counts=True)
+        return tuple(zip(values.tolist(), mults.tolist()))
 
     @property
     def diff_size(self) -> int:
         """|A - A|, the support size of A o A."""
         return sum(m for _, m in self.energy_hist)
 
-    @property
+    @cached_property
     def sum_size(self) -> int:
         """|A + A|; on 2-groups A + A = A - A, so it is diff_size."""
         if self.group.is_boolean_space:
             return self.diff_size
-        return self._cached("_sum_size", lambda: len(sumset(self, self)))
+        return len(sumset(self, self))
 
-    @property
+    @cached_property
     def peak(self) -> "Peak":
         """peak_coefficient(A), computed once."""
-        return self._cached("_peak", lambda: peak_coefficient(self))
+        return peak_coefficient(self)
 
     def indicator(self) -> FunctionTable:
         return indicator(self.group, self.members)
@@ -376,7 +358,7 @@ def _transforms(g: GroupSpec, sets: Sequence[GroupSet]) -> list[np.ndarray]:
     todo: dict[int, tuple[GroupSet, list[int]]] = {}
     for j, X in enumerate(sets):
         source = X.__dict__.get("_neg_of", X)
-        if source.__dict__.get("_transform") is not None:
+        if "transform" in source.__dict__:
             out[j] = X.transform
         else:
             todo.setdefault(id(source), (source, []))[1].append(j)
@@ -520,14 +502,11 @@ class SliceInclusion:
     holds: np.ndarray
 
 
-def katz_koester_stack(
-    pairs: Sequence[tuple[GroupSet, GroupSet]], xs: Sequence[Sequence[int]] | None = None
-) -> list[SliceInclusion]:
-    """B + A_x inside (A+B)_x for every pair (A, B) and every x of xs[i],
-    the displacements of pair i (A - A when xs is None), each row decided
-    cell by cell over the group.
+def katz_koester_stack(pairs: Sequence[tuple[GroupSet, GroupSet]]) -> list[SliceInclusion]:
+    """B + A_x inside (A+B)_x for every pair (A, B) and every x of A - A,
+    each row decided cell by cell over the group.
 
-    A + B (and A - A) of a block of pairs come from one stack of pair
+    A + B and A - A of a block of pairs come from one stack of pair
     counts.  The displacements of all the pairs in the block are the
     columns of one table with one row per element y, cut in blocks of at
     most _KK_BLOCK_ELEMENTS cells: A_x and (A+B)_x are read off as boolean
@@ -537,19 +516,12 @@ def katz_koester_stack(
     if not pairs:
         return []
     g = _stack_group(X for pair in pairs for X in pair)
-    if xs is not None and len(xs) != len(pairs):
-        raise ValueError("need one list of displacements per pair")
     ys = np.arange(g.order, dtype=np.int64)[:, None]
     out: list[SliceInclusion] = []
     for block in column_blocks(len(pairs), g.order):
         As = [A for A, _ in pairs[block]]
         Bs = [B for _, B in pairs[block]]
-        if xs is None:
-            disp = [np.flatnonzero(col) for col in corr_columns(g, [(A, A) for A in As]).T]
-        else:
-            disp = [np.asarray(x, dtype=np.int64) for x in xs[block]]
-            if any(d.size and not (0 <= d.min() and d.max() < g.order) for d in disp):
-                raise ValueError("displacements must be element indices in range")
+        disp = [np.flatnonzero(col) for col in corr_columns(g, [(A, A) for A in As]).T]
         a_masks = _indicator_table(g, As, bool)
         s_masks = _indicator_table(g, sumsets(pairs[block]), bool)
         a_flat, s_flat = a_masks.T.ravel(), s_masks.T.ravel()  # pair p's column at p * N

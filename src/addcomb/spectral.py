@@ -2,10 +2,10 @@
 
 Spec_eps(f) = {t : |f_hat(t)| >= eps * ||f||_1}, decided against the
 transform's proven error E (harmonic.transform_error): a frequency is kept
-when its computed magnitude reaches eps ||f||_1 - E and flagged borderline
-below eps ||f||_1 + E, so no member is dropped (over-inclusion is sound for
-the extraction pipelines).  On 2-groups with integer tables E = 0 and the
-test is an exact integer comparison.
+when its computed magnitude reaches eps ||f||_1 - E, so no member is
+dropped (over-inclusion is sound for the extraction pipelines).  On
+2-groups with integer tables E = 0 and the test is an exact integer
+comparison.
 
 Span(Lambda) is the set of {0, +1, -1} sums of Lambda, kept as a boolean
 mask over the group and grown one member at a time (S | S + mu | S - mu).
@@ -40,9 +40,6 @@ class Spectrum:
     group: GroupSpec
     eps: Fraction
     members: np.ndarray  # read-only int64
-    magnitudes: tuple[float, ...]
-    borderline: np.ndarray  # read-only int64
-    exact: bool
 
     def __len__(self) -> int:
         return len(self.members)
@@ -53,7 +50,6 @@ class DissociatedWitness:
     group: GroupSpec
     members: np.ndarray  # read-only int64, in the order picked
     mode: str  # "exact" | "greedy"
-    certified_size: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", read_only(np.array(self.members, dtype=np.int64)))
@@ -63,7 +59,7 @@ class DissociatedWitness:
 
 
 def spectrum(f: FunctionTable, eps: Fraction | int, *, fhat: FunctionTable | None = None) -> Spectrum:
-    """Members and |f_hat| magnitudes of the eps-spectrum, heaviest first.
+    """Members of the eps-spectrum, heaviest first.
 
     A caller that already holds dft(f) passes it as fhat.
     """
@@ -81,17 +77,9 @@ def spectrum(f: FunctionTable, eps: Fraction | int, *, fhat: FunctionTable | Non
     thr = eps * Fraction(f.l1())
     err = Fraction(transform_error(f))
     picked = np.flatnonzero(_at_least(mags, thr - err))
-    border = picked[~_at_least(mags[picked], thr + err)]
     # heaviest first, ties by index: picked ascends and the sort is stable
     picked = picked[np.argsort(-mags[picked], kind="stable")]
-    return Spectrum(
-        group=g,
-        eps=eps,
-        members=read_only(picked),
-        magnitudes=tuple(mags[picked].astype(np.float64).tolist()),
-        borderline=read_only(border),
-        exact=fhat.kind == "int",
-    )
+    return Spectrum(group=g, eps=eps, members=read_only(picked))
 
 
 def _at_least(values: np.ndarray, cut: Fraction) -> np.ndarray:
@@ -149,7 +137,7 @@ def max_dissociated(
     """
     if g.is_boolean_space:
         picked = f2.independent_subset(candidates)  # 0 and repeats lie in the span
-        return DissociatedWitness(g, picked, "exact", len(picked))
+        return DissociatedWitness(g, picked, "exact")
     cands = [c for c in dict.fromkeys(np.asarray(candidates).tolist()) if c != 0]  # searched in Python ints
     if len(cands) <= _EXACT_SEARCH_MAX:
         best: list[int] = []
@@ -170,14 +158,14 @@ def max_dissociated(
                         return
 
         descend(0, [], _zero_mask(g))
-        return DissociatedWitness(g, best, "exact", len(best))
+        return DissociatedWitness(g, best, "exact")
     picked = []
     span_mask = _zero_mask(g)
     for c in cands:
         if not span_mask[c]:
             picked.append(c)
             _grow(g, span_mask, c)
-    return DissociatedWitness(g, picked, "greedy", len(picked))
+    return DissociatedWitness(g, picked, "greedy")
 
 
 def span(g: GroupSpec, lam: list[int] | tuple[int, ...]) -> GroupSet:
@@ -205,47 +193,37 @@ class ChangReport:
 
 def chang_bound(
     f: FunctionTable,
-    eps: Fraction | int,
+    spec: Spectrum,
+    witness: DissociatedWitness,
     c_chang: Fraction = CHANG_AUDIT_CONSTANT,
-    *,
-    spec: Spectrum | None = None,
-    witness: DissociatedWitness | None = None,
 ) -> ChangReport:
     """Evaluate c * eps^-2 * log(||f||_2^2 N / ||f||_1^2) against dim(Spec_eps(f)).
 
-    The comparison is asserted only when c_chang is at least the audit
-    constant; below that it is reported as a plain diagnostic.  A caller
-    that already holds Spec_eps(f), and the max_dissociated witness of its
-    members in spectrum order, passes them in instead of recomputing; a
-    witness is accepted only together with the spectrum it was drawn from.
+    spec is Spec_eps(f), eps = spec.eps, and witness the max_dissociated
+    witness of its members in spectrum order; the witness must be drawn
+    from the spectrum.  The comparison is asserted only when c_chang is at
+    least the audit constant; below that it is reported as a plain
+    diagnostic.
     """
-    eps = Fraction(eps)
-    if spec is None:
-        if witness is not None:
-            raise ValueError("a witness passed to chang_bound needs its spectrum")
-        spec = spectrum(f, eps)
-    elif spec.eps != eps or spec.group != f.group:
-        raise ValueError("spectrum passed to chang_bound is not Spec_eps(f)")
-    if witness is not None and (
-        witness.group != f.group or not np.isin(witness.members, spec.members).all()
-    ):
-        raise ValueError("witness passed to chang_bound is not drawn from its spectrum")
     g = f.group
+    if spec.group != g:
+        raise ValueError("spectrum passed to chang_bound is not Spec_eps(f)")
+    if witness.group != g or not np.isin(witness.members, spec.members).all():
+        raise ValueError("witness passed to chang_bound is not drawn from its spectrum")
+    eps = spec.eps
     l1 = float(f.l1())
     l2sq = float(f.l2_squared())
     ratio = l2sq * g.order / (l1 * l1)
     bound = float(c_chang) * float(eps) ** -2 * math.log(max(ratio, 1.0))
-    if witness is None:
-        witness = max_dissociated(g, spec.members)  # heaviest first already
     ok: bool | None = None
     if c_chang >= CHANG_AUDIT_CONSTANT:
-        ok = witness.certified_size <= max(1.0, bound)
+        ok = len(witness) <= max(1.0, bound)
     return ChangReport(
         eps=eps,
         c_chang=Fraction(c_chang),
         bound=bound,
         spectrum_size=len(spec),
-        dim=witness.certified_size,
+        dim=len(witness),
         witness_mode=witness.mode,
         ok=ok,
     )

@@ -337,9 +337,7 @@ class _Front:
             "eps_clamped": self.clamped,
             "spectrum_size": len(self.spec),
             bound_key: _codim_diagnostic(self.report, self.params),
-            "chang": chang_bound(
-                self.phi, self.eps, self.params.c_chang, spec=self.spec, witness=self.witness
-            ),
+            "chang": chang_bound(self.phi, self.spec, self.witness, self.params.c_chang),
             **extra,
         }
         return StructureResult(

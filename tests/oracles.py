@@ -257,6 +257,45 @@ def bohr_members_direct(g: GroupSpec, gamma, eps) -> set[int]:
     return members
 
 
+def regularity_grid_direct(g: GroupSpec, gamma, eps) -> tuple[bool, Fraction, list[tuple[Fraction, int]]]:
+    """The regularity test of B = B(gamma, eps) on the grid eta = +-i/(1000 d),
+    i = 1..10, from the paper's inequality (1 - 100 d|eta|)|B| < |B_(1+eta)|
+    < (1 + 100 d|eta|)|B| in Fractions, on bohr_members_direct sizes:
+    (regular, the least margin min(|B_(1+eta)| - low, high - |B_(1+eta)|),
+    the (eta, |B_(1+eta)|) pairs in grid order, +i before -i)."""
+    d = len(gamma)
+    base = len(bohr_members_direct(g, gamma, eps))
+    regular, worst, sizes = True, None, []
+    for i in range(1, 11):
+        for eta in (Fraction(i, 1000 * d), Fraction(-i, 1000 * d)):
+            size = len(bohr_members_direct(g, gamma, [(1 + eta) * Fraction(e) for e in eps]))
+            low = (1 - 100 * d * abs(eta)) * base
+            high = (1 + 100 * d * abs(eta)) * base
+            regular = regular and low < size < high
+            margin = min(size - low, high - size)
+            worst = margin if worst is None else min(worst, margin)
+            sizes.append((eta, size))
+    return regular, worst, sizes
+
+
+def regular_radius_direct(g: GroupSpec, gamma, eps, rounds) -> Fraction | None:
+    """The first factor rho of the sweep find_regular_radius documents (per
+    round of `points`, rho_i = 2^(-(i + 1)/(points + 1)) rounded to a
+    multiple of 2^-30, kept in (1/2, 1) and not seen in an earlier round)
+    at which B(gamma, rho eps) passes regularity_grid_direct; None when no
+    candidate passes."""
+    seen = set()
+    for points in rounds:
+        for i in range(points):
+            rho = Fraction(round(2 ** (-(i + 1) / (points + 1)) * 2**30), 2**30)
+            if not Fraction(1, 2) < rho < 1 or rho in seen:
+                continue
+            seen.add(rho)
+            if regularity_grid_direct(g, gamma, [rho * Fraction(e) for e in eps])[0]:
+                return rho
+    return None
+
+
 def span_direct(g: GroupSpec, lam) -> set[int]:
     """All {0, +1, -1} combinations of the given frequencies."""
     acc = {0}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from addcomb import bohr
 from addcomb.bohr import (
+    RegularRadiusError,
     _counter,
     _scan,
     dilate,
@@ -27,7 +28,7 @@ from addcomb.f2 import nullspace_basis, subspace_elements
 from addcomb.groups import boolean_group, make_group
 from addcomb.report import CheckFailure
 
-from .oracles import bohr_members_direct
+from .oracles import bohr_members_direct, regular_radius_direct, regularity_grid_direct
 
 
 def test_frozen_halfwidth_example():
@@ -273,7 +274,72 @@ def test_counter_key_bound(gamma, eps, keyed):
     # a cut far past int64 is clamped above every key: every element passes
     assert counter.count(Fraction(2**70)) == g.order
     if keyed:
-        assert counter._cut(Fraction(2**70)) == 2**62
+        assert counter._cut(2**70, 1) == 2**62
+
+
+def _assert_regularity_matches_oracle(g, gamma, eps, rounds):
+    """find_regular_radius picks the oracle's rho (or both find none), and
+    regularity_test of the Bohr set asked for and of the one found gives
+    the oracle's verdict, worst margin and (eta, size) pairs."""
+    spec = make_bohr_spec(g, gamma, eps)
+    rho = regular_radius_direct(g, gamma, eps, rounds)
+    try:
+        found = find_regular_radius(g, gamma, eps, rounds=rounds)
+    except RegularRadiusError:
+        assert rho is None
+        found = spec
+    else:
+        assert found.eps == tuple(rho * e for e in spec.eps)
+    for s in (spec, found):
+        regular, worst, sizes = regularity_grid_direct(g, s.gamma, s.eps)
+        verdict = regularity_test(materialize(g, s))
+        assert (verdict.regular, verdict.worst_margin, list(verdict.sizes)) == (regular, float(worst), sizes)
+        assert verdict.base_size == len(bohr_members_direct(g, s.gamma, s.eps))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_regularity_grid_matches_the_fraction_oracle(data):
+    g = data.draw(st.sampled_from(EXACTNESS_GROUPS[:6]), label="group")
+    d = data.draw(st.integers(min_value=1, max_value=3), label="d")
+    gamma = data.draw(st.lists(st.integers(0, g.order - 1), min_size=d, max_size=d), label="gamma")
+    eps = [_small_fraction(data.draw, g.order) for _ in range(d)]
+    rounds = data.draw(st.sampled_from([(256,), (3, 12), (1,)]), label="rounds")
+    assert _counter(make_bohr_spec(g, gamma, eps))[0].sorted_keys is not None
+    _assert_regularity_matches_oracle(g, gamma, eps, rounds)
+
+
+@pytest.mark.parametrize(
+    "gamma, eps",
+    [
+        ([1, 64], [Fraction(1, 2), _BELOW_BOUND]),
+        ([64, 1], [_BELOW_BOUND, Fraction(1, 2)]),
+        ([1, 64], [Fraction(1, 2), _AT_BOUND]),
+        ([3, 5], [Fraction(1, 3), Fraction(1, 2**70)]),
+    ],
+)
+def test_regularity_grid_on_both_sides_of_the_key_bound(gamma, eps):
+    # the keyed shapes of test_counter_key_bound, the one at the bound, and
+    # one far past it, whose Bohr sets hold the identity alone
+    g = make_group((128,))
+    _assert_regularity_matches_oracle(g, gamma, eps, (256,))
+    _assert_regularity_matches_oracle(g, gamma, eps, (3, 12))
+
+
+def test_regularity_grid_on_an_irregular_set_and_an_exhausted_sweep():
+    # on Z60, B(1, 1/60) = {0} grows to {0, 1, 59} at any larger radius, and
+    # B(1, 2001/120000) = {0, 1, 59} shrinks to {0} at any radius below
+    # 1/60: both fail the grid, on the upper and on the lower side.  At
+    # eps = 1/(60 rho) the one candidate rho of the sweep (1,) lands on
+    # 1/60 again, so the sweep finds none
+    g = make_group((60,))
+    rho = Fraction(round(2**-0.5 * 2**30), 2**30)
+    for eps in (Fraction(1, 60), Fraction(2001, 120000)):
+        assert not regularity_test(materialize(g, make_bohr_spec(g, [1], eps))).regular
+    with pytest.raises(RegularRadiusError):
+        find_regular_radius(g, [1], [Fraction(1, 60) / rho], rounds=(1,))
+    for eps in (Fraction(1, 60), Fraction(2001, 120000), Fraction(1, 60) / rho):
+        _assert_regularity_matches_oracle(g, [1], [eps], (1,))
 
 
 def test_counter_exact_off_the_float_range():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from addcomb import cli, families, harness
 from addcomb.cli import main
 from addcomb.families import make_planted
-from addcomb.fileio import dump_set, parse_set, read_function, write_set
+from addcomb.fileio import dump_set, parse_set, read_table, write_set
 from addcomb.groups import boolean_group, make_group, parse_group_text
 from addcomb.setstat import group_set
 
@@ -81,7 +81,7 @@ def test_spectrum_round_trip(subgroup_file, tmp_path, capsys):
     out = tmp_path / "hat.fn"
     assert main(["spectrum", subgroup_file, "--out", str(out)]) == 0
     capsys.readouterr()
-    table = read_function(out)
+    table = read_table(out)
     assert table.group == boolean_group(10)
     # subgroup transform: |H| on the annihilator, 0 elsewhere
     vals = sorted(set(table.values))
@@ -266,6 +266,8 @@ def test_verify_unknown_suite_is_config_error(capsys):
         # triangle draws families of up to 4 distinct members
         ("Z3", "triangle", "suite triangle needs a group of order at least 4, got Z3 of order 3"),
         ("F2^1", "triangle,katz-koester", "suite triangle needs a group of order at least 4, got F2^1 of order 2"),
+        # from 10 instances on, bohr-size draws two distinct nonzero characters
+        ("Z2", "bohr-size", "suite bohr-size needs a group of order at least 3, got F2^1 of order 2"),
     ],
 )
 def test_verify_names_the_suite_a_group_is_too_small_for(group, suites, message, monkeypatch, capsys):
@@ -279,7 +281,9 @@ def test_verify_names_the_suite_a_group_is_too_small_for(group, suites, message,
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("group, suite", [("Z6", "katz-koester"), ("Z4", "triangle"), ("F2^2", "triangle")])
+@pytest.mark.parametrize(
+    "group, suite", [("Z6", "katz-koester"), ("Z4", "triangle"), ("F2^2", "triangle"), ("Z2", "bohr-size")]
+)
 def test_verify_runs_on_the_smallest_group_a_suite_allows(group, suite, capsys):
     assert main(["verify", "--seed", "1", "--group", group, "--suites", suite, "--instances", "5"]) == 0
     capsys.readouterr()

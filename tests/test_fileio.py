@@ -15,8 +15,8 @@ from addcomb.fileio import (
     parse_element,
     parse_function,
     parse_set,
-    read_function,
     read_set,
+    read_table,
     write_function,
     write_set,
 )
@@ -207,7 +207,7 @@ def test_function_round_trip_int(tmp_path):
     table = group_set(g, [3, 9]).indicator()
     p = tmp_path / "f.fn"
     write_function(p, table)
-    back = read_function(p)
+    back = read_table(p)
     assert back.group == g
     assert back.kind == "int"
     assert list(back.values) == list(table.values)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addcomb.groups import boolean_group, make_group
-from addcomb.harmonic import indicator, table_from_values
+from addcomb.harmonic import dft, indicator, magnitudes, table_from_values
 from addcomb.setstat import group_set
 from addcomb.spectral import (
     chang_bound,
@@ -92,12 +93,11 @@ def test_span_boolean_is_linear_span():
 def test_spectrum_exact_on_boolean_int_tables():
     g = boolean_group(4)
     H = group_set(g, range(4))
-    spec = spectrum(indicator(g, H.members), Fraction(1, 2))
-    assert spec.exact
+    f = indicator(g, H.members)
+    spec = spectrum(f, Fraction(1, 2))
     # indicator of a subgroup: fhat = |H| on the perp, 0 elsewhere
     assert set(spec.members) == {0, 4, 8, 12}
-    assert spec.magnitudes[0] == 4.0
-    assert spec.borderline.tolist() == []
+    assert magnitudes(dft(f).values)[spec.members].tolist() == [4, 4, 4, 4]
     # |fhat| = 3, 1, 1, 1 against eps * L1 = 3/2 and 1: the cut is ceil(eps * L1)
     f = indicator(boolean_group(2), [0, 1, 2])
     assert spectrum(f, Fraction(1, 2)).members.tolist() == [0]
@@ -106,9 +106,11 @@ def test_spectrum_exact_on_boolean_int_tables():
 
 def test_spectrum_sorted_heaviest_first_ties_by_index():
     g = boolean_group(3)
-    spec = spectrum(indicator(g, [0, 1, 2, 3]), Fraction(1, 4))
-    assert list(spec.magnitudes) == sorted(spec.magnitudes, reverse=True)
-    top = [t for t, m in zip(spec.members, spec.magnitudes) if m == spec.magnitudes[0]]
+    f = indicator(g, [0, 1, 2, 3])
+    spec = spectrum(f, Fraction(1, 4))
+    mags = magnitudes(dft(f).values)[spec.members].tolist()
+    assert mags == sorted(mags, reverse=True)
+    top = [t for t, m in zip(spec.members, mags) if m == mags[0]]
     assert top == sorted(top)
 
 
@@ -117,7 +119,6 @@ def test_spectrum_general_group_includes_borderline():
     f = table_from_values(g, [1] * 3 + [0] * 9, kind="int")
     spec = spectrum(f, Fraction(1, 3))
     assert 0 in spec.members
-    assert not spec.exact
 
 
 def test_spectrum_threshold_validation():
@@ -151,7 +152,9 @@ def test_spectrum_membership_against_direct_transform():
 def test_chang_bound_audit_on_subgroup_indicator():
     g = boolean_group(6)
     H = group_set(g, range(8))
-    rep = chang_bound(indicator(g, H.members), Fraction(1, 2))
+    f = indicator(g, H.members)
+    spec = spectrum(f, Fraction(1, 2))
+    rep = chang_bound(f, spec, max_dissociated(g, spec.members))
     assert rep.ok is True
     assert rep.dim <= rep.bound
     assert rep.spectrum_size == 8
@@ -159,7 +162,9 @@ def test_chang_bound_audit_on_subgroup_indicator():
 
 def test_chang_bound_below_audit_floor_is_diagnostic():
     g = boolean_group(4)
-    rep = chang_bound(indicator(g, [0, 1]), Fraction(1, 2), c_chang=Fraction(1, 100))
+    f = indicator(g, [0, 1])
+    spec = spectrum(f, Fraction(1, 2))
+    rep = chang_bound(f, spec, max_dissociated(g, spec.members), c_chang=Fraction(1, 100))
     assert rep.ok is None
 
 
@@ -169,18 +174,20 @@ def test_chang_bound_reuses_a_matching_spectrum_and_witness():
     eps = Fraction(1, 4)
     spec = spectrum(f, eps)
     witness = max_dissociated(g, list(spec.members))
-    assert chang_bound(f, eps, spec=spec, witness=witness) == chang_bound(f, eps)
-    with pytest.raises(ValueError, match="needs its spectrum"):
-        chang_bound(f, eps, witness=witness)
+    rep = chang_bound(f, spec, witness)
+    assert (rep.eps, rep.spectrum_size, rep.dim, rep.witness_mode) == (eps, len(spec), len(witness), witness.mode)
+    ratio = float(f.l2_squared()) * g.order / float(f.l1()) ** 2
+    assert rep.bound == float(rep.c_chang) * float(eps) ** -2 * math.log(ratio)
     outside = next(t for t in range(1, g.order) if t not in spec.members)
     stray = max_dissociated(g, [outside])
     with pytest.raises(ValueError, match="not drawn from"):
-        chang_bound(f, eps, spec=spec, witness=stray)
+        chang_bound(f, spec, stray)
     other = max_dissociated(make_group((61,)), list(spec.members))
     with pytest.raises(ValueError, match="not drawn from"):
-        chang_bound(f, eps, spec=spec, witness=other)
+        chang_bound(f, spec, other)
+    elsewhere = spectrum(indicator(make_group((61,)), [0, 1, 2]), eps)
     with pytest.raises(ValueError, match="not Spec_eps"):
-        chang_bound(f, Fraction(1, 3), spec=spec, witness=witness)
+        chang_bound(f, elsewhere, witness)
 
 
 GENERAL_GROUPS = [make_group(f) for f in [(97,), (128,), (6, 10), (4, 4, 5)]]
@@ -196,7 +203,6 @@ def test_greedy_witness_is_dissociated_and_spans_every_candidate(data):
     weights = {c: data.draw(st.floats(0, 1), label="weight") for c in cands[::3]}
     witness = max_dissociated(g, sorted(cands, key=lambda c: (-weights.get(c, 0.0), c)))
     assert witness.mode == "greedy"
-    assert witness.certified_size == len(witness.members)
     assert set(witness.members) <= set(cands)
     assert dissociated_direct(g, witness.members)
     reach = span_direct(g, witness.members)
@@ -288,7 +294,5 @@ def test_max_dissociated_on_2_groups_ignores_zeros_and_repeats():
             noisy.extend(rng.choice([0, rng.choice(noisy)]) for _ in range(rng.randrange(3)))
         clean = max_dissociated(g, cands)
         got = max_dissociated(g, noisy)
-        assert (got.members.tolist(), got.mode, got.certified_size) == (
-            clean.members.tolist(), clean.mode, clean.certified_size
-        )
+        assert (got.members.tolist(), got.mode) == (clean.members.tolist(), clean.mode)
         assert clean.mode == "exact" and is_dissociated(g, clean.members)
