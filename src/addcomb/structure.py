@@ -4,9 +4,11 @@ The central pipeline: detect the first higher-energy jump of B, form
 phi(x) = |B_x|^k at the jump exponent, read off the large spectrum of phi,
 take a maximal dissociated set Lambda inside it, and intersect B with a
 translate of the annihilator of Lambda (a subspace on 2-groups, a regular
-Bohr set in general).  Every density guarantee the theory promises is
-re-verified by direct counting before a result is returned; a failed
-certificate is raised as a theory-violation witness, never papered over.
+Bohr set in general).  Every piece is recounted by one certify step over
+candidates: the annihilator on a 2-group, escalating regular radii
+elsewhere.  The first candidate whose density floor and mass record hold
+by direct count is returned; a failed certificate is raised as a
+theory-violation witness, never papered over.
 
 Drivers built on the pipeline: the 2-eps dichotomy (large Fourier
 coefficient or a structured piece inside A-A), the M-dichotomy with its
@@ -17,6 +19,7 @@ step, and the density regularization loop.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -351,6 +354,11 @@ class _Front:
             hypotheses=self.report,
         )
 
+    def trace(self, attempts: list[dict]) -> dict:
+        """The trace of a DensityGuaranteeFailed raised on this front."""
+        return {"k": self.jump.k, "lambda": self.witness.members.tolist(), "witness_mode": self.witness.mode,
+                "attempts": attempts}
+
 
 def _pipeline_front(A: GroupSet, B: GroupSet, params: StructureParams) -> _Front:
     report = check_hypotheses(A, B, params)
@@ -376,19 +384,73 @@ def _codim_diagnostic(report: HypothesisReport, params: StructureParams) -> floa
     return oz**-2 * tmk * (max(base, 0.0) + max(cross, 0.0))
 
 
-def _recount(piece: GroupSet, B: GroupSet) -> tuple[np.ndarray, int, int]:
-    """(counts, achieved, z): |B intersect (piece + x)| for every x, its
-    maximum, and the smallest translate attaining it."""
-    counts = corr_counts(piece, B)
-    achieved, z = _argmax(counts)
-    return counts, achieved, z
-
-
 def _density_floor(params: StructureParams, n: int, loss: int) -> Fraction:
     """(1 - loss zeta) omega n / (t (m+kappa)).  With n = |piece| this is
     the count the pipeline guarantees: a subspace loses one zeta, a Bohr
     set two."""
     return (1 - loss * params.zeta) * params.omega * n / (params.t * (params.m + params.kappa))
+
+
+# The two records that certify a piece, by its zeta loss: 1 for a subspace
+# L, 2 for a Bohr set.  The mass record reads sum_x |B intersect (P+x)|^2,
+# over |L| for a subspace: its counts are constant on the cosets of L, so
+# that quotient is the sum over L of (B o B).
+_RECORDS = {
+    1: (
+        ("correlation mass on the subspace", "structure:corr_sum",
+         "sum over L of (B o B); the certificate follows by pigeonhole"),
+        ("subspace density certificate", "structure:density_subspace"),
+    ),
+    2: (
+        ("translate energy of the Bohr piece", "structure:corr_sq_sum", "|B_*|={size}"),
+        ("Bohr density certificate", "structure:density_bohr"),
+    ),
+}
+
+
+@dataclass(frozen=True)
+class _Candidate:
+    """A piece P for _certify to recount: its members, its zeta loss (the
+    key of _RECORDS), the head of its density note ("codim d" or "dim d")
+    and the fields its attempt entry shows."""
+
+    members: GroupSet
+    loss: int
+    note: str
+    shows: dict
+    bohr: BohrSet | None = None
+
+
+def _certify(
+    front: _Front, B: GroupSet, candidates: Iterable[_Candidate]
+) -> tuple[_Candidate, int, int, Fraction, list[CheckRecord], list[dict]]:
+    """Recount the candidates in order and return the first that passes.
+
+    A candidate P passes when achieved = max_x |B intersect (P+x)| reaches
+    the floor of its zeta loss and its mass record holds.  Each candidate
+    costs one corr_counts call and one attempt entry.  Returns (candidate,
+    achieved, the least z attaining it, floor, records, attempts); when
+    none passes, the failure is raised with every attempt in its trace.
+    """
+    attempts = []
+    for cand in candidates:
+        size = len(cand.members)
+        counts = corr_counts(cand.members, B)
+        achieved, z = _argmax(counts)
+        guaranteed = _density_floor(front.params, size, cand.loss)
+        (name, ref, note), density = _RECORDS[cand.loss]
+        per = size if cand.loss == 1 else 1
+        energy = Fraction(sum_of_squares(counts), per)
+        records = [
+            record_ge(name, ref, energy, guaranteed * len(B) * size / per, note=note.format(size=size)),
+            record_ge(*density, Fraction(achieved), guaranteed, note=f"{cand.note}, z={z}"),
+        ]
+        attempts.append({**cand.shows, "size": size, "achieved": achieved, "guaranteed": guaranteed})
+        if all(r.ok for r in records):
+            return cand, achieved, z, guaranteed, records, attempts
+    raise DensityGuaranteeFailed(
+        f"no candidate piece passed the direct count ({len(attempts)} tried)", front.trace(attempts)
+    )
 
 
 def extract_subspace(A: GroupSet, B: GroupSet, params: StructureParams) -> StructureResult:
@@ -397,50 +459,22 @@ def extract_subspace(A: GroupSet, B: GroupSet, params: StructureParams) -> Struc
     Asserts, by direct count, that the returned translate z satisfies
     |B intersect (L+z)| >= (1-zeta) omega |L| / (t (m+kappa)).
     """
-    g = A.group
-    if not g.is_boolean_space:
+    if not A.group.is_boolean_space:
         raise ValueError("subspace extraction needs a 2-group; use extract_bohr")
-    front = _pipeline_front(A, B, params)
+    return _subspace_result(_pipeline_front(A, B, params), B)
+
+
+def _subspace_result(front: _Front, B: GroupSet) -> StructureResult:
+    g = B.group
     n = g.rank
     lam = front.witness.members
     basis = f2.nullspace_basis(lam.tolist(), n)
     if len(basis) != n - len(lam):
         raise AssertionError("annihilator dimension disagrees with the dissociated rank")
     lset = GroupSet(g, np.sort(f2.subspace_elements(basis)))
-    _, achieved, z = _recount(lset, B)
-    guaranteed = _density_floor(params, len(lset), loss=1)
-    corr_sum = int(B.autocorr[lset.members].sum())
-    sum_rec = record_ge(
-        "correlation mass on the subspace",
-        "structure:corr_sum",
-        Fraction(corr_sum),
-        guaranteed * len(B),
-        note="sum over L of (B o B); the certificate follows by pigeonhole",
-    )
-    cert_rec = record_ge(
-        "subspace density certificate",
-        "structure:density_subspace",
-        Fraction(achieved),
-        guaranteed,
-        note=f"codim {len(lam)}, z={z}",
-    )
-    if not (cert_rec.ok and sum_rec.ok):
-        raise DensityGuaranteeFailed(
-            "subspace density certificate failed the direct count",
-            {
-                "k": front.jump.k,
-                "eps": front.eps,
-                "clamped": front.clamped,
-                "lambda": lam.tolist(),
-                "subspace_size": len(lset),
-                "corr_sum": corr_sum,
-                "achieved": achieved,
-                "guaranteed": guaranteed,
-                "witness_mode": front.witness.mode,
-            },
-        )
+    _, achieved, z, guaranteed, records, _ = _certify(front, B, [_Candidate(lset, 1, f"codim {len(lam)}", {})])
     piece = SubspacePiece(subspace=lset, z=z, density=Fraction(achieved, len(lset)), codim=len(lam))
-    return front.result(piece, achieved, guaranteed, [sum_rec, cert_rec], "codim_bound")
+    return front.result(piece, achieved, guaranteed, records, "codim_bound")
 
 
 def _bohr_span_diagnostics(
@@ -477,77 +511,51 @@ def extract_bohr(A: GroupSet, B: GroupSet, params: StructureParams) -> Structure
 
     Asserts |B intersect (B_*+z)| >= (1-2 zeta) omega |B_*| / (t (m+kappa))
     by direct count, together with the translate energy sum_x |B intersect
-    (B_*+x)|^2 >= that floor times |B| |B_*|.  A failed count doubles the
-    radius constant c_local, at most _ESCALATION_TRIES times; the failure
-    is then raised with every attempt in its trace.
+    (B_*+x)|^2 >= that floor times |B| |B_*|.  The candidates escalate
+    lazily: the regular radius for c_local, then for 2 c_local and so on,
+    at most _ESCALATION_TRIES doublings, each materialized only after the
+    one before it failed.  With Lambda empty the piece is the whole group
+    whatever the radius, so it is counted once.  If none passes, the
+    failure is raised with every attempt in its trace.
     """
     if not 0 < params.zeta < Fraction(1, 2):
         raise ValueError("Bohr extraction needs zeta < 1/2")
-    g = A.group
-    front = _pipeline_front(A, B, params)
-    lam = front.witness.members
-    attempts = []
+    return _bohr_result(_pipeline_front(A, B, params), B)
+
+
+def _bohr_candidates(g: GroupSpec, lam: np.ndarray, params: StructureParams) -> Iterator[_Candidate]:
     c = params.c_local
-    for _ in range(1 + _ESCALATION_TRIES):
+    for _ in range(1 + _ESCALATION_TRIES if len(lam) else 1):
         rho = c * params.zeta / (params.m_star * max(len(lam), 1))
+        shows = {"c_local": c, "rho": rho, "sufficiency": None}
         if len(lam):
-            reg_spec = find_regular_radius(g, lam, min(rho, Fraction(1)))
-        else:
-            reg_spec = make_bohr_spec(g, (), ())
-        b_star = materialize(g, reg_spec)
-        size = len(b_star)
-        counts, achieved, z = _recount(b_star.members, B)
-        guaranteed = _density_floor(params, size, loss=2)
-        records = [
-            record_ge(
-                "translate energy of the Bohr piece",
-                "structure:corr_sq_sum",
-                Fraction(sum_of_squares(counts)),
-                guaranteed * len(B) * size,
-                note=f"|B_*|={size}",
-            ),
-            record_ge(
-                "Bohr density certificate",
-                "structure:density_bohr",
-                Fraction(achieved),
-                guaranteed,
-                note=f"dim {len(lam)}, z={z}",
-            ),
-        ]
-        extra = {}
-        if len(lam):
-            extra["sufficiency"] = record_le(
+            spec = find_regular_radius(g, lam, min(rho, Fraction(1)))
+            shows["sufficiency"] = record_le(
                 "radius smallness for spectral alignment",
                 "structure:radius_sufficient",
-                2 * _PI_UPPER * len(lam) * max(reg_spec.eps),
+                2 * _PI_UPPER * len(lam) * max(spec.eps),
                 params.zeta / 4,
                 note="pi bounded above by 355/113",
             )
-        attempts.append(
-            {
-                "c_local": c,
-                "rho": rho,
-                "size": size,
-                "achieved": achieved,
-                "guaranteed": guaranteed,
-                "sufficiency": extra.get("sufficiency"),
-            }
-        )
-        if all(r.ok for r in records):
-            extra.update(_bohr_span_diagnostics(B, front.phi_hat, lam, params, front.jump))
-            piece = BohrPiece(
-                bohr=b_star,
-                z=z,
-                density=Fraction(achieved, size),
-                dim=len(lam),
-                size_ratio=Fraction(size, g.order),
-            )
-            return front.result(piece, achieved, guaranteed, records, "dim_bound", attempts=attempts, **extra)
+        else:
+            spec = make_bohr_spec(g, (), ())
+        b_star = materialize(g, spec)
+        yield _Candidate(b_star.members, 2, f"dim {len(lam)}", shows, b_star)
         c = 2 * c
-    raise DensityGuaranteeFailed(
-        "Bohr density certificate failed after radius escalation",
-        {"k": front.jump.k, "lambda": lam.tolist(), "witness_mode": front.witness.mode, "attempts": attempts},
+
+
+def _bohr_result(front: _Front, B: GroupSet) -> StructureResult:
+    g = B.group
+    lam = front.witness.members
+    cand, achieved, z, guaranteed, records, attempts = _certify(front, B, _bohr_candidates(g, lam, front.params))
+    b_star = cand.bohr
+    extra = {"sufficiency": cand.shows["sufficiency"]} if len(lam) else {}
+    extra.update(_bohr_span_diagnostics(B, front.phi_hat, lam, front.params, front.jump))
+    piece = BohrPiece(
+        bohr=b_star, z=z, density=Fraction(achieved, len(b_star)), dim=len(lam),
+        size_ratio=Fraction(len(b_star), g.order),
     )
+    return front.result(piece, achieved, guaranteed, records, "dim_bound", attempts=attempts, **extra)
 
 
 def _auto_m_prime(k: Fraction, m: Fraction, kappa: Fraction) -> Fraction:
@@ -619,9 +627,34 @@ def certify_difference_subset(A: GroupSet, eps_param: Fraction | int) -> Structu
         t=1 + kappa,
         omega=Fraction(1),
     )
-    if g.is_boolean_space:
-        return _certify_subspace_branch(A, b, params, eps, gate)
-    return _certify_bohr_branch(A, b, params, eps, gate)
+    front = _pipeline_front(A, b, params)
+    if not g.is_boolean_space:
+        return _certify_bohr_branch(A, front, b, eps, gate)
+    # on a 2-group -A = A, so the pipeline's count against b is the count
+    # against A: result.achieved = |A intersect (L + z)| at the best z
+    result = _subspace_result(front, b)
+    lset = result.variant.subspace
+    cert, result.guaranteed = _majority(
+        front, "majority-overlap certificate", result.achieved, len(lset), eps, f"z={result.variant.z}"
+    )
+    inclusion = _verify_difference_membership(A, lset, "dichotomy:inclusion_subspace")
+    result.records.extend([gate, cert, inclusion])
+    return result
+
+
+def _majority(
+    front: _Front, name: str, score: int | Fraction, size: int, eps: Fraction, note: str
+) -> tuple[CheckRecord, Fraction]:
+    """The 2-eps majority record, score >= (1/2 + eps/8) size, and that
+    floor.  A failed count is raised with the certify step's trace."""
+    need = (Fraction(1, 2) + eps / 8) * size
+    cert = record_ge(name, "dichotomy:half_plus", Fraction(score), need, note=note)
+    if not cert.ok:
+        raise DensityGuaranteeFailed(
+            f"2-eps {name} failed the direct count ({note})",
+            front.trace([{"size": size, "achieved": score, "guaranteed": need}]),
+        )
+    return cert, need
 
 
 def _verify_difference_membership(A: GroupSet, piece: GroupSet, ref: str) -> CheckRecord:
@@ -639,38 +672,11 @@ def _verify_difference_membership(A: GroupSet, piece: GroupSet, ref: str) -> Che
     )
 
 
-def _certify_subspace_branch(
-    A: GroupSet, b: GroupSet, params: StructureParams, eps: Fraction, gate: CheckRecord
-) -> StructureResult:
-    # on a 2-group -A = A, so the pipeline's count against b is the count
-    # against A: result.achieved = |A intersect (L + z)| at the best z
-    result = extract_subspace(A, b, params)
-    lset = result.variant.subspace
-    z = result.variant.z
-    half_plus = (Fraction(1, 2) + eps / 8) * len(lset)
-    cert = record_ge(
-        "majority-overlap certificate",
-        "dichotomy:half_plus",
-        result.achieved,
-        half_plus,
-        note=f"z={z}",
-    )
-    if not cert.ok:
-        raise DensityGuaranteeFailed(
-            "2-eps subspace certificate failed the direct count",
-            {"achieved": int(result.achieved), "needed": half_plus, "subspace_size": len(lset)},
-        )
-    inclusion = _verify_difference_membership(A, lset, "dichotomy:inclusion_subspace")
-    result.records.extend([gate, require(cert), inclusion])
-    result.guaranteed = half_plus
-    return result
-
-
 def _certify_bohr_branch(
-    A: GroupSet, b: GroupSet, params: StructureParams, eps: Fraction, gate: CheckRecord
+    A: GroupSet, front: _Front, b: GroupSet, eps: Fraction, gate: CheckRecord
 ) -> StructureResult:
     g = A.group
-    result = extract_bohr(A, b, params)
+    result = _bohr_result(front, b)
     piece = result.variant
     spec_star = piece.bohr.spec
     d = spec_star.d
@@ -700,19 +706,9 @@ def _certify_bohr_branch(
     lo_counts = corr_counts(b_lo.members, A)
     hi_counts = corr_counts(b_hi.members, A)
     score, z = _argmax(lo_counts + hi_counts)
-    need = (Fraction(1, 2) + eps / 8) * (len(b_lo) + len(b_hi))
-    cert = record_ge(
-        "two-dilate majority certificate",
-        "dichotomy:half_plus",
-        Fraction(score),
-        need,
-        note=f"j={chosen} of {steps}, z={z}",
+    cert, need = _majority(
+        front, "two-dilate majority certificate", score, len(b_lo) + len(b_hi), eps, f"j={chosen} of {steps}, z={z}"
     )
-    if not cert.ok:
-        raise DensityGuaranteeFailed(
-            "2-eps Bohr certificate failed the direct count",
-            {"score": score, "needed": need, "j": chosen, "sizes": sizes[:8]},
-        )
     eta_set = materialize(g, dilate(spec_star, eta))
     inclusion = _verify_difference_membership(A, eta_set.members, "dichotomy:inclusion_bohr")
     final_spec = find_regular_radius(g, spec_star.gamma, tuple(eta * e for e in spec_star.eps))
@@ -720,7 +716,7 @@ def _certify_bohr_branch(
     if not np.isin(final.members.members, eta_set.members.members).all():
         raise AssertionError("regularized shrink left the verified dilate")
     final_inclusion = _verify_difference_membership(A, final.members, "dichotomy:inclusion_final")
-    records = result.records + [gate, require(cert), inclusion, final_inclusion]
+    records = result.records + [gate, cert, inclusion, final_inclusion]
     return StructureResult(
         variant=BohrPiece(
             bohr=final,

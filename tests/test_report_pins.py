@@ -6,6 +6,9 @@ compares the sha256 of the canonical JSON body with a recorded value.  A
 refactor that keeps behaviour must keep these digests; a change that alters
 a body on purpose updates the digest and says so in CHANGES.md.
 
+One more case pins the result of the 2-eps dichotomy (no CLI mode runs
+it) the same way, through `harness.structure_result_dict`.
+
 Only exact paths are pinned here: 2-group transforms are integer Walsh
 transforms and the chosen verify suites count exactly.  Bodies on general
 groups carry float DFT values that may move between numpy versions.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +26,9 @@ from addcomb.cli import main
 from addcomb.families import make_planted
 from addcomb.fileio import write_set
 from addcomb.groups import boolean_group
+from addcomb.harness import structure_result_dict
+from addcomb.setstat import group_set
+from addcomb.structure import certify_difference_subset
 
 PINNED = {
     "example-h-lambda": "846d5574221f3c2fa0e7f506e497c6d2a69d2149c369b48b9e699c1c5bc56369",
@@ -31,6 +38,7 @@ PINNED = {
     "verify-kk-Z4xZ6": "2836e7cfef2e2021e564f4df40ddfab3f2d0521c2ad5b384e70e8966d6e97cb2",
     "verify-kk-F2^5": "b7e3833b1606688ce6fba09ed7fe0cd78e6d3e1c0b55f3c5a162d3aa46ad89fb",
     "verify-parseval-F2^8": "a6ee3a11c77df0399ae78e59fff529466f046885ec945d267dca0aed978598a9",
+    "certify-2eps-subgroup-f2-12": "4185e768d45172bd7eead0d11bf9805e39e760c63c737a2ad1333f7da67e1832",
 }
 
 
@@ -84,3 +92,12 @@ def test_parseval_verify_body_on_f2_8_is_pinned(in_tmp):
     args = ["verify", "--seed", "7", "--suites", "parseval", "--group", "F2^8", "--instances", "5"]
     assert main(args + ["--out", "v.json"]) == 0
     assert _body_digest("v.json") == PINNED["verify-parseval-F2^8"]
+
+
+def test_difference_subset_result_on_a_subgroup_of_f2_12_is_pinned():
+    # the 2-eps dichotomy's subspace branch, on criterion 10's subgroup of
+    # dimension 3, where every count and transform is exact
+    res = certify_difference_subset(group_set(boolean_group(12), range(1 << 3)), Fraction(1, 2))
+    assert res.kind == "SubspacePiece"
+    text = json.dumps(structure_result_dict(res), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED["certify-2eps-subgroup-f2-12"]

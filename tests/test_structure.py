@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from addcomb import setstat, structure
+from addcomb.bohr import find_regular_radius, materialize
+from addcomb.cli import main
 from addcomb.families import make_h_lambda, make_planted, HLambdaSpec
+from addcomb.fileio import write_set
 from addcomb.groups import boolean_group, make_group
 from addcomb.harmonic import FunctionTable
 from addcomb.harness import derive_params
@@ -465,3 +468,132 @@ def test_extract_subspace_correlates_b_with_itself_once(monkeypatch):
     B = group_set(A.group, A.members)  # a fresh set, so nothing is cached yet
     extract_subspace(B, B, params)
     assert self_pairs == [B.members.tolist()]
+
+
+def _zero_corr_counts(monkeypatch, zero=lambda call: True):
+    """Make structure's corr_counts read zero on the calls (numbered from 1)
+    that zero picks; returns the list of pieces it was called on."""
+    real = structure.corr_counts
+    pieces = []
+
+    def zeroed(X, Y=None):
+        pieces.append(X.members.tolist())
+        counts = real(X, Y)
+        return np.zeros_like(counts) if zero(len(pieces)) else counts
+
+    monkeypatch.setattr(structure, "corr_counts", zeroed)
+    return pieces
+
+
+def _cyclic_subgroup_instance():
+    # the multiples of 10 in Z1000: Lambda = (100, 200, 400), and every
+    # escalated radius gives the same 100-point piece, which passes
+    A = group_set(make_group((1000,)), range(0, 1000, 10))
+    return A, derive_params(A, A)
+
+
+def test_extract_bohr_raises_every_escalated_attempt_when_no_count_passes(monkeypatch):
+    A, params = _cyclic_subgroup_instance()
+    pieces = _zero_corr_counts(monkeypatch)
+    with pytest.raises(DensityGuaranteeFailed) as exc:
+        extract_bohr(A, A, params)
+    trace = exc.value.trace
+    assert set(trace) == {"k", "lambda", "witness_mode", "attempts"}
+    assert trace["lambda"] == [100, 200, 400]
+    attempts = trace["attempts"]
+    assert len(attempts) == len(pieces) == 1 + structure._ESCALATION_TRIES
+    assert [a["c_local"] for a in attempts] == [params.c_local * 2**i for i in range(len(attempts))]
+    assert all(a["achieved"] == 0 and a["guaranteed"] > 0 for a in attempts)
+    assert all(a["sufficiency"] is not None for a in attempts)
+
+
+def test_extract_bohr_counts_the_whole_group_once_when_lambda_is_empty(monkeypatch):
+    # B = G: phi is constant, so its spectrum is {0} and Lambda is empty
+    A = group_set(make_group((12,)), range(12))
+    pieces = _zero_corr_counts(monkeypatch)
+    with pytest.raises(DensityGuaranteeFailed) as exc:
+        extract_bohr(A, A, derive_params(A, A))
+    assert exc.value.trace["lambda"] == []
+    assert len(exc.value.trace["attempts"]) == 1
+    assert pieces == [list(range(12))]
+
+
+def test_extract_subspace_raises_its_one_attempt_when_the_count_fails(monkeypatch):
+    A = _subgroup(10, 3)
+    pieces = _zero_corr_counts(monkeypatch)
+    with pytest.raises(DensityGuaranteeFailed) as exc:
+        extract_subspace(A, A, derive_params(A, A))
+    trace = exc.value.trace
+    assert set(trace) == {"k", "lambda", "witness_mode", "attempts"}
+    assert len(pieces) == 1
+    [attempt] = trace["attempts"]
+    assert attempt["size"] == len(pieces[0])
+    assert attempt["achieved"] == 0 and attempt["guaranteed"] > 0
+
+
+@pytest.mark.parametrize("A", [_subgroup(10, 3), _cyclic_subgroup_instance()[0]], ids=["F2^10", "Z1000"])
+def test_structure_command_exits_1_on_a_failed_certificate(A, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "A.txt"
+    write_set(path, A)
+    _zero_corr_counts(monkeypatch)
+    assert main(["structure", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    assert "no candidate piece passed the direct count" in capsys.readouterr().err
+
+
+def test_difference_membership_names_a_point_outside_a_minus_a():
+    g = make_group((20,))
+    A = group_set(g, [0, 1])  # A - A = {0, 1, 19}
+    with pytest.raises(InclusionFailed) as exc:
+        structure._verify_difference_membership(A, group_set(g, [0, 5, 19]), "dichotomy:inclusion_bohr")
+    assert exc.value.missing == [5]
+    assert "[5]" in str(exc.value)
+    rec = structure._verify_difference_membership(A, group_set(g, [0, 19]), "dichotomy:inclusion_bohr")
+    assert rec.ok and rec.lhs == rec.rhs == "2"
+
+
+def test_extract_bohr_escalates_to_the_second_radius(monkeypatch):
+    A, params = _cyclic_subgroup_instance()
+    pieces = _zero_corr_counts(monkeypatch, zero=lambda call: call == 1)
+    res = extract_bohr(A, A, params)
+    attempts = res.diagnostics["attempts"]
+    assert len(attempts) == len(pieces) == 2
+    assert attempts[0]["achieved"] == 0
+    assert attempts[1]["c_local"] == 2 * params.c_local
+    # the piece is the regular Bohr set at the doubled radius constant
+    lam = [100, 200, 400]
+    rho = 2 * params.c_local * params.zeta / (params.m_star * len(lam))
+    assert attempts[1]["rho"] == rho
+    spec = find_regular_radius(A.group, lam, rho)
+    assert spec.eps != find_regular_radius(A.group, lam, rho / 2).eps
+    piece = res.variant
+    assert piece.bohr.spec == spec
+    assert piece.bohr.members.members.tolist() == materialize(A.group, spec).members.members.tolist()
+    overlap = _count_overlap(A, piece.bohr.members.members, piece.z)
+    assert overlap == res.achieved == attempts[1]["achieved"]
+    assert Fraction(overlap) >= res.guaranteed == attempts[1]["guaranteed"]
+    assert all(r.ok for r in res.records)
+
+
+def test_extract_bohr_materializes_one_radius_on_a_first_radius_pass(monkeypatch):
+    A, params = _cyclic_subgroup_instance()
+    real = structure.materialize
+    calls = []
+    monkeypatch.setattr(structure, "materialize", lambda g, spec: calls.append(spec) or real(g, spec))
+    res = extract_bohr(A, A, params)
+    assert len(res.diagnostics["attempts"]) == 1
+    assert calls == [res.variant.bohr.spec]
+
+
+def test_two_eps_majority_failure_carries_the_certify_trace(monkeypatch):
+    # the certify step's recount is real; the two dilate recounts read zero
+    A = group_set(make_group((1009,)), [5])
+    pieces = _zero_corr_counts(monkeypatch, zero=lambda call: call > 1)
+    with pytest.raises(DensityGuaranteeFailed) as exc:
+        certify_difference_subset(A, Fraction(1, 2))
+    assert len(pieces) == 3
+    trace = exc.value.trace
+    assert set(trace) == {"k", "lambda", "witness_mode", "attempts"}
+    [attempt] = trace["attempts"]
+    assert attempt["achieved"] == 0
+    assert attempt["size"] == len(pieces[1]) + len(pieces[2])
+    assert attempt["guaranteed"] == (Fraction(1, 2) + Fraction(1, 16)) * attempt["size"]
