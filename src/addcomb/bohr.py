@@ -7,19 +7,21 @@ integer test v_j(x) < ceil(eps_j N) with v_j = min(c_j, N - c_j).
 
 Dilating every radius by rho only rescales one per-element statistic, so a
 single table per (group, Gamma, radius shape) answers size queries for every
-dilate: the int64 phases v_j are built once into a sorted int64 key, 12
-bytes per element with its index, and a count is one binary search for an
-integer cut, exact with no rounding.  A radius shape whose key would not fit
-in int64 (N max_j w_j >= 2^62, see _ExactCounter) keeps no table, and each
-query runs the integer test over the whole group.  The table is cached, so
-the radius search, the materialization and the regularity grid of one Bohr
-set share it.
+dilate.  It has one count entry, _ExactCounter.counts, which takes a batch
+of queries over one denominator, and one members entry, member_indices.
+The int64 phases v_j are built once into a sorted int64 key, 12 bytes per
+element with its index, and a batch is one binary search for its integer
+cuts, exact with no rounding.  A radius shape whose key would not fit in
+int64 (N max_j w_j >= 2^62, see _ExactCounter) keeps no key, and a batch is
+one pass of the integer test over the group, a row per query.  The table is
+cached, so the radius search, the materialization, the regularity grid and
+the dilate profile of one Bohr set share it.
 
 The regularity grid eta = +-i/(1000 d), i = 1..10, gives 100 d|eta| = i/10,
 so Bourgain's test (1 - 100 d|eta|)|B| < |B_(1+eta)| < (1 + 100 d|eta|)|B|
-is the integer test (10 - i)|B| < 10|B_(1+eta)| < (10 + i)|B|.  The 21 cuts
-of a candidate radius (eta = 0 and the grid) are integers, counted by one
-search of the sorted keys, and the verdict compares integers only.
+is the integer test (10 - i)|B| < 10|B_(1+eta)| < (10 + i)|B|.  The 21
+queries of a candidate radius (eta = 0 and the grid) are one batch, and the
+verdict compares integers only.
 
 The integer test is one function, _member_rows, over a stack of Bohr sets
 at once.  The size bounds are checked in one place, size_bound_stack, on
@@ -134,7 +136,7 @@ class _ExactCounter:
     r_j = p_j / q_j in lowest terms, L = lcm_j p_j and w_j = q_j L / p_j, an
     integer.  The key k(x) = max_j v_j(x) w_j is then exactly m(x) N L, and
     as k(x) is an integer, x is a member at sigma iff k(x) < ceil(sigma N L).
-    A count is one binary search for that cut in the sorted keys.
+    A batch of queries is one binary search for their cuts in the sorted keys.
 
     The keys are built once, in int64 chunks, when N max_j w_j < 2^62: every
     product v_j w_j <= (N/2) w_j then fits, and a cut clamped at 2^62 lies
@@ -143,9 +145,9 @@ class _ExactCounter:
     element at any order.  The two most recent tables stay cached after the
     call that built them returns, so up to 24 N bytes are held: 384 KiB at
     N = 2^14, 384 MiB at the 2^24 cap.  A shape past the bound (some w_j of
-    62 - log2 N bits or more) keeps no keys: each query runs the integer test
-    v_j(x) < ceil(sigma r_j N) for every j over the whole group instead, as
-    the one-row call of _member_rows, the scan that also counts the stacked
+    62 - log2 N bits or more) keeps no keys: a batch of queries is then one
+    chunked pass of _member_rows, the test v_j(x) < ceil(sigma r_j N) for
+    every j with one row per query, the scan that also counts the stacked
     size bounds of size_bound_stack.
     """
 
@@ -163,43 +165,38 @@ class _ExactCounter:
         self.sorted_keys: np.ndarray | None = None
         if n * max(w, default=0) >= _KEY_BOUND:
             return
-        if shape:
-            col = np.array(w, dtype=np.int64)[:, None]
-            phases = (_phases(g, self.weights, idx) for idx in _index_chunks(n))
-            keys = np.concatenate([(v * col).max(axis=0) for v in phases])
-        else:
-            keys = np.zeros(n, dtype=np.int64)
+        col = np.array(w, dtype=np.int64)[:, None]
+        phases = (_phases(g, self.weights, idx) for idx in _index_chunks(n))
+        # the key of the empty shape is 0 at every element
+        keys = np.concatenate([(v * col).max(axis=0, initial=0) for v in phases])
         self.order = np.argsort(keys).astype(np.int32)
         self.sorted_keys = keys[self.order]
 
-    def _passes(self, idx: np.ndarray, sigma: Fraction) -> np.ndarray:
-        """The exact integer membership test, on an index array: the
-        one-row call of _member_rows."""
-        cuts = [_radius_cut(sigma * r, self.group.order) for r in self.shape]
-        chars = np.arange(len(cuts), dtype=np.int64)[None, :]
-        v = _phases(self.group, self.weights, idx)
-        return _member_rows(v, chars, np.array([cuts], dtype=np.int64))[0]
-
-    def _cut(self, num: int, den: int) -> int:
-        """ceil(sigma N L) at sigma = num / den > 0, clamped at 2^62: a cut
-        past int64 would make the search compare the whole key array as
-        Python objects."""
-        return min(-(-num * self.scale // den), _KEY_BOUND)
-
-    def count(self, sigma: Fraction) -> int:
-        if sigma <= 0:
-            raise ValueError("dilation factor must be positive")
+    def counts(self, nums: Sequence[int], den: int) -> list[int]:
+        """|B| at every query sigma = num / den > 0 of the batch: one
+        searchsorted for the cuts ceil(sigma N L), clamped at 2^62 so that no
+        cut leaves int64, or with no keys one _rows pass."""
         if self.sorted_keys is None:
-            return len(self.member_indices(sigma))
-        return int(self.sorted_keys.searchsorted(self._cut(sigma.numerator, sigma.denominator)))
+            return sum(member.sum(axis=1) for _, member in self._rows(nums, den)).tolist()
+        cuts = [min(-(-num * self.scale // den), _KEY_BOUND) for num in nums]
+        return self.sorted_keys.searchsorted(np.array(cuts, dtype=np.int64)).tolist()
 
-    def member_indices(self, sigma: Fraction) -> np.ndarray:
-        """Sorted indices of the members at query sigma."""
-        if self.sorted_keys is not None:
-            return np.sort(self.order[: self.count(sigma)])
-        if sigma <= 0:
-            raise ValueError("dilation factor must be positive")
-        return np.concatenate([idx[self._passes(idx, sigma)] for idx in _index_chunks(self.group.order)])
+    def member_indices(self, num: int, den: int) -> np.ndarray:
+        """Sorted indices of the members at query sigma = num / den > 0."""
+        if self.sorted_keys is None:
+            return np.concatenate([idx[member[0]] for idx, member in self._rows([num], den)])
+        return np.sort(self.order[: self.counts([num], den)[0]])
+
+    def _rows(self, nums: Sequence[int], den: int):
+        """Each _index_chunks block with its (len(nums), len) integer test
+        v_j(x) < ceil(sigma r_j N) at every sigma = num / den: one
+        _member_rows call per block for the whole batch."""
+        n = self.group.order
+        cuts = [[_radius_cut(num * r.numerator, den * r.denominator, n) for r in self.shape] for num in nums]
+        cuts = np.array(cuts, dtype=np.int64)
+        chars = np.broadcast_to(np.arange(len(self.shape)), cuts.shape)
+        for idx in _index_chunks(n):
+            yield idx, _member_rows(_phases(self.group, self.weights, idx), chars, cuts)
 
 
 def _index_chunks(n: int):
@@ -223,10 +220,10 @@ def _phases(g: GroupSpec, weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.minimum(c, n - c)
 
 
-def _radius_cut(eps: Fraction, n: int) -> int:
-    """ceil(eps N), capped at N since v_j <= N/2: v_j < ceil(eps N) iff
-    v_j / N < eps, as v_j is an integer."""
-    return min(-(-eps.numerator * n // eps.denominator), n)
+def _radius_cut(num: int, den: int, n: int) -> int:
+    """ceil(eps N) at eps = num / den, capped at N since v_j <= N/2:
+    v_j < ceil(eps N) iff v_j / N < eps, as v_j is an integer."""
+    return min(-(-num * n // den), n)
 
 
 def _member_rows(v: np.ndarray, chars: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -258,7 +255,7 @@ def materialize(g: GroupSpec, spec: BohrSpec) -> BohrSet:
     if spec.group != g:
         raise GroupMismatchError("spec belongs to a different group")
     counter, scale = _counter(spec)
-    members = GroupSet(g, counter.member_indices(scale))
+    members = GroupSet(g, counter.member_indices(scale.numerator, scale.denominator))
     _check_members(spec, len(members), 0 in members, members.neg() == members)
     return BohrSet(spec, members)
 
@@ -301,23 +298,22 @@ def dilate(spec: BohrSpec, rho: Fraction) -> BohrSpec:
 
 
 def size_profile(g: GroupSpec, spec: BohrSpec, rhos: Sequence[Fraction]) -> list[int]:
-    """|B(Gamma, rho * eps)| for each dilation factor, off one counting table.
-
-    Equivalent to materializing each dilate and taking its length, but the
-    membership statistic is computed once.
-    """
+    """|B(Gamma, rho * eps)| for each rational dilation factor rho: the
+    lengths of the materialized dilates, counted as one batch of queries
+    over the common denominator of the factors on the shared table."""
     if spec.group != g:
         raise GroupMismatchError("spec belongs to a different group")
+    if not rhos:
+        return []
+    if min(rhos) <= 0:
+        raise ValueError("dilation factor must be positive")
+    top = max(spec.eps, default=0)
+    if max(rhos) * top > 1:
+        raise ValueError(f"radius overflow at dilation {next(rho for rho in rhos if rho * top > 1)}")
     counter, scale = _counter(spec)
-    out = []
-    for rho in rhos:
-        rho = Fraction(rho)
-        if rho <= 0:
-            raise ValueError("dilation factor must be positive")
-        if any(rho * e > 1 for e in spec.eps):
-            raise ValueError(f"radius overflow at dilation {rho}")
-        out.append(counter.count(rho * scale))
-    return out
+    den = math.lcm(*(rho.denominator for rho in rhos))
+    nums = [rho.numerator * (den // rho.denominator) * scale.numerator for rho in rhos]
+    return counter.counts(nums, den * scale.denominator)
 
 
 def intersect(spec1: BohrSpec, spec2: BohrSpec) -> BohrSpec:
@@ -343,16 +339,12 @@ def default_eta_grid(d: int) -> tuple[Fraction, ...]:
 
 def _grid_counts(counter: _ExactCounter, sigma: Fraction, d: int) -> list[int]:
     """|B| at query sigma, then |B_(1+eta)| at every eta of
-    default_eta_grid(d), in its order.  At the step k = +-i, sigma (1 + eta)
-    is sigma (1000 d + k) / (1000 d), so every cut ceil(sigma (1 + eta) N L)
-    is computed in integers and one searchsorted counts all 21 of them; a
-    table with no keys counts them one by one."""
+    default_eta_grid(d), in its order: at the step k = +-i, sigma (1 + eta)
+    is sigma (1000 d + k) / (1000 d), so the 21 queries are one batch over
+    the common denominator 1000 d."""
     den = 1000 * d
-    ks = [den, *(den + k for k in _GRID_STEPS)]
-    if counter.sorted_keys is None:
-        return [counter.count(sigma * Fraction(k, den)) for k in ks]
-    cuts = [counter._cut(sigma.numerator * k, sigma.denominator * den) for k in ks]
-    return counter.sorted_keys.searchsorted(np.array(cuts, dtype=np.int64)).tolist()
+    nums = [sigma.numerator * k for k in (den, *(den + k for k in _GRID_STEPS))]
+    return counter.counts(nums, sigma.denominator * den)
 
 
 def _grid_margins(counts: list[int]) -> list[int]:
@@ -502,7 +494,7 @@ def _scan(g: GroupSpec, specs: Sequence[BohrSpec]) -> tuple[np.ndarray, np.ndarr
     cuts = np.full((len(specs), width), g.order, dtype=np.int64)
     for r, spec in enumerate(specs):
         chars[r, : spec.d] = [column[t] for t in spec.gamma]
-        cuts[r, : spec.d] = [_radius_cut(e, g.order) for e in spec.eps]
+        cuts[r, : spec.d] = [_radius_cut(e.numerator, e.denominator, g.order) for e in spec.eps]
     weights = _weights(g, gamma)
     sizes = np.zeros(len(specs), dtype=np.int64)
     symmetric = np.ones(len(specs), dtype=bool)

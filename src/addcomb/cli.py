@@ -19,12 +19,7 @@ from .groups import GroupMismatchError, SizeLimitError, format_group_text, parse
 from .harmonic import dft
 from .report import CheckFailure, format_value
 from .setstat import profile
-from .structure import (
-    DensityGuaranteeFailed,
-    HypothesisFailure,
-    InclusionFailed,
-    NoJump,
-)
+from .structure import HypothesisFailure, InclusionFailed, NoJump
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -127,7 +122,11 @@ def _cmd_structure(args) -> int:
             "seed": args.seed,
         }
     )
-    return _emit(harness.run_structure(cfg), args.out, args.summary)
+    report = harness.run_structure(cfg)
+    failure = report.results[0].get("failure")
+    if failure:
+        print(f"check failed: {failure['message']}", file=sys.stderr)
+    return _emit(report, args.out, args.summary)
 
 
 def _cmd_example(args) -> int:
@@ -232,8 +231,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CheckFailure, AssertionError, NoJump, DensityGuaranteeFailed, InclusionFailed, HypothesisFailure,
-            RegularRadiusError) as exc:
+    except (CheckFailure, AssertionError, NoJump, InclusionFailed, HypothesisFailure, RegularRadiusError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
     except SizeLimitError as exc:

@@ -205,7 +205,7 @@ def parse_function(text: str, *, path="<string>") -> FunctionTable:
         try:
             idx = int(parts[0])
             val = _parse_value(kind, parts[1])
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise FileFormatError(path, line_no, f"bad entry {line!r}") from None
         if not 0 <= idx < g.order:
             raise FileFormatError(path, line_no, f"index {idx} out of range")

@@ -69,6 +69,7 @@ from .setstat import (
 )
 from .spectral import ChangReport
 from .structure import (
+    DensityGuaranteeFailed,
     HypothesisFailure,
     StructureParams,
     StructureResult,
@@ -731,7 +732,7 @@ def run_structure(cfg: RunConfig) -> RunReport:
         mode = "subspace" if A.group.is_boolean_space else "bohr"
     if mode not in ("subspace", "bohr", "dichotomy"):
         raise ConfigError(f"unknown pipeline {mode!r}")
-    res = hyp = None
+    res = hyp = failure = None
     try:
         if mode == "dichotomy":
             M = _override("m", cfg.params["m"]) if "m" in cfg.params else None
@@ -740,10 +741,13 @@ def run_structure(cfg: RunConfig) -> RunReport:
             params = build_params(cfg.params, A, B)
             res = (extract_subspace if mode == "subspace" else extract_bohr)(A, B, params)
             hyp = res.hypotheses
-    except (CheckFailure, HypothesisFailure) as exc:
-        # a failed gate or hypothesis is a result: the report keeps its
-        # record, and report.ok carries the failure to the exit status
+    except (CheckFailure, HypothesisFailure, DensityGuaranteeFailed) as exc:
+        # a failed gate, hypothesis or certificate is a result: the report
+        # keeps its record (and a certificate's trace), and report.ok
+        # carries the failure to the exit status
         report.records.append(exc.record.to_dict())
+        if isinstance(exc, DensityGuaranteeFailed):
+            failure = {"message": str(exc), **_jsonable(exc.trace)}
     report.timings["structure"] = time.perf_counter() - started
 
     prof = profile(A, energy_orders=(2, 3, 4))
@@ -759,6 +763,8 @@ def run_structure(cfg: RunConfig) -> RunReport:
         "energies": {str(k): str(v) for k, v in prof.higher.items()},
         "result": structure_result_dict(res) if res is not None else None,
     }
+    if failure is not None:
+        entry["failure"] = failure
     if hyp is not None:
         entry["hypotheses"] = {
             "core_ok": hyp.core_ok,

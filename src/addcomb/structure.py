@@ -51,11 +51,12 @@ class NoJump(RuntimeError):
 
 
 class DensityGuaranteeFailed(RuntimeError):
-    """A certified density bound failed the direct count."""
+    """A certified density bound failed the direct count; carries its record and trace."""
 
-    def __init__(self, message: str, trace: dict):
+    def __init__(self, message: str, trace: dict, record: CheckRecord):
         super().__init__(message)
         self.trace = trace
+        self.record = record
 
 
 class InclusionFailed(RuntimeError):
@@ -430,7 +431,8 @@ def _certify(
     the floor of its zeta loss and its mass record holds.  Each candidate
     costs one corr_counts call and one attempt entry.  Returns (candidate,
     achieved, the least z attaining it, floor, records, attempts); when
-    none passes, the failure is raised with every attempt in its trace.
+    none passes, the failure is raised with every attempt in its trace and
+    the last candidate's failed density record (or mass record).
     """
     attempts = []
     for cand in candidates:
@@ -449,7 +451,9 @@ def _certify(
         if all(r.ok for r in records):
             return cand, achieved, z, guaranteed, records, attempts
     raise DensityGuaranteeFailed(
-        f"no candidate piece passed the direct count ({len(attempts)} tried)", front.trace(attempts)
+        f"no candidate piece passed the direct count ({len(attempts)} tried)",
+        front.trace(attempts),
+        next(r for r in reversed(records) if not r.ok),
     )
 
 
@@ -653,6 +657,7 @@ def _majority(
         raise DensityGuaranteeFailed(
             f"2-eps {name} failed the direct count ({note})",
             front.trace([{"size": size, "achieved": score, "guaranteed": need}]),
+            cert,
         )
     return cert, need
 
@@ -682,13 +687,11 @@ def _certify_bohr_branch(
     d = spec_star.d
     steps = max(1, math.ceil(100 * d / eps))
     eta = Fraction(1, 2 * steps)
-    rhos = [Fraction(1, 2) + j * eta for j in range(steps + 1)]
+    rhos = [Fraction(steps + j, 2 * steps) for j in range(steps + 1)]
     sizes = size_profile(g, spec_star, rhos)
-    chosen = None
-    for j in range(1, steps + 1):
-        if Fraction(sizes[j]) <= (1 + eps / 4) * sizes[j - 1]:
-            chosen = j
-            break
+    # the first slow step, |B_j| <= (1 + eps/4) |B_(j-1)|, compared in integers
+    num, den = eps.numerator, eps.denominator
+    chosen = next((j for j in range(1, steps + 1) if 4 * den * sizes[j] <= (4 * den + num) * sizes[j - 1]), None)
     if chosen is None:
         raise CheckFailure(
             record_le(

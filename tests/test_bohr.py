@@ -5,6 +5,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +102,21 @@ def test_size_profile_matches_materialize_counts():
     assert sizes == sorted(sizes)
 
 
+def test_size_profile_of_no_factors_is_empty():
+    g = make_group((60,))
+    assert size_profile(g, make_bohr_spec(g, [1, 7], [Fraction(1, 4), Fraction(1, 2)]), []) == []
+
+
+def test_size_profile_names_a_bad_factor():
+    g = make_group((60,))
+    spec = make_bohr_spec(g, [1, 7], [Fraction(1, 4), Fraction(1, 2)])
+    with pytest.raises(ValueError, match="^dilation factor must be positive$"):
+        size_profile(g, spec, [Fraction(1, 2), Fraction(0)])
+    # 5/2 is the first factor that pushes the radius 1/2 past 1
+    with pytest.raises(ValueError, match="^radius overflow at dilation 5/2$"):
+        size_profile(g, spec, [Fraction(1), Fraction(2), Fraction(5, 2), Fraction(4)])
+
+
 def test_intersect_is_memberwise_intersection():
     g = make_group((60,))
     s1 = make_bohr_spec(g, [1], Fraction(1, 4))
@@ -186,10 +202,15 @@ def _boundary_fraction(draw, n: int) -> Fraction:
 def _assert_counter_exact(g, gamma, eps, rhos):
     spec = make_bohr_spec(g, gamma, eps)
     counter, scale = _counter(spec)
-    for rho in rhos:
-        want = bohr_members_direct(g, gamma, [rho * e for e in eps])
-        assert counter.count(rho * scale) == len(want)
-        assert counter.member_indices(rho * scale).tolist() == sorted(want)
+    # one batch: the query sigma = rho * eps_0 of every rho, then sigma = 2^70,
+    # whose cut on a key lies past 2^62
+    sigmas = [rho * scale for rho in rhos] + [Fraction(2**70)]
+    wants = [sorted(bohr_members_direct(g, gamma, [sigma / scale * e for e in eps])) for sigma in sigmas]
+    den = math.lcm(*(sigma.denominator for sigma in sigmas))
+    nums = [sigma.numerator * (den // sigma.denominator) for sigma in sigmas]
+    assert counter.counts(nums, den) == [len(want) for want in wants]
+    for sigma, want in zip(sigmas, wants):
+        assert counter.member_indices(sigma.numerator, sigma.denominator).tolist() == want
     assert size_profile(g, spec, rhos) == [
         len(bohr_members_direct(g, gamma, [rho * e for e in eps])) for rho in rhos
     ]
@@ -268,13 +289,32 @@ _BELOW_BOUND = Fraction(1, 2**56 - 2)
 def test_counter_key_bound(gamma, eps, keyed):
     """Keys are built while N max_j w_j < 2^62; from 2^62 on, the integer scan runs."""
     g = make_group((128,))
-    counter, _ = _counter(make_bohr_spec(g, gamma, eps))
+    counter, scale = _counter(make_bohr_spec(g, gamma, eps))
     assert (counter.sorted_keys is not None) is keyed
     _assert_counter_exact(g, gamma, eps, [Fraction(1), Fraction(1, 3), Fraction(3, 4)])
     # a cut far past int64 is clamped above every key: every element passes
-    assert counter.count(Fraction(2**70)) == g.order
-    if keyed:
-        assert counter._cut(2**70, 1) == 2**62
+    sizes = counter.counts([scale.numerator, 2**70 * scale.denominator], scale.denominator)
+    assert sizes == [len(bohr_members_direct(g, gamma, eps)), g.order]
+
+
+def test_keyless_radius_search_counts_each_candidate_in_one_pass(monkeypatch):
+    # a shape past the key bound: each candidate radius makes one
+    # _member_rows call per chunk, with a row for each of its 21 queries
+    g = make_group((128,))
+    gamma, eps = [1, 64], [Fraction(1, 2), _AT_BOUND]
+    assert _counter(make_bohr_spec(g, gamma, eps))[0].sorted_keys is None
+    monkeypatch.setattr(bohr, "_CHUNK", 32)
+    with (
+        mock.patch.object(bohr, "_member_rows", wraps=bohr._member_rows) as rows,
+        mock.patch.object(bohr, "_grid_counts", wraps=bohr._grid_counts) as grids,
+    ):
+        try:
+            find_regular_radius(g, gamma, eps, rounds=(3,))
+        except RegularRadiusError:
+            pass
+    assert grids.call_count >= 1
+    assert rows.call_count == 4 * grids.call_count
+    assert all(call.args[2].shape == (21, 2) for call in rows.call_args_list)
 
 
 def _assert_regularity_matches_oracle(g, gamma, eps, rounds):

@@ -7,7 +7,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addcomb import cli, families, harness
@@ -437,5 +437,52 @@ def test_stats_exit_codes_on_fuzzed_set_files(text):
     assert "Traceback" not in err.getvalue()
     if code in (0, 1) and not err.getvalue():
         assert json.loads(out.getvalue())["size"] >= 1
+    else:
+        assert err.getvalue().startswith({1: "check failed:", 2: "config error:", 3: "resource cap:"}[code])
+
+
+_FUNCTION_VALUES = {
+    "int": ["0", "3", "-7", "+2", "1_000", "9" * 30],
+    "real": ["0", "1/2", "-3/4", "0.25", "2", "1e308", "1e400", "inf", "-inf", "nan", "9" * 30 + "/7"],
+    "complex": ["0", "1+2j", "-1j", "(1+1j)", "3", "1e308+1e308j", "infj", "nanj"],
+}
+# a zero denominator, and tokens no reader of any kind accepts
+_BAD_VALUES = ["1/0", "0/0", "-5/0", "x", "1/", "/2", "1//2", "1.5.2", "0x10", "1 2"]
+
+
+@st.composite
+def function_files(draw) -> str:
+    """The text of a function file, valid or not: a header (now and then a
+    bad one), then 'index value' lines of its kind, now and then with an
+    index out of range, a repeat, a missing value, a zero denominator or a
+    token no reader accepts."""
+    group = draw(st.sampled_from(["Z4", "Z6", "F2^3", "Z2xZ3"]))
+    kind = draw(st.sampled_from(sorted(_FUNCTION_VALUES)))
+    good = f"group={group} kind={kind}"
+    bad = [f"group={group}", f"group=Q8 kind={kind}", f"group={group} kind=rational", f"{good} x=1"]
+    lines = [draw(st.sampled_from([good] * 12 + bad))]
+    order = parse_group_text(group).order
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        idx = draw(st.sampled_from([str(draw(st.integers(0, order - 1)))] * 8 + [str(order), "-1", "x", ""]))
+        value = draw(st.sampled_from(_FUNCTION_VALUES[kind] * 2 + _BAD_VALUES))
+        lines.append(f"{idx} {value}".strip())
+    return "\n".join(lines) + "\n"
+
+
+@given(function_files())
+@example("group=Z4 kind=real\n1 1/0\n")
+@settings(max_examples=150, deadline=None)
+def test_spectrum_exit_codes_on_fuzzed_function_files(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.txt")
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["spectrum", path])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue().startswith("group=")
     else:
         assert err.getvalue().startswith({1: "check failed:", 2: "config error:", 3: "resource cap:"}[code])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -505,6 +506,10 @@ def test_extract_bohr_raises_every_escalated_attempt_when_no_count_passes(monkey
     assert [a["c_local"] for a in attempts] == [params.c_local * 2**i for i in range(len(attempts))]
     assert all(a["achieved"] == 0 and a["guaranteed"] > 0 for a in attempts)
     assert all(a["sufficiency"] is not None for a in attempts)
+    # the failed record is the last attempt's density certificate
+    record = exc.value.record
+    assert (record.ref, record.ok) == ("structure:density_bohr", False)
+    assert (record.lhs, record.rhs) == ("0", format_value(attempts[-1]["guaranteed"]))
 
 
 def test_extract_bohr_counts_the_whole_group_once_when_lambda_is_empty(monkeypatch):
@@ -538,6 +543,30 @@ def test_structure_command_exits_1_on_a_failed_certificate(A, tmp_path, monkeypa
     _zero_corr_counts(monkeypatch)
     assert main(["structure", str(path), "--out", str(tmp_path / "r.json")]) == 1
     assert "no candidate piece passed the direct count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "A, ref",
+    [(_subgroup(10, 3), "structure:density_subspace"), (_cyclic_subgroup_instance()[0], "structure:density_bohr")],
+    ids=["F2^10", "Z1000"],
+)
+def test_structure_command_writes_the_report_of_a_failed_certificate(A, ref, tmp_path, monkeypatch, capsys):
+    path, out = tmp_path / "A.txt", tmp_path / "r.json"
+    write_set(path, A)
+    _zero_corr_counts(monkeypatch)
+    assert main(["structure", str(path), "--out", str(out)]) == 1
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    [failed] = report["records"]
+    assert report["ok"] is False
+    assert (failed["ref"], failed["ok"], failed["lhs"]) == (ref, False, "0")
+    [entry] = report["results"]
+    assert entry["result"] is None
+    failure = entry["failure"]
+    assert set(failure) == {"message", "k", "lambda", "witness_mode", "attempts"}
+    assert failure["message"].startswith("no candidate piece passed the direct count")
+    assert failure["attempts"] and all(a["achieved"] == 0 for a in failure["attempts"])
+    assert failure["attempts"][-1]["guaranteed"] == failed["rhs"]
 
 
 def test_difference_membership_names_a_point_outside_a_minus_a():
@@ -597,3 +626,5 @@ def test_two_eps_majority_failure_carries_the_certify_trace(monkeypatch):
     assert attempt["achieved"] == 0
     assert attempt["size"] == len(pieces[1]) + len(pieces[2])
     assert attempt["guaranteed"] == (Fraction(1, 2) + Fraction(1, 16)) * attempt["size"]
+    record = exc.value.record
+    assert (record.ref, record.ok, record.lhs) == ("dichotomy:half_plus", False, "0")
