@@ -119,7 +119,6 @@ def _cmd_structure(args) -> int:
             "sets": sets,
             "pipeline": args.mode,
             "params": params,
-            "seed": args.seed,
         }
     )
     report = harness.run_structure(cfg)
@@ -135,7 +134,7 @@ def _cmd_example(args) -> int:
     else:
         source = {"kind": "katz", "p": args.p, "d": args.d}
     cfg = harness.config_from_dict(
-        {"kind": "example", "name": args.family, "sets": [source], "seed": args.seed}
+        {"kind": "example", "name": args.family, "sets": [source], "seed": getattr(args, "seed", None)}
     )
     report = harness.run_example(cfg)
     if args.set_out:
@@ -193,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", default=None, help="subset file (defaults to the set itself)")
     p.add_argument("--mode", default="auto", choices=["auto", "subspace", "bohr", "dichotomy"])
     p.add_argument("--params", default=None, help="JSON file of parameter overrides")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--summary", action="store_true")
     p.set_defaults(fn=_cmd_structure)
@@ -204,11 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--n", type=int, required=True)
     ph.add_argument("--k", type=int, required=True)
     ph.add_argument("--lambda", dest="lambda", type=int, required=True)
+    ph.add_argument("--seed", type=int, default=None)
     pk = ex_sub.add_parser("katz")
     pk.add_argument("--p", type=int, required=True)
     pk.add_argument("--d", type=int, required=True)
     for q in (ph, pk):
-        q.add_argument("--seed", type=int, default=None)
         q.add_argument("--set-out", default=None, help="write the generated set file here")
         q.add_argument("--out", default=None)
         q.add_argument("--summary", action="store_true")

@@ -30,10 +30,6 @@ def reduce_vector(basis: Sequence[int], v: int) -> int:
     return v
 
 
-def in_span(basis: Sequence[int], v: int) -> bool:
-    return reduce_vector(basis, v) == 0
-
-
 def independent_subset(vectors: Sequence[int]) -> list[int]:
     """Greedy subset of the input (in order) forming a basis of its span:
     each vector that lies outside the span of the ones before it.  Zeros
@@ -71,7 +67,7 @@ def independent_subset(vectors: Sequence[int]) -> list[int]:
     return picked
 
 
-def _rref(vectors: Iterable[int], n: int) -> tuple[list[int], list[int]]:
+def _rref(vectors: Iterable[int]) -> tuple[list[int], list[int]]:
     """Reduced row echelon form; returns (rows, pivot bit positions)."""
     rows = echelon_basis(vectors)
     pivots = [r.bit_length() - 1 for r in rows]
@@ -85,7 +81,7 @@ def _rref(vectors: Iterable[int], n: int) -> tuple[list[int], list[int]]:
 
 def nullspace_basis(vectors: Iterable[int], n: int) -> list[int]:
     """Basis of {x : <v, x> = 0 for all v}, pairing = parity of AND."""
-    rows, pivots = _rref(vectors, n)
+    rows, pivots = _rref(vectors)
     pivot_set = set(pivots)
     basis = []
     for j in range(n):
@@ -107,11 +103,6 @@ def subspace_elements(basis: Sequence[int]) -> np.ndarray:
     for i, b in enumerate(basis):
         elems[1 << i : 2 << i] = elems[: 1 << i] ^ b
     return elems
-
-
-def coset_label(basis_rref: Sequence[int], v: int) -> int:
-    """Canonical coset representative of v modulo span(basis)."""
-    return reduce_vector(basis_rref, v)
 
 
 def dual_spaces(n: int, dim: int, cap: int) -> Iterable[list[int]]:

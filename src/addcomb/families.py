@@ -69,7 +69,7 @@ def make_h_lambda(spec: HLambdaSpec, seed: int | None = None) -> GroupSet:
         basis = list(spec.h_basis)
         while len(chosen) < spec.lambda_size:
             v = rng.randrange(1, spec.group.order)
-            if not f2.in_span(f2.echelon_basis(basis + chosen), v):
+            if f2.reduce_vector(f2.echelon_basis(basis + chosen), v):
                 chosen.append(v)
         lam = tuple(chosen)
     out = group_set(spec.group, (x ^ v for x in h for v in lam))
@@ -428,7 +428,7 @@ def make_planted(
     basis: list[int] = []
     while len(basis) < subgroup_dim:
         v = rng.randrange(1, g.order)
-        if not f2.in_span(f2.echelon_basis(basis), v):
+        if f2.reduce_vector(f2.echelon_basis(basis), v):
             basis.append(v)
     rref = f2.echelon_basis(basis)
     sub = GroupSet(g, np.sort(f2.subspace_elements(rref)))
@@ -440,7 +440,7 @@ def make_planted(
         if attempts > 10000 * cosets:
             raise ValueError("not enough distinct cosets available")
         z = rng.randrange(g.order)
-        label = f2.coset_label(rref, z)
+        label = f2.reduce_vector(rref, z)
         if label not in labels:
             labels.add(label)
             reps.append(z)

@@ -19,6 +19,7 @@ valid file never reaches it.
 
 from __future__ import annotations
 
+import cmath
 import os
 from fractions import Fraction
 
@@ -155,11 +156,12 @@ def _format_value(kind: str, v) -> str:
 def _parse_value(kind: str, text: str):
     if kind == "int":
         return int(text)
-    if kind == "real":
-        if "/" in text:
-            return Fraction(text)
-        return float(text)
-    return complex(text)
+    if kind == "real" and "/" in text:
+        return Fraction(text)
+    val = float(text) if kind == "real" else complex(text)
+    if not cmath.isfinite(val):
+        raise ValueError(f"non-finite value {text!r}")
+    return val
 
 
 def dump_function(table: FunctionTable) -> str:

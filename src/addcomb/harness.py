@@ -238,10 +238,10 @@ def realize_source(
     opts = {k: v for k, v in source.items() if k != "kind"}
     where = f"set source {kind!r}"
 
-    def _group(required: bool = True) -> GroupSpec | None:
+    def _group() -> GroupSpec:
         if "group" in opts:
             return _group_value(opts.pop("group"), f"{where}: group")
-        if default_group is None and required:
+        if default_group is None:
             raise ConfigError(f"{where} needs a group")
         return default_group
 
@@ -463,11 +463,11 @@ def derive_params(
     )
 
 
-def _override(key: str, raw) -> Fraction | int:
-    """One parameter override as given in a config: an int for k0_pad, a
-    rational (an int, a float or "p/q" text) for every other field."""
+def _override(key: str, raw) -> Fraction:
+    """One parameter override as given in a config: a rational (an int, a
+    float or "p/q" text)."""
     try:
-        return int(raw) if key == "k0_pad" else Fraction(raw)
+        return Fraction(raw)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"bad structure parameter {key}={raw!r}: {exc}") from None
 

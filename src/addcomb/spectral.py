@@ -30,7 +30,7 @@ from .harmonic import FunctionTable, dft, magnitudes, transform_error
 from .setstat import GroupSet, read_only
 
 _EXACT_SEARCH_MAX = 24
-CHANG_AUDIT_CONSTANT = Fraction(8)
+CHANG_AUDIT_CONSTANT = Fraction(8)  # Chang (2002), "A polynomial bound in Freiman's theorem"
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,22 +188,16 @@ class ChangReport:
     spectrum_size: int
     dim: int
     witness_mode: str
-    ok: bool | None  # None = diagnostic only (constant below the audit floor)
+    ok: bool
 
 
-def chang_bound(
-    f: FunctionTable,
-    spec: Spectrum,
-    witness: DissociatedWitness,
-    c_chang: Fraction = CHANG_AUDIT_CONSTANT,
-) -> ChangReport:
-    """Evaluate c * eps^-2 * log(||f||_2^2 N / ||f||_1^2) against dim(Spec_eps(f)).
+def chang_bound(f: FunctionTable, spec: Spectrum, witness: DissociatedWitness) -> ChangReport:
+    """Evaluate c * eps^-2 * log(||f||_2^2 N / ||f||_1^2) against dim(Spec_eps(f)),
+    with c = CHANG_AUDIT_CONSTANT.
 
     spec is Spec_eps(f), eps = spec.eps, and witness the max_dissociated
     witness of its members in spectrum order; the witness must be drawn
-    from the spectrum.  The comparison is asserted only when c_chang is at
-    least the audit constant; below that it is reported as a plain
-    diagnostic.
+    from the spectrum.
     """
     g = f.group
     if spec.group != g:
@@ -214,16 +208,13 @@ def chang_bound(
     l1 = float(f.l1())
     l2sq = float(f.l2_squared())
     ratio = l2sq * g.order / (l1 * l1)
-    bound = float(c_chang) * float(eps) ** -2 * math.log(max(ratio, 1.0))
-    ok: bool | None = None
-    if c_chang >= CHANG_AUDIT_CONSTANT:
-        ok = len(witness) <= max(1.0, bound)
+    bound = float(CHANG_AUDIT_CONSTANT) * float(eps) ** -2 * math.log(max(ratio, 1.0))
     return ChangReport(
         eps=eps,
-        c_chang=Fraction(c_chang),
+        c_chang=CHANG_AUDIT_CONSTANT,
         bound=bound,
         spectrum_size=len(spec),
         dim=len(witness),
         witness_mode=witness.mode,
-        ok=ok,
+        ok=len(witness) <= max(1.0, bound),
     )

@@ -38,6 +38,8 @@ _ESCALATION_TRIES = 3
 _BRUTE_N_MAX = 14
 _REGULARIZE_N_MAX = 16
 _SUBSPACES_PER_LEVEL_CAP = 1 << 21
+_C_LOCAL = Fraction(1, 32)  # the first Bohr radius factor; it doubles on escalation
+_K0_PAD = 10  # jump-search depth past the least t^e >= y^pad
 
 
 class NoJump(RuntimeError):
@@ -77,12 +79,11 @@ class HypothesisFailure(ValueError):
 
 @dataclass(frozen=True)
 class StructureParams:
-    """Knobs of the extraction pipeline.
+    """Hypotheses of the extraction pipeline.
 
     m and m_prime cap the peak coefficient and the additive energy, kappa
     caps the sumset, zeta is the spectral slack, t > 1 the jump tension,
-    omega the size ratio |B|/|A|.  c_local scales the Bohr radius choice,
-    k0_pad the jump-search depth, c_chang the dimension diagnostic.
+    omega the size ratio |B|/|A|.
     """
 
     m: Fraction
@@ -91,12 +92,9 @@ class StructureParams:
     zeta: Fraction
     t: Fraction
     omega: Fraction = Fraction(1)
-    c_local: Fraction = Fraction(1, 32)
-    k0_pad: int = 10
-    c_chang: Fraction = Fraction(8)
 
     def __post_init__(self) -> None:
-        for name in ("m", "m_prime", "kappa", "zeta", "t", "omega", "c_local", "c_chang"):
+        for name in ("m", "m_prime", "kappa", "zeta", "t", "omega"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.m <= 0 or self.m_prime <= 0 or self.kappa <= 0 or self.omega <= 0:
             raise ValueError("m, m_prime, kappa, omega must be positive")
@@ -104,10 +102,6 @@ class StructureParams:
             raise ValueError(f"zeta must lie in (0, 1), got {self.zeta}")
         if self.t <= 1:
             raise ValueError(f"t must exceed 1, got {self.t}")
-        if self.c_local <= 0:
-            raise ValueError("c_local must be positive")
-        if self.k0_pad < 1:
-            raise ValueError("k0_pad must be at least 1")
 
     @property
     def m_star(self) -> Fraction:
@@ -116,17 +110,26 @@ class StructureParams:
     @property
     def k0(self) -> int:
         # ceil(pad * log_t(y)) + pad computed exactly: the least integer
-        # exponent with t^exp >= y^pad
+        # exponent e with t^e >= y^pad, plus pad.  The float logs only
+        # propose e; exact Fraction powers settle it.
         y = self.m_prime * (self.m + self.kappa) / self.omega
         if y <= 1:
-            return self.k0_pad
-        target = y**self.k0_pad
-        acc = Fraction(1)
-        exp = 0
-        while acc < target:
-            acc *= self.t
-            exp += 1
-        return exp + self.k0_pad
+            return _K0_PAD
+        target = y**_K0_PAD
+        t = self.t
+        e = math.ceil(_K0_PAD * _log(y) / _log(t))
+        while t ** (e - 1) >= target:
+            e -= 1
+        while t**e < target:
+            e += 1
+        return e + _K0_PAD
+
+
+def _log(q: Fraction) -> float:
+    """ln q of a rational q > 1: accurate near 1, finite however large its terms."""
+    if q < 2:
+        return math.log1p(float(q - 1))
+    return math.log(q.numerator) - math.log(q.denominator)
 
 
 @dataclass(frozen=True)
@@ -341,7 +344,7 @@ class _Front:
             "eps_clamped": self.clamped,
             "spectrum_size": len(self.spec),
             bound_key: _codim_diagnostic(self.report, self.params),
-            "chang": chang_bound(self.phi, self.spec, self.witness, self.params.c_chang),
+            "chang": chang_bound(self.phi, self.spec, self.witness),
             **extra,
         }
         return StructureResult(
@@ -516,7 +519,7 @@ def extract_bohr(A: GroupSet, B: GroupSet, params: StructureParams) -> Structure
     Asserts |B intersect (B_*+z)| >= (1-2 zeta) omega |B_*| / (t (m+kappa))
     by direct count, together with the translate energy sum_x |B intersect
     (B_*+x)|^2 >= that floor times |B| |B_*|.  The candidates escalate
-    lazily: the regular radius for c_local, then for 2 c_local and so on,
+    lazily: the regular radius for c = _C_LOCAL, then for 2 c and so on,
     at most _ESCALATION_TRIES doublings, each materialized only after the
     one before it failed.  With Lambda empty the piece is the whole group
     whatever the radius, so it is counted once.  If none passes, the
@@ -528,7 +531,7 @@ def extract_bohr(A: GroupSet, B: GroupSet, params: StructureParams) -> Structure
 
 
 def _bohr_candidates(g: GroupSpec, lam: np.ndarray, params: StructureParams) -> Iterator[_Candidate]:
-    c = params.c_local
+    c = _C_LOCAL
     for _ in range(1 + _ESCALATION_TRIES if len(lam) else 1):
         rho = c * params.zeta / (params.m_star * max(len(lam), 1))
         shows = {"c_local": c, "rho": rho, "sufficiency": None}
@@ -905,7 +908,7 @@ class RegularizationTrace:
 def _coords_in_basis(basis: list[int], v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(coords, rest) for each entry of v, reduced by an echelon basis: its
     coordinates in the basis, and the remainder, which labels its coset of
-    the span (f2.coset_label) and is 0 exactly on the span."""
+    the span (f2.reduce_vector) and is 0 exactly on the span."""
     coords = np.zeros_like(v)
     for i, row in enumerate(basis):
         bit = v >> (row.bit_length() - 1) & 1

@@ -180,6 +180,28 @@ def test_structure_with_params_file(subgroup_file, tmp_path, capsys):
     assert "pass" in out
 
 
+@pytest.mark.parametrize("key, raw", [("c_local", "1/16"), ("k0_pad", 20), ("c_chang", "1/100")])
+def test_structure_params_reject_the_proof_constants(key, raw, subgroup_file, tmp_path, capsys):
+    pf = tmp_path / "params.json"
+    pf.write_text(json.dumps({key: raw}))
+    assert main(["structure", subgroup_file, "--params", str(pf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown parameter overrides")
+    assert key in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["structure", "A.txt", "--seed", "1"], ["example", "katz", "--p", "3", "--d", "4", "--seed", "1"]],
+    ids=["structure", "example-katz"],
+)
+def test_commands_that_draw_nothing_take_no_seed(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_example_writes_set_file(tmp_path, capsys):
     sp = tmp_path / "ex.set"
     code = main(
@@ -443,19 +465,22 @@ def test_stats_exit_codes_on_fuzzed_set_files(text):
 
 _FUNCTION_VALUES = {
     "int": ["0", "3", "-7", "+2", "1_000", "9" * 30],
-    "real": ["0", "1/2", "-3/4", "0.25", "2", "1e308", "1e400", "inf", "-inf", "nan", "9" * 30 + "/7"],
-    "complex": ["0", "1+2j", "-1j", "(1+1j)", "3", "1e308+1e308j", "infj", "nanj"],
+    "real": ["0", "1/2", "-3/4", "0.25", "2", "1e308", "9" * 30 + "/7"],
+    "complex": ["0", "1+2j", "-1j", "(1+1j)", "3", "1e308+1e308j"],
 }
-# a zero denominator, and tokens no reader of any kind accepts
-_BAD_VALUES = ["1/0", "0/0", "-5/0", "x", "1/", "/2", "1//2", "1.5.2", "0x10", "1 2"]
+# a zero denominator, non-finite values, and tokens no reader of any kind accepts
+_BAD_VALUES = [
+    "1/0", "0/0", "-5/0", "1e400", "inf", "-inf", "nan", "infj", "nanj",
+    "x", "1/", "/2", "1//2", "1.5.2", "0x10", "1 2",
+]
 
 
 @st.composite
 def function_files(draw) -> str:
     """The text of a function file, valid or not: a header (now and then a
     bad one), then 'index value' lines of its kind, now and then with an
-    index out of range, a repeat, a missing value, a zero denominator or a
-    token no reader accepts."""
+    index out of range, a repeat, a missing value, a zero denominator, a
+    non-finite value or a token no reader accepts."""
     group = draw(st.sampled_from(["Z4", "Z6", "F2^3", "Z2xZ3"]))
     kind = draw(st.sampled_from(sorted(_FUNCTION_VALUES)))
     good = f"group={group} kind={kind}"
@@ -471,6 +496,7 @@ def function_files(draw) -> str:
 
 @given(function_files())
 @example("group=Z4 kind=real\n1 1/0\n")
+@example("group=Z4 kind=real\n1 nan\n")
 @settings(max_examples=150, deadline=None)
 def test_spectrum_exit_codes_on_fuzzed_function_files(text):
     with tempfile.TemporaryDirectory() as tmp:
@@ -482,6 +508,9 @@ def test_spectrum_exit_codes_on_fuzzed_function_files(text):
             code = main(["spectrum", path])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    entries = [line.split(None, 1) for line in text.splitlines()[1:]]
+    if any(len(parts) == 2 and parts[1] in _BAD_VALUES for parts in entries):
+        assert code == 2
     if code == 0:
         assert out.getvalue().startswith("group=")
     else:

@@ -12,6 +12,7 @@ from addcomb.groups import boolean_group, make_group
 from addcomb.harmonic import dft, indicator, magnitudes, table_from_values
 from addcomb.setstat import group_set
 from addcomb.spectral import (
+    CHANG_AUDIT_CONSTANT,
     chang_bound,
     is_dissociated,
     max_dissociated,
@@ -160,14 +161,6 @@ def test_chang_bound_audit_on_subgroup_indicator():
     assert rep.spectrum_size == 8
 
 
-def test_chang_bound_below_audit_floor_is_diagnostic():
-    g = boolean_group(4)
-    f = indicator(g, [0, 1])
-    spec = spectrum(f, Fraction(1, 2))
-    rep = chang_bound(f, spec, max_dissociated(g, spec.members), c_chang=Fraction(1, 100))
-    assert rep.ok is None
-
-
 def test_chang_bound_reuses_a_matching_spectrum_and_witness():
     g = make_group((60,))
     f = indicator(g, [0, 1, 2, 3, 20, 21, 40])
@@ -177,7 +170,9 @@ def test_chang_bound_reuses_a_matching_spectrum_and_witness():
     rep = chang_bound(f, spec, witness)
     assert (rep.eps, rep.spectrum_size, rep.dim, rep.witness_mode) == (eps, len(spec), len(witness), witness.mode)
     ratio = float(f.l2_squared()) * g.order / float(f.l1()) ** 2
-    assert rep.bound == float(rep.c_chang) * float(eps) ** -2 * math.log(ratio)
+    assert rep.c_chang == CHANG_AUDIT_CONSTANT
+    assert rep.bound == float(CHANG_AUDIT_CONSTANT) * float(eps) ** -2 * math.log(ratio)
+    assert rep.ok is (rep.dim <= max(1.0, rep.bound))
     outside = next(t for t in range(1, g.order) if t not in spec.members)
     stray = max_dissociated(g, [outside])
     with pytest.raises(ValueError, match="not drawn from"):

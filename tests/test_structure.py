@@ -62,7 +62,37 @@ def test_params_validation():
         StructureParams(m=0, m_prime=1, kappa=1, zeta=Fraction(1, 8), t=2)
     p = StructureParams(m=2, m_prime=4, kappa=1, zeta=Fraction(1, 8), t=2, omega=Fraction(1, 2))
     assert p.m_star == (2 + 1) * 2 * 2
-    assert p.k0 >= p.k0_pad
+    assert p.k0 >= structure._K0_PAD
+
+
+def _k0_by_loop(p: StructureParams) -> int:
+    """k0 by its definition: the least e with t^e >= y^pad, y = m'(m+kappa)/omega,
+    found one power at a time in integers, plus pad."""
+    pad = structure._K0_PAD
+    y = p.m_prime * (p.m + p.kappa) / p.omega
+    lhs, rhs = y.denominator**pad, y.numerator**pad  # t^e y_den^pad vs t_den^e y_num^pad
+    e = 0
+    while lhs < rhs:
+        lhs *= p.t.numerator
+        rhs *= p.t.denominator
+        e += 1
+    return e + pad
+
+
+def test_k0_matches_the_power_loop():
+    grid = [
+        StructureParams(m=m, m_prime=1, kappa=1, zeta=Fraction(1, 8), t=t)
+        for t in (2, Fraction(3, 2), Fraction(1001, 1000))
+        for m in (1, 3, Fraction(7, 3), 50)
+    ]
+    # y <= 1, and t = y just above 1 (derive_params closes the t-window so)
+    y = 1 + Fraction(1, 10**30)
+    grid.append(StructureParams(m=Fraction(1, 4), m_prime=1, kappa=Fraction(1, 4), zeta=Fraction(1, 8), t=2))
+    grid.append(StructureParams(m=1, m_prime=1, kappa=1, zeta=Fraction(1, 8), t=y, omega=2 / y))
+    for p in grid:
+        assert p.k0 == _k0_by_loop(p), p
+    assert grid[-2].k0 == structure._K0_PAD
+    assert grid[-1].k0 == 2 * structure._K0_PAD
 
 
 def test_energy_jump_on_a_subgroup_is_immediate():
@@ -503,7 +533,7 @@ def test_extract_bohr_raises_every_escalated_attempt_when_no_count_passes(monkey
     assert trace["lambda"] == [100, 200, 400]
     attempts = trace["attempts"]
     assert len(attempts) == len(pieces) == 1 + structure._ESCALATION_TRIES
-    assert [a["c_local"] for a in attempts] == [params.c_local * 2**i for i in range(len(attempts))]
+    assert [a["c_local"] for a in attempts] == [structure._C_LOCAL * 2**i for i in range(len(attempts))]
     assert all(a["achieved"] == 0 and a["guaranteed"] > 0 for a in attempts)
     assert all(a["sufficiency"] is not None for a in attempts)
     # the failed record is the last attempt's density certificate
@@ -587,10 +617,10 @@ def test_extract_bohr_escalates_to_the_second_radius(monkeypatch):
     attempts = res.diagnostics["attempts"]
     assert len(attempts) == len(pieces) == 2
     assert attempts[0]["achieved"] == 0
-    assert attempts[1]["c_local"] == 2 * params.c_local
+    assert attempts[1]["c_local"] == 2 * structure._C_LOCAL
     # the piece is the regular Bohr set at the doubled radius constant
     lam = [100, 200, 400]
-    rho = 2 * params.c_local * params.zeta / (params.m_star * len(lam))
+    rho = 2 * structure._C_LOCAL * params.zeta / (params.m_star * len(lam))
     assert attempts[1]["rho"] == rho
     spec = find_regular_radius(A.group, lam, rho)
     assert spec.eps != find_regular_radius(A.group, lam, rho / 2).eps
