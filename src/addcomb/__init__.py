@@ -7,10 +7,11 @@ families.  Everything asserted is computed exactly: integer counts, the
 integer Walsh transform on 2-groups, rationals, and Bohr membership on an
 exact integer key.  The DFT on general groups is the one floating-point
 kernel, and every branch or asserted check read off it goes through one
-proven error model: harmonic.transform_error for a transform and
-harmonic.conv_error for a convolution.  Pair counts on general groups are a
-rounded float convolution only where conv_error proves the rounding exact,
-and a direct integer count elsewhere.  Certificates are recounted by
+proven error model, one formula per bound: harmonic.transform_errors for
+transforms (transform_error is its one-column call) and
+harmonic.conv_errors for convolutions.  Pair counts on general groups are
+a rounded float convolution only where conv_errors proves the rounding
+exact, and a direct integer count elsewhere.  Certificates are recounted by
 integers.
 """
 
@@ -50,7 +51,7 @@ from .groups import (
     make_group,
     parse_group_text,
 )
-from .harmonic import FunctionTable, dft, idft, table_from_values, wht_int
+from .harmonic import FunctionTable, dft, wht_int
 from .report import CheckFailure, CheckRecord
 from .setstat import (
     GroupSet,
@@ -141,7 +142,6 @@ __all__ = [
     "full_set",
     "group_set",
     "higher_energy",
-    "idft",
     "intersect",
     "katz_koester_stack",
     "make_bohr_spec",
@@ -165,7 +165,6 @@ __all__ = [
     "span",
     "spectrum",
     "sumset",
-    "table_from_values",
     "triangle_stack",
     "verify_h_lambda",
     "verify_katz_bound",

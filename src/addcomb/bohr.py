@@ -41,14 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import (
-    MAX_MEMBERSHIP_ORDER,
-    GroupMismatchError,
-    GroupSpec,
-    SizeLimitError,
-    _coords_of,
-    neg_index_many,
-)
+from .groups import GroupMismatchError, GroupSpec, _coords_of, neg_index_many
 from .report import CheckRecord, record_ge, record_le, require
 from .setstat import GroupSet, column_blocks
 
@@ -152,8 +145,6 @@ class _ExactCounter:
     """
 
     def __init__(self, g: GroupSpec, gamma: tuple[int, ...], shape: tuple[Fraction, ...]):
-        if g.order > MAX_MEMBERSHIP_ORDER:
-            raise SizeLimitError(f"Bohr materialization capped at order {MAX_MEMBERSHIP_ORDER}")
         self.group = g
         self.shape = shape
         n = g.order
@@ -484,8 +475,6 @@ def _scan(g: GroupSpec, specs: Sequence[BohrSpec]) -> tuple[np.ndarray, np.ndarr
     """|B|, whether B holds the identity, and whether B is symmetric under
     negation, for the Bohr set B of every spec: one phase pass over the
     union of their characters."""
-    if g.order > MAX_MEMBERSHIP_ORDER:
-        raise SizeLimitError(f"Bohr materialization capped at order {MAX_MEMBERSHIP_ORDER}")
     gamma = sorted({t for spec in specs for t in spec.gamma})
     column = {t: j for j, t in enumerate(gamma)}
     width = max((spec.d for spec in specs), default=0)

@@ -13,6 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import fileio, harness
 from .bohr import RegularRadiusError, find_regular_radius, make_bohr_spec, materialize, regularity_test
 from .groups import GroupMismatchError, SizeLimitError, format_group_text, parse_group_text
@@ -72,7 +74,16 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    out_table = dft(fileio.read_table(args.file))
+    table = fileio.read_table(args.file)
+    # past the double range the float transform fails exactly: a value that
+    # does not convert, or an entry that comes out infinite or nan
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out_table = dft(table)
+    except OverflowError:
+        raise harness.ConfigError(f"{args.file}: a value does not fit in a double") from None
+    if out_table.kind == "complex" and not np.isfinite(out_table.values).all():
+        raise harness.ConfigError(f"{args.file}: the transform leaves the double range")
     if args.out:
         fileio.write_function(args.out, out_table)
     else:
@@ -131,11 +142,11 @@ def _cmd_structure(args) -> int:
 def _cmd_example(args) -> int:
     if args.family == "h-lambda":
         source = {"kind": "h-lambda", "n": args.n, "k": args.k, "lambda": getattr(args, "lambda")}
+        if args.seed is not None:  # the source draws its Lambda from it
+            source["seed"] = args.seed
     else:
         source = {"kind": "katz", "p": args.p, "d": args.d}
-    cfg = harness.config_from_dict(
-        {"kind": "example", "name": args.family, "sets": [source], "seed": getattr(args, "seed", None)}
-    )
+    cfg = harness.config_from_dict({"kind": "example", "name": args.family, "sets": [source]})
     report = harness.run_example(cfg)
     if args.set_out:
         with open(args.set_out, "w", encoding="ascii") as fh:

@@ -25,13 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import (
-    GroupMismatchError,
-    GroupSpec,
-    SizeLimitError,
-    format_group_text,
-    parse_group_text,
-)
+from .groups import GroupMismatchError, GroupSpec, format_group_text, parse_group_text
 from .harmonic import FunctionTable
 from .setstat import GroupSet
 
@@ -114,8 +108,6 @@ def parse_set(text: str, *, path="<string>", expect_group: GroupSpec | None = No
         raise FileFormatError(path, 1, "missing group line")
     try:
         g = parse_group_text(lines[head])
-    except SizeLimitError:
-        raise
     except ValueError as exc:
         raise FileFormatError(path, head + 1, str(exc)) from None
     if expect_group is not None and g != expect_group:
@@ -190,8 +182,6 @@ def parse_function(text: str, *, path="<string>") -> FunctionTable:
         raise FileFormatError(path, line_no, f"bad header {head!r}")
     try:
         g = parse_group_text(fields["group"])
-    except SizeLimitError:
-        raise
     except ValueError as exc:
         raise FileFormatError(path, line_no, str(exc)) from None
     kind = fields["kind"]

@@ -23,8 +23,10 @@ MAX_TRANSFORM_ORDER = 1 << 16    # dense transforms on general groups
 Element = tuple
 
 
-class SizeLimitError(ValueError):
-    """Raised when a computation exceeds the desk-scale resource caps."""
+class SizeLimitError(RuntimeError):
+    """Raised when a computation exceeds the desk-scale resource caps.  Not
+    a ValueError, so no handler of bad input swallows it: every entry
+    point exits 3 on it."""
 
 
 class GroupMismatchError(ValueError):

@@ -20,9 +20,11 @@ On 2-groups the transform is the Walsh-Hadamard butterfly, exact on int
 tables; on general groups it is the per-coordinate mixed-radix DFT
 evaluated in complex doubles, and transform_error bounds how far the
 computed values can be from the exact ones.  That bound is the one error
-model of the package: every branch or asserted check read off a float
-transform goes through it, and conv_error, built on it and on the same
-per-axis constants, bounds a convolution taken back through the inverse
+model of the package, written once: transform_errors evaluates it for
+every column of a table and transform_error is its one-column call.
+Every branch or asserted check read off a float transform goes through
+it, and conv_errors, built on it and on the same per-axis constants,
+bounds every convolution of a stack taken back through the inverse
 transform.  Set correlations are counted in setstat.
 
 The butterfly runs in the constant-geometry layout of Pease (1968): each
@@ -42,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,9 +106,6 @@ class FunctionTable:
             return sum_of_squares(mags)
         return sum((mags * mags).tolist())
 
-    def support(self) -> list[int]:
-        return np.flatnonzero(self.values).tolist()
-
 
 def sum_of_squares(values: np.ndarray) -> int:
     """sum v^2 over an array of nonnegative integers, as a Python int: in
@@ -131,19 +130,6 @@ def _int_array(values) -> np.ndarray:
     mags = np.abs(arr).view(np.uint64)
     l1 = (int((mags >> 32).sum()) << 32) + int((mags & 0xFFFFFFFF).sum())
     return arr if l1 < INT64_SAFE else arr.astype(object)
-
-
-def table_from_values(g: GroupSpec, values: Iterable, kind: Kind | None = None) -> FunctionTable:
-    vals = list(values)
-    if kind is None:
-        if all(isinstance(v, (int, np.integer)) for v in vals):
-            kind = "int"
-        elif any(isinstance(v, complex) for v in vals):
-            kind = "complex"
-        else:
-            kind = "real"
-            vals = [float(v) for v in vals]
-    return FunctionTable(g, vals, kind)
 
 
 def indicator(g: GroupSpec, indices: Sequence[int]) -> FunctionTable:
@@ -208,18 +194,6 @@ def dft(f: FunctionTable) -> FunctionTable:
     if g.is_boolean_space and f.kind == "int":
         return FunctionTable(g, wht_int(g, f.values), "int")
     return FunctionTable(g, dft_columns(g, f.values[:, None])[:, 0], "complex")
-
-
-def idft(fhat: FunctionTable) -> FunctionTable:
-    """Inverse transform; exact on integer Walsh-Hadamard data."""
-    g = fhat.group
-    n = g.order
-    if g.is_boolean_space and fhat.kind == "int":
-        back = wht_int(g, fhat.values)
-        if np.any(back % n):
-            raise ValueError("table is not an integer transform on this group")
-        return FunctionTable(g, back // n, "int")
-    return FunctionTable(g, idft_columns(g, fhat.values[:, None])[:, 0], "complex")
 
 
 def dft_columns(g: GroupSpec, table: np.ndarray) -> np.ndarray:
@@ -316,11 +290,12 @@ def transform_error(f: FunctionTable) -> float:
     and a caller's fsum and two square roots comparing 2-norms (5u).  The
     constants are rounded up by far more than evaluating E loses (its float
     2-norm is within N u relatively, under 2^-29 at the size caps).
+    It is the one-column call of transform_errors.
     """
     g = f.group
     if g.is_boolean_space and f.kind == "int":
         return 0.0
-    return _error_scale(g) * _l2(f)
+    return float(transform_errors(g, f.values[:, None])[0])
 
 
 def transform_errors(g: GroupSpec, table: np.ndarray) -> np.ndarray:
@@ -341,14 +316,11 @@ def _relative_error(g: GroupSpec) -> float:
     return rho / (1 - rho)
 
 
-def _l2(f: FunctionTable) -> float:
-    return float(np.linalg.norm(f.values.astype(np.complex128)))
-
-
-def conv_error(g: GroupSpec, a: int, b: int) -> float:
-    """A proven bound on every |z(x) - (f * h)(x)|, where f and h are 0/1
-    indicators of sets of sizes a and b in g, f * h is their exact
-    convolution and z = idft(y_f * y_h) is computed in complex doubles from
+def conv_errors(g: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For every j, as a float64 array, a proven bound on every
+    |z(x) - (f * h)(x)|, where f and h are 0/1 indicators of sets of sizes
+    a = a[j] and b = b[j] in g, f * h is their exact convolution and
+    z = idft_columns(y_f * y_h) is computed in complex doubles from
     float transforms y_f, y_h of f and h within transform_error of the
     exact ones (dft's, or the conjugates of a reflected set's: they carry
     the same bound).  So when it is below 1/2, rounding the real part of z
@@ -374,28 +346,10 @@ def conv_error(g: GroupSpec, a: int, b: int) -> float:
     for rank r, and an entry is bounded by the 2-norm.  The factor
     1 + 2^-20 covers evaluating this in doubles: the few dozen rounded
     operations and square roots on nonnegative terms lose under 2^-40
-    relatively.
-
-    conv_errors evaluates this bound on arrays of sizes, bit for bit; the
-    stacked pair counts of setstat call that form.
+    relatively.  Every step is elementwise (numpy's sqrt is correctly
+    rounded), and the group's constants are evaluated once; the stacked
+    pair counts of setstat decide all their columns in one call.
     """
-    root_n = math.sqrt(g.order)
-    rel = _relative_error(g)
-    e_f = _error_scale(g) * math.sqrt(a)
-    e_h = _error_scale(g) * math.sqrt(b)
-    pi = root_n * min(a * math.sqrt(b), b * math.sqrt(a))
-    d1 = a * e_h + b * e_f + e_f * e_h
-    gamma2 = 2 * _U / (1 - 2 * _U)
-    d = d1 + math.sqrt(2) * gamma2 * (pi + d1)
-    inverse = rel + 2 * g.rank * _U
-    return (d + inverse * (pi + d)) / root_n * (1 + 2.0**-20)
-
-
-def conv_errors(g: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """conv_error(g, a[j], b[j]) for every j, as a float64 array: the same
-    operations in the same order, elementwise (numpy's sqrt, like
-    math.sqrt, is correctly rounded), so every value is bit for bit the
-    scalar's.  The group's constants are evaluated once."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     root_n = math.sqrt(g.order)

@@ -111,28 +111,18 @@ class RunConfig:
     output: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "group": format_group_text(self.group) if self.group else None,
-            "sets": self.sets,
-            "pipeline": self.pipeline,
-            "params": self.params,
-            "suites": list(self.suites),
-            "instances": self.instances,
-            "seed": self.seed,
-            "output": self.output,
-        }
+        """The fields in declaration order, the group as text and the suites as a list."""
+        out = {key: getattr(self, key) for key in _CONFIG_KEYS}
+        out["group"] = format_group_text(self.group) if self.group else None
+        out["suites"] = list(self.suites)
+        return out
 
 
-_CONFIG_KEYS = {
-    "kind", "name", "group", "sets", "pipeline", "params",
-    "suites", "instances", "seed", "output",
-}
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    unknown = set(d) - _CONFIG_KEYS
+    unknown = set(d).difference(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kind = d.get("kind", "verify")

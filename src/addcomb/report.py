@@ -54,28 +54,24 @@ def format_value(value) -> str:
     return str(value)
 
 
-def record_le(name: str, ref: str, lhs, rhs, note: str = "") -> CheckRecord:
-    """Record the claim lhs <= rhs, computing an exact margin when possible."""
-    ok = lhs <= rhs
-    margin = None
+def _margin(num, den) -> float | None:
+    """num / den as a float when den > 0 and both convert to Fractions, else None."""
     try:
-        if lhs > 0:
-            margin = float(Fraction(rhs) / Fraction(lhs))
+        if den > 0:
+            return float(Fraction(num) / Fraction(den))
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        margin = None
-    return CheckRecord(name, ref, format_value(lhs), format_value(rhs), bool(ok), margin, note)
+        pass
+    return None
+
+
+def record_le(name: str, ref: str, lhs, rhs, note: str = "") -> CheckRecord:
+    """Record the claim lhs <= rhs, with the exact margin rhs / lhs when possible."""
+    return CheckRecord(name, ref, format_value(lhs), format_value(rhs), bool(lhs <= rhs), _margin(rhs, lhs), note)
 
 
 def record_ge(name: str, ref: str, lhs, rhs, note: str = "") -> CheckRecord:
-    """Record the claim lhs >= rhs."""
-    ok = lhs >= rhs
-    margin = None
-    try:
-        if rhs > 0:
-            margin = float(Fraction(lhs) / Fraction(rhs))
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        margin = None
-    return CheckRecord(name, ref, format_value(lhs), format_value(rhs), bool(ok), margin, note)
+    """Record the claim lhs >= rhs, with the exact margin lhs / rhs when possible."""
+    return CheckRecord(name, ref, format_value(lhs), format_value(rhs), bool(lhs >= rhs), _margin(lhs, rhs), note)
 
 
 def record_eq(name: str, ref: str, lhs, rhs, note: str = "") -> CheckRecord:

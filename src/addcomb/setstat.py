@@ -74,7 +74,6 @@ from .groups import (
 from .harmonic import (
     FunctionTable,
     conv_errors,
-    dft,
     dft_columns,
     idft_columns,
     indicator,
@@ -145,12 +144,14 @@ class GroupSet:
 
     @cached_property
     def transform(self) -> np.ndarray:
-        """Transform of the indicator: int64 on 2-groups, complex128 elsewhere.
-        A set made by neg() conjugates its source's (see neg)."""
+        """Transform of the indicator: int64 on 2-groups, complex128 elsewhere,
+        the one-column call of _transforms.  A set made by neg() conjugates
+        its source's (see neg) here, since _transforms reads such a set's
+        transform through this property."""
         source = self.__dict__.get("_neg_of")
         if source is not None:
             return read_only(np.conj(source.transform))
-        return read_only(dft(self.indicator()).values)
+        return read_only(_transforms(self.group, [self])[0])
 
     @cached_property
     def autocorr(self) -> np.ndarray:
@@ -269,8 +270,8 @@ def conv_columns(g: GroupSpec, pairs: Sequence[tuple[GroupSet, GroupSet]]) -> np
     column has L1 norm at most sqrt(sum_t |A_hat(t)|^2 sum_t |B_hat(t)|^2)
     = N sqrt(|A| |B|) <= N^2 <= 2^48 (Cauchy-Schwarz, Parseval and the
     membership cap).  Elsewhere, within MAX_TRANSFORM_ORDER, each column
-    whose conv_error(g, |A|, |B|) is below 1/2 (one harmonic.conv_errors
-    call decides them all) is the rounded real part of one inverse DFT of
+    whose harmonic.conv_errors bound at (|A|, |B|) is below 1/2 (one call
+    decides them all) is the rounded real part of one inverse DFT of
     the stacked products; any other column, and every column beyond the
     transform cap, takes the direct loop.  A transform a set has kept is
     read, the others are computed in one stacked pass and not kept (see
@@ -347,9 +348,9 @@ def _indicator_table(g: GroupSpec, sets: Sequence[GroupSet], dtype) -> np.ndarra
 
 
 def _transforms(g: GroupSpec, sets: Sequence[GroupSet]) -> list[np.ndarray]:
-    """The transform of each set, as GroupSet.transform gives it.  One a
-    set has kept is read, or its source's conjugated for a set made by
-    neg().  The others come from one stacked transform of their sources'
+    """The transform of each set; GroupSet.transform is its one-column
+    call.  One a set has kept is read, or its source's conjugated for a
+    set made by neg().  The others come from one stacked transform of their sources'
     indicators, each source once (the integer Walsh transform on 2-groups,
     whose int64 butterflies are exact since an indicator's L1 norm is at
     most N), and are not kept, so a stack's memory stays within its

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -65,6 +66,19 @@ def test_stats_reports_oversized_group(tmp_path, capsys):
     code = main(["stats", str(p)])
     capsys.readouterr()
     assert code == 3
+
+
+def test_verify_group_past_the_cap_is_a_resource_error(capsys):
+    assert main(["verify", "--seed", "1", "--group", "Z33554432"]) == 3
+    assert capsys.readouterr().err.startswith("resource cap:")
+
+
+def test_config_source_group_past_the_cap_is_a_resource_error(tmp_path, capsys):
+    p = tmp_path / "big.json"
+    source = {"kind": "random", "group": "Z33554432", "size": 5}
+    p.write_text(json.dumps({"kind": "structure", "name": "big", "seed": 1, "sets": [source]}))
+    assert main(["verify", "--config", str(p)]) == 3
+    assert capsys.readouterr().err.startswith("resource cap:")
 
 
 def test_stats_bad_file_is_a_config_error(tmp_path, capsys):
@@ -211,6 +225,21 @@ def test_example_writes_set_file(tmp_path, capsys):
     assert code == 0
     A = parse_set(sp.read_text())
     assert len(A) == 40
+
+
+def test_example_h_lambda_seed_reaches_the_source(tmp_path, capsys):
+    def set_bytes(*seed: str) -> bytes:
+        sp = tmp_path / "ex.set"
+        argv = ["example", "h-lambda", "--n", "8", "--k", "3", "--lambda", "5", "--set-out", str(sp), *seed]
+        assert main(argv) == 0
+        return sp.read_bytes()
+
+    one, two, plain = set_bytes("--seed", "1"), set_bytes("--seed", "2"), set_bytes()
+    capsys.readouterr()
+    assert one != two and set_bytes("--seed", "1") == one
+    # no seed: the standard instance, the cosets H + e_(3+j), j < 5, of H = <e_0, e_1, e_2>
+    standard = group_set(boolean_group(8), (x ^ (8 << j) for x in range(8) for j in range(5)))
+    assert plain == dump_set(standard).encode()
 
 
 def test_example_katz(capsys):
@@ -494,9 +523,19 @@ def function_files(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+# finite entries whose float transform leaves the double range: a sum past
+# it, and an integer no double holds; the integer Walsh path keeps the
+# latter exact
+_OVERFLOW_FILES = ("group=Z4 kind=real\n0 1e308\n1 1e308\n", f"group=Z4 kind=int\n0 {10**400}\n")
+_EXACT_BIG_FILE = f"group=F2^2 kind=int\n0 {10**400}\n"
+
+
 @given(function_files())
 @example("group=Z4 kind=real\n1 1/0\n")
 @example("group=Z4 kind=real\n1 nan\n")
+@example(_OVERFLOW_FILES[0])
+@example(_OVERFLOW_FILES[1])
+@example(_EXACT_BIG_FILE)
 @settings(max_examples=150, deadline=None)
 def test_spectrum_exit_codes_on_fuzzed_function_files(text):
     with tempfile.TemporaryDirectory() as tmp:
@@ -504,13 +543,18 @@ def test_spectrum_exit_codes_on_fuzzed_function_files(text):
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["spectrum", path])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
     entries = [line.split(None, 1) for line in text.splitlines()[1:]]
-    if any(len(parts) == 2 and parts[1] in _BAD_VALUES for parts in entries):
+    if any(len(parts) == 2 and parts[1] in _BAD_VALUES for parts in entries) or text in _OVERFLOW_FILES:
         assert code == 2
+    if text == _EXACT_BIG_FILE:
+        assert code == 0
     if code == 0:
         assert out.getvalue().startswith("group=")
     else:

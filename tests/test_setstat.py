@@ -19,7 +19,6 @@ from addcomb.groups import (
     make_group,
     parse_group_text,
 )
-from addcomb.harmonic import dft
 from addcomb.setstat import (
     GroupSet,
     GroupSet,
@@ -629,13 +628,14 @@ def test_conv_counts_falls_back_to_the_direct_loop_when_the_bound_fails():
 
 def test_neg_conjugates_the_transform_so_each_set_transforms_once(monkeypatch):
     g = _Z4096
-    calls = []
+    calls = []  # one entry per column the stacked kernel transforms
+    real = setstat.dft_columns
 
-    def counting_dft(f):
-        calls.append(f)
-        return dft(f)
+    def counting_dft_columns(g, table):
+        calls.extend(range(table.shape[1]))
+        return real(g, table)
 
-    monkeypatch.setattr(setstat, "dft", counting_dft)
+    monkeypatch.setattr(setstat, "dft_columns", counting_dft_columns)
     rng = random.Random(5)
     for first in ("autocorr", "sum_size"):
         calls.clear()

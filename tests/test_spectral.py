@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addcomb.groups import boolean_group, make_group
-from addcomb.harmonic import dft, indicator, magnitudes, table_from_values
+from addcomb.harmonic import FunctionTable, dft, indicator, magnitudes
 from addcomb.setstat import group_set
 from addcomb.spectral import (
     CHANG_AUDIT_CONSTANT,
@@ -117,25 +117,25 @@ def test_spectrum_sorted_heaviest_first_ties_by_index():
 
 def test_spectrum_general_group_includes_borderline():
     g = make_group((12,))
-    f = table_from_values(g, [1] * 3 + [0] * 9, kind="int")
+    f = FunctionTable(g, [1] * 3 + [0] * 9, "int")
     spec = spectrum(f, Fraction(1, 3))
     assert 0 in spec.members
 
 
 def test_spectrum_threshold_validation():
     g = make_group((6,))
-    f = table_from_values(g, [1, 0, 0, 0, 0, 0], kind="int")
+    f = FunctionTable(g, [1, 0, 0, 0, 0, 0], "int")
     with pytest.raises(ValueError):
         spectrum(f, Fraction(3, 2))
     with pytest.raises(ValueError):
-        spectrum(table_from_values(g, [0] * 6, kind="int"), Fraction(1, 2))
+        spectrum(FunctionTable(g, [0] * 6, "int"), Fraction(1, 2))
 
 
 def test_spectrum_membership_against_direct_transform():
     g = make_group((21,))
     rng = random.Random(43)
     values = [rng.randrange(-3, 4) for _ in range(21)]
-    f = table_from_values(g, values, kind="int")
+    f = FunctionTable(g, values, "int")
     eps = Fraction(1, 3)
     spec = spectrum(f, eps)
     from .oracles import dft_direct
