@@ -11,8 +11,8 @@ proven error model, one formula per bound: harmonic.transform_errors for
 transforms (transform_error is its one-column call) and
 harmonic.conv_errors for convolutions.  Pair counts on general groups are
 a rounded float convolution only where conv_errors proves the rounding
-exact, and a direct integer count elsewhere.  Certificates are recounted by
-integers.
+exact and one cost rule prefers a transform, and a direct integer count
+of the pair sums elsewhere.  Certificates are recounted by integers.
 """
 
 from __future__ import annotations

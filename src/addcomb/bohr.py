@@ -422,7 +422,7 @@ def size_bound_stack(g: GroupSpec, instances: Sequence[Sequence[BohrSpec]]) -> l
     _member_rows, over one (characters, elements) table of the phases v_j
     of the union of the block's characters, built in _index_chunks blocks.
     The same test at the negated elements decides symmetry.  A block holds
-    at most _KK_BLOCK_ELEMENTS cells of rows by elements, or one instance
+    at most _BLOCK_ELEMENTS cells of rows by elements, or one instance
     (column_blocks), so memory grows neither with the number of instances
     nor with the group order.
     """

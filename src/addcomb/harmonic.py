@@ -25,7 +25,9 @@ every column of a table and transform_error is its one-column call.
 Every branch or asserted check read off a float transform goes through
 it, and conv_errors, built on it and on the same per-axis constants,
 bounds every convolution of a stack taken back through the inverse
-transform.  Set correlations are counted in setstat.
+transform.  transform_cost estimates a transform's work from the same
+plan facts (which axes may run Bluestein's algorithm), for the cost rule
+by which setstat counts set correlations.
 
 The butterfly runs in the constant-geometry layout of Pease (1968): each
 of its log2 N levels reads the even and the odd entries of one buffer and
@@ -243,14 +245,46 @@ def prime_factors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
+def _may_take_bluestein(n: int, primes: list[int]) -> bool:
+    """Whether pocketfft may run a length-n axis by Bluestein's algorithm."""
+    return n >= _BLUESTEIN_MIN and primes[-1] ** 2 > n
+
+
 @lru_cache(maxsize=None)
 def _axis_error(n: int) -> float:
     """Relative normwise error of a length-n pocketfft transform, over u."""
     primes = prime_factors(n)
     mixed = sum(7.0 if p == 2 else math.sqrt(p) * (p + 3) + 7 for p in primes)
-    if n < _BLUESTEIN_MIN or primes[-1] ** 2 <= n:
+    if not _may_take_bluestein(n, primes):
         return mixed
     return max(mixed, 8 * math.sqrt(n) * (16 * math.log2(4 * n) + 1))
+
+
+@lru_cache(maxsize=None)
+def _axis_cost(n: int) -> float:
+    """Work per entry of a length-n pocketfft transform, in radix-2 levels
+    (log2 n when n is a power of two), by pocketfft's own plan estimate: a
+    prime factor p costs p / 2 levels, 1.1 p / 2 past 5.  An axis that may
+    take Bluestein's algorithm (the test of _axis_error) costs the cheaper
+    of that and Bluestein's, as pocketfft picks the plan: two transforms of
+    the least 11-smooth length M >= 2n - 1, which pocketfft weighs by 1.5."""
+    def levels(primes: list[int]) -> float:
+        return sum(1.0 if p == 2 else p / 2 if p <= 5 else 1.1 * p / 2 for p in primes)
+
+    primes = prime_factors(n)
+    if not _may_take_bluestein(n, primes):
+        return levels(primes)
+    m = 2 * n - 1
+    while max(prime_factors(m)) > 11:
+        m += 1
+    return min(levels(primes), 3 * m / n * levels(prime_factors(m)))
+
+
+def transform_cost(g: GroupSpec) -> float:
+    """Work of one transform of g, in radix-2 levels summed over its
+    entries: N times the sum of the axes' _axis_cost, so N log2 N when
+    every axis is a power of two (the Walsh butterfly of a 2-group too)."""
+    return g.order * sum(_axis_cost(n) for n in g.factors)
 
 
 def transform_error(f: FunctionTable) -> float:

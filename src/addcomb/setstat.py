@@ -11,12 +11,16 @@ A o B likewise.  On 2-groups that is one inverse integer Walsh-Hadamard
 transform of the stacked products of the sets' transforms.  Elsewhere it
 is one inverse DFT of those products, rounded, for every column where
 harmonic.conv_errors proves each entry within 1/2 of its integer (one
-call for the whole stack), and one bincount pass per member of the
-smaller set for any other column.  Either way the counts are exact.
-conv_counts, which the pipelines call, is its one-column call when a
-cost rule prefers a transform to a loop (on 2-groups always; elsewhere
-when the smaller set has more than _FFT_COST * N.bit_length() members and
-N is within MAX_TRANSFORM_ORDER), and the loop otherwise.  corr_counts is
+call for the whole stack), and the pair loop for any other column.  The
+pair loop (_conv_loop) builds the table of a + b over the members of the
+two sets, in blocks of rows of at most _BLOCK_ELEMENTS cells, and counts
+each block with one bincount.  Either way the counts are exact.
+conv_counts, which the pipelines call, takes one of the two by one cost
+rule on every group, 2-groups included: the transform path (its one-column
+conv_columns call) when _PAIR_COST |A| |B| exceeds (1 + u) times
+harmonic.transform_cost(g), u the transforms it would have to compute
+first, and the pair loop otherwise.  transform_cost charges an axis that
+runs Bluestein's algorithm its extra work.  corr_counts is
 conv_counts(-A, B), and sumset is the support of conv_counts.
 
 The checks the verify suites run many times are stacked the same way,
@@ -29,10 +33,10 @@ displacement x from one index table of y - x: A_x, (A+B)_x and B + A_x
 are boolean columns over the group, compared cell by cell.
 B + A_x is one integer Walsh transform pass on 2-groups and one shifted
 copy per member of the B's elsewhere.  A stack is cut in blocks of at
-most _KK_BLOCK_ELEMENTS cells (column_blocks), so its memory grows
-neither with the number of instances nor with the group order, and its
-energies are summed in int64 only under a stated bound, in Python ints
-otherwise.
+most _BLOCK_ELEMENTS cells (column_blocks), as a pair table is, so its
+memory grows neither with the number of instances nor with the group
+order, and its energies are summed in int64 only under a stated bound, in
+Python ints otherwise.
 
 A GroupSet computes the statistics the pipelines read off its
 autocorrelation once, on first use, and keeps them on the instance for
@@ -73,20 +77,21 @@ from .groups import (
 )
 from .harmonic import (
     FunctionTable,
+    _error_scale,
     conv_errors,
     dft_columns,
     idft_columns,
     indicator,
     magnitudes,
     sum_of_squares,
-    transform_error,
+    transform_cost,
     wht_int_columns,
 )
 from .report import CheckRecord, record_eq, record_ge, record_le, require
 
 _PAIR_LOOP_MAX = 1 << 26
-_FFT_COST = 4  # conv_counts transforms once the smaller set passes this times N.bit_length()
-_KK_BLOCK_ELEMENTS = 1 << 18   # cells per stacked block of columns
+_PAIR_COST = 3  # one cell of a pair table, in radix-2 transform levels (conv_counts)
+_BLOCK_ELEMENTS = 1 << 18   # cells per block: columns of a stack, rows of a pair table
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
@@ -162,9 +167,9 @@ class GroupSet:
     @cached_property
     def energy_hist(self) -> tuple[tuple[int, int], ...]:
         """Pairs (c, m): the value c > 0 is taken by A o A at m points."""
-        ac = self.autocorr
-        values, mults = np.unique(ac[ac > 0], return_counts=True)
-        return tuple(zip(values.tolist(), mults.tolist()))
+        mults = np.bincount(self.autocorr)  # values are at most |A|
+        values = np.flatnonzero(mults[1:]) + 1
+        return tuple(zip(values.tolist(), mults[values].tolist()))
 
     @property
     def diff_size(self) -> int:
@@ -229,34 +234,48 @@ def corr_counts(A: GroupSet, B: GroupSet | None = None) -> np.ndarray:
 def conv_counts(A: GroupSet, B: GroupSet) -> np.ndarray:
     """Number of pairs (a, b) with a + b = x, for every x, as int64.
 
-    The one-column call of conv_columns on 2-groups, and elsewhere when the
-    order is at most MAX_TRANSFORM_ORDER and the smaller set has more than
-    _FFT_COST * N.bit_length() members, so that a loop over it would cost
-    more than a transform.  Otherwise it is one bincount pass over the
-    larger set shifted by each member of the smaller.  Both sets keep the
-    transforms computed here: the pipelines count with the same sets many
-    times.
+    Exact on either of two paths, picked by one cost rule on every group.
+    The transform path, the one-column call of conv_columns, costs one
+    inverse transform plus one forward transform of each distinct source
+    set whose transform is not yet kept (A.neg() shares A's), u of them:
+    (1 + u) transform_cost(g) radix-2 levels.  The pair path (_conv_loop)
+    costs one cell per pair, each _PAIR_COST levels.  So the transform is
+    taken when _PAIR_COST |A| |B| > (1 + u) transform_cost(g), and the
+    order is within MAX_TRANSFORM_ORDER or g is a 2-group.  Both sets keep
+    the transforms computed there: the pipelines count with the same sets
+    many times.
+
+    _PAIR_COST = 3 is measured: the time of a pair cell over the time of
+    a radix-2 level, each path timed whole at the rule's crossover with
+    u = 0 and u = 2, on F2^10, F2^13, F2^16, Z1000, Z1024, Z4096, Z4099,
+    Z32768, Z65521, Z65536, Z64xZ64, Z128xZ128 and Z4xZ6xZ8xZ16 (numpy 2.4,
+    2-vCPU x86 VM).  The ratio spread over 1-10 with median 3.  Near the
+    crossover either path costs about the same, so the spread costs little.
     """
     if A.group != B.group:
         raise GroupMismatchError("sets live on different groups")
     g = A.group
-    n = g.order
     if len(A) == 0 or len(B) == 0:
-        return np.zeros(n, dtype=np.int64)
-    if g.is_boolean_space or (
-        min(len(A), len(B)) > _FFT_COST * n.bit_length() and n <= MAX_TRANSFORM_ORDER
-    ):
-        A.transform, B.transform  # computed once, kept on each set
-        return conv_columns(g, [(A, B)])[:, 0]
+        return np.zeros(g.order, dtype=np.int64)
+    if g.is_boolean_space or g.order <= MAX_TRANSFORM_ORDER:
+        sources = {id(s): s for s in (A.__dict__.get("_neg_of", A), B.__dict__.get("_neg_of", B))}
+        todo = sum("transform" not in s.__dict__ for s in sources.values())
+        if _PAIR_COST * len(A) * len(B) > (1 + todo) * transform_cost(g):
+            A.transform, B.transform  # computed once, kept on each set
+            return conv_columns(g, [(A, B)])[:, 0]
     return _conv_loop(A, B)
 
 
 def _conv_loop(A: GroupSet, B: GroupSet) -> np.ndarray:
+    """conv_counts by pairs: the table of a + b over the smaller set's
+    members (rows) and the larger's (columns), in blocks of rows of at most
+    _BLOCK_ELEMENTS cells (column_blocks), each counted by one bincount."""
     g = A.group
     small, big = (A, B) if len(A) <= len(B) else (B, A)
     counts = np.zeros(g.order, dtype=np.int64)
-    for a in small.members:
-        counts += np.bincount(add_index_many(g, big.members, a), minlength=g.order)
+    for rows in column_blocks(len(small), len(big)):
+        sums = add_index_many(g, big.members[None, :], small.members[rows, None])
+        counts += np.bincount(sums.ravel(), minlength=g.order)
     return counts
 
 
@@ -326,10 +345,10 @@ def _pair_columns(
 
 def column_blocks(count: int, order: int, per_item: int = 1) -> Iterator[slice]:
     """Slices of range(count), each a block of items whose stack of
-    per_item columns of order cells apiece holds at most
-    _KK_BLOCK_ELEMENTS cells, one item at least: a stack's memory does not
+    per_item columns (or rows) of order cells apiece holds at most
+    _BLOCK_ELEMENTS cells, one item at least: a stack's memory does not
     grow with the number of items."""
-    step = max(1, _KK_BLOCK_ELEMENTS // (order * per_item))
+    step = max(1, _BLOCK_ELEMENTS // (order * per_item))
     return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
@@ -468,7 +487,9 @@ def peak_coefficient(A: GroupSet) -> Peak:
     mags = magnitudes(A.transform[1:])
     arg = int(np.argmax(mags))
     top = Fraction(mags[arg].item())
-    err = Fraction(transform_error(A.indicator()))
+    # transform_error of A's indicator, whose 2-norm is sqrt(|A|): a sum of
+    # ones is exact and sqrt correctly rounded, so this is its double
+    err = Fraction(0 if A.group.is_boolean_space else _error_scale(A.group) * math.sqrt(len(A)))
     lo = max(top - err, 0) ** 2
     hi = min((top + err) ** 2, len(A) ** 2)
     return Peak(_outward(lo, -math.inf), _outward(hi, math.inf), arg + 1)
@@ -510,7 +531,7 @@ def katz_koester_stack(pairs: Sequence[tuple[GroupSet, GroupSet]]) -> list[Slice
     A + B and A - A of a block of pairs come from one stack of pair
     counts.  The displacements of all the pairs in the block are the
     columns of one table with one row per element y, cut in blocks of at
-    most _KK_BLOCK_ELEMENTS cells: A_x and (A+B)_x are read off as boolean
+    most _BLOCK_ELEMENTS cells: A_x and (A+B)_x are read off as boolean
     columns through the table of y - x, B + A_x comes from _plus_columns,
     and x holds iff no cell is in B + A_x and not in (A+B)_x.
     """
@@ -614,7 +635,7 @@ def triangle_stack(
     (instance, row) pairs: one lexsort, one compare of adjacent rows and one
     bincount.  A row is never packed into one integer: with tuples of length
     2 it lies in G^5, past int64 once N > 2^12.  A block of instances holds
-    at most _KK_BLOCK_ELEMENTS product rows, or one instance (column_blocks).
+    at most _BLOCK_ELEMENTS product rows, or one instance (column_blocks).
     """
     m = len(Ws)
     if not len(Ys) == len(Xs) == len(Zs) == m:

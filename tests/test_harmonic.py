@@ -25,6 +25,7 @@ from addcomb.harmonic import (
     idft_columns,
     indicator,
     sum_of_squares,
+    transform_cost,
     transform_error,
     wht_int,
     wht_int_columns,
@@ -322,3 +323,17 @@ def test_transform_error_is_zero_only_on_the_exact_walsh_path():
     assert transform_error(FunctionTable(g, values, "int")) == 0
     assert transform_error(FunctionTable(g, values, "real")) > 0
     assert transform_error(FunctionTable(make_group((64,)), values, "int")) > 0
+
+
+def test_transform_cost_charges_bluestein_axes():
+    # powers of two cost log2 n levels per entry, the Walsh butterfly too
+    for text in ("F2^12", "Z4096", "Z64xZ64", "F2^3xZ8"):
+        g = parse_group_text(text)
+        assert transform_cost(g) == g.order * math.log2(g.order)
+    # a prime below pocketfft's Bluestein threshold runs its generic pass;
+    # a prime past it runs Bluestein's three transforms of length about 2n,
+    # several times the work of the power of two next to it
+    assert transform_cost(make_group((47,))) == 47 * (1.1 * 47 / 2)
+    for n in (4099, 65521):
+        ratio = transform_cost(make_group((n,))) / (n * math.log2(n))
+        assert 4 < ratio < 9

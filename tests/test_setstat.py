@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -19,8 +21,8 @@ from addcomb.groups import (
     make_group,
     parse_group_text,
 )
+from addcomb.harmonic import _error_scale, magnitudes, transform_cost, transform_error
 from addcomb.setstat import (
-    GroupSet,
     GroupSet,
     conv_columns,
     conv_counts,
@@ -242,6 +244,32 @@ def test_peak_of_subgroup_is_its_square():
     assert peak.arg in (3, 6, 9)
 
 
+@pytest.mark.parametrize("text", ["Z4096", "Z4xZ6xZ8xZ16", "Z65521", "F2^12"])
+def test_peak_error_is_the_indicators_transform_error(text):
+    # peak_coefficient takes the error as scale * sqrt(|A|), without the
+    # N-entry indicator; it is transform_error's double, and the enclosure
+    # is the one that error gives
+    g = parse_group_text(text)
+    rng = random.Random(g.order)
+    for size in (1, 37, g.order // 16):
+        A = group_set(g, rng.sample(range(g.order), size))
+        err = transform_error(A.indicator())
+        assert err == (0 if g.is_boolean_space else _error_scale(g) * math.sqrt(size))
+        peak = peak_coefficient(A)
+        top = Fraction(magnitudes(A.transform)[peak.arg].item())
+        assert peak.lo == setstat._outward(max(top - Fraction(err), 0) ** 2, -math.inf)
+        assert peak.hi == setstat._outward(min((top + Fraction(err)) ** 2, size**2), math.inf)
+
+
+@pytest.mark.parametrize("g", GROUPS, ids=format_group_text)
+def test_energy_hist_counts_each_value_of_the_autocorrelation(g):
+    rng = random.Random(g.order + 3)
+    for A in (_random_set(g, rng), group_set(g, []), full_set(g)):
+        values = corr_direct(A, A)
+        want = sorted((c, values.count(c)) for c in set(values) if c > 0)
+        assert list(A.energy_hist) == want
+
+
 def test_generalized_triangle_subgroup_equality():
     g = boolean_group(4)
     H = list(range(4))
@@ -369,8 +397,8 @@ def _rows_against_oracle(A, B, sums=None, xs_per_block=None):
     None), after checking every row, sizes and verdict, against
     katz_koester_direct.  `sums` replaces A + B on the right-hand side of
     both."""
-    budget = xs_per_block * A.group.order if xs_per_block else setstat._KK_BLOCK_ELEMENTS
-    with mock.patch.object(setstat, "_KK_BLOCK_ELEMENTS", budget):
+    budget = xs_per_block * A.group.order if xs_per_block else setstat._BLOCK_ELEMENTS
+    with mock.patch.object(setstat, "_BLOCK_ELEMENTS", budget):
         if sums is None:
             [rows] = katz_koester_stack([(A, B)])
         else:
@@ -546,16 +574,24 @@ _KERNEL_GROUPS = [boolean_group(n) for n in range(1, 7)] + [
 ]
 
 
-def _threshold(g):
-    """The largest smaller-set size for which conv_counts keeps the direct loop."""
-    return setstat._FFT_COST * g.order.bit_length()
+def _pair_path_size(g, todo):
+    """The largest k for which conv_counts counts two k-member sets by
+    pairs when `todo` transforms of their sources are not yet kept."""
+    budget = (1 + todo) * transform_cost(g)
+    k = math.isqrt(int(budget / setstat._PAIR_COST))
+    while setstat._PAIR_COST * (k + 1) ** 2 <= budget:
+        k += 1
+    while setstat._PAIR_COST * k * k > budget:
+        k -= 1
+    return k
 
 
 def _kernel_set(draw, g):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if g.order > 1024:
-        # the pair oracles are quadratic: sizes around the cost threshold
-        return group_set(g, rng.sample(range(g.order), draw(st.integers(0, 3 * _threshold(g)))))
+        # the pair oracles are quadratic: sizes around the cost rule's
+        # crossovers, with no transform kept (first call) and both kept
+        return group_set(g, rng.sample(range(g.order), draw(st.integers(0, 3 * _pair_path_size(g, 2) // 2))))
     shape = draw(st.sampled_from(["empty", "singleton", "full", "random"]))
     if shape == "empty":
         return group_set(g, [])
@@ -574,26 +610,28 @@ def _kernel_pairs(draw):
 
 
 _Z5XZ20, _Z101, _Z4096, _Z4X6X8X16 = _KERNEL_GROUPS[-4:]
+_Z65521 = make_group((65521,))
 
 
-def _threshold_pair(g, above):
-    """Two spread-out sets whose smaller one sits at the cost threshold, or
-    one member above it."""
-    k = _threshold(g) + above
-    return group_set(g, range(0, g.order, g.order // k)[:k]), group_set(g, range(1, g.order, g.order // (k + 9)))
+def _rule_pair(g, todo, above):
+    """Two spread-out sets of k members each, k the largest size the cost
+    rule counts by pairs with `todo` transforms not kept, plus `above`."""
+    k = _pair_path_size(g, todo) + above
+    step = g.order // k
+    return group_set(g, range(0, g.order, step)[:k]), group_set(g, range(1, g.order, step)[:k])
 
 
 @given(_kernel_pairs())
 @example((group_set(_Z5XZ20, range(64)), group_set(_Z5XZ20, range(36, 100)), 21))
 @example((group_set(_Z5XZ20, range(65)), group_set(_Z5XZ20, range(36, 100)), 21))
 @example((full_set(_Z5XZ20), full_set(_Z5XZ20), 99))
-@example((*_threshold_pair(_Z101, 0), 3))
-@example((*_threshold_pair(_Z101, 1), 3))
+@example((*_rule_pair(_Z101, 2, 0), 3))
+@example((*_rule_pair(_Z101, 2, 1), 3))
 @example((full_set(_Z101), full_set(_Z101), 50))
-@example((*_threshold_pair(_Z4096, 0), 17))
-@example((*_threshold_pair(_Z4096, 1), 17))
-@example((*_threshold_pair(_Z4X6X8X16, 0), 5))
-@example((*_threshold_pair(_Z4X6X8X16, 1), 5))
+@example((*_rule_pair(_Z4096, 2, 0), 17))
+@example((*_rule_pair(_Z4096, 2, 1), 17))
+@example((*_rule_pair(_Z4X6X8X16, 2, 0), 5))
+@example((*_rule_pair(_Z4X6X8X16, 2, 1), 5))
 @settings(max_examples=150, deadline=None)
 def test_pair_counting_kernel_matches_oracles(case):
     A, B, x = case
@@ -606,13 +644,62 @@ def test_pair_counting_kernel_matches_oracles(case):
     assert set(slice_set(A, x).members) == want
 
 
-@pytest.mark.parametrize("g", [_Z101, _Z4096, _Z4X6X8X16], ids=format_group_text)
-def test_conv_counts_transforms_only_above_the_cost_threshold(g):
-    for above, calls in ((0, 0), (1, 1)):
-        A, B = _threshold_pair(g, above)
-        with mock.patch.object(setstat, "idft_columns", wraps=setstat.idft_columns) as spy:
-            assert conv_counts(A, B).tolist() == conv_direct(A, B)
-        assert spy.call_count == calls
+def _transform_spies():
+    """Spies on every transform conv_counts can call: the stacked Walsh
+    transform, the forward DFT and the inverse DFT."""
+    return [mock.patch.object(setstat, name, wraps=getattr(setstat, name))
+            for name in ("wht_int_columns", "dft_columns", "idft_columns")]
+
+
+@pytest.mark.parametrize("g", [boolean_group(10), _Z101, _Z4096, _Z4X6X8X16], ids=format_group_text)
+def test_conv_counts_transforms_only_above_the_cost_rule(g):
+    # with no transform kept, the transform path computes both sets' and
+    # takes one inverse; with both kept, only the inverse
+    for todo in (2, 0):
+        for above in (0, 1):
+            A, B = _rule_pair(g, todo, above)
+            if todo == 0:
+                A.transform, B.transform
+            with contextlib.ExitStack() as stack:
+                wht, dft, idft = (stack.enter_context(spy) for spy in _transform_spies())
+                assert conv_counts(A, B).tolist() == conv_direct(A, B)
+            forward = todo * above
+            if g.is_boolean_space:
+                assert (wht.call_count, dft.call_count, idft.call_count) == (forward + above, 0, 0)
+            else:
+                assert (wht.call_count, dft.call_count, idft.call_count) == (0, forward, above)
+
+
+@pytest.mark.parametrize("size", [64, 256])
+def test_conv_counts_takes_pairs_on_a_bluestein_order(size):
+    # Z65521 is prime: its transforms run Bluestein's algorithm, several
+    # times the work of a power-of-two order, and the cost rule charges it
+    rng = random.Random(size)
+    A, B = (group_set(_Z65521, rng.sample(range(_Z65521.order), size)) for _ in range(2))
+    assert setstat._PAIR_COST * size * size < transform_cost(_Z65521)
+    with contextlib.ExitStack() as stack:
+        spies = [stack.enter_context(spy) for spy in _transform_spies()]
+        assert conv_counts(A, B).tolist() == conv_direct(A, B)
+    assert [spy.call_count for spy in spies] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("g, sizes, block", [
+    (_Z65521, (520, 510), None),
+    (boolean_group(10), (90, 40), 300),
+    (_Z4X6X8X16, (70, 33), 100),
+], ids=["Z65521", "F2^10", "Z4xZ6xZ8xZ16"])
+def test_pair_path_spans_row_blocks(g, sizes, block):
+    # the table of pair sums is cut into row blocks of at most
+    # _BLOCK_ELEMENTS cells (the default on Z65521, a few rows elsewhere)
+    rng = random.Random(sum(sizes))
+    A, B = (group_set(g, rng.sample(range(g.order), k)) for k in sizes)
+    budget = block or setstat._BLOCK_ELEMENTS
+    assert len(A) * len(B) > budget
+    with mock.patch.object(setstat, "_BLOCK_ELEMENTS", budget), contextlib.ExitStack() as stack:
+        spies = [stack.enter_context(spy) for spy in _transform_spies()]
+        assert conv_counts(A, B).tolist() == conv_direct(A, B)
+        assert corr_counts(A, B).tolist() == corr_direct(A, B)
+    assert [spy.call_count for spy in spies] == [0, 0, 0]
 
 
 def test_conv_counts_falls_back_to_the_direct_loop_when_the_bound_fails():
@@ -701,8 +788,8 @@ def _column_stacks(draw, nonempty=False):
 
 
 def _blocks_of(g, per_block):
-    budget = per_block * g.order if per_block else setstat._KK_BLOCK_ELEMENTS
-    return mock.patch.object(setstat, "_KK_BLOCK_ELEMENTS", budget)
+    budget = per_block * g.order if per_block else setstat._BLOCK_ELEMENTS
+    return mock.patch.object(setstat, "_BLOCK_ELEMENTS", budget)
 
 
 def _columns(table):
