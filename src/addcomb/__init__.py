@@ -55,6 +55,7 @@ from .harmonic import FunctionTable, dft, wht_int
 from .report import CheckFailure, CheckRecord
 from .setstat import (
     GroupSet,
+    SetStack,
     corr_counts,
     difference_set,
     doubling_constant,
@@ -117,6 +118,7 @@ __all__ = [
     "PlantedInstance",
     "RegularRadiusError",
     "RegularizationTrace",
+    "SetStack",
     "SizeLimitError",
     "StructureParams",
     "StructureResult",

@@ -7,15 +7,12 @@ generator or suite is requested).  Reports serialize to JSON with timings
 kept out of the body, so identical config + seed gives a byte-identical
 body.
 
-Every suite draws all of a group's instances first and then checks them
-in one stacked call.  For energy-bound, katz-koester and energy-mono the
-instances are the columns of one table, transformed once per block, and
-each instance's records are read off its column (see setstat).  triangle
-counts every instance's tuples as rows of one sorted table
-(setstat.triangle_stack), and bohr-size counts every Bohr set it needs on
-one integer phase pass over the group (bohr.size_bound_stack), emitting
-each instance's records in instance order.  These stacked calls are the
-only entry points of the checks.
+Every suite draws all of a group's instances first, as one
+setstat.SetStack checked once, and checks them in one stacked call, the
+checks' only entry points: energy-bound and katz-koester pair its even
+and odd sets (sets[0::2], sets[1::2]), and triangle takes every fourth
+set as an X or a Z (see setstat).  bohr-size counts every Bohr set it
+needs on one integer phase pass over the group (bohr.size_bound_stack).
 
 The checks draw nothing: each suite draws all the sets of a group in one
 array pass (_draw_subsets), first the size of every set, then the members
@@ -57,6 +54,7 @@ from .harmonic import dft_columns, magnitudes, transform_errors, wht_int_columns
 from .report import CheckFailure, CheckRecord, format_value, record_eq
 from .setstat import (
     GroupSet,
+    SetStack,
     column_blocks,
     energy_difference_bounds,
     group_set,
@@ -257,12 +255,13 @@ def realize_source(
         members = opts.pop("members")
         if not isinstance(members, list):
             raise ConfigError(f"{where}: members must be a list, got {members!r}")
-        try:
-            if members and isinstance(members[0], (list, tuple)):
-                members = [g.index(tuple(m)) for m in members]
-            return group_set(g, members)
-        except TypeError as exc:
-            raise ConfigError(f"{where}: bad members: {exc}") from None
+        tuples = bool(members) and isinstance(members[0], (list, tuple))
+        for m in members:
+            if tuples != isinstance(m, (list, tuple)) or any(type(c) is not int for c in (m if tuples else [m])):
+                raise ConfigError(f"{where}: member {m!r} is not an integer index or a list of integer coordinates")
+        if tuples:
+            members = [g.index(tuple(m)) for m in members]
+        return group_set(g, members)
 
     recipe = None
     try:
@@ -507,49 +506,38 @@ def _draw_below(rng: random.Random, count: int, n: int) -> np.ndarray:
     return kept
 
 
-def _draw_subsets(rng: random.Random, n: int, sizes: np.ndarray) -> list[np.ndarray]:
-    """For each k of sizes, a k-subset of range(n), uniform over all of
-    them, as a strictly sorted int64 array: every set of the stack in one
-    array pass.
+def _draw_subsets(rng: random.Random, g: GroupSpec, sizes: np.ndarray, n: int | None = None) -> SetStack:
+    """For each k of sizes, a k-subset of range(n), n <= |g| (|g| if None),
+    uniform over all of them: the stack of the sets on g, in one array pass.
 
     A set of k <= n / 2 members is drawn; a larger one is the complement
-    of a drawn set of n - k.  Member j of drawn set i is the key
-    i * n + value.  Every set starts as its size in uniform draws
-    (_draw_below); each round sorts the keys once, keeps the distinct ones
-    and draws each set's missing members again, until every set is full.
-    A round looks at the values only through which of them are equal, so
-    the law of each set is invariant under every permutation of range(n):
-    it is uniform.  A draw of m <= n / 2 members takes fewer than 2m values
-    in expectation (each value is new with probability above 1/2), so the
-    cost follows the members, never the number of sets times n, and the
-    keys are all the memory a draw holds; the sorted keys of set i, less
-    i * n, are its members."""
+    of a drawn set of n - k.  Member j of drawn set i is the key i * n +
+    value.  Every set starts as its size in uniform draws (_draw_below);
+    each round sorts the keys once, keeps the distinct ones and draws each
+    set's missing members again, until every set is full.  A round looks
+    at the values only through which of them are equal, so the law of each
+    set is invariant under every permutation of range(n): it is uniform.
+    A draw of m <= n / 2 members takes fewer than 2m values in expectation
+    (each is new with probability above 1/2), so the cost follows the
+    members, never the number of sets times n.  The sorted keys are the
+    stack: key i * n + v is member v of set i."""
+    n = g.order if n is None else n
     sizes = np.asarray(sizes, dtype=np.int64)
     if sizes.size and sizes.max() > n:
         raise ValueError(f"cannot draw {sizes.max()} distinct elements of {n}")
     flip = 2 * sizes > n
-    sizes = np.where(flip, n - sizes, sizes)
+    drawn = np.where(flip, n - sizes, sizes)
     sets = np.arange(len(sizes))
     keys = np.empty(0, dtype=np.int64)
-    missing = sizes
+    missing = drawn
     while missing.any():
         owners = np.repeat(sets, missing)
         keys = np.sort(np.concatenate((keys, owners * n + _draw_below(rng, owners.size, n))))
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        missing = sizes - np.bincount(keys // n, minlength=len(sizes))
-    members = keys - np.repeat(sets, sizes) * n
-    ends = np.cumsum(sizes).tolist()
-    out = [members[end - k : end] for end, k in zip(ends, sizes.tolist())]
-    for i in np.flatnonzero(flip).tolist():
-        out[i] = np.setdiff1d(np.arange(n), out[i], assume_unique=True)
-    return out
-
-
-def _random_sets(rng: random.Random, g: GroupSpec, count: int, lo: int, hi: int) -> list[GroupSet]:
-    """count random subsets of g, sizes uniform in range(lo, hi), drawn
-    sizes first, then the members of every set (_draw_subsets)."""
-    sizes = lo + _draw_below(rng, count, hi - lo)
-    return [GroupSet(g, members) for members in _draw_subsets(rng, g.order, sizes)]
+        missing = drawn - np.bincount(keys // n, minlength=len(sizes))
+    if flip.any():  # a flipped set's keys give way to the other keys of its run of n
+        keys = np.setxor1d(keys, (np.flatnonzero(flip)[:, None] * n + np.arange(n)).ravel(), assume_unique=True)
+    return SetStack(g, keys % n, np.searchsorted(keys, np.arange(len(sizes) + 1) * n))
 
 
 def _draw_table(rng: random.Random, order: int, width: int) -> np.ndarray:
@@ -602,10 +590,9 @@ def _triangle_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z15", "F2^5")):
         # sets 4i..4i+3 are instance i's W, Y, X and Z, 1 to 4 members each
-        sizes = 1 + _draw_below(rng, 4 * cfg.instances, 4)
-        fams = _draw_subsets(rng, g.order, sizes)
-        Ws, Ys = ([fam[:, None] for fam in fams[i::4]] for i in (0, 1))
-        lhs, rhs = triangle_stack(g, Ws, Ys, fams[2::4], fams[3::4])
+        fams = _draw_subsets(rng, g, 1 + _draw_below(rng, 4 * cfg.instances, 4))
+        Ws, Ys = ([m[:, None] for m in S] for S in (fams[0::4], fams[1::4]))
+        lhs, rhs = triangle_stack(Ws, Ys, fams[2::4], fams[3::4])
         failures = int((lhs > rhs).sum())
         worst = min((Fraction(r, l) for l, r in zip(lhs.tolist(), rhs.tolist()) if l), default=None)
         note = f"{cfg.instances} tuple families on {format_group_text(g)}, min margin {worst}"
@@ -617,9 +604,8 @@ def _triangle_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
 def _energy_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z24", "F2^8")):
-        sets = _random_sets(rng, g, 2 * cfg.instances, 2, max(3, g.order // 4))
-        pairs = list(zip(sets[0::2], sets[1::2]))
-        reports = energy_difference_bounds(pairs, [2 + (i % 2) for i in range(cfg.instances)])
+        sets = _draw_subsets(rng, g, 2 + _draw_below(rng, 2 * cfg.instances, max(3, g.order // 4) - 2))
+        reports = energy_difference_bounds(sets[0::2], sets[1::2], [2 + (i % 2) for i in range(cfg.instances)])
         failures = sum(not rep.holds for rep in reports)
         note = f"{cfg.instances} pairs on {format_group_text(g)}, k in 2..3"
         records.append(record_eq("energy floor from differences", "energy:k_floor", failures, 0, note=note))
@@ -635,7 +621,7 @@ def _bohr_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
         # for k in 1..8, and one more character with radius 1/4
         count = max(1, cfg.instances // 5)
         dims = np.array([(1 + i % 2, 1) for i in range(count)]).ravel()
-        chars = [(1 + c).tolist() for c in _draw_subsets(rng, g.order - 1, dims)]
+        chars = [(1 + c).tolist() for c in _draw_subsets(rng, g, dims, g.order - 1)]
         radii = iter((1 + _draw_below(rng, int(dims[0::2].sum()), 8)).tolist())
         instances = [
             (make_bohr_spec(g, gamma, [Fraction(next(radii), 16) for _ in gamma]),
@@ -650,8 +636,8 @@ def _bohr_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
 def _kk_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z30",)):
-        sets = _random_sets(rng, g, 2 * cfg.instances, 2, g.order // 2)
-        rows = katz_koester_stack(list(zip(sets[0::2], sets[1::2])))
+        sets = _draw_subsets(rng, g, 2 + _draw_below(rng, 2 * cfg.instances, g.order // 2 - 2))
+        rows = katz_koester_stack(sets[0::2], sets[1::2])
         failures = sum(int((~r.holds).sum()) for r in rows)
         displacements = sum(len(r.xs) for r in rows)
         note = f"{displacements} displacements over {cfg.instances} pairs on {format_group_text(g)}"
@@ -663,14 +649,14 @@ def _kk_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
 def _energy_mono_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     records = []
     for g in _suite_groups(cfg, ("Z24", "F2^6")):
-        sets = _random_sets(rng, g, cfg.instances, 2, max(3, g.order // 2))
+        sets = _draw_subsets(rng, g, 2 + _draw_below(rng, cfg.instances, max(3, g.order // 2) - 2))
         convex_fail = 0
         cap_fail = 0
-        for A, e in zip(sets, higher_energies(sets, 6)):
+        for size, e in zip(sets.sizes.tolist(), higher_energies(sets, 6)):
             for k in range(3, 6):
                 if e[k - 1] * e[k + 1] < e[k] ** 2:
                     convex_fail += 1
-                if e[k + 1] > len(A) * e[k]:
+                if e[k + 1] > size * e[k]:
                     cap_fail += 1
         note = f"{cfg.instances} sets on {format_group_text(g)}, orders 2..6"
         records.append(record_eq("energy log-convexity", "energy:log_convex", convex_fail, 0, note=note))

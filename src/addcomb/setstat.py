@@ -5,38 +5,30 @@ constants exact fractions, so every inequality asserted here is decided
 exactly.  A set is its strictly sorted, read-only int64 array of element
 indices, counted as it is; writers turn it into Python ints at the edge.
 
-Pair counts are stacked: conv_columns counts many pairs (A, B) at once,
-one pair per column of an (N, k) table, and corr_columns the correlations
-A o B likewise.  On 2-groups that is one inverse integer Walsh-Hadamard
-transform of the stacked products of the sets' transforms.  Elsewhere it
-is one inverse DFT of those products, rounded, for every column where
-harmonic.conv_errors proves each entry within 1/2 of its integer (one
-call for the whole stack), and the pair loop for any other column.  The
-pair loop (_conv_loop) builds the table of a + b over the members of the
-two sets, in blocks of rows of at most _BLOCK_ELEMENTS cells, and counts
-each block with one bincount.  Either way the counts are exact.
-conv_counts, which the pipelines call, takes one of the two by one cost
-rule on every group, 2-groups included: the transform path (its one-column
-conv_columns call) when _PAIR_COST |A| |B| exceeds (1 + u) times
-harmonic.transform_cost(g), u the transforms it would have to compute
-first, and the pair loop otherwise.  transform_cost charges an axis that
-runs Bluestein's algorithm its extra work.  corr_counts is
-conv_counts(-A, B), and sumset is the support of conv_counts.
-
-The checks the verify suites run many times are stacked the same way,
-and the stack is each check's one entry point, a single instance being
-a stack of one: sumsets, energy_difference_bounds, higher_energies,
-katz_koester_stack, and triangle_stack, which counts distinct tuples as
-the rows of one int64 table, sorted once per block of instances.  The
-Katz-Koester check counts A + B once per pair and reads every
-displacement x from one index table of y - x: A_x, (A+B)_x and B + A_x
-are boolean columns over the group, compared cell by cell.
-B + A_x is one integer Walsh transform pass on 2-groups and one shifted
-copy per member of the B's elsewhere.  A stack is cut in blocks of at
-most _BLOCK_ELEMENTS cells (column_blocks), as a pair table is, so its
+A family of sets is one SetStack: k sets of one group in one int64
+array, set j being members[starts[j]:starts[j + 1]] (a GroupSet is a
+stack of one, and its stack() is a view).  The checks the verify suites
+run take stacks, one instance being a stack of one: sumsets,
+energy_difference_bounds, higher_energies, katz_koester_stack and
+triangle_stack (whose W and Y tuple families are sorted once into the
+rows of one int64 table).  Their pair counts are the columns of one
+(N, k) table, conv_columns or corr_columns of two stacks, on one
+transform of each distinct set.  _columns turns the products of the
+transforms into exact counts: one inverse integer Walsh-Hadamard
+transform on 2-groups, and elsewhere one inverse DFT, rounded, for every
+column where harmonic.conv_errors proves each entry within 1/2 of its
+integer, and the pair loop (_conv_loop: the table of a + b in blocks of
+rows, one bincount each) for any other column.  Stacks and pair tables
+are cut in blocks of at most _BLOCK_ELEMENTS cells (column_blocks), so
 memory grows neither with the number of instances nor with the group
-order, and its energies are summed in int64 only under a stated bound, in
-Python ints otherwise.
+order, and energies are summed in int64 only under a stated bound.
+
+conv_counts, which the pipelines call, takes the transform path
+(_columns of the two sets' kept transforms) when _PAIR_COST |A| |B|
+exceeds (1 + u) harmonic.transform_cost(g), u the transforms it would
+compute first (Bluestein axes charged their extra work), on every group,
+and the pair loop otherwise.  corr_counts is conv_counts(-A, B), and
+sumset is the support of conv_counts.
 
 A GroupSet computes the statistics the pipelines read off its
 autocorrelation once, on first use, and keeps them on the instance for
@@ -50,10 +42,8 @@ enclosure [lo, hi] of |A_hat|^2 from harmonic.transform_error (lo == hi on
 2-groups, where the transform is exact).  A.neg() reads its
 autocorrelation and its transform off A, since (-A) o (-A) = A o A and
 -A's transform is the conjugate of A's, so a set and its negation share
-one transform.  The stacked kernels build no -A at all: corr_columns
-multiplies conj(A_hat) by B_hat, the product A.neg() would give, and
-builds A.neg() only for a column that takes the direct loop.  The cached
-arrays are read-only; there is no cache outside the set.
+one transform (the stacked kernels build no -A, see _columns).  The
+cached arrays are read-only; there is no cache outside the set.
 """
 
 from __future__ import annotations
@@ -122,15 +112,9 @@ class GroupSet:
     members: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            a = np.asarray(self.members, dtype=np.int64)
-        except OverflowError:
-            a = np.array([-1])  # out of range
-        if a.ndim != 1 or a.size and (a[0] < 0 or a[-1] >= self.group.order or np.count_nonzero(a[1:] <= a[:-1])):
-            raise GroupMismatchError("members must be strictly sorted element indices in range")
-        a = a.view(_Members)
-        a.setflags(write=False)
-        object.__setattr__(self, "members", a)
+        members = np.asarray(self.members)  # checked as a stack of one
+        members = SetStack(self.group, members, np.array([0, members.size])).members
+        object.__setattr__(self, "members", read_only(members.view(_Members)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupSet):
@@ -149,14 +133,15 @@ class GroupSet:
 
     @cached_property
     def transform(self) -> np.ndarray:
-        """Transform of the indicator: int64 on 2-groups, complex128 elsewhere,
-        the one-column call of _transforms.  A set made by neg() conjugates
-        its source's (see neg) here, since _transforms reads such a set's
-        transform through this property."""
+        """Transform of the indicator: int64 on 2-groups, complex128 elsewhere.
+        A set made by neg() conjugates its source's (see neg)."""
         source = self.__dict__.get("_neg_of")
         if source is not None:
             return read_only(np.conj(source.transform))
-        return read_only(_transforms(self.group, [self])[0])
+        hats = _hats(self.stack())
+        if hats is None:
+            raise SizeLimitError(f"dense transform beyond order {MAX_TRANSFORM_ORDER}")
+        return read_only(hats[0])
 
     @cached_property
     def autocorr(self) -> np.ndarray:
@@ -191,6 +176,10 @@ class GroupSet:
     def indicator(self) -> FunctionTable:
         return indicator(self.group, self.members)
 
+    def stack(self) -> "SetStack":
+        """The stack of this one set, a view of its members."""
+        return SetStack._view(self.group, np.asarray(self.members), np.array([0, len(self)]))
+
     def translate(self, x: int) -> "GroupSet":
         return GroupSet(self.group, np.sort(add_index_many(self.group, self.members, x)))
 
@@ -209,6 +198,65 @@ class GroupSet:
         out = GroupSet(g, np.sort(neg_index_many(g, self.members)))
         object.__setattr__(out, "_neg_of", self)
         return out
+
+
+class SetStack:
+    """k subsets of one group in one array, checked once (a GroupSet is
+    checked as a stack of one): set j = stack[j] is the strictly sorted run
+    members[starts[j]:starts[j + 1]] of the read-only int64 members, and a
+    slice of the stack picks a stack of sets."""
+
+    def __init__(self, group: GroupSpec, members, starts) -> None:
+        a, starts = np.asarray(members), np.asarray(starts)
+        ends = starts.tolist() if starts.ndim == 1 and starts.dtype.kind in "iu" else []
+        ok = (a.ndim == 1 and (not a.size or a.dtype.kind in "iu") and ends[:1] == [0] and ends[-1] == a.size
+              and all(lo <= hi for lo, hi in zip(ends, ends[1:])))
+        if ok:  # an integer dtype (any when empty), starts rising from 0 to len(members)
+            a = a.astype(np.int64, copy=False)
+            falls = a[1:] <= a[:-1]
+            if starts.size > 2:  # a set's first member may lie below the set before's last
+                firsts = starts[1:-1]
+                falls[firsts[(0 < firsts) & (firsts < a.size)] - 1] = False
+            # in uint64 a negative member, or a uint64 one past int64, reads as 2^63 or more
+            ok = not (np.count_nonzero(falls) or np.count_nonzero(a.view(np.uint64) >= group.order))
+        if not ok:
+            raise GroupMismatchError("set members must be strictly sorted integer element indices in range")
+        self.group, self.members = group, read_only(a.view())
+        self.starts = read_only(starts.astype(np.int64))
+
+    @classmethod
+    def _view(cls, g: GroupSpec, members: np.ndarray, starts: np.ndarray) -> "SetStack":
+        """A stack of members already checked, not checked again."""
+        out = cls.__new__(cls)
+        out.group, out.members, out.starts = g, read_only(members), read_only(starts)
+        return out
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return read_only(np.diff(self.starts))
+
+    def __getitem__(self, key: int | slice):
+        if not isinstance(key, slice):
+            j = range(len(self))[key]
+            return self.members[self.starts[j] : self.starts[j + 1]]
+        picks = np.arange(len(self))[key]
+        sizes = self.sizes[picks]
+        starts = _starts(sizes)
+        at = np.arange(starts[-1]) + np.repeat(self.starts[picks] - starts[:-1], sizes)
+        return SetStack._view(self.group, self.members[at], starts)
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
+def _join(g: GroupSpec, stacks: Sequence[SetStack]) -> SetStack:
+    """The sets of every stack, in order, as one stack on g."""
+    members = np.concatenate([S.members for S in stacks]) if stacks else np.empty(0, dtype=np.int64)
+    return SetStack._view(g, members, _starts(np.concatenate([S.sizes for S in stacks] or [[]])))
 
 
 def group_set(g: GroupSpec, members: Iterable[int]) -> GroupSet:
@@ -235,7 +283,7 @@ def conv_counts(A: GroupSet, B: GroupSet) -> np.ndarray:
     """Number of pairs (a, b) with a + b = x, for every x, as int64.
 
     Exact on either of two paths, picked by one cost rule on every group.
-    The transform path, the one-column call of conv_columns, costs one
+    The transform path, _columns of the two sets' transforms, costs one
     inverse transform plus one forward transform of each distinct source
     set whose transform is not yet kept (A.neg() shares A's), u of them:
     (1 + u) transform_cost(g) radix-2 levels.  The pair path (_conv_loop)
@@ -261,86 +309,84 @@ def conv_counts(A: GroupSet, B: GroupSet) -> np.ndarray:
         sources = {id(s): s for s in (A.__dict__.get("_neg_of", A), B.__dict__.get("_neg_of", B))}
         todo = sum("transform" not in s.__dict__ for s in sources.values())
         if _PAIR_COST * len(A) * len(B) > (1 + todo) * transform_cost(g):
-            A.transform, B.transform  # computed once, kept on each set
-            return conv_columns(g, [(A, B)])[:, 0]
-    return _conv_loop(A, B)
+            pool = SetStack._view(g, np.concatenate((A.members, B.members)), np.array([0, len(A), len(A) + len(B)]))
+            hats = (A.transform, B.transform)  # computed once, kept on each set
+            return _columns(pool, hats, np.array([0]), np.array([1]), np.array([False]))[:, 0]
+    return _conv_loop(g, A.members, B.members)
 
 
-def _conv_loop(A: GroupSet, B: GroupSet) -> np.ndarray:
-    """conv_counts by pairs: the table of a + b over the smaller set's
-    members (rows) and the larger's (columns), in blocks of rows of at most
-    _BLOCK_ELEMENTS cells (column_blocks), each counted by one bincount."""
-    g = A.group
-    small, big = (A, B) if len(A) <= len(B) else (B, A)
+def _conv_loop(g: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """conv_counts by pairs of members of a and b: the table of a + b over
+    the smaller array (rows) and the larger (columns), in blocks of rows of
+    at most _BLOCK_ELEMENTS cells (column_blocks), each counted by one
+    bincount."""
+    small, big = (a, b) if len(a) <= len(b) else (b, a)
     counts = np.zeros(g.order, dtype=np.int64)
     for rows in column_blocks(len(small), len(big)):
-        sums = add_index_many(g, big.members[None, :], small.members[rows, None])
+        sums = add_index_many(g, big[None, :], small[rows, None])
         counts += np.bincount(sums.ravel(), minlength=g.order)
     return counts
 
 
-def conv_columns(g: GroupSpec, pairs: Sequence[tuple[GroupSet, GroupSet]]) -> np.ndarray:
-    """conv_counts of every pair (A, B) on g, as the columns of one (N, k)
-    int64 table; the caller keeps k * N within a block (column_blocks).
-
-    Each column is decided exactly.  On 2-groups all of them come from one
-    integer Walsh transform of the stacked products of the sets'
-    transforms, divided by N.  Its int64 butterflies are exact: a product
-    column has L1 norm at most sqrt(sum_t |A_hat(t)|^2 sum_t |B_hat(t)|^2)
-    = N sqrt(|A| |B|) <= N^2 <= 2^48 (Cauchy-Schwarz, Parseval and the
-    membership cap).  Elsewhere, within MAX_TRANSFORM_ORDER, each column
-    whose harmonic.conv_errors bound at (|A|, |B|) is below 1/2 (one call
-    decides them all) is the rounded real part of one inverse DFT of
-    the stacked products; any other column, and every column beyond the
-    transform cap, takes the direct loop.  A transform a set has kept is
-    read, the others are computed in one stacked pass and not kept (see
-    _transforms).
-    """
-    return _pair_columns(g, pairs, [False] * len(pairs))
-
-
-def corr_columns(g: GroupSpec, pairs: Sequence[tuple[GroupSet, GroupSet]]) -> np.ndarray:
-    """corr_counts of every pair (A, B) on g, (A o B)(x) = #{b - a = x}, as
-    the columns of one (N, k) int64 table: conv_columns of the pairs
-    (-A, B), with the products conj(A_hat) * B_hat, which is the transform
-    A.neg() carries (see GroupSet.neg), so no -A is built unless its column
-    takes the direct loop.  The conjugate carries A's error bound, so the
-    columns are decided as in conv_columns."""
-    return _pair_columns(g, pairs, [True] * len(pairs))
-
-
-def _pair_columns(
-    g: GroupSpec, pairs: Sequence[tuple[GroupSet, GroupSet]], reflect: Sequence[bool]
-) -> np.ndarray:
-    """The columns of conv_columns, each pair j with reflect[j] taken as in
-    corr_columns: one stack for the kernels that need both kinds."""
-    n = g.order
-    if any(A.group != g or B.group != g for A, B in pairs):
-        raise GroupMismatchError("sets live on different groups")
-    live = [j for j, (A, B) in enumerate(pairs) if len(A) and len(B)]
-    if g.is_boolean_space:
-        fast = live
-    elif n <= MAX_TRANSFORM_ORDER and live:
-        sizes = np.array([(len(pairs[j][0]), len(pairs[j][1])) for j in live])
-        fast = np.array(live)[conv_errors(g, sizes[:, 0], sizes[:, 1]) < 0.5].tolist()
-    else:
-        fast = []
-    out = _stack(n, len(pairs), np.int64)
+def _columns(pool: SetStack, hats: np.ndarray | None, left: np.ndarray, right: np.ndarray,
+             reflect: np.ndarray) -> np.ndarray:
+    """Exact pair counts as one (N, k) int64 table: column j counts a + b = x
+    over a in set left[j] of pool (negated where reflect[j]) and b in set
+    right[j].  hats[i] is the transform of the pool's set i (_hats); column j
+    multiplies A_hat (conj(A_hat), -A's transform, with A's error bound,
+    where reflected) by B_hat.  On 2-groups a column is one integer Walsh
+    transform of its products, divided by N, exact in int64: a product
+    column has L1 norm at most sqrt(sum |A_hat|^2 sum |B_hat|^2) =
+    N sqrt(|A| |B|) <= N^2 <= 2^48 (Cauchy-Schwarz, Parseval, the
+    membership cap).  Elsewhere a column whose conv_errors bound is below
+    1/2 (one call for all) is the rounded inverse DFT of its products, and
+    any other, or every one when hats is None, counts by pairs
+    (_conv_loop), the only place -A is built."""
+    g, n = pool.group, pool.group.order
+    a, b = pool.sizes[left], pool.sizes[right]
+    out = _table(n, len(left), np.int64)
+    live = np.flatnonzero((a > 0) & (b > 0))
+    exact = (hats is not None) & (g.is_boolean_space | (conv_errors(g, a[live], b[live]) < 0.5))
+    fast, slow = live[exact].tolist(), live[~exact].tolist()
     if fast:
-        hats = _transforms(g, [X for j in fast for X in pairs[j]])
-        products = _stack(n, len(fast), hats[0].dtype, np.empty)
-        for i in range(len(fast)):
-            # -A = A on 2-groups, whose integer transforms are real
-            first = np.conj(hats[2 * i]) if reflect[fast[i]] and not g.is_boolean_space else hats[2 * i]
-            np.multiply(first, hats[2 * i + 1], out=products[:, i])
-        if g.is_boolean_space:
-            out[:, fast] = wht_int_columns(g, products) // n
-        else:
-            out[:, fast] = np.rint(idft_columns(g, products).real)
-    for j in sorted(set(live) - set(fast)):
-        A, B = pairs[j]
-        out[:, j] = _conv_loop(A.neg() if reflect[j] else A, B)
+        products = _table(n, len(fast), hats[0].dtype)
+        for i, j in enumerate(fast):  # -A = A on 2-groups
+            first = np.conj(hats[left[j]]) if reflect[j] and not g.is_boolean_space else hats[left[j]]
+            np.multiply(first, hats[right[j]], out=products[:, i])
+        out[:, fast] = (wht_int_columns(g, products) // n if g.is_boolean_space
+                        else np.rint(idft_columns(g, products).real))
+    for j in slow:
+        A = pool[left[j]]
+        out[:, j] = _conv_loop(g, neg_index_many(g, A) if reflect[j] else A, pool[right[j]])
     return out
+
+
+def _pair_columns(As: SetStack, Bs: SetStack, reflect: bool) -> np.ndarray:
+    g = _pair_group(As, Bs)
+    j = np.arange(len(As))
+    pool, right = (As, j) if As is Bs else (_join(g, [As, Bs]), j + len(As))
+    return _columns(pool, _hats(pool), j, right, np.full(len(As), reflect))
+
+
+def conv_columns(As: SetStack, Bs: SetStack) -> np.ndarray:
+    """conv_counts of every pair (As[j], Bs[j]) as the columns of one (N, k)
+    int64 table (_columns), on one stacked transform of the sets (of As
+    alone when Bs is As); the caller keeps k * N within a block."""
+    return _pair_columns(As, Bs, False)
+
+
+def corr_columns(As: SetStack, Bs: SetStack) -> np.ndarray:
+    """corr_counts of every pair, (A o B)(x) = #{b - a = x}: conv_columns
+    of the pairs (-A, B), with no -A built (see _columns)."""
+    return _pair_columns(As, Bs, True)
+
+
+def _pair_group(As: SetStack, Bs: SetStack) -> GroupSpec:
+    if As.group != Bs.group:
+        raise GroupMismatchError("sets live on different groups")
+    if len(As) != len(Bs):
+        raise ValueError("need one B per A")
+    return As.group
 
 
 def column_blocks(count: int, order: int, per_item: int = 1) -> Iterator[slice]:
@@ -352,65 +398,41 @@ def column_blocks(count: int, order: int, per_item: int = 1) -> Iterator[slice]:
     return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
-def _stack(n: int, k: int, dtype, fill=np.zeros) -> np.ndarray:
-    """An (n, k) table of fill((k, n)) whose columns are contiguous in
-    memory, so each column is written, transformed and read as one run."""
-    return fill((k, n), dtype=dtype).T
+def _table(n: int, k: int, dtype) -> np.ndarray:
+    """An (n, k) table of zeros whose columns are contiguous in memory, so
+    each column is written, transformed and read as one run."""
+    return np.zeros((k, n), dtype=dtype).T
 
 
-def _indicator_table(g: GroupSpec, sets: Sequence[GroupSet], dtype) -> np.ndarray:
-    """The indicators of sets as the columns of one (N, k) table."""
-    table = _stack(g.order, len(sets), dtype)
-    rows = np.concatenate([X.members for X in sets])
-    table[rows, np.repeat(np.arange(len(sets)), [len(X) for X in sets])] = 1
+def _indicator_table(S: SetStack, dtype) -> np.ndarray:
+    """The indicators of S's sets as the columns of one (N, k) table."""
+    table = _table(S.group.order, len(S), dtype)
+    table[S.members, np.repeat(np.arange(len(S)), S.sizes)] = 1
     return table
 
 
-def _transforms(g: GroupSpec, sets: Sequence[GroupSet]) -> list[np.ndarray]:
-    """The transform of each set; GroupSet.transform is its one-column
-    call.  One a set has kept is read, or its source's conjugated for a
-    set made by neg().  The others come from one stacked transform of their sources'
-    indicators, each source once (the integer Walsh transform on 2-groups,
-    whose int64 butterflies are exact since an indicator's L1 norm is at
-    most N), and are not kept, so a stack's memory stays within its
-    block."""
-    out: list[np.ndarray | None] = [None] * len(sets)
-    todo: dict[int, tuple[GroupSet, list[int]]] = {}
-    for j, X in enumerate(sets):
-        source = X.__dict__.get("_neg_of", X)
-        if "transform" in source.__dict__:
-            out[j] = X.transform
-        else:
-            todo.setdefault(id(source), (source, []))[1].append(j)
-    if todo:
-        table = _indicator_table(g, [source for source, _ in todo.values()], np.int64)
-        hats = wht_int_columns(g, table) if g.is_boolean_space else dft_columns(g, table)
-        for hat, (source, columns) in zip(hats.T, todo.values()):
-            for j in columns:
-                out[j] = hat if sets[j] is source else np.conj(hat)
-    return out
+def _hats(S: SetStack) -> np.ndarray | None:
+    """The transforms of S's sets as the rows of one (k, N) table: integer
+    Walsh on 2-groups (exact: an indicator's L1 norm is at most N), DFT
+    elsewhere, None past MAX_TRANSFORM_ORDER."""
+    g = S.group
+    if not (g.is_boolean_space or g.order <= MAX_TRANSFORM_ORDER):
+        return None
+    table = _indicator_table(S, np.int64)
+    return (wht_int_columns(g, table) if g.is_boolean_space else dft_columns(g, table)).T
 
 
-def _supports(g: GroupSpec, counts: np.ndarray) -> list[GroupSet]:
-    return [GroupSet(g, np.flatnonzero(col)) for col in counts.T]
+def _support_stack(g: GroupSpec, counts: np.ndarray) -> SetStack:
+    """The supports of the columns of a table of counts, as a stack."""
+    owners, members = np.nonzero(counts.T)
+    return SetStack._view(g, members, _starts(np.bincount(owners, minlength=counts.shape[1])))
 
 
-def _stack_group(sets: Iterable[GroupSet]) -> GroupSpec:
-    groups = {X.group for X in sets}
-    if len(groups) != 1:
-        raise GroupMismatchError("sets live on different groups")
-    return groups.pop()
-
-
-def sumsets(pairs: Sequence[tuple[GroupSet, GroupSet]]) -> list[GroupSet]:
-    """A + B for every pair (A, B): the supports of stacked pair counts."""
-    if not pairs:
-        return []
-    g = _stack_group(X for pair in pairs for X in pair)
-    out: list[GroupSet] = []
-    for block in column_blocks(len(pairs), g.order):
-        out.extend(_supports(g, conv_columns(g, pairs[block])))
-    return out
+def sumsets(As: SetStack, Bs: SetStack) -> SetStack:
+    """A + B for every pair (As[j], Bs[j]): the supports of stacked pair counts."""
+    g = _pair_group(As, Bs)
+    return _join(g, [_support_stack(g, conv_columns(A := As[block], A if Bs is As else Bs[block]))
+                     for block in column_blocks(len(As), g.order)])
 
 
 def _power_sums(counts: np.ndarray, top: int) -> list[list[int]]:
@@ -524,38 +546,33 @@ class SliceInclusion:
     holds: np.ndarray
 
 
-def katz_koester_stack(pairs: Sequence[tuple[GroupSet, GroupSet]]) -> list[SliceInclusion]:
-    """B + A_x inside (A+B)_x for every pair (A, B) and every x of A - A,
-    each row decided cell by cell over the group.
+def katz_koester_stack(As: SetStack, Bs: SetStack) -> list[SliceInclusion]:
+    """B + A_x inside (A+B)_x for every pair (A, B) = (As[j], Bs[j]) and
+    every x of A - A, each row decided cell by cell over the group.
 
-    A + B and A - A of a block of pairs come from one stack of pair
-    counts.  The displacements of all the pairs in the block are the
-    columns of one table with one row per element y, cut in blocks of at
-    most _BLOCK_ELEMENTS cells: A_x and (A+B)_x are read off as boolean
-    columns through the table of y - x, B + A_x comes from _plus_columns,
-    and x holds iff no cell is in B + A_x and not in (A+B)_x.
+    A - A and A + B of a block of pairs are one stack of pair counts on one
+    transform of its sets.  All its displacements are the columns of one
+    table over the elements y, in blocks of at most _BLOCK_ELEMENTS cells:
+    A_x and (A+B)_x are boolean columns read through y - x, B + A_x comes
+    from _plus_columns, and x holds iff B + A_x lies in (A+B)_x.
     """
-    if not pairs:
-        return []
-    g = _stack_group(X for pair in pairs for X in pair)
+    g = _pair_group(As, Bs)
     ys = np.arange(g.order, dtype=np.int64)[:, None]
     out: list[SliceInclusion] = []
-    for block in column_blocks(len(pairs), g.order):
-        As = [A for A, _ in pairs[block]]
-        Bs = [B for _, B in pairs[block]]
-        disp = [np.flatnonzero(col) for col in corr_columns(g, [(A, A) for A in As]).T]
-        a_masks = _indicator_table(g, As, bool)
-        s_masks = _indicator_table(g, sumsets(pairs[block]), bool)
+    for block in column_blocks(len(As), g.order):
+        A, B = As[block], Bs[block]
+        c = len(A)
+        pool = _join(g, [A, B])
+        hats = _hats(pool)
+        j = np.arange(c)
+        counts = _columns(pool, hats, np.r_[j, j], np.r_[j, j + c], np.arange(2 * c) < c)
+        owners, all_xs = np.nonzero(counts[:, :c].T)  # A - A, pair after pair
+        a_masks = _indicator_table(A, bool)
+        s_masks = counts[:, c:] != 0  # A + B
         a_flat, s_flat = a_masks.T.ravel(), s_masks.T.ravel()  # pair p's column at p * N
-        if g.is_boolean_space:
-            b_side = np.array(_transforms(g, Bs)).T
-        else:
-            b_side = _indicator_table(g, Bs, bool)
-        owners = np.repeat(np.arange(len(As)), [d.size for d in disp])
-        all_xs = np.concatenate(disp)
-        left = np.empty(len(all_xs), dtype=np.int64)
-        right = np.empty(len(all_xs), dtype=np.int64)
-        holds = np.empty(len(all_xs), dtype=bool)
+        b_side = hats[c:].copy().T if g.is_boolean_space else _indicator_table(B, bool)
+        del counts, hats  # not held through the displacement blocks
+        left, right, holds = (np.empty(len(all_xs), dtype=t) for t in (np.int64, np.int64, bool))
         for cols in column_blocks(len(all_xs), g.order):
             own = owners[cols]
             shifted = sub_index_many(g, ys, all_xs[cols])
@@ -566,11 +583,8 @@ def katz_koester_stack(pairs: Sequence[tuple[GroupSet, GroupSet]]) -> list[Slice
             left[cols] = left_cols.sum(axis=0)
             right[cols] = s_cols.sum(axis=0)
             holds[cols] = ~(left_cols & ~s_cols).any(axis=0)
-        cuts = np.cumsum([d.size for d in disp])[:-1]
-        out.extend(
-            SliceInclusion(xs=d, left=lf, right=rt, holds=hd)
-            for d, lf, rt, hd in zip(disp, np.split(left, cuts), np.split(right, cuts), np.split(holds, cuts))
-        )
+        cuts = np.cumsum(np.bincount(owners, minlength=c))[:-1]
+        out.extend(SliceInclusion(*rows) for rows in zip(*(np.split(v, cuts) for v in (all_xs, left, right, holds))))
     return out
 
 
@@ -614,22 +628,21 @@ def _plus_columns(g: GroupSpec, b_side: np.ndarray, cols: np.ndarray, owners: np
 
 
 def triangle_stack(
-    g: GroupSpec,
     Ws: Sequence[np.ndarray | Sequence[Sequence[int]]],
     Ys: Sequence[np.ndarray | Sequence[Sequence[int]]],
-    Xs: Sequence[Sequence[int]],
-    Zs: Sequence[Sequence[int]],
+    Xs: SetStack,
+    Zs: SetStack,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two sides of |W||X| |Y - diag(Z)| <= |(W, Y, Z) - diag(X)| for
     every instance i, (Ws[i], Ys[i], Xs[i], Zs[i]), as int64 arrays lhs and
-    rhs.  W and Y are families of index tuples, each an int64 array of
-    shape (members, length) or a sequence of tuples; X and Z are plain index
-    sequences or 1-d arrays.  Every W tuple of the stack has one length, and
-    every Y tuple one length, each 1 or 2.  The sides are cardinalities, so
-    duplicates count once.
+    rhs, on the group of the stacks Xs and Zs.  W and Y are families of
+    index tuples, each an int64 array of shape (members, length) or a
+    sequence of tuples; every W tuple has one length, and every Y tuple
+    one, each 1 or 2.  The sides are cardinalities: duplicates count once.
 
     A family of every instance is one int64 table of rows, its distinct
-    members sorted by instance.  The tuples of Y - diag(Z) and of
+    members sorted by instance: a stack's members as they are, W's and Y's
+    tuples after one sort (_family_rows).  The tuples of Y - diag(Z) and of
     (W, Y, Z) - diag(X) are rows of each instance's product of families,
     their coordinates from sub_index_many, and each side counts distinct
     (instance, row) pairs: one lexsort, one compare of adjacent rows and one
@@ -637,11 +650,12 @@ def triangle_stack(
     2 it lies in G^5, past int64 once N > 2^12.  A block of instances holds
     at most _BLOCK_ELEMENTS product rows, or one instance (column_blocks).
     """
+    g = _pair_group(Xs, Zs)
     m = len(Ws)
-    if not len(Ys) == len(Xs) == len(Zs) == m:
+    if not len(Ys) == len(Xs) == m:
         raise ValueError("need one W, Y, X and Z family per instance")
-    singletons = lambda fams: [np.asarray(fam, dtype=np.int64)[:, None] for fam in fams]
-    fams = [_family_rows(g, F) for F in (Ws, Ys, singletons(Xs), singletons(Zs))]
+    stacks = [(S.members[:, None], S.sizes, S.starts[:-1]) for S in (Xs, Zs)]  # distinct rows already
+    fams = [_family_rows(g, Ws), _family_rows(g, Ys), *stacks]
     sizes = np.array([counts for _, counts, _ in fams]).reshape(4, m)
     if not sizes.all():
         raise ValueError("all four families must be nonempty")
@@ -730,68 +744,57 @@ class EnergyBoundReport:
     holds: bool
 
 
-def energy_difference_bounds(
-    pairs: Sequence[tuple[GroupSet, GroupSet]], ks: Sequence[int]
-) -> list[EnergyBoundReport]:
+def energy_difference_bounds(As: SetStack, Bs: SetStack, ks: Sequence[int]) -> list[EnergyBoundReport]:
     """E_k(B) * E(A, A+B)^k >= |A|^(2k+1) |B|^(2k) / K' with K' = |A-A|/|A|,
-    for every pair (A, B) at order k = ks[i], compared with cleared
-    denominators: E_k(B) * E(A, A+B)^k * |A-A| >= |A|^(2k+2) * |B|^(2k).
+    for every pair (A, B) = (As[j], Bs[j]) at order k = ks[j], compared with
+    cleared denominators: E_k(B) * E(A, A+B)^k * |A-A| >= |A|^(2k+2) * |B|^(2k).
 
-    A block of pairs takes two stacks of pair counts: A + B, A o A and
-    B o B first, then (A+B) o A.  The energies are power sums of their
-    columns (_power_sums), so every side is an exact integer.
+    A block of pairs takes two stacks of pair counts, A + B, A o A and
+    B o B on one transform of its sets, then (A+B) o A on one more of the
+    sums.  The energies are power sums of their columns (_power_sums), so
+    every side is an exact integer.
     """
-    if len(ks) != len(pairs):
+    g = _pair_group(As, Bs)
+    if len(ks) != len(As):
         raise ValueError("need one order k per pair")
     if any(k < 2 for k in ks):
         raise ValueError("need k >= 2")
-    if any(len(A) == 0 or len(B) == 0 for A, B in pairs):
+    if not (As.sizes.all() and Bs.sizes.all()):
         raise ValueError("both sets must be nonempty")
-    if not pairs:
-        return []
-    g = _stack_group(X for pair in pairs for X in pair)
     reports = []
-    for block in column_blocks(len(pairs), g.order, per_item=3):
-        chunk = pairs[block]
-        As = [A for A, _ in chunk]
-        Bs = [B for _, B in chunk]
-        c = len(chunk)
-        stack = [*chunk, *((A, A) for A in As), *((B, B) for B in Bs)]
-        counts = _pair_columns(g, stack, [False] * c + [True] * 2 * c)
-        sums = _supports(g, counts[:, :c])
+    for block in column_blocks(len(As), g.order, per_item=3):
+        A, B = As[block], Bs[block]
+        c = len(A)
+        pool = _join(g, [A, B])
+        hats = _hats(pool)
+        j = np.arange(c)
+        counts = _columns(pool, hats, np.r_[j, j, j + c], np.r_[j + c, j, j + c], np.arange(3 * c) >= c)
+        sums = _support_stack(g, counts[:, :c])
         diffs = np.count_nonzero(counts[:, c : 2 * c], axis=0).tolist()
         e_b = _power_sums(counts[:, 2 * c :], 3)
-        e_as = _power_sums(corr_columns(g, list(zip(sums, As))), 2)[0]
-        for j, (A, B) in enumerate(chunk):
-            k = ks[block][j]
-            a, b = len(A), len(B)
-            lhs = e_b[k - 2][j] * e_as[j] ** k * diffs[j]
+        del counts
+        pool = _join(g, [A, sums])  # (A+B) o A on the A's transforms, the sums' in the B's place
+        if hats is not None:
+            hats[c:] = _hats(sums)
+        e_as = _power_sums(_columns(pool, hats, j + c, j, np.ones(c, dtype=bool)), 2)[0]
+        for i, (k, a, b) in enumerate(zip(ks[block], A.sizes.tolist(), B.sizes.tolist())):
+            lhs = e_b[k - 2][i] * e_as[i] ** k * diffs[i]
             rhs = a ** (2 * k + 2) * b ** (2 * k)
-            reports.append(EnergyBoundReport(
-                k=k,
-                e_k_b=e_b[k - 2][j],
-                e_a_s=e_as[j],
-                diff_size=diffs[j],
-                lhs=lhs,
-                rhs=rhs,
-                margin=Fraction(lhs, rhs),
-                holds=lhs >= rhs,
-            ))
+            reports.append(EnergyBoundReport(k, e_b[k - 2][i], e_as[i], diffs[i], lhs, rhs,
+                                             Fraction(lhs, rhs), lhs >= rhs))
     return reports
 
 
-def higher_energies(sets: Sequence[GroupSet], top: int) -> list[dict[int, int]]:
-    """E_k(A) for k = 2..top and every set A: power sums of the columns of
-    stacked autocorrelations A o A, exact (see _power_sums)."""
+def higher_energies(As: SetStack, top: int) -> list[dict[int, int]]:
+    """E_k(A) for k = 2..top and every set A of As: exact power sums of the
+    columns of stacked autocorrelations A o A (_power_sums)."""
     if top < 2:
         raise ValueError("need k >= 2")
-    if not sets:
-        return []
-    g = _stack_group(sets)
     out: list[dict[int, int]] = []
-    for block in column_blocks(len(sets), g.order):
-        sums = _power_sums(corr_columns(g, [(A, A) for A in sets[block]]), top)
-        out.extend({k: sums[k - 2][j] for k in range(2, top + 1)} for j in range(len(sums[0])))
+    for block in column_blocks(len(As), As.group.order):
+        S = As[block]
+        sums = _power_sums(corr_columns(S, S), top)
+        out.extend({k: sums[k - 2][j] for k in range(2, top + 1)} for j in range(len(S)))
     return out
 
 

@@ -114,7 +114,7 @@ def test_criterion_02_energy_difference_bound():
                 A = group_set(g, rng.sample(range(g.order), a))
                 B = group_set(g, rng.sample(range(g.order), b))
                 k = rng.choice((2, 3))
-                [rep] = energy_difference_bounds([(A, B)], [k])
+                [rep] = energy_difference_bounds(A.stack(), B.stack(), [k])
                 if not rep.holds or rep.margin < 1:
                     failures.append(f"{g.factors} #{i} k={k}: margin {rep.margin}")
 
@@ -128,7 +128,7 @@ def test_criterion_03_generalized_triangle():
             for i in range(100):
                 pick = lambda: rng.sample(range(g.order), rng.randrange(2, 7))
                 [lhs], [rhs] = triangle_stack(
-                    g, [[(w,) for w in pick()]], [[(y,) for y in pick()]], [pick()], [pick()]
+                    [[(w,) for w in pick()]], [[(y,) for y in pick()]], group_set(g, pick()).stack(), group_set(g, pick()).stack()
                 )
                 if not lhs <= rhs:
                     failures.append(f"{g.factors} #{i}: {lhs} > {rhs}")
@@ -137,7 +137,7 @@ def test_criterion_03_generalized_triangle():
             (make_group((15,)), [0, 5, 10]),
             (boolean_group(5), [0, 1, 2, 3]),
         ):
-            [lhs], [rhs] = triangle_stack(g, [[(h,) for h in H]], [[(h,) for h in H]], [H], [H])
+            [lhs], [rhs] = triangle_stack([[(h,) for h in H]], [[(h,) for h in H]], group_set(g, H).stack(), group_set(g, H).stack())
             if not lhs == rhs == len(H) ** 3:
                 failures.append(f"subgroup equality failed on {g.factors}: {lhs} vs {rhs}")
 
@@ -151,7 +151,7 @@ def test_criterion_04_slice_sum_containment():
         for i in range(100):
             A = group_set(g, rng.sample(range(30), rng.randrange(2, 11)))
             B = group_set(g, rng.sample(range(30), rng.randrange(2, 11)))
-            [rows] = katz_koester_stack([(A, B)])
+            [rows] = katz_koester_stack(A.stack(), B.stack())
             for x in rows.xs[~rows.holds].tolist():
                 failures.append(f"#{i} x={x}")
 

@@ -401,6 +401,22 @@ def test_wrong_typed_set_sources_are_config_errors(config, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "group, members",
+    [("Z5", [1.5]), ("Z5", [0.9]), ("Z5", [True]), ("Z5xZ5", [[1, 2.5], [0, 0], [1, 1]]), ("Z5xZ5", [[1, True]])],
+    ids=["float", "float-below-1", "bool", "float-coordinate", "bool-coordinate"],
+)
+def test_non_integer_literal_members_are_config_errors(group, members, tmp_path, capsys):
+    # none is rounded or read as 1 into a set
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps({"kind": "structure", "sets": [{"kind": "literal", "group": group, "members": members}]}))
+    assert main(["verify", "--config", str(given)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: set source 'literal': member ")
+    assert json.dumps(members[0]).replace("true", "True") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "source, message",
     [
         ({"kind": "katz", "d": 2}, "config error: set source 'katz' missing field 'p'"),

@@ -32,7 +32,7 @@ from addcomb.harmonic import (
 )
 from addcomb.spectral import spectrum
 
-from addcomb.setstat import _stack, group_set
+from addcomb.setstat import _table, group_set
 
 from .oracles import conv_direct, dft_direct, dft_entry_fsum, walsh_direct
 
@@ -98,7 +98,7 @@ def test_wht_int_path_at_the_int64_boundary(values, int64_path):
 
 
 def _column_table(data, g, k, dtype, layout):
-    """k columns on g in the C-order (N, k) layout or in setstat's stack
+    """k columns on g in the C-order (N, k) layout or in setstat's table
     layout, with int64, bigint or float complex entries."""
     if dtype == "int64":
         values = st.integers(-(1 << 40), 1 << 40)
@@ -109,7 +109,7 @@ def _column_table(data, g, k, dtype, layout):
         values = st.builds(complex, part, part)
     columns = [data.draw(st.lists(values, min_size=g.order, max_size=g.order)) for _ in range(k)]
     kind = {"int64": np.int64, "object": object, "complex128": np.complex128}[dtype]
-    table = np.array(columns, dtype=kind).T.copy() if layout == "C" else _stack(g.order, k, kind)
+    table = np.array(columns, dtype=kind).T.copy() if layout == "C" else _table(g.order, k, kind)
     if layout != "C":
         for j, col in enumerate(columns):
             table[:, j] = col

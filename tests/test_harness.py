@@ -31,7 +31,7 @@ from addcomb.harness import (
     write_report,
 )
 from addcomb.fileio import parse_set, write_set
-from addcomb.setstat import group_set
+from addcomb.setstat import GroupSet, SetStack, group_set
 from addcomb.structure import check_hypotheses, dichotomy_M, extract_subspace
 
 
@@ -82,9 +82,11 @@ def test_parseval_tables_come_from_randbytes_by_rejection():
     ],
 )
 def test_drawn_sets_have_their_sizes_in_order_and_range(n, sizes):
-    draw = lambda seed: harness._draw_subsets(random.Random(seed), n, np.array(sizes))
+    g = make_group((max(n, 2),))  # n = 1 draws subsets of range(1) on Z2
+    draw = lambda seed: harness._draw_subsets(random.Random(seed), g, np.array(sizes), n)
     sets = draw("s")
-    assert [len(members) for members in sets] == sizes
+    assert isinstance(sets, SetStack) and sets.group == g
+    assert sets.sizes.tolist() == [len(members) for members in sets] == sizes
     for members in sets:
         assert members.dtype == np.int64
         assert (np.diff(members) > 0).all()
@@ -98,13 +100,14 @@ def test_small_sets_on_a_group_of_order_2_21_are_drawn_without_a_table():
     g = make_group((1 << 21,))
     tracemalloc.start()
     try:
-        sets = harness._random_sets(random.Random(3), g, 400, 1, 5)
+        rng = random.Random(3)
+        sets = harness._draw_subsets(rng, g, 1 + harness._draw_below(rng, 400, 4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert {len(A) for A in sets} == {1, 2, 3, 4}
-    assert len({x for A in sets for x in A.members.tolist()}) > 900  # spread over the group
+    assert set(sets.sizes.tolist()) == {1, 2, 3, 4}
+    assert len(set(sets.members.tolist())) > 900  # spread over the group
 
 
 @pytest.mark.parametrize("k, quantile", [(3, 43.8), (4, 36.1)])
@@ -112,7 +115,7 @@ def test_subsets_of_z6_are_uniform(k, quantile):
     # 12000 draws over the 20 three-subsets (19 degrees of freedom) or the
     # 15 four-subsets, complements of drawn pairs (14): the chi-square
     # statistic stays below its 0.999 quantile
-    sets = harness._draw_subsets(random.Random(6), 6, np.full(12000, k))
+    sets = harness._draw_subsets(random.Random(6), make_group((6,)), np.full(12000, k))
     counts = Counter(tuple(m.tolist()) for m in sets)
     assert sorted(counts) == list(itertools.combinations(range(6), k))
     expected = len(sets) / len(counts)
@@ -123,11 +126,11 @@ def test_draws_reject_masked_words_past_the_range_and_redraw_repeats():
     # n = 6: words are masked to 3 bits (9 reads as 1) and 6 or 7 is
     # rejected; of a set's repeated members one is kept, the rest drawn again
     rng = _Chunks(_words(9, 1, 6), _words(4), _words(4), _words(15), _words(0))
-    [members] = harness._draw_subsets(rng, 6, np.array([3]))
+    [members] = harness._draw_subsets(rng, make_group((6,)), np.array([3]))
     assert members.tolist() == [0, 1, 4]
     assert not rng.chunks
     with pytest.raises(ValueError):
-        harness._draw_subsets(random.Random(1), 3, np.array([4]))
+        harness._draw_subsets(random.Random(1), make_group((3,)), np.array([4]))
     with pytest.raises(ValueError):
         harness._draw_below(random.Random(1), 2, 0)
     assert harness._draw_below(random.Random(1), 0, 0).size == 0
@@ -260,6 +263,21 @@ def test_run_verify_is_deterministic_and_green():
     assert rep1.body_text() == rep2.body_text()
     assert rep1.timings and set(rep1.timings) == {"parseval", "triangle", "energy-mono"}
     assert "checks passed" in rep1.summary_text()
+
+
+def test_a_default_verify_op_builds_few_group_sets(monkeypatch):
+    # every suite carries its drawn sets as one SetStack, not a GroupSet each
+    built = []
+    real = GroupSet.__post_init__
+
+    def counting(self):
+        built.append(len(self.members))
+        real(self)
+
+    monkeypatch.setattr(GroupSet, "__post_init__", counting)
+    rep = run_verify(config_from_dict({"kind": "verify", "seed": 7}))
+    assert rep.ok
+    assert len(built) < 10
 
 
 def test_run_verify_reports_a_corrupted_oracle(monkeypatch):

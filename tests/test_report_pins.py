@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import pytest
 
+from addcomb import setstat
 from addcomb.cli import main
 from addcomb.families import make_planted
 from addcomb.fileio import write_set
@@ -38,6 +39,8 @@ PINNED = {
     "verify-kk-Z4xZ6": "2836e7cfef2e2021e564f4df40ddfab3f2d0521c2ad5b384e70e8966d6e97cb2",
     "verify-kk-F2^5": "b7e3833b1606688ce6fba09ed7fe0cd78e6d3e1c0b55f3c5a162d3aa46ad89fb",
     "verify-parseval-F2^8": "a6ee3a11c77df0399ae78e59fff529466f046885ec945d267dca0aed978598a9",
+    "verify-multiblock-F2^6": "50beb037ce451ca51415280d3b84ce159898bdaad214e4694e4c01c2b7635b1f",
+    "verify-multiblock-Z24": "d5f7a6107937e266492694021d3666743960775d3d6b4780c5a5c7b6c7c79c97",
     "certify-2eps-subgroup-f2-12": "4185e768d45172bd7eead0d11bf9805e39e760c63c737a2ad1333f7da67e1832",
 }
 
@@ -85,6 +88,17 @@ def test_katz_koester_verify_body_is_pinned(in_tmp, group):
     args = ["verify", "--seed", "11", "--suites", "katz-koester", "--instances", "20"]
     assert main(args + ["--group", group, "--out", "v.json"]) == 0
     assert _body_digest("v.json") == PINNED[f"verify-kk-{group}"]
+
+
+@pytest.mark.parametrize("group", ["F2^6", "Z24"])
+def test_verify_body_across_small_blocks_is_pinned(in_tmp, monkeypatch, group):
+    # blocks of 2^8 cells hold a few columns of these groups, so every
+    # stacked kernel cuts its instances into several blocks
+    monkeypatch.setattr(setstat, "_BLOCK_ELEMENTS", 1 << 8)
+    suites = "triangle,energy-bound,katz-koester,energy-mono"
+    args = ["verify", "--seed", "7", "--suites", suites, "--group", group]
+    assert main(args + ["--out", "v.json"]) == 0
+    assert _body_digest("v.json") == PINNED[f"verify-multiblock-{group}"]
 
 
 def test_parseval_verify_body_on_f2_8_is_pinned(in_tmp):

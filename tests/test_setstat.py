@@ -24,6 +24,7 @@ from addcomb.groups import (
 from addcomb.harmonic import _error_scale, magnitudes, transform_cost, transform_error
 from addcomb.setstat import (
     GroupSet,
+    SetStack,
     conv_columns,
     conv_counts,
     corr_columns,
@@ -270,10 +271,22 @@ def test_energy_hist_counts_each_value_of_the_autocorrelation(g):
         assert list(A.energy_hist) == want
 
 
+def _stack_of(g, sets):
+    """The sets, each a GroupSet or element indices, as one SetStack on g."""
+    sets = [X if isinstance(X, GroupSet) else group_set(g, X) for X in sets]
+    members = np.concatenate([X.members for X in sets] + [np.empty(0, dtype=np.int64)])
+    return SetStack(g, members, np.cumsum([0] + [len(X) for X in sets]))
+
+
+def _triangle(g, Ws, Ys, Xs, Zs):
+    """triangle_stack with the X and Z families as stacks on g."""
+    return triangle_stack(Ws, Ys, _stack_of(g, Xs), _stack_of(g, Zs))
+
+
 def test_generalized_triangle_subgroup_equality():
     g = boolean_group(4)
     H = list(range(4))
-    lhs, rhs = triangle_stack(g, [[(h,) for h in H]], [[(h,) for h in H]], [H], [H])
+    lhs, rhs = _triangle(g, [[(h,) for h in H]], [[(h,) for h in H]], [H], [H])
     assert lhs.tolist() == rhs.tolist() == [len(H) ** 3]
 
 
@@ -285,7 +298,7 @@ def test_generalized_triangle_random_instances():
         Y = [(rng.randrange(15),) for _ in range(rng.randrange(1, 4))]
         X = rng.sample(range(15), rng.randrange(1, 4))
         Z = rng.sample(range(15), rng.randrange(1, 4))
-        lhs, rhs = triangle_stack(g, [W], [Y], [X], [Z])
+        lhs, rhs = _triangle(g, [W], [Y], [X], [Z])
         assert lhs[0] <= rhs[0]
 
 
@@ -293,7 +306,7 @@ def test_generalized_triangle_pairs():
     g = make_group((7,))
     W = [(1, 2), (3, 4)]
     Y = [(0, 5)]
-    lhs, rhs = triangle_stack(g, [W], [Y], [[0, 1]], [[2, 6]])
+    lhs, rhs = _triangle(g, [W], [Y], [[0, 1]], [[2, 6]])
     assert lhs[0] <= rhs[0]
 
 
@@ -323,7 +336,7 @@ def test_triangle_stack_matches_direct_count(data):
         families = [[np.array(fam, dtype=np.int64) for fam in inst] for inst in instances]
     else:
         families = instances
-    lhs, rhs = triangle_stack(g, *zip(*families))
+    lhs, rhs = _triangle(g, *zip(*families))
     assert [(int(l), int(r)) for l, r in zip(lhs, rhs)] == [triangle_direct(g, *inst) for inst in instances]
 
 
@@ -331,14 +344,14 @@ def test_triangle_stack_keeps_coordinates_a_packed_code_would_drop():
     # base 2^21, coordinate 0 of a 5-coordinate row is worth 2^84: these two
     # rows differ there alone
     g = make_group((1 << 21,))
-    lhs, rhs = triangle_stack(g, [[(0, 5), (1, 5)]], [[(2, 3)]], [[0]], [[4]])
+    lhs, rhs = _triangle(g, [[(0, 5), (1, 5)]], [[(2, 3)]], [[0]], [[4]])
     assert (lhs.tolist(), rhs.tolist()) == ([2], [2])
     assert triangle_direct(g, [(0, 5), (1, 5)], [(2, 3)], [0], [4]) == (2, 2)
 
 
 def test_triangle_stack_of_no_instances_and_bad_families():
     g = make_group((15,))
-    lhs, rhs = triangle_stack(g, [], [], [], [])
+    lhs, rhs = _triangle(g, [], [], [], [])
     assert lhs.size == rhs.size == 0
     for W, Y, X, Z in [
         ([(1,)], [], [0], [0]),
@@ -347,9 +360,9 @@ def test_triangle_stack_of_no_instances_and_bad_families():
         ([(1,)], [(1,)], [15], [0]),
     ]:
         with pytest.raises(ValueError):
-            triangle_stack(g, [W], [Y], [X], [Z])
+            _triangle(g, [W], [Y], [X], [Z])
     with pytest.raises(ValueError):
-        triangle_stack(g, [[(1,)]], [], [[0]], [[0]])
+        _triangle(g, [[(1,)]], [], [[0]], [[0]])
     one = np.array([[1]])
     for W, Y in [
         (np.array([1]), one),  # not a table of tuples
@@ -357,17 +370,19 @@ def test_triangle_stack_of_no_instances_and_bad_families():
         (one, np.array([[15]])),
     ]:
         with pytest.raises(ValueError):
-            triangle_stack(g, [W], [Y], [[0]], [[0]])
+            _triangle(g, [W], [Y], [[0]], [[0]])
     with pytest.raises(ValueError, match="ragged"):  # one length within a family
-        triangle_stack(g, [[(1,), (1, 2)]], [[(1,)]], [[0]], [[0]])
+        _triangle(g, [[(1,), (1, 2)]], [[(1,)]], [[0]], [[0]])
     with pytest.raises(ValueError, match="ragged"):  # one length across the stack
-        triangle_stack(g, [one, np.array([[1, 2]])], [one, one], [[0], [0]], [[0], [0]])
+        _triangle(g, [one, np.array([[1, 2]])], [one, one], [[0], [0]], [[0], [0]])
+    with pytest.raises(GroupMismatchError):  # X and Z live on one group
+        triangle_stack([[(1,)]], [[(1,)]], _stack_of(g, [[0]]), _stack_of(make_group((3, 5)), [[0]]))
     # the caps count distinct members
     g = make_group((2048,))
-    lhs, rhs = triangle_stack(g, [[(1,)]], [[(1,)]], [[0]], [[0] * 1001])
+    lhs, rhs = _triangle(g, [[(1,)] * 1001], [[(1,)]], [[0]], [[0] * 1001])
     assert lhs[0] <= rhs[0]
     with pytest.raises(SizeLimitError):
-        triangle_stack(g, [[(1,)]], [[(1,)]], [[0]], [range(1001)])
+        _triangle(g, [[(1,)]], [[(1,)]], [[0]], [range(1001)])
 
 
 def test_energy_difference_bound_margin_at_least_one():
@@ -375,7 +390,7 @@ def test_energy_difference_bound_margin_at_least_one():
     rng = random.Random(5)
     for _ in range(20):
         A, B = _random_set(g, rng), _random_set(g, rng)
-        [rep] = energy_difference_bounds([(A, B)], [2 + rng.randrange(2)])
+        [rep] = energy_difference_bounds(A.stack(), B.stack(), [2 + rng.randrange(2)])
         assert rep.holds and rep.margin >= 1
 
 
@@ -383,7 +398,7 @@ def test_katz_koester_inclusion_everywhere():
     g = make_group((30,))
     rng = random.Random(6)
     A, B = _random_set(g, rng), _random_set(g, rng)
-    [rows] = katz_koester_stack([(A, B)])
+    [rows] = katz_koester_stack(A.stack(), B.stack())
     assert rows.xs.tolist() == difference_set(A, A).members.tolist()
     assert rows.holds.all()
 
@@ -392,20 +407,28 @@ KK_GROUPS = [make_group(f) for f in [(7,), (30,), (4, 6), (2, 3, 3), (2,) * 5]]
 
 
 def _rows_against_oracle(A, B, sums=None, xs_per_block=None):
-    """The rows of the one-pair stack katz_koester_stack([(A, B)]), with
+    """The rows of the one-pair stack katz_koester_stack(A, B), with
     blocks of `xs_per_block` displacements (the default block size when
     None), after checking every row, sizes and verdict, against
-    katz_koester_direct.  `sums` replaces A + B on the right-hand side of
-    both."""
+    katz_koester_direct.  `sums`, a subset of A + B, replaces A + B on the
+    right-hand side of both."""
     budget = xs_per_block * A.group.order if xs_per_block else setstat._BLOCK_ELEMENTS
     with mock.patch.object(setstat, "_BLOCK_ELEMENTS", budget):
         if sums is None:
-            [rows] = katz_koester_stack([(A, B)])
+            [rows] = katz_koester_stack(A.stack(), B.stack())
         else:
-            # A - A comes from corr_columns, so the patched sumsets only
-            # reaches the right-hand side
-            with mock.patch.object(setstat, "sumsets", lambda pairs: [sums] * len(pairs)):
-                [rows] = katz_koester_stack([(A, B)])
+            # A - A comes from the reflected columns of the stack of pair
+            # counts, so thinning the others reaches the right-hand side only
+            real = setstat._columns
+            kept = np.isin(np.arange(A.group.order), sums.members)[:, None]
+
+            def thinned(pool, hats, left, right, reflect):
+                counts = real(pool, hats, left, right, reflect)
+                counts[:, ~reflect] *= kept
+                return counts
+
+            with mock.patch.object(setstat, "_columns", thinned):
+                [rows] = katz_koester_stack(A.stack(), B.stack())
     assert rows.xs.tolist() == sorted(difference_direct(A, A))
     got = list(zip(rows.left.tolist(), rows.right.tolist(), rows.holds.tolist()))
     assert got == [katz_koester_direct(A, B, x, sums) for x in rows.xs.tolist()]
@@ -470,7 +493,7 @@ def test_katz_koester_rows_reject_foreign_sets():
     g = make_group((6,))
     A = group_set(g, [0, 1])
     with pytest.raises(GroupMismatchError):
-        katz_koester_stack([(A, group_set(make_group((2, 3)), [1]))])
+        katz_koester_stack(A.stack(), group_set(make_group((2, 3)), [1]).stack())
 
 
 def test_profile_consistency_checks_pass():
@@ -777,14 +800,19 @@ _COLUMN_GROUPS = [parse_group_text(t) for t in ("F2^5", "Z24", "Z4xZ6", "Z101")]
 @st.composite
 def _column_stacks(draw, nonempty=False):
     """A group, a stack of 0..6 pairs of sets on it (empty, singleton, full
-    and random sets), and the columns a block holds (None: the default,
-    which holds them all)."""
+    and random sets, so the stacks are ragged), and the columns a block
+    holds (None: the default, which holds them all)."""
     g = draw(st.sampled_from(_COLUMN_GROUPS), label="group")
     pairs = []
     for _ in range(draw(st.integers(1 if nonempty else 0, 6), label="columns")):
         A, B = _kernel_set(draw, g), _kernel_set(draw, g)
         pairs.append((A or full_set(g), B or full_set(g)) if nonempty else (A, B))
     return g, pairs, draw(st.sampled_from([None, 1, 2]), label="columns per block")
+
+
+def _stacks(g, pairs):
+    """The first and the second sets of the pairs, as two stacks on g."""
+    return _stack_of(g, [A for A, _ in pairs]), _stack_of(g, [B for _, B in pairs])
 
 
 def _blocks_of(g, per_block):
@@ -796,18 +824,98 @@ def _columns(table):
     return [table[:, j].tolist() for j in range(table.shape[1])]
 
 
+def _sets(stack):
+    return [set(members.tolist()) for members in stack]
+
+
+# a stack of ragged sizes, empty sets among them, on each group
+_RAGGED = [
+    (g, [(0, 3), (1, 0), (0, 0), (5, g.order), (g.order, 1), (2, 7)])
+    for g in _COLUMN_GROUPS + [boolean_group(10), make_group((131072,))]
+]
+
+
+def _ragged_pairs(g, sizes):
+    rng = random.Random(g.order)
+    return [tuple(group_set(g, rng.sample(range(g.order), k)) for k in pair) for pair in sizes]
+
+
+def test_set_stack_checks_every_set_once():
+    g = make_group((10,))
+    S = SetStack(g, np.array([1, 4, 9, 0, 2, 5], dtype=np.int64), np.array([0, 3, 3, 6]))
+    assert len(S) == 3 and S.sizes.tolist() == [3, 0, 3]
+    assert [m.tolist() for m in S] == [[1, 4, 9], [], [0, 2, 5]]
+    assert S.starts.tolist() == [0, 3, 3, 6] and not S.starts.flags.writeable
+    assert not S.members.flags.writeable and S.members.dtype == np.int64
+    assert _sets(S[::2]) == [{1, 4, 9}, {0, 2, 5}] and _sets(S[1:]) == [set(), {0, 2, 5}]
+    assert S[-1].tolist() == [0, 2, 5]
+    with pytest.raises(IndexError):
+        S[3]
+    for members, starts in [
+        ([1, 4, 3, 0], [0, 3, 4]),  # unsorted within a set
+        ([1, 4, 4, 0], [0, 3, 4]),  # a repeat within a set
+        ([1, 4, 10, 0], [0, 3, 4]),  # out of range
+        ([-1, 4, 9, 0], [0, 3, 4]),
+        (np.array([1.0, 4.0]), [0, 2]),  # a float dtype
+        (np.array([True]), [0, 1]),
+        ([1, 4, 9, 0], [0, 3, 5]),  # starts past the members
+        ([1, 4, 9, 0], [1, 3, 4]),
+        ([1, 4, 9, 0], [0, 3, 2, 4]),
+        ([1, 4, 9, 0], [0.0, 3.0, 4.0]),
+        ([1, 4], [[0, 2]]),
+    ]:
+        with pytest.raises(GroupMismatchError):
+            SetStack(g, np.array(members), np.array(starts))
+    # GroupSet refuses what a stack refuses
+    for members in (np.array([1.0, 2.0]), np.array([True]), [1.5], [2, 1], [3, 3], [10]):
+        with pytest.raises(GroupMismatchError):
+            GroupSet(g, members)
+    assert len(GroupSet(g, [])) == 0 and len(SetStack(g, [], [0])) == 0
+
+
+def test_one_set_stack_is_a_view():
+    g = make_group((10,))
+    A = group_set(g, [2, 3, 7])
+    one = A.stack()
+    assert np.shares_memory(one.members, A.members) and one.starts.tolist() == [0, 3]
+    assert _sets(one) == [{2, 3, 7}] and one.group == g
+
+
 @given(_column_stacks())
 @settings(max_examples=80, deadline=None)
 def test_conv_columns_and_sumsets_match_oracles(case):
     g, pairs, per_block = case
-    counts = conv_columns(g, pairs)
+    As, Bs = _stacks(g, pairs)
+    counts = conv_columns(As, Bs)
     assert counts.shape == (g.order, len(pairs)) and counts.dtype == np.int64
     assert _columns(counts) == [conv_direct(A, B) for A, B in pairs]
-    assert _columns(conv_columns(g, [(A.neg(), B) for A, B in pairs])) == [corr_direct(A, B) for A, B in pairs]
-    assert _columns(corr_columns(g, pairs)) == [corr_direct(A, B) for A, B in pairs]
+    negs = _stack_of(g, [A.neg() for A, _ in pairs])
+    assert _columns(conv_columns(negs, Bs)) == [corr_direct(A, B) for A, B in pairs]
+    assert _columns(corr_columns(As, Bs)) == [corr_direct(A, B) for A, B in pairs]
+    assert _columns(corr_columns(As, As)) == [corr_direct(A, A) for A, _ in pairs]
     with _blocks_of(g, per_block):
-        sums = sumsets(pairs)
-    assert [set(S.members) for S in sums] == [sumset_direct(A, B) for A, B in pairs]
+        sums = sumsets(As, Bs)
+    assert isinstance(sums, SetStack) and sums.group == g
+    assert _sets(sums) == [sumset_direct(A, B) for A, B in pairs]
+
+
+@pytest.mark.parametrize("g, sizes", _RAGGED, ids=[format_group_text(g) for g, _ in _RAGGED])
+def test_count_kernels_on_ragged_stacks_with_empty_sets(g, sizes):
+    pairs = _ragged_pairs(g, sizes)
+    As, Bs = _stacks(g, pairs)
+    assert As.sizes.tolist() == [a for a, _ in sizes] and Bs.sizes.tolist() == [b for _, b in sizes]
+    if g.order > 1024:  # the quadratic oracles, on the sets they can afford
+        small = [j for j, (a, b) in enumerate(sizes) if a * b <= 1024]
+        conv, corr = conv_columns(As, Bs), corr_columns(As, Bs)
+        assert [conv[:, j].tolist() for j in small] == [conv_direct(*pairs[j]) for j in small]
+        assert [corr[:, j].tolist() for j in small] == [corr_direct(*pairs[j]) for j in small]
+        return
+    with _blocks_of(g, 2):
+        assert _columns(conv_columns(As, Bs)) == [conv_direct(A, B) for A, B in pairs]
+        assert _columns(corr_columns(As, Bs)) == [corr_direct(A, B) for A, B in pairs]
+        assert _sets(sumsets(As, Bs)) == [sumset_direct(A, B) for A, B in pairs]
+        got = higher_energies(As, 4)
+    assert got == [{k: higher_energy_direct(A, k) for k in range(2, 5)} for A, _ in pairs]
 
 
 @given(_column_stacks())
@@ -819,7 +927,7 @@ def test_conv_columns_fall_back_to_the_loop_per_column(case):
     real = setstat.conv_errors
     with mock.patch.object(setstat, "conv_errors", side_effect=lambda g, a, b: np.where(a % 2, 1.0, real(g, a, b))), \
             mock.patch.object(setstat, "idft_columns", wraps=setstat.idft_columns) as spy:
-        counts = conv_columns(g, pairs)
+        counts = conv_columns(*_stacks(g, pairs))
     assert _columns(counts) == [conv_direct(A, B) for A, B in pairs]
     if not g.is_boolean_space:
         exact = sum(1 for A, B in pairs if len(A) and len(B) and len(A) % 2 == 0)
@@ -831,16 +939,16 @@ def test_conv_columns_fall_back_to_the_loop_per_column(case):
 @settings(max_examples=60, deadline=None)
 def test_corr_columns_build_a_negation_only_for_loop_columns(case):
     # as above, the columns whose first set has odd size loop; a reflected
-    # column reads conj(A_hat), so only a looping column builds -A
+    # column reads conj(A_hat), so only a looping column negates its A
     g, pairs, _ = case
-    real_errors, real_neg = setstat.conv_errors, GroupSet.neg
+    real_errors = setstat.conv_errors
     odd_fails = lambda g, a, b: np.where(a % 2, 1.0, real_errors(g, a, b))
     with mock.patch.object(setstat, "conv_errors", side_effect=odd_fails), \
-            mock.patch.object(GroupSet, "neg", autospec=True, side_effect=real_neg) as neg:
-        counts = corr_columns(g, pairs)
+            mock.patch.object(setstat, "neg_index_many", wraps=setstat.neg_index_many) as neg:
+        counts = corr_columns(*_stacks(g, pairs))
     assert _columns(counts) == [corr_direct(A, B) for A, B in pairs]
     looped = [] if g.is_boolean_space else [A for A, B in pairs if len(A) % 2 and len(B)]
-    assert [call.args[0] for call in neg.call_args_list] == looped
+    assert [call.args[1].tolist() for call in neg.call_args_list] == [A.members.tolist() for A in looped]
 
 
 def test_corr_columns_loop_directly_above_the_transform_cap():
@@ -848,18 +956,19 @@ def test_corr_columns_loop_directly_above_the_transform_cap():
     assert g.order > MAX_TRANSFORM_ORDER
     rng = random.Random(8)
     pairs = [tuple(group_set(g, rng.sample(range(g.order), k)) for k in sizes) for sizes in ((40, 60), (1, 30), (0, 5))]
-    with mock.patch.object(setstat, "idft_columns", wraps=setstat.idft_columns) as spy:
-        counts = corr_columns(g, pairs)
-    assert spy.call_count == 0
+    with mock.patch.object(setstat, "idft_columns", wraps=setstat.idft_columns) as idft, \
+            mock.patch.object(setstat, "dft_columns", wraps=setstat.dft_columns) as dft:
+        counts = corr_columns(*_stacks(g, pairs))
+    assert idft.call_count == dft.call_count == 0
     assert _columns(counts) == [corr_direct(A, B) for A, B in pairs]
 
 
 def test_conv_columns_reject_foreign_sets():
     g = make_group((6,))
     with pytest.raises(GroupMismatchError):
-        conv_columns(g, [(group_set(g, [1]), group_set(make_group((2, 3)), [1]))])
-    with pytest.raises(GroupMismatchError):
-        sumsets([(group_set(g, [1]), group_set(g, [2])), (group_set(make_group((7,)), [1]),) * 2])
+        conv_columns(_stack_of(g, [[1]]), _stack_of(make_group((2, 3)), [[1]]))
+    with pytest.raises(ValueError):  # one B per A
+        sumsets(_stack_of(g, [[1], [2]]), _stack_of(g, [[1]]))
 
 
 @given(_column_stacks(nonempty=True), st.lists(st.sampled_from([2, 3]), min_size=6, max_size=6))
@@ -868,7 +977,7 @@ def test_energy_difference_bounds_match_oracles(case, ks):
     g, pairs, per_block = case
     ks = ks[: len(pairs)]
     with _blocks_of(g, per_block):
-        reports = energy_difference_bounds(pairs, ks)
+        reports = energy_difference_bounds(*_stacks(g, pairs), ks)
     assert len(reports) == len(pairs)
     for (A, B), k, rep in zip(pairs, ks, reports):
         assert rep.k == k
@@ -880,13 +989,39 @@ def test_energy_difference_bounds_match_oracles(case, ks):
         assert rep.holds and rep.margin == Fraction(rep.lhs, rep.rhs)
 
 
+def test_energy_difference_bounds_transform_each_set_once(monkeypatch):
+    # one block: one transform of the A's and the B's together, one of the sums
+    g = make_group((24,))
+    rng = random.Random(9)
+    pairs = [tuple(group_set(g, rng.sample(range(24), rng.randrange(1, 12))) for _ in "AB") for _ in range(5)]
+    widths = []
+    real = setstat.dft_columns
+    monkeypatch.setattr(setstat, "dft_columns", lambda g, table: widths.append(table.shape[1]) or real(g, table))
+    energy_difference_bounds(*_stacks(g, pairs), [2] * 5)
+    assert widths == [10, 5]
+    with pytest.raises(ValueError):
+        energy_difference_bounds(_stack_of(g, [[]]), _stack_of(g, [[1]]), [2])
+
+
+def test_a_stack_paired_with_itself_is_transformed_once(monkeypatch):
+    g = make_group((24,))
+    S = _stack_of(g, [[1, 2, 3], [4, 5], [0, 7, 9]])
+    widths = []
+    real = setstat.dft_columns
+    monkeypatch.setattr(setstat, "dft_columns", lambda g, table: widths.append(table.shape[1]) or real(g, table))
+    assert _sets(sumsets(S, S)) == [sumset_direct(*(group_set(g, m),) * 2) for m in S]
+    corr_columns(S, S)
+    higher_energies(S, 3)
+    assert widths == [3, 3, 3]
+
+
 @given(_column_stacks())
 @settings(max_examples=40, deadline=None)
 def test_higher_energies_match_oracle(case):
     g, pairs, per_block = case
     sets = [A for A, _ in pairs]
     with _blocks_of(g, per_block):
-        got = higher_energies(sets, 6)
+        got = higher_energies(_stack_of(g, sets), 6)
     assert got == [{k: higher_energy_direct(A, k) for k in range(2, 7)} for A in sets]
 
 
@@ -895,7 +1030,7 @@ def test_higher_energies_sum_past_int64_exactly():
     # Python ints; the singleton's stays in int64
     g = boolean_group(11)
     big, small = full_set(g), group_set(g, [5])
-    got = higher_energies([big, small], 6)
+    got = higher_energies(_stack_of(g, [big, small]), 6)
     assert got == [{k: g.order * g.order**k for k in range(2, 7)}, {k: 1 for k in range(2, 7)}]
     assert got[0] == {k: higher_energy(big, k) for k in range(2, 7)}
 
@@ -907,7 +1042,7 @@ def test_katz_koester_stack_matches_direct_oracle(case):
     if g.order > 30:
         pairs = [(A, B) for A, B in pairs if len(A) * len(B) <= 400]
     with _blocks_of(g, per_block):
-        rows = katz_koester_stack(pairs)
+        rows = katz_koester_stack(*_stacks(g, pairs))
     assert len(rows) == len(pairs)
     for (A, B), r in zip(pairs, rows):
         assert r.xs.tolist() == sorted(difference_direct(A, A))
