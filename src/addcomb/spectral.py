@@ -8,24 +8,30 @@ dropped (over-inclusion is sound for the extraction pipelines).  On
 comparison.
 
 Span(Lambda) is the set of {0, +1, -1} sums of Lambda, kept as a boolean
-mask over the group and grown one member at a time (S | S + mu | S - mu).
+mask over the group and grown one member at a time: S | (S + mu) | (S - mu).
+Viewed with the group's axes, S + mu is S rolled by mu's coordinates, so a
+span pass is two rolls of the mask (slice copies along the axes mu moves
+on); on 2-groups S + mu = S - mu is one XOR of the member indices.
 Lambda with mu adjoined is dissociated iff Lambda is and mu lies outside
-Span(Lambda), so the same mask pass decides dissociativity: the test, the
-greedy witness and the branch and bound all grow spans.  A dissociated set
-has distinct {0, 1}-sums, so it has at most log2(N) <= 24 members, and the
-test and the greedy witness each make at most log2(N) passes of size N.
+Span(Lambda), so the same pass decides dissociativity: the test, the
+greedy witness and the branch and bound all grow spans, and a witness
+keeps the span its search grew.  A dissociated set has distinct {0, 1}-sums,
+so it has at most log2(N) <= 24 members: the test and the greedy each make
+at most log2(N) passes of size N, and the greedy one gather over the
+candidates left per pick.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import f2
-from .groups import GroupSpec, add_index_many, sub_index_many
+from .groups import GroupSpec
 from .harmonic import FunctionTable, dft, magnitudes, transform_error
 from .setstat import GroupSet, read_only
 
@@ -50,12 +56,24 @@ class DissociatedWitness:
     group: GroupSpec
     members: np.ndarray  # read-only int64, in the order picked
     mode: str  # "exact" | "greedy"
+    span_mask: np.ndarray | None = field(default=None, repr=False)  # Span(members), if the search grew it
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", read_only(np.array(self.members, dtype=np.int64)))
+        if self.span_mask is not None:
+            read_only(self.span_mask)
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def span(self) -> GroupSet:
+        """Span(members), read off the mask the search grew; grown here only
+        when no search grew one (2-group witnesses come from elimination)."""
+        mask = self.span_mask
+        if mask is None:
+            mask = _span_mask(self.group, self.members.tolist())
+        return GroupSet(self.group, np.flatnonzero(mask))
 
 
 def spectrum(f: FunctionTable, eps: Fraction | int, *, fhat: FunctionTable | None = None) -> Spectrum:
@@ -91,11 +109,45 @@ def _at_least(values: np.ndarray, cut: Fraction) -> np.ndarray:
 
 
 def _grow(g: GroupSpec, mask: np.ndarray, elem: int) -> np.ndarray:
-    """Span mask grown in place by one element: S | (S + elem) | (S - elem)."""
-    idx = np.flatnonzero(mask)
-    mask[add_index_many(g, idx, elem)] = True
-    mask[sub_index_many(g, idx, elem)] = True
+    """Span mask grown in place by one element: S | (S + elem) | (S - elem).
+
+    On a 2-group S + elem = S - elem, one XOR of the member indices.
+    Elsewhere S + elem is S rolled by elem's coordinates, one axis at a
+    time through a scratch mask: axis j viewed as (outer, n_j, inner), a
+    roll is two slice copies, and the last axis rolls straight into the OR.
+    Axes on which elem's coordinate is 0 are not touched.
+    """
+    if g.is_boolean_space:
+        mask[np.flatnonzero(mask) ^ elem] = True
+        return mask
+    axes = []  # (view shape, shift) of each axis elem moves along
+    inner = 1
+    for n, c in zip(g.factors, g.unindex(int(elem))):
+        if c:
+            axes.append(((g.order // (n * inner), n, inner), c))
+        inner *= n
+    if not axes:
+        return mask
+    src = mask.copy()
+    for shifts in (axes, [(shape, shape[1] - c) for shape, c in axes]):  # +elem, then -elem
+        cur = src
+        for shape, c in shifts[:-1]:
+            nxt = np.empty_like(src)
+            _roll(cur.reshape(shape), nxt.reshape(shape), c, into=False)
+            cur = nxt
+        shape, c = shifts[-1]
+        _roll(cur.reshape(shape), mask.reshape(shape), c, into=True)
     return mask
+
+
+def _roll(src: np.ndarray, dst: np.ndarray, c: int, *, into: bool) -> None:
+    """dst = src rolled by c along axis 1, or dst |= that with into."""
+    n = src.shape[1]
+    for d, s in ((dst[:, c:], src[:, :n - c]), (dst[:, :c], src[:, n - c:])):
+        if into:
+            np.logical_or(d, s, out=d)
+        else:
+            np.copyto(d, s)
 
 
 def _zero_mask(g: GroupSpec) -> np.ndarray:
@@ -104,12 +156,20 @@ def _zero_mask(g: GroupSpec) -> np.ndarray:
     return mask
 
 
+def _span_mask(g: GroupSpec, lam: list[int] | tuple[int, ...]) -> np.ndarray:
+    mask = _zero_mask(g)
+    for e in dict.fromkeys(lam):
+        _grow(g, mask, e)
+    return mask
+
+
 def is_dissociated(g: GroupSpec, lam: list[int] | tuple[int, ...]) -> bool:
     """True iff no nontrivial {0, +1, -1} combination of lam vanishes, that
     is, iff each member lies outside the span of the members before it.
 
-    One span mask grows member by member and the test stops at the first
-    member already in it (0 and repeats included).  A dissociated set has
+    One span mask grows member by member (two rolls of the mask per
+    member, one XOR on 2-groups) and the test stops at the first member
+    already in it (0 and repeats included).  A dissociated set has
     distinct {0, 1}-sums, hence at most log2(N) members, so at most
     log2(N) mask passes of size N are made.
     """
@@ -129,53 +189,66 @@ def max_dissociated(
 
     Adjoining mu keeps a set dissociated iff mu lies outside its span, and
     a dissociated set has at most log2(N) members.  Exact on 2-groups
-    (rank by elimination) and on candidate lists of at most 24 characters
-    (branch and bound over the span-growth tree).  Larger general inputs
-    fall back to greedy span growth in the order given (callers pass
-    spectra heaviest first), recorded in the witness mode: one mask pass
-    of size N per pick, so at most log2(N).
+    (rank by elimination) and when at most 24 distinct nonzero characters
+    are given, counted by one scatter into a mask (branch and bound over
+    the span-growth tree, in order of first appearance).  Larger general
+    inputs fall back to greedy span growth in the order given (callers
+    pass spectra heaviest first), recorded in the witness mode: per pick,
+    one gather of the span mask over the candidates left finds the next
+    one outside the span (0 and repeats lie inside), and one mask pass of
+    size N grows it, so at most log2(N) of each.  The witness keeps the
+    span mask its search grew.
     """
     if g.is_boolean_space:
         picked = f2.independent_subset(candidates)  # 0 and repeats lie in the span
         return DissociatedWitness(g, picked, "exact")
-    cands = [c for c in dict.fromkeys(np.asarray(candidates).tolist()) if c != 0]  # searched in Python ints
-    if len(cands) <= _EXACT_SEARCH_MAX:
+    cands = np.asarray(candidates, dtype=np.int64)
+    present = np.zeros(g.order, dtype=bool)
+    present[cands] = True
+    present[0] = False
+    if np.count_nonzero(present) <= _EXACT_SEARCH_MAX:
+        firsts = np.unique(cands, return_index=True)[1]
+        distinct = [c for c in cands[np.sort(firsts)].tolist() if c != 0]  # searched in Python ints
         best: list[int] = []
+        best_mask = _zero_mask(g)
 
         def descend(i: int, chosen: list[int], span_mask: np.ndarray) -> None:
-            nonlocal best
+            nonlocal best, best_mask
             if len(chosen) > len(best):
-                best = list(chosen)
-            if len(chosen) + (len(cands) - i) <= len(best):
+                best, best_mask = list(chosen), span_mask  # each node's mask is its own copy
+            if len(chosen) + (len(distinct) - i) <= len(best):
                 return
-            for j in range(i, len(cands)):
-                c = cands[j]
+            for j in range(i, len(distinct)):
+                c = distinct[j]
                 if not span_mask[c]:
                     chosen.append(c)
                     descend(j + 1, chosen, _grow(g, span_mask.copy(), c))
                     chosen.pop()
-                    if len(chosen) + (len(cands) - j - 1) <= len(best):
+                    if len(chosen) + (len(distinct) - j - 1) <= len(best):
                         return
 
-        descend(0, [], _zero_mask(g))
-        return DissociatedWitness(g, best, "exact")
+        descend(0, [], best_mask)
+        return DissociatedWitness(g, best, "exact", best_mask)
     picked = []
     span_mask = _zero_mask(g)
-    for c in cands:
-        if not span_mask[c]:
-            picked.append(c)
-            _grow(g, span_mask, c)
-    return DissociatedWitness(g, picked, "greedy")
+    i = 0
+    while i < len(cands):
+        outside = ~span_mask[cands[i:]]
+        j = int(np.argmax(outside))
+        if not outside[j]:
+            break
+        i += j
+        picked.append(int(cands[i]))
+        _grow(g, span_mask, picked[-1])
+        i += 1
+    return DissociatedWitness(g, picked, "greedy", span_mask)
 
 
 def span(g: GroupSpec, lam: list[int] | tuple[int, ...]) -> GroupSet:
     """All sums over lam with coefficients in {0, +1, -1}, as a set (on
     2-groups, the linear span).  One mask pass of size N per distinct
     member: the output is at most N elements, the work N |lam|."""
-    mask = _zero_mask(g)
-    for e in dict.fromkeys(lam):
-        _grow(g, mask, e)
-    return GroupSet(g, np.flatnonzero(mask))
+    return GroupSet(g, np.flatnonzero(_span_mask(g, lam)))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .groups import MAX_TRANSFORM_ORDER, GroupSpec, SizeLimitError, boolean_grou
 from .harmonic import INT64_SAFE, FunctionTable, dft, magnitudes, sum_of_squares, transform_error
 from .report import CheckFailure, CheckRecord, record_eq, record_ge, record_le, require
 from .setstat import GroupSet, conv_counts, corr_counts, higher_energy, sumset, sumset_size
-from .spectral import DissociatedWitness, Spectrum, chang_bound, max_dissociated, span, spectrum
+from .spectral import DissociatedWitness, Spectrum, chang_bound, max_dissociated, spectrum
 
 _PI_UPPER = Fraction(355, 113)  # exceeds pi, so it is safe in upper bounds
 _ESCALATION_TRIES = 3
@@ -485,15 +485,16 @@ def _subspace_result(front: _Front, B: GroupSet) -> StructureResult:
 
 
 def _bohr_span_diagnostics(
-    B: GroupSet, phi_hat: FunctionTable, lam: np.ndarray, params: StructureParams, jump: EnergyJump
+    B: GroupSet, phi_hat: FunctionTable, witness: DissociatedWitness, params: StructureParams, jump: EnergyJump
 ) -> dict:
-    """Spectral-mass and transform-floor checks over Span(Lambda)."""
+    """Spectral-mass and transform-floor checks over Span(Lambda), the span
+    the witness search grew."""
     g = B.group
     out = {}
-    if 3 ** len(lam) > 1 << 16 or (not g.is_boolean_space and g.order > MAX_TRANSFORM_ORDER):
+    if 3 ** len(witness) > 1 << 16 or (not g.is_boolean_space and g.order > MAX_TRANSFORM_ORDER):
         out["span_checks"] = "skipped (size)"
         return out
-    members = span(g, lam).members
+    members = witness.span.members
     floor = _density_floor(params, len(B) * jump.e_k * g.order, loss=1)
     phi_span = phi_hat.values[members]
     fhat_b = B.transform[members]
@@ -557,7 +558,7 @@ def _bohr_result(front: _Front, B: GroupSet) -> StructureResult:
     cand, achieved, z, guaranteed, records, attempts = _certify(front, B, _bohr_candidates(g, lam, front.params))
     b_star = cand.bohr
     extra = {"sufficiency": cand.shows["sufficiency"]} if len(lam) else {}
-    extra.update(_bohr_span_diagnostics(B, front.phi_hat, lam, front.params, front.jump))
+    extra.update(_bohr_span_diagnostics(B, front.phi_hat, front.witness, front.params, front.jump))
     piece = BohrPiece(
         bohr=b_star, z=z, density=Fraction(achieved, len(b_star)), dim=len(lam),
         size_ratio=Fraction(len(b_star), g.order),

@@ -305,6 +305,19 @@ def span_direct(g: GroupSpec, lam) -> set[int]:
     return acc
 
 
+def greedy_dissociated_direct(g: GroupSpec, cands) -> list[int]:
+    """Walk the candidates in order and keep each one that lies outside
+    span_direct of the members kept before it (so 0 and repeats are never
+    kept)."""
+    kept: list[int] = []
+    reach = span_direct(g, kept)
+    for c in cands:
+        if c not in reach:
+            kept.append(c)
+            reach = span_direct(g, kept)
+    return kept
+
+
 def dissociated_direct(g: GroupSpec, members) -> bool:
     """No nontrivial {0, +1, -1} combination vanishes."""
     members = list(members)

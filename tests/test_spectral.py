@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from addcomb.spectral import (
     spectrum,
 )
 
-from .oracles import dissociated_direct, span_direct, vanishing_signed_sums
+from .oracles import dissociated_direct, greedy_dissociated_direct, span_direct, vanishing_signed_sums
 
 
 def test_dissociated_small_cases():
@@ -57,6 +58,9 @@ def test_max_dissociated_boolean_is_rank():
     witness = max_dissociated(g, cands)
     assert witness.mode == "exact"
     assert len(witness) == 4
+    # elimination grows no span mask: the span is grown on first use
+    assert witness.span_mask is None
+    assert set(witness.span.members.tolist()) == span_direct(g, witness.members)
 
 
 def test_max_dissociated_weights_steer_greedy_order():
@@ -291,3 +295,69 @@ def test_max_dissociated_on_2_groups_ignores_zeros_and_repeats():
         got = max_dissociated(g, noisy)
         assert (got.members.tolist(), got.mode) == (clean.members.tolist(), clean.mode)
         assert clean.mode == "exact" and is_dissociated(g, clean.members)
+
+
+# cyclic, rank 2, and rank 3 and 4 with a factor-2 axis
+GREEDY_GROUPS = [make_group(f) for f in [(97,), (128,), (6, 10), (2, 5, 6), (2, 3, 4, 5)]]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_max_dissociated_picks_what_a_sequential_greedy_picks(data):
+    g = data.draw(st.sampled_from(GREEDY_GROUPS), label="group")
+    size = data.draw(st.integers(1, 40), label="distinct")
+    pool = data.draw(st.lists(st.integers(1, g.order - 1), min_size=size, max_size=size, unique=True), label="pool")
+    extra = data.draw(st.lists(st.sampled_from([0, *pool]), max_size=2 * size), label="repeats and zeros")
+    cands = data.draw(st.permutations(pool + extra), label="cands")
+    witness = max_dissociated(g, cands)
+    greedy = greedy_dissociated_direct(g, cands)
+    if size > 24:
+        assert witness.mode == "greedy"
+        assert witness.members.tolist() == greedy
+    else:
+        assert witness.mode == "exact"
+        assert dissociated_direct(g, witness.members)
+        assert len(witness) >= len(greedy)
+    # the span the search grew is the witness's span
+    assert set(witness.span.members.tolist()) == span_direct(g, witness.members)
+
+
+@pytest.mark.parametrize("factors", [(4096,), (2, 32, 64)])
+def test_greedy_scan_on_a_long_candidate_list(factors):
+    g = make_group(factors)
+    rng = random.Random(g.order + len(factors))
+    pool = rng.sample(range(1, g.order), 700)
+    cands = pool + [rng.choice(pool) for _ in range(400)] + [0] * 20
+    rng.shuffle(cands)
+    witness = max_dissociated(g, np.array(cands))
+    assert witness.mode == "greedy"
+    assert witness.members.tolist() == greedy_dissociated_direct(g, cands)
+    assert set(witness.span.members.tolist()) == span_direct(g, witness.members)
+
+
+def test_few_distinct_candidates_in_a_long_list_are_searched_exactly():
+    g = make_group((4096,))
+    rng = random.Random(24)
+    distinct = rng.sample(range(1, g.order), 18)
+    raw = distinct + [rng.choice([0, *distinct]) for _ in range(2000)]
+    witness = max_dissociated(g, raw)
+    assert witness.mode == "exact"
+    assert witness.members.tolist() == max_dissociated(g, distinct).members.tolist()
+    assert dissociated_direct(g, witness.members)
+    assert set(witness.span.members.tolist()) == span_direct(g, witness.members)
+
+
+EDGE_GROUPS = [make_group(f) for f in [(65536,), (4, 6, 8, 16), (2, 4, 8)]]
+
+
+@pytest.mark.parametrize("g", EDGE_GROUPS, ids=lambda g: "x".join(f"Z{n}" for n in g.factors))
+def test_span_kernel_at_the_edges(g):
+    rng = random.Random(g.order)
+    lams = [rng.sample(range(1, g.order), k) for k in range(1, 8)]
+    # members that leave some axes alone, and an element of order 2
+    axis_units = [g.index(tuple(int(j == i) for j in range(g.rank))) for i in range(g.rank)]
+    half = g.index(tuple(n // 2 for n in g.factors))
+    lams += [axis_units, [half, *axis_units[:1]], [axis_units[-1], half]]
+    for lam in lams:
+        assert span(g, lam).members.tolist() == sorted(span_direct(g, lam))
+        assert is_dissociated(g, lam) == dissociated_direct(g, lam)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from addcomb import setstat, structure
+from addcomb import setstat, spectral, structure
 from addcomb.bohr import find_regular_radius, materialize
 from addcomb.cli import main
 from addcomb.families import make_h_lambda, make_planted, HLambdaSpec
@@ -23,6 +23,7 @@ from addcomb.setstat import (
     higher_energy,
     sumset,
 )
+from addcomb.spectral import DissociatedWitness
 from addcomb.structure import (
     DensityGuaranteeFailed,
     HypothesisFailure,
@@ -169,12 +170,44 @@ def test_span_mass_is_exact_past_int64():
     assert phi_hat.values.dtype == np.int64
     params = StructureParams(m=1, m_prime=1, kappa=1, zeta=Fraction(1, 8), t=2)
     jump = structure.EnergyJump(k=2, e_k=1, e_next=1, m_star=params.m_star, k0=params.k0)
-    out = structure._bohr_span_diagnostics(B, phi_hat, (1, 6), params, jump)
+    # a 2-group witness carries no grown mask: its span is grown on first use
+    out = structure._bohr_span_diagnostics(B, phi_hat, DissociatedWitness(g, (1, 6), "exact"), params, jump)
     b = set(B.members.tolist())
     b_hat = walsh_direct([int(x in b) for x in range(g.order)])
     products = [phi_values[x] * b_hat[x] ** 2 for x in (0, 1, 6, 7)]
     assert min(products) > 1 << 63
     assert out["spectral_mass"].lhs == format_value(Fraction(sum(products)))
+
+
+
+def test_extract_bohr_reads_the_span_its_witness_grew(monkeypatch):
+    # two odd-step progressions of length 48 in Z_4096: a greedy witness
+    # with |Lambda| <= 10, so the span checks run
+    g = make_group((4096,))
+    rng = random.Random(0)
+    members = set()
+    for _ in range(2):
+        start, step = rng.randrange(g.order), rng.randrange(1, g.order, 2)
+        members |= {(start + i * step) % g.order for i in range(48)}
+    A = group_set(g, sorted(members))
+    params = derive_params(A, A)
+    calls = []
+    for name in ("span", "_span_mask"):
+        real = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    res = extract_bohr(A, A, params)
+    assert res.witness_mode == "greedy" and res.variant.dim <= 10
+    assert "spectral_mass" in res.diagnostics
+    assert calls == []
+    monkeypatch.undo()
+    # the record matches one computed from span(g, lam) afresh
+    front = structure._pipeline_front(A, A, params)
+    lam = front.witness.members
+    mask = np.zeros(g.order, dtype=bool)
+    mask[spectral.span(g, lam).members] = True
+    fresh = DissociatedWitness(g, lam, front.witness.mode, mask)
+    want = structure._bohr_span_diagnostics(A, front.phi_hat, fresh, params, front.jump)
+    assert res.diagnostics["spectral_mass"] == want["spectral_mass"]
 
 
 def test_check_hypotheses_binds_omega():
