@@ -9,7 +9,8 @@ Dilating every radius by rho only rescales one per-element statistic, so a
 single table per (group, Gamma, radius shape) answers size queries for every
 dilate.  It has one count entry, _ExactCounter.counts, which takes a batch
 of queries over one denominator, and one members entry, member_indices.
-The int64 phases v_j are built once into a sorted int64 key, 12 bytes per
+The phases v_j are built a few characters at a time, in int32 blocks from
+per-digit tables (_phase_blocks), into a sorted int64 key, 12 bytes per
 element with its index, and a batch is one binary search for its integer
 cuts, exact with no rounding.  A radius shape whose key would not fit in
 int64 (N max_j w_j >= 2^62, see _ExactCounter) keeps no key, and a batch is
@@ -41,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import GroupMismatchError, GroupSpec, _coords_of, neg_index_many
+from .groups import GroupMismatchError, GroupSpec
 from .report import CheckRecord, record_ge, record_le, require
 from .setstat import GroupSet, column_blocks
 
@@ -131,17 +132,20 @@ class _ExactCounter:
     as k(x) is an integer, x is a member at sigma iff k(x) < ceil(sigma N L).
     A batch of queries is one binary search for their cuts in the sorted keys.
 
-    The keys are built once, in int64 chunks, when N max_j w_j < 2^62: every
-    product v_j w_j <= (N/2) w_j then fits, and a cut clamped at 2^62 lies
-    above every key.  The table keeps only the keys in sorted order (int64)
-    and the matching element indices (int32, as N <= 2^24), 12 bytes per
-    element at any order.  The two most recent tables stay cached after the
-    call that built them returns, so up to 24 N bytes are held: 384 KiB at
-    N = 2^14, 384 MiB at the 2^24 cap.  A shape past the bound (some w_j of
-    62 - log2 N bits or more) keeps no keys: a batch of queries is then one
-    chunked pass of _member_rows, the test v_j(x) < ceil(sigma r_j N) for
-    every j with one row per query, the scan that also counts the stacked
-    size bounds of size_bound_stack.
+    The keys are built when N max_j w_j < 2^62: every product
+    v_j w_j <= (N/2) w_j then fits, and a cut clamped at 2^62 lies above
+    every key.  They are built a few characters at a time (one from order
+    _CHUNK / 4 on, see _keys): the int32 rows v_j of _phase_blocks, block
+    by block, raise one int64 running maximum of length N, so build memory
+    is O(N) at any d.  The table keeps only the keys in sorted order
+    (int64) and the matching element indices (int32, as N <= 2^24), 12
+    bytes per element at any order.  The two most recent tables stay cached
+    after the call that built them returns, so up to 24 N bytes are held:
+    384 KiB at N = 2^14, 384 MiB at the 2^24 cap.  A shape past the bound
+    (some w_j of 62 - log2 N bits or more) keeps no keys: a batch of
+    queries is then one blocked pass of _member_rows, the test
+    v_j(x) < ceil(sigma r_j N) for every j with one row per query, the scan
+    that also counts the stacked size bounds of size_bound_stack.
     """
 
     def __init__(self, g: GroupSpec, gamma: tuple[int, ...], shape: tuple[Fraction, ...]):
@@ -156,10 +160,7 @@ class _ExactCounter:
         self.sorted_keys: np.ndarray | None = None
         if n * max(w, default=0) >= _KEY_BOUND:
             return
-        col = np.array(w, dtype=np.int64)[:, None]
-        phases = (_phases(g, self.weights, idx) for idx in _index_chunks(n))
-        # the key of the empty shape is 0 at every element
-        keys = np.concatenate([(v * col).max(axis=0, initial=0) for v in phases])
+        keys = _keys(g, self.weights, w)
         self.order = np.argsort(keys).astype(np.int32)
         self.sorted_keys = keys[self.order]
 
@@ -175,24 +176,37 @@ class _ExactCounter:
     def member_indices(self, num: int, den: int) -> np.ndarray:
         """Sorted indices of the members at query sigma = num / den > 0."""
         if self.sorted_keys is None:
-            return np.concatenate([idx[member[0]] for idx, member in self._rows([num], den)])
+            rows = self._rows([num], den)
+            return np.concatenate([start + np.flatnonzero(member[0]) for start, member in rows])
         return np.sort(self.order[: self.counts([num], den)[0]])
 
     def _rows(self, nums: Sequence[int], den: int):
-        """Each _index_chunks block with its (len(nums), len) integer test
-        v_j(x) < ceil(sigma r_j N) at every sigma = num / den: one
-        _member_rows call per block for the whole batch."""
+        """The first index of each _phase_blocks block with its (len(nums), len)
+        integer test v_j(x) < ceil(sigma r_j N) at every sigma = num / den:
+        one _member_rows call per block for the whole batch."""
         n = self.group.order
         cuts = [[_radius_cut(num * r.numerator, den * r.denominator, n) for r in self.shape] for num in nums]
-        cuts = np.array(cuts, dtype=np.int64)
+        cuts = np.array(cuts, dtype=np.int32)
         chars = np.broadcast_to(np.arange(len(self.shape)), cuts.shape)
-        for idx in _index_chunks(n):
-            yield idx, _member_rows(_phases(self.group, self.weights, idx), chars, cuts)
+        for start, v in _phase_blocks(self.group, self.weights):
+            yield start, _member_rows(v, chars, cuts)
 
 
-def _index_chunks(n: int):
-    for lo in range(0, n, _CHUNK):
-        yield np.arange(lo, min(n, lo + _CHUNK), dtype=np.int64)
+def _keys(g: GroupSpec, weights: np.ndarray, w: Sequence[int]) -> np.ndarray:
+    """k(x) = max_j v_j(x) w_j over the group, a batch of characters of the
+    _weights table at a time; the key of the empty shape is 0 at every
+    element.  A batch holds max(1, _CHUNK // 4N) characters: one on a group
+    of order _CHUNK / 4 or more, so build memory is O(N) at any d, and on a
+    smaller group several, up to _CHUNK / 4 phases in few numpy calls."""
+    keys = np.zeros(g.order, dtype=np.int64)
+    batch = max(1, _CHUNK // (4 * g.order))
+    for j in range(0, len(w), batch):
+        for start, v in _phase_blocks(g, weights[j : j + batch]):
+            block = keys[start : start + v.shape[1]]
+            for row, wj in zip(v, w[j : j + batch]):
+                # v_j w_j is taken in int64: the int32 loop would overflow
+                np.maximum(block, row if wj == 1 else np.multiply(row, wj, dtype=np.int64), out=block)
+    return keys
 
 
 def _weights(g: GroupSpec, gamma: Sequence[int]) -> np.ndarray:
@@ -204,11 +218,76 @@ def _weights(g: GroupSpec, gamma: Sequence[int]) -> np.ndarray:
     ).reshape(len(gamma), g.rank)
 
 
-def _phases(g: GroupSpec, weights: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """(d, len) int64 table of v_j = min(c_j, N - c_j) over an index array."""
-    n = g.order
-    c = (weights @ _coords_of(g, idx).T) % n
-    return np.minimum(c, n - c)
+def _digits(g: GroupSpec) -> list[tuple[int, int, int]]:
+    """(axis, span, step) of every digit of the element index, least
+    significant first.  A coordinate of an axis of length f is h b + l with
+    base b = 2^ceil(log2(f) / 2), l < b and h < ceil(f / b): the digits l
+    (step 1) and h (step b) each take O(sqrt f) values.  Only the top axis
+    may pad, as h b + l >= f lies at an index >= N there; a lower axis
+    whose length b does not divide stays one digit of span f and step 1."""
+    digits = []
+    for k, f in enumerate(g.factors):
+        base = 1 << ((f - 1).bit_length() + 1) // 2
+        high = -(-f // base)
+        if high > 1 and (f % base == 0 or k == g.rank - 1):
+            digits += [(k, base, 1), (k, high, base)]
+        else:
+            digits.append((k, f, 1))
+    return digits
+
+
+def _outer_sum(tables: Sequence[np.ndarray], n: int, d: int) -> np.ndarray:
+    """(d, prod of spans) int32 phases c_j over a run of digits, least
+    significant first: outer sums of their (d, span) tables, each brought
+    back into [0, N) by one conditional subtraction of N."""
+    if not tables:
+        return np.zeros((d, 1), dtype=np.int32)
+    out = tables[0]
+    for table in tables[1:]:
+        out = (table[:, :, None] + out[:, None, :]).reshape(d, table.shape[1] * out.shape[1])
+        np.subtract(out, n, out=out, where=out >= n)
+    return out
+
+
+def _phase_blocks(g: GroupSpec, weights: np.ndarray):
+    """(start, v) for each block of element indices from start on, v the
+    (d, len) int32 table of v_j = min(c_j, N - c_j) there, for the d
+    characters of a (d, rank) _weights table W: a view of one buffer that
+    the next block overwrites.
+
+    Digit u of span S and step s (_digits) adds u (s W_jk mod N) mod N to
+    c_j.  These digit tables, the rows of one (d, digits, max S) table, are
+    the only place that takes a remainder.  The trailing digits whose spans
+    multiply to at most _CHUNK make a row of R indices, and the leading
+    digits number the rows; each part is one _outer_sum table.  A block is
+    a run of whole rows, at most _CHUNK elements, where c_j = lead[q] +
+    row[r] < 2N <= 2^25 is exact in int32.  The row table is stored less N,
+    so one add gives c - N in [-N, N), and v = min(u, N - u) at
+    u = |c - N|.
+    """
+    n, d = g.order, len(weights)
+    axes, spans, steps = zip(*_digits(g))
+    units = np.array(steps) * weights[:, axes] % n
+    table = (np.arange(max(spans)) * units[:, :, None] % n).astype(np.int32)
+    tables = [table[:, i, :span] for i, span in enumerate(spans)]
+    cut, width = 0, 1
+    while cut < len(spans) and width * spans[cut] <= _CHUNK:
+        width *= spans[cut]
+        cut += 1
+    row = _outer_sum(tables[:cut], n, d) - np.int32(n)
+    rows = -(-n // width)  # the padded values of a top digit lie past the last row
+    lead = _outer_sum(tables[cut:], n, d)[:, :rows]
+    per = _CHUNK // width
+    buf = np.empty((d, min(per, rows), width), dtype=np.int32)
+    tmp = np.empty_like(buf)
+    for q in range(0, rows, per):
+        c, t = buf[:, : rows - q], tmp[:, : rows - q]
+        np.add(lead[:, q : q + per, None], row[:, None, :], out=c)
+        np.abs(c, out=c)
+        np.subtract(n, c, out=t)
+        np.minimum(c, t, out=c)
+        start = q * width
+        yield start, c.reshape(d, c.shape[1] * width)[:, : n - start]
 
 
 def _radius_cut(num: int, den: int, n: int) -> int:
@@ -420,8 +499,9 @@ def size_bound_stack(g: GroupSpec, instances: Sequence[Sequence[BohrSpec]]) -> l
     Every Bohr set a block of instances needs (each set, its wedge and each
     set at half its radii) is a row of one integer membership test,
     _member_rows, over one (characters, elements) table of the phases v_j
-    of the union of the block's characters, built in _index_chunks blocks.
-    The same test at the negated elements decides symmetry.  A block holds
+    of the union of the block's characters, built in _phase_blocks blocks.
+    The same test on the phases of the negated characters decides symmetry:
+    x lies in B(Gamma, eps) at -x iff x lies in B(-Gamma, eps).  A block holds
     at most _BLOCK_ELEMENTS cells of rows by elements, or one instance
     (column_blocks), so memory grows neither with the number of instances
     nor with the group order.
@@ -474,24 +554,26 @@ def size_bound_stack(g: GroupSpec, instances: Sequence[Sequence[BohrSpec]]) -> l
 def _scan(g: GroupSpec, specs: Sequence[BohrSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|B|, whether B holds the identity, and whether B is symmetric under
     negation, for the Bohr set B of every spec: one phase pass over the
-    union of their characters."""
+    union of their characters.  The mirror pass reads the phases of the
+    negated characters, (N - W) mod N: B holds -x iff B(-Gamma, eps) holds
+    x."""
     gamma = sorted({t for spec in specs for t in spec.gamma})
     column = {t: j for j, t in enumerate(gamma)}
     width = max((spec.d for spec in specs), default=0)
     chars = np.zeros((len(specs), width), dtype=np.int64)
     # a padded slot always passes, as v_j <= N/2 < N
-    cuts = np.full((len(specs), width), g.order, dtype=np.int64)
+    cuts = np.full((len(specs), width), g.order, dtype=np.int32)
     for r, spec in enumerate(specs):
         chars[r, : spec.d] = [column[t] for t in spec.gamma]
         cuts[r, : spec.d] = [_radius_cut(e.numerator, e.denominator, g.order) for e in spec.eps]
-    weights = _weights(g, gamma)
     sizes = np.zeros(len(specs), dtype=np.int64)
     symmetric = np.ones(len(specs), dtype=bool)
-    for idx in _index_chunks(g.order):
-        member = _member_rows(_phases(g, weights, idx), chars, cuts)
-        if idx[0] == 0:
+    weights = _weights(g, gamma)
+    mirrors = _phase_blocks(g, (g.order - weights) % g.order)
+    for (start, v), (_, mirror) in zip(_phase_blocks(g, weights), mirrors):
+        member = _member_rows(v, chars, cuts)
+        if start == 0:
             identity = member[:, 0]
         sizes += member.sum(axis=1)
-        mirror = _member_rows(_phases(g, weights, neg_index_many(g, idx)), chars, cuts)
-        symmetric &= (member == mirror).all(axis=1)
+        symmetric &= (member == _member_rows(mirror, chars, cuts)).all(axis=1)
     return sizes, identity, symmetric

@@ -191,18 +191,6 @@ def _shift(g: GroupSpec, idx: np.ndarray, j) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _radix(factors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    return np.array(_strides(factors), dtype=np.int64), np.array(factors, dtype=np.int64)
-
-
-def _coords_of(g: GroupSpec, indices) -> np.ndarray:
-    """Coordinates of an index or index array, in a trailing axis, by
-    mixed-radix division."""
-    strides, mods = _radix(g.factors)
-    return (np.asarray(indices)[..., None] // strides) % mods
-
-
 def _index_arg(j):
     return j if isinstance(j, np.ndarray) else int(j)
 

@@ -143,6 +143,12 @@ def parse_set_direct(text: str, path: str = "<string>") -> tuple[GroupSpec, list
     return g, sorted(seen)
 
 
+def coords_direct(g: GroupSpec, idx) -> np.ndarray:
+    """The (len, rank) table of coordinates of an index array, one
+    g.unindex call per index."""
+    return np.array([g.unindex(i) for i in np.asarray(idx).tolist()], dtype=np.int64).reshape(-1, g.rank)
+
+
 def sorted_set(indices) -> list[int]:
     """The distinct indices as a sorted list of Python ints: what a set's
     members spell out."""
@@ -250,6 +256,29 @@ def bohr_members_direct(g: GroupSpec, gamma, eps) -> set[int]:
             tc = g.unindex(t)
             phase = sum(Fraction(a * b, f) for a, b, f in zip(tc, xc, g.factors)) % 1
             if min(phase, 1 - phase) >= e:
+                ok = False
+                break
+        if ok:
+            members.add(x)
+    return members
+
+
+def bohr_members_int_direct(g: GroupSpec, gamma, eps) -> set[int]:
+    """bohr_members_direct in integers, for groups where Fractions are too
+    slow: the phase of gamma at x is c/N with c = sum_i t_i x_i (N / f_i)
+    mod N, and ||c/N|| < p/q iff q min(c, N - c) < p N."""
+    n = g.order
+    rows = []
+    for t, e in zip(gamma, eps):
+        weights = [a * (n // f) for a, f in zip(g.unindex(t), g.factors)]
+        rows.append((weights, Fraction(e).numerator, Fraction(e).denominator))
+    members = set()
+    for x in range(n):
+        xc = g.unindex(x)
+        ok = True
+        for weights, p, q in rows:
+            c = sum(w * a for w, a in zip(weights, xc)) % n
+            if q * min(c, n - c) >= p * n:
                 ok = False
                 break
         if ok:

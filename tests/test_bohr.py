@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -29,7 +30,12 @@ from addcomb.f2 import nullspace_basis, subspace_elements
 from addcomb.groups import boolean_group, make_group
 from addcomb.report import CheckFailure
 
-from .oracles import bohr_members_direct, regular_radius_direct, regularity_grid_direct
+from .oracles import (
+    bohr_members_direct,
+    bohr_members_int_direct,
+    regular_radius_direct,
+    regularity_grid_direct,
+)
 
 
 def test_frozen_halfwidth_example():
@@ -499,3 +505,86 @@ def test_size_bound_stack_requires_what_the_one_instance_calls_require(monkeypat
     with pytest.raises(CheckFailure) as failed:
         size_bound_stack(g, instances)
     assert failed.value.record == replace(required[3], ok=False)
+
+
+# Z97 pads its top digit, Z3xZ5xZ7 keeps its lower axes whole and pads its
+# top digit, and Z2xZ4xZ8 splits every axis of length 4 or more
+BLOCK_GROUPS = EXACTNESS_GROUPS + [make_group(f) for f in [(2, 4, 8), (3, 5, 7)]]
+
+
+def _assert_blocks_exact(g, specs, rhos, oracle=bohr_members_direct):
+    """Every count path against the oracle: counts, member_indices and
+    size_profile of each spec's counter at the dilations rhos, and _scan's
+    sizes, identity and symmetry flags on the specs and their half-radius
+    dilates."""
+    for spec in specs:
+        counter, scale = _counter(spec)
+        wants = [oracle(g, spec.gamma, [rho * e for e in spec.eps]) for rho in rhos]
+        sigmas = [rho * scale for rho in rhos]
+        den = math.lcm(*(sigma.denominator for sigma in sigmas))
+        nums = [sigma.numerator * (den // sigma.denominator) for sigma in sigmas]
+        assert counter.counts(nums, den) == [len(want) for want in wants]
+        for sigma, want in zip(sigmas, wants):
+            assert counter.member_indices(sigma.numerator, sigma.denominator).tolist() == sorted(want)
+        assert size_profile(g, spec, rhos) == [len(want) for want in wants]
+    rows = [*specs, *(dilate(s, Fraction(1, 2)) for s in specs)]
+    sizes, identity, symmetric = _scan(g, rows)
+    assert sizes.tolist() == [len(oracle(g, s.gamma, s.eps)) for s in rows]
+    assert identity.all() and symmetric.all()
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_phase_blocks_exact_at_every_block_size(data):
+    # blocks of 1, 7 and 32 elements split the digit rows of every group
+    # here, and at 200 the keys of Z24 are built two characters to a batch;
+    # the keyless shapes put one radius 2^70 times below the other
+    g = data.draw(st.sampled_from(BLOCK_GROUPS), label="group")
+    n = g.order
+    keyless = data.draw(st.booleans(), label="keyless")
+    specs = []
+    for _ in range(data.draw(st.integers(1, 2), label="specs")):
+        d = data.draw(st.integers(2 if keyless else 1, 3), label="d")
+        gamma = data.draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d), label="gamma")
+        eps = [_small_fraction(data.draw, n) for _ in range(d)]
+        if keyless:
+            eps[-1] = Fraction(1, 2**70)
+        specs.append(make_bohr_spec(g, gamma, eps))
+    rhos = [Fraction(1), Fraction(1, 2), _small_fraction(data.draw, n)]
+    for chunk in (1, 7, 32, 200):
+        with mock.patch.object(bohr, "_CHUNK", chunk):
+            bohr._phase_table.cache_clear()
+            assert all((_counter(s)[0].sorted_keys is None) is keyless for s in specs)
+            _assert_blocks_exact(g, specs, rhos)
+    bohr._phase_table.cache_clear()
+
+
+def test_phase_blocks_exact_past_one_block():
+    # Z3xZ59049 spans more than one block at the default block size: rows
+    # of 768 indices, 85 rows to a block, and a padded top digit
+    g = make_group((3, 59049))
+    assert g.order > bohr._CHUNK
+    keyed = make_bohr_spec(g, [g.index((1, 7)), g.index((2, 30000))], [Fraction(1, 5), Fraction(3, 7)])
+    keyless = make_bohr_spec(g, [g.index((0, 1)), g.index((1, 0))], [Fraction(1, 40), Fraction(1, 2**70)])
+    assert _counter(keyed)[0].sorted_keys is not None
+    assert _counter(keyless)[0].sorted_keys is None
+    _assert_blocks_exact(g, [keyed, keyless], [Fraction(1), Fraction(1, 3)], oracle=bohr_members_int_direct)
+
+
+def test_counter_build_memory_does_not_grow_with_d():
+    # from order _CHUNK / 4 on, the keys are raised one character at a time:
+    # the build holds the int64 keys, the int32 rows of one character and the
+    # kept table, whatever d is
+    g = make_group((32768,))
+    rng = random.Random(5)
+    peaks = []
+    for d in (4, 16):
+        gamma = tuple(rng.randrange(1, g.order) for _ in range(d))
+        tracemalloc.start()
+        try:
+            bohr._ExactCounter(g, gamma, (Fraction(1),) * d)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 40 * g.order
+    assert peaks[1] <= peaks[0] + g.order

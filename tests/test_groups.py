@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from addcomb.groups import (
     GroupMismatchError,
     SizeLimitError,
-    _coords_of,
     add_index_many,
     format_group_text,
     make_group,
@@ -16,6 +15,8 @@ from addcomb.groups import (
     parse_group_text,
     sub_index_many,
 )
+
+from .oracles import coords_direct
 
 GROUPS = [make_group(f) for f in [(24,), (2, 2, 2), (4, 6), (101,), (3, 5, 2)]]
 
@@ -94,12 +95,12 @@ def test_vectorized_index_ops_match_scalar(g):
 @settings(max_examples=60, deadline=None)
 def test_vectorized_index_ops_match_coordinates_for_every_shift(factors):
     # every shift j, so each coordinate wraps for some indices and not others;
-    # the reference adds coordinates from mixed-radix division
+    # the reference adds the coordinates that unindex gives
     g = make_group(factors)
     mods = np.array(g.factors)
     strides = np.array(g.strides)
     idx = np.arange(g.order, dtype=np.int64)
-    coords = _coords_of(g, idx)
+    coords = coords_direct(g, idx)
     assert np.array_equal(neg_index_many(g, idx), (-coords % mods) @ strides)
     for j in range(g.order):
         assert np.array_equal(add_index_many(g, idx, j), ((coords + coords[j]) % mods) @ strides)
@@ -131,11 +132,3 @@ def test_add_and_sub_many_on_large_groups(factors):
         for i, a, s in zip(idx.tolist(), added.tolist(), subbed.tolist()):
             assert a == g.add_index(i, j)
             assert s == g.sub_index(i, j)
-
-
-@pytest.mark.parametrize("g", GROUPS, ids=format_group_text)
-def test_coords_table_matches_unindex(g):
-    table = _coords_of(g, np.arange(g.order))
-    assert table.shape == (g.order, g.rank)
-    for i in range(g.order):
-        assert tuple(int(c) for c in table[i]) == g.unindex(i)
