@@ -19,7 +19,7 @@ from . import f2
 from .groups import GroupSpec, boolean_group, make_group
 from .harmonic import prime_factors, wht_int
 from .report import CheckRecord, record_eq, record_ge, record_le, require
-from .setstat import GroupSet, difference_set, group_set, higher_energy, slice_set
+from .setstat import GroupSet, group_set, higher_energy
 
 _H_LAMBDA_N_MAX = 20
 
@@ -94,38 +94,37 @@ def verify_h_lambda(A: GroupSet, spec: HLambdaSpec) -> HLambdaReport:
     """Check the slice structure and energy concentration of an H+Lambda set.
 
     Slices: A_s = A for s in H; A_s is a union of exactly two H-cosets for
-    s in (A-A) minus H.  Ratios r_k, k = 2..6, measure how much of E_k
-    lives on H; on the canonical (k=3, lambda=5) shape they must increase
-    strictly over even k.  Failures raise; this family is fully understood, so any
-    violation is a bug witness.
+    s in (A-A) minus H.  Both are read off A o A: A_s lies in A and has
+    (A o A)(s) members, so A_s = A iff (A o A)(s) = |A|.  Then A + s = A for
+    every s in H, so every slice A intersect (A + s) is H-invariant, and it
+    is two H-cosets iff it has 2|H| members.  Ratios r_k, k = 2..6, measure
+    how much of E_k lives on H; on the canonical (k=3, lambda=5) shape they
+    must increase strictly over even k.  Failures raise; this family is
+    fully understood, so any violation is a bug witness.
     """
     g = A.group
     if g != spec.group:
         raise ValueError("set does not live on the spec's group")
-    h_members = f2.subspace_elements(spec.h_basis).tolist()
-    h_set = frozenset(h_members)
+    h = f2.subspace_elements(spec.h_basis)
+    h_members = h.tolist()
     records: list[CheckRecord] = []
     counts = A.autocorr.tolist()
     a = len(A)
 
-    for s in h_members:
-        if slice_set(A, s) != A:
-            raise AssertionError(f"slice at s={s} in H is not all of A")
+    bad = h[A.autocorr[h] != a].tolist()
+    if bad:
+        raise AssertionError(f"slice at s={bad[0]} in H is not all of A")
     records.append(
         record_eq("H-slices equal A", "family:slice_h", len(h_members), len(h_members))
     )
 
-    diff = difference_set(A, A)
-    outside = [s for s in diff.members.tolist() if s not in h_set]
+    off_h = A.autocorr != 0  # A - A
+    off_h[h] = False
+    outside = np.flatnonzero(off_h)
     two_cosets = 2 * (1 << spec.k)
-    h_basis = list(spec.h_basis)
-    for s in outside:
-        sl = slice_set(A, s)
-        if len(sl) != two_cosets:
-            raise AssertionError(f"slice at s={s} has size {len(sl)}, expected {two_cosets}")
-        for b in h_basis:
-            if sl.translate(b) != sl:
-                raise AssertionError(f"slice at s={s} is not H-invariant")
+    bad = outside[A.autocorr[outside] != two_cosets].tolist()
+    if bad:
+        raise AssertionError(f"slice at s={bad[0]} has size {counts[bad[0]]}, expected {two_cosets}")
     records.append(
         record_eq(
             "outside slices are two H-cosets",
@@ -164,7 +163,7 @@ def verify_h_lambda(A: GroupSet, spec: HLambdaSpec) -> HLambdaReport:
         records.append(require(mono) if canonical else mono)
 
     phi_alignment: dict[int, tuple[Fraction, Fraction]] = {}
-    h_perp = f2.nullspace_basis(h_basis, spec.n) if h_basis else None
+    h_perp = f2.nullspace_basis(list(spec.h_basis), spec.n) if spec.k else None
     perp_elems = f2.subspace_elements(h_perp).tolist() if h_perp is not None else list(range(g.order))
     h_hat = 1 << spec.k
     for k in (2, 3):

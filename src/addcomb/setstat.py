@@ -18,7 +18,10 @@ transforms into exact counts: one inverse integer Walsh-Hadamard
 transform on 2-groups, and elsewhere one inverse DFT, rounded, for every
 column where harmonic.conv_errors proves each entry within 1/2 of its
 integer, and the pair loop (_conv_loop: the table of a + b in blocks of
-rows, one bincount each) for any other column.  Stacks and pair tables
+rows, one bincount each) for any other column.  katz_koester_stack
+takes B + A_x from it as well, as the support of one _columns call over
+a block of slices A_x pooled with their B's, with no shift loop, so
+every pair count here has one proof path.  Stacks and pair tables
 are cut in blocks of at most _BLOCK_ELEMENTS cells (column_blocks), so
 memory grows neither with the number of instances nor with the group
 order, and energies are summed in int64 only under a stated bound.
@@ -334,31 +337,45 @@ def _columns(pool: SetStack, hats: np.ndarray | None, left: np.ndarray, right: n
     over a in set left[j] of pool (negated where reflect[j]) and b in set
     right[j].  hats[i] is the transform of the pool's set i (_hats); column j
     multiplies A_hat (conj(A_hat), -A's transform, with A's error bound,
-    where reflected) by B_hat.  On 2-groups a column is one integer Walsh
-    transform of its products, divided by N, exact in int64: a product
-    column has L1 norm at most sqrt(sum |A_hat|^2 sum |B_hat|^2) =
-    N sqrt(|A| |B|) <= N^2 <= 2^48 (Cauchy-Schwarz, Parseval, the
-    membership cap).  Elsewhere a column whose conv_errors bound is below
-    1/2 (one call for all) is the rounded inverse DFT of its products, and
-    any other, or every one when hats is None, counts by pairs
-    (_conv_loop), the only place -A is built."""
+    where reflected) by B_hat, all columns in one multiply of the gathered
+    rows (_rows).  On 2-groups a column is one integer Walsh transform of
+    its products, divided by N, exact in int64: a product column has L1
+    norm at most sqrt(sum |A_hat|^2 sum |B_hat|^2) = N sqrt(|A| |B|) <=
+    N^2 <= 2^48 (Cauchy-Schwarz, Parseval, the membership cap).  Elsewhere
+    a column whose conv_errors bound is below 1/2 (one call for all) is the
+    rounded inverse DFT of its products, and any other, or every one when
+    hats is None, counts by pairs (_conv_loop), the only place -A is
+    built."""
     g, n = pool.group, pool.group.order
     a, b = pool.sizes[left], pool.sizes[right]
     out = _table(n, len(left), np.int64)
     live = np.flatnonzero((a > 0) & (b > 0))
     exact = (hats is not None) & (g.is_boolean_space | (conv_errors(g, a[live], b[live]) < 0.5))
-    fast, slow = live[exact].tolist(), live[~exact].tolist()
-    if fast:
-        products = _table(n, len(fast), hats[0].dtype)
-        for i, j in enumerate(fast):  # -A = A on 2-groups
-            first = np.conj(hats[left[j]]) if reflect[j] and not g.is_boolean_space else hats[left[j]]
-            np.multiply(first, hats[right[j]], out=products[:, i])
+    fast, slow = live[exact], live[~exact].tolist()
+    if len(fast):
+        flip = reflect[fast] & (not g.is_boolean_space)  # -A = A on 2-groups
+        # a single row broadcasts over every column (out[:, fast] repeats one product)
+        products = (_rows(hats, left[fast], flip) * _rows(hats, right[fast])).T
         out[:, fast] = (wht_int_columns(g, products) // n if g.is_boolean_space
                         else np.rint(idft_columns(g, products).real))
     for j in slow:
         A = pool[left[j]]
         out[:, j] = _conv_loop(g, neg_index_many(g, A) if reflect[j] else A, pool[right[j]])
     return out
+
+
+def _rows(hats, picks: np.ndarray, flip: np.ndarray | None = None) -> np.ndarray:
+    """Rows picks of hats, conjugated where flip holds: one (1, N) row when
+    every pick reads the same row alike (hats may then be a tuple of kept
+    transforms), else a (k, N) gather."""
+    flip = np.zeros(len(picks), dtype=bool) if flip is None else flip
+    if (picks == picks[0]).all() and (flip == flip[0]).all():
+        row = hats[picks[0]]
+        return (np.conj(row) if flip[0] else row)[None]
+    rows = hats[picks]
+    if flip.any():
+        np.conjugate(rows, out=rows, where=flip[:, None])
+    return rows
 
 
 def _pair_columns(As: SetStack, Bs: SetStack, reflect: bool) -> np.ndarray:
@@ -418,8 +435,9 @@ def _hats(S: SetStack) -> np.ndarray | None:
     g = S.group
     if not (g.is_boolean_space or g.order <= MAX_TRANSFORM_ORDER):
         return None
-    table = _indicator_table(S, np.int64)
-    return (wht_int_columns(g, table) if g.is_boolean_space else dft_columns(g, table)).T
+    if g.is_boolean_space:
+        return wht_int_columns(g, _indicator_table(S, np.int64)).T
+    return dft_columns(g, _indicator_table(S, np.complex128)).T  # the DFT's own dtype: no copy
 
 
 def _support_stack(g: GroupSpec, counts: np.ndarray) -> SetStack:
@@ -552,9 +570,12 @@ def katz_koester_stack(As: SetStack, Bs: SetStack) -> list[SliceInclusion]:
 
     A - A and A + B of a block of pairs are one stack of pair counts on one
     transform of its sets.  All its displacements are the columns of one
-    table over the elements y, in blocks of at most _BLOCK_ELEMENTS cells:
-    A_x and (A+B)_x are boolean columns read through y - x, B + A_x comes
-    from _plus_columns, and x holds iff B + A_x lies in (A+B)_x.
+    table over the elements y, in blocks of at most _BLOCK_ELEMENTS / 4
+    cells, since a displacement holds complex transform columns: A_x and
+    (A+B)_x are boolean columns read through y - x, and B + A_x is the
+    support of one _columns call (no shift loop) over the block's A_x,
+    pooled with their owners' B's, whose transforms it takes from the stack
+    of pair counts.  x holds iff B + A_x lies in (A+B)_x.
     """
     g = _pair_group(As, Bs)
     ys = np.arange(g.order, dtype=np.int64)[:, None]
@@ -570,21 +591,28 @@ def katz_koester_stack(As: SetStack, Bs: SetStack) -> list[SliceInclusion]:
         a_masks = _indicator_table(A, bool)
         s_masks = counts[:, c:] != 0  # A + B
         a_flat, s_flat = a_masks.T.ravel(), s_masks.T.ravel()  # pair p's column at p * N
-        b_side = hats[c:].copy().T if g.is_boolean_space else _indicator_table(B, bool)
+        b_hats = None if hats is None else hats[c:].copy()
         del counts, hats  # not held through the displacement blocks
         left, right, holds = (np.empty(len(all_xs), dtype=t) for t in (np.int64, np.int64, bool))
-        for cols in column_blocks(len(all_xs), g.order):
+        for cols in column_blocks(len(all_xs), g.order, per_item=4):
             own = owners[cols]
             shifted = sub_index_many(g, ys, all_xs[cols])
             shifted += own * g.order
             a_cols = a_flat[shifted] & _owner_columns(a_masks, own)
             s_cols = s_flat[shifted] & _owner_columns(s_masks, own)
-            left_cols = _plus_columns(g, b_side, a_cols, own)
+            del shifted
+            first, last = own[0], own[-1] + 1
+            slices = _support_stack(g, a_cols)  # the A_x, pooled after their owners' B's
+            pool = _join(g, [B[first:last], slices])
+            hats = None if b_hats is None else np.concatenate((b_hats[first:last], _hats(slices)))
+            at = np.arange(last - first, len(pool))
+            left_cols = _columns(pool, hats, at, own - first, np.zeros(len(own), dtype=bool)) != 0
             left[cols] = left_cols.sum(axis=0)
             right[cols] = s_cols.sum(axis=0)
             holds[cols] = ~(left_cols & ~s_cols).any(axis=0)
-        cuts = np.cumsum(np.bincount(owners, minlength=c))[:-1]
-        out.extend(SliceInclusion(*rows) for rows in zip(*(np.split(v, cuts) for v in (all_xs, left, right, holds))))
+        ends = np.cumsum(np.bincount(owners, minlength=c)).tolist()
+        out.extend(SliceInclusion(all_xs[lo:hi], left[lo:hi], right[lo:hi], holds[lo:hi])
+                   for lo, hi in zip([0] + ends, ends))
     return out
 
 
@@ -592,39 +620,6 @@ def _owner_columns(table: np.ndarray, owners: np.ndarray) -> np.ndarray:
     """Column owners[j] of table for every j, owners ascending: one column,
     broadcast, when a block holds one pair's displacements only."""
     return table[:, owners[:1]] if owners[0] == owners[-1] else table[:, owners]
-
-
-def _plus_columns(g: GroupSpec, b_side: np.ndarray, cols: np.ndarray, owners: np.ndarray) -> np.ndarray:
-    """B + C for every boolean column C of cols, an (N, k) table, where the
-    B of column j is the set of column owners[j] of b_side.
-
-    On 2-groups b_side holds the B's integer transforms, and B + C is the
-    support of the convolution of C with B: one integer Walsh transform of
-    the columns, times their B's transforms, transformed back.  A 0/1
-    column has L1 norm at most N, and sum_t |C_hat(t)|^2 = N |C|
-    (Parseval), so by Cauchy-Schwarz the L1 norm of C_hat * B_hat is at
-    most N sqrt(|C| |B|) <= N^2 <= 2^48 under the membership cap: the int64
-    butterflies are exact.  Elsewhere b_side holds the B's indicators, and
-    B + C is the OR, over the members b of the union of the B's, of C with
-    its rows moved by b (row z of the moved copy is row z - b), taken into
-    the columns whose B holds b; the row orders are read from one table of
-    z - b per chunk of members.
-    """
-    if g.is_boolean_space:
-        cols_hat = wht_int_columns(g, cols.astype(np.int64))
-        return wht_int_columns(g, cols_hat * _owner_columns(b_side, owners)) != 0
-    ys = np.arange(g.order, dtype=np.int64)
-    members = np.flatnonzero(_owner_columns(b_side, owners).any(axis=1))
-    mixed = owners[0] != owners[-1]
-    out = np.zeros_like(cols)
-    moved = np.empty_like(cols)
-    for chunk in column_blocks(len(members), g.order):
-        for b, rows in zip(members[chunk], sub_index_many(g, ys, members[chunk, None])):
-            np.take(cols, rows, axis=0, out=moved)
-            if mixed:
-                moved &= b_side[b, owners]
-            out |= moved
-    return out
 
 
 def triangle_stack(

@@ -66,6 +66,20 @@ def test_h_lambda_slices_directly():
             assert len(slice_set(A, s)) == 16
 
 
+@pytest.mark.parametrize("drop, add, message", [
+    ({13}, {13 ^ 16 ^ 32}, "slice at s=1 in H is not all of A"),  # one point moved out of its coset
+    # coset 128 + H swapped for 56 + H: 8 + 16 = 32 + 56, so the slice at 24 holds four cosets
+    (set(range(128, 136)), set(range(56, 64)), "slice at s=24 has size 32, expected 16"),
+])
+def test_perturbed_h_lambda_raises_at_the_first_failing_slice(drop, add, message):
+    spec = HLambdaSpec(n=8, k=3, lambda_size=5)
+    A = make_h_lambda(spec)
+    B = group_set(A.group, sorted(set(A.members.tolist()) - drop | add))
+    with pytest.raises(AssertionError) as err:
+        verify_h_lambda(B, spec)
+    assert str(err.value) == message
+
+
 def test_h_lambda_other_shapes():
     spec = HLambdaSpec(n=10, k=4, lambda_size=3)
     A = make_h_lambda(spec)

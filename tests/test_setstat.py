@@ -404,6 +404,10 @@ def test_katz_koester_inclusion_everywhere():
 
 
 KK_GROUPS = [make_group(f) for f in [(7,), (30,), (4, 6), (2, 3, 3), (2,) * 5]]
+# katz_koester_stack sizes a displacement block as this many columns of the
+# group apiece (column_blocks' per_item), since a displacement holds complex
+# transform columns
+_KK_PER_X = 4
 
 
 def _rows_against_oracle(A, B, sums=None, xs_per_block=None):
@@ -412,19 +416,22 @@ def _rows_against_oracle(A, B, sums=None, xs_per_block=None):
     None), after checking every row, sizes and verdict, against
     katz_koester_direct.  `sums`, a subset of A + B, replaces A + B on the
     right-hand side of both."""
-    budget = xs_per_block * A.group.order if xs_per_block else setstat._BLOCK_ELEMENTS
+    budget = xs_per_block * _KK_PER_X * A.group.order if xs_per_block else setstat._BLOCK_ELEMENTS
     with mock.patch.object(setstat, "_BLOCK_ELEMENTS", budget):
         if sums is None:
             [rows] = katz_koester_stack(A.stack(), B.stack())
         else:
             # A - A comes from the reflected columns of the stack of pair
-            # counts, so thinning the others reaches the right-hand side only
+            # counts, so thinning the others reaches the right-hand side
+            # only; the call with no reflected column counts B + A_x, the
+            # left-hand side, and is left as it is
             real = setstat._columns
             kept = np.isin(np.arange(A.group.order), sums.members)[:, None]
 
             def thinned(pool, hats, left, right, reflect):
                 counts = real(pool, hats, left, right, reflect)
-                counts[:, ~reflect] *= kept
+                if reflect.any():
+                    counts[:, ~reflect] *= kept
                 return counts
 
             with mock.patch.object(setstat, "_columns", thinned):
@@ -487,6 +494,28 @@ def test_katz_koester_rows_fail_where_oracle_fails_on_a_thinned_sumset(data):
     # at exactly the same displacements
     rows = _rows_against_oracle(A, B, thinned, xs_per_block=xs_per_block)
     assert 0 in rows.xs[~rows.holds].tolist()
+
+
+@pytest.mark.parametrize("g", [g for g in KK_GROUPS if not g.is_boolean_space], ids=format_group_text)
+@pytest.mark.parametrize("xs_per_block", [None, 1])
+def test_katz_koester_rows_loop_where_the_bound_fails_on_b_plus_a_x(g, xs_per_block):
+    # the first conv_errors call decides A - A and A + B; every later one
+    # decides B + A_x columns, and fails those whose A_x has odd size, so
+    # each of those columns counts by pairs and the others by one inverse DFT
+    rng = random.Random(3 * g.order)
+    A, B = (group_set(g, rng.sample(range(g.order), g.order // 2)) for _ in "AB")
+    real, calls = setstat.conv_errors, []
+
+    def errors(g, a, b):
+        calls.append(len(a))
+        return real(g, a, b) if len(calls) == 1 else np.where(a % 2, 1.0, real(g, a, b))
+
+    with mock.patch.object(setstat, "conv_errors", side_effect=errors), \
+            mock.patch.object(setstat, "_conv_loop", wraps=setstat._conv_loop) as loop:
+        rows = _rows_against_oracle(A, B, xs_per_block=xs_per_block)
+    odd = [x for x in rows.xs.tolist() if len(slice_set(A, x)) % 2]
+    assert odd and len(odd) < len(rows.xs)
+    assert loop.call_count == len(odd) and len(calls) > 1
 
 
 def test_katz_koester_rows_reject_foreign_sets():
@@ -1041,8 +1070,28 @@ def test_katz_koester_stack_matches_direct_oracle(case):
     g, pairs, per_block = case
     if g.order > 30:
         pairs = [(A, B) for A, B in pairs if len(A) * len(B) <= 400]
-    with _blocks_of(g, per_block):
+    # per_block pairs per block, then (all the pairs in one block) per_block
+    # displacements per block, so blocks cross from one pair to the next
+    for scale in (1, _KK_PER_X) if per_block else (1,):
+        with _blocks_of(g, per_block and scale * per_block):
+            rows = katz_koester_stack(*_stacks(g, pairs))
+        _check_kk_rows(pairs, rows)
+
+
+@pytest.mark.parametrize("xs_per_block", [2, 3])
+def test_katz_koester_stack_blocks_cross_pairs(xs_per_block):
+    # |A - A| = 3, 3, 5, 1: blocks of 2 or 3 displacements start inside a
+    # pair and end in a later one
+    g = make_group((24,))
+    pairs = [(group_set(g, a), group_set(g, b))
+             for a, b in [([0, 1], [2, 5]), ([3, 7], [0]), ([0, 1, 2], [1, 4, 9]), ([5], [0, 23])]]
+    with _blocks_of(g, xs_per_block * _KK_PER_X):
         rows = katz_koester_stack(*_stacks(g, pairs))
+    assert [len(r.xs) for r in rows] == [3, 3, 5, 1]
+    _check_kk_rows(pairs, rows)
+
+
+def _check_kk_rows(pairs, rows):
     assert len(rows) == len(pairs)
     for (A, B), r in zip(pairs, rows):
         assert r.xs.tolist() == sorted(difference_direct(A, A))
