@@ -2,6 +2,8 @@
 
 Vectors in a rank-n boolean space are Python ints whose bit i is coordinate i,
 which coincides with the group index of the corresponding element tuple.
+Dissociated subsets of a 2-group are its independent subsets; they are
+picked by spectral.max_dissociated, whose span masks grow by XOR, not here.
 """
 from __future__ import annotations
 
@@ -28,43 +30,6 @@ def reduce_vector(basis: Sequence[int], v: int) -> int:
     for r in basis:
         v = min(v, v ^ r)
     return v
-
-
-def independent_subset(vectors: Sequence[int]) -> list[int]:
-    """Greedy subset of the input (in order) forming a basis of its span:
-    each vector that lies outside the span of the ones before it.  Zeros
-    and repeats lie inside, so they are never picked.
-
-    Elimination on an int64 array, over prefixes of doubling length: a
-    prefix's new part is reduced by the rows picked so far, then its first
-    nonzero vector is picked, and its reduced form, a new row, reduces the
-    rest of the part.  Every row has a pivot bit that the rows after it do
-    not have, and reducing by the rows in the order they were picked
-    clears each pivot in turn, so a vector lies in the span iff it reduces
-    to 0.  The inputs lie in F2^b, b their largest bit length, so once the
-    rows have rank b every later vector reduces to 0 and the pass stops.
-    """
-    vecs = np.asarray(vectors, dtype=np.int64)
-    full_rank = int(np.bitwise_or.reduce(vecs)).bit_length()
-    rows: list[tuple[int, int]] = []  # (row, pivot bit)
-    picked: list[int] = []
-    lo = 0
-    while lo < vecs.size and len(rows) < full_rank:
-        hi = min(2 * lo + 1, vecs.size)
-        part, w = vecs[lo:hi], vecs[lo:hi].copy()
-        for row, pivot in rows:
-            w ^= -((w >> pivot) & 1) & row
-        nonzero = np.flatnonzero(w)
-        while nonzero.size and len(rows) < full_rank:
-            i = int(nonzero[0])
-            row = int(w[i])
-            pivot = row.bit_length() - 1
-            rows.append((row, pivot))
-            picked.append(int(part[i]))
-            w[i:] ^= -((w[i:] >> pivot) & 1) & row
-            nonzero = i + np.flatnonzero(w[i:])
-        lo = hi
-    return picked
 
 
 def _rref(vectors: Iterable[int]) -> tuple[list[int], list[int]]:

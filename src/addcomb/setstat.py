@@ -42,16 +42,18 @@ value of A o A with its multiplicity, as Python ints, so E_k =
 sum m * c^k is exact at every k), |A - A| (the support of A o A), |A + A|
 (the same number on 2-groups) and the peak coefficient, held as an
 enclosure [lo, hi] of |A_hat|^2 from harmonic.transform_error (lo == hi on
-2-groups, where the transform is exact).  A.neg() reads its
-autocorrelation and its transform off A, since (-A) o (-A) = A o A and
--A's transform is the conjugate of A's, so a set and its negation share
-one transform (the stacked kernels build no -A, see _columns).  The
-cached arrays are read-only; there is no cache outside the set.
+2-groups, where the transform is exact).  A.neg() is built once and
+kept on A, and it reads its autocorrelation and its transform off A,
+since (-A) o (-A) = A o A and -A's transform is the conjugate of A's, so
+a set and its negation share one transform (the stacked kernels build no
+-A, see _columns).  The cached arrays are read-only; there is no cache
+outside the set.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -138,9 +140,9 @@ class GroupSet:
     def transform(self) -> np.ndarray:
         """Transform of the indicator: int64 on 2-groups, complex128 elsewhere.
         A set made by neg() conjugates its source's (see neg)."""
-        source = self.__dict__.get("_neg_of")
-        if source is not None:
-            return read_only(np.conj(source.transform))
+        owner = _transform_owner(self)
+        if owner is not self:
+            return read_only(np.conj(owner.transform))
         hats = _hats(self.stack())
         if hats is None:
             raise SizeLimitError(f"dense transform beyond order {MAX_TRANSFORM_ORDER}")
@@ -149,8 +151,8 @@ class GroupSet:
     @cached_property
     def autocorr(self) -> np.ndarray:
         """(A o A)(x) = |A intersect (A + x)| for every x, as int64."""
-        source = self.__dict__.get("_neg_of")
-        return source.autocorr if source is not None else read_only(corr_counts(self, self))
+        owner = _transform_owner(self)
+        return owner.autocorr if owner is not self else read_only(corr_counts(self, self))
 
     @cached_property
     def energy_hist(self) -> tuple[tuple[int, int], ...]:
@@ -187,20 +189,33 @@ class GroupSet:
         return GroupSet(self.group, np.sort(add_index_many(self.group, self.members, x)))
 
     def neg(self) -> "GroupSet":
-        """-A.  It reads its autocorrelation and its transform off A, each
-        computed once on A: (-A) o (-A) = A o A, and the exact transform of
-        -A's real indicator is the conjugate of A's, so the conjugate of
-        A's computed transform carries A's transform_error bound.  The
-        negation of a set made by neg() is its source."""
+        """-A, built on first use and kept on A.  It reads its
+        autocorrelation and its transform off A, each computed once on A:
+        (-A) o (-A) = A o A, and the exact transform of -A's real indicator
+        is the conjugate of A's, so the conjugate of A's computed transform
+        carries A's transform_error bound.  The negation of a set made by
+        neg() is its source while the source lives; -A refers to A weakly,
+        so the pair makes no reference cycle and dies with A."""
         g = self.group
         if len(self) == 0 or g.is_boolean_space:
             return self
-        source = self.__dict__.get("_neg_of")
-        if source is not None:
-            return source
-        out = GroupSet(g, np.sort(neg_index_many(g, self.members)))
-        object.__setattr__(out, "_neg_of", self)
+        owner = _transform_owner(self)
+        if owner is not self:
+            return owner
+        out = self.__dict__.get("_neg")
+        if out is None:
+            out = GroupSet(g, np.sort(neg_index_many(g, self.members)))
+            object.__setattr__(out, "_neg_of", weakref.ref(self))
+            object.__setattr__(self, "_neg", out)
         return out
+
+
+def _transform_owner(s: GroupSet) -> GroupSet:
+    """The set whose transform s reads: the live source s was made from
+    by neg(), or else s itself."""
+    ref = s.__dict__.get("_neg_of")
+    source = ref() if ref is not None else None
+    return s if source is None else source
 
 
 class SetStack:
@@ -309,12 +324,15 @@ def conv_counts(A: GroupSet, B: GroupSet) -> np.ndarray:
     if len(A) == 0 or len(B) == 0:
         return np.zeros(g.order, dtype=np.int64)
     if g.is_boolean_space or g.order <= MAX_TRANSFORM_ORDER:
-        sources = {id(s): s for s in (A.__dict__.get("_neg_of", A), B.__dict__.get("_neg_of", B))}
+        source = _transform_owner(A)  # the set A negates, if A was made by neg()
+        sources = {id(s): s for s in (source, _transform_owner(B))}
         todo = sum("transform" not in s.__dict__ for s in sources.values())
         if _PAIR_COST * len(A) * len(B) > (1 + todo) * transform_cost(g):
-            pool = SetStack._view(g, np.concatenate((A.members, B.members)), np.array([0, len(A), len(A) + len(B)]))
-            hats = (A.transform, B.transform)  # computed once, kept on each set
-            return _columns(pool, hats, np.array([0]), np.array([1]), np.array([False]))[:, 0]
+            pool = SetStack._view(g, np.concatenate((source.members, B.members)),
+                                  np.array([0, len(A), len(A) + len(B)]))
+            hats = (source.transform, B.transform)  # computed once, kept on each set
+            # -A is read as A's column reflected, so no conjugate is kept on -A
+            return _columns(pool, hats, np.array([0]), np.array([1]), np.array([source is not A]))[:, 0]
     return _conv_loop(g, A.members, B.members)
 
 

@@ -17,8 +17,13 @@ Span(Lambda), so the same pass decides dissociativity: the test, the
 greedy witness and the branch and bound all grow spans, and a witness
 keeps the span its search grew.  A dissociated set has distinct {0, 1}-sums,
 so it has at most log2(N) <= 24 members: the test and the greedy each make
-at most log2(N) passes of size N, and the greedy one gather over the
-candidates left per pick.
+at most log2(N) passes of size N.
+
+A spectrum is not sorted.  It keeps a dense weight table, |f_hat(t)| on
+Spec_eps(f) and -1 off it, and the greedy witness reads it directly: per
+pick, one argmax takes the heaviest candidate left (the first maximum, so
+ties go to the smaller index), and once the span has grown, one masked
+store sets the weight of everything in it to -1.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import f2
 from .groups import GroupSpec
 from .harmonic import FunctionTable, dft, magnitudes, transform_error
 from .setstat import GroupSet, read_only
@@ -41,11 +45,16 @@ CHANG_AUDIT_CONSTANT = Fraction(8)  # Chang (2002), "A polynomial bound in Freim
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Frequencies t with |f_hat(t)| >= eps * ||f||_1, heaviest first."""
+    """Spec_eps(f): the frequencies t with |f_hat(t)| >= eps * ||f||_1.
+
+    members ascend; weights is the dense table over the group that
+    max_dissociated reads, |f_hat(t)| on the spectrum and -1 off it.
+    """
 
     group: GroupSpec
     eps: Fraction
-    members: np.ndarray  # read-only int64
+    members: np.ndarray  # read-only int64, ascending
+    weights: np.ndarray = field(repr=False)  # read-only, one entry per group element
 
     def __len__(self) -> int:
         return len(self.members)
@@ -69,7 +78,7 @@ class DissociatedWitness:
     @cached_property
     def span(self) -> GroupSet:
         """Span(members), read off the mask the search grew; grown here only
-        when no search grew one (2-group witnesses come from elimination)."""
+        when the witness was built without one."""
         mask = self.span_mask
         if mask is None:
             mask = _span_mask(self.group, self.members.tolist())
@@ -77,7 +86,7 @@ class DissociatedWitness:
 
 
 def spectrum(f: FunctionTable, eps: Fraction | int, *, fhat: FunctionTable | None = None) -> Spectrum:
-    """Members of the eps-spectrum, heaviest first.
+    """Spec_eps(f), with its weight table for max_dissociated.
 
     A caller that already holds dft(f) passes it as fhat.
     """
@@ -94,10 +103,9 @@ def spectrum(f: FunctionTable, eps: Fraction | int, *, fhat: FunctionTable | Non
     mags = magnitudes(fhat.values)
     thr = eps * Fraction(f.l1())
     err = Fraction(transform_error(f))
-    picked = np.flatnonzero(_at_least(mags, thr - err))
-    # heaviest first, ties by index: picked ascends and the sort is stable
-    picked = picked[np.argsort(-mags[picked], kind="stable")]
-    return Spectrum(group=g, eps=eps, members=read_only(picked))
+    keep = _at_least(mags, thr - err)
+    mags[~keep] = -1
+    return Spectrum(group=g, eps=eps, members=read_only(np.flatnonzero(keep)), weights=read_only(mags))
 
 
 def _at_least(values: np.ndarray, cut: Fraction) -> np.ndarray:
@@ -183,32 +191,40 @@ def is_dissociated(g: GroupSpec, lam: list[int] | tuple[int, ...]) -> bool:
 
 def max_dissociated(
     g: GroupSpec,
-    candidates: np.ndarray | list[int],
+    candidates: np.ndarray | list[int] | None = None,
+    *,
+    weights: np.ndarray | None = None,
 ) -> DissociatedWitness:
-    """Largest dissociated subset of the candidates.
+    """Largest dissociated subset of the candidates, heaviest first.
 
-    Adjoining mu keeps a set dissociated iff mu lies outside its span, and
-    a dissociated set has at most log2(N) members.  Exact on 2-groups
-    (rank by elimination) and when at most 24 distinct nonzero characters
-    are given, counted by one scatter into a mask (branch and bound over
-    the span-growth tree, in order of first appearance).  Larger general
-    inputs fall back to greedy span growth in the order given (callers
-    pass spectra heaviest first), recorded in the witness mode: per pick,
-    one gather of the span mask over the candidates left finds the next
-    one outside the span (0 and repeats lie inside), and one mask pass of
-    size N grows it, so at most log2(N) of each.  The witness keeps the
-    span mask its search grew.
+    The candidates come as a weight table over the group (weights, as
+    Spectrum.weights: candidates weigh >= 0, the rest -1) or as a sequence
+    in the order given, which one scatter turns into a table of
+    priorities.  Adjoining mu keeps a set dissociated iff mu lies outside
+    its span, and a dissociated set has at most log2(N) members.  Per
+    pick, one argmax takes the heaviest candidate left, ties to the
+    smaller index; it stops when the maximum is negative; one mask pass
+    of size N grows the span, and one masked store sets the weights in
+    the span to -1 (0 and repeats lie in it), so at most log2(N) of each.
+    On 2-groups the span is linear and dissociated sets are the
+    independent ones, a matroid, so this greedy pick is a maximum
+    ("exact").  Elsewhere, with
+    at most 24 distinct nonzero candidates, a branch and bound over the
+    span-growth tree, in (-weight, index) order, is exact; larger inputs
+    keep the greedy pick, recorded in the witness mode.  The witness keeps
+    the span mask its search grew.
     """
-    if g.is_boolean_space:
-        picked = f2.independent_subset(candidates)  # 0 and repeats lie in the span
-        return DissociatedWitness(g, picked, "exact")
-    cands = np.asarray(candidates, dtype=np.int64)
-    present = np.zeros(g.order, dtype=bool)
-    present[cands] = True
-    present[0] = False
-    if np.count_nonzero(present) <= _EXACT_SEARCH_MAX:
-        firsts = np.unique(cands, return_index=True)[1]
-        distinct = [c for c in cands[np.sort(firsts)].tolist() if c != 0]  # searched in Python ints
+    if weights is None:
+        cands = np.asarray(candidates, dtype=np.int64)
+        weights = np.full(g.order, -1, dtype=np.int64)
+        weights[cands[::-1]] = np.arange(1, len(cands) + 1)  # the first place of a repeat is written last
+    left = np.array(weights)
+    if left.shape != (g.order,):
+        raise ValueError(f"weight table has shape {left.shape} for a group of order {g.order}")
+    left[0] = -1  # 0 lies in every span
+    if not g.is_boolean_space and np.count_nonzero(left >= 0) <= _EXACT_SEARCH_MAX:
+        cands = np.flatnonzero(left >= 0)
+        distinct = cands[np.argsort(-left[cands], kind="stable")].tolist()  # searched in Python ints
         best: list[int] = []
         best_mask = _zero_mask(g)
 
@@ -231,17 +247,13 @@ def max_dissociated(
         return DissociatedWitness(g, best, "exact", best_mask)
     picked = []
     span_mask = _zero_mask(g)
-    i = 0
-    while i < len(cands):
-        outside = ~span_mask[cands[i:]]
-        j = int(np.argmax(outside))
-        if not outside[j]:
+    while True:
+        t = int(np.argmax(left))
+        if left[t] < 0:
             break
-        i += j
-        picked.append(int(cands[i]))
-        _grow(g, span_mask, picked[-1])
-        i += 1
-    return DissociatedWitness(g, picked, "greedy", span_mask)
+        picked.append(t)
+        left[_grow(g, span_mask, t)] = -1
+    return DissociatedWitness(g, picked, "exact" if g.is_boolean_space else "greedy", span_mask)
 
 
 def span(g: GroupSpec, lam: list[int] | tuple[int, ...]) -> GroupSet:
@@ -269,13 +281,13 @@ def chang_bound(f: FunctionTable, spec: Spectrum, witness: DissociatedWitness) -
     with c = CHANG_AUDIT_CONSTANT.
 
     spec is Spec_eps(f), eps = spec.eps, and witness the max_dissociated
-    witness of its members in spectrum order; the witness must be drawn
-    from the spectrum.
+    witness of its weight table; the witness must be drawn from the
+    spectrum.
     """
     g = f.group
     if spec.group != g:
         raise ValueError("spectrum passed to chang_bound is not Spec_eps(f)")
-    if witness.group != g or not np.isin(witness.members, spec.members).all():
+    if witness.group != g or (spec.weights[witness.members] < 0).any():
         raise ValueError("witness passed to chang_bound is not drawn from its spectrum")
     eps = spec.eps
     l1 = float(f.l1())

@@ -375,7 +375,7 @@ def _pipeline_front(A: GroupSet, B: GroupSet, params: StructureParams) -> _Front
     _check_phi_transform_sign(phi, phi_hat)
     eps, clamped = _spectrum_threshold(params)
     spec = spectrum(phi, eps, fhat=phi_hat)
-    witness = max_dissociated(B.group, spec.members)  # heaviest first already
+    witness = max_dissociated(B.group, weights=spec.weights)  # heaviest first, by one argmax per pick
     return _Front(params, report, jump, phi, phi_hat, eps, clamped, spec, witness)
 
 

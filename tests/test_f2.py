@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,14 +11,23 @@ from hypothesis import strategies as st
 from addcomb.f2 import (
     dual_spaces,
     echelon_basis,
-    independent_subset,
     nullspace_basis,
     reduce_vector,
     subspace_elements,
 )
-from addcomb.groups import SizeLimitError
+from addcomb.groups import SizeLimitError, boolean_group
+from addcomb.spectral import max_dissociated
 
 from .oracles import f2_rank
+
+
+def _independent_subset(n, vectors, *, weights=None):
+    """The dissociated witness of F2^n: a basis of the span of the vectors,
+    picked greedily in the order given (or heaviest first), exactly."""
+    witness = max_dissociated(boolean_group(n), vectors, weights=weights)
+    assert witness.mode == "exact"
+    assert np.flatnonzero(witness.span_mask).tolist() == sorted(_span_by_enumeration(witness.members.tolist()))
+    return witness.members.tolist()
 
 
 def _span_by_enumeration(basis):
@@ -69,7 +79,7 @@ def test_in_span_brute():
 
 def test_independent_subset_preserves_span_and_order():
     vectors = [0b011, 0b101, 0b110, 0b111]  # last two dependent on first two
-    picked = independent_subset(vectors)
+    picked = _independent_subset(3, vectors)
     assert len(picked) == f2_rank(vectors) == 3
     assert _span_by_enumeration(picked) == _span_by_enumeration(vectors)
     for v in picked:
@@ -81,7 +91,7 @@ def test_independent_subset_preserves_span_and_order():
 def test_independent_subset_picks_exactly_what_leaves_the_earlier_span(n, data):
     # lists several times longer than n run far past full rank
     vectors = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=3 * n, max_size=6 * n))
-    picked = independent_subset(vectors)
+    picked = _independent_subset(n, vectors)
     chosen = []
     for v in vectors:
         if v not in _span_by_enumeration(chosen):
@@ -181,7 +191,7 @@ def test_reduce_vector_respects_addition(vectors, v, w):
 
 def test_independent_subset_of_large_generating_family():
     vectors = list(range(1, 64))
-    picked = independent_subset(vectors)
+    picked = _independent_subset(6, vectors)
     assert len(picked) == 6
     assert f2_rank(picked) == 6
     for size in range(2, 4):
@@ -212,7 +222,17 @@ def test_independent_subset_on_a_full_group_spectrum():
         if v not in span:
             chosen.append(v)
             span |= {x ^ v for x in span}
-    picked = independent_subset(vectors)
+    picked = _independent_subset(n, vectors)
     assert picked == chosen and len(picked) == n
     assert set(picked[:12]) <= set(annihilator) and not set(picked[12:]) & set(annihilator)
     assert _span_by_enumeration(picked[:12]) == set(annihilator)
+    # the same shape as a weight table: the annihilator heavier, ties by index
+    weights = np.ones(1 << n, dtype=np.int64)
+    weights[annihilator] = 2
+    chosen, span = [], {0}
+    for v in sorted(range(1 << n), key=lambda t: (-weights[t], t)):
+        if v not in span:
+            chosen.append(v)
+            span |= {x ^ v for x in span}
+    picked = _independent_subset(n, None, weights=weights)
+    assert picked == chosen and _span_by_enumeration(picked[:12]) == set(annihilator)

@@ -30,11 +30,11 @@ from addcomb.harmonic import (
     wht_int,
     wht_int_columns,
 )
-from addcomb.spectral import spectrum
+from addcomb.spectral import max_dissociated, spectrum
 
 from addcomb.setstat import _table, group_set
 
-from .oracles import conv_direct, dft_direct, dft_entry_fsum, walsh_direct
+from .oracles import conv_direct, dft_direct, dft_entry_fsum, greedy_dissociated_direct, walsh_direct
 
 GROUPS = [make_group(f) for f in [(8,), (2, 2, 2), (12,), (3, 4), (5, 5)]]
 
@@ -176,7 +176,11 @@ def test_int_tables_at_the_int64_boundary(data):
     assert (wht_int(g, fhat.values) // g.order).tolist() == values
     eps = data.draw(st.sampled_from([Fraction(1, 16), Fraction(1, 3), Fraction(3, 4)]), label="eps")
     picked = [t for t, w in enumerate(want) if abs(w) * eps.denominator >= eps.numerator * l1]
-    assert spectrum(table, eps).members.tolist() == sorted(picked, key=lambda t: (-abs(want[t]), t))
+    spec = spectrum(table, eps)
+    assert spec.members.tolist() == picked
+    # heaviest first, ties by index, on exact weights (Python ints past int64)
+    heaviest_first = sorted(picked, key=lambda t: (-abs(want[t]), t))
+    assert max_dissociated(g, weights=spec.weights).members.tolist() == greedy_dissociated_direct(g, heaviest_first)
 
 
 def test_wht_int_is_exact_at_scale():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import math
 import random
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -789,6 +790,30 @@ def test_neg_conjugates_the_transform_so_each_set_transforms_once(monkeypatch):
         assert len(calls) == 1
         assert A.autocorr.tolist() == corr_direct(A, A)
         assert A.sum_size == len(sumset_direct(A, A))
+
+
+def test_neg_is_built_once_and_kept_on_its_source():
+    g = _Z4096
+    rng = random.Random(6)
+    A, B, C = (group_set(g, rng.sample(range(g.order), k)) for k in (400, 300, 3))
+    with mock.patch.object(setstat, "neg_index_many", wraps=setstat.neg_index_many) as neg, \
+            mock.patch.object(setstat, "dft_columns", wraps=setstat.dft_columns) as dft:
+        for _ in range(3):  # the transform path (A, B) and the pair path (A, C), repeated
+            assert corr_counts(A, B).tolist() == corr_direct(A, B)
+            assert corr_counts(A, C).tolist() == corr_direct(A, C)
+        assert A.neg() is A.neg() and A.neg().neg() is A
+        assert "transform" not in A.neg().__dict__  # read as A's transform, reflected
+        assert A.neg().transform is A.neg().transform
+    assert neg.call_count == 1  # -A built once, on the first call
+    assert dft.call_count == 2  # A's transform and B's, each once
+    assert np.array_equal(A.neg().transform, np.conj(A.transform))
+    # -A refers to A weakly: A dies with its last reference, and a -A kept
+    # past it counts on its own
+    minus, source = A.neg(), weakref.ref(A)
+    del A
+    assert source() is None
+    assert minus.neg().members.tolist() == sorted(neg_direct(minus))
+    assert corr_counts(minus, B).tolist() == corr_direct(minus, B)
 
 
 @pytest.mark.parametrize("text", ["Z65521", "Z256xZ256"])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 from addcomb.groups import boolean_group, make_group
 from addcomb.harmonic import FunctionTable, dft, indicator, magnitudes
-from addcomb.setstat import group_set
+from addcomb.setstat import group_set, read_only
 from addcomb.spectral import (
     CHANG_AUDIT_CONSTANT,
+    Spectrum,
     chang_bound,
     is_dissociated,
     max_dissociated,
@@ -58,8 +60,8 @@ def test_max_dissociated_boolean_is_rank():
     witness = max_dissociated(g, cands)
     assert witness.mode == "exact"
     assert len(witness) == 4
-    # elimination grows no span mask: the span is grown on first use
-    assert witness.span_mask is None
+    # the witness keeps the span mask its search grew by XOR
+    assert np.flatnonzero(witness.span_mask).tolist() == sorted(span_direct(g, witness.members))
     assert set(witness.span.members.tolist()) == span_direct(g, witness.members)
 
 
@@ -69,6 +71,8 @@ def test_max_dissociated_weights_steer_greedy_order():
     assert witness.mode == "greedy"
     assert witness.members[0] == 25
     assert is_dissociated(g, witness.members)
+    with pytest.raises(ValueError, match="weight table has shape"):
+        max_dissociated(g, weights=np.zeros(49))
 
 
 def test_span_frozen_examples():
@@ -109,14 +113,26 @@ def test_spectrum_exact_on_boolean_int_tables():
     assert spectrum(f, Fraction(1, 3)).members.tolist() == [0, 1, 2, 3]
 
 
-def test_spectrum_sorted_heaviest_first_ties_by_index():
-    g = boolean_group(3)
-    f = indicator(g, [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "g, support",
+    [(boolean_group(3), [0, 1, 2, 3]), (boolean_group(6), [0, 1, 2, 3, 5, 8, 13, 21]),
+     (make_group((40,)), [0, 1, 2, 3, 20, 21]), (make_group((64,)), [0, 1, 2, 3, 32, 33]),
+     (make_group((6, 8)), [0, 1, 2, 9])],
+    ids=["F2^3", "F2^6", "Z40", "Z64", "Z6xZ8"],
+)
+def test_spectrum_witness_picks_heaviest_first_ties_by_index(g, support):
+    f = indicator(g, support)
     spec = spectrum(f, Fraction(1, 4))
-    mags = magnitudes(dft(f).values)[spec.members].tolist()
-    assert mags == sorted(mags, reverse=True)
-    top = [t for t, m in zip(spec.members, mags) if m == mags[0]]
-    assert top == sorted(top)
+    mags = magnitudes(dft(f).values)
+    assert spec.members.tolist() == [t for t in range(g.order) if spec.weights[t] >= 0]  # ascending, unsorted by weight
+    assert spec.weights[spec.members].tolist() == mags[spec.members].tolist()
+    heaviest_first = sorted(spec.members.tolist(), key=lambda t: (-mags[t], t))
+    witness = max_dissociated(g, weights=spec.weights)
+    assert witness.members.tolist() == max_dissociated(g, heaviest_first).members.tolist()
+    # one argmax per pick: the greedy walks the spectrum heaviest first, ties by index
+    assert witness.mode == ("exact" if g.is_boolean_space or len(spec) - 1 <= 24 else "greedy")  # 0 is a member
+    if witness.mode == "greedy" or g.is_boolean_space:
+        assert witness.members.tolist() == greedy_dissociated_direct(g, heaviest_first)
 
 
 def test_spectrum_general_group_includes_borderline():
@@ -163,6 +179,22 @@ def test_chang_bound_audit_on_subgroup_indicator():
     assert rep.ok is True
     assert rep.dim <= rep.bound
     assert rep.spectrum_size == 8
+
+
+def test_chang_bound_reads_membership_off_the_weight_table():
+    g = make_group((60,))
+    f = indicator(g, [0, 1, 2, 3, 20, 21, 40])
+    spec = spectrum(f, Fraction(1, 4))
+    witness = max_dissociated(g, weights=spec.weights)
+    assert chang_bound(f, spec, witness).dim == len(witness)
+    # a member of weight exactly 0 is still in the spectrum
+    weights = np.array(spec.weights)
+    weights[witness.members[-1]] = 0
+    tied = Spectrum(g, spec.eps, spec.members, read_only(weights.copy()))
+    assert chang_bound(f, tied, witness).dim == len(witness)
+    weights[witness.members[-1]] = -1
+    with pytest.raises(ValueError, match="not drawn from"):
+        chang_bound(f, Spectrum(g, spec.eps, spec.members, read_only(weights)), witness)
 
 
 def test_chang_bound_reuses_a_matching_spectrum_and_witness():
@@ -361,3 +393,43 @@ def test_span_kernel_at_the_edges(g):
     for lam in lams:
         assert span(g, lam).members.tolist() == sorted(span_direct(g, lam))
         assert is_dissociated(g, lam) == dissociated_direct(g, lam)
+
+
+# cyclic, a product with a factor-2 axis, and 2-groups
+WEIGHTED_GROUPS = [make_group(f) for f in [(97,), (128,), (4, 6, 5), (2, 3, 4, 5)]]
+WEIGHTED_GROUPS += [boolean_group(n) for n in (5, 7)]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_witness_of_a_weight_table_is_the_heaviest_first_greedy(data):
+    g = data.draw(st.sampled_from(WEIGHTED_GROUPS), label="group")
+    size = data.draw(st.sampled_from([1, 4, 6, 12, 24, 25, 40, g.order]), label="candidates")
+    cands = data.draw(st.permutations(range(g.order)), label="order")[: min(size, g.order)]
+    # few distinct weights, so ties are forced; int64 weights on 2-groups, doubles elsewhere
+    levels = [0, 1, 2] if g.is_boolean_space else [0.0, 0.5, 1.0, 2.5]
+    weights = np.full(g.order, -1, dtype=np.int64 if g.is_boolean_space else np.float64)
+    for t in cands:
+        weights[t] = data.draw(st.sampled_from(levels), label="weight")
+    heaviest_first = sorted(cands, key=lambda t: (-weights[t], t))
+    witness = max_dissociated(g, weights=weights)
+    greedy = greedy_dissociated_direct(g, heaviest_first)
+    distinct = len(set(cands) - {0})
+    if g.is_boolean_space or distinct > 24:
+        # one argmax per pick: the first candidate outside the span in (-weight, index) order
+        assert witness.mode == ("exact" if g.is_boolean_space else "greedy")
+        assert witness.members.tolist() == greedy
+    else:
+        assert witness.mode == "exact"
+        assert dissociated_direct(g, witness.members)
+        assert len(witness) >= len(greedy)
+        if distinct <= 6:  # the branch and bound keeps the first largest set in (-weight, index) order
+            ordered = [t for t in heaviest_first if t != 0]
+            largest = next(list(c) for k in range(len(ordered), -1, -1)
+                           for c in combinations(ordered, k) if dissociated_direct(g, c))
+            assert witness.members.tolist() == largest
+    # the table and the sequence in (-weight, index) order are the same input
+    seq = max_dissociated(g, heaviest_first)
+    assert (seq.members.tolist(), seq.mode) == (witness.members.tolist(), witness.mode)
+    assert np.flatnonzero(witness.span_mask).tolist() == sorted(span_direct(g, witness.members))
+    assert weights[witness.members].min(initial=0) >= 0
