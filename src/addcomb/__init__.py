@@ -71,7 +71,7 @@ from .setstat import (
     sumset,
     triangle_stack,
 )
-from .spectral import chang_bound, max_dissociated, span, spectrum
+from .spectral import chang_bound, max_dissociated, spectrum
 from .structure import (
     BohrPiece,
     DensityGuaranteeFailed,
@@ -84,7 +84,6 @@ from .structure import (
     StructureParams,
     StructureResult,
     SubspacePiece,
-    brute_force_3B_subspace,
     certify_difference_subset,
     check_hypotheses,
     dichotomy_M,
@@ -124,7 +123,6 @@ __all__ = [
     "StructureResult",
     "SubspacePiece",
     "boolean_group",
-    "brute_force_3B_subspace",
     "certify_difference_subset",
     "chang_bound",
     "check_hypotheses",
@@ -164,7 +162,6 @@ __all__ = [
     "size_bound_stack",
     "size_profile",
     "slice_set",
-    "span",
     "spectrum",
     "sumset",
     "triangle_stack",

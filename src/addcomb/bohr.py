@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import GroupMismatchError, GroupSpec
+from .groups import GroupMismatchError, GroupSpec, neg_index_many
 from .report import CheckRecord, record_ge, record_le, require
 from .setstat import GroupSet, column_blocks
 
@@ -499,12 +499,11 @@ def size_bound_stack(g: GroupSpec, instances: Sequence[Sequence[BohrSpec]]) -> l
     Every Bohr set a block of instances needs (each set, its wedge and each
     set at half its radii) is a row of one integer membership test,
     _member_rows, over one (characters, elements) table of the phases v_j
-    of the union of the block's characters, built in _phase_blocks blocks.
-    The same test on the phases of the negated characters decides symmetry:
-    x lies in B(Gamma, eps) at -x iff x lies in B(-Gamma, eps).  A block holds
-    at most _BLOCK_ELEMENTS cells of rows by elements, or one instance
-    (column_blocks), so memory grows neither with the number of instances
-    nor with the group order.
+    of the union of the block's characters, built in one _phase_blocks
+    pass, which also compares the rows at x with those at -x (_scan).  A
+    block holds at most _BLOCK_ELEMENTS cells of rows by elements, or one
+    instance (column_blocks), so memory grows neither with the number of
+    instances nor with the group order.
     """
     if any(spec.group != g for sets in instances for spec in sets):
         raise GroupMismatchError("spec belongs to a different group")
@@ -554,9 +553,16 @@ def size_bound_stack(g: GroupSpec, instances: Sequence[Sequence[BohrSpec]]) -> l
 def _scan(g: GroupSpec, specs: Sequence[BohrSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|B|, whether B holds the identity, and whether B is symmetric under
     negation, for the Bohr set B of every spec: one phase pass over the
-    union of their characters.  The mirror pass reads the phases of the
-    negated characters, (N - W) mod N: B holds -x iff B(-Gamma, eps) holds
-    x."""
+    union of their characters.
+
+    Symmetry compares the rows at x and at -x for every x of the first
+    _phase_blocks block (the whole group at order _CHUNK or less): its rows
+    are kept, and each block is compared at the negations that fall in it,
+    one slice of them sorted.  As v_j(-x) = v_j(x), a true table passes,
+    and one whose column x holds the phases of another element y(x) passes
+    only where B holds y(x) and y(-x) alike.  (The phases of the negated
+    characters equal those of the characters at any y(x): no check.)
+    """
     gamma = sorted({t for spec in specs for t in spec.gamma})
     column = {t: j for j, t in enumerate(gamma)}
     width = max((spec.d for spec in specs), default=0)
@@ -568,12 +574,14 @@ def _scan(g: GroupSpec, specs: Sequence[BohrSpec]) -> tuple[np.ndarray, np.ndarr
         cuts[r, : spec.d] = [_radius_cut(e.numerator, e.denominator, g.order) for e in spec.eps]
     sizes = np.zeros(len(specs), dtype=np.int64)
     symmetric = np.ones(len(specs), dtype=bool)
-    weights = _weights(g, gamma)
-    mirrors = _phase_blocks(g, (g.order - weights) % g.order)
-    for (start, v), (_, mirror) in zip(_phase_blocks(g, weights), mirrors):
+    for start, v in _phase_blocks(g, _weights(g, gamma)):
         member = _member_rows(v, chars, cuts)
-        if start == 0:
-            identity = member[:, 0]
+        if start == 0:  # the first block's x in the order of -x, and -x in that order
+            first = member
+            negs = neg_index_many(g, np.arange(member.shape[1], dtype=np.int32))  # indices below 2^24
+            by_neg = np.argsort(negs).astype(np.int32)
+            negs = negs[by_neg]
+        lo, hi = negs.searchsorted((start, start + member.shape[1]))
+        symmetric &= (first.take(by_neg[lo:hi], axis=1) == member.take(negs[lo:hi] - start, axis=1)).all(axis=1)
         sizes += member.sum(axis=1)
-        symmetric &= (member == _member_rows(mirror, chars, cuts)).all(axis=1)
-    return sizes, identity, symmetric
+    return sizes, first[:, 0], symmetric

@@ -1,17 +1,16 @@
-"""Linear algebra over GF(2) on bitmask-encoded vectors.
+"""Linear algebra over GF(2) on bitmask-encoded vectors, for the subspace
+pipeline and the density regularization of structure.
 
 Vectors in a rank-n boolean space are Python ints whose bit i is coordinate i,
 which coincides with the group index of the corresponding element tuple.
-Dissociated subsets of a 2-group are its independent subsets; they are
-picked by spectral.max_dissociated, whose span masks grow by XOR, not here.
+Independent (dissociated) subsets and their spans are grown by
+spectral.max_dissociated, not here.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .groups import SizeLimitError
 
 
 def echelon_basis(vectors: Iterable[int]) -> list[int]:
@@ -69,49 +68,3 @@ def subspace_elements(basis: Sequence[int]) -> np.ndarray:
         elems[1 << i : 2 << i] = elems[: 1 << i] ^ b
     return elems
 
-
-def dual_spaces(n: int, dim: int, cap: int) -> Iterable[list[int]]:
-    """Yield RREF bases of every dim-dimensional subspace of GF(2)^n.
-
-    Enumeration: choose pivot columns (descending), fill free entries.
-    Raises if the count of matrices would exceed cap.
-    """
-    from itertools import combinations
-
-    if dim == 0:
-        yield []
-        return
-    total = 0
-    for pivots in combinations(range(n - 1, -1, -1), dim):
-        # free positions per row: bits below the row's pivot, excluding later
-        # pivots, and (for RREF) excluding bits above in other rows' pivots
-        free: list[list[int]] = []
-        pivset = set(pivots)
-        for p in pivots:
-            cols = [j for j in range(p) if j not in pivset]
-            free.append(cols)
-        combos = 1
-        for cols in free:
-            combos <<= len(cols)
-        total += combos
-        if total > cap:
-            raise SizeLimitError(f"subspace enumeration exceeds cap {cap}")
-        # enumerate assignments row by row
-        def fill(i: int, rows: list[int]):
-            if i == dim:
-                yield list(rows)
-                return
-            cols = free[i]
-            base = 1 << pivots[i]
-            for mask in range(1 << len(cols)):
-                r = base
-                m = mask
-                for j in cols:
-                    if m & 1:
-                        r |= 1 << j
-                    m >>= 1
-                rows.append(r)
-                yield from fill(i + 1, rows)
-                rows.pop()
-
-        yield from fill(0, [])

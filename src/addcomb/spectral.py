@@ -11,13 +11,13 @@ Span(Lambda) is the set of {0, +1, -1} sums of Lambda, kept as a boolean
 mask over the group and grown one member at a time: S | (S + mu) | (S - mu).
 Viewed with the group's axes, S + mu is S rolled by mu's coordinates, so a
 span pass is two rolls of the mask (slice copies along the axes mu moves
-on); on 2-groups S + mu = S - mu is one XOR of the member indices.
-Lambda with mu adjoined is dissociated iff Lambda is and mu lies outside
-Span(Lambda), so the same pass decides dissociativity: the test, the
-greedy witness and the branch and bound all grow spans, and a witness
-keeps the span its search grew.  A dissociated set has distinct {0, 1}-sums,
-so it has at most log2(N) <= 24 members: the test and the greedy each make
-at most log2(N) passes of size N.
+on).  On 2-groups the span is linear: its 2^k members are kept as a list,
+and adjoining mu adds their XOR with mu.  Lambda with mu adjoined is
+dissociated iff Lambda is and mu lies outside Span(Lambda), so
+max_dissociated grows spans as it searches, and its witness keeps the span
+it grew.  Distinct nonzero Lambda is dissociated iff its witness (in the
+order given) keeps all of it.  A dissociated set has distinct {0, 1}-sums,
+so at most log2(N) <= 24 members: the greedy makes at most log2(N) passes.
 
 A spectrum is not sorted.  It keeps a dense weight table, |f_hat(t)| on
 Spec_eps(f) and -1 off it, and the greedy witness reads it directly: per
@@ -62,27 +62,25 @@ class Spectrum:
 
 @dataclass(frozen=True, eq=False)
 class DissociatedWitness:
+    """A dissociated set picked by max_dissociated, with the span mask its
+    search grew: span_mask[t] is True iff t lies in Span(members)."""
+
     group: GroupSpec
     members: np.ndarray  # read-only int64, in the order picked
     mode: str  # "exact" | "greedy"
-    span_mask: np.ndarray | None = field(default=None, repr=False)  # Span(members), if the search grew it
+    span_mask: np.ndarray = field(repr=False)  # read-only bool, one entry per group element
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", read_only(np.array(self.members, dtype=np.int64)))
-        if self.span_mask is not None:
-            read_only(self.span_mask)
+        read_only(self.span_mask)
 
     def __len__(self) -> int:
         return len(self.members)
 
     @cached_property
     def span(self) -> GroupSet:
-        """Span(members), read off the mask the search grew; grown here only
-        when the witness was built without one."""
-        mask = self.span_mask
-        if mask is None:
-            mask = _span_mask(self.group, self.members.tolist())
-        return GroupSet(self.group, np.flatnonzero(mask))
+        """Span(members), read off the mask the search grew."""
+        return GroupSet(self.group, np.flatnonzero(self.span_mask))
 
 
 def spectrum(f: FunctionTable, eps: Fraction | int, *, fhat: FunctionTable | None = None) -> Spectrum:
@@ -119,15 +117,12 @@ def _at_least(values: np.ndarray, cut: Fraction) -> np.ndarray:
 def _grow(g: GroupSpec, mask: np.ndarray, elem: int) -> np.ndarray:
     """Span mask grown in place by one element: S | (S + elem) | (S - elem).
 
-    On a 2-group S + elem = S - elem, one XOR of the member indices.
-    Elsewhere S + elem is S rolled by elem's coordinates, one axis at a
-    time through a scratch mask: axis j viewed as (outer, n_j, inner), a
-    roll is two slice copies, and the last axis rolls straight into the OR.
-    Axes on which elem's coordinate is 0 are not touched.
+    S + elem is S rolled by elem's coordinates, one axis at a time through
+    a scratch mask: axis j viewed as (outer, n_j, inner), a roll is two
+    slice copies, and the last axis rolls straight into the OR.  Axes on
+    which elem's coordinate is 0 are not touched.  (2-group spans grow from
+    their member list in max_dissociated instead.)
     """
-    if g.is_boolean_space:
-        mask[np.flatnonzero(mask) ^ elem] = True
-        return mask
     axes = []  # (view shape, shift) of each axis elem moves along
     inner = 1
     for n, c in zip(g.factors, g.unindex(int(elem))):
@@ -164,31 +159,6 @@ def _zero_mask(g: GroupSpec) -> np.ndarray:
     return mask
 
 
-def _span_mask(g: GroupSpec, lam: list[int] | tuple[int, ...]) -> np.ndarray:
-    mask = _zero_mask(g)
-    for e in dict.fromkeys(lam):
-        _grow(g, mask, e)
-    return mask
-
-
-def is_dissociated(g: GroupSpec, lam: list[int] | tuple[int, ...]) -> bool:
-    """True iff no nontrivial {0, +1, -1} combination of lam vanishes, that
-    is, iff each member lies outside the span of the members before it.
-
-    One span mask grows member by member (two rolls of the mask per
-    member, one XOR on 2-groups) and the test stops at the first member
-    already in it (0 and repeats included).  A dissociated set has
-    distinct {0, 1}-sums, hence at most log2(N) members, so at most
-    log2(N) mask passes of size N are made.
-    """
-    mask = _zero_mask(g)
-    for e in lam:
-        if mask[e]:
-            return False
-        _grow(g, mask, e)
-    return True
-
-
 def max_dissociated(
     g: GroupSpec,
     candidates: np.ndarray | list[int] | None = None,
@@ -208,11 +178,12 @@ def max_dissociated(
     the span to -1 (0 and repeats lie in it), so at most log2(N) of each.
     On 2-groups the span is linear and dissociated sets are the
     independent ones, a matroid, so this greedy pick is a maximum
-    ("exact").  Elsewhere, with
-    at most 24 distinct nonzero candidates, a branch and bound over the
-    span-growth tree, in (-weight, index) order, is exact; larger inputs
-    keep the greedy pick, recorded in the witness mode.  The witness keeps
-    the span mask its search grew.
+    ("exact"); there a pick adds the coset of its 2^k span members XOR t,
+    and both stores touch that coset only.  Elsewhere, with at most 24
+    distinct nonzero candidates, a branch and bound over the span-growth
+    tree, in (-weight, index) order, is exact; larger inputs keep the
+    greedy pick, recorded in the witness mode.  The witness keeps the span
+    mask its search grew.
     """
     if weights is None:
         cands = np.asarray(candidates, dtype=np.int64)
@@ -247,20 +218,20 @@ def max_dissociated(
         return DissociatedWitness(g, best, "exact", best_mask)
     picked = []
     span_mask = _zero_mask(g)
+    elems = np.zeros(g.order if g.is_boolean_space else 0, dtype=np.int64)  # a 2-group span's members lead
     while True:
         t = int(np.argmax(left))
         if left[t] < 0:
             break
+        if g.is_boolean_space:
+            k = 1 << len(picked)
+            new = np.bitwise_xor(elems[:k], t, out=elems[k : 2 * k])
+            span_mask[new] = True
+            left[new] = -1
+        else:
+            left[_grow(g, span_mask, t)] = -1
         picked.append(t)
-        left[_grow(g, span_mask, t)] = -1
     return DissociatedWitness(g, picked, "exact" if g.is_boolean_space else "greedy", span_mask)
-
-
-def span(g: GroupSpec, lam: list[int] | tuple[int, ...]) -> GroupSet:
-    """All sums over lam with coefficients in {0, +1, -1}, as a set (on
-    2-groups, the linear span).  One mask pass of size N per distinct
-    member: the output is at most N elements, the work N |lam|."""
-    return GroupSet(g, np.flatnonzero(_span_mask(g, lam)))
 
 
 @dataclass(frozen=True)

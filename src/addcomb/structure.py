@@ -12,8 +12,9 @@ theory-violation witness, never papered over.
 
 Drivers built on the pipeline: the 2-eps dichotomy (large Fourier
 coefficient or a structured piece inside A-A), the M-dichotomy with its
-coset decomposition, a desk-scale exhaustive stand-in for the 3B'-subspace
-step, and the density regularization loop.
+coset decomposition, and the density regularization loop.  The paper's
+argument does not go through a Bogolyubov-type 3B' subspace (Sanders 2012),
+and none is searched for here.
 """
 
 from __future__ import annotations
@@ -30,14 +31,12 @@ from .bohr import BohrSet, dilate, find_regular_radius, make_bohr_spec, material
 from .groups import MAX_TRANSFORM_ORDER, GroupSpec, SizeLimitError, boolean_group
 from .harmonic import INT64_SAFE, FunctionTable, dft, magnitudes, sum_of_squares, transform_error
 from .report import CheckFailure, CheckRecord, record_eq, record_ge, record_le, require
-from .setstat import GroupSet, conv_counts, corr_counts, higher_energy, sumset, sumset_size
+from .setstat import GroupSet, corr_counts, higher_energy, sumset_size
 from .spectral import DissociatedWitness, Spectrum, chang_bound, max_dissociated, spectrum
 
 _PI_UPPER = Fraction(355, 113)  # exceeds pi, so it is safe in upper bounds
 _ESCALATION_TRIES = 3
-_BRUTE_N_MAX = 14
 _REGULARIZE_N_MAX = 16
-_SUBSPACES_PER_LEVEL_CAP = 1 << 21
 _C_LOCAL = Fraction(1, 32)  # the first Bohr radius factor; it doubles on escalation
 _K0_PAD = 10  # jump-search depth past the least t^e >= y^pad
 
@@ -844,40 +843,6 @@ def _coset_decomposition(
         )
     )
     return {"heavy_cosets": len(heavy), "covered": covered, "cut": cut}
-
-
-def brute_force_3B_subspace(b_prime: GroupSet, max_codim: int) -> tuple[GroupSet, int] | None:
-    """Largest subspace H with H + z inside B'+B'+B', by exhaustive search.
-
-    Scans codimensions in increasing order (so decreasing subspace size)
-    and returns the first hit.
-    """
-    g = b_prime.group
-    if not g.is_boolean_space:
-        raise ValueError("the 3B' search works on 2-groups only")
-    if g.rank > _BRUTE_N_MAX:
-        raise SizeLimitError(f"3B' search capped at rank {_BRUTE_N_MAX}")
-    if len(b_prime) == 0:
-        return None
-    in_triple = conv_counts(sumset(b_prime, b_prime), b_prime) > 0
-    idx = np.arange(g.order)
-    m = g.rank
-    if not 0 <= max_codim <= m:
-        raise ValueError(f"max_codim must lie in [0, {m}]")
-
-    for codim in range(max_codim + 1):
-        for h_basis in f2.dual_spaces(m, m - codim, cap=_SUBSPACES_PER_LEVEL_CAP):
-            # valid[z] says z + span(h_basis so far) lies inside B'+B'+B'
-            valid = in_triple
-            for vec in h_basis:
-                valid = valid & valid[idx ^ vec]
-                if not valid.any():
-                    break
-            if valid.any():
-                z = int(np.flatnonzero(valid)[0])
-                h = GroupSet(g, np.sort(f2.subspace_elements(h_basis)))
-                return h, z
-    return None
 
 
 @dataclass(frozen=True)

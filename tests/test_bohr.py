@@ -8,6 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from addcomb.bohr import (
 from addcomb.f2 import nullspace_basis, subspace_elements
 from addcomb.groups import boolean_group, make_group
 from addcomb.report import CheckFailure
+from addcomb.setstat import column_blocks
 
 from .oracles import (
     bohr_members_direct,
@@ -569,6 +571,61 @@ def test_phase_blocks_exact_past_one_block():
     assert _counter(keyed)[0].sorted_keys is not None
     assert _counter(keyless)[0].sorted_keys is None
     _assert_blocks_exact(g, [keyed, keyless], [Fraction(1), Fraction(1, 3)], oracle=bohr_members_int_direct)
+
+
+def _rolled_phase_blocks(shift):
+    """A mutant _phase_blocks whose block columns are rolled by shift, so
+    column x of a block holds the phases of another element of it."""
+    real = bohr._phase_blocks
+
+    def rolled(g, weights):
+        for start, v in real(g, weights):
+            yield start, np.roll(v, shift, axis=1)
+
+    return rolled
+
+
+# Z101 is one block; Z3xZ59049 spans three, and its first block negates
+# into the last one
+@pytest.mark.parametrize(
+    "factors, gamma, eps", [((101,), [(1,)], Fraction(1, 4)), ((3, 59049), [(0, 2)], Fraction(3, 10))]
+)
+@pytest.mark.parametrize("shift", [1, -1])
+def test_symmetry_check_catches_phases_read_at_the_wrong_element(factors, gamma, eps, shift):
+    g = make_group(factors)
+    spec = make_bohr_spec(g, [g.index(t) for t in gamma], eps)
+    sizes, identity, symmetric = _scan(g, [spec])
+    assert identity.all() and symmetric.all()
+    assert all(record.ok for record in size_bound_stack(g, [[spec]]))
+    with mock.patch.object(bohr, "_phase_blocks", _rolled_phase_blocks(shift)):
+        # a roll permutes each block, so the sizes cannot show it
+        rolled_sizes, identity, symmetric = _scan(g, [spec])
+        assert rolled_sizes.tolist() == sizes.tolist()
+        assert identity.all() and not symmetric.any()
+        with pytest.raises(AssertionError, match="not symmetric"):
+            size_bound_stack(g, [[spec]])
+
+
+@pytest.mark.parametrize("factors, count", [((1024,), 120), ((3, 59049), 3)])
+def test_size_bound_stack_makes_one_phase_pass_per_block(factors, count):
+    g = make_group(factors)
+    rng = random.Random(count)
+    instances = [
+        [make_bohr_spec(g, [rng.randrange(1, g.order)], Fraction(1, rng.randrange(2, 6))) for _ in range(2)]
+        for _ in range(count)
+    ]
+    blocks = len(list(column_blocks(count, g.order, 5)))
+    assert blocks == 3
+    real, calls = bohr._phase_blocks, []
+
+    def counted(g, weights):
+        calls.append(len(weights))
+        yield from real(g, weights)
+
+    with mock.patch.object(bohr, "_phase_blocks", counted):
+        records = size_bound_stack(g, instances)
+    assert len(records) == 3 * count and all(record.ok for record in records)
+    assert len(calls) == blocks
 
 
 def test_counter_build_memory_does_not_grow_with_d():

@@ -4,18 +4,16 @@ import random
 from itertools import combinations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addcomb.f2 import (
-    dual_spaces,
     echelon_basis,
     nullspace_basis,
     reduce_vector,
     subspace_elements,
 )
-from addcomb.groups import SizeLimitError, boolean_group
+from addcomb.groups import boolean_group
 from addcomb.spectral import max_dissociated
 
 from .oracles import f2_rank
@@ -149,32 +147,6 @@ def test_coset_label_constant_on_cosets_distinct_across():
         labels.setdefault(lab, set()).add(v)
     assert len(labels) == 4
     assert all(len(c) == 4 for c in labels.values())
-
-
-def _gaussian_binomial(n, k):
-    num = den = 1
-    for i in range(k):
-        num *= (1 << (n - i)) - 1
-        den *= (1 << (k - i)) - 1
-    return num // den
-
-
-@pytest.mark.parametrize("n,dim", [(4, 0), (4, 1), (4, 2), (4, 3), (5, 2), (6, 3)])
-def test_dual_spaces_enumerates_every_subspace_once(n, dim):
-    spaces = [tuple(sorted(b)) for b in dual_spaces(n, dim, cap=1 << 21)]
-    if dim == 0:
-        assert spaces == [()]
-        return
-    assert len(spaces) == len(set(spaces)) == _gaussian_binomial(n, dim)
-    spans = {frozenset(_span_by_enumeration(b)) for b in spaces}
-    assert len(spans) == len(spaces)
-    for b in spaces:
-        assert f2_rank(b) == dim
-
-
-def test_dual_spaces_cap():
-    with pytest.raises(SizeLimitError):
-        list(dual_spaces(14, 7, cap=100))
 
 
 @given(

@@ -17,23 +17,38 @@ from addcomb.spectral import (
     CHANG_AUDIT_CONSTANT,
     Spectrum,
     chang_bound,
-    is_dissociated,
     max_dissociated,
-    span,
     spectrum,
 )
 
 from .oracles import dissociated_direct, greedy_dissociated_direct, span_direct, vanishing_signed_sums
 
 
+def _keeps_all(g, lam):
+    """Whether the witness of lam, candidates in the order given, keeps every
+    member: for distinct nonzero lam, exactly when lam is dissociated, on the
+    exact path (a largest dissociated subset) and the greedy one (each member
+    outside the span of those before it).  On the way, the witness is drawn
+    from lam and its span holds every member of lam, as it is maximal."""
+    witness = max_dissociated(g, lam)
+    assert set(witness.members.tolist()) <= set(lam)
+    assert witness.span_mask[np.array(lam, dtype=np.int64)].all()
+    return len(witness) == len(lam)
+
+
 def test_dissociated_small_cases():
     g = make_group((10,))
-    assert not is_dissociated(g, [1, 2, 3])  # 1 + 2 - 3 = 0
     g20 = make_group((20,))
-    assert is_dissociated(g20, [1, 2, 5])
-    assert is_dissociated(g20, [])
-    assert not is_dissociated(g20, [0])
-    assert not is_dissociated(g20, [7, 13])  # 7 + 13 = 0 mod 20
+    cases = [
+        (g, [1, 2, 3], False),  # 1 + 2 - 3 = 0
+        (g20, [1, 2, 5], True),
+        (g20, [], True),
+        (g20, [0], False),
+        (g20, [7, 13], False),  # 7 + 13 = 0 mod 20
+    ]
+    for grp, lam, want in cases:
+        assert dissociated_direct(grp, lam) == want
+        assert _keeps_all(grp, lam) == want
 
 
 def test_dissociated_matches_brute_enumeration():
@@ -41,7 +56,7 @@ def test_dissociated_matches_brute_enumeration():
     rng = random.Random(41)
     for _ in range(40):
         lam = rng.sample(range(1, 24), rng.randrange(1, 5))
-        assert is_dissociated(g, lam) == dissociated_direct(g, lam)
+        assert _keeps_all(g, lam) == dissociated_direct(g, lam)
 
 
 def test_max_dissociated_in_an_interval():
@@ -51,7 +66,7 @@ def test_max_dissociated_in_an_interval():
     # 4 = log2(8) + 1 is the ceiling for {1..8}: any 5th element is a
     # {0,1}-combination of {1,2,4,8} shifted by signs
     assert len(witness) == 4
-    assert is_dissociated(g, witness.members)
+    assert dissociated_direct(g, witness.members)
 
 
 def test_max_dissociated_boolean_is_rank():
@@ -70,18 +85,27 @@ def test_max_dissociated_weights_steer_greedy_order():
     witness = max_dissociated(g, [25, 24, *range(1, 24)])
     assert witness.mode == "greedy"
     assert witness.members[0] == 25
-    assert is_dissociated(g, witness.members)
+    assert dissociated_direct(g, witness.members)
     with pytest.raises(ValueError, match="weight table has shape"):
         max_dissociated(g, weights=np.zeros(49))
 
 
+def _assert_span_is_direct(g, witness, lam):
+    """The span the witness grew is span_direct of its members, and holds
+    every candidate of lam, as the witness is maximal."""
+    reach = span_direct(g, witness.members)
+    assert witness.span.members.tolist() == sorted(reach)
+    assert set(lam) <= reach
+
+
 def test_span_frozen_examples():
     g7 = make_group((7,))
-    assert set(span(g7, [1]).members) == {0, 1, 6}
+    assert set(max_dissociated(g7, [1]).span.members) == {0, 1, 6}
     g20 = make_group((20,))
-    got = span(g20, [1, 3])
-    assert set(got.members) == {0, 1, 19, 3, 17, 4, 16, 2, 18}
-    assert len(got) == 9
+    got = max_dissociated(g20, [1, 3])
+    assert got.members.tolist() == [1, 3]
+    assert set(got.span.members) == {0, 1, 19, 3, 17, 4, 16, 2, 18}
+    assert len(got.span) == 9
 
 
 def test_span_matches_brute():
@@ -90,13 +114,13 @@ def test_span_matches_brute():
         g = make_group(factors)
         for _ in range(15):
             lam = rng.sample(range(1, g.order), rng.randrange(1, 4))
-            assert set(span(g, lam).members) == span_direct(g, lam)
+            _assert_span_is_direct(g, max_dissociated(g, lam), lam)
 
 
 def test_span_boolean_is_linear_span():
     g = boolean_group(5)
-    got = span(g, [0b00011, 0b00101])
-    assert set(got.members) == {0, 3, 5, 6}
+    got = max_dissociated(g, [0b00011, 0b00101])
+    assert set(got.span.members) == {0, 3, 5, 6}
 
 
 def test_spectrum_exact_on_boolean_int_tables():
@@ -247,8 +271,9 @@ def test_greedy_witness_is_dissociated_and_spans_every_candidate(data):
 def test_span_matches_brute_property(data):
     g = data.draw(st.sampled_from(GENERAL_GROUPS), label="group")
     lam = data.draw(st.lists(st.integers(0, g.order - 1), max_size=8, unique=True), label="lam")
-    got = span(g, lam)
-    assert list(got.members) == sorted(span_direct(g, lam))
+    witness = max_dissociated(g, lam)
+    _assert_span_is_direct(g, witness, lam)
+    assert (len(witness) == len(lam)) == dissociated_direct(g, lam)
 
 
 def _powers(base: int, k: int) -> list[int]:
@@ -260,18 +285,25 @@ def test_meet_in_the_middle_on_known_dissociated_sets(k):
     # distinct powers of 2 have no vanishing signed sum below 2^k
     g = make_group((1 << k,))
     lam = _powers(2, k)
-    assert is_dissociated(g, lam)
+    witness = max_dissociated(g, lam)
+    assert witness.members.tolist() == lam
+    # signed binary sums of 2^0..2^(k-1) reach every residue mod 2^k
+    assert witness.span_mask.all()
     # the sum of the first and the last power adds a relation across both halves
-    assert not is_dissociated(g, lam[:-1] + [lam[0] + lam[-2]])
+    assert not _keeps_all(g, lam[:-1] + [lam[0] + lam[-2]])
 
 
 def test_meet_in_the_middle_on_a_product_group():
     g = make_group((3**7, 3**7))
     # balanced ternary: powers of 3 in one coordinate never cancel below 3^7
     lam = [g.index((3**i, 0)) for i in range(7)] + [g.index((0, 3**i)) for i in range(7)]
-    assert is_dissociated(g, lam)
+    witness = max_dissociated(g, lam)
+    assert witness.members.tolist() == lam
+    # balanced ternary reaches every residue mod 3^7 in each coordinate, so
+    # the 3^14 signed sums fill the 3^14 elements, no two of them equal
+    assert witness.span_mask.all()
     # (1, 0) + (0, 3^5) + (0, 1) - (1, 3^5 + 1) = 0
-    assert not is_dissociated(g, lam[:-1] + [g.index((1, 3**5 + 1))])
+    assert not _keeps_all(g, lam[:-1] + [g.index((1, 3**5 + 1))])
 
 
 @pytest.mark.parametrize("factors, k", [((1 << 21,), 13), ((1 << 21,), 14), ((1024, 2048), 13)])
@@ -282,7 +314,7 @@ def test_meet_in_the_middle_matches_full_enumeration(factors, k):
     for _ in range(6):
         lam = rng.sample(range(1, g.order), k)
         want = vanishing_signed_sums(g, lam) == 1
-        assert is_dissociated(g, lam) == want
+        assert _keeps_all(g, lam) == want
         verdicts.add(want)
     assert verdicts == {True, False}
 
@@ -291,14 +323,20 @@ def test_is_dissociated_past_twenty_characters():
     # 2^0..2^20 in Z_{2^22}: every nonzero signed sum has size below 2^21
     g = make_group((1 << 22,))
     lam = _powers(2, 21)
-    assert is_dissociated(g, lam)
-    assert not is_dissociated(g, lam[:-1] + [lam[3] + lam[17]])
+    witness = max_dissociated(g, lam)
+    assert witness.members.tolist() == lam
+    # every signed sum lies strictly between -2^21 and 2^21, and reaches
+    # every integer there: all of the group but 2^21
+    assert np.flatnonzero(~witness.span_mask).tolist() == [1 << 21]
+    assert not _keeps_all(g, lam[:-1] + [lam[3] + lam[17]])
 
 
 def test_span_of_thirteen_characters_matches_brute():
     g = make_group((101,))
     lam = [1, 3, 7, 12, 20, 33, 41, 50, 58, 66, 77, 89, 95]
-    assert set(span(g, lam).members) == span_direct(g, lam)
+    witness = max_dissociated(g, lam)
+    assert witness.mode == "exact" and dissociated_direct(g, witness.members)
+    _assert_span_is_direct(g, witness, lam)
 
 
 SMALL_GROUPS = [boolean_group(5), make_group((4, 6)), make_group((2, 3, 3))]
@@ -309,9 +347,9 @@ SMALL_GROUPS = [boolean_group(5), make_group((4, 6)), make_group((2, 3, 3))]
 def test_is_dissociated_matches_brute_property(data):
     g = data.draw(st.sampled_from(SMALL_GROUPS), label="group")
     lam = data.draw(st.lists(st.integers(0, g.order - 1), max_size=6, unique=True), label="lam")
-    assert is_dissociated(g, lam) == dissociated_direct(g, lam)
+    assert _keeps_all(g, lam) == dissociated_direct(g, lam)
     if lam:  # a repeat is the relation x - x = 0
-        assert not is_dissociated(g, lam + lam[-1:])
+        assert not _keeps_all(g, lam + lam[-1:])
 
 
 def test_max_dissociated_on_2_groups_ignores_zeros_and_repeats():
@@ -326,7 +364,10 @@ def test_max_dissociated_on_2_groups_ignores_zeros_and_repeats():
         clean = max_dissociated(g, cands)
         got = max_dissociated(g, noisy)
         assert (got.members.tolist(), got.mode) == (clean.members.tolist(), clean.mode)
-        assert clean.mode == "exact" and is_dissociated(g, clean.members)
+        # on a 2-group the members are independent iff their span has 2^k members
+        reach = span_direct(g, clean.members)
+        assert clean.mode == "exact" and len(reach) == 1 << len(clean)
+        assert np.flatnonzero(clean.span_mask).tolist() == sorted(reach)
 
 
 # cyclic, rank 2, and rank 3 and 4 with a factor-2 axis
@@ -391,8 +432,9 @@ def test_span_kernel_at_the_edges(g):
     half = g.index(tuple(n // 2 for n in g.factors))
     lams += [axis_units, [half, *axis_units[:1]], [axis_units[-1], half]]
     for lam in lams:
-        assert span(g, lam).members.tolist() == sorted(span_direct(g, lam))
-        assert is_dissociated(g, lam) == dissociated_direct(g, lam)
+        witness = max_dissociated(g, lam)
+        _assert_span_is_direct(g, witness, lam)
+        assert (len(witness) == len(lam)) == dissociated_direct(g, lam)
 
 
 # cyclic, a product with a factor-2 axis, and 2-groups

@@ -21,7 +21,6 @@ from addcomb.setstat import (
     difference_set,
     group_set,
     higher_energy,
-    sumset,
 )
 from addcomb.spectral import DissociatedWitness
 from addcomb.structure import (
@@ -30,7 +29,6 @@ from addcomb.structure import (
     InclusionFailed,
     NoJump,
     StructureParams,
-    brute_force_3B_subspace,
     certify_difference_subset,
     check_hypotheses,
     dichotomy_M,
@@ -41,7 +39,7 @@ from addcomb.structure import (
     regularize_density,
 )
 
-from .oracles import corr_direct, walsh_direct
+from .oracles import corr_direct, span_direct, walsh_direct
 
 
 def _subgroup(n, dim):
@@ -160,6 +158,12 @@ def test_phi_k_is_int64_exactly_below_2_62(members, k):
     assert phi.values.dtype == (np.int64 if e_k < 1 << 62 else object)
 
 
+def _span_mask_direct(g, lam):
+    mask = np.zeros(g.order, dtype=bool)
+    mask[list(span_direct(g, lam))] = True
+    return mask
+
+
 def test_span_mass_is_exact_past_int64():
     # B is the subgroup annihilated by lam = (1, 6), so |B_hat|^2 = 256 on
     # Span(lam); with phi_hat just above 2^55 every product passes 2^63
@@ -170,8 +174,8 @@ def test_span_mass_is_exact_past_int64():
     assert phi_hat.values.dtype == np.int64
     params = StructureParams(m=1, m_prime=1, kappa=1, zeta=Fraction(1, 8), t=2)
     jump = structure.EnergyJump(k=2, e_k=1, e_next=1, m_star=params.m_star, k0=params.k0)
-    # a 2-group witness carries no grown mask: its span is grown on first use
-    out = structure._bohr_span_diagnostics(B, phi_hat, DissociatedWitness(g, (1, 6), "exact"), params, jump)
+    witness = DissociatedWitness(g, (1, 6), "exact", _span_mask_direct(g, (1, 6)))
+    out = structure._bohr_span_diagnostics(B, phi_hat, witness, params, jump)
     b = set(B.members.tolist())
     b_hat = walsh_direct([int(x in b) for x in range(g.order)])
     products = [phi_values[x] * b_hat[x] ** 2 for x in (0, 1, 6, 7)]
@@ -191,21 +195,20 @@ def test_extract_bohr_reads_the_span_its_witness_grew(monkeypatch):
         members |= {(start + i * step) % g.order for i in range(48)}
     A = group_set(g, sorted(members))
     params = derive_params(A, A)
-    calls = []
-    for name in ("span", "_span_mask"):
-        real = getattr(spectral, name)
-        monkeypatch.setattr(spectral, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
     res = extract_bohr(A, A, params)
     assert res.witness_mode == "greedy" and res.variant.dim <= 10
     assert "spectral_mass" in res.diagnostics
-    assert calls == []
-    monkeypatch.undo()
-    # the record matches one computed from span(g, lam) afresh
     front = structure._pipeline_front(A, A, params)
     lam = front.witness.members
-    mask = np.zeros(g.order, dtype=bool)
-    mask[spectral.span(g, lam).members] = True
+    mask = _span_mask_direct(g, lam)
+    assert np.array_equal(front.witness.span_mask, mask)
+    # the record matches one computed from span_direct's mask, with no span grown
     fresh = DissociatedWitness(g, lam, front.witness.mode, mask)
+
+    def no_growth(*args):
+        raise AssertionError("a span was grown outside the witness search")
+
+    monkeypatch.setattr(spectral, "_grow", no_growth)
     want = structure._bohr_span_diagnostics(A, front.phi_hat, fresh, params, front.jump)
     assert res.diagnostics["spectral_mass"] == want["spectral_mass"]
 
@@ -410,45 +413,6 @@ def test_certify_eps_validation():
     A = _subgroup(12, 3)
     with pytest.raises(ValueError):
         certify_difference_subset(A, Fraction(3, 2))
-
-
-def test_brute_force_3B_subspace_against_exhaustive_search():
-    g = boolean_group(5)
-    rng = random.Random(23)
-    from addcomb.f2 import dual_spaces, subspace_elements
-
-    for _ in range(6):
-        B = group_set(g, rng.sample(range(32), rng.randrange(3, 10)))
-        triple = sumset(sumset(B, B), B)
-        tset = set(triple.members.tolist())
-        got = brute_force_3B_subspace(B, max_codim=5)
-
-        best = None
-        for codim in range(0, 6):
-            dim = 5 - codim
-            for basis in dual_spaces(5, dim, cap=1 << 21):
-                elems = subspace_elements(basis)
-                for z in range(32):
-                    if all((e ^ z) in tset for e in elems):
-                        best = (dim, z)
-                        break
-                if best:
-                    break
-            if best:
-                break
-        if got is None:
-            assert best is None
-        else:
-            lset, z = got
-            assert len(lset) == 1 << best[0]
-            assert all((e ^ z) in tset for e in lset.members)
-
-
-def test_brute_force_3B_requires_boolean():
-    g = make_group((9,))
-    B = group_set(g, [0, 1])
-    with pytest.raises(ValueError):
-        brute_force_3B_subspace(B, max_codim=2)
 
 
 def test_regularize_density_terminates_with_gate():
