@@ -412,7 +412,7 @@ def structure_result_dict(res: StructureResult) -> dict:
             "density": format_value(w.density),
             "gamma": list(w.bohr.spec.gamma),
             "radii": [format_value(e) for e in w.bohr.spec.eps],
-            "size_ratio": format_value(w.size_ratio),
+            "size_ratio": format_value(w.bohr.density),
         }
     return out
 
@@ -591,8 +591,7 @@ def _triangle_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
     for g in _suite_groups(cfg, ("Z15", "F2^5")):
         # sets 4i..4i+3 are instance i's W, Y, X and Z, 1 to 4 members each
         fams = _draw_subsets(rng, g, 1 + _draw_below(rng, 4 * cfg.instances, 4))
-        Ws, Ys = ([m[:, None] for m in S] for S in (fams[0::4], fams[1::4]))
-        lhs, rhs = triangle_stack(Ws, Ys, fams[2::4], fams[3::4])
+        lhs, rhs = triangle_stack(fams[0::4], fams[1::4], fams[2::4], fams[3::4])
         failures = int((lhs > rhs).sum())
         worst = min((Fraction(r, l) for l, r in zip(lhs.tolist(), rhs.tolist()) if l), default=None)
         note = f"{cfg.instances} tuple families on {format_group_text(g)}, min margin {worst}"

@@ -10,8 +10,8 @@ array, set j being members[starts[j]:starts[j + 1]] (a GroupSet is a
 stack of one, and its stack() is a view).  The checks the verify suites
 run take stacks, one instance being a stack of one: sumsets,
 energy_difference_bounds, higher_energies, katz_koester_stack and
-triangle_stack (whose W and Y tuple families are sorted once into the
-rows of one int64 table).  Their pair counts are the columns of one
+triangle_stack (W and Y may also be tuple families, sorted once into
+the rows of one int64 table).  Their pair counts are the columns of one
 (N, k) table, conv_columns or corr_columns of two stacks, on one
 transform of each distinct set.  _columns turns the products of the
 transforms into exact counts: one inverse integer Walsh-Hadamard
@@ -641,21 +641,22 @@ def _owner_columns(table: np.ndarray, owners: np.ndarray) -> np.ndarray:
 
 
 def triangle_stack(
-    Ws: Sequence[np.ndarray | Sequence[Sequence[int]]],
-    Ys: Sequence[np.ndarray | Sequence[Sequence[int]]],
+    Ws: SetStack | Sequence[np.ndarray | Sequence[Sequence[int]]],
+    Ys: SetStack | Sequence[np.ndarray | Sequence[Sequence[int]]],
     Xs: SetStack,
     Zs: SetStack,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two sides of |W||X| |Y - diag(Z)| <= |(W, Y, Z) - diag(X)| for
     every instance i, (Ws[i], Ys[i], Xs[i], Zs[i]), as int64 arrays lhs and
-    rhs, on the group of the stacks Xs and Zs.  W and Y are families of
-    index tuples, each an int64 array of shape (members, length) or a
-    sequence of tuples; every W tuple has one length, and every Y tuple
-    one, each 1 or 2.  The sides are cardinalities: duplicates count once.
+    rhs, on the group of the stacks Xs and Zs.  W and Y are each a SetStack
+    (a family of 1-tuples per set) or families of index tuples, each an
+    int64 array of shape (members, length) or a sequence of tuples; every
+    W tuple has one length, and every Y tuple one, each 1 or 2.  The sides
+    are cardinalities: duplicates count once.
 
     A family of every instance is one int64 table of rows, its distinct
-    members sorted by instance: a stack's members as they are, W's and Y's
-    tuples after one sort (_family_rows).  The tuples of Y - diag(Z) and of
+    members sorted by instance: a stack's members as they are, tuple
+    families after one sort (_family_rows).  The tuples of Y - diag(Z) and of
     (W, Y, Z) - diag(X) are rows of each instance's product of families,
     their coordinates from sub_index_many, and each side counts distinct
     (instance, row) pairs: one lexsort, one compare of adjacent rows and one
@@ -667,8 +668,7 @@ def triangle_stack(
     m = len(Ws)
     if not len(Ys) == len(Xs) == m:
         raise ValueError("need one W, Y, X and Z family per instance")
-    stacks = [(S.members[:, None], S.sizes, S.starts[:-1]) for S in (Xs, Zs)]  # distinct rows already
-    fams = [_family_rows(g, Ws), _family_rows(g, Ys), *stacks]
+    fams = [_family_rows(g, F) for F in (Ws, Ys, Xs, Zs)]
     sizes = np.array([counts for _, counts, _ in fams]).reshape(4, m)
     if not sizes.all():
         raise ValueError("all four families must be nonempty")
@@ -693,7 +693,12 @@ def triangle_stack(
 def _family_rows(g: GroupSpec, fams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One triangle family of tuples of every instance as (rows, counts,
     starts): the distinct members in one (R, k) int64 table, sorted by
-    instance, and the number and first row of each instance's members."""
+    instance, and the number and first row of each instance's members.  A
+    SetStack's members are its rows as they are, distinct and sorted."""
+    if isinstance(fams, SetStack):
+        if fams.group != g:
+            raise GroupMismatchError("sets live on different groups")
+        return fams.members[:, None], fams.sizes, fams.starts[:-1]
     try:
         tables = [np.asarray(fam, dtype=np.int64) for fam in fams]
     except ValueError:  # numpy refuses a family whose tuples differ in length

@@ -3,18 +3,19 @@
 The central pipeline: detect the first higher-energy jump of B, form
 phi(x) = |B_x|^k at the jump exponent, read off the large spectrum of phi,
 take a maximal dissociated set Lambda inside it, and intersect B with a
-translate of the annihilator of Lambda (a subspace on 2-groups, a regular
-Bohr set in general).  Every piece is recounted by one certify step over
-candidates: the annihilator on a 2-group, escalating regular radii
-elsewhere.  The first candidate whose density floor and mass record hold
-by direct count is returned; a failed certificate is raised as a
-theory-violation witness, never papered over.
+translate of a Bohr set of Lambda.  One core (_extract) recounts the
+pieces of one candidate generator by one certify step: the annihilator of
+Lambda on a 2-group (its Bohr set at small radius, a subspace), escalating
+regular radii elsewhere.  The first candidate whose density floor and mass
+record hold by direct count is returned; a failed certificate is raised
+as a theory-violation witness, never papered over.
 
-Drivers built on the pipeline: the 2-eps dichotomy (large Fourier
-coefficient or a structured piece inside A-A), the M-dichotomy with its
-coset decomposition, and the density regularization loop.  The paper's
-argument does not go through a Bogolyubov-type 3B' subspace (Sanders 2012),
-and none is searched for here.
+Drivers, each calling the core once: extract_subspace, extract_bohr, the
+2-eps dichotomy (large Fourier coefficient or a structured piece inside
+A-A) and the M-dichotomy with its coset decomposition; the density
+regularization loop runs extract_subspace.  The paper's argument does not
+go through a Bogolyubov-type 3B' subspace (Sanders 2012), and none is
+searched for here.
 """
 
 from __future__ import annotations
@@ -160,7 +161,6 @@ class BohrPiece:
     z: int
     density: Fraction
     dim: int
-    size_ratio: Fraction
 
 
 @dataclass
@@ -314,9 +314,9 @@ def _spectrum_threshold(params: StructureParams) -> tuple[Fraction, bool]:
 
 @dataclass(frozen=True)
 class _Front:
-    """What both jump pipelines compute before they build a piece: the
-    hypotheses, the jump, phi_k and its transform, Spec_eps(phi) and the
-    dissociated witness Lambda drawn from it."""
+    """What the pipeline computes before it builds a piece: the hypotheses,
+    the jump, phi_k and its transform, Spec_eps(phi) and the dissociated
+    witness Lambda drawn from it."""
 
     params: StructureParams
     report: HypothesisReport
@@ -327,35 +327,6 @@ class _Front:
     clamped: bool
     spec: Spectrum
     witness: DissociatedWitness
-
-    def result(
-        self,
-        variant: SubspacePiece | BohrPiece,
-        achieved: int,
-        guaranteed: Fraction,
-        records: list[CheckRecord],
-        bound_key: str,
-        **extra,
-    ) -> StructureResult:
-        """The certified piece, with the diagnostics both pipelines report."""
-        diagnostics = {
-            "eps_spectrum": self.eps,
-            "eps_clamped": self.clamped,
-            "spectrum_size": len(self.spec),
-            bound_key: _codim_diagnostic(self.report, self.params),
-            "chang": chang_bound(self.phi, self.spec, self.witness),
-            **extra,
-        }
-        return StructureResult(
-            variant=variant,
-            achieved=Fraction(achieved),
-            guaranteed=guaranteed,
-            records=records,
-            jump=self.jump,
-            witness_mode=self.witness.mode,
-            diagnostics=diagnostics,
-            hypotheses=self.report,
-        )
 
     def trace(self, attempts: list[dict]) -> dict:
         """The trace of a DensityGuaranteeFailed raised on this front."""
@@ -459,78 +430,20 @@ def _certify(
     )
 
 
-def extract_subspace(A: GroupSet, B: GroupSet, params: StructureParams) -> StructureResult:
-    """Jump pipeline on a 2-group: a subspace translate dense in B.
-
-    Asserts, by direct count, that the returned translate z satisfies
-    |B intersect (L+z)| >= (1-zeta) omega |L| / (t (m+kappa)).
-    """
-    if not A.group.is_boolean_space:
-        raise ValueError("subspace extraction needs a 2-group; use extract_bohr")
-    return _subspace_result(_pipeline_front(A, B, params), B)
-
-
-def _subspace_result(front: _Front, B: GroupSet) -> StructureResult:
-    g = B.group
-    n = g.rank
-    lam = front.witness.members
-    basis = f2.nullspace_basis(lam.tolist(), n)
-    if len(basis) != n - len(lam):
-        raise AssertionError("annihilator dimension disagrees with the dissociated rank")
-    lset = GroupSet(g, np.sort(f2.subspace_elements(basis)))
-    _, achieved, z, guaranteed, records, _ = _certify(front, B, [_Candidate(lset, 1, f"codim {len(lam)}", {})])
-    piece = SubspacePiece(subspace=lset, z=z, density=Fraction(achieved, len(lset)), codim=len(lam))
-    return front.result(piece, achieved, guaranteed, records, "codim_bound")
-
-
-def _bohr_span_diagnostics(
-    B: GroupSet, phi_hat: FunctionTable, witness: DissociatedWitness, params: StructureParams, jump: EnergyJump
-) -> dict:
-    """Spectral-mass and transform-floor checks over Span(Lambda), the span
-    the witness search grew."""
-    g = B.group
-    out = {}
-    if 3 ** len(witness) > 1 << 16 or (not g.is_boolean_space and g.order > MAX_TRANSFORM_ORDER):
-        out["span_checks"] = "skipped (size)"
-        return out
-    members = witness.span.members
-    floor = _density_floor(params, len(B) * jump.e_k * g.order, loss=1)
-    phi_span = phi_hat.values[members]
-    fhat_b = B.transform[members]
-    if g.is_boolean_space:
-        # phi_hat * |B_hat|^2 may pass 2^63: multiply as Python ints
-        mass = int((phi_span.astype(object) * (fhat_b * fhat_b)).sum())
-        out["spectral_mass"] = record_ge(
-            "spectral mass on the span", "structure:spectral_mass", Fraction(mass), floor
-        )
-    else:
-        # summed in Python, in span order, as the report has always shown it
-        mags = magnitudes(fhat_b).tolist()
-        mass = sum(w * m**2 for w, m in zip(phi_span.real.tolist(), mags))
-        out["spectral_mass"] = record_ge(
-            "spectral mass on the span", "structure:spectral_mass", mass, float(floor)
-        )
-    return out
-
-
-def extract_bohr(A: GroupSet, B: GroupSet, params: StructureParams) -> StructureResult:
-    """Jump pipeline on a general group: a regular Bohr set dense in B.
-
-    Asserts |B intersect (B_*+z)| >= (1-2 zeta) omega |B_*| / (t (m+kappa))
-    by direct count, together with the translate energy sum_x |B intersect
-    (B_*+x)|^2 >= that floor times |B| |B_*|.  The candidates escalate
-    lazily: the regular radius for c = _C_LOCAL, then for 2 c and so on,
-    at most _ESCALATION_TRIES doublings, each materialized only after the
-    one before it failed.  With Lambda empty the piece is the whole group
-    whatever the radius, so it is counted once.  If none passes, the
-    failure is raised with every attempt in its trace.
-    """
-    if not 0 < params.zeta < Fraction(1, 2):
-        raise ValueError("Bohr extraction needs zeta < 1/2")
-    return _bohr_result(_pipeline_front(A, B, params), B)
-
-
-def _bohr_candidates(g: GroupSpec, lam: np.ndarray, params: StructureParams) -> Iterator[_Candidate]:
+def _candidates(g: GroupSpec, lam: np.ndarray, params: StructureParams, subgroup: bool) -> Iterator[_Candidate]:
+    """The pieces _certify recounts, in order.  On a subgroup pipeline (a
+    2-group) the one candidate is the annihilator of Lambda, a subspace
+    (zeta loss 1).  Otherwise the regular Bohr sets escalate lazily (loss
+    2): the regular radius for c = _C_LOCAL, then for 2 c and so on, at
+    most _ESCALATION_TRIES doublings, each materialized only after the one
+    before it failed.  With Lambda empty the Bohr set is the whole group
+    whatever the radius, so it is yielded once."""
+    if subgroup:
+        basis = f2.nullspace_basis(lam.tolist(), g.rank)
+        if len(basis) != g.rank - len(lam):
+            raise AssertionError("annihilator dimension disagrees with the dissociated rank")
+        yield _Candidate(GroupSet(g, np.sort(f2.subspace_elements(basis))), 1, f"codim {len(lam)}", {})
+        return
     c = _C_LOCAL
     for _ in range(1 + _ESCALATION_TRIES if len(lam) else 1):
         rho = c * params.zeta / (params.m_star * max(len(lam), 1))
@@ -551,18 +464,99 @@ def _bohr_candidates(g: GroupSpec, lam: np.ndarray, params: StructureParams) -> 
         c = 2 * c
 
 
-def _bohr_result(front: _Front, B: GroupSet) -> StructureResult:
-    g = B.group
+def _extract(front: _Front, B: GroupSet, subgroup: bool) -> StructureResult:
+    """The certified piece of the front's witness: the first candidate
+    that passes _certify, as a SubspacePiece on a subgroup pipeline and a
+    BohrPiece otherwise, with the diagnostics it reports.  A Bohr piece
+    also reports its attempts, the radius sufficiency record and the span
+    checks."""
     lam = front.witness.members
-    cand, achieved, z, guaranteed, records, attempts = _certify(front, B, _bohr_candidates(g, lam, front.params))
-    b_star = cand.bohr
-    extra = {"sufficiency": cand.shows["sufficiency"]} if len(lam) else {}
-    extra.update(_bohr_span_diagnostics(B, front.phi_hat, front.witness, front.params, front.jump))
-    piece = BohrPiece(
-        bohr=b_star, z=z, density=Fraction(achieved, len(b_star)), dim=len(lam),
-        size_ratio=Fraction(len(b_star), g.order),
+    cand, achieved, z, guaranteed, records, attempts = _certify(
+        front, B, _candidates(B.group, lam, front.params, subgroup)
     )
-    return front.result(piece, achieved, guaranteed, records, "dim_bound", attempts=attempts, **extra)
+    density = Fraction(achieved, len(cand.members))
+    diagnostics = {
+        "eps_spectrum": front.eps,
+        "eps_clamped": front.clamped,
+        "spectrum_size": len(front.spec),
+        "codim_bound" if subgroup else "dim_bound": _codim_diagnostic(front.report, front.params),
+        "chang": chang_bound(front.phi, front.spec, front.witness),
+    }
+    if subgroup:
+        variant = SubspacePiece(subspace=cand.members, z=z, density=density, codim=len(lam))
+    else:
+        variant = BohrPiece(bohr=cand.bohr, z=z, density=density, dim=len(lam))
+        diagnostics["attempts"] = attempts
+        if len(lam):
+            diagnostics["sufficiency"] = cand.shows["sufficiency"]
+        diagnostics.update(_bohr_span_diagnostics(B, front))
+    return StructureResult(
+        variant=variant,
+        achieved=Fraction(achieved),
+        guaranteed=guaranteed,
+        records=records,
+        jump=front.jump,
+        witness_mode=front.witness.mode,
+        diagnostics=diagnostics,
+        hypotheses=front.report,
+    )
+
+
+def _bohr_span_diagnostics(B: GroupSet, front: _Front) -> dict:
+    """Spectral-mass check over Span(Lambda), the span the witness search
+    grew.  On a 2-group the span has 2^|Lambda| <= N members and the mass
+    is an exact integer sum, so it always runs; elsewhere it is skipped
+    past 3^|Lambda| > 2^16 or past the transform cap."""
+    g = B.group
+    witness = front.witness
+    out = {}
+    if not g.is_boolean_space and (3 ** len(witness) > 1 << 16 or g.order > MAX_TRANSFORM_ORDER):
+        out["span_checks"] = "skipped (size)"
+        return out
+    members = witness.span.members
+    floor = _density_floor(front.params, len(B) * front.jump.e_k * g.order, loss=1)
+    phi_span = front.phi_hat.values[members]
+    fhat_b = B.transform[members]
+    if g.is_boolean_space:
+        # phi_hat * |B_hat|^2 may pass 2^63: multiply as Python ints
+        mass = int((phi_span.astype(object) * (fhat_b * fhat_b)).sum())
+        out["spectral_mass"] = record_ge(
+            "spectral mass on the span", "structure:spectral_mass", Fraction(mass), floor
+        )
+    else:
+        # summed in Python, in span order, as the report has always shown it
+        mags = magnitudes(fhat_b).tolist()
+        mass = sum(w * m**2 for w, m in zip(phi_span.real.tolist(), mags))
+        out["spectral_mass"] = record_ge(
+            "spectral mass on the span", "structure:spectral_mass", mass, float(floor)
+        )
+    return out
+
+
+def extract_subspace(A: GroupSet, B: GroupSet, params: StructureParams) -> StructureResult:
+    """Jump pipeline on a 2-group: a subspace translate dense in B.
+
+    Asserts, by direct count, that the returned translate z satisfies
+    |B intersect (L+z)| >= (1-zeta) omega |L| / (t (m+kappa)).
+    """
+    if not A.group.is_boolean_space:
+        raise ValueError("subspace extraction needs a 2-group; use extract_bohr")
+    return _extract(_pipeline_front(A, B, params), B, subgroup=True)
+
+
+def extract_bohr(A: GroupSet, B: GroupSet, params: StructureParams) -> StructureResult:
+    """Jump pipeline with Bohr candidates on any group: a regular Bohr set
+    dense in B.
+
+    Asserts |B intersect (B_*+z)| >= (1-2 zeta) omega |B_*| / (t (m+kappa))
+    by direct count, together with the translate energy sum_x |B intersect
+    (B_*+x)|^2 >= that floor times |B| |B_*|, over the escalating radii of
+    _candidates.  If none passes, the failure is raised with every attempt
+    in its trace.
+    """
+    if not 0 < params.zeta < Fraction(1, 2):
+        raise ValueError("Bohr extraction needs zeta < 1/2")
+    return _extract(_pipeline_front(A, B, params), B, subgroup=False)
 
 
 def _auto_m_prime(k: Fraction, m: Fraction, kappa: Fraction) -> Fraction:
@@ -635,11 +629,11 @@ def certify_difference_subset(A: GroupSet, eps_param: Fraction | int) -> Structu
         omega=Fraction(1),
     )
     front = _pipeline_front(A, b, params)
+    result = _extract(front, b, subgroup=g.is_boolean_space)
     if not g.is_boolean_space:
-        return _certify_bohr_branch(A, front, b, eps, gate)
+        return _certify_bohr_branch(A, front, result, eps, gate)
     # on a 2-group -A = A, so the pipeline's count against b is the count
     # against A: result.achieved = |A intersect (L + z)| at the best z
-    result = _subspace_result(front, b)
     lset = result.variant.subspace
     cert, result.guaranteed = _majority(
         front, "majority-overlap certificate", result.achieved, len(lset), eps, f"z={result.variant.z}"
@@ -681,10 +675,9 @@ def _verify_difference_membership(A: GroupSet, piece: GroupSet, ref: str) -> Che
 
 
 def _certify_bohr_branch(
-    A: GroupSet, front: _Front, b: GroupSet, eps: Fraction, gate: CheckRecord
+    A: GroupSet, front: _Front, result: StructureResult, eps: Fraction, gate: CheckRecord
 ) -> StructureResult:
     g = A.group
-    result = _bohr_result(front, b)
     piece = result.variant
     spec_star = piece.bohr.spec
     d = spec_star.d
@@ -722,22 +715,11 @@ def _certify_bohr_branch(
     if not np.isin(final.members.members, eta_set.members.members).all():
         raise AssertionError("regularized shrink left the verified dilate")
     final_inclusion = _verify_difference_membership(A, final.members, "dichotomy:inclusion_final")
-    records = result.records + [gate, cert, inclusion, final_inclusion]
-    return StructureResult(
-        variant=BohrPiece(
-            bohr=final,
-            z=z,
-            density=Fraction(score, len(b_lo) + len(b_hi)),
-            dim=d,
-            size_ratio=Fraction(len(final), g.order),
-        ),
-        achieved=Fraction(score),
-        guaranteed=need,
-        records=records,
-        jump=result.jump,
-        witness_mode=result.witness_mode,
-        diagnostics={**result.diagnostics, "eta": eta, "chain_steps": steps, "chain_j": chosen},
-    )
+    result.variant = BohrPiece(bohr=final, z=z, density=Fraction(score, len(b_lo) + len(b_hi)), dim=d)
+    result.achieved, result.guaranteed = Fraction(score), need
+    result.records.extend([gate, cert, inclusion, final_inclusion])
+    result.diagnostics.update(eta=eta, chain_steps=steps, chain_j=chosen)
+    return result
 
 
 def dichotomy_M(
@@ -775,12 +757,9 @@ def dichotomy_M(
     if large is not None:
         return large
     params = _m_params(M, Fraction(len(B_sub), a))
-    if g.is_boolean_space:
-        result = extract_subspace(A, B_sub, params)
-        piece_size = len(result.variant.subspace)
-    else:
-        result = extract_bohr(A, B_sub, params)
-        piece_size = len(result.variant.bohr)
+    subgroup = g.is_boolean_space
+    result = _extract(_pipeline_front(A, B_sub, params), B_sub, subgroup)
+    piece_size = len(result.variant.subspace if subgroup else result.variant.bohr)
     eight_m = record_ge(
         "piece density vs omega/(8M)",
         "dichotomy:density_8M",
@@ -790,7 +769,7 @@ def dichotomy_M(
     )
     result.records.extend([gate, require(eight_m)])
     result.diagnostics["m"] = M
-    if g.is_boolean_space and B_sub == A:
+    if subgroup and B_sub == A:
         result.diagnostics["decomposition"] = _coset_decomposition(A, result.variant.subspace, M, result.records)
     return result
 

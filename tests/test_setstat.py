@@ -333,11 +333,16 @@ def test_triangle_stack_matches_direct_count(data):
     k2 = data.draw(st.integers(min_value=1, max_value=2), label="k2")
     instance = _triangle_instance(g.order, k1, k2)
     instances = data.draw(st.lists(instance, min_size=1, max_size=5), label="instances")
-    if data.draw(st.booleans(), label="as arrays"):  # every family as an int64 array, one row per tuple
+    form = data.draw(st.sampled_from(["tuples", "arrays", "stacks"]), label="form")
+    if form == "arrays":  # every family as an int64 array, one row per tuple
         families = [[np.array(fam, dtype=np.int64) for fam in inst] for inst in instances]
     else:
         families = instances
-    lhs, rhs = _triangle(g, *zip(*families))
+    Ws, Ys, Xs, Zs = zip(*families)
+    if form == "stacks" and k1 == k2 == 1:  # W and Y as stacks of sets, the 1-tuples' members
+        Ws, Ys = ([group_set(g, (t for (t,) in fam)) for fam in F] for F in (Ws, Ys))
+        Ws, Ys = _stack_of(g, Ws), _stack_of(g, Ys)
+    lhs, rhs = _triangle(g, Ws, Ys, Xs, Zs)
     assert [(int(l), int(r)) for l, r in zip(lhs, rhs)] == [triangle_direct(g, *inst) for inst in instances]
 
 
@@ -378,6 +383,8 @@ def test_triangle_stack_of_no_instances_and_bad_families():
         _triangle(g, [one, np.array([[1, 2]])], [one, one], [[0], [0]], [[0], [0]])
     with pytest.raises(GroupMismatchError):  # X and Z live on one group
         triangle_stack([[(1,)]], [[(1,)]], _stack_of(g, [[0]]), _stack_of(make_group((3, 5)), [[0]]))
+    with pytest.raises(GroupMismatchError):  # so does a W or Y stack
+        _triangle(g, _stack_of(make_group((3, 5)), [[1]]), [[(1,)]], [[0]], [[0]])
     # the caps count distinct members
     g = make_group((2048,))
     lhs, rhs = _triangle(g, [[(1,)] * 1001], [[(1,)]], [[0]], [[0] * 1001])

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from addcomb.families import make_h_lambda, make_planted, HLambdaSpec
 from addcomb.fileio import write_set
 from addcomb.groups import boolean_group, make_group
 from addcomb.harmonic import FunctionTable
-from addcomb.harness import derive_params
+from addcomb.harness import derive_params, structure_result_dict
 from addcomb.report import format_value
 from addcomb.setstat import (
     corr_counts,
@@ -39,7 +41,7 @@ from addcomb.structure import (
     regularize_density,
 )
 
-from .oracles import corr_direct, span_direct, walsh_direct
+from .oracles import bohr_members_int_direct, corr_direct, span_direct, walsh_direct
 
 
 def _subgroup(n, dim):
@@ -175,13 +177,37 @@ def test_span_mass_is_exact_past_int64():
     params = StructureParams(m=1, m_prime=1, kappa=1, zeta=Fraction(1, 8), t=2)
     jump = structure.EnergyJump(k=2, e_k=1, e_next=1, m_star=params.m_star, k0=params.k0)
     witness = DissociatedWitness(g, (1, 6), "exact", _span_mask_direct(g, (1, 6)))
-    out = structure._bohr_span_diagnostics(B, phi_hat, witness, params, jump)
+    front = SimpleNamespace(phi_hat=phi_hat, witness=witness, params=params, jump=jump)
+    out = structure._bohr_span_diagnostics(B, front)
     b = set(B.members.tolist())
     b_hat = walsh_direct([int(x in b) for x in range(g.order)])
     products = [phi_values[x] * b_hat[x] ** 2 for x in (0, 1, 6, 7)]
     assert min(products) > 1 << 63
     assert out["spectral_mass"].lhs == format_value(Fraction(sum(products)))
 
+
+
+def test_bohr_span_mass_on_a_2_group_past_eleven_characters():
+    # a random 200-point set of F2^11 has a witness of rank 11, where the
+    # span checks once were skipped: the mass over its span is recounted
+    # from the pair scan and direct Walsh transforms
+    g = boolean_group(11)
+    A = group_set(g, random.Random(3).sample(range(g.order), 200))
+    params = derive_params(A, A)
+    res = extract_bohr(A, A, params)
+    assert res.variant.dim == 11 and "span_checks" not in res.diagnostics
+    k = res.jump.k
+    corr = corr_direct(A, A)
+    phi_hat = walsh_direct([c**k for c in corr])
+    a = set(A.members.tolist())
+    a_hat = walsh_direct([int(x in a) for x in range(g.order)])
+    span = span_direct(g, structure._pipeline_front(A, A, params).witness.members.tolist())
+    mass = sum(phi_hat[x] * a_hat[x] ** 2 for x in span)
+    e_k = sum(c**k for c in corr)
+    floor = (1 - params.zeta) * params.omega * len(A) * e_k * g.order / (params.t * (params.m + params.kappa))
+    rec = res.diagnostics["spectral_mass"]
+    assert (rec.lhs, rec.rhs, rec.ok) == (format_value(Fraction(mass)), format_value(floor), mass >= floor)
+    assert rec.ok
 
 
 def test_extract_bohr_reads_the_span_its_witness_grew(monkeypatch):
@@ -209,7 +235,7 @@ def test_extract_bohr_reads_the_span_its_witness_grew(monkeypatch):
         raise AssertionError("a span was grown outside the witness search")
 
     monkeypatch.setattr(spectral, "_grow", no_growth)
-    want = structure._bohr_span_diagnostics(A, front.phi_hat, fresh, params, front.jump)
+    want = structure._bohr_span_diagnostics(A, dataclasses.replace(front, witness=fresh))
     assert res.diagnostics["spectral_mass"] == want["spectral_mass"]
 
 
@@ -308,6 +334,48 @@ def test_dichotomy_structured_branch_on_subgroup():
     piece = res.variant
     overlap = _count_overlap(H, piece.subspace.members, piece.z)
     assert Fraction(overlap) >= Fraction(len(piece.subspace)) / (8 * M)
+
+
+def test_dichotomy_structured_branch_on_a_general_group(tmp_path):
+    # the 8-point subgroup {512 i} of Z4096 passes the gate (100 K^2 |A| =
+    # 800 <= 4096), and its peak sets M = 1: the CLI certifies a Bohr piece
+    g = make_group((4096,))
+    A = group_set(g, range(0, g.order, 512))
+    path, out = tmp_path / "A.txt", tmp_path / "r.json"
+    write_set(path, A)
+    assert main(["structure", str(path), "--mode", "dichotomy", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["results"][0]["result"]
+    w = result["witness"]
+    assert (result["kind"], w["size"]) == ("BohrPiece", 8)
+    piece = bohr_members_int_direct(g, w["gamma"], w["radii"])
+    assert len(piece) == 8
+    a = set(A.members.tolist())
+    overlap = sum(g.add_index(x, w["z"]) in a for x in piece)
+    M = Fraction(result["diagnostics"]["m"])
+    assert Fraction(result["achieved"]) == overlap >= Fraction(len(piece), 8 * M)  # omega = 1
+    assert Fraction(w["size_ratio"]) == Fraction(len(piece), g.order)
+
+
+def _reported_size_ratio(res, g):
+    """The report's size_ratio, and |piece| / N recounted from the report's
+    characters and radii."""
+    w = structure_result_dict(res)["witness"]
+    piece = bohr_members_int_direct(g, w["gamma"], w["radii"])
+    return Fraction(w["size_ratio"]), Fraction(len(piece), g.order)
+
+
+def test_size_ratio_is_the_piece_over_the_group_order():
+    A, params = _cyclic_subgroup_instance()
+    reported, recounted = _reported_size_ratio(extract_bohr(A, A, params), A.group)
+    assert reported == recounted == Fraction(1, 10)
+    # the 2-eps Bohr branch reports its final regularized shrink, not B_*
+    g = make_group((1009,))
+    res = certify_difference_subset(group_set(g, [5]), Fraction(1, 2))
+    assert res.kind == "BohrPiece"
+    # B_*'s radii lie below the rho it asked for, the shrink's below eta times them
+    assert max(res.variant.bohr.spec.eps) < res.diagnostics["eta"] * res.diagnostics["attempts"][-1]["rho"]
+    reported, recounted = _reported_size_ratio(res, g)
+    assert reported == recounted == Fraction(len(res.variant.bohr), g.order)
 
 
 def test_dichotomy_large_coefficient_branch():
