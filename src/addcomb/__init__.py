@@ -57,17 +57,12 @@ from .setstat import (
     GroupSet,
     SetStack,
     corr_counts,
-    difference_set,
-    doubling_constant,
-    energy,
     energy_difference_bounds,
-    full_set,
     group_set,
     higher_energy,
     katz_koester_stack,
     peak_coefficient,
     profile,
-    slice_set,
     sumset,
     triangle_stack,
 )
@@ -129,17 +124,13 @@ __all__ = [
     "corr_counts",
     "dft",
     "dichotomy_M",
-    "difference_set",
     "dilate",
-    "doubling_constant",
-    "energy",
     "energy_difference_bounds",
     "extract_bohr",
     "extract_subspace",
     "find_energy_jump",
     "find_regular_radius",
     "format_group_text",
-    "full_set",
     "group_set",
     "higher_energy",
     "intersect",
@@ -161,7 +152,6 @@ __all__ = [
     "regularize_density",
     "size_bound_stack",
     "size_profile",
-    "slice_set",
     "spectrum",
     "sumset",
     "triangle_stack",

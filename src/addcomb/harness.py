@@ -707,6 +707,8 @@ def run_structure(cfg: RunConfig) -> RunReport:
         mode = "subspace" if A.group.is_boolean_space else "bohr"
     if mode not in ("subspace", "bohr", "dichotomy"):
         raise ConfigError(f"unknown pipeline {mode!r}")
+    if mode != "dichotomy" and B is not A and not np.isin(B.members, A.members).all():  # dichotomy_M: A or -A
+        raise ConfigError(f"B ({label_b}) is not a subset of A ({label_a})")
     res = hyp = failure = None
     try:
         if mode == "dichotomy":

@@ -8,11 +8,11 @@ indices, counted as it is; writers turn it into Python ints at the edge.
 A family of sets is one SetStack: k sets of one group in one int64
 array, set j being members[starts[j]:starts[j + 1]] (a GroupSet is a
 stack of one, and its stack() is a view).  The checks the verify suites
-run take stacks, one instance being a stack of one: sumsets,
+run take stacks, one instance being a stack of one:
 energy_difference_bounds, higher_energies, katz_koester_stack and
 triangle_stack (W and Y may also be tuple families, sorted once into
 the rows of one int64 table).  Their pair counts are the columns of one
-(N, k) table, conv_columns or corr_columns of two stacks, on one
+(N, k) table, corr_columns of two stacks or one _columns call, on one
 transform of each distinct set.  _columns turns the products of the
 transforms into exact counts: one inverse integer Walsh-Hadamard
 transform on 2-groups, and elsewhere one inverse DFT, rounded, for every
@@ -26,12 +26,15 @@ are cut in blocks of at most _BLOCK_ELEMENTS cells (column_blocks), so
 memory grows neither with the number of instances nor with the group
 order, and energies are summed in int64 only under a stated bound.
 
-conv_counts, which the pipelines call, takes the transform path
-(_columns of the two sets' kept transforms) when _PAIR_COST |A| |B|
-exceeds (1 + u) harmonic.transform_cost(g), u the transforms it would
-compute first (Bluestein axes charged their extra work), on every group,
-and the pair loop otherwise.  corr_counts is conv_counts(-A, B), and
-sumset is the support of conv_counts.
+conv_counts and corr_counts, which the pipelines call, take the
+transform path (_columns of the two sets' kept transforms) when
+_PAIR_COST |A| |B| exceeds (1 + u) harmonic.transform_cost(g), u the
+transforms it would compute first (Bluestein axes charged their extra
+work), on every group, and the pair loop otherwise; sumset is the
+support of conv_counts.  Every kernel reads -A one way, as A's column
+with a reflect flag: the transform path takes conj(A_hat), the transform
+of -A's real indicator, and the pair loop negates A's members, so
+corr_counts(A, B), the pair counts of (-A, B), builds no -A.
 
 A GroupSet computes the statistics the pipelines read off its
 autocorrelation once, on first use, and keeps them on the instance for
@@ -42,18 +45,16 @@ value of A o A with its multiplicity, as Python ints, so E_k =
 sum m * c^k is exact at every k), |A - A| (the support of A o A), |A + A|
 (the same number on 2-groups) and the peak coefficient, held as an
 enclosure [lo, hi] of |A_hat|^2 from harmonic.transform_error (lo == hi on
-2-groups, where the transform is exact).  A.neg() is built once and
-kept on A, and it reads its autocorrelation and its transform off A,
-since (-A) o (-A) = A o A and -A's transform is the conjugate of A's, so
-a set and its negation share one transform (the stacked kernels build no
--A, see _columns).  The cached arrays are read-only; there is no cache
-outside the set.
+2-groups, where the transform is exact).  A.neg() is a plain -A that
+holds A and reads A's autocorrelation and A's transform, conjugated,
+since (-A) o (-A) = A o A; its negation is A, and A keeps no reference
+to it.  The cached arrays are read-only; there is no cache outside the
+set.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -78,7 +79,6 @@ from .harmonic import (
     idft_columns,
     indicator,
     magnitudes,
-    sum_of_squares,
     transform_cost,
     wht_int_columns,
 )
@@ -115,6 +115,7 @@ class GroupSet:
 
     group: GroupSpec
     members: np.ndarray
+    _source = None  # not a field: the set neg() negated to make this one
 
     def __post_init__(self) -> None:
         members = np.asarray(self.members)  # checked as a stack of one
@@ -140,9 +141,8 @@ class GroupSet:
     def transform(self) -> np.ndarray:
         """Transform of the indicator: int64 on 2-groups, complex128 elsewhere.
         A set made by neg() conjugates its source's (see neg)."""
-        owner = _transform_owner(self)
-        if owner is not self:
-            return read_only(np.conj(owner.transform))
+        if self._source is not None:
+            return read_only(np.conj(self._source.transform))
         hats = _hats(self.stack())
         if hats is None:
             raise SizeLimitError(f"dense transform beyond order {MAX_TRANSFORM_ORDER}")
@@ -151,8 +151,7 @@ class GroupSet:
     @cached_property
     def autocorr(self) -> np.ndarray:
         """(A o A)(x) = |A intersect (A + x)| for every x, as int64."""
-        owner = _transform_owner(self)
-        return owner.autocorr if owner is not self else read_only(corr_counts(self, self))
+        return self._source.autocorr if self._source is not None else read_only(corr_counts(self, self))
 
     @cached_property
     def energy_hist(self) -> tuple[tuple[int, int], ...]:
@@ -185,37 +184,20 @@ class GroupSet:
         """The stack of this one set, a view of its members."""
         return SetStack._view(self.group, np.asarray(self.members), np.array([0, len(self)]))
 
-    def translate(self, x: int) -> "GroupSet":
-        return GroupSet(self.group, np.sort(add_index_many(self.group, self.members, x)))
-
     def neg(self) -> "GroupSet":
-        """-A, built on first use and kept on A.  It reads its
+        """-A, a plain set that holds A, its negation, and reads its
         autocorrelation and its transform off A, each computed once on A:
         (-A) o (-A) = A o A, and the exact transform of -A's real indicator
         is the conjugate of A's, so the conjugate of A's computed transform
-        carries A's transform_error bound.  The negation of a set made by
-        neg() is its source while the source lives; -A refers to A weakly,
-        so the pair makes no reference cycle and dies with A."""
+        carries A's transform_error bound.  A keeps no reference to -A."""
         g = self.group
         if len(self) == 0 or g.is_boolean_space:
             return self
-        owner = _transform_owner(self)
-        if owner is not self:
-            return owner
-        out = self.__dict__.get("_neg")
-        if out is None:
-            out = GroupSet(g, np.sort(neg_index_many(g, self.members)))
-            object.__setattr__(out, "_neg_of", weakref.ref(self))
-            object.__setattr__(self, "_neg", out)
+        if self._source is not None:
+            return self._source
+        out = GroupSet(g, np.sort(neg_index_many(g, self.members)))
+        object.__setattr__(out, "_source", self)
         return out
-
-
-def _transform_owner(s: GroupSet) -> GroupSet:
-    """The set whose transform s reads: the live source s was made from
-    by neg(), or else s itself."""
-    ref = s.__dict__.get("_neg_of")
-    source = ref() if ref is not None else None
-    return s if source is None else source
 
 
 class SetStack:
@@ -281,35 +263,35 @@ def group_set(g: GroupSpec, members: Iterable[int]) -> GroupSet:
     return GroupSet(g, np.unique(list(members)))
 
 
-def full_set(g: GroupSpec) -> GroupSet:
-    return GroupSet(g, np.arange(g.order, dtype=np.int64))
-
-
 # -- counting kernels -----------------------------------------------------------
 
 
 def corr_counts(A: GroupSet, B: GroupSet | None = None) -> np.ndarray:
-    """(A o B)(x) = |B intersect (A + x)| = #{(a, b) : b - a = x}, as int64.
-
-    This is conv_counts(-A, B); on 2-groups -A is A itself, so both
-    transforms come from the sets' caches.
-    """
-    return conv_counts(A.neg(), A if B is None else B)
+    """(A o B)(x) = |B intersect (A + x)| = #{(a, b) : b - a = x}, as int64:
+    the pair counts of (-A, B), with A read reflected (_pair_counts)."""
+    return _pair_counts(A, A if B is None else B, True)
 
 
 def conv_counts(A: GroupSet, B: GroupSet) -> np.ndarray:
-    """Number of pairs (a, b) with a + b = x, for every x, as int64.
+    """Number of pairs (a, b) with a + b = x, for every x, as int64 (_pair_counts)."""
+    return _pair_counts(A, B, False)
+
+
+def _pair_counts(A: GroupSet, B: GroupSet, reflect: bool) -> np.ndarray:
+    """Number of pairs (a, b) with a + b = x, for every x, as int64, a
+    ranging over -A where reflect.
 
     Exact on either of two paths, picked by one cost rule on every group.
-    The transform path, _columns of the two sets' transforms, costs one
-    inverse transform plus one forward transform of each distinct source
-    set whose transform is not yet kept (A.neg() shares A's), u of them:
-    (1 + u) transform_cost(g) radix-2 levels.  The pair path (_conv_loop)
-    costs one cell per pair, each _PAIR_COST levels.  So the transform is
-    taken when _PAIR_COST |A| |B| > (1 + u) transform_cost(g), and the
-    order is within MAX_TRANSFORM_ORDER or g is a 2-group.  Both sets keep
-    the transforms computed there: the pipelines count with the same sets
-    many times.
+    The transform path, _columns of the two sets' transforms (A's read
+    reflected), costs one inverse transform plus one forward transform of
+    each distinct source set whose transform is not yet kept (a set made
+    by neg() counts as its source), u of them: (1 + u) transform_cost(g)
+    radix-2 levels.  The pair path (_conv_loop, A's members negated) costs
+    one cell per pair, each _PAIR_COST levels.  So the transform is taken
+    when _PAIR_COST |A| |B| > (1 + u) transform_cost(g), and the order is
+    within MAX_TRANSFORM_ORDER or g is a 2-group.  Both sets keep the
+    transforms computed there: the pipelines count with the same sets many
+    times.
 
     _PAIR_COST = 3 is measured: the time of a pair cell over the time of
     a radix-2 level, each path timed whole at the rule's crossover with
@@ -324,23 +306,22 @@ def conv_counts(A: GroupSet, B: GroupSet) -> np.ndarray:
     if len(A) == 0 or len(B) == 0:
         return np.zeros(g.order, dtype=np.int64)
     if g.is_boolean_space or g.order <= MAX_TRANSFORM_ORDER:
-        source = _transform_owner(A)  # the set A negates, if A was made by neg()
-        sources = {id(s): s for s in (source, _transform_owner(B))}
+        sources = {id(s): s for s in (S if S._source is None else S._source for S in (A, B))}
         todo = sum("transform" not in s.__dict__ for s in sources.values())
         if _PAIR_COST * len(A) * len(B) > (1 + todo) * transform_cost(g):
-            pool = SetStack._view(g, np.concatenate((source.members, B.members)),
-                                  np.array([0, len(A), len(A) + len(B)]))
-            hats = (source.transform, B.transform)  # computed once, kept on each set
-            # -A is read as A's column reflected, so no conjugate is kept on -A
-            return _columns(pool, hats, np.array([0]), np.array([1]), np.array([source is not A]))[:, 0]
-    return _conv_loop(g, A.members, B.members)
+            pool = _join(g, [A.stack(), B.stack()])
+            hats = (A.transform, B.transform)  # computed once, kept on each set
+            return _columns(pool, hats, np.array([0]), np.array([1]), np.array([reflect]))[:, 0]
+    return _conv_loop(g, A.members, B.members, reflect)
 
 
-def _conv_loop(g: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """conv_counts by pairs of members of a and b: the table of a + b over
-    the smaller array (rows) and the larger (columns), in blocks of rows of
-    at most _BLOCK_ELEMENTS cells (column_blocks), each counted by one
-    bincount."""
+def _conv_loop(g: GroupSpec, a: np.ndarray, b: np.ndarray, reflect: bool) -> np.ndarray:
+    """conv_counts by pairs of members of a (negated where reflect) and b:
+    the table of a + b over the smaller array (rows) and the larger
+    (columns), in blocks of rows of at most _BLOCK_ELEMENTS cells
+    (column_blocks), each counted by one bincount."""
+    if reflect and not g.is_boolean_space:  # -a = a on 2-groups
+        a = neg_index_many(g, a)
     small, big = (a, b) if len(a) <= len(b) else (b, a)
     counts = np.zeros(g.order, dtype=np.int64)
     for rows in column_blocks(len(small), len(big)):
@@ -362,8 +343,8 @@ def _columns(pool: SetStack, hats: np.ndarray | None, left: np.ndarray, right: n
     N^2 <= 2^48 (Cauchy-Schwarz, Parseval, the membership cap).  Elsewhere
     a column whose conv_errors bound is below 1/2 (one call for all) is the
     rounded inverse DFT of its products, and any other, or every one when
-    hats is None, counts by pairs (_conv_loop), the only place -A is
-    built."""
+    hats is None, counts by pairs (_conv_loop), which negates A's members
+    where reflected."""
     g, n = pool.group, pool.group.order
     a, b = pool.sizes[left], pool.sizes[right]
     out = _table(n, len(left), np.int64)
@@ -377,8 +358,7 @@ def _columns(pool: SetStack, hats: np.ndarray | None, left: np.ndarray, right: n
         out[:, fast] = (wht_int_columns(g, products) // n if g.is_boolean_space
                         else np.rint(idft_columns(g, products).real))
     for j in slow:
-        A = pool[left[j]]
-        out[:, j] = _conv_loop(g, neg_index_many(g, A) if reflect[j] else A, pool[right[j]])
+        out[:, j] = _conv_loop(g, pool[left[j]], pool[right[j]], reflect[j])
     return out
 
 
@@ -396,24 +376,15 @@ def _rows(hats, picks: np.ndarray, flip: np.ndarray | None = None) -> np.ndarray
     return rows
 
 
-def _pair_columns(As: SetStack, Bs: SetStack, reflect: bool) -> np.ndarray:
+def corr_columns(As: SetStack, Bs: SetStack) -> np.ndarray:
+    """corr_counts of every pair (As[j], Bs[j]), (A o B)(x) = #{b - a = x},
+    as the columns of one (N, k) int64 table (_columns, every A read
+    reflected), on one stacked transform of the sets (of As alone when Bs
+    is As); the caller keeps k * N within a block."""
     g = _pair_group(As, Bs)
     j = np.arange(len(As))
     pool, right = (As, j) if As is Bs else (_join(g, [As, Bs]), j + len(As))
-    return _columns(pool, _hats(pool), j, right, np.full(len(As), reflect))
-
-
-def conv_columns(As: SetStack, Bs: SetStack) -> np.ndarray:
-    """conv_counts of every pair (As[j], Bs[j]) as the columns of one (N, k)
-    int64 table (_columns), on one stacked transform of the sets (of As
-    alone when Bs is As); the caller keeps k * N within a block."""
-    return _pair_columns(As, Bs, False)
-
-
-def corr_columns(As: SetStack, Bs: SetStack) -> np.ndarray:
-    """corr_counts of every pair, (A o B)(x) = #{b - a = x}: conv_columns
-    of the pairs (-A, B), with no -A built (see _columns)."""
-    return _pair_columns(As, Bs, True)
+    return _columns(pool, _hats(pool), j, right, np.ones(len(As), dtype=bool))
 
 
 def _pair_group(As: SetStack, Bs: SetStack) -> GroupSpec:
@@ -464,13 +435,6 @@ def _support_stack(g: GroupSpec, counts: np.ndarray) -> SetStack:
     return SetStack._view(g, members, _starts(np.bincount(owners, minlength=counts.shape[1])))
 
 
-def sumsets(As: SetStack, Bs: SetStack) -> SetStack:
-    """A + B for every pair (As[j], Bs[j]): the supports of stacked pair counts."""
-    g = _pair_group(As, Bs)
-    return _join(g, [_support_stack(g, conv_columns(A := As[block], A if Bs is As else Bs[block]))
-                     for block in column_blocks(len(As), g.order)])
-
-
 def _power_sums(counts: np.ndarray, top: int) -> list[list[int]]:
     """sums[k - 2][j] = sum_x c(x)^k for k = 2..top and every column c of
     counts, a table of nonnegative int64 counts, as Python ints.  Since
@@ -496,24 +460,6 @@ def sumset(A: GroupSet, B: GroupSet) -> GroupSet:
 def sumset_size(A: GroupSet, B: GroupSet) -> int:
     """|A + B|, read from A's cache when B is A."""
     return A.sum_size if B is A else len(sumset(A, B))
-
-
-def difference_set(A: GroupSet, B: GroupSet) -> GroupSet:
-    """A - B."""
-    return sumset(A, B.neg())
-
-
-def slice_set(A: GroupSet, x: int) -> GroupSet:
-    """A_x = A intersect (A + x); its size is the autocorrelation at x."""
-    shifted = add_index_many(A.group, A.members, x)
-    return GroupSet(A.group, np.intersect1d(A.members, shifted, assume_unique=True))
-
-
-def doubling_constant(A: GroupSet) -> Fraction:
-    """K[A] = |A - A| / |A|."""
-    if len(A) == 0:
-        raise ValueError("doubling constant needs a nonempty set")
-    return Fraction(A.diff_size, len(A))
 
 
 @dataclass(frozen=True)
@@ -551,13 +497,6 @@ def peak_coefficient(A: GroupSet) -> Peak:
     lo = max(top - err, 0) ** 2
     hi = min((top + err) ** 2, len(A) ** 2)
     return Peak(_outward(lo, -math.inf), _outward(hi, math.inf), arg + 1)
-
-
-def energy(A: GroupSet, B: GroupSet | None = None) -> int:
-    """E(A, B) = number of quadruples with a1 - b1 = a2 - b2, exactly."""
-    if B is None or B is A:
-        return higher_energy(A, 2)
-    return sum_of_squares(corr_counts(B, A))
 
 
 def higher_energy(A: GroupSet, k: int) -> int:

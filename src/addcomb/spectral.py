@@ -264,7 +264,11 @@ def chang_bound(f: FunctionTable, spec: Spectrum, witness: DissociatedWitness) -
     l1 = float(f.l1())
     l2sq = float(f.l2_squared())
     ratio = l2sq * g.order / (l1 * l1)
-    bound = float(CHANG_AUDIT_CONSTANT) * float(eps) ** -2 * math.log(max(ratio, 1.0))
+    log_ratio = math.log(max(ratio, 1.0))
+    try:
+        bound = float(CHANG_AUDIT_CONSTANT) * float(eps) ** -2 * log_ratio if log_ratio else 0.0
+    except (OverflowError, ZeroDivisionError):  # eps^-2 past the double range: no bound
+        bound = math.inf
     return ChangReport(
         eps=eps,
         c_chang=CHANG_AUDIT_CONSTANT,

@@ -350,12 +350,17 @@ def _pipeline_front(A: GroupSet, B: GroupSet, params: StructureParams) -> _Front
 
 
 def _codim_diagnostic(report: HypothesisReport, params: StructureParams) -> float:
-    oz = float(params.omega * params.zeta)
-    tmk = float(params.t) ** 2 * float(params.m + params.kappa) ** 2
-    y = float(params.m_prime * (params.m + params.kappa) / params.omega)
-    base = math.log(float(1 / report.delta * report.k_prime))
-    cross = (math.log(y) / math.log(float(params.t))) * math.log(float((params.m + params.kappa) / params.omega))
-    return oz**-2 * tmk * (max(base, 0.0) + max(cross, 0.0))
+    """The paper's codim (dim) bound, unasserted: inf, a vacuous bound, past the double range."""
+    try:
+        oz = float(params.omega * params.zeta)
+        tmk = float(params.t) ** 2 * float(params.m + params.kappa) ** 2
+        y = float(params.m_prime * (params.m + params.kappa) / params.omega)
+        base = math.log(float(1 / report.delta * report.k_prime))
+        cross = (math.log(y) / math.log(float(params.t))) * math.log(float((params.m + params.kappa) / params.omega))
+        logs = max(base, 0.0) + max(cross, 0.0)
+        return oz**-2 * tmk * logs if logs else 0.0
+    except (OverflowError, ZeroDivisionError, ValueError):  # ValueError: the log of an underflowed 0.0
+        return math.inf
 
 
 def _density_floor(params: StructureParams, n: int, loss: int) -> Fraction:

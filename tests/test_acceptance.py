@@ -12,6 +12,8 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from addcomb.bohr import (
     RegularRadiusError,
     find_regular_radius,
@@ -31,13 +33,10 @@ from addcomb.groups import boolean_group, make_group
 from addcomb.harmonic import FunctionTable, dft, wht_int
 from addcomb.harness import derive_params
 from addcomb.setstat import (
-    difference_set,
-    energy,
     energy_difference_bounds,
     group_set,
     higher_energy,
     katz_koester_stack,
-    slice_set,
     triangle_stack,
 )
 from addcomb.structure import (
@@ -192,22 +191,23 @@ def test_criterion_06_coset_union_example():
     def work(failures):
         spec = HLambdaSpec(n=8, k=3, lambda_size=5)
         A = make_h_lambda(spec)
-        diff = difference_set(A, A)
-        if len(A) != 40 or len(diff) != 88:
-            failures.append(f"sizes {len(A)}/{len(diff)} != 40/88")
-        if energy(A, A) != 33280 or higher_energy(A, 3) != 839680:
+        if len(A) != 40 or A.diff_size != 88:
+            failures.append(f"sizes {len(A)}/{A.diff_size} != 40/88")
+        if higher_energy(A, 2) != 33280 or higher_energy(A, 3) != 839680:
             failures.append("energy values moved")
         h = set(range(8))
         outside = 0
-        for s in diff.members:
-            sl = slice_set(A, s)
+        # the slice A_s = A intersect (A + s) lies in A, so it is A exactly
+        # when its size (A o A)(s) is |A|
+        for s in np.flatnonzero(A.autocorr).tolist():
+            size = int(A.autocorr[s])
             if s in h:
-                if sl.members.tolist() != A.members.tolist():
+                if size != len(A):
                     failures.append(f"slice at {s} is not A")
             else:
                 outside += 1
-                if len(sl) != 16:
-                    failures.append(f"slice at {s} has size {len(sl)}")
+                if size != 16:
+                    failures.append(f"slice at {s} has size {size}")
         if outside != 80:
             failures.append(f"{outside} outside slices, expected 80")
         rep = verify_h_lambda(A, spec)
@@ -306,7 +306,7 @@ def test_criterion_08_subspace_extraction_on_fifty_instances():
 def test_criterion_09_dichotomy_sweep_on_fifty_instances():
     def work(failures):
         for label, A in _structured_instances():
-            K = Fraction(len(difference_set(A, A)), len(A))
+            K = Fraction(A.diff_size, len(A))
             # the smallness gate pins K below 2 on these shapes, so the
             # admissible sweep values collapse to M=1; the sweep stays
             # data-driven and would widen with K
@@ -358,7 +358,7 @@ def test_criterion_10_difference_subset_membership():
     def work(failures):
         for label, A in _smallness_instances():
             g = A.group
-            gate = 100 * Fraction(len(difference_set(A, A)), len(A)) ** 2 * Fraction(len(A), g.order)
+            gate = 100 * Fraction(A.diff_size, len(A)) ** 2 * Fraction(len(A), g.order)
             if gate > Fraction(1, 2):
                 failures.append(f"{label}: gate {gate} not small")
                 continue
@@ -458,7 +458,7 @@ def test_criterion_12_bohr_subspace_agreement():
                 for k in (2, 3):
                     if higher_energy(A, k) != higher_energy_direct(A, k):
                         failures.append(f"{label}: energy k={k} mismatch")
-                if set(difference_set(A, A).members) != set(difference_direct(A, A)):
+                if set(np.flatnonzero(A.autocorr).tolist()) != set(difference_direct(A, A)):
                     failures.append(f"{label}: difference set mismatch")
 
     _run(12, "Bohr pieces match subspace pieces on 2-groups, 20 instances", 600.0, work)

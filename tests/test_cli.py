@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 import warnings
 
@@ -202,6 +203,88 @@ def test_structure_params_reject_the_proof_constants(key, raw, subgroup_file, tm
     err = capsys.readouterr().err
     assert err.startswith("config error: unknown parameter overrides")
     assert key in err
+
+
+def _structure_set_file(tmp_path, group: str) -> str:
+    """The README's h-lambda set in F2^8, or two 60-term APs in Z4096."""
+    if group == "F2^8":
+        A = families.make_h_lambda(families.HLambdaSpec(n=8, k=3, lambda_size=5))
+    else:
+        A = group_set(make_group((4096,)), [(s + 3 * i) % 4096 for s in (0, 2000) for i in range(60)])
+    path = tmp_path / f"{group}.txt"
+    write_set(path, A)
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", ["auto", "subspace", "bohr", "dichotomy"])
+@pytest.mark.parametrize("group", ["Z4096", "F2^12"])
+def test_structure_b_outside_a_is_a_config_error(group, mode, tmp_path, capsys):
+    # 300 random points of the group and 100 more from the rest: the bounds
+    # are for dense subsets of A, and dichotomy keeps its own A-or-minus-A check
+    g = parse_group_text(group)
+    rng = random.Random(g.order)
+    picks = rng.sample(range(g.order), 400)
+    paths = [tmp_path / "A.txt", tmp_path / "B.txt"]
+    for path, members in zip(paths, (picks[:300], picks[300:])):
+        write_set(path, group_set(g, members))
+    argv = ["structure", str(paths[0]), "--b", str(paths[1]), "--mode", mode, "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "subset" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def _exit_without_a_traceback(argv) -> int:
+    """main(argv)'s exit code, checked to be one of the four documented
+    ones, with no traceback and the error line its code names."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code >= 2 or err:
+        assert err.startswith({1: "check failed:", 2: "config error:", 3: "resource cap:"}[code])
+    return code
+
+
+# a rational past the double range, and one below it, written out in digits
+_EXTREME_PARAMS = [{"m": "1e400"}, {"t": "1e400"}, {"zeta": "1/1" + "0" * 300}]
+
+
+@pytest.mark.parametrize("params", _EXTREME_PARAMS, ids=["m", "t", "zeta"])
+@pytest.mark.parametrize("group", ["F2^8", "Z4096"])
+def test_extreme_structure_params_exit_without_a_traceback(group, params, tmp_path):
+    path = _structure_set_file(tmp_path, group)
+    pf, out = tmp_path / "params.json", tmp_path / "r.json"
+    pf.write_text(json.dumps(params))
+    code = _exit_without_a_traceback(["structure", path, "--params", str(pf), "--out", str(out)])
+    if code in (0, 1) and (result := json.loads(out.read_text())["results"][0]["result"]):
+        # the unasserted diagnostics report a term past the double range as inf
+        diagnostics = result["diagnostics"]
+        assert diagnostics["codim_bound" if group == "F2^8" else "dim_bound"] == "inf"
+        assert (diagnostics["chang"]["bound"], diagnostics["chang"]["ok"]) == ("inf", True)
+    config = tmp_path / "cfg.json"
+    source = {"kind": "file", "path": path}
+    config.write_text(json.dumps({"kind": "structure", "name": "x", "sets": [source], "params": params}))
+    _exit_without_a_traceback(["verify", "--config", str(config)])
+
+
+_MAGNITUDES = st.one_of(
+    st.builds("{}e{}".format, st.integers(1, 9), st.integers(-400, 400)),
+    st.builds("{}/{}".format, st.integers(1, 10**400), st.integers(1, 10**400)),
+)
+
+
+@given(group=st.sampled_from(["F2^8", "Z4096"]),
+       params=st.dictionaries(st.sampled_from(["m", "m_prime", "kappa", "zeta", "t", "omega"]), _MAGNITUDES,
+                              min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_structure_params_of_any_magnitude_exit_without_a_traceback(group, params, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("params")
+    pf = tmp / "params.json"
+    pf.write_text(json.dumps(params))
+    _exit_without_a_traceback(["structure", _structure_set_file(tmp, group), "--params", str(pf), "--summary"])
 
 
 @pytest.mark.parametrize(

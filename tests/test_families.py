@@ -19,21 +19,18 @@ from addcomb.families import (
 from addcomb.groups import boolean_group, make_group
 from addcomb.setstat import (
     corr_counts,
-    difference_set,
-    energy,
     group_set,
     higher_energy,
-    slice_set,
 )
 
-from .oracles import peak_direct
+from .oracles import difference_direct, peak_direct, slice_direct
 
 
 def test_canonical_h_lambda_statistics():
     A = make_h_lambda(HLambdaSpec(n=8, k=3, lambda_size=5))
     assert len(A) == 40
-    assert len(difference_set(A, A)) == 88
-    assert energy(A, A) == 33280
+    assert A.diff_size == len(difference_direct(A, A)) == 88
+    assert higher_energy(A, 2) == 33280
     assert higher_energy(A, 3) == 839680
 
 
@@ -61,9 +58,9 @@ def test_h_lambda_slices_directly():
     h = {0, 1, 2, 3, 4, 5, 6, 7}
     for s in range(A.group.order):
         if s in h:
-            assert slice_set(A, s).members.tolist() == A.members.tolist()
+            assert slice_direct(A, s) == A.members.tolist()
         elif counts[s]:
-            assert len(slice_set(A, s)) == 16
+            assert len(slice_direct(A, s)) == 16
 
 
 @pytest.mark.parametrize("drop, add, message", [
@@ -108,8 +105,8 @@ def test_h_lambda_seeded_variant_keeps_statistics():
     spec = HLambdaSpec(n=8, k=3, lambda_size=5)
     A = make_h_lambda(spec, seed=11)
     assert len(A) == 40
-    assert len(difference_set(A, A)) == 88
-    assert energy(A, A) == 33280
+    assert A.diff_size == len(difference_direct(A, A)) == 88
+    assert higher_energy(A, 2) == 33280
 
 
 def test_h_lambda_rejects_bad_shapes():

@@ -22,29 +22,22 @@ from addcomb.groups import (
     make_group,
     parse_group_text,
 )
-from addcomb.harmonic import _error_scale, magnitudes, transform_cost, transform_error
+from addcomb.harmonic import _error_scale, magnitudes, sum_of_squares, transform_cost, transform_error
 from addcomb.setstat import (
     GroupSet,
     SetStack,
-    conv_columns,
     conv_counts,
     corr_columns,
     corr_counts,
-    difference_set,
-    doubling_constant,
-    energy,
     energy_difference_bounds,
-    full_set,
     group_set,
     higher_energies,
     higher_energy,
     katz_koester_stack,
     peak_coefficient,
     profile,
-    slice_set,
     sumset,
     sumset_size,
-    sumsets,
     triangle_stack,
 )
 
@@ -66,6 +59,10 @@ from .oracles import (
 )
 
 GROUPS = [make_group(f) for f in [(18,), (2, 2, 2, 2), (3, 8)]]
+
+
+def _full(g):
+    return GroupSet(g, np.arange(g.order, dtype=np.int64))
 
 
 def _random_set(g, rng, lo=2, hi=None):
@@ -119,7 +116,7 @@ def test_set_invariants_against_the_sorted_set_oracle(data):
         GroupSet(g, tuple(a)),
         GroupSet(g, np.array(a, dtype=np.int64)),
         group_set(g, reversed(xs)),
-        A.translate(0),
+        sumset(A, group_set(g, [0])),
         A.neg().neg(),
     ]
     for S in same:
@@ -127,11 +124,12 @@ def test_set_invariants_against_the_sorted_set_oracle(data):
     # the same indices on another group are another set
     if twin != g:
         assert GroupSet(twin, A.members) != A
-    assert A.translate(x).members.tolist() == translate_direct(A, x)
+    # A + x is the sumset with {x}; |A intersect (A + x)| is A o A at x
+    assert sumset(A, group_set(g, [x])).members.tolist() == translate_direct(A, x)
     assert A.neg().members.tolist() == neg_direct(A)
     assert sumset(A, B).members.tolist() == sorted(sumset_direct(A, B))
-    assert slice_set(A, x).members.tolist() == slice_direct(A, x)
-    for S in (A.translate(x), A.neg(), sumset(A, B), slice_set(A, x)):
+    assert int(A.autocorr[x]) == len(slice_direct(A, x))
+    for S in (sumset(A, group_set(g, [x])), A.neg(), sumset(A, B)):
         assert S.members.dtype == np.int64 and not S.members.flags.writeable
     assert [i in A for i in range(g.order)] == [i in set(a) for i in range(g.order)]
 
@@ -139,7 +137,7 @@ def test_set_invariants_against_the_sorted_set_oracle(data):
 def test_translate_and_neg():
     g = make_group((12,))
     A = group_set(g, [0, 1, 5])
-    assert A.translate(3).members.tolist() == [3, 4, 8]
+    assert sumset(A, group_set(g, [3])).members.tolist() == [3, 4, 8]
     assert A.neg().members.tolist() == [0, 7, 11]
     gb = boolean_group(3)
     B = group_set(gb, [1, 6])
@@ -164,7 +162,7 @@ def test_corr_counts_identity_slices():
     got = corr_counts(A, A)
     assert int(got[0]) == len(A)
     for x in range(g.order):
-        assert int(got[x]) == len(slice_set(A, x))
+        assert int(got[x]) == len(slice_direct(A, x))
 
 
 @pytest.mark.parametrize("g", GROUPS, ids=format_group_text)
@@ -172,7 +170,8 @@ def test_sumset_difference_match_brute(g):
     rng = random.Random(g.order + 5)
     A, B = _random_set(g, rng), _random_set(g, rng)
     assert set(sumset(A, B).members) == sumset_direct(A, B)
-    assert set(difference_set(A, B).members) == difference_direct(A, B)
+    # A - B is the support of B o A, #{(b, a) : a - b = x}
+    assert set(np.flatnonzero(corr_counts(B, A)).tolist()) == difference_direct(A, B)
 
 
 def test_mismatched_groups_rejected():
@@ -186,8 +185,9 @@ def test_mismatched_groups_rejected():
 def test_energy_matches_quadruple_count(g):
     rng = random.Random(g.order + 9)
     A, B = _random_set(g, rng), _random_set(g, rng)
-    assert energy(A, B) == energy_direct(A, B)
-    assert energy(A, A) == higher_energy(A, 2)
+    # E(A, B) is the sum of squares of B o A
+    assert sum_of_squares(corr_counts(B, A)) == energy_direct(A, B)
+    assert sum_of_squares(corr_counts(A, A)) == higher_energy(A, 2)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -200,7 +200,7 @@ def test_higher_energy_matches_brute(k):
 
 def test_energy_extremes():
     g = make_group((11,))
-    A = full_set(g)
+    A = _full(g)
     # full group: (A o A)(x) = N everywhere
     assert higher_energy(A, 2) == g.order**3
     single = group_set(g, [4])
@@ -210,9 +210,10 @@ def test_energy_extremes():
 def test_doubling_constant_values():
     g = boolean_group(4)
     H = group_set(g, range(4))  # span of first two coordinates
-    assert doubling_constant(H) == 1
+    # K[A] = |A - A| / |A|, as profile reports it
+    assert profile(H).doubling == Fraction(H.diff_size, len(H)) == 1
     single = group_set(g, [9])
-    assert doubling_constant(single) == 1
+    assert profile(single).doubling == Fraction(single.diff_size, len(single)) == 1
 
 
 @pytest.mark.parametrize("g", GROUPS, ids=format_group_text)
@@ -266,7 +267,7 @@ def test_peak_error_is_the_indicators_transform_error(text):
 @pytest.mark.parametrize("g", GROUPS, ids=format_group_text)
 def test_energy_hist_counts_each_value_of_the_autocorrelation(g):
     rng = random.Random(g.order + 3)
-    for A in (_random_set(g, rng), group_set(g, []), full_set(g)):
+    for A in (_random_set(g, rng), group_set(g, []), _full(g)):
         values = corr_direct(A, A)
         want = sorted((c, values.count(c)) for c in set(values) if c > 0)
         assert list(A.energy_hist) == want
@@ -407,7 +408,7 @@ def test_katz_koester_inclusion_everywhere():
     rng = random.Random(6)
     A, B = _random_set(g, rng), _random_set(g, rng)
     [rows] = katz_koester_stack(A.stack(), B.stack())
-    assert rows.xs.tolist() == difference_set(A, A).members.tolist()
+    assert rows.xs.tolist() == np.flatnonzero(A.autocorr).tolist()
     assert rows.holds.all()
 
 
@@ -469,7 +470,7 @@ def test_katz_koester_rows_match_direct_oracle(data):
 @pytest.mark.parametrize("g", KK_GROUPS, ids=format_group_text)
 def test_katz_koester_rows_on_singleton_and_full_sets(g):
     rng = random.Random(g.order)
-    G = full_set(g)
+    G = _full(g)
     B = _random_set(g, rng)
     single = _rows_against_oracle(group_set(g, [rng.randrange(g.order)]), B)
     assert single.xs.tolist() == [0]
@@ -521,7 +522,7 @@ def test_katz_koester_rows_loop_where_the_bound_fails_on_b_plus_a_x(g, xs_per_bl
     with mock.patch.object(setstat, "conv_errors", side_effect=errors), \
             mock.patch.object(setstat, "_conv_loop", wraps=setstat._conv_loop) as loop:
         rows = _rows_against_oracle(A, B, xs_per_block=xs_per_block)
-    odd = [x for x in rows.xs.tolist() if len(slice_set(A, x)) % 2]
+    odd = [x for x in rows.xs.tolist() if len(slice_direct(A, x)) % 2]
     assert odd and len(odd) < len(rows.xs)
     assert loop.call_count == len(odd) and len(calls) > 1
 
@@ -658,7 +659,7 @@ def _kernel_set(draw, g):
     if shape == "singleton":
         return group_set(g, [draw(st.integers(0, g.order - 1))])
     if shape == "full":
-        return full_set(g)
+        return _full(g)
     density = draw(st.sampled_from([0.1, 0.5, 0.9]))
     return group_set(g, [i for i in range(g.order) if rng.random() < density])
 
@@ -684,10 +685,10 @@ def _rule_pair(g, todo, above):
 @given(_kernel_pairs())
 @example((group_set(_Z5XZ20, range(64)), group_set(_Z5XZ20, range(36, 100)), 21))
 @example((group_set(_Z5XZ20, range(65)), group_set(_Z5XZ20, range(36, 100)), 21))
-@example((full_set(_Z5XZ20), full_set(_Z5XZ20), 99))
+@example((_full(_Z5XZ20), _full(_Z5XZ20), 99))
 @example((*_rule_pair(_Z101, 2, 0), 3))
 @example((*_rule_pair(_Z101, 2, 1), 3))
-@example((full_set(_Z101), full_set(_Z101), 50))
+@example((_full(_Z101), _full(_Z101), 50))
 @example((*_rule_pair(_Z4096, 2, 0), 17))
 @example((*_rule_pair(_Z4096, 2, 1), 17))
 @example((*_rule_pair(_Z4X6X8X16, 2, 0), 5))
@@ -699,9 +700,9 @@ def test_pair_counting_kernel_matches_oracles(case):
     assert conv_counts(A, B).tolist() == conv_direct(A, B)
     assert corr_counts(A, B).tolist() == corr_direct(A, B)
     assert set(sumset(A, B).members) == sumset_direct(A, B)
-    assert set(difference_set(A, B).members) == difference_direct(A, B)
+    assert set(np.flatnonzero(corr_counts(B, A)).tolist()) == difference_direct(A, B)
     want = set(A.members) & {g.add_index(a, x) for a in A.members}
-    assert set(slice_set(A, x).members) == want
+    assert int(A.autocorr[x]) == len(want)
 
 
 def _transform_spies():
@@ -797,36 +798,40 @@ def test_neg_conjugates_the_transform_so_each_set_transforms_once(monkeypatch):
         assert len(calls) == 1
         assert A.autocorr.tolist() == corr_direct(A, A)
         assert A.sum_size == len(sumset_direct(A, A))
+        assert minus.members.tolist() == neg_direct(A)
+        # A keeps no reference to -A: a dropped -A dies at once, no cycle
+        dropped = weakref.ref(minus)
+        del minus
+        assert dropped() is None
 
 
-def test_neg_is_built_once_and_kept_on_its_source():
+def test_corr_counts_reflects_a_and_builds_no_negated_set():
+    # corr_counts(A, B) reads -A off A: the transform path (A, B) multiplies
+    # A's kept transform reflected, the pair path (A, C) negates A's members
+    # in the loop, and neither builds -A as a set
     g = _Z4096
     rng = random.Random(6)
     A, B, C = (group_set(g, rng.sample(range(g.order), k)) for k in (400, 300, 3))
-    with mock.patch.object(setstat, "neg_index_many", wraps=setstat.neg_index_many) as neg, \
+    want_b, want_c = corr_direct(A, B), corr_direct(A, C)
+    built = []
+    post_init = GroupSet.__post_init__
+    with mock.patch.object(GroupSet, "__post_init__", lambda S: built.append(S) or post_init(S)), \
+            mock.patch.object(setstat, "neg_index_many", wraps=setstat.neg_index_many) as neg, \
             mock.patch.object(setstat, "dft_columns", wraps=setstat.dft_columns) as dft:
-        for _ in range(3):  # the transform path (A, B) and the pair path (A, C), repeated
-            assert corr_counts(A, B).tolist() == corr_direct(A, B)
-            assert corr_counts(A, C).tolist() == corr_direct(A, C)
-        assert A.neg() is A.neg() and A.neg().neg() is A
-        assert "transform" not in A.neg().__dict__  # read as A's transform, reflected
-        assert A.neg().transform is A.neg().transform
-    assert neg.call_count == 1  # -A built once, on the first call
+        for _ in range(3):
+            assert corr_counts(A, B).tolist() == want_b
+        assert neg.call_count == 0
+        for _ in range(3):
+            assert corr_counts(A, C).tolist() == want_c
+    assert built == []
+    assert neg.call_count == 3  # A's members, once per pair-path call
     assert dft.call_count == 2  # A's transform and B's, each once
-    assert np.array_equal(A.neg().transform, np.conj(A.transform))
-    # -A refers to A weakly: A dies with its last reference, and a -A kept
-    # past it counts on its own
-    minus, source = A.neg(), weakref.ref(A)
-    del A
-    assert source() is None
-    assert minus.neg().members.tolist() == sorted(neg_direct(minus))
-    assert corr_counts(minus, B).tolist() == corr_direct(minus, B)
 
 
 @pytest.mark.parametrize("text", ["Z65521", "Z256xZ256"])
 def test_full_set_convolution_at_the_order_cap(text):
     g = parse_group_text(text)
-    F = full_set(g)
+    F = _full(g)
     with mock.patch.object(setstat, "idft_columns", wraps=setstat.idft_columns) as spy:
         counts = conv_counts(F, F)
     assert spy.call_count == 1
@@ -867,13 +872,27 @@ def _column_stacks(draw, nonempty=False):
     pairs = []
     for _ in range(draw(st.integers(1 if nonempty else 0, 6), label="columns")):
         A, B = _kernel_set(draw, g), _kernel_set(draw, g)
-        pairs.append((A or full_set(g), B or full_set(g)) if nonempty else (A, B))
+        pairs.append((A or _full(g), B or _full(g)) if nonempty else (A, B))
     return g, pairs, draw(st.sampled_from([None, 1, 2]), label="columns per block")
 
 
 def _stacks(g, pairs):
     """The first and the second sets of the pairs, as two stacks on g."""
     return _stack_of(g, [A for A, _ in pairs]), _stack_of(g, [B for _, B in pairs])
+
+
+def _conv_table(As, Bs):
+    """The pair counts a + b of every pair (As[j], Bs[j]), no A reflected,
+    as one setstat._columns table on one stacked transform of the sets (of
+    As alone when Bs is As)."""
+    j = np.arange(len(As))
+    pool, right = (As, j) if As is Bs else (setstat._join(As.group, [As, Bs]), j + len(As))
+    return setstat._columns(pool, setstat._hats(pool), j, right, np.zeros(len(As), dtype=bool))
+
+
+def _sumsets(As, Bs):
+    """A + B of every pair, as a stack: the supports of _conv_table."""
+    return setstat._support_stack(As.group, _conv_table(As, Bs))
 
 
 def _blocks_of(g, per_block):
@@ -947,15 +966,15 @@ def test_one_set_stack_is_a_view():
 def test_conv_columns_and_sumsets_match_oracles(case):
     g, pairs, per_block = case
     As, Bs = _stacks(g, pairs)
-    counts = conv_columns(As, Bs)
+    counts = _conv_table(As, Bs)
     assert counts.shape == (g.order, len(pairs)) and counts.dtype == np.int64
     assert _columns(counts) == [conv_direct(A, B) for A, B in pairs]
     negs = _stack_of(g, [A.neg() for A, _ in pairs])
-    assert _columns(conv_columns(negs, Bs)) == [corr_direct(A, B) for A, B in pairs]
+    assert _columns(_conv_table(negs, Bs)) == [corr_direct(A, B) for A, B in pairs]
     assert _columns(corr_columns(As, Bs)) == [corr_direct(A, B) for A, B in pairs]
     assert _columns(corr_columns(As, As)) == [corr_direct(A, A) for A, _ in pairs]
     with _blocks_of(g, per_block):
-        sums = sumsets(As, Bs)
+        sums = _sumsets(As, Bs)
     assert isinstance(sums, SetStack) and sums.group == g
     assert _sets(sums) == [sumset_direct(A, B) for A, B in pairs]
 
@@ -967,14 +986,14 @@ def test_count_kernels_on_ragged_stacks_with_empty_sets(g, sizes):
     assert As.sizes.tolist() == [a for a, _ in sizes] and Bs.sizes.tolist() == [b for _, b in sizes]
     if g.order > 1024:  # the quadratic oracles, on the sets they can afford
         small = [j for j, (a, b) in enumerate(sizes) if a * b <= 1024]
-        conv, corr = conv_columns(As, Bs), corr_columns(As, Bs)
+        conv, corr = _conv_table(As, Bs), corr_columns(As, Bs)
         assert [conv[:, j].tolist() for j in small] == [conv_direct(*pairs[j]) for j in small]
         assert [corr[:, j].tolist() for j in small] == [corr_direct(*pairs[j]) for j in small]
         return
     with _blocks_of(g, 2):
-        assert _columns(conv_columns(As, Bs)) == [conv_direct(A, B) for A, B in pairs]
+        assert _columns(_conv_table(As, Bs)) == [conv_direct(A, B) for A, B in pairs]
         assert _columns(corr_columns(As, Bs)) == [corr_direct(A, B) for A, B in pairs]
-        assert _sets(sumsets(As, Bs)) == [sumset_direct(A, B) for A, B in pairs]
+        assert _sets(_sumsets(As, Bs)) == [sumset_direct(A, B) for A, B in pairs]
         got = higher_energies(As, 4)
     assert got == [{k: higher_energy_direct(A, k) for k in range(2, 5)} for A, _ in pairs]
 
@@ -988,7 +1007,7 @@ def test_conv_columns_fall_back_to_the_loop_per_column(case):
     real = setstat.conv_errors
     with mock.patch.object(setstat, "conv_errors", side_effect=lambda g, a, b: np.where(a % 2, 1.0, real(g, a, b))), \
             mock.patch.object(setstat, "idft_columns", wraps=setstat.idft_columns) as spy:
-        counts = conv_columns(*_stacks(g, pairs))
+        counts = _conv_table(*_stacks(g, pairs))
     assert _columns(counts) == [conv_direct(A, B) for A, B in pairs]
     if not g.is_boolean_space:
         exact = sum(1 for A, B in pairs if len(A) and len(B) and len(A) % 2 == 0)
@@ -1027,9 +1046,9 @@ def test_corr_columns_loop_directly_above_the_transform_cap():
 def test_conv_columns_reject_foreign_sets():
     g = make_group((6,))
     with pytest.raises(GroupMismatchError):
-        conv_columns(_stack_of(g, [[1]]), _stack_of(make_group((2, 3)), [[1]]))
+        corr_columns(_stack_of(g, [[1]]), _stack_of(make_group((2, 3)), [[1]]))
     with pytest.raises(ValueError):  # one B per A
-        sumsets(_stack_of(g, [[1], [2]]), _stack_of(g, [[1]]))
+        corr_columns(_stack_of(g, [[1], [2]]), _stack_of(g, [[1]]))
 
 
 @given(_column_stacks(nonempty=True), st.lists(st.sampled_from([2, 3]), min_size=6, max_size=6))
@@ -1070,7 +1089,7 @@ def test_a_stack_paired_with_itself_is_transformed_once(monkeypatch):
     widths = []
     real = setstat.dft_columns
     monkeypatch.setattr(setstat, "dft_columns", lambda g, table: widths.append(table.shape[1]) or real(g, table))
-    assert _sets(sumsets(S, S)) == [sumset_direct(*(group_set(g, m),) * 2) for m in S]
+    assert _sets(_sumsets(S, S)) == [sumset_direct(*(group_set(g, m),) * 2) for m in S]
     corr_columns(S, S)
     higher_energies(S, 3)
     assert widths == [3, 3, 3]
@@ -1090,7 +1109,7 @@ def test_higher_energies_sum_past_int64_exactly():
     # |A| = 2^11 puts |A|^7 past 2^63, so the full set's column is summed in
     # Python ints; the singleton's stays in int64
     g = boolean_group(11)
-    big, small = full_set(g), group_set(g, [5])
+    big, small = _full(g), group_set(g, [5])
     got = higher_energies(_stack_of(g, [big, small]), 6)
     assert got == [{k: g.order * g.order**k for k in range(2, 7)}, {k: 1 for k in range(2, 7)}]
     assert got[0] == {k: higher_energy(big, k) for k in range(2, 7)}

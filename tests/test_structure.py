@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addcomb import setstat, spectral, structure
 from addcomb.bohr import find_regular_radius, materialize
@@ -20,7 +22,6 @@ from addcomb.harness import derive_params, structure_result_dict
 from addcomb.report import format_value
 from addcomb.setstat import (
     corr_counts,
-    difference_set,
     group_set,
     higher_energy,
 )
@@ -41,7 +42,7 @@ from addcomb.structure import (
     regularize_density,
 )
 
-from .oracles import bohr_members_int_direct, corr_direct, span_direct, walsh_direct
+from .oracles import bohr_members_int_direct, corr_direct, difference_direct, span_direct, walsh_direct
 
 
 def _subgroup(n, dim):
@@ -356,6 +357,51 @@ def test_dichotomy_structured_branch_on_a_general_group(tmp_path):
     assert Fraction(w["size_ratio"]) == Fraction(len(piece), g.order)
 
 
+def _two_ap_set():
+    # two 40-term APs of step 7 in Z1024
+    g = make_group((1024,))
+    return group_set(g, [(s + 7 * i) % g.order for s in (3, 500) for i in range(40)])
+
+
+@pytest.mark.parametrize("make_a", [
+    lambda: make_planted(boolean_group(10), 5, 2, 4, seed=3).set,
+    _two_ap_set,
+], ids=["planted-F2^10", "two-APs-Z1024"])
+@given(half=st.randoms(use_true_random=False))
+@settings(max_examples=12, deadline=None)
+def test_structure_on_a_random_half_of_a_through_b(make_a, half, tmp_path_factory):
+    # --b takes a proper subset B of A: omega = |B|/|A| = 1/2 enters the
+    # floor, and the piece is counted against B, not A
+    A = make_a()
+    g = A.group
+    B = group_set(g, half.sample(A.members.tolist(), len(A) // 2))
+    tmp = tmp_path_factory.mktemp("half")
+    write_set(tmp / "A.txt", A)
+    write_set(tmp / "B.txt", B)
+    argv = ["structure", str(tmp / "A.txt"), "--b", str(tmp / "B.txt"), "--out", str(tmp / "r.json")]
+    assert main(argv) == 0
+    report = json.loads((tmp / "r.json").read_text())
+    [omega] = [r for r in report["records"] if r["ref"] == "structure:omega"]
+    assert (omega["lhs"], omega["rhs"], omega["ok"]) == ("1/2", "1/2", True)
+    result = report["results"][0]["result"]
+    w = result["witness"]
+    if g.is_boolean_space:
+        piece = w["members"]
+        # a subspace of codim w["codim"]: closed under addition, of its size
+        assert len(piece) == w["size"] == g.order >> w["codim"]
+        assert {x ^ y for x in piece for y in piece} == set(piece)
+        loss = 1
+    else:
+        piece = sorted(bohr_members_int_direct(g, w["gamma"], w["radii"]))
+        assert len(piece) == w["size"]
+        loss = 2
+    params = derive_params(A, B)
+    assert params.omega == Fraction(len(B), len(A))
+    overlap = _count_overlap(B, np.array(piece), w["z"])
+    floor = (1 - loss * params.zeta) * params.omega * len(piece) / (params.t * (params.m + params.kappa))
+    assert Fraction(result["achieved"]) == overlap >= floor == Fraction(result["guaranteed"])
+
+
 def _reported_size_ratio(res, g):
     """The report's size_ratio, and |piece| / N recounted from the report's
     characters and radii."""
@@ -439,7 +485,7 @@ def test_certify_difference_subset_boolean():
     res = certify_difference_subset(A, Fraction(1, 2))
     assert res.kind in ("LargeCoefficient", "SubspacePiece")
     if res.kind == "SubspacePiece":
-        diff = set(difference_set(A, A).members)
+        diff = difference_direct(A, A)
         for x in res.variant.subspace.members:
             assert x in diff
     assert all(r.ok for r in res.records)
@@ -451,7 +497,7 @@ def test_certify_difference_subset_general_group():
     res = certify_difference_subset(A, Fraction(1, 2))
     assert all(r.ok for r in res.records)
     if res.kind == "BohrPiece":
-        diff = set(difference_set(A, A).members)
+        diff = difference_direct(A, A)
         for x in res.variant.bohr.members.members:
             assert x in diff
 
