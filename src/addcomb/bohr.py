@@ -10,13 +10,13 @@ single table per (group, Gamma, radius shape) answers size queries for every
 dilate.  It has one count entry, _ExactCounter.counts, which takes a batch
 of queries over one denominator, and one members entry, member_indices.
 The phases v_j are built a few characters at a time, in int32 blocks from
-per-digit tables (_phase_blocks), into a sorted int64 key, 12 bytes per
-element with its index, and a batch is one binary search for its integer
-cuts, exact with no rounding.  A radius shape whose key would not fit in
-int64 (N max_j w_j >= 2^62, see _ExactCounter) keeps no key, and a batch is
-one pass of the integer test over the group, a row per query.  The table is
-cached, so the radius search, the materialization, the regularity grid and
-the dilate profile of one Bohr set share it.
+per-digit tables (_phase_blocks).  With equal radii, the only shape the
+pipelines build, they raise one int32 key max_j v_j per element, and a
+cumulative histogram of the keys answers a batch by one lookup per cut,
+exact with no rounding and no sort.  Any other shape keeps no table, and a
+batch is one pass of the integer test over the group, a row per query.  The
+table is cached, so the radius search, the materialization, the regularity
+grid and the dilate profile of one Bohr set share it.
 
 The regularity grid eta = +-i/(1000 d), i = 1..10, gives 100 d|eta| = i/10,
 so Bourgain's test (1 - 100 d|eta|)|B| < |B_(1+eta)| < (1 + 100 d|eta|)|B|
@@ -47,8 +47,6 @@ from .report import CheckRecord, record_ge, record_le, require
 from .setstat import GroupSet, column_blocks
 
 _CHUNK = 1 << 16
-# keys are built while N * max_j w_j is below this; query cuts are clamped to it
-_KEY_BOUND = 1 << 62
 _ONE = Fraction(1)
 # the regularity grid eta = +-i/(1000 d), i = 1..10, as the steps +-i in grid order
 _GRID_STEPS = tuple(s * i for i in range(1, 11) for s in (1, -1))
@@ -118,67 +116,48 @@ def make_bohr_spec(g: GroupSpec, gamma: Sequence[int], eps) -> BohrSpec:
 
 
 class _ExactCounter:
-    """Sorted integer key over one (group, Gamma, radius shape).
+    """Counts and members of the Bohr sets of one (group, Gamma, radius shape).
 
-    Radii enter only through their shape r_j = eps_j / eps_0: for any spec
-    with these characters and this shape, and any dilation rho, x lies in
-    B(Gamma, rho * eps) iff m(x) < sigma with sigma = rho * eps_0 and
+    Radii enter only through their shape r_j = eps_j / eps_0: x lies in the
+    rho-dilate B(Gamma, rho * eps) iff v_j(x) < ceil(sigma r_j N) for every j
+    at the query sigma = rho * eps_0, where v_j(x) = min(c_j(x), N - c_j(x))
+    for the integer phase c_j(x) in [0, N) of gamma_j at x.
 
-        m(x) = max_j v_j(x) / (r_j N),   v_j(x) = min(c_j(x), N - c_j(x)),
-
-    where c_j(x) in [0, N) is the integer phase of gamma_j at x.  Write
-    r_j = p_j / q_j in lowest terms, L = lcm_j p_j and w_j = q_j L / p_j, an
-    integer.  The key k(x) = max_j v_j(x) w_j is then exactly m(x) N L, and
-    as k(x) is an integer, x is a member at sigma iff k(x) < ceil(sigma N L).
-    A batch of queries is one binary search for their cuts in the sorted keys.
-
-    The keys are built when N max_j w_j < 2^62: every product
-    v_j w_j <= (N/2) w_j then fits, and a cut clamped at 2^62 lies above
-    every key.  They are built a few characters at a time (one from order
-    _CHUNK / 4 on, see _keys): the int32 rows v_j of _phase_blocks, block
-    by block, raise one int64 running maximum of length N, so build memory
-    is O(N) at any d.  The table keeps only the keys in sorted order
-    (int64) and the matching element indices (int32, as N <= 2^24), 12
-    bytes per element at any order.  The two most recent tables stay cached
-    after the call that built them returns, so up to 24 N bytes are held:
-    384 KiB at N = 2^14, 384 MiB at the 2^24 cap.  A shape past the bound
-    (some w_j of 62 - log2 N bits or more) keeps no keys: a batch of
-    queries is then one blocked pass of _member_rows, the test
-    v_j(x) < ceil(sigma r_j N) for every j with one row per query, the scan
-    that also counts the stacked size bounds of size_bound_stack.
+    Equal radii, the only shape the pipelines build, keep a table: the key
+    k(x) = max_j v_j(x) in [0, N/2] (_keys) and its cumulative histogram
+    cum[c] = #{x : k(x) <= c}, both int32 as N <= 2^24, 6 bytes per element;
+    the two cached tables hold up to 192 MiB at the cap.  A count is
+    cum[cut - 1] at the cut ceil(sigma N) clamped at N/2 + 1, and the members
+    are the x with k(x) < cut, ascending: nothing is sorted.  Any other shape
+    keeps no table: a batch is one blocked pass of _member_rows with a row
+    per query, the scan that also counts the stacked size bounds of
+    size_bound_stack.
     """
 
     def __init__(self, g: GroupSpec, gamma: tuple[int, ...], shape: tuple[Fraction, ...]):
         self.group = g
         self.shape = shape
-        n = g.order
         self.weights = _weights(g, gamma)
-        lcm = math.lcm(*(r.numerator for r in shape))
-        w = [r.denominator * lcm // r.numerator for r in shape]
-        self.scale = n * lcm  # k(x) = m(x) * scale
-        self.order: np.ndarray | None = None
-        self.sorted_keys: np.ndarray | None = None
-        if n * max(w, default=0) >= _KEY_BOUND:
-            return
-        keys = _keys(g, self.weights, w)
-        self.order = np.argsort(keys).astype(np.int32)
-        self.sorted_keys = keys[self.order]
+        self.keys: np.ndarray | None = None
+        self.cum: np.ndarray | None = None
+        if all(r == 1 for r in shape):
+            self.keys = _keys(g, self.weights)
+            self.cum = np.bincount(self.keys, minlength=g.order // 2 + 1).cumsum(dtype=np.int32)
 
     def counts(self, nums: Sequence[int], den: int) -> list[int]:
-        """|B| at every query sigma = num / den > 0 of the batch: one
-        searchsorted for the cuts ceil(sigma N L), clamped at 2^62 so that no
-        cut leaves int64, or with no keys one _rows pass."""
-        if self.sorted_keys is None:
+        """|B| at every query sigma = num / den > 0 of the batch: the
+        histogram read at each cut, or with no table one _rows pass."""
+        if self.keys is None:
             return sum(member.sum(axis=1) for _, member in self._rows(nums, den)).tolist()
-        cuts = [min(-(-num * self.scale // den), _KEY_BOUND) for num in nums]
-        return self.sorted_keys.searchsorted(np.array(cuts, dtype=np.int64)).tolist()
+        n = self.group.order
+        return [int(self.cum[min(_radius_cut(num, den, n), n // 2 + 1) - 1]) for num in nums]
 
     def member_indices(self, num: int, den: int) -> np.ndarray:
-        """Sorted indices of the members at query sigma = num / den > 0."""
-        if self.sorted_keys is None:
+        """Ascending indices of the members at query sigma = num / den > 0."""
+        if self.keys is None:
             rows = self._rows([num], den)
             return np.concatenate([start + np.flatnonzero(member[0]) for start, member in rows])
-        return np.sort(self.order[: self.counts([num], den)[0]])
+        return np.flatnonzero(self.keys < _radius_cut(num, den, self.group.order))
 
     def _rows(self, nums: Sequence[int], den: int):
         """The first index of each _phase_blocks block with its (len(nums), len)
@@ -192,20 +171,18 @@ class _ExactCounter:
             yield start, _member_rows(v, chars, cuts)
 
 
-def _keys(g: GroupSpec, weights: np.ndarray, w: Sequence[int]) -> np.ndarray:
-    """k(x) = max_j v_j(x) w_j over the group, a batch of characters of the
-    _weights table at a time; the key of the empty shape is 0 at every
-    element.  A batch holds max(1, _CHUNK // 4N) characters: one on a group
-    of order _CHUNK / 4 or more, so build memory is O(N) at any d, and on a
-    smaller group several, up to _CHUNK / 4 phases in few numpy calls."""
-    keys = np.zeros(g.order, dtype=np.int64)
+def _keys(g: GroupSpec, weights: np.ndarray) -> np.ndarray:
+    """k(x) = max_j v_j(x) over the group (int32; 0 for no character), a
+    batch of max(1, _CHUNK // 4N) characters of the _weights table at a
+    time: one from order _CHUNK / 4 on, so build memory is O(N) at any d,
+    and on a smaller group up to _CHUNK / 4 phases in few numpy calls."""
+    keys = np.zeros(g.order, dtype=np.int32)
     batch = max(1, _CHUNK // (4 * g.order))
-    for j in range(0, len(w), batch):
+    for j in range(0, len(weights), batch):
         for start, v in _phase_blocks(g, weights[j : j + batch]):
             block = keys[start : start + v.shape[1]]
-            for row, wj in zip(v, w[j : j + batch]):
-                # v_j w_j is taken in int64: the int32 loop would overflow
-                np.maximum(block, row if wj == 1 else np.multiply(row, wj, dtype=np.int64), out=block)
+            for row in v:
+                np.maximum(block, row, out=block)
     return keys
 
 
@@ -314,10 +291,8 @@ def _phase_table(g: GroupSpec, gamma: tuple[int, ...], shape: tuple[Fraction, ..
 def _counter(spec: BohrSpec) -> tuple[_ExactCounter, Fraction]:
     """The shared table for spec's characters and radius shape, and eps_0:
     the rho-dilate of spec is the query sigma = rho * eps_0."""
-    if not spec.eps:
-        return _phase_table(spec.group, (), ()), _ONE
-    e0 = spec.eps[0]
-    return _phase_table(spec.group, spec.gamma, (_ONE, *(e / e0 for e in spec.eps[1:]))), e0
+    e0 = spec.eps[0] if spec.eps else _ONE
+    return _phase_table(spec.group, spec.gamma, tuple(e / e0 for e in spec.eps)), e0
 
 
 def materialize(g: GroupSpec, spec: BohrSpec) -> BohrSet:
@@ -370,7 +345,8 @@ def dilate(spec: BohrSpec, rho: Fraction) -> BohrSpec:
 def size_profile(g: GroupSpec, spec: BohrSpec, rhos: Sequence[Fraction]) -> list[int]:
     """|B(Gamma, rho * eps)| for each rational dilation factor rho: the
     lengths of the materialized dilates, counted as one batch of queries
-    over the common denominator of the factors on the shared table."""
+    on the shared table over a common denominator of the factors (the
+    product of the distinct ones: a cut is exact over any)."""
     if spec.group != g:
         raise GroupMismatchError("spec belongs to a different group")
     if not rhos:
@@ -381,7 +357,7 @@ def size_profile(g: GroupSpec, spec: BohrSpec, rhos: Sequence[Fraction]) -> list
     if max(rhos) * top > 1:
         raise ValueError(f"radius overflow at dilation {next(rho for rho in rhos if rho * top > 1)}")
     counter, scale = _counter(spec)
-    den = math.lcm(*(rho.denominator for rho in rhos))
+    den = math.prod({rho.denominator for rho in rhos})
     nums = [rho.numerator * (den // rho.denominator) * scale.numerator for rho in rhos]
     return counter.counts(nums, den * scale.denominator)
 

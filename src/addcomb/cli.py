@@ -59,8 +59,8 @@ def _cmd_stats(args) -> int:
         "doubling": format_value(prof.doubling),
         "peak_sq": format_value(prof.peak.hi),
         "peak_char": prof.peak.arg,
-        "energy": str(prof.energy),
-        "higher": {str(k): str(v) for k, v in prof.higher.items()},
+        "energy": format_value(prof.energy),
+        "higher": {str(k): format_value(v) for k, v in prof.higher.items()},
         "checks": [r.to_dict() for r in prof.checks],
         "diagnostics": [r.to_dict() for r in prof.diagnostics],
     }

@@ -388,8 +388,8 @@ def structure_result_dict(res: StructureResult) -> dict:
     if res.jump is not None:
         out["jump"] = {
             "k": res.jump.k,
-            "e_k": str(res.jump.e_k),
-            "e_next": str(res.jump.e_next),
+            "e_k": format_value(res.jump.e_k),
+            "e_next": format_value(res.jump.e_next),
             "m_star": format_value(res.jump.m_star),
             "k0": res.jump.k0,
         }
@@ -737,7 +737,7 @@ def run_structure(cfg: RunConfig) -> RunReport:
         "diff_size": prof.diff_size,
         "doubling": format_value(prof.doubling),
         "peak_sq": format_value(prof.peak.hi),
-        "energies": {str(k): str(v) for k, v in prof.higher.items()},
+        "energies": {str(k): format_value(v) for k, v in prof.higher.items()},
         "result": structure_result_dict(res) if res is not None else None,
     }
     if failure is not None:
@@ -785,7 +785,7 @@ def run_example(cfg: RunConfig) -> RunReport:
                 "family": label,
                 "set_text": fileio.dump_set(A),
                 "peak_sq": format_value(rep.peak_sq),
-                "bound_sq": str(rep.bound_sq),
+                "bound_sq": format_value(rep.bound_sq),
                 "modulus": list(recipe.modulus),
                 "generator": list(recipe.generator),
             }

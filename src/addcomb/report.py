@@ -8,8 +8,11 @@ strings so that integer and rational quantities survive the round trip.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .groups import SizeLimitError
 
 
 class CheckFailure(RuntimeError):
@@ -46,12 +49,17 @@ class CheckRecord:
 
 
 def format_value(value) -> str:
-    """Exact text of a value: p/q or n for fractions, repr for floats."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """Exact text of a value: p/q or n for fractions, repr for floats.  An
+    integer past the interpreter's limit on digits in int text raises
+    SizeLimitError."""
+    try:
+        if isinstance(value, Fraction):
+            return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
+        if isinstance(value, float):
+            return repr(value)
+        return str(value)
+    except ValueError:
+        raise SizeLimitError(f"a value past the {sys.get_int_max_str_digits()}-digit limit of int text") from None
 
 
 def _margin(num, den) -> float | None:

@@ -40,6 +40,8 @@ _ESCALATION_TRIES = 3
 _REGULARIZE_N_MAX = 16
 _C_LOCAL = Fraction(1, 32)  # the first Bohr radius factor; it doubles on escalation
 _K0_PAD = 10  # jump-search depth past the least t^e >= y^pad
+# the deepest jump search allowed: 3.8x the k0 of the 2-eps dichotomy at eps = 1/100
+_K0_MAX = 1 << 20
 
 
 class NoJump(RuntimeError):
@@ -109,27 +111,54 @@ class StructureParams:
 
     @property
     def k0(self) -> int:
-        # ceil(pad * log_t(y)) + pad computed exactly: the least integer
-        # exponent e with t^e >= y^pad, plus pad.  The float logs only
-        # propose e; exact Fraction powers settle it.
+        """pad plus the least e with t^e >= y^pad, y = m'(m + kappa)/omega
+        (pad when y <= 1): e = ceil(pad ln y / ln t) is bracketed by proven
+        bounds on the logs, and exact powers settle only a bracket of two or
+        more integers.  A depth past _K0_MAX is refused before any power."""
         y = self.m_prime * (self.m + self.kappa) / self.omega
         if y <= 1:
             return _K0_PAD
-        target = y**_K0_PAD
-        t = self.t
-        e = math.ceil(_K0_PAD * _log(y) / _log(t))
-        while t ** (e - 1) >= target:
-            e -= 1
-        while t**e < target:
-            e += 1
+        (y_lo, y_hi), (t_lo, t_hi) = _ln_bounds(y), _ln_bounds(self.t)
+        e, top = math.ceil(_K0_PAD * y_lo / t_hi), math.ceil(_K0_PAD * y_hi / t_lo)
+        if e < top and e + _K0_PAD <= _K0_MAX:
+            target, power = y**_K0_PAD, self.t**e
+            while power < target:
+                e += 1
+                power *= self.t
+        if e + _K0_PAD > _K0_MAX:
+            raise SizeLimitError(f"energy-jump search depth k0 past the cap {_K0_MAX}")
         return e + _K0_PAD
 
 
-def _log(q: Fraction) -> float:
-    """ln q of a rational q > 1: accurate near 1, finite however large its terms."""
-    if q < 2:
-        return math.log1p(float(q - 1))
-    return math.log(q.numerator) - math.log(q.denominator)
+def _series_bounds(a: int, b: int, bits: int = 64) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= ln(a/b) <= hi at 1 <= a/b <= 2, hi - lo within a few
+    2^-bits of lo: ln(a/b) = sum_i 2 u^(2i+1)/(2i+1) at u = (a - b)/(a + b)
+    <= 1/3, summed in integers at a scale 2^p that gives u bits + 2 bits,
+    rounding down for lo and up for hi.  It is cut once a power u^(2n+1) is
+    2^-bits of the sum, and the tail past it is below 9 u^(2n+1)/(4(2n+1))."""
+    p = bits + 2 + (a + b).bit_length() - (a - b).bit_length()
+    low, high = ((a - b) << p) // (a + b), -(-((a - b) << p) // (a + b))
+    low_sq, high_sq = low * low >> p, -(-high * high >> p)
+    lo = hi = 0
+    i = 1
+    while high << bits > lo:
+        lo, hi = lo + 2 * low // i, hi - (-2 * high // i)
+        low, high, i = low * low_sq >> p, -(-high * high_sq >> p), i + 2
+    return Fraction(lo, 1 << p), Fraction(hi - (-9 * high // (4 * i)), 1 << p)
+
+
+_LN2 = _series_bounds(2, 1)
+
+
+def _ln_bounds(q: Fraction) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= ln q <= hi for a rational q >= 1, hi - lo within a few
+    2^-64 of lo: ln q = s ln 2 + ln(a/b) at q = 2^s a/b, 1 <= a/b < 2."""
+    s = q.numerator.bit_length() - q.denominator.bit_length()
+    a, b = (q.numerator, q.denominator << s) if s >= 0 else (q.numerator << -s, q.denominator)
+    if a < b:
+        s, a = s - 1, 2 * a
+    lo, hi = _series_bounds(a, b)
+    return s * _LN2[0] + lo, s * _LN2[1] + hi
 
 
 @dataclass(frozen=True)

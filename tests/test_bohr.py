@@ -207,11 +207,20 @@ def _boundary_fraction(draw, n: int) -> Fraction:
     return Fraction(draw(st.integers(min_value=1, max_value=2 * n)), 2 * n)
 
 
+def _keyed(spec) -> bool:
+    """Whether the shared counter of spec keeps a key table."""
+    return _counter(spec)[0].keys is not None
+
+
+def _equal(eps) -> bool:
+    return len(set(eps)) <= 1
+
+
 def _assert_counter_exact(g, gamma, eps, rhos):
     spec = make_bohr_spec(g, gamma, eps)
     counter, scale = _counter(spec)
     # one batch: the query sigma = rho * eps_0 of every rho, then sigma = 2^70,
-    # whose cut on a key lies past 2^62
+    # whose cut lies far past every key
     sigmas = [rho * scale for rho in rhos] + [Fraction(2**70)]
     wants = [sorted(bohr_members_direct(g, gamma, [sigma / scale * e for e in eps])) for sigma in sigmas]
     den = math.lcm(*(sigma.denominator for sigma in sigmas))
@@ -270,47 +279,94 @@ def test_counter_int64_key_exact_on_small_denominators(data):
     d = data.draw(st.integers(min_value=1, max_value=3), label="d")
     gamma = data.draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d), label="gamma")
     eps = [_small_fraction(data.draw, n) for _ in range(d)]
-    # sigma = k/N puts the cut k * lcm on the keys of the points with v_0 = k;
-    # the other dilations mostly put it between two keys
+    # sigma = k/N puts the cut of character 0 on the points with v_0 = k;
+    # the other dilations mostly put it between two phases
     rhos = [Fraction(data.draw(st.integers(1, n // 2)), n) / eps[0] for _ in range(2)]
     rhos += [_small_fraction(data.draw, n) for _ in range(2)]
     rhos = [rho for rho in rhos if all(rho * e <= 1 for e in eps)] or [Fraction(1)]
-    assert _counter(make_bohr_spec(g, gamma, eps))[0].sorted_keys is not None
+    assert _keyed(make_bohr_spec(g, gamma, eps)) is _equal(eps)
     _assert_counter_exact(g, gamma, eps, rhos)
 
 
-# against a radius 1/2 on Z128: shape factor 2^-55 or 2^55, so N max w = 2^62
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_equal_radii_counts_and_members_on_the_keys(data):
+    # one radius for every character keeps the key table; sigma = k/N puts
+    # the cut ceil(sigma N) = k exactly on the keys max_j v_j = k, and
+    # k = N/2 + 1 or more past every key
+    g = data.draw(st.sampled_from(BLOCK_GROUPS), label="group")
+    n = g.order
+    d = data.draw(st.integers(min_value=0, max_value=4), label="d")
+    gamma = data.draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d), label="gamma")
+    spec = make_bohr_spec(g, gamma, Fraction(1))
+    counter, scale = _counter(spec)
+    assert scale == 1 and counter.keys is not None
+    ks = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6), label="k")
+    wants = [sorted(bohr_members_direct(g, gamma, [Fraction(k, n)] * d)) for k in ks]
+    assert counter.counts(ks, n) == [len(want) for want in wants]
+    for k, want in zip(ks, wants):
+        assert counter.member_indices(k, n).tolist() == want
+    assert size_profile(g, spec, [Fraction(k, n) for k in ks]) == [len(want) for want in wants]
+
+
+def test_equal_radii_count_without_a_sort():
+    # the table is a histogram of the keys: building it, counting a batch
+    # and listing members call no sort and no binary search
+    g = make_group((4, 6, 8))
+    gamma = (5, 77, 130)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sorted")
+
+    with (
+        mock.patch.object(np, "argsort", refuse),
+        mock.patch.object(np, "sort", refuse),
+        mock.patch.object(np, "searchsorted", refuse),
+    ):
+        counter = bohr._ExactCounter(g, gamma, (Fraction(1),) * 3)
+        sizes = counter.counts([1, 3, 7, 100], 24)
+        members = [counter.member_indices(num, 24).tolist() for num in (1, 3, 7, 100)]
+    wants = [sorted(bohr_members_direct(g, gamma, [Fraction(num, 24)] * 3)) for num in (1, 3, 7, 100)]
+    assert sizes == [len(want) for want in wants]
+    assert members == wants
+
+
+# against a radius 1/2 on Z128: shape factor 2^-55 or 2^55, whose weighted
+# key N 2^55 would reach 2^62
 _AT_BOUND = Fraction(1, 2**56)
-# shape factor 1/(2^55 - 1) or 2^55 - 1, so N max w = 2^62 - 128
+# shape factor 1/(2^55 - 1) or 2^55 - 1, a weighted key just below 2^62
 _BELOW_BOUND = Fraction(1, 2**56 - 2)
 
 
 @pytest.mark.parametrize(
     "gamma, eps, keyed",
     [
-        ([1, 64], [Fraction(1, 2), _BELOW_BOUND], True),
+        ([1, 64], [Fraction(1, 2), _BELOW_BOUND], False),
         ([1, 64], [Fraction(1, 2), _AT_BOUND], False),
-        ([64, 1], [_BELOW_BOUND, Fraction(1, 2)], True),
+        ([64, 1], [_BELOW_BOUND, Fraction(1, 2)], False),
         ([64, 1], [_AT_BOUND, Fraction(1, 2)], False),
+        ([1, 64], [Fraction(1, 2), Fraction(1, 2)], True),
+        ([64, 1], [_AT_BOUND, _AT_BOUND], True),
     ],
 )
-def test_counter_key_bound(gamma, eps, keyed):
-    """Keys are built while N max_j w_j < 2^62; from 2^62 on, the integer scan runs."""
+def test_counter_keeps_a_table_for_equal_radii_only(gamma, eps, keyed):
+    """Equal radii keep the key table; any other shape, however far apart
+    its radii, takes the integer scan."""
     g = make_group((128,))
     counter, scale = _counter(make_bohr_spec(g, gamma, eps))
-    assert (counter.sorted_keys is not None) is keyed
+    assert (counter.keys is not None) is keyed
     _assert_counter_exact(g, gamma, eps, [Fraction(1), Fraction(1, 3), Fraction(3, 4)])
-    # a cut far past int64 is clamped above every key: every element passes
+    # a cut far past every key: every element passes, on either path
     sizes = counter.counts([scale.numerator, 2**70 * scale.denominator], scale.denominator)
     assert sizes == [len(bohr_members_direct(g, gamma, eps)), g.order]
 
 
 def test_keyless_radius_search_counts_each_candidate_in_one_pass(monkeypatch):
-    # a shape past the key bound: each candidate radius makes one
+    # a shape of unequal radii: each candidate radius makes one
     # _member_rows call per chunk, with a row for each of its 21 queries
     g = make_group((128,))
     gamma, eps = [1, 64], [Fraction(1, 2), _AT_BOUND]
-    assert _counter(make_bohr_spec(g, gamma, eps))[0].sorted_keys is None
+    assert not _keyed(make_bohr_spec(g, gamma, eps))
     monkeypatch.setattr(bohr, "_CHUNK", 32)
     with (
         mock.patch.object(bohr, "_member_rows", wraps=bohr._member_rows) as rows,
@@ -353,7 +409,7 @@ def test_regularity_grid_matches_the_fraction_oracle(data):
     gamma = data.draw(st.lists(st.integers(0, g.order - 1), min_size=d, max_size=d), label="gamma")
     eps = [_small_fraction(data.draw, g.order) for _ in range(d)]
     rounds = data.draw(st.sampled_from([(256,), (3, 12), (1,)]), label="rounds")
-    assert _counter(make_bohr_spec(g, gamma, eps))[0].sorted_keys is not None
+    assert _keyed(make_bohr_spec(g, gamma, eps)) is _equal(eps)
     _assert_regularity_matches_oracle(g, gamma, eps, rounds)
 
 
@@ -367,8 +423,9 @@ def test_regularity_grid_matches_the_fraction_oracle(data):
     ],
 )
 def test_regularity_grid_on_both_sides_of_the_key_bound(gamma, eps):
-    # the keyed shapes of test_counter_key_bound, the one at the bound, and
-    # one far past it, whose Bohr sets hold the identity alone
+    # the scanned shapes of test_counter_keeps_a_table_for_equal_radii_only,
+    # and one whose radii lie 2^70 apart, whose Bohr sets hold the identity
+    # alone
     g = make_group((128,))
     _assert_regularity_matches_oracle(g, gamma, eps, (256,))
     _assert_regularity_matches_oracle(g, gamma, eps, (3, 12))
@@ -391,8 +448,9 @@ def test_regularity_grid_on_an_irregular_set_and_an_exhausted_sweep():
 
 
 def test_counter_exact_off_the_float_range():
-    """A radius shape past the int64 key bound uses the integer scan; a
-    dilation past the double range is one more cut on the int64 key."""
+    """A radius shape past the double range uses the integer scan, as any
+    shape of unequal radii does; a dilation past the double range is one
+    more cut on the scan."""
     g = make_group((4, 6))
     gamma = [5, 13]
     eps = [Fraction(1, 3), Fraction(1, 2**1100)]
@@ -474,10 +532,11 @@ def test_size_bound_stack_counts_match_the_definition(data):
 
 def test_size_bound_stack_past_the_key_bound():
     # the radius shape of the first set keeps no key table (see
-    # test_counter_key_bound); the stack counts it on the same integer test
+    # test_counter_keeps_a_table_for_equal_radii_only); the stack counts it
+    # on the same integer test
     g = make_group((128,))
     b = make_bohr_spec(g, [1, 64], [Fraction(1, 2), _AT_BOUND])
-    assert _counter(b)[0].sorted_keys is None
+    assert not _keyed(b)
     other = make_bohr_spec(g, [3], Fraction(1, 4))
     _assert_stack_matches(g, [[b, other], [other, b]])
 
@@ -540,7 +599,8 @@ def _assert_blocks_exact(g, specs, rhos, oracle=bohr_members_direct):
 def test_phase_blocks_exact_at_every_block_size(data):
     # blocks of 1, 7 and 32 elements split the digit rows of every group
     # here, and at 200 the keys of Z24 are built two characters to a batch;
-    # the keyless shapes put one radius 2^70 times below the other
+    # the keyed shapes take one radius, the keyless ones put one radius 2^70
+    # times below the others
     g = data.draw(st.sampled_from(BLOCK_GROUPS), label="group")
     n = g.order
     keyless = data.draw(st.booleans(), label="keyless")
@@ -548,15 +608,16 @@ def test_phase_blocks_exact_at_every_block_size(data):
     for _ in range(data.draw(st.integers(1, 2), label="specs")):
         d = data.draw(st.integers(2 if keyless else 1, 3), label="d")
         gamma = data.draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d), label="gamma")
-        eps = [_small_fraction(data.draw, n) for _ in range(d)]
         if keyless:
-            eps[-1] = Fraction(1, 2**70)
+            eps = [_small_fraction(data.draw, n) for _ in range(d - 1)] + [Fraction(1, 2**70)]
+        else:
+            eps = [_small_fraction(data.draw, n)] * d
         specs.append(make_bohr_spec(g, gamma, eps))
     rhos = [Fraction(1), Fraction(1, 2), _small_fraction(data.draw, n)]
     for chunk in (1, 7, 32, 200):
         with mock.patch.object(bohr, "_CHUNK", chunk):
             bohr._phase_table.cache_clear()
-            assert all((_counter(s)[0].sorted_keys is None) is keyless for s in specs)
+            assert all(_keyed(s) is not keyless for s in specs)
             _assert_blocks_exact(g, specs, rhos)
     bohr._phase_table.cache_clear()
 
@@ -566,10 +627,9 @@ def test_phase_blocks_exact_past_one_block():
     # of 768 indices, 85 rows to a block, and a padded top digit
     g = make_group((3, 59049))
     assert g.order > bohr._CHUNK
-    keyed = make_bohr_spec(g, [g.index((1, 7)), g.index((2, 30000))], [Fraction(1, 5), Fraction(3, 7)])
+    keyed = make_bohr_spec(g, [g.index((1, 7)), g.index((2, 30000))], Fraction(3, 7))
     keyless = make_bohr_spec(g, [g.index((0, 1)), g.index((1, 0))], [Fraction(1, 40), Fraction(1, 2**70)])
-    assert _counter(keyed)[0].sorted_keys is not None
-    assert _counter(keyless)[0].sorted_keys is None
+    assert _keyed(keyed) and not _keyed(keyless)
     _assert_blocks_exact(g, [keyed, keyless], [Fraction(1), Fraction(1, 3)], oracle=bohr_members_int_direct)
 
 
@@ -630,8 +690,9 @@ def test_size_bound_stack_makes_one_phase_pass_per_block(factors, count):
 
 def test_counter_build_memory_does_not_grow_with_d():
     # from order _CHUNK / 4 on, the keys are raised one character at a time:
-    # the build holds the int64 keys, the int32 rows of one character and the
-    # kept table, whatever d is
+    # the build holds the int32 keys, the int32 phase tables of one character
+    # (about 16 bytes per element here) and then the histogram, whatever d is.
+    # It peaks near 20 bytes per element at d = 4 and at d = 16
     g = make_group((32768,))
     rng = random.Random(5)
     peaks = []
@@ -643,5 +704,5 @@ def test_counter_build_memory_does_not_grow_with_d():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert max(peaks) <= 40 * g.order
+    assert max(peaks) <= 21 * g.order
     assert peaks[1] <= peaks[0] + g.order

@@ -6,7 +6,9 @@ import json
 import os
 import random
 import tempfile
+import time
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,8 @@ from addcomb import cli, families, harness
 from addcomb.cli import main
 from addcomb.families import make_planted
 from addcomb.fileio import dump_set, parse_set, read_table, write_set
-from addcomb.groups import boolean_group, make_group, parse_group_text
+from addcomb.groups import SizeLimitError, boolean_group, make_group, parse_group_text
+from addcomb.report import format_value
 from addcomb.setstat import group_set
 
 from .test_fileio import set_files
@@ -268,6 +271,41 @@ def test_extreme_structure_params_exit_without_a_traceback(group, params, tmp_pa
     source = {"kind": "file", "path": path}
     config.write_text(json.dumps({"kind": "structure", "name": "x", "sets": [source], "params": params}))
     _exit_without_a_traceback(["verify", "--config", str(config)])
+
+
+@pytest.mark.parametrize("t", ["1.000001", "1." + "0" * 299 + "1"], ids=["1e-6", "1e-300"])
+def test_jump_tension_near_one_exits_3(t, tmp_path):
+    # k0 = pad + ceil(pad ln y / ln t) reaches 1.8e7 and 1.8e301 here: refused
+    # from the bounds on the logs, before a power of t is formed
+    pf = tmp_path / "params.json"
+    pf.write_text(json.dumps({"t": t}))
+    started = time.perf_counter()
+    code = _exit_without_a_traceback(["structure", _structure_set_file(tmp_path, "F2^8"), "--params", str(pf)])
+    assert code == 3
+    assert time.perf_counter() - started < 30
+
+
+def test_a_record_past_the_int_text_limit_exits_3(tmp_path, capsys):
+    # at m = 10^400 the Bohr size floor of the candidate compares integers of
+    # more than 4300 digits, which have no text form
+    rng = random.Random(0)
+    members = set()
+    for _ in range(2):
+        start, step = rng.randrange(4096), rng.randrange(1, 4096, 2)
+        members |= {(start + i * step) % 4096 for i in range(16)}
+    path, pf = tmp_path / "ap.txt", tmp_path / "params.json"
+    write_set(path, group_set(make_group((4096,)), sorted(members)))
+    pf.write_text(json.dumps({"m": "1e400"}))
+    assert main(["structure", str(path), "--params", str(pf)]) == 3
+    assert capsys.readouterr().err == "resource cap: a value past the 4300-digit limit of int text\n"
+
+
+def test_format_value_refuses_an_integer_past_the_int_text_limit():
+    # 10^4299 has 4300 digits, the default limit; one more digit has no text
+    assert format_value(Fraction(10**4299, 3)) == f"{10**4299}/3"
+    for value in (10**4300, Fraction(1, 10**4300), -(10**4300)):
+        with pytest.raises(SizeLimitError, match="4300-digit limit"):
+            format_value(value)
 
 
 _MAGNITUDES = st.one_of(

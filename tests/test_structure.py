@@ -5,10 +5,11 @@ import json
 import random
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addcomb import setstat, spectral, structure
@@ -16,7 +17,7 @@ from addcomb.bohr import find_regular_radius, materialize
 from addcomb.cli import main
 from addcomb.families import make_h_lambda, make_planted, HLambdaSpec
 from addcomb.fileio import write_set
-from addcomb.groups import boolean_group, make_group
+from addcomb.groups import SizeLimitError, boolean_group, make_group
 from addcomb.harmonic import FunctionTable
 from addcomb.harness import derive_params, structure_result_dict
 from addcomb.report import format_value
@@ -95,6 +96,53 @@ def test_k0_matches_the_power_loop():
         assert p.k0 == _k0_by_loop(p), p
     assert grid[-2].k0 == structure._K0_PAD
     assert grid[-1].k0 == 2 * structure._K0_PAD
+
+
+@given(
+    m=st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=1000),
+    m_prime=st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=1000),
+    kappa=st.fractions(min_value=Fraction(1, 100), max_value=10, max_denominator=1000),
+    t=st.one_of(
+        st.integers(2, 9).map(Fraction),
+        st.fractions(min_value=Fraction(11, 10), max_value=4, max_denominator=10**6).filter(lambda t: t > 1),
+    ),
+)
+@example(m=1, m_prime=2, kappa=1, t=Fraction(4))
+@example(m=Fraction(3, 2), m_prime=Fraction(3, 2), kappa=Fraction(3, 4), t=Fraction(3, 2))
+@settings(max_examples=150, deadline=None)
+def test_k0_bracket_matches_the_power_loop(m, m_prime, kappa, t):
+    # the examples put y = m'(m + kappa) on a power of t (4 = 4 and
+    # 27/8 = (3/2)^3): ties that the log bounds leave to exact powers
+    p = StructureParams(m=m, m_prime=m_prime, kappa=kappa, zeta=Fraction(1, 8), t=t)
+    assert p.k0 == _k0_by_loop(p)
+
+
+@pytest.mark.parametrize("t", [Fraction("1.000001"), 1 + Fraction(1, 10**300)])
+def test_k0_past_the_cap_is_refused_before_a_power_is_formed(t, monkeypatch):
+    p = StructureParams(m=2, m_prime=4, kappa=1, zeta=Fraction(1, 8), t=t)
+    exponents = []
+    real = Fraction.__pow__
+
+    def recording(self, other, *args):
+        exponents.append(other)
+        return real(self, other, *args)
+
+    monkeypatch.setattr(Fraction, "__pow__", recording)
+    with pytest.raises(SizeLimitError, match="k0 past the cap"):
+        p.k0
+    assert max(map(abs, exponents), default=0) <= 64
+
+
+def test_k0_at_the_cap():
+    # y = t = 2: t^e = y^pad at e = pad, a tie that exact powers settle, so
+    # k0 = 2 pad; a cap of 2 pad admits it, and one below refuses it
+    p = StructureParams(m=1, m_prime=1, kappa=1, zeta=Fraction(1, 8), t=2)
+    assert p.k0 == _k0_by_loop(p) == 2 * structure._K0_PAD
+    with mock.patch.object(structure, "_K0_MAX", 2 * structure._K0_PAD):
+        assert p.k0 == 2 * structure._K0_PAD
+    with mock.patch.object(structure, "_K0_MAX", 2 * structure._K0_PAD - 1):
+        with pytest.raises(SizeLimitError):
+            p.k0
 
 
 def test_energy_jump_on_a_subgroup_is_immediate():
