@@ -9,8 +9,12 @@ Dilating every radius by rho only rescales one per-element statistic, so a
 single table per (group, Gamma, radius shape) answers size queries for every
 dilate.  It has one count entry, _ExactCounter.counts, which takes a batch
 of queries over one denominator, and one members entry, member_indices.
-The phases v_j are built a few characters at a time, in int32 blocks from
-per-digit tables (_phase_blocks).  With equal radii, the only shape the
+The phases v_j come in int32 blocks from _phase_blocks.  One call, the one
+a table makes, builds for all its characters a small table per digit of
+the element index, then a row table over the low digits and a lead table
+over the high ones, reduced mod N without a branch; one add of lead and
+row per block and character is then the only pass over the group that
+makes the phases.  With equal radii, the only shape the
 pipelines build, they raise one int32 key max_j v_j per element, and a
 cumulative histogram of the keys answers a batch by one lookup per cut,
 exact with no rounding and no sort.  Any other shape keeps no table, and a
@@ -167,22 +171,22 @@ class _ExactCounter:
         cuts = [[_radius_cut(num * r.numerator, den * r.denominator, n) for r in self.shape] for num in nums]
         cuts = np.array(cuts, dtype=np.int32)
         chars = np.broadcast_to(np.arange(len(self.shape)), cuts.shape)
-        for start, v in _phase_blocks(self.group, self.weights):
+        for start, v in _phase_blocks(self.group, self.weights, max(1, len(self.weights))):
             yield start, _member_rows(v, chars, cuts)
 
 
 def _keys(g: GroupSpec, weights: np.ndarray) -> np.ndarray:
-    """k(x) = max_j v_j(x) over the group (int32; 0 for no character), a
-    batch of max(1, _CHUNK // 4N) characters of the _weights table at a
-    time: one from order _CHUNK / 4 on, so build memory is O(N) at any d,
-    and on a smaller group up to _CHUNK / 4 phases in few numpy calls."""
+    """k(x) = max_j v_j(x) over the group (int32; 0 for no character), from
+    one _phase_blocks call, so the digit, row and lead tables of the d
+    characters are built once.  Its blocks come max(1, _CHUNK // 4N)
+    characters of the _weights table at a time: one from order _CHUNK / 4
+    on, so build memory is O(N) at any d, and on a smaller group up to
+    _CHUNK / 4 phases in few numpy calls."""
     keys = np.zeros(g.order, dtype=np.int32)
-    batch = max(1, _CHUNK // (4 * g.order))
-    for j in range(0, len(weights), batch):
-        for start, v in _phase_blocks(g, weights[j : j + batch]):
-            block = keys[start : start + v.shape[1]]
-            for row in v:
-                np.maximum(block, row, out=block)
+    for start, v in _phase_blocks(g, weights, max(1, _CHUNK // (4 * g.order))):
+        block = keys[start : start + v.shape[1]]
+        for row in v:
+            np.maximum(block, row, out=block)
     return keys
 
 
@@ -216,55 +220,65 @@ def _digits(g: GroupSpec) -> list[tuple[int, int, int]]:
 def _outer_sum(tables: Sequence[np.ndarray], n: int, d: int) -> np.ndarray:
     """(d, prod of spans) int32 phases c_j over a run of digits, least
     significant first: outer sums of their (d, span) tables, each brought
-    back into [0, N) by one conditional subtraction of N."""
+    back into [0, N) by subtracting N times the 0/1 table of out >= N.  That
+    form has no branch: a masked subtraction mispredicts on phases, where
+    out >= N holds at random."""
     if not tables:
         return np.zeros((d, 1), dtype=np.int32)
     out = tables[0]
     for table in tables[1:]:
         out = (table[:, :, None] + out[:, None, :]).reshape(d, table.shape[1] * out.shape[1])
-        np.subtract(out, n, out=out, where=out >= n)
+        out -= (out >= n) * np.int32(n)
     return out
 
 
-def _phase_blocks(g: GroupSpec, weights: np.ndarray):
+def _phase_blocks(g: GroupSpec, weights: np.ndarray, batch: int):
     """(start, v) for each block of element indices from start on, v the
-    (d, len) int32 table of v_j = min(c_j, N - c_j) there, for the d
-    characters of a (d, rank) _weights table W: a view of one buffer that
-    the next block overwrites.
+    (k, len) int32 table of v_j = min(c_j, N - c_j) there for the k
+    characters of one batch of a (d, rank) _weights table W.  The batches
+    take batch >= 1 characters in order (the last may be short, and d = 0
+    makes one empty batch), and each runs over every block before the next
+    begins.  v is a view of one buffer that the next block overwrites.
 
     Digit u of span S and step s (_digits) adds u (s W_jk mod N) mod N to
     c_j.  These digit tables, the rows of one (d, digits, max S) table, are
-    the only place that takes a remainder.  The trailing digits whose spans
-    multiply to at most _CHUNK make a row of R indices, and the leading
-    digits number the rows; each part is one _outer_sum table.  A block is
-    a run of whole rows, at most _CHUNK elements, where c_j = lead[q] +
-    row[r] < 2N <= 2^25 is exact in int32.  The row table is stored less N,
-    so one add gives c - N in [-N, N), and v = min(u, N - u) at
-    u = |c - N|.
+    the only place that takes a remainder.  The trailing digits make a row
+    of R indices: a digit joins while R is below the product of the digits
+    left and stays at most _CHUNK with it, and the last digit never joins.
+    The leading digits number the rows.  Each part is one _outer_sum
+    table, built once for all d characters: d (R + N / R) int32, with R
+    near sqrt N when the digits allow.  A block is a run of whole rows, at
+    most _CHUNK elements, where c_j = lead[q] + row[r] < 2N <= 2^25 is
+    exact in int32: that add is the one pass over the block that makes c.
+    The row table is stored less N, so the add gives c - N in [-N, N), and
+    v = min(u, N - u) at u = |c - N|.
     """
     n, d = g.order, len(weights)
     axes, spans, steps = zip(*_digits(g))
     units = np.array(steps) * weights[:, axes] % n
     table = (np.arange(max(spans)) * units[:, :, None] % n).astype(np.int32)
     tables = [table[:, i, :span] for i, span in enumerate(spans)]
-    cut, width = 0, 1
-    while cut < len(spans) and width * spans[cut] <= _CHUNK:
+    cut, width, rest = 0, 1, math.prod(spans)
+    while cut < len(spans) - 1 and width < rest and width * spans[cut] <= _CHUNK:
         width *= spans[cut]
+        rest //= spans[cut]
         cut += 1
-    row = _outer_sum(tables[:cut], n, d) - np.int32(n)
+    row = _outer_sum(tables[:cut], n, d)[:, None, :] - np.int32(n)
     rows = -(-n // width)  # the padded values of a top digit lie past the last row
-    lead = _outer_sum(tables[cut:], n, d)[:, :rows]
+    lead = _outer_sum(tables[cut:], n, d)[:, :rows, None]
     per = _CHUNK // width
-    buf = np.empty((d, min(per, rows), width), dtype=np.int32)
+    buf = np.empty((min(batch, d), min(per, rows), width), dtype=np.int32)
     tmp = np.empty_like(buf)
-    for q in range(0, rows, per):
-        c, t = buf[:, : rows - q], tmp[:, : rows - q]
-        np.add(lead[:, q : q + per, None], row[:, None, :], out=c)
-        np.abs(c, out=c)
-        np.subtract(n, c, out=t)
-        np.minimum(c, t, out=c)
-        start = q * width
-        yield start, c.reshape(d, c.shape[1] * width)[:, : n - start]
+    for j in range(0, max(d, 1), batch):
+        k = min(batch, d - j)
+        for q in range(0, rows, per):
+            c, t = buf[:k, : rows - q], tmp[:k, : rows - q]
+            np.add(lead[j : j + k, q : q + per], row[j : j + k], out=c)
+            np.abs(c, out=c)
+            np.subtract(n, c, out=t)
+            np.minimum(c, t, out=c)
+            start = q * width
+            yield start, c.reshape(k, c.shape[1] * width)[:, : n - start]
 
 
 def _radius_cut(num: int, den: int, n: int) -> int:
@@ -539,18 +553,20 @@ def _scan(g: GroupSpec, specs: Sequence[BohrSpec]) -> tuple[np.ndarray, np.ndarr
     only where B holds y(x) and y(-x) alike.  (The phases of the negated
     characters equal those of the characters at any y(x): no check.)
     """
-    gamma = sorted({t for spec in specs for t in spec.gamma})
+    n = g.order
+    flat = [t for spec in specs for t in spec.gamma]
+    gamma = sorted(set(flat))
     column = {t: j for j, t in enumerate(gamma)}
-    width = max((spec.d for spec in specs), default=0)
-    chars = np.zeros((len(specs), width), dtype=np.int64)
+    dims = np.array([spec.d for spec in specs], dtype=np.int64)
+    slots = np.arange(dims.max(initial=0)) < dims[:, None]  # row r's first d_r slots, row by row as flat
+    chars = np.zeros(slots.shape, dtype=np.int64)
+    chars[slots] = [column[t] for t in flat]
     # a padded slot always passes, as v_j <= N/2 < N
-    cuts = np.full((len(specs), width), g.order, dtype=np.int32)
-    for r, spec in enumerate(specs):
-        chars[r, : spec.d] = [column[t] for t in spec.gamma]
-        cuts[r, : spec.d] = [_radius_cut(e.numerator, e.denominator, g.order) for e in spec.eps]
+    cuts = np.full(slots.shape, n, dtype=np.int32)
+    cuts[slots] = [_radius_cut(e.numerator, e.denominator, n) for spec in specs for e in spec.eps]
     sizes = np.zeros(len(specs), dtype=np.int64)
     symmetric = np.ones(len(specs), dtype=bool)
-    for start, v in _phase_blocks(g, _weights(g, gamma)):
+    for start, v in _phase_blocks(g, _weights(g, gamma), max(1, len(gamma))):
         member = _member_rows(v, chars, cuts)
         if start == 0:  # the first block's x in the order of -x, and -x in that order
             first = member

@@ -263,6 +263,24 @@ def bohr_members_direct(g: GroupSpec, gamma, eps) -> set[int]:
     return members
 
 
+def phases_direct(g: GroupSpec, gamma) -> np.ndarray:
+    """The (d, N) table of v_j(x) = min(c_j, N - c_j) for every character
+    gamma_j and element x, where c_j = sum_i t_i x_i (N / f_i) mod N at
+    gamma_j = t and x = (x_0, ..., x_{r-1}).  The coordinates of every
+    index come from the group description alone: axis 0 is the least
+    significant digit, as in g.unindex."""
+    n = g.order
+    rest, coords = np.arange(n, dtype=np.int64), []
+    for f in g.factors:
+        rest, x = np.divmod(rest, f)
+        coords.append(x)
+    out = np.zeros((len(gamma), n), dtype=np.int64)
+    for j, t in enumerate(gamma):
+        c = sum(a * (n // f) * x for a, f, x in zip(g.unindex(t), g.factors, coords)) % n
+        out[j] = np.minimum(c, n - c)
+    return out
+
+
 def bohr_members_int_direct(g: GroupSpec, gamma, eps) -> set[int]:
     """bohr_members_direct in integers, for groups where Fractions are too
     slow: the phase of gamma at x is c/N with c = sum_i t_i x_i (N / f_i)

@@ -35,6 +35,7 @@ from addcomb.setstat import column_blocks
 from .oracles import (
     bohr_members_direct,
     bohr_members_int_direct,
+    phases_direct,
     regular_radius_direct,
     regularity_grid_direct,
 )
@@ -633,13 +634,64 @@ def test_phase_blocks_exact_past_one_block():
     _assert_blocks_exact(g, [keyed, keyless], [Fraction(1), Fraction(1, 3)], oracle=bohr_members_int_direct)
 
 
+# one digit (Z2), digits of span 2 only (F2^6), a padded top digit (Z101),
+# a product, and a group past one block at the default block size
+PHASE_GROUPS = [make_group(f) for f in [(2,), (2,) * 6, (101,), (2, 4, 8)]]
+BIG_PHASE_GROUP = make_group((3, 59049))
+
+
+def _assert_phase_blocks_match_oracle(g, gamma):
+    """Every (start, v) of _phase_blocks at every batch from 1 to d: the
+    blocks of each batch of characters run over the whole group in order,
+    each nonempty, and together equal phases_direct on those characters."""
+    want = phases_direct(g, gamma)
+    weights, d = bohr._weights(g, gamma), len(gamma)
+    for batch in range(1, max(d, 1) + 1):
+        runs, at = [], g.order
+        for start, v in bohr._phase_blocks(g, weights, batch):
+            if at == g.order:  # the first block of the next batch of characters
+                runs.append([])
+                at = 0
+            assert start == at and v.shape[1] > 0 and v.dtype == np.int32
+            runs[-1].append(v.copy())  # the next block overwrites v
+            at += v.shape[1]
+        assert at == g.order and len(runs) == max(-(-d // batch), 1)
+        for j, run in zip(range(0, d or 1, batch), runs):
+            np.testing.assert_array_equal(np.concatenate(run, axis=1), want[j : j + batch])
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_phase_blocks_match_the_phase_oracle(data):
+    # blocks of 1, 7 and 32 elements and the default split the digits into
+    # row and lead tables every way these groups allow
+    g = data.draw(st.sampled_from(PHASE_GROUPS), label="group")
+    d = data.draw(st.integers(0, 4), label="d")
+    gamma = data.draw(st.lists(st.integers(0, g.order - 1), min_size=d, max_size=d), label="gamma")
+    for chunk in (1, 7, 32, bohr._CHUNK):
+        with mock.patch.object(bohr, "_CHUNK", chunk):
+            _assert_phase_blocks_match_oracle(g, gamma)
+
+
+@pytest.mark.parametrize("chunk, d", [(1, 1), (7, 2), (32, 4), (bohr._CHUNK, 4)])
+def test_phase_blocks_match_the_phase_oracle_past_one_block(chunk, d):
+    # Z3xZ59049 keeps its axis of length 3 whole and pads its top digit; at
+    # the default size its rows of 768 indices make 3 blocks.  At the small
+    # sizes a block is one row of 1 or 3 elements, 177147 or 59049 blocks
+    # per batch, so they take fewer characters
+    g = BIG_PHASE_GROUP
+    gamma = [g.index((1, 7)), g.index((2, 30000)), g.index((0, 1)), g.index((1, 0))][:d]
+    with mock.patch.object(bohr, "_CHUNK", chunk):
+        _assert_phase_blocks_match_oracle(g, gamma)
+
+
 def _rolled_phase_blocks(shift):
     """A mutant _phase_blocks whose block columns are rolled by shift, so
     column x of a block holds the phases of another element of it."""
     real = bohr._phase_blocks
 
-    def rolled(g, weights):
-        for start, v in real(g, weights):
+    def rolled(g, weights, batch):
+        for start, v in real(g, weights, batch):
             yield start, np.roll(v, shift, axis=1)
 
     return rolled
@@ -678,9 +730,9 @@ def test_size_bound_stack_makes_one_phase_pass_per_block(factors, count):
     assert blocks == 3
     real, calls = bohr._phase_blocks, []
 
-    def counted(g, weights):
+    def counted(g, weights, batch):
         calls.append(len(weights))
-        yield from real(g, weights)
+        yield from real(g, weights, batch)
 
     with mock.patch.object(bohr, "_phase_blocks", counted):
         records = size_bound_stack(g, instances)
@@ -688,11 +740,66 @@ def test_size_bound_stack_makes_one_phase_pass_per_block(factors, count):
     assert len(calls) == blocks
 
 
+@pytest.mark.parametrize("d", [1, 4, 16])
+def test_equal_radii_build_makes_one_phase_pass(d):
+    # the digit tables are built once per counter: one _phase_blocks call,
+    # which raises the keys one character at a time from order _CHUNK / 4 on
+    g = make_group((32768,))
+    rng = random.Random(d)
+    gamma = tuple(rng.randrange(1, g.order) for _ in range(d))
+    real, calls = bohr._phase_blocks, []
+
+    def counted(g, weights, batch):
+        calls.append((len(weights), batch))
+        yield from real(g, weights, batch)
+
+    with mock.patch.object(bohr, "_phase_blocks", counted):
+        counter = bohr._ExactCounter(g, gamma, (Fraction(1),) * d)
+    assert calls == [(d, 1)]
+    np.testing.assert_array_equal(counter.keys, phases_direct(g, gamma).max(axis=0))
+
+
+def _refusing_where(ufunc):
+    def call(*args, **kwargs):
+        if "where" in kwargs:
+            raise AssertionError(f"np.{ufunc.__name__} with a masked store")
+        return ufunc(*args, **kwargs)
+
+    return call
+
+
+class _NumpyWithoutMaskedStores:
+    """numpy as bohr sees it, but np.add and np.subtract refuse where=."""
+
+    add = staticmethod(_refusing_where(np.add))
+    subtract = staticmethod(_refusing_where(np.subtract))
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+# Z4096 takes two digits, Z128xZ128 four and Z3xZ59049 three, so the row
+# or lead of each is an outer sum of two digit tables or more
+@pytest.mark.parametrize("factors", [(4096,), (128, 128), (3, 59049)])
+def test_keys_and_scan_take_no_masked_store(factors, monkeypatch):
+    g = make_group(factors)
+    rng = random.Random(g.order)
+    gamma = [rng.randrange(1, g.order) for _ in range(6)]
+    spec = make_bohr_spec(g, gamma, Fraction(1, 3))
+    want = phases_direct(g, gamma)
+    monkeypatch.setattr(bohr, "np", _NumpyWithoutMaskedStores())
+    np.testing.assert_array_equal(bohr._keys(g, bohr._weights(g, gamma)), want.max(axis=0))
+    sizes, identity, symmetric = _scan(g, [spec])
+    assert sizes.tolist() == [int((3 * want.max(axis=0) < g.order).sum())]
+    assert identity.all() and symmetric.all()
+
+
 def test_counter_build_memory_does_not_grow_with_d():
     # from order _CHUNK / 4 on, the keys are raised one character at a time:
-    # the build holds the int32 keys, the int32 phase tables of one character
-    # (about 16 bytes per element here) and then the histogram, whatever d is.
-    # It peaks near 20 bytes per element at d = 4 and at d = 16
+    # the build holds the int32 keys and the int32 phase blocks of one
+    # character, then the histogram: bincount's int64 copy of the keys and
+    # its int64 counts, whatever d is.  It peaks near 16 bytes per element
+    # at d = 4 and at d = 16
     g = make_group((32768,))
     rng = random.Random(5)
     peaks = []
@@ -704,5 +811,5 @@ def test_counter_build_memory_does_not_grow_with_d():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert max(peaks) <= 21 * g.order
+    assert max(peaks) <= 17 * g.order
     assert peaks[1] <= peaks[0] + g.order
