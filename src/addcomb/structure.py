@@ -3,12 +3,12 @@
 The central pipeline: detect the first higher-energy jump of B, form
 phi(x) = |B_x|^k at the jump exponent, read off the large spectrum of phi,
 take a maximal dissociated set Lambda inside it, and intersect B with a
-translate of a Bohr set of Lambda.  One core (_extract) recounts the
-pieces of one candidate generator by one certify step: the annihilator of
-Lambda on a 2-group (its Bohr set at small radius, a subspace), escalating
-regular radii elsewhere.  The first candidate whose density floor and mass
-record hold by direct count is returned; a failed certificate is raised
-as a theory-violation witness, never papered over.
+translate of a Bohr set of Lambda.  One core (_extract) builds one piece
+and recounts it once: the annihilator of Lambda on a 2-group (its Bohr set
+at small radius, a subspace), the regular Bohr set at the paper's radius
+elsewhere.  The piece is returned when its density floor and mass record
+hold by direct count; a failed certificate is raised as a
+theory-violation witness, never papered over.
 
 Drivers, each calling the core once: extract_subspace, extract_bohr, the
 2-eps dichotomy (large Fourier coefficient or a structured piece inside
@@ -21,7 +21,6 @@ searched for here.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,9 +35,8 @@ from .setstat import GroupSet, corr_counts, higher_energy, sumset_size
 from .spectral import DissociatedWitness, Spectrum, chang_bound, max_dissociated, spectrum
 
 _PI_UPPER = Fraction(355, 113)  # exceeds pi, so it is safe in upper bounds
-_ESCALATION_TRIES = 3
 _REGULARIZE_N_MAX = 16
-_C_LOCAL = Fraction(1, 32)  # the first Bohr radius factor; it doubles on escalation
+_C_LOCAL = Fraction(1, 32)  # the paper's Bohr radius factor c in rho = c zeta / (m_star |Lambda|)
 _K0_PAD = 10  # jump-search depth past the least t^e >= y^pad
 # the deepest jump search allowed: 3.8x the k0 of the 2-eps dichotomy at eps = 1/100
 _K0_MAX = 1 << 20
@@ -416,99 +414,66 @@ _RECORDS = {
 }
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    """A piece P for _certify to recount: its members, its zeta loss (the
-    key of _RECORDS), the head of its density note ("codim d" or "dim d")
-    and the fields its attempt entry shows."""
-
-    members: GroupSet
-    loss: int
-    note: str
-    shows: dict
-    bohr: BohrSet | None = None
-
-
-def _certify(
-    front: _Front, B: GroupSet, candidates: Iterable[_Candidate]
-) -> tuple[_Candidate, int, int, Fraction, list[CheckRecord], list[dict]]:
-    """Recount the candidates in order and return the first that passes.
-
-    A candidate P passes when achieved = max_x |B intersect (P+x)| reaches
-    the floor of its zeta loss and its mass record holds.  Each candidate
-    costs one corr_counts call and one attempt entry.  Returns (candidate,
-    achieved, the least z attaining it, floor, records, attempts); when
-    none passes, the failure is raised with every attempt in its trace and
-    the last candidate's failed density record (or mass record).
-    """
-    attempts = []
-    for cand in candidates:
-        size = len(cand.members)
-        counts = corr_counts(cand.members, B)
-        achieved, z = _argmax(counts)
-        guaranteed = _density_floor(front.params, size, cand.loss)
-        (name, ref, note), density = _RECORDS[cand.loss]
-        per = size if cand.loss == 1 else 1
-        energy = Fraction(sum_of_squares(counts), per)
-        records = [
-            record_ge(name, ref, energy, guaranteed * len(B) * size / per, note=note.format(size=size)),
-            record_ge(*density, Fraction(achieved), guaranteed, note=f"{cand.note}, z={z}"),
-        ]
-        attempts.append({**cand.shows, "size": size, "achieved": achieved, "guaranteed": guaranteed})
-        if all(r.ok for r in records):
-            return cand, achieved, z, guaranteed, records, attempts
-    raise DensityGuaranteeFailed(
-        f"no candidate piece passed the direct count ({len(attempts)} tried)",
-        front.trace(attempts),
-        next(r for r in reversed(records) if not r.ok),
-    )
-
-
-def _candidates(g: GroupSpec, lam: np.ndarray, params: StructureParams, subgroup: bool) -> Iterator[_Candidate]:
-    """The pieces _certify recounts, in order.  On a subgroup pipeline (a
-    2-group) the one candidate is the annihilator of Lambda, a subspace
-    (zeta loss 1).  Otherwise the regular Bohr sets escalate lazily (loss
-    2): the regular radius for c = _C_LOCAL, then for 2 c and so on, at
-    most _ESCALATION_TRIES doublings, each materialized only after the one
-    before it failed.  With Lambda empty the Bohr set is the whole group
-    whatever the radius, so it is yielded once."""
+def _piece(
+    g: GroupSpec, lam: np.ndarray, params: StructureParams, subgroup: bool
+) -> tuple[GroupSet, BohrSet | None, dict]:
+    """The one piece a pipeline recounts: its members, its Bohr set (None
+    for a subspace) and the fields its attempt entry shows.  On a subgroup
+    pipeline (a 2-group) it is the annihilator of Lambda, a subspace.
+    Otherwise it is the regular Bohr set of Lambda at the paper's radius
+    rho = c zeta / (m_star |Lambda|), c = _C_LOCAL; with Lambda empty that
+    Bohr set is the whole group."""
     if subgroup:
         basis = f2.nullspace_basis(lam.tolist(), g.rank)
         if len(basis) != g.rank - len(lam):
             raise AssertionError("annihilator dimension disagrees with the dissociated rank")
-        yield _Candidate(GroupSet(g, np.sort(f2.subspace_elements(basis))), 1, f"codim {len(lam)}", {})
-        return
-    c = _C_LOCAL
-    for _ in range(1 + _ESCALATION_TRIES if len(lam) else 1):
-        rho = c * params.zeta / (params.m_star * max(len(lam), 1))
-        shows = {"c_local": c, "rho": rho, "sufficiency": None}
-        if len(lam):
-            spec = find_regular_radius(g, lam, min(rho, Fraction(1)))
-            shows["sufficiency"] = record_le(
-                "radius smallness for spectral alignment",
-                "structure:radius_sufficient",
-                2 * _PI_UPPER * len(lam) * max(spec.eps),
-                params.zeta / 4,
-                note="pi bounded above by 355/113",
-            )
-        else:
-            spec = make_bohr_spec(g, (), ())
-        b_star = materialize(g, spec)
-        yield _Candidate(b_star.members, 2, f"dim {len(lam)}", shows, b_star)
-        c = 2 * c
+        return GroupSet(g, np.sort(f2.subspace_elements(basis))), None, {}
+    rho = _C_LOCAL * params.zeta / (params.m_star * max(len(lam), 1))
+    shows = {"c_local": _C_LOCAL, "rho": rho, "sufficiency": None}
+    if len(lam):
+        spec = find_regular_radius(g, lam, min(rho, Fraction(1)))
+        shows["sufficiency"] = record_le(
+            "radius smallness for spectral alignment",
+            "structure:radius_sufficient",
+            2 * _PI_UPPER * len(lam) * max(spec.eps),
+            params.zeta / 4,
+            note="pi bounded above by 355/113",
+        )
+    else:
+        spec = make_bohr_spec(g, (), ())
+    b_star = materialize(g, spec)
+    return b_star.members, b_star, shows
 
 
 def _extract(front: _Front, B: GroupSet, subgroup: bool) -> StructureResult:
-    """The certified piece of the front's witness: the first candidate
-    that passes _certify, as a SubspacePiece on a subgroup pipeline and a
-    BohrPiece otherwise, with the diagnostics it reports.  A Bohr piece
-    also reports its attempts, the radius sufficiency record and the span
-    checks."""
+    """The certified piece of the front's witness, recounted once: a
+    SubspacePiece on a subgroup pipeline and a BohrPiece otherwise, with
+    the diagnostics it reports.  The piece P passes when achieved = max_x
+    |B intersect (P+x)| reaches the floor of its zeta loss (the key of
+    _RECORDS) and its mass record holds; otherwise the failure is raised
+    with its one attempt in the trace and the failed density record (or
+    mass record).  A Bohr piece also reports its attempt, the radius
+    sufficiency record and the span checks."""
     lam = front.witness.members
-    cand, achieved, z, guaranteed, records, attempts = _certify(
-        front, B, _candidates(B.group, lam, front.params, subgroup)
-    )
-    density = Fraction(achieved, len(cand.members))
+    members, bohr, shows = _piece(B.group, lam, front.params, subgroup)
+    size, loss = len(members), 1 if subgroup else 2
+    head = f"{'codim' if subgroup else 'dim'} {len(lam)}"
+    counts = corr_counts(members, B)
+    achieved, z = _argmax(counts)
+    guaranteed = _density_floor(front.params, size, loss)
+    (name, ref, note), density = _RECORDS[loss]
+    per = size if subgroup else 1
+    energy = Fraction(sum_of_squares(counts), per)
+    records = [
+        record_ge(name, ref, energy, guaranteed * len(B) * size / per, note=note.format(size=size)),
+        record_ge(*density, Fraction(achieved), guaranteed, note=f"{head}, z={z}"),
+    ]
+    attempts = [{**shows, "size": size, "achieved": achieved, "guaranteed": guaranteed}]
+    failed = [r for r in records if not r.ok]
+    if failed:
+        raise DensityGuaranteeFailed(
+            f"the piece failed the direct count ({head})", front.trace(attempts), failed[-1]
+        )
     diagnostics = {
         "eps_spectrum": front.eps,
         "eps_clamped": front.clamped,
@@ -517,12 +482,12 @@ def _extract(front: _Front, B: GroupSet, subgroup: bool) -> StructureResult:
         "chang": chang_bound(front.phi, front.spec, front.witness),
     }
     if subgroup:
-        variant = SubspacePiece(subspace=cand.members, z=z, density=density, codim=len(lam))
+        variant = SubspacePiece(subspace=members, z=z, density=Fraction(achieved, size), codim=len(lam))
     else:
-        variant = BohrPiece(bohr=cand.bohr, z=z, density=density, dim=len(lam))
+        variant = BohrPiece(bohr=bohr, z=z, density=Fraction(achieved, size), dim=len(lam))
         diagnostics["attempts"] = attempts
         if len(lam):
-            diagnostics["sufficiency"] = cand.shows["sufficiency"]
+            diagnostics["sufficiency"] = shows["sufficiency"]
         diagnostics.update(_bohr_span_diagnostics(B, front))
     return StructureResult(
         variant=variant,
@@ -574,19 +539,20 @@ def extract_subspace(A: GroupSet, B: GroupSet, params: StructureParams) -> Struc
     |B intersect (L+z)| >= (1-zeta) omega |L| / (t (m+kappa)).
     """
     if not A.group.is_boolean_space:
-        raise ValueError("subspace extraction needs a 2-group; use extract_bohr")
+        raise ValueError("subspace extraction needs a 2-group; on other groups use --mode bohr (extract_bohr)")
     return _extract(_pipeline_front(A, B, params), B, subgroup=True)
 
 
 def extract_bohr(A: GroupSet, B: GroupSet, params: StructureParams) -> StructureResult:
-    """Jump pipeline with Bohr candidates on any group: a regular Bohr set
+    """Jump pipeline with a Bohr piece on any group: a regular Bohr set
     dense in B.
 
-    Asserts |B intersect (B_*+z)| >= (1-2 zeta) omega |B_*| / (t (m+kappa))
-    by direct count, together with the translate energy sum_x |B intersect
-    (B_*+x)|^2 >= that floor times |B| |B_*|, over the escalating radii of
-    _candidates.  If none passes, the failure is raised with every attempt
-    in its trace.
+    B_* is the regular Bohr set of Lambda at the paper's radius rho =
+    c zeta / (m_star |Lambda|), c = 1/32.  Asserts |B intersect (B_*+z)| >=
+    (1-2 zeta) omega |B_*| / (t (m+kappa)) by direct count, together with
+    the translate energy sum_x |B intersect (B_*+x)|^2 >= that floor times
+    |B| |B_*|.  If either fails, the failure is raised with the piece's one
+    attempt in its trace.
     """
     if not 0 < params.zeta < Fraction(1, 2):
         raise ValueError("Bohr extraction needs zeta < 1/2")

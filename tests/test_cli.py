@@ -325,6 +325,50 @@ def test_structure_params_of_any_magnitude_exit_without_a_traceback(group, param
     _exit_without_a_traceback(["structure", _structure_set_file(tmp, group), "--params", str(pf), "--summary"])
 
 
+def test_structure_subspace_mode_off_a_2_group_names_the_bohr_mode(tmp_path, capsys):
+    path = _structure_set_file(tmp_path, "Z4096")
+    assert main(["structure", path, "--mode", "subspace"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: subspace extraction needs a 2-group; on other groups use --mode bohr (extract_bohr)\n"
+    )
+
+
+_STRUCTURE_GROUPS = [f"F2^{n}" for n in range(1, 7)] + [f"Z{n}" for n in range(2, 129)] + ["Z4xZ6", "Z3xZ5xZ7"]
+
+
+@st.composite
+def structure_inputs(draw) -> tuple[str, list[int], str]:
+    """A group, a random nonempty subset of it and a structure mode."""
+    group = draw(st.sampled_from(_STRUCTURE_GROUPS))
+    order = parse_group_text(group).order
+    members = draw(st.sets(st.integers(0, order - 1), min_size=1, max_size=order))
+    return group, sorted(members), draw(st.sampled_from(["auto", "subspace", "bohr", "dichotomy"]))
+
+
+@given(structure_inputs())
+@settings(max_examples=150, deadline=None)
+def test_structure_exit_codes_on_random_subsets(case):
+    group, members, mode = case
+    g = parse_group_text(group)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "a.set"), os.path.join(tmp, "r.json")
+        write_set(path, group_set(g, members))
+        code = _exit_without_a_traceback(["structure", path, "--mode", mode, "--out", out])
+        if mode == "subspace" and not g.is_boolean_space:
+            assert code == 2
+            return
+        assert code in (0, 1)
+        # a failed check is a result: its report is still written
+        with open(out, encoding="utf-8") as fh:
+            report = json.load(fh)
+    assert report["ok"] is (code == 0)
+    [entry] = report["results"]
+    if entry["result"] is not None and entry["result"]["kind"] == "BohrPiece":
+        assert len(entry["result"]["diagnostics"]["attempts"]) == 1
+    if "failure" in entry:
+        assert len(entry["failure"]["attempts"]) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [["structure", "A.txt", "--seed", "1"], ["example", "katz", "--p", "3", "--d", "4", "--seed", "1"]],

@@ -660,6 +660,29 @@ def test_extract_subspace_correlates_b_with_itself_once(monkeypatch):
     assert self_pairs == [B.members.tolist()]
 
 
+def test_extract_bohr_recounts_its_one_piece_at_the_paper_radius(monkeypatch):
+    A, params = _cyclic_subgroup_instance()
+    real = structure.corr_counts
+    calls = []
+    monkeypatch.setattr(structure, "corr_counts", lambda X, Y=None: calls.append(X) or real(X, Y))
+    res = extract_bohr(A, A, params)
+    piece = res.variant
+    assert [X.members.tolist() for X in calls] == [piece.bohr.members.members.tolist()]
+    [attempt] = res.diagnostics["attempts"]
+    assert attempt["c_local"] == Fraction(1, 32)
+    # the piece is the regular Bohr set at rho = c zeta / (m_star |Lambda|)
+    lam = [100, 200, 400]
+    rho = Fraction(1, 32) * params.zeta / (params.m_star * len(lam))
+    assert attempt["rho"] == rho
+    spec = find_regular_radius(A.group, lam, rho)
+    assert piece.bohr.spec == spec
+    assert piece.bohr.members.members.tolist() == materialize(A.group, spec).members.members.tolist()
+    overlap = _count_overlap(A, piece.bohr.members.members, piece.z)
+    assert overlap == res.achieved == attempt["achieved"]
+    assert Fraction(overlap) >= res.guaranteed == attempt["guaranteed"]
+    assert all(r.ok for r in res.records)
+
+
 def _zero_corr_counts(monkeypatch, zero=lambda call: True):
     """Make structure's corr_counts read zero on the calls (numbered from 1)
     that zero picks; returns the list of pieces it was called on."""
@@ -676,29 +699,37 @@ def _zero_corr_counts(monkeypatch, zero=lambda call: True):
 
 
 def _cyclic_subgroup_instance():
-    # the multiples of 10 in Z1000: Lambda = (100, 200, 400), and every
-    # escalated radius gives the same 100-point piece, which passes
+    # the multiples of 10 in Z1000: Lambda = (100, 200, 400), and the Bohr
+    # set at the paper's radius is a 100-point piece, which passes
     A = group_set(make_group((1000,)), range(0, 1000, 10))
     return A, derive_params(A, A)
 
 
-def test_extract_bohr_raises_every_escalated_attempt_when_no_count_passes(monkeypatch):
-    A, params = _cyclic_subgroup_instance()
+@pytest.mark.parametrize(
+    "A, extract, ref",
+    [
+        (_subgroup(10, 3), extract_subspace, "structure:density_subspace"),
+        (_cyclic_subgroup_instance()[0], extract_bohr, "structure:density_bohr"),
+    ],
+    ids=["F2^10", "Z1000"],
+)
+def test_a_zeroed_recount_raises_after_one_piece_recount(A, extract, ref, monkeypatch):
     pieces = _zero_corr_counts(monkeypatch)
     with pytest.raises(DensityGuaranteeFailed) as exc:
-        extract_bohr(A, A, params)
+        extract(A, A, derive_params(A, A))
     trace = exc.value.trace
     assert set(trace) == {"k", "lambda", "witness_mode", "attempts"}
-    assert trace["lambda"] == [100, 200, 400]
-    attempts = trace["attempts"]
-    assert len(attempts) == len(pieces) == 1 + structure._ESCALATION_TRIES
-    assert [a["c_local"] for a in attempts] == [structure._C_LOCAL * 2**i for i in range(len(attempts))]
-    assert all(a["achieved"] == 0 and a["guaranteed"] > 0 for a in attempts)
-    assert all(a["sufficiency"] is not None for a in attempts)
-    # the failed record is the last attempt's density certificate
+    assert len(pieces) == 1
+    [attempt] = trace["attempts"]
+    assert attempt["size"] == len(pieces[0])
+    assert attempt["achieved"] == 0 and attempt["guaranteed"] > 0
+    if extract is extract_bohr:
+        assert trace["lambda"] == [100, 200, 400]
+        assert attempt["c_local"] == structure._C_LOCAL and attempt["sufficiency"] is not None
+    # the failed record is the piece's density certificate
     record = exc.value.record
-    assert (record.ref, record.ok) == ("structure:density_bohr", False)
-    assert (record.lhs, record.rhs) == ("0", format_value(attempts[-1]["guaranteed"]))
+    assert (record.ref, record.ok) == (ref, False)
+    assert (record.lhs, record.rhs) == ("0", format_value(attempt["guaranteed"]))
 
 
 def test_extract_bohr_counts_the_whole_group_once_when_lambda_is_empty(monkeypatch):
@@ -712,26 +743,13 @@ def test_extract_bohr_counts_the_whole_group_once_when_lambda_is_empty(monkeypat
     assert pieces == [list(range(12))]
 
 
-def test_extract_subspace_raises_its_one_attempt_when_the_count_fails(monkeypatch):
-    A = _subgroup(10, 3)
-    pieces = _zero_corr_counts(monkeypatch)
-    with pytest.raises(DensityGuaranteeFailed) as exc:
-        extract_subspace(A, A, derive_params(A, A))
-    trace = exc.value.trace
-    assert set(trace) == {"k", "lambda", "witness_mode", "attempts"}
-    assert len(pieces) == 1
-    [attempt] = trace["attempts"]
-    assert attempt["size"] == len(pieces[0])
-    assert attempt["achieved"] == 0 and attempt["guaranteed"] > 0
-
-
 @pytest.mark.parametrize("A", [_subgroup(10, 3), _cyclic_subgroup_instance()[0]], ids=["F2^10", "Z1000"])
 def test_structure_command_exits_1_on_a_failed_certificate(A, tmp_path, monkeypatch, capsys):
     path = tmp_path / "A.txt"
     write_set(path, A)
     _zero_corr_counts(monkeypatch)
     assert main(["structure", str(path), "--out", str(tmp_path / "r.json")]) == 1
-    assert "no candidate piece passed the direct count" in capsys.readouterr().err
+    assert "the piece failed the direct count" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -753,9 +771,9 @@ def test_structure_command_writes_the_report_of_a_failed_certificate(A, ref, tmp
     assert entry["result"] is None
     failure = entry["failure"]
     assert set(failure) == {"message", "k", "lambda", "witness_mode", "attempts"}
-    assert failure["message"].startswith("no candidate piece passed the direct count")
-    assert failure["attempts"] and all(a["achieved"] == 0 for a in failure["attempts"])
-    assert failure["attempts"][-1]["guaranteed"] == failed["rhs"]
+    assert failure["message"].startswith("the piece failed the direct count")
+    [attempt] = failure["attempts"]
+    assert attempt["achieved"] == 0 and attempt["guaranteed"] == failed["rhs"]
 
 
 def test_difference_membership_names_a_point_outside_a_minus_a():
@@ -767,29 +785,6 @@ def test_difference_membership_names_a_point_outside_a_minus_a():
     assert "[5]" in str(exc.value)
     rec = structure._verify_difference_membership(A, group_set(g, [0, 19]), "dichotomy:inclusion_bohr")
     assert rec.ok and rec.lhs == rec.rhs == "2"
-
-
-def test_extract_bohr_escalates_to_the_second_radius(monkeypatch):
-    A, params = _cyclic_subgroup_instance()
-    pieces = _zero_corr_counts(monkeypatch, zero=lambda call: call == 1)
-    res = extract_bohr(A, A, params)
-    attempts = res.diagnostics["attempts"]
-    assert len(attempts) == len(pieces) == 2
-    assert attempts[0]["achieved"] == 0
-    assert attempts[1]["c_local"] == 2 * structure._C_LOCAL
-    # the piece is the regular Bohr set at the doubled radius constant
-    lam = [100, 200, 400]
-    rho = 2 * structure._C_LOCAL * params.zeta / (params.m_star * len(lam))
-    assert attempts[1]["rho"] == rho
-    spec = find_regular_radius(A.group, lam, rho)
-    assert spec.eps != find_regular_radius(A.group, lam, rho / 2).eps
-    piece = res.variant
-    assert piece.bohr.spec == spec
-    assert piece.bohr.members.members.tolist() == materialize(A.group, spec).members.members.tolist()
-    overlap = _count_overlap(A, piece.bohr.members.members, piece.z)
-    assert overlap == res.achieved == attempts[1]["achieved"]
-    assert Fraction(overlap) >= res.guaranteed == attempts[1]["guaranteed"]
-    assert all(r.ok for r in res.records)
 
 
 def test_extract_bohr_materializes_one_radius_on_a_first_radius_pass(monkeypatch):
