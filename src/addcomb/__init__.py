@@ -68,17 +68,16 @@ from .setstat import (
 )
 from .spectral import chang_bound, max_dissociated, spectrum
 from .structure import (
-    BohrPiece,
     DensityGuaranteeFailed,
     EnergyJump,
     HypothesisFailure,
     InclusionFailed,
     LargeCoefficient,
     NoJump,
+    Piece,
     RegularizationTrace,
     StructureParams,
     StructureResult,
-    SubspacePiece,
     certify_difference_subset,
     check_hypotheses,
     dichotomy_M,
@@ -92,7 +91,6 @@ from .structure import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BohrPiece",
     "BohrSet",
     "BohrSpec",
     "CheckFailure",
@@ -109,6 +107,7 @@ __all__ = [
     "InclusionFailed",
     "LargeCoefficient",
     "NoJump",
+    "Piece",
     "PlantedInstance",
     "RegularRadiusError",
     "RegularizationTrace",
@@ -116,7 +115,6 @@ __all__ = [
     "SizeLimitError",
     "StructureParams",
     "StructureResult",
-    "SubspacePiece",
     "boolean_group",
     "certify_difference_subset",
     "chang_bound",

@@ -396,20 +396,13 @@ def structure_result_dict(res: StructureResult) -> dict:
     w = res.variant
     if res.kind == "LargeCoefficient":
         out["witness"] = {"x": w.x, "value": format_value(w.value)}
-    elif res.kind == "SubspacePiece":
-        out["witness"] = {
-            "z": w.z,
-            "codim": w.codim,
-            "size": len(w.subspace),
-            "density": format_value(w.density),
-            "members": w.subspace.members.tolist() if len(w.subspace) <= 4096 else None,
-        }
-    elif res.kind == "BohrPiece":
-        out["witness"] = {
-            "z": w.z,
+        return out
+    out["witness"] = {"z": w.z, "size": len(w.bohr), "density": format_value(w.density)}
+    if w.kind == "subgroup":
+        out["witness"] |= {"codim": w.dim, "members": w.bohr.members.members.tolist()}
+    else:
+        out["witness"] |= {
             "dim": w.dim,
-            "size": len(w.bohr),
-            "density": format_value(w.density),
             "gamma": list(w.bohr.spec.gamma),
             "radii": [format_value(e) for e in w.bohr.spec.eps],
             "size_ratio": format_value(w.bohr.density),

@@ -4,11 +4,13 @@ The central pipeline: detect the first higher-energy jump of B, form
 phi(x) = |B_x|^k at the jump exponent, read off the large spectrum of phi,
 take a maximal dissociated set Lambda inside it, and intersect B with a
 translate of a Bohr set of Lambda.  One core (_extract) builds one piece
-and recounts it once: the annihilator of Lambda on a 2-group (its Bohr set
-at small radius, a subspace), the regular Bohr set at the paper's radius
-elsewhere.  The piece is returned when its density floor and mass record
-hold by direct count; a failed certificate is raised as a
-theory-violation witness, never papered over.
+and recounts it once.  Every piece is a Piece, a translate of a Bohr set
+with its spec and members: on a 2-group the annihilator of Lambda, which
+is B(Lambda, 1/2) as every phase there is 0 or 1/2 (kind "subgroup"); the
+regular Bohr set at the paper's radius elsewhere (kind "bohr").  The piece
+is returned when its density floor and mass record hold by direct count;
+a failed certificate is raised as a theory-violation witness, never
+papered over.
 
 Drivers, each calling the core once: extract_subspace, extract_bohr, the
 2-eps dichotomy (large Fourier coefficient or a structured piece inside
@@ -175,24 +177,25 @@ class LargeCoefficient:
 
 
 @dataclass(frozen=True)
-class SubspacePiece:
-    subspace: GroupSet
-    z: int
-    density: Fraction
-    codim: int
+class Piece:
+    """A translate bohr + z of a Bohr set dense in B.  kind is "subgroup"
+    (zeta loss 1) for the annihilator of Lambda on a 2-group, the Bohr set
+    B(Lambda, 1/2), and "bohr" (zeta loss 2) otherwise; dim is |Lambda|, the
+    codimension of a subgroup piece."""
 
-
-@dataclass(frozen=True)
-class BohrPiece:
+    kind: str
     bohr: BohrSet
     z: int
     density: Fraction
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.bohr.spec.d
 
 
 @dataclass
 class StructureResult:
-    variant: LargeCoefficient | SubspacePiece | BohrPiece
+    variant: LargeCoefficient | Piece
     achieved: Fraction
     guaranteed: Fraction
     records: list[CheckRecord] = field(default_factory=list)
@@ -203,6 +206,9 @@ class StructureResult:
 
     @property
     def kind(self) -> str:
+        """The report name: SubspacePiece, BohrPiece or LargeCoefficient."""
+        if isinstance(self.variant, Piece):
+            return {"subgroup": "SubspacePiece", "bohr": "BohrPiece"}[self.variant.kind]
         return type(self.variant).__name__
 
 
@@ -414,20 +420,19 @@ _RECORDS = {
 }
 
 
-def _piece(
-    g: GroupSpec, lam: np.ndarray, params: StructureParams, subgroup: bool
-) -> tuple[GroupSet, BohrSet | None, dict]:
-    """The one piece a pipeline recounts: its members, its Bohr set (None
-    for a subspace) and the fields its attempt entry shows.  On a subgroup
-    pipeline (a 2-group) it is the annihilator of Lambda, a subspace.
-    Otherwise it is the regular Bohr set of Lambda at the paper's radius
-    rho = c zeta / (m_star |Lambda|), c = _C_LOCAL; with Lambda empty that
-    Bohr set is the whole group."""
+def _piece(g: GroupSpec, lam: np.ndarray, params: StructureParams, subgroup: bool) -> tuple[BohrSet, dict]:
+    """The one piece a pipeline recounts, as a Bohr set, and the fields its
+    attempt entry shows.  On a subgroup pipeline (a 2-group) it is the
+    annihilator of Lambda, B(Lambda, 1/2), its members spanned from a
+    nullspace basis.  Otherwise it is the regular Bohr set of Lambda at the
+    paper's radius rho = c zeta / (m_star |Lambda|), c = _C_LOCAL; with
+    Lambda empty that Bohr set is the whole group."""
     if subgroup:
         basis = f2.nullspace_basis(lam.tolist(), g.rank)
         if len(basis) != g.rank - len(lam):
             raise AssertionError("annihilator dimension disagrees with the dissociated rank")
-        return GroupSet(g, np.sort(f2.subspace_elements(basis))), None, {}
+        members = GroupSet(g, np.sort(f2.subspace_elements(basis)))
+        return BohrSet(make_bohr_spec(g, lam.tolist(), Fraction(1, 2)), members), {}
     rho = _C_LOCAL * params.zeta / (params.m_star * max(len(lam), 1))
     shows = {"c_local": _C_LOCAL, "rho": rho, "sufficiency": None}
     if len(lam):
@@ -441,13 +446,12 @@ def _piece(
         )
     else:
         spec = make_bohr_spec(g, (), ())
-    b_star = materialize(g, spec)
-    return b_star.members, b_star, shows
+    return materialize(g, spec), shows
 
 
 def _extract(front: _Front, B: GroupSet, subgroup: bool) -> StructureResult:
     """The certified piece of the front's witness, recounted once: a
-    SubspacePiece on a subgroup pipeline and a BohrPiece otherwise, with
+    subgroup Piece on a subgroup pipeline and a Bohr one otherwise, with
     the diagnostics it reports.  The piece P passes when achieved = max_x
     |B intersect (P+x)| reaches the floor of its zeta loss (the key of
     _RECORDS) and its mass record holds; otherwise the failure is raised
@@ -455,10 +459,10 @@ def _extract(front: _Front, B: GroupSet, subgroup: bool) -> StructureResult:
     mass record).  A Bohr piece also reports its attempt, the radius
     sufficiency record and the span checks."""
     lam = front.witness.members
-    members, bohr, shows = _piece(B.group, lam, front.params, subgroup)
-    size, loss = len(members), 1 if subgroup else 2
+    bohr, shows = _piece(B.group, lam, front.params, subgroup)
+    size, loss = len(bohr), 1 if subgroup else 2
     head = f"{'codim' if subgroup else 'dim'} {len(lam)}"
-    counts = corr_counts(members, B)
+    counts = corr_counts(bohr.members, B)
     achieved, z = _argmax(counts)
     guaranteed = _density_floor(front.params, size, loss)
     (name, ref, note), density = _RECORDS[loss]
@@ -481,16 +485,13 @@ def _extract(front: _Front, B: GroupSet, subgroup: bool) -> StructureResult:
         "codim_bound" if subgroup else "dim_bound": _codim_diagnostic(front.report, front.params),
         "chang": chang_bound(front.phi, front.spec, front.witness),
     }
-    if subgroup:
-        variant = SubspacePiece(subspace=members, z=z, density=Fraction(achieved, size), codim=len(lam))
-    else:
-        variant = BohrPiece(bohr=bohr, z=z, density=Fraction(achieved, size), dim=len(lam))
+    if not subgroup:
         diagnostics["attempts"] = attempts
         if len(lam):
             diagnostics["sufficiency"] = shows["sufficiency"]
         diagnostics.update(_bohr_span_diagnostics(B, front))
     return StructureResult(
-        variant=variant,
+        variant=Piece("subgroup" if subgroup else "bohr", bohr, z, Fraction(achieved, size)),
         achieved=Fraction(achieved),
         guaranteed=guaranteed,
         records=records,
@@ -634,11 +635,11 @@ def certify_difference_subset(A: GroupSet, eps_param: Fraction | int) -> Structu
         return _certify_bohr_branch(A, front, result, eps, gate)
     # on a 2-group -A = A, so the pipeline's count against b is the count
     # against A: result.achieved = |A intersect (L + z)| at the best z
-    lset = result.variant.subspace
+    lset = result.variant.bohr
     cert, result.guaranteed = _majority(
         front, "majority-overlap certificate", result.achieved, len(lset), eps, f"z={result.variant.z}"
     )
-    inclusion = _verify_difference_membership(A, lset, "dichotomy:inclusion_subspace")
+    inclusion = _verify_difference_membership(A, lset.members, "dichotomy:inclusion_subspace")
     result.records.extend([gate, cert, inclusion])
     return result
 
@@ -680,8 +681,7 @@ def _certify_bohr_branch(
     g = A.group
     piece = result.variant
     spec_star = piece.bohr.spec
-    d = spec_star.d
-    steps = max(1, math.ceil(100 * d / eps))
+    steps = max(1, math.ceil(100 * spec_star.d / eps))
     eta = Fraction(1, 2 * steps)
     rhos = [Fraction(steps + j, 2 * steps) for j in range(steps + 1)]
     sizes = size_profile(g, spec_star, rhos)
@@ -715,7 +715,7 @@ def _certify_bohr_branch(
     if not np.isin(final.members.members, eta_set.members.members).all():
         raise AssertionError("regularized shrink left the verified dilate")
     final_inclusion = _verify_difference_membership(A, final.members, "dichotomy:inclusion_final")
-    result.variant = BohrPiece(bohr=final, z=z, density=Fraction(score, len(b_lo) + len(b_hi)), dim=d)
+    result.variant = Piece("bohr", final, z, Fraction(score, len(b_lo) + len(b_hi)))
     result.achieved, result.guaranteed = Fraction(score), need
     result.records.extend([gate, cert, inclusion, final_inclusion])
     result.diagnostics.update(eta=eta, chain_steps=steps, chain_j=chosen)
@@ -759,30 +759,31 @@ def dichotomy_M(
     params = _m_params(M, Fraction(len(B_sub), a))
     subgroup = g.is_boolean_space
     result = _extract(_pipeline_front(A, B_sub, params), B_sub, subgroup)
-    piece_size = len(result.variant.subspace if subgroup else result.variant.bohr)
     eight_m = record_ge(
         "piece density vs omega/(8M)",
         "dichotomy:density_8M",
         result.achieved,
-        params.omega * piece_size / (8 * M),
+        params.omega * len(result.variant.bohr) / (8 * M),
         note=f"M={M}; with B_sub = A this is the 1/(8M) floor",
     )
     result.records.extend([gate, require(eight_m)])
     result.diagnostics["m"] = M
     if subgroup and B_sub == A:
-        result.diagnostics["decomposition"] = _coset_decomposition(A, result.variant.subspace, M, result.records)
+        result.diagnostics["decomposition"] = _coset_decomposition(A, result.variant.bohr, M, result.records)
     return result
 
 
-def _coset_decomposition(
-    A: GroupSet, lset: GroupSet, M: Fraction, records: list[CheckRecord]
-) -> dict:
-    """Cosets of the subspace holding at least |L|/(16M) points of A each.
+def _coset_decomposition(A: GroupSet, lset: BohrSet, M: Fraction, records: list[CheckRecord]) -> dict:
+    """Cosets of the subspace L = B(Lambda, 1/2) holding at least |L|/(16M)
+    points of A each.
 
     Asserts that these cosets cover at least |A|/(16M) points and that
-    their count times |L| stays below 16M|A|.
+    their count times |L| stays below 16M|A|.  The coset labels come from an
+    echelon basis of L spanned from Lambda's nullspace; the label does not
+    depend on which echelon basis, as its pivot set is L's own.
     """
-    _, labels = _coords_in_basis(f2.echelon_basis(lset.members.tolist()), A.members)
+    basis = f2.echelon_basis(f2.nullspace_basis(lset.spec.gamma, A.group.rank))
+    _, labels = _coords_in_basis(basis, A.members)
     # |A intersect (L + z)| for every coset of L that meets A
     counts = np.unique(labels, return_counts=True)[1]
     a = len(A)
@@ -913,7 +914,7 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
         # a zero-dimensional piece is a single point; keep one spare
         # direction so the quotient stays a representable group (the kept
         # density is then >= 1/2, still past the doubling floor)
-        lbasis = f2.echelon_basis(piece.subspace.members.tolist()) or [1]
+        lbasis = f2.echelon_basis(piece.bohr.members.members.tolist()) or [1]
         z = piece.z
         coords, rest = _coords_in_basis(lbasis, cur.members ^ z)
         new_g = boolean_group(len(lbasis))
@@ -926,7 +927,7 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
                     "regularize:double",
                     density_after,
                     2 * delta,
-                    note=f"codim {piece.codim}",
+                    note=f"codim {piece.dim}",
                 )
             )
         )
@@ -934,7 +935,7 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
         translate ^= int(lift[z])
         steps.append(
             RegularizationStep(
-                codim=piece.codim,
+                codim=piece.dim,
                 translate=translate,
                 density_before=delta,
                 density_after=density_after,

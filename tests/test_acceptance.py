@@ -18,6 +18,7 @@ from addcomb.bohr import (
     RegularRadiusError,
     find_regular_radius,
     make_bohr_spec,
+    materialize,
     size_bound_stack,
 )
 from addcomb.families import (
@@ -292,7 +293,7 @@ def test_criterion_08_subspace_extraction_on_fifty_instances():
             if res.witness_mode != "exact":
                 failures.append(f"{label}: witness mode {res.witness_mode}")
             piece = res.variant
-            overlap = _overlap(A, piece.subspace.members, piece.z)
+            overlap = _overlap(A, piece.bohr.members.members, piece.z)
             if overlap != int(res.achieved):
                 failures.append(f"{label}: recount {overlap} != {res.achieved}")
             if Fraction(overlap) < res.guaranteed:
@@ -324,8 +325,8 @@ def test_criterion_09_dichotomy_sweep_on_fifty_instances():
                     failures.append(f"{label} M={M}: diagnostics m={res.diagnostics.get('m')}")
                 if res.kind == "SubspacePiece":
                     piece = res.variant
-                    overlap = _overlap(A, piece.subspace.members, piece.z)
-                    if Fraction(overlap, len(piece.subspace)) < Fraction(1, 8 * M):
+                    overlap = _overlap(A, piece.bohr.members.members, piece.z)
+                    if Fraction(overlap, len(piece.bohr)) < Fraction(1, 8 * M):
                         failures.append(f"{label} M={M}: density below 1/(8M)")
                 elif res.kind != "LargeCoefficient":
                     failures.append(f"{label} M={M}: kind {res.kind}")
@@ -368,10 +369,7 @@ def test_criterion_10_difference_subset_membership():
                 continue
             if not all(r.ok for r in res.records):
                 failures.append(f"{label}: failing record")
-            if res.kind == "SubspacePiece":
-                members = res.variant.subspace.members
-            else:
-                members = res.variant.bohr.members.members
+            members = res.variant.bohr.members.members
             brute = {g.sub_index(x, y) for x in A.members for y in A.members}
             stray = [x for x in members if x not in brute]
             if stray:
@@ -445,7 +443,9 @@ def test_criterion_12_bohr_subspace_agreement():
             spec = res_b.variant.bohr.spec
             if not all(e < Fraction(1, 2) for e in spec.eps):
                 failures.append(f"{label}: radius reached 1/2")
-            sub = set(res_s.variant.subspace.members)
+            if materialize(A.group, res_s.variant.bohr.spec).members != res_s.variant.bohr.members:
+                failures.append(f"{label}: the subspace piece is not its own Bohr set")
+            sub = set(res_s.variant.bohr.members.members)
             boh = set(res_b.variant.bohr.members.members)
             if sub != boh:
                 failures.append(f"{label}: pieces differ ({len(sub)} vs {len(boh)})")

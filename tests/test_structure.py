@@ -43,7 +43,15 @@ from addcomb.structure import (
     regularize_density,
 )
 
-from .oracles import bohr_members_int_direct, corr_direct, difference_direct, span_direct, walsh_direct
+from .oracles import (
+    bohr_members_int_direct,
+    corr_direct,
+    difference_direct,
+    f2_rank,
+    span_direct,
+    translate_direct,
+    walsh_direct,
+)
 
 
 def _subgroup(n, dim):
@@ -318,10 +326,10 @@ def test_extract_subspace_certificate_verified_independently():
     res = extract_subspace(A, A, params)
     piece = res.variant
     # direct recount of the certified overlap
-    overlap = _count_overlap(A, piece.subspace.members, piece.z)
+    overlap = _count_overlap(A, piece.bohr.members.members, piece.z)
     assert overlap == res.achieved
     guaranteed = (
-        (1 - params.zeta) * params.omega * len(piece.subspace)
+        (1 - params.zeta) * params.omega * len(piece.bohr)
         / (params.t * (params.m + params.kappa))
     )
     assert res.guaranteed == guaranteed
@@ -336,8 +344,26 @@ def test_extract_subspace_recovers_planted_subgroup():
     res = extract_subspace(A, A, params)
     piece = res.variant
     # the translate is fully inside A: every subspace point lands in A
-    assert res.achieved == len(piece.subspace)
-    assert _count_overlap(A, piece.subspace.members, piece.z) == len(piece.subspace)
+    assert res.achieved == len(piece.bohr)
+    assert _count_overlap(A, piece.bohr.members.members, piece.z) == len(piece.bohr)
+
+
+@given(n=st.integers(1, 10), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_subgroup_piece_is_the_bohr_set_of_lambda_at_one_half(n, data):
+    # any independent Lambda: its annihilator is B(Lambda, 1/2), as every
+    # phase on F2^n is 0 or 1/2
+    g = boolean_group(n)
+    lam = []
+    for v in data.draw(st.lists(st.integers(1, g.order - 1), max_size=n)):
+        if f2_rank(lam + [v]) > len(lam):
+            lam.append(v)
+    params = StructureParams(m=1, m_prime=2, kappa=1, zeta=Fraction(1, 8), t=2)
+    bohr, _ = structure._piece(g, np.array(lam, dtype=np.int64), params, subgroup=True)
+    annihilator = [x for x in range(g.order) if all(bin(v & x).count("1") % 2 == 0 for v in lam)]
+    assert bohr.spec.gamma == tuple(lam) and set(bohr.spec.eps) <= {Fraction(1, 2)}
+    assert materialize(g, bohr.spec).members.members.tolist() == annihilator
+    assert bohr.members.members.tolist() == annihilator
 
 
 def test_extract_subspace_rejects_general_groups():
@@ -381,8 +407,8 @@ def test_dichotomy_structured_branch_on_subgroup():
     # independent recount of the 8M floor
     M = res.diagnostics["m"]
     piece = res.variant
-    overlap = _count_overlap(H, piece.subspace.members, piece.z)
-    assert Fraction(overlap) >= Fraction(len(piece.subspace)) / (8 * M)
+    overlap = _count_overlap(H, piece.bohr.members.members, piece.z)
+    assert Fraction(overlap) >= Fraction(len(piece.bohr)) / (8 * M)
 
 
 def test_dichotomy_structured_branch_on_a_general_group(tmp_path):
@@ -528,13 +554,29 @@ def test_dichotomy_rejects_foreign_subset():
         dichotomy_M(H, B_sub=other)
 
 
+def test_structure_body_lists_every_member_of_a_subspace_past_4096(tmp_path):
+    # A is the codim-1 subgroup x_0 + x_1 + x_3 = 0 of F2^14: its piece is A
+    # itself, 8192 points, all of them written into the body
+    g = boolean_group(14)
+    A = group_set(g, [x for x in range(g.order) if bin(x & 0b1011).count("1") % 2 == 0])
+    path, out = tmp_path / "A.txt", tmp_path / "r.json"
+    write_set(path, A)
+    assert main(["structure", str(path), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["results"][0]["result"]
+    w = result["witness"]
+    assert result["kind"] == "SubspacePiece"
+    assert len(w["members"]) == w["size"] == 8192
+    translate = translate_direct(group_set(g, w["members"]), w["z"])
+    assert len(set(translate) & set(A.members.tolist())) == int(result["achieved"]) == 8192
+
+
 def test_certify_difference_subset_boolean():
     A = _subgroup(12, 3)
     res = certify_difference_subset(A, Fraction(1, 2))
     assert res.kind in ("LargeCoefficient", "SubspacePiece")
     if res.kind == "SubspacePiece":
         diff = difference_direct(A, A)
-        for x in res.variant.subspace.members:
+        for x in res.variant.bohr.members.members:
             assert x in diff
     assert all(r.ok for r in res.records)
 
