@@ -64,7 +64,7 @@ def _cmd_stats(args) -> int:
         "checks": [r.to_dict() for r in prof.checks],
         "diagnostics": [r.to_dict() for r in prof.diagnostics],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = harness._dumps(payload) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -111,7 +111,7 @@ def _cmd_bohr(args) -> int:
         "worst_margin": verdict.worst_margin,
         "note": verdict.note,
     }
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(harness._dumps(payload) + "\n")
     return EXIT_OK if verdict.regular or not args.regularize else EXIT_CHECK
 
 

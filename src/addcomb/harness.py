@@ -26,12 +26,14 @@ block, in one call.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 import time
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, Sequence
 
 import numpy as np
@@ -317,6 +319,60 @@ def realize_source(
 # -- reports -------------------------------------------------------------------
 
 
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _level(depth: int):
+    """The C encoder that writes a container at `depth` as the stdlib's
+    indent-2 text does, save the line breaks after its opening bracket and
+    before its closing one; with its item separator and that closing break."""
+    sep = ",\n" + "  " * (depth + 1)
+    enc = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                         None, ": ", sep, True, False, True)
+    return enc, sep, "\n" + "  " * depth
+
+
+def _encode(obj, depth: int) -> str:
+    enc, sep, close = _level(depth)
+    if not isinstance(obj, _CONTAINERS) or not obj:  # a scalar, {} or []
+        return "".join(enc(obj, 0))
+    is_dict = isinstance(obj, dict)
+    inner = {}
+    # most containers hold plain scalars only, told apart without a Python loop
+    if not _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
+        pairs = obj.items() if is_dict else enumerate(obj)
+        inner = {k: v for k, v in pairs if isinstance(v, _CONTAINERS) and v}
+    if not inner:
+        text = "".join(enc(obj, 0))
+    else:
+        # the nonempty containers inside stand as 0 in one C call; no
+        # encoded scalar holds a line break, so the separator splits the
+        # items apart, a dict's in sorted key order
+        if is_dict:
+            flat = {k: 0 if k in inner else v for k, v in obj.items()}
+        else:
+            flat = [0 if i in inner else v for i, v in enumerate(obj)]
+        text = "".join(enc(flat, 0))
+        items = text[1:-1].split(sep)
+        for i, k in enumerate(sorted(obj) if is_dict else range(len(obj))):
+            if k in inner:
+                items[i] = items[i][:-1] + _encode(inner[k], depth + 1)
+        text = text[0] + sep.join(items) + text[-1]
+    return text[0] + sep[1:] + text[1:-1] + close + text[-1]
+
+
+def _dumps(obj) -> str:
+    """The stdlib's JSON text of obj with indent=2 and sort_keys=True, byte
+    for byte.  The stdlib takes its pure-Python encoder whenever indent is
+    set; here each container is one call of the C encoder, and only the
+    containers nested in containers are walked in Python."""
+    if c_make_encoder is None:
+        return json.dumps(obj, indent=2, sort_keys=True)  # a Python built without _json
+    return _encode(obj, 0)
+
+
 @dataclass
 class RunReport:
     config: dict
@@ -342,12 +398,12 @@ class RunReport:
         }
 
     def body_text(self) -> str:
-        return json.dumps(self.body_dict(), indent=2, sort_keys=True) + "\n"
+        return _dumps(self.body_dict()) + "\n"
 
     def to_json(self) -> str:
         full = self.body_dict()
         full["timings"] = {k: round(v, 6) for k, v in self.timings.items()}
-        return json.dumps(full, indent=2, sort_keys=True) + "\n"
+        return _dumps(full) + "\n"
 
     def summary_text(self) -> str:
         lines = [f"run {self.config.get('name', '?')} ({self.config.get('kind', '?')})"]
@@ -564,8 +620,9 @@ def _parseval_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
                 mismatches += int((lhs != (spectrum * spectrum).sum(axis=0)).sum())
                 continue
             mags = magnitudes(dft_columns(g, table))
-            for j, (lhs_j, bound) in enumerate(zip(lhs.tolist(), transform_errors(g, table).tolist())):
-                rhs_j = math.fsum(m * m for m in mags[:, j].tolist())
+            squares = (mags * mags).T  # one column of Python floats at a time
+            for sq, lhs_j, bound in zip(squares, lhs.tolist(), transform_errors(g, table).tolist()):
+                rhs_j = math.fsum(sq.tolist())
                 worst = max(worst, abs(lhs_j - rhs_j) / max(lhs_j, 1.0))
                 # both sides are squared 2-norms of the transform, and the
                 # computed one is within transform_error of the exact one

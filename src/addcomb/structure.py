@@ -524,9 +524,12 @@ def _bohr_span_diagnostics(B: GroupSet, front: _Front) -> dict:
             "spectral mass on the span", "structure:spectral_mass", Fraction(mass), floor
         )
     else:
-        # summed in Python, in span order, as the report has always shown it
-        mags = magnitudes(fhat_b).tolist()
-        mass = sum(w * m**2 for w, m in zip(phi_span.real.tolist(), mags))
+        # one array pass with the bits of the float sum the report has always
+        # shown: each term is w * pow(m, 2.0) (float_power calls libm pow,
+        # as Python's m**2 does, where np.power and m*m may round apart),
+        # added in span order from 0.0 (add.accumulate, where np.sum pairs)
+        terms = phi_span.real * np.float_power(magnitudes(fhat_b), 2.0)
+        mass = float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
         out["spectral_mass"] = record_ge(
             "spectral mass on the span", "structure:spectral_mass", mass, float(floor)
         )

@@ -352,6 +352,18 @@ def span_direct(g: GroupSpec, lam) -> set[int]:
     return acc
 
 
+def span_mass_direct(phi_hat, b_hat, span) -> float:
+    """The float spectral mass sum over t in span of Re phi_hat(t) |b_hat(t)|^2,
+    one term at a time: each square by Python's m**2, each term added to an
+    accumulator that starts at 0.0, in span order.  That is what sum() over
+    the terms gave up to Python 3.11; from 3.12 sum() compensates, so it is
+    not called here."""
+    acc = 0.0
+    for t in span:
+        acc += complex(phi_hat[t]).real * abs(complex(b_hat[t])) ** 2
+    return acc
+
+
 def greedy_dissociated_direct(g: GroupSpec, cands) -> list[int]:
     """Walk the candidates in order and keep each one that lies outside
     span_direct of the members kept before it (so 0 and repeats are never

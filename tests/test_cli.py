@@ -133,6 +133,14 @@ def test_bohr_command(capsys):
     capsys.readouterr()
 
 
+def test_stats_and_bohr_print_the_stdlib_indent_2_sorted_text(subgroup_file, capsys):
+    for argv in (["stats", subgroup_file, "--k", "2,3"],
+                 ["bohr", "--group", "Z101", "--gamma", "1,3", "--eps", "1/4,1/3"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_bohr_rejects_bad_radii(capsys):
     assert main(["bohr", "--group", "Z101", "--gamma", "1,2", "--eps", "1/4"]) == 2
     capsys.readouterr()

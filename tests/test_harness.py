@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import addcomb.harness as harness
 from addcomb.families import HLambdaSpec
@@ -369,6 +371,48 @@ def test_structure_result_dict_shapes():
     lc = structure_result_dict(dichotomy_M(A, M=1))
     assert lc["kind"] == "LargeCoefficient"
     assert set(lc["witness"]) >= {"x", "value"}
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(1 << 80), max_value=1 << 80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n,\n  ", "\x00\x1f\x7f", "é☃𝄞", '{"a": [1]}']),
+)
+
+
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(st.integers(min_value=-(1 << 70), max_value=1 << 70), children, max_size=4),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_JSON_SCALARS, _json_containers, max_leaves=40))
+@example({"a": [], "b": {}, "c": [[], {}, [[{}]]]})
+@example({3: {2: [1.5, -0.0]}, -1: {}, 1 << 70: [float("nan")]})
+@example([[float("inf"), True], "x", (None,), {}])
+def test_dumps_is_the_stdlib_indent_2_sorted_text(value):
+    assert harness._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_dumps_refuses_what_the_stdlib_refuses(monkeypatch):
+    for value in (np.int64(3), [1, np.int64(3)], {"a": {"b": [np.float32(1)]}}, {"a": {(1, 2): 1}}, {1: 1, "a": [2]}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            harness._dumps(value)
+        assert str(got.value) == str(want.value)
+    # a Python built without _json takes the stdlib writer itself
+    monkeypatch.setattr(harness, "c_make_encoder", None)
+    value = {"b": [1, {"c": float("nan")}], "a": ()}
+    assert harness._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_write_report_round_trip(tmp_path):

@@ -49,6 +49,7 @@ from .oracles import (
     difference_direct,
     f2_rank,
     span_direct,
+    span_mass_direct,
     translate_direct,
     walsh_direct,
 )
@@ -242,6 +243,52 @@ def test_span_mass_is_exact_past_int64():
     assert min(products) > 1 << 63
     assert out["spectral_mass"].lhs == format_value(Fraction(sum(products)))
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(12,), (101,), (4, 6), (3, 5, 7), (1024,), (4096,), (64, 64)]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_float_span_mass_has_the_bits_of_the_term_by_term_sum(factors, seed, cancel):
+    # a random complex phi_hat, a random B and a random span: the array
+    # pass gives the very double of adding w * m**2 one term at a time
+    g = make_group(factors)
+    rng = random.Random(seed)
+    B = group_set(g, rng.sample(range(g.order), rng.randint(1, g.order)))
+    phi = [complex(rng.uniform(-1, 1) * 2.0 ** rng.randint(-4, 4), rng.uniform(-1, 1)) for _ in range(g.order)]
+    mask = np.array([rng.random() < 0.5 for _ in range(g.order)])
+    if cancel:
+        # terms near +1, -1, +1, ...: the sum stays near 0, so the last bit
+        # of every square shows in it
+        for i, t in enumerate(np.flatnonzero(mask).tolist()):
+            m = abs(complex(B.transform[t]))
+            if m:
+                phi[t] = complex((-1) ** i / (m * m), phi[t].imag)
+    params = StructureParams(m=1, m_prime=1, kappa=1, zeta=Fraction(1, 8), t=2)
+    jump = structure.EnergyJump(k=2, e_k=1, e_next=1, m_star=params.m_star, k0=params.k0)
+    front = SimpleNamespace(
+        phi_hat=FunctionTable(g, phi, "complex"), params=params, jump=jump,
+        witness=DissociatedWitness(g, (1,), "greedy", mask),
+    )
+    out = structure._bohr_span_diagnostics(B, front)
+    want = span_mass_direct(phi, B.transform, np.flatnonzero(mask).tolist())
+    assert out["spectral_mass"].lhs == repr(want)
+
+
+def test_float_power_squares_as_python_pow_does():
+    # the span mass squares by np.float_power(x, 2.0) for Python's x**2
+    # (libm pow); np.power(x, 2.0) and x * x round differently on some
+    # doubles, and so would a numpy build whose float_power stopped calling pow
+    rng = np.random.default_rng(11)
+    n = 100_000
+    spread = rng.uniform(1, 2, n) * np.exp2(rng.integers(-1074, 512, n).astype(float))
+    subnormal = rng.integers(1, 1 << 52, n, dtype=np.uint64).view(np.float64)
+    huge = rng.uniform(1, np.sqrt(np.finfo(float).max) / 2.0**511, n) * 2.0**511
+    for x in (spread, -spread, subnormal, huge, rng.uniform(0, 1e6, n)):
+        want = np.array([v**2 for v in x.tolist()])
+        assert np.array_equal(np.float_power(x, 2.0).view(np.uint64), want.view(np.uint64))
 
 
 def test_bohr_span_mass_on_a_2_group_past_eleven_characters():
