@@ -440,22 +440,20 @@ def regularity_test(b: BohrSet) -> RegularityVerdict:
     )
 
 
-def find_regular_radius(
-    g: GroupSpec, gamma: Sequence[int], eps, rounds: Sequence[int] = _RADIUS_ROUNDS
-) -> BohrSpec:
+def find_regular_radius(g: GroupSpec, gamma: Sequence[int], eps) -> BohrSpec:
     """Search rho in (1/2, 1) so that B(Gamma, rho * eps) passes the grid test.
 
-    Geometric sweep of 256 candidate factors, densified by 4x up to twice
-    (override the schedule with rounds).  Exhaustion raises with the full
-    size-vs-radius trace; that signals a grid too coarse for this instance,
-    not a structural impossibility.
+    Geometric sweep of 256 candidate factors, densified by 4x up to twice:
+    the schedule _RADIUS_ROUNDS, read at each call.  Exhaustion raises with
+    the full size-vs-radius trace; that signals a grid too coarse for this
+    instance, not a structural impossibility.
     """
     base = make_bohr_spec(g, gamma, eps)
     counter, scale = _counter(base)
     d = base.d
     trace: list[tuple[Fraction, int]] = []
     seen: set[Fraction] = set()
-    for points in rounds:
+    for points in _RADIUS_ROUNDS:
         for i in range(points):
             rho = Fraction(round(2 ** (-(i + 1) / (points + 1)) * _RADIUS_DENOM), _RADIUS_DENOM)
             if not Fraction(1, 2) < rho < 1 or rho in seen:

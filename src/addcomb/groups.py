@@ -41,6 +41,8 @@ class GroupSpec:
     # derived from factors once; every kernel call reads them
     order: int = field(init=False, repr=False, compare=False)
     is_boolean_space: bool = field(init=False, repr=False, compare=False)
+    # a dense transform is within the caps: Walsh on a 2-group, else up to MAX_TRANSFORM_ORDER
+    within_transform_cap: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         factors = tuple(int(n) for n in self.factors)
@@ -56,6 +58,12 @@ class GroupSpec:
             )
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "is_boolean_space", all(n == 2 for n in factors))
+        object.__setattr__(self, "within_transform_cap", self.is_boolean_space or order <= MAX_TRANSFORM_ORDER)
+
+    def require_transform(self) -> None:
+        """Raise SizeLimitError unless a dense transform is within the cap."""
+        if not self.within_transform_cap:
+            raise SizeLimitError(f"dense transform beyond order {MAX_TRANSFORM_ORDER}")
 
     @property
     def rank(self) -> int:

@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import GroupMismatchError, GroupSpec, MAX_TRANSFORM_ORDER, SizeLimitError
+from .groups import GroupMismatchError, GroupSpec
 
 INT64_SAFE = 1 << 62
 _U = 2.0**-53  # unit roundoff of binary64
@@ -215,8 +215,7 @@ def idft_columns(g: GroupSpec, table: np.ndarray) -> np.ndarray:
 def _transform_columns(g: GroupSpec, table: np.ndarray, inverse: bool) -> np.ndarray:
     if table.ndim != 2 or table.shape[0] != g.order:
         raise GroupMismatchError(f"need a table of shape ({g.order}, k), got {table.shape}")
-    if g.order > MAX_TRANSFORM_ORDER and not g.is_boolean_space:
-        raise SizeLimitError(f"dense transform beyond order {MAX_TRANSFORM_ORDER}")
+    g.require_transform()
     arr = np.asarray(table, dtype=np.complex128)
     if g.is_boolean_space:
         out = _wht(arr)

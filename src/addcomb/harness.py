@@ -7,12 +7,14 @@ generator or suite is requested).  Reports serialize to JSON with timings
 kept out of the body, so identical config + seed gives a byte-identical
 body.
 
-Every suite draws all of a group's instances first, as one
-setstat.SetStack checked once, and checks them in one stacked call, the
-checks' only entry points: energy-bound and katz-koester pair its even
-and odd sets (sets[0::2], sets[1::2]), and triangle takes every fourth
-set as an X or a Z (see setstat).  bohr-size counts every Bohr set it
-needs on one integer phase pass over the group (bohr.size_bound_stack).
+Each verify suite is declared once, by its @_suite line: its name, the
+groups it runs on in turn by default, and its least group order.  Every
+suite draws all of a group's instances first, as one setstat.SetStack
+checked once, and checks them in one stacked call, the checks' only entry
+points: energy-bound and katz-koester pair its even and odd sets
+(sets[0::2], sets[1::2]), and triangle takes every fourth set as an X or
+a Z (see setstat).  bohr-size counts every Bohr set it needs on one
+integer phase pass over the group (bohr.size_bound_stack).
 
 The checks draw nothing: each suite draws all the sets of a group in one
 array pass (_draw_subsets), first the size of every set, then the members
@@ -34,7 +36,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,17 +82,14 @@ from .structure import (
 
 SCHEMA = "addcomb-report/1"
 
-_SUITES: dict[str, Callable[[random.Random, "RunConfig"], list[CheckRecord]]] = {}
-# the least group order each suite can draw its sets on, given the instance count
-_MIN_ORDER: dict[str, Callable[[int], int]] = {}
-DEFAULT_SUITES = (
-    "parseval",
-    "triangle",
-    "energy-bound",
-    "bohr-size",
-    "katz-koester",
-    "energy-mono",
-)
+
+class _Suite(NamedTuple):
+    check: Callable[[random.Random, "RunConfig", GroupSpec], list[CheckRecord]]  # one group's records
+    groups: tuple[GroupSpec, ...]  # run in turn unless the config names a group
+    min_order: Callable[[int], int]  # the least group order it can draw on, given the instance count
+
+
+_SUITES: dict[str, _Suite] = {}  # in the order the suites run by default
 
 
 class ConfigError(ValueError):
@@ -105,7 +104,7 @@ class RunConfig:
     sets: list[dict] = field(default_factory=list)
     pipeline: str = "auto"
     params: dict = field(default_factory=dict)
-    suites: tuple[str, ...] = DEFAULT_SUITES
+    suites: tuple[str, ...] = field(default_factory=lambda: tuple(_SUITES))
     instances: int = 25
     seed: int | None = None
     output: str | None = None
@@ -129,7 +128,7 @@ def config_from_dict(d: dict) -> RunConfig:
     if kind not in ("verify", "structure", "example"):
         raise ConfigError(f"unknown run kind {kind!r}")
     group = _group_value(d["group"], "group") if d.get("group") else None
-    suites = d.get("suites", DEFAULT_SUITES)
+    suites = d.get("suites", tuple(_SUITES))
     if not isinstance(suites, (list, tuple)) or not all(isinstance(s, str) for s in suites):
         raise ConfigError(f"suites must be a list of suite names, got {suites!r}")
     bad = [s for s in suites if s not in _SUITES]
@@ -141,7 +140,7 @@ def config_from_dict(d: dict) -> RunConfig:
         raise ConfigError(f"instances must be an integer, got {d['instances']!r}") from None
     if kind == "verify" and group is not None:
         for s in suites:
-            need = _MIN_ORDER[s](instances)
+            need = _SUITES[s].min_order(instances)
             if group.order < need:
                 raise ConfigError(
                     f"suite {s} needs a group of order at least {need}, "
@@ -525,19 +524,13 @@ def build_params(overrides: dict, A: GroupSet, B: GroupSet) -> StructureParams:
 # -- verification suites -------------------------------------------------------
 
 
-def _suite(name: str, min_order: int | Callable[[int], int] = 2):
+def _suite(name: str, groups: Sequence[str], min_order: int | Callable[[int], int] = 2):
     def deco(fn):
-        _SUITES[name] = fn
-        _MIN_ORDER[name] = min_order if callable(min_order) else lambda instances: min_order
+        least = min_order if callable(min_order) else lambda instances: min_order
+        _SUITES[name] = _Suite(fn, tuple(map(parse_group_text, groups)), least)
         return fn
 
     return deco
-
-
-def _suite_groups(cfg: RunConfig, default: Sequence[str]) -> list[GroupSpec]:
-    if cfg.group is not None:
-        return [cfg.group]
-    return [parse_group_text(t) for t in default]
 
 
 def _draw_below(rng: random.Random, count: int, n: int) -> np.ndarray:
@@ -601,116 +594,99 @@ def _draw_table(rng: random.Random, order: int, width: int) -> np.ndarray:
     return np.ascontiguousarray((kept.astype(np.int64) % 17 - 8).reshape(width, order).T)
 
 
-@_suite("parseval")
-def _parseval_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
-    records = []
-    for g in _suite_groups(cfg, ("F2^8", "Z24", "Z101", "Z4xZ6")):
-        mismatches = 0
-        worst = 0.0
-        instances = range(cfg.instances)
-        for block in column_blocks(len(instances), g.order):
-            table = _draw_table(rng, g.order, len(instances[block]))
-            lhs = g.order * (table * table).sum(axis=0)  # N * sum v^2 <= 64 N^2
-            if g.is_boolean_space:
-                spectrum = wht_int_columns(g, table)
-                # every entry is at most the L1 norm 8N, so the sum of the
-                # squares is at most 64 N^3: int64 up to N = 2^18
-                if 64 * g.order**3 >= 1 << 63:
-                    spectrum = spectrum.astype(object)
-                mismatches += int((lhs != (spectrum * spectrum).sum(axis=0)).sum())
-                continue
-            mags = magnitudes(dft_columns(g, table))
-            squares = (mags * mags).T  # one column of Python floats at a time
-            for sq, lhs_j, bound in zip(squares, lhs.tolist(), transform_errors(g, table).tolist()):
-                rhs_j = math.fsum(sq.tolist())
-                worst = max(worst, abs(lhs_j - rhs_j) / max(lhs_j, 1.0))
-                # both sides are squared 2-norms of the transform, and the
-                # computed one is within transform_error of the exact one
-                if abs(math.sqrt(rhs_j) - math.sqrt(lhs_j)) > bound:
-                    mismatches += 1
-        note = f"{cfg.instances} tables on {format_group_text(g)}"
-        if not g.is_boolean_space:
-            note += f", worst rel err {worst:.3e}"
-        records.append(record_eq("energy identity", "parseval", mismatches, 0, note=note))
-    return records
+@_suite("parseval", ("F2^8", "Z24", "Z101", "Z4xZ6"))
+def _parseval_suite(rng: random.Random, cfg: RunConfig, g: GroupSpec) -> list[CheckRecord]:
+    mismatches = 0
+    worst = 0.0
+    instances = range(cfg.instances)
+    for block in column_blocks(len(instances), g.order):
+        table = _draw_table(rng, g.order, len(instances[block]))
+        lhs = g.order * (table * table).sum(axis=0)  # N * sum v^2 <= 64 N^2
+        if g.is_boolean_space:
+            spectrum = wht_int_columns(g, table)
+            # every entry is at most the L1 norm 8N, so the sum of the
+            # squares is at most 64 N^3: int64 up to N = 2^18
+            if 64 * g.order**3 >= 1 << 63:
+                spectrum = spectrum.astype(object)
+            mismatches += int((lhs != (spectrum * spectrum).sum(axis=0)).sum())
+            continue
+        mags = magnitudes(dft_columns(g, table))
+        squares = (mags * mags).T  # one column of Python floats at a time
+        for sq, lhs_j, bound in zip(squares, lhs.tolist(), transform_errors(g, table).tolist()):
+            rhs_j = math.fsum(sq.tolist())
+            worst = max(worst, abs(lhs_j - rhs_j) / max(lhs_j, 1.0))
+            # both sides are squared 2-norms of the transform, and the
+            # computed one is within transform_error of the exact one
+            if abs(math.sqrt(rhs_j) - math.sqrt(lhs_j)) > bound:
+                mismatches += 1
+    note = f"{cfg.instances} tables on {format_group_text(g)}"
+    if not g.is_boolean_space:
+        note += f", worst rel err {worst:.3e}"
+    return [record_eq("energy identity", "parseval", mismatches, 0, note=note)]
 
 
-@_suite("triangle", min_order=4)  # families of up to 4 distinct members
-def _triangle_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
-    records = []
-    for g in _suite_groups(cfg, ("Z15", "F2^5")):
-        # sets 4i..4i+3 are instance i's W, Y, X and Z, 1 to 4 members each
-        fams = _draw_subsets(rng, g, 1 + _draw_below(rng, 4 * cfg.instances, 4))
-        lhs, rhs = triangle_stack(fams[0::4], fams[1::4], fams[2::4], fams[3::4])
-        failures = int((lhs > rhs).sum())
-        worst = min((Fraction(r, l) for l, r in zip(lhs.tolist(), rhs.tolist()) if l), default=None)
-        note = f"{cfg.instances} tuple families on {format_group_text(g)}, min margin {worst}"
-        records.append(record_eq("tuple-count triangle", "triangle:count", failures, 0, note=note))
-    return records
+@_suite("triangle", ("Z15", "F2^5"), min_order=4)  # families of up to 4 distinct members
+def _triangle_suite(rng: random.Random, cfg: RunConfig, g: GroupSpec) -> list[CheckRecord]:
+    # sets 4i..4i+3 are instance i's W, Y, X and Z, 1 to 4 members each
+    fams = _draw_subsets(rng, g, 1 + _draw_below(rng, 4 * cfg.instances, 4))
+    lhs, rhs = triangle_stack(fams[0::4], fams[1::4], fams[2::4], fams[3::4])
+    failures = int((lhs > rhs).sum())
+    worst = min((Fraction(r, l) for l, r in zip(lhs.tolist(), rhs.tolist()) if l), default=None)
+    note = f"{cfg.instances} tuple families on {format_group_text(g)}, min margin {worst}"
+    return [record_eq("tuple-count triangle", "triangle:count", failures, 0, note=note)]
 
 
-@_suite("energy-bound")
-def _energy_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
-    records = []
-    for g in _suite_groups(cfg, ("Z24", "F2^8")):
-        sets = _draw_subsets(rng, g, 2 + _draw_below(rng, 2 * cfg.instances, max(3, g.order // 4) - 2))
-        reports = energy_difference_bounds(sets[0::2], sets[1::2], [2 + (i % 2) for i in range(cfg.instances)])
-        failures = sum(not rep.holds for rep in reports)
-        note = f"{cfg.instances} pairs on {format_group_text(g)}, k in 2..3"
-        records.append(record_eq("energy floor from differences", "energy:k_floor", failures, 0, note=note))
-    return records
+@_suite("energy-bound", ("Z24", "F2^8"))
+def _energy_suite(rng: random.Random, cfg: RunConfig, g: GroupSpec) -> list[CheckRecord]:
+    sets = _draw_subsets(rng, g, 2 + _draw_below(rng, 2 * cfg.instances, max(3, g.order // 4) - 2))
+    reports = energy_difference_bounds(sets[0::2], sets[1::2], [2 + (i % 2) for i in range(cfg.instances)])
+    failures = sum(not rep.holds for rep in reports)
+    note = f"{cfg.instances} pairs on {format_group_text(g)}, k in 2..3"
+    return [record_eq("energy floor from differences", "energy:k_floor", failures, 0, note=note)]
 
 
 # from 10 instances on, the second instance draws two distinct nonzero characters
-@_suite("bohr-size", min_order=lambda instances: 3 if instances >= 10 else 2)
-def _bohr_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
-    records = []
-    for g in _suite_groups(cfg, ("Z101", "Z60")):
-        # instance i: 1 + i % 2 nonzero characters, each with a radius k/16
-        # for k in 1..8, and one more character with radius 1/4
-        count = max(1, cfg.instances // 5)
-        dims = np.array([(1 + i % 2, 1) for i in range(count)]).ravel()
-        chars = [(1 + c).tolist() for c in _draw_subsets(rng, g, dims, g.order - 1)]
-        radii = iter((1 + _draw_below(rng, int(dims[0::2].sum()), 8)).tolist())
-        instances = [
-            (make_bohr_spec(g, gamma, [Fraction(next(radii), 16) for _ in gamma]),
-             make_bohr_spec(g, other, [Fraction(1, 4)]))
-            for gamma, other in zip(chars[0::2], chars[1::2])
-        ]
-        records.extend(size_bound_stack(g, instances))
-    return records
+@_suite("bohr-size", ("Z101", "Z60"), min_order=lambda instances: 3 if instances >= 10 else 2)
+def _bohr_suite(rng: random.Random, cfg: RunConfig, g: GroupSpec) -> list[CheckRecord]:
+    # instance i: 1 + i % 2 nonzero characters, each with a radius k/16
+    # for k in 1..8, and one more character with radius 1/4
+    count = max(1, cfg.instances // 5)
+    dims = np.array([(1 + i % 2, 1) for i in range(count)]).ravel()
+    chars = [(1 + c).tolist() for c in _draw_subsets(rng, g, dims, g.order - 1)]
+    radii = iter((1 + _draw_below(rng, int(dims[0::2].sum()), 8)).tolist())
+    return size_bound_stack(g, [
+        (make_bohr_spec(g, gamma, [Fraction(next(radii), 16) for _ in gamma]),
+         make_bohr_spec(g, other, [Fraction(1, 4)]))
+        for gamma, other in zip(chars[0::2], chars[1::2])
+    ])
 
 
-@_suite("katz-koester", min_order=6)  # sizes in range(2, N // 2), nonempty from N = 6
-def _kk_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
-    records = []
-    for g in _suite_groups(cfg, ("Z30",)):
-        sets = _draw_subsets(rng, g, 2 + _draw_below(rng, 2 * cfg.instances, g.order // 2 - 2))
-        rows = katz_koester_stack(sets[0::2], sets[1::2])
-        failures = sum(int((~r.holds).sum()) for r in rows)
-        displacements = sum(len(r.xs) for r in rows)
-        note = f"{displacements} displacements over {cfg.instances} pairs on {format_group_text(g)}"
-        records.append(record_eq("slice sum containment", "inclusion:katz-koester", failures, 0, note=note))
-    return records
+@_suite("katz-koester", ("Z30",), min_order=6)  # sizes in range(2, N // 2), nonempty from N = 6
+def _kk_suite(rng: random.Random, cfg: RunConfig, g: GroupSpec) -> list[CheckRecord]:
+    sets = _draw_subsets(rng, g, 2 + _draw_below(rng, 2 * cfg.instances, g.order // 2 - 2))
+    rows = katz_koester_stack(sets[0::2], sets[1::2])
+    failures = sum(int((~r.holds).sum()) for r in rows)
+    displacements = sum(len(r.xs) for r in rows)
+    note = f"{displacements} displacements over {cfg.instances} pairs on {format_group_text(g)}"
+    return [record_eq("slice sum containment", "inclusion:katz-koester", failures, 0, note=note)]
 
 
-@_suite("energy-mono")
-def _energy_mono_suite(rng: random.Random, cfg: RunConfig) -> list[CheckRecord]:
-    records = []
-    for g in _suite_groups(cfg, ("Z24", "F2^6")):
-        sets = _draw_subsets(rng, g, 2 + _draw_below(rng, cfg.instances, max(3, g.order // 2) - 2))
-        convex_fail = 0
-        cap_fail = 0
-        for size, e in zip(sets.sizes.tolist(), higher_energies(sets, 6)):
-            for k in range(3, 6):
-                if e[k - 1] * e[k + 1] < e[k] ** 2:
-                    convex_fail += 1
-                if e[k + 1] > size * e[k]:
-                    cap_fail += 1
-        note = f"{cfg.instances} sets on {format_group_text(g)}, orders 2..6"
-        records.append(record_eq("energy log-convexity", "energy:log_convex", convex_fail, 0, note=note))
-        records.append(record_eq("energy growth cap", "energy:growth_cap", cap_fail, 0, note=note))
-    return records
+@_suite("energy-mono", ("Z24", "F2^6"))
+def _energy_mono_suite(rng: random.Random, cfg: RunConfig, g: GroupSpec) -> list[CheckRecord]:
+    sets = _draw_subsets(rng, g, 2 + _draw_below(rng, cfg.instances, max(3, g.order // 2) - 2))
+    convex_fail = 0
+    cap_fail = 0
+    for size, e in zip(sets.sizes.tolist(), higher_energies(sets, 6)):
+        for k in range(3, 6):
+            if e[k - 1] * e[k + 1] < e[k] ** 2:
+                convex_fail += 1
+            if e[k + 1] > size * e[k]:
+                cap_fail += 1
+    note = f"{cfg.instances} sets on {format_group_text(g)}, orders 2..6"
+    return [
+        record_eq("energy log-convexity", "energy:log_convex", convex_fail, 0, note=note),
+        record_eq("energy growth cap", "energy:growth_cap", cap_fail, 0, note=note),
+    ]
 
 
 # -- runners -------------------------------------------------------------------
@@ -720,17 +696,20 @@ def run_verify(cfg: RunConfig) -> RunReport:
     """Run the configured suites; the report is complete even on failure.
 
     A tripped hard assertion inside a suite lands in the records with its
-    anchor and stops that suite only; the caller turns report.ok into the
-    exit status.
+    anchor, in place of the suite's other records, and stops that suite
+    only; the caller turns report.ok into the exit status.
     """
     if cfg.kind != "verify":
         raise ConfigError(f"run_verify got kind {cfg.kind!r}")
     report = RunReport(config=cfg.to_dict())
     for suite in cfg.suites:
+        check, groups, _ = _SUITES[suite]
+        if cfg.group is not None:
+            groups = (cfg.group,)
         rng = random.Random(f"{cfg.seed}:{suite}")
         started = time.perf_counter()
         try:
-            report.add_records(_SUITES[suite](rng, cfg))
+            report.add_records([r for g in groups for r in check(rng, cfg, g)])
         except CheckFailure as exc:
             report.records.append(exc.record.to_dict())
         report.timings[suite] = time.perf_counter() - started
@@ -759,6 +738,7 @@ def run_structure(cfg: RunConfig) -> RunReport:
         raise ConfigError(f"unknown pipeline {mode!r}")
     if mode != "dichotomy" and B is not A and not np.isin(B.members, A.members).all():  # dichotomy_M: A or -A
         raise ConfigError(f"B ({label_b}) is not a subset of A ({label_a})")
+    A.group.require_transform()  # every pipeline and the profile read A's transform
     res = hyp = failure = None
     try:
         if mode == "dichotomy":

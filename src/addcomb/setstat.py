@@ -63,7 +63,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .groups import (
-    MAX_TRANSFORM_ORDER,
     GroupMismatchError,
     GroupSpec,
     SizeLimitError,
@@ -143,10 +142,8 @@ class GroupSet:
         A set made by neg() conjugates its source's (see neg)."""
         if self._source is not None:
             return read_only(np.conj(self._source.transform))
-        hats = _hats(self.stack())
-        if hats is None:
-            raise SizeLimitError(f"dense transform beyond order {MAX_TRANSFORM_ORDER}")
-        return read_only(hats[0])
+        self.group.require_transform()
+        return read_only(_hats(self.stack())[0])
 
     @cached_property
     def autocorr(self) -> np.ndarray:
@@ -305,7 +302,7 @@ def _pair_counts(A: GroupSet, B: GroupSet, reflect: bool) -> np.ndarray:
     g = A.group
     if len(A) == 0 or len(B) == 0:
         return np.zeros(g.order, dtype=np.int64)
-    if g.is_boolean_space or g.order <= MAX_TRANSFORM_ORDER:
+    if g.within_transform_cap:
         sources = {id(s): s for s in (S if S._source is None else S._source for S in (A, B))}
         todo = sum("transform" not in s.__dict__ for s in sources.values())
         if _PAIR_COST * len(A) * len(B) > (1 + todo) * transform_cost(g):
@@ -422,7 +419,7 @@ def _hats(S: SetStack) -> np.ndarray | None:
     Walsh on 2-groups (exact: an indicator's L1 norm is at most N), DFT
     elsewhere, None past MAX_TRANSFORM_ORDER."""
     g = S.group
-    if not (g.is_boolean_space or g.order <= MAX_TRANSFORM_ORDER):
+    if not g.within_transform_cap:
         return None
     if g.is_boolean_space:
         return wht_int_columns(g, _indicator_table(S, np.int64)).T
@@ -778,6 +775,7 @@ def profile(A: GroupSet, energy_orders: Sequence[int] = (2, 3, 4)) -> SetProfile
     if len(A) == 0:
         raise ValueError("cannot profile the empty set")
     g = A.group
+    g.require_transform()  # the peak reads A's transform: refuse before any count
     n = g.order
     a = len(A)
     diff_size = A.diff_size

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import f2
 from .bohr import BohrSet, dilate, find_regular_radius, make_bohr_spec, materialize, size_profile
-from .groups import MAX_TRANSFORM_ORDER, GroupSpec, SizeLimitError, boolean_group
+from .groups import GroupSpec, SizeLimitError, boolean_group
 from .harmonic import INT64_SAFE, FunctionTable, dft, magnitudes, sum_of_squares, transform_error
 from .report import CheckFailure, CheckRecord, record_eq, record_ge, record_le, require
 from .setstat import GroupSet, corr_counts, higher_energy, sumset_size
@@ -130,18 +130,18 @@ class StructureParams:
         return e + _K0_PAD
 
 
-def _series_bounds(a: int, b: int, bits: int = 64) -> tuple[Fraction, Fraction]:
+def _series_bounds(a: int, b: int) -> tuple[Fraction, Fraction]:
     """Rationals lo <= ln(a/b) <= hi at 1 <= a/b <= 2, hi - lo within a few
-    2^-bits of lo: ln(a/b) = sum_i 2 u^(2i+1)/(2i+1) at u = (a - b)/(a + b)
-    <= 1/3, summed in integers at a scale 2^p that gives u bits + 2 bits,
+    2^-64 of lo: ln(a/b) = sum_i 2 u^(2i+1)/(2i+1) at u = (a - b)/(a + b)
+    <= 1/3, summed in integers at a scale 2^p that gives u 64 + 2 bits,
     rounding down for lo and up for hi.  It is cut once a power u^(2n+1) is
-    2^-bits of the sum, and the tail past it is below 9 u^(2n+1)/(4(2n+1))."""
-    p = bits + 2 + (a + b).bit_length() - (a - b).bit_length()
+    2^-64 of the sum, and the tail past it is below 9 u^(2n+1)/(4(2n+1))."""
+    p = 64 + 2 + (a + b).bit_length() - (a - b).bit_length()
     low, high = ((a - b) << p) // (a + b), -(-((a - b) << p) // (a + b))
     low_sq, high_sq = low * low >> p, -(-high * high >> p)
     lo = hi = 0
     i = 1
-    while high << bits > lo:
+    while high << 64 > lo:
         lo, hi = lo + 2 * low // i, hi - (-2 * high // i)
         low, high, i = low * low_sq >> p, -(-high * high_sq >> p), i + 2
     return Fraction(lo, 1 << p), Fraction(hi - (-9 * high // (4 * i)), 1 << p)
@@ -506,11 +506,11 @@ def _bohr_span_diagnostics(B: GroupSet, front: _Front) -> dict:
     """Spectral-mass check over Span(Lambda), the span the witness search
     grew.  On a 2-group the span has 2^|Lambda| <= N members and the mass
     is an exact integer sum, so it always runs; elsewhere it is skipped
-    past 3^|Lambda| > 2^16 or past the transform cap."""
+    past 3^|Lambda| > 2^16."""
     g = B.group
     witness = front.witness
     out = {}
-    if not g.is_boolean_space and (3 ** len(witness) > 1 << 16 or g.order > MAX_TRANSFORM_ORDER):
+    if not g.is_boolean_space and 3 ** len(witness) > 1 << 16:
         out["span_checks"] = "skipped (size)"
         return out
     members = witness.span.members

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from addcomb import bohr
 from addcomb.bohr import (
     RegularRadiusError,
     find_regular_radius,
@@ -158,7 +159,9 @@ def test_criterion_04_slice_sum_containment():
     _run(4, "slice sum containment at every displacement, 100 pairs", 10.0, work)
 
 
-def test_criterion_05_bohr_size_and_regularity():
+def test_criterion_05_bohr_size_and_regularity(monkeypatch):
+    # a single sweep round: no densification allowed here
+    monkeypatch.setattr(bohr, "_RADIUS_ROUNDS", (256,))
     groups = [make_group((101,)), make_group((256,)), make_group((2520,))]
     eps_choices = [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 8)]
 
@@ -177,8 +180,7 @@ def test_criterion_05_bohr_size_and_regularity():
                 if not rec.ok:
                     failures.append(f"#{i} {rec.ref}")
             try:
-                # a single sweep round: no densification allowed here
-                find_regular_radius(g, gamma, eps, rounds=(256,))
+                find_regular_radius(g, gamma, eps)
                 regular_hits += 1
             except RegularRadiusError:
                 pass

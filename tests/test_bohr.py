@@ -369,12 +369,13 @@ def test_keyless_radius_search_counts_each_candidate_in_one_pass(monkeypatch):
     gamma, eps = [1, 64], [Fraction(1, 2), _AT_BOUND]
     assert not _keyed(make_bohr_spec(g, gamma, eps))
     monkeypatch.setattr(bohr, "_CHUNK", 32)
+    monkeypatch.setattr(bohr, "_RADIUS_ROUNDS", (3,))
     with (
         mock.patch.object(bohr, "_member_rows", wraps=bohr._member_rows) as rows,
         mock.patch.object(bohr, "_grid_counts", wraps=bohr._grid_counts) as grids,
     ):
         try:
-            find_regular_radius(g, gamma, eps, rounds=(3,))
+            find_regular_radius(g, gamma, eps)
         except RegularRadiusError:
             pass
     assert grids.call_count >= 1
@@ -383,13 +384,15 @@ def test_keyless_radius_search_counts_each_candidate_in_one_pass(monkeypatch):
 
 
 def _assert_regularity_matches_oracle(g, gamma, eps, rounds):
-    """find_regular_radius picks the oracle's rho (or both find none), and
-    regularity_test of the Bohr set asked for and of the one found gives
-    the oracle's verdict, worst margin and (eta, size) pairs."""
+    """find_regular_radius on the sweep schedule rounds picks the oracle's
+    rho (or both find none), and regularity_test of the Bohr set asked for
+    and of the one found gives the oracle's verdict, worst margin and (eta,
+    size) pairs."""
     spec = make_bohr_spec(g, gamma, eps)
     rho = regular_radius_direct(g, gamma, eps, rounds)
     try:
-        found = find_regular_radius(g, gamma, eps, rounds=rounds)
+        with mock.patch.object(bohr, "_RADIUS_ROUNDS", rounds):
+            found = find_regular_radius(g, gamma, eps)
     except RegularRadiusError:
         assert rho is None
         found = spec
@@ -442,8 +445,8 @@ def test_regularity_grid_on_an_irregular_set_and_an_exhausted_sweep():
     rho = Fraction(round(2**-0.5 * 2**30), 2**30)
     for eps in (Fraction(1, 60), Fraction(2001, 120000)):
         assert not regularity_test(materialize(g, make_bohr_spec(g, [1], eps))).regular
-    with pytest.raises(RegularRadiusError):
-        find_regular_radius(g, [1], [Fraction(1, 60) / rho], rounds=(1,))
+    with pytest.raises(RegularRadiusError), mock.patch.object(bohr, "_RADIUS_ROUNDS", (1,)):
+        find_regular_radius(g, [1], [Fraction(1, 60) / rho])
     for eps in (Fraction(1, 60), Fraction(2001, 120000), Fraction(1, 60) / rho):
         _assert_regularity_matches_oracle(g, [1], [eps], (1,))
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from addcomb import cli, families, harness
+from addcomb import cli, families, harness, setstat
 from addcomb.cli import main
 from addcomb.families import make_planted
 from addcomb.fileio import dump_set, parse_set, read_table, write_set
@@ -75,6 +75,23 @@ def test_stats_reports_oversized_group(tmp_path, capsys):
 def test_verify_group_past_the_cap_is_a_resource_error(capsys):
     assert main(["verify", "--seed", "1", "--group", "Z33554432"]) == 3
     assert capsys.readouterr().err.startswith("resource cap:")
+
+
+@pytest.mark.parametrize("command", ["structure", "stats"])
+def test_a_set_past_the_transform_cap_is_refused_before_any_count(command, tmp_path, monkeypatch, capsys):
+    # both commands read the set's transform, which Z131072 (not a 2-group,
+    # order past 2^16) has none of: they exit 3 before counting A + A or
+    # A - A by pairs, which costs |A|^2 cells and ran for a minute at 60000
+    # points of Z1048576
+    p = tmp_path / "big.set"
+    p.write_text("Z131072\n0\n1\n5\n")
+
+    def counting(*args):
+        raise AssertionError("counted pairs past the transform cap")
+
+    monkeypatch.setattr(setstat, "_conv_loop", counting)
+    assert main([command, str(p)]) == 3
+    assert capsys.readouterr().err == "resource cap: dense transform beyond order 65536\n"
 
 
 def test_config_source_group_past_the_cap_is_a_resource_error(tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import addcomb.harness as harness
 from addcomb.families import HLambdaSpec
-from addcomb.groups import boolean_group, make_group
+from addcomb.groups import boolean_group, format_group_text, make_group
 from addcomb.harness import (
     ConfigError,
     RunConfig,
@@ -33,6 +33,7 @@ from addcomb.harness import (
     write_report,
 )
 from addcomb.fileio import parse_set, write_set
+from addcomb.report import CheckFailure, record_eq
 from addcomb.setstat import GroupSet, SetStack, group_set
 from addcomb.structure import check_hypotheses, dichotomy_M, extract_subspace
 
@@ -298,6 +299,29 @@ def test_run_verify_reports_a_corrupted_oracle(monkeypatch):
     # the report still carries config and timing info
     assert rep.config["name"] == "t"
     assert "energy-mono" in rep.timings
+
+
+def test_a_check_failure_leaves_only_its_record_of_the_suite(monkeypatch):
+    # bohr-size passes on its first default group, Z101, and trips a hard
+    # assertion on its second, Z60: its Z101 records are dropped, and the
+    # suite after it still runs
+    real = harness.size_bound_stack
+    failed = record_eq("tripped size bound", "bohr:size", 1, 0, note="Z60")
+    groups = []
+
+    def tripping(g, instances):
+        groups.append(format_group_text(g))
+        if g.factors == (60,):
+            raise CheckFailure(failed)
+        return real(g, instances)
+
+    monkeypatch.setattr(harness, "size_bound_stack", tripping)
+    rep = run_verify(config_from_dict({"kind": "verify", "seed": 7, "suites": ["bohr-size", "parseval"]}))
+    assert groups == ["Z101", "Z60"]
+    assert [r["ref"] for r in rep.records] == ["bohr:size"] + ["parseval"] * 4
+    assert rep.records[0] == failed.to_dict()
+    assert set(rep.timings) == {"bohr-size", "parseval"}
+    assert not rep.ok
 
 
 def test_run_structure_subspace_entry_shape():
