@@ -396,9 +396,6 @@ class RunReport:
             "results": self.results,
         }
 
-    def body_text(self) -> str:
-        return _dumps(self.body_dict()) + "\n"
-
     def to_json(self) -> str:
         full = self.body_dict()
         full["timings"] = {k: round(v, 6) for k, v in self.timings.items()}

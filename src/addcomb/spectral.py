@@ -14,10 +14,12 @@ span pass is two rolls of the mask (slice copies along the axes mu moves
 on).  On 2-groups the span is linear: its 2^k members are kept as a list,
 and adjoining mu adds their XOR with mu.  Lambda with mu adjoined is
 dissociated iff Lambda is and mu lies outside Span(Lambda), so
-max_dissociated grows spans as it searches, and its witness keeps the span
-it grew.  Distinct nonzero Lambda is dissociated iff its witness (in the
-order given) keeps all of it.  A dissociated set has distinct {0, 1}-sums,
-so at most log2(N) <= 24 members: the greedy makes at most log2(N) passes.
+max_dissociated picks a maximal dissociated subset, heaviest first,
+growing the span as it picks, and its witness keeps the span it grew.  On
+2-groups that subset is a maximum one.  Distinct nonzero Lambda is
+dissociated iff its witness (in the order given) keeps all of it.  A
+dissociated set has distinct {0, 1}-sums, so at most log2(N) <= 24
+members: the greedy makes at most log2(N) passes.
 
 A spectrum is not sorted.  It keeps a dense weight table, |f_hat(t)| on
 Spec_eps(f) and -1 off it, and the greedy witness reads it directly: per
@@ -39,7 +41,6 @@ from .groups import GroupSpec
 from .harmonic import FunctionTable, dft, magnitudes, transform_error
 from .setstat import GroupSet, read_only
 
-_EXACT_SEARCH_MAX = 24
 CHANG_AUDIT_CONSTANT = Fraction(8)  # Chang (2002), "A polynomial bound in Freiman's theorem"
 
 
@@ -67,7 +68,6 @@ class DissociatedWitness:
 
     group: GroupSpec
     members: np.ndarray  # read-only int64, in the order picked
-    mode: str  # "exact" | "greedy"
     span_mask: np.ndarray = field(repr=False)  # read-only bool, one entry per group element
 
     def __post_init__(self) -> None:
@@ -76,6 +76,11 @@ class DissociatedWitness:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @property
+    def mode(self) -> str:
+        """"exact" on 2-groups, where the greedy pick is a maximum, else "greedy"."""
+        return "exact" if self.group.is_boolean_space else "greedy"
 
     @cached_property
     def span(self) -> GroupSet:
@@ -153,19 +158,13 @@ def _roll(src: np.ndarray, dst: np.ndarray, c: int, *, into: bool) -> None:
             np.copyto(d, s)
 
 
-def _zero_mask(g: GroupSpec) -> np.ndarray:
-    mask = np.zeros(g.order, dtype=bool)
-    mask[0] = True
-    return mask
-
-
 def max_dissociated(
     g: GroupSpec,
     candidates: np.ndarray | list[int] | None = None,
     *,
     weights: np.ndarray | None = None,
 ) -> DissociatedWitness:
-    """Largest dissociated subset of the candidates, heaviest first.
+    """A maximal dissociated subset of the candidates, heaviest first.
 
     The candidates come as a weight table over the group (weights, as
     Spectrum.weights: candidates weigh >= 0, the rest -1) or as a sequence
@@ -176,13 +175,11 @@ def max_dissociated(
     smaller index; it stops when the maximum is negative; one mask pass
     of size N grows the span, and one masked store sets the weights in
     the span to -1 (0 and repeats lie in it), so at most log2(N) of each.
-    On 2-groups the span is linear and dissociated sets are the
-    independent ones, a matroid, so this greedy pick is a maximum
-    ("exact"); there a pick adds the coset of its 2^k span members XOR t,
-    and both stores touch that coset only.  Elsewhere, with at most 24
-    distinct nonzero candidates, a branch and bound over the span-growth
-    tree, in (-weight, index) order, is exact; larger inputs keep the
-    greedy pick, recorded in the witness mode.  The witness keeps the span
+    Every candidate ends in the span, so the subset is maximal.  On
+    2-groups the span is linear and dissociated sets are the independent
+    ones, a matroid, so this greedy pick is a maximum (witness mode
+    "exact"); there a pick adds the coset of its 2^k span members XOR t,
+    and both stores touch that coset only.  The witness keeps the span
     mask its search grew.
     """
     if weights is None:
@@ -193,31 +190,9 @@ def max_dissociated(
     if left.shape != (g.order,):
         raise ValueError(f"weight table has shape {left.shape} for a group of order {g.order}")
     left[0] = -1  # 0 lies in every span
-    if not g.is_boolean_space and np.count_nonzero(left >= 0) <= _EXACT_SEARCH_MAX:
-        cands = np.flatnonzero(left >= 0)
-        distinct = cands[np.argsort(-left[cands], kind="stable")].tolist()  # searched in Python ints
-        best: list[int] = []
-        best_mask = _zero_mask(g)
-
-        def descend(i: int, chosen: list[int], span_mask: np.ndarray) -> None:
-            nonlocal best, best_mask
-            if len(chosen) > len(best):
-                best, best_mask = list(chosen), span_mask  # each node's mask is its own copy
-            if len(chosen) + (len(distinct) - i) <= len(best):
-                return
-            for j in range(i, len(distinct)):
-                c = distinct[j]
-                if not span_mask[c]:
-                    chosen.append(c)
-                    descend(j + 1, chosen, _grow(g, span_mask.copy(), c))
-                    chosen.pop()
-                    if len(chosen) + (len(distinct) - j - 1) <= len(best):
-                        return
-
-        descend(0, [], best_mask)
-        return DissociatedWitness(g, best, "exact", best_mask)
     picked = []
-    span_mask = _zero_mask(g)
+    span_mask = np.zeros(g.order, dtype=bool)
+    span_mask[0] = True
     elems = np.zeros(g.order if g.is_boolean_space else 0, dtype=np.int64)  # a 2-group span's members lead
     while True:
         t = int(np.argmax(left))
@@ -231,12 +206,16 @@ def max_dissociated(
         else:
             left[_grow(g, span_mask, t)] = -1
         picked.append(t)
-    return DissociatedWitness(g, picked, "exact" if g.is_boolean_space else "greedy", span_mask)
+    return DissociatedWitness(g, picked, span_mask)
 
 
 @dataclass(frozen=True)
 class ChangReport:
-    """Additive dimension of a spectrum next to the C/eps^2 log bound."""
+    """Witness size of a spectrum next to the C/eps^2 log bound.
+
+    dim is the size of the max_dissociated witness: the additive dimension
+    of the spectrum on 2-groups, and a lower bound on it elsewhere.
+    """
 
     eps: Fraction
     c_chang: Fraction
@@ -253,7 +232,8 @@ def chang_bound(f: FunctionTable, spec: Spectrum, witness: DissociatedWitness) -
 
     spec is Spec_eps(f), eps = spec.eps, and witness the max_dissociated
     witness of its weight table; the witness must be drawn from the
-    spectrum.
+    spectrum.  dim is the witness size: the additive dimension on 2-groups,
+    a lower bound on it elsewhere.
     """
     g = f.group
     if spec.group != g:

@@ -263,7 +263,7 @@ def test_run_verify_is_deterministic_and_green():
     rep1 = run_verify(cfg)
     rep2 = run_verify(cfg)
     assert rep1.ok
-    assert rep1.body_text() == rep2.body_text()
+    assert rep1.body_dict() == rep2.body_dict()
     assert rep1.timings and set(rep1.timings) == {"parseval", "triangle", "energy-mono"}
     assert "checks passed" in rep1.summary_text()
 

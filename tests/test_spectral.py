@@ -3,13 +3,13 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addcomb import spectral
 from addcomb.groups import boolean_group, make_group
 from addcomb.harmonic import FunctionTable, dft, indicator, magnitudes
 from addcomb.setstat import group_set, read_only
@@ -26,10 +26,10 @@ from .oracles import dissociated_direct, greedy_dissociated_direct, span_direct,
 
 def _keeps_all(g, lam):
     """Whether the witness of lam, candidates in the order given, keeps every
-    member: for distinct nonzero lam, exactly when lam is dissociated, on the
-    exact path (a largest dissociated subset) and the greedy one (each member
-    outside the span of those before it).  On the way, the witness is drawn
-    from lam and its span holds every member of lam, as it is maximal."""
+    member: for distinct nonzero lam, exactly when lam is dissociated, as the
+    greedy keeps each member outside the span of those before it.  On the
+    way, the witness is drawn from lam and its span holds every member of
+    lam, as it is maximal."""
     witness = max_dissociated(g, lam)
     assert set(witness.members.tolist()) <= set(lam)
     assert witness.span_mask[np.array(lam, dtype=np.int64)].all()
@@ -62,10 +62,10 @@ def test_dissociated_matches_brute_enumeration():
 def test_max_dissociated_in_an_interval():
     g = make_group((100,))
     witness = max_dissociated(g, list(range(1, 9)))
-    assert witness.mode == "exact"
+    assert witness.mode == "greedy"
     # 4 = log2(8) + 1 is the ceiling for {1..8}: any 5th element is a
     # {0,1}-combination of {1,2,4,8} shifted by signs
-    assert len(witness) == 4
+    assert witness.members.tolist() == [1, 2, 4, 8]
     assert dissociated_direct(g, witness.members)
 
 
@@ -154,9 +154,8 @@ def test_spectrum_witness_picks_heaviest_first_ties_by_index(g, support):
     witness = max_dissociated(g, weights=spec.weights)
     assert witness.members.tolist() == max_dissociated(g, heaviest_first).members.tolist()
     # one argmax per pick: the greedy walks the spectrum heaviest first, ties by index
-    assert witness.mode == ("exact" if g.is_boolean_space or len(spec) - 1 <= 24 else "greedy")  # 0 is a member
-    if witness.mode == "greedy" or g.is_boolean_space:
-        assert witness.members.tolist() == greedy_dissociated_direct(g, heaviest_first)
+    assert witness.mode == ("exact" if g.is_boolean_space else "greedy")
+    assert witness.members.tolist() == greedy_dissociated_direct(g, heaviest_first)
 
 
 def test_spectrum_general_group_includes_borderline():
@@ -335,7 +334,8 @@ def test_span_of_thirteen_characters_matches_brute():
     g = make_group((101,))
     lam = [1, 3, 7, 12, 20, 33, 41, 50, 58, 66, 77, 89, 95]
     witness = max_dissociated(g, lam)
-    assert witness.mode == "exact" and dissociated_direct(g, witness.members)
+    assert witness.members.tolist() == greedy_dissociated_direct(g, lam)
+    assert dissociated_direct(g, witness.members)
     _assert_span_is_direct(g, witness, lam)
 
 
@@ -383,14 +383,8 @@ def test_max_dissociated_picks_what_a_sequential_greedy_picks(data):
     extra = data.draw(st.lists(st.sampled_from([0, *pool]), max_size=2 * size), label="repeats and zeros")
     cands = data.draw(st.permutations(pool + extra), label="cands")
     witness = max_dissociated(g, cands)
-    greedy = greedy_dissociated_direct(g, cands)
-    if size > 24:
-        assert witness.mode == "greedy"
-        assert witness.members.tolist() == greedy
-    else:
-        assert witness.mode == "exact"
-        assert dissociated_direct(g, witness.members)
-        assert len(witness) >= len(greedy)
+    assert witness.mode == "greedy"
+    assert witness.members.tolist() == greedy_dissociated_direct(g, cands)
     # the span the search grew is the witness's span
     assert set(witness.span.members.tolist()) == span_direct(g, witness.members)
 
@@ -408,14 +402,30 @@ def test_greedy_scan_on_a_long_candidate_list(factors):
     assert set(witness.span.members.tolist()) == span_direct(g, witness.members)
 
 
-def test_few_distinct_candidates_in_a_long_list_are_searched_exactly():
+def test_each_pick_grows_the_span_once(monkeypatch):
+    # 24 random candidates of Z_4096: one span pass per member picked, and
+    # none for a candidate left out
+    g = make_group((4096,))
+    cands = random.Random(4096).sample(range(1, g.order), 24)
+    calls, grow = [], spectral._grow
+
+    def counted(*args):
+        calls.append(args[2])
+        return grow(*args)
+
+    monkeypatch.setattr(spectral, "_grow", counted)
+    witness = max_dissociated(g, cands)
+    assert calls == witness.members.tolist() == greedy_dissociated_direct(g, cands)
+
+
+def test_few_distinct_candidates_in_a_long_list_give_their_own_witness():
     g = make_group((4096,))
     rng = random.Random(24)
     distinct = rng.sample(range(1, g.order), 18)
     raw = distinct + [rng.choice([0, *distinct]) for _ in range(2000)]
     witness = max_dissociated(g, raw)
-    assert witness.mode == "exact"
     assert witness.members.tolist() == max_dissociated(g, distinct).members.tolist()
+    assert witness.members.tolist() == greedy_dissociated_direct(g, distinct)
     assert dissociated_direct(g, witness.members)
     assert set(witness.span.members.tolist()) == span_direct(g, witness.members)
 
@@ -455,21 +465,9 @@ def test_witness_of_a_weight_table_is_the_heaviest_first_greedy(data):
         weights[t] = data.draw(st.sampled_from(levels), label="weight")
     heaviest_first = sorted(cands, key=lambda t: (-weights[t], t))
     witness = max_dissociated(g, weights=weights)
-    greedy = greedy_dissociated_direct(g, heaviest_first)
-    distinct = len(set(cands) - {0})
-    if g.is_boolean_space or distinct > 24:
-        # one argmax per pick: the first candidate outside the span in (-weight, index) order
-        assert witness.mode == ("exact" if g.is_boolean_space else "greedy")
-        assert witness.members.tolist() == greedy
-    else:
-        assert witness.mode == "exact"
-        assert dissociated_direct(g, witness.members)
-        assert len(witness) >= len(greedy)
-        if distinct <= 6:  # the branch and bound keeps the first largest set in (-weight, index) order
-            ordered = [t for t in heaviest_first if t != 0]
-            largest = next(list(c) for k in range(len(ordered), -1, -1)
-                           for c in combinations(ordered, k) if dissociated_direct(g, c))
-            assert witness.members.tolist() == largest
+    # one argmax per pick: the first candidate outside the span in (-weight, index) order
+    assert witness.mode == ("exact" if g.is_boolean_space else "greedy")
+    assert witness.members.tolist() == greedy_dissociated_direct(g, heaviest_first)
     # the table and the sequence in (-weight, index) order are the same input
     seq = max_dissociated(g, heaviest_first)
     assert (seq.members.tolist(), seq.mode) == (witness.members.tolist(), witness.mode)

@@ -48,6 +48,7 @@ from .oracles import (
     corr_direct,
     difference_direct,
     f2_rank,
+    greedy_dissociated_direct,
     span_direct,
     span_mass_direct,
     translate_direct,
@@ -234,7 +235,7 @@ def test_span_mass_is_exact_past_int64():
     assert phi_hat.values.dtype == np.int64
     params = StructureParams(m=1, m_prime=1, kappa=1, zeta=Fraction(1, 8), t=2)
     jump = structure.EnergyJump(k=2, e_k=1, e_next=1, m_star=params.m_star, k0=params.k0)
-    witness = DissociatedWitness(g, (1, 6), "exact", _span_mask_direct(g, (1, 6)))
+    witness = DissociatedWitness(g, (1, 6), _span_mask_direct(g, (1, 6)))
     front = SimpleNamespace(phi_hat=phi_hat, witness=witness, params=params, jump=jump)
     out = structure._bohr_span_diagnostics(B, front)
     b = set(B.members.tolist())
@@ -270,7 +271,7 @@ def test_float_span_mass_has_the_bits_of_the_term_by_term_sum(factors, seed, can
     jump = structure.EnergyJump(k=2, e_k=1, e_next=1, m_star=params.m_star, k0=params.k0)
     front = SimpleNamespace(
         phi_hat=FunctionTable(g, phi, "complex"), params=params, jump=jump,
-        witness=DissociatedWitness(g, (1,), "greedy", mask),
+        witness=DissociatedWitness(g, (1,), mask),
     )
     out = structure._bohr_span_diagnostics(B, front)
     want = span_mass_direct(phi, B.transform, np.flatnonzero(mask).tolist())
@@ -314,6 +315,23 @@ def test_bohr_span_mass_on_a_2_group_past_eleven_characters():
     assert rec.ok
 
 
+def test_bohr_witness_on_a_long_progression_is_the_heaviest_first_greedy():
+    # 333 consecutive points of Z_1000: heaviest first, the greedy picks
+    # 1, 2 and 4 (-1, -2 and ±3 lie in their span), and these span the
+    # whole spectrum, so Lambda keeps three members
+    g = make_group((1000,))
+    A = group_set(g, range(333))
+    params = derive_params(A, A)
+    res = extract_bohr(A, A, params)
+    assert res.witness_mode == "greedy" and all(r.ok for r in res.records)
+    assert list(res.variant.bohr.spec.gamma) == [1, 2, 4] and res.variant.dim == 3
+    front = structure._pipeline_front(A, A, params)
+    weights = front.spec.weights
+    heaviest_first = sorted(front.spec.members.tolist(), key=lambda t: (-weights[t], t))
+    assert front.witness.members.tolist() == greedy_dissociated_direct(g, heaviest_first) == [1, 2, 4]
+    assert set(front.spec.members.tolist()) <= span_direct(g, [1, 2, 4])
+
+
 def test_extract_bohr_reads_the_span_its_witness_grew(monkeypatch):
     # two odd-step progressions of length 48 in Z_4096: a greedy witness
     # with |Lambda| <= 10, so the span checks run
@@ -333,7 +351,7 @@ def test_extract_bohr_reads_the_span_its_witness_grew(monkeypatch):
     mask = _span_mask_direct(g, lam)
     assert np.array_equal(front.witness.span_mask, mask)
     # the record matches one computed from span_direct's mask, with no span grown
-    fresh = DissociatedWitness(g, lam, front.witness.mode, mask)
+    fresh = DissociatedWitness(g, lam, mask)
 
     def no_growth(*args):
         raise AssertionError("a span was grown outside the witness search")
