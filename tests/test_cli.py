@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
+import platform
 import random
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -62,6 +67,66 @@ def test_parser_is_built_once_and_parses_each_call_afresh(subgroup_file, tmp_pat
     assert not hasattr(second, "k")
     assert (third.command, third.k, third.out) == ("stats", "2,3,4", None)
     assert not hasattr(third, "suites")
+
+
+def _structure_body(path: str, out) -> tuple[int, dict]:
+    code = main(["structure", path, "--out", str(out)])
+    body = json.loads(out.read_text())
+    del body["timings"]
+    return code, body
+
+
+@pytest.mark.parametrize(
+    "returns, sets",
+    [(OSError, []), (None, []), (0, [(-3, 32 << 20)]), (1, [(-3, 32 << 20), (-1, 64 << 20)])],
+    ids=["no-dlopen", "no-mallopt", "mmap-threshold-refused", "both-set"],
+)
+def test_the_malloc_policy_sets_both_thresholds_or_neither(returns, sets, subgroup_file, tmp_path, monkeypatch, capsys):
+    expected = _structure_body(subgroup_file, tmp_path / "parent.json")
+    opened, calls = [], []
+
+    def cdll(name):
+        opened.append(name)
+        if returns is OSError:
+            raise OSError("no dlopen(NULL) here")
+        if returns is None:
+            return SimpleNamespace()  # a C library without mallopt, as on macOS
+        return SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or returns)
+
+    monkeypatch.setattr(cli, "_keep_freed_memory", functools.cache(cli._keep_freed_memory.__wrapped__))
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert _structure_body(subgroup_file, tmp_path / "a.json") == expected
+    assert _structure_body(subgroup_file, tmp_path / "b.json") == expected
+    capsys.readouterr()
+    assert opened == [None]  # once per process, and never through a library search
+    assert calls == sets
+
+
+_REPEATED_RUN = """
+import resource, sys
+from addcomb.cli import main
+main(sys.argv[1:])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts page faults under glibc's mallopt; this C library is not glibc")
+def test_a_repeated_structure_run_on_f2_16_takes_its_tables_from_the_heap(tmp_path):
+    # freed Walsh tables of 0.5-1 MiB stay in the heap: without the policy
+    # the second run takes some 1500 minor faults, one per page of those
+    # tables.  A fresh process, since glibc's own thresholds rise with what
+    # an earlier test in this one freed.
+    path = tmp_path / "planted.set"
+    write_set(path, make_planted(boolean_group(16), 6, 2, 6, seed=1).set)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-c", _REPEATED_RUN, "structure", str(path), "--out", str(tmp_path / "r.json")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, check=True)
+    code, faults = map(int, done.stdout.split())
+    assert code == 0
+    assert faults < 64
 
 
 def test_stats_reports_oversized_group(tmp_path, capsys):

@@ -919,3 +919,13 @@ def test_two_eps_majority_failure_carries_the_certify_trace(monkeypatch):
     assert attempt["guaranteed"] == (Fraction(1, 2) + Fraction(1, 16)) * attempt["size"]
     record = exc.value.record
     assert (record.ref, record.ok, record.lhs) == ("dichotomy:half_plus", False, "0")
+
+
+@pytest.mark.parametrize("group, kind", [((2,) * 4, "int"), ((16,), "complex")])
+def test_a_negative_transform_of_phi_is_named_by_its_indices(group, kind):
+    g = make_group(group)
+    phi = FunctionTable(g, [1] * 16, "int")
+    phi_hat = FunctionTable(g, [16] + [0] * 14 + [-1], kind)
+    structure._check_phi_transform_sign(phi, FunctionTable(g, [16] + [0] * 15, kind))
+    with pytest.raises(AssertionError, match=r"went negative at \[15\]$"):
+        structure._check_phi_transform_sign(phi, phi_hat)
