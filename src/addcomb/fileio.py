@@ -8,13 +8,18 @@ starts a comment, blank lines are skipped, any line ending (LF, CRLF,
 CR) is read, and whitespace around a line or a coordinate is ignored.
 
 A set file is read in whole-array passes: one splitlines pass for the
-content lines, one count of each line's commas, one int64 table of every
-coordinate token (np.array keeps int()'s syntax: signs, leading zeros,
-underscores), one broadcast range check against the factors, one dot
-with the strides for the indices, and one np.unique for duplicates.
-The per-line parser, parse_element, runs only after a vector check has
-failed, to name the first offending line as `path:line: message`; a
-valid file never reaches it.
+content lines, then one uint8 view of those lines joined and ended by
+newlines (UTF-8, so a `,` or newline byte is a separator even in a
+non-ASCII string).  The separator positions check every line's
+coordinate count.  When every token is one ASCII digit (F2^n) the values
+are the even bytes; any other file goes through one
+np.array(tokens, int64), which keeps int()'s syntax (signs, leading
+zeros, underscores).  Then one broadcast range check against the
+factors, one dot with the strides for the indices, and one np.unique for
+duplicates.  The per-line parser, parse_element, runs only after a
+vector check has failed, to name the first offending line as
+`path:line: message`; a valid file never reaches it.  Files are ASCII:
+any other byte is an error naming its line.
 """
 
 from __future__ import annotations
@@ -84,19 +89,39 @@ def write_set(path: str | os.PathLike, A: GroupSet) -> None:
         fh.write(dump_set(A))
 
 
+def _int_tokens(tokens: list[str]) -> np.ndarray:
+    """int() of every token, as int64: signs, leading zeros, underscores,
+    non-ASCII digits.  Raises ValueError or OverflowError."""
+    return np.array(tokens, dtype=np.int64)
+
+
+def _coordinate_table(g: GroupSpec, body: list[str]) -> np.ndarray | None:
+    """Every coordinate of the lines of body as a (lines, rank) table, or
+    None when a line has the wrong number of coordinates or a token int()
+    rejects."""
+    data = np.frombuffer("\n".join([*body, ""]).encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    if len(ends) != len(body) * g.rank or not (data[ends[g.rank - 1 :: g.rank]] == ord("\n")).all():
+        return None
+    if len(data) == 2 * len(ends):  # two bytes a token, as the toolkit writes F2^n
+        digits = data[::2] - np.uint8(48)  # "," and "\n" wrap past 9
+        if (digits < 10).all():  # no even byte is a separator: every token is one ASCII digit
+            return digits.reshape(len(body), g.rank)
+    try:
+        values = _int_tokens(",".join(body).split(","))
+    except (ValueError, OverflowError):
+        return None
+    return values.reshape(len(body), g.rank)
+
+
 def _element_indices(g: GroupSpec, body: list[str]) -> np.ndarray | None:
     """The element index of every line of body, as an int64 array, or None
     when a line has the wrong number of coordinates, a token int() rejects
     or a coordinate out of range."""
     if not body:
         return np.empty(0, dtype=np.int64)
-    if {line.count(",") for line in body} != {g.rank - 1}:
-        return None
-    try:
-        table = np.array(",".join(body).split(","), dtype=np.int64).reshape(len(body), g.rank)
-    except (ValueError, OverflowError):
-        return None
-    if not ((table >= 0) & (table < g.factors)).all():
+    table = _coordinate_table(g, body)
+    if table is None or not ((table >= 0) & (table < g.factors)).all():
         return None
     return table @ np.array(g.strides, dtype=np.int64)
 
@@ -129,9 +154,20 @@ def parse_set(text: str, *, path="<string>", expect_group: GroupSpec | None = No
     return GroupSet(g, members)
 
 
+def _read_ascii(path: str | os.PathLike) -> str:
+    """The text of a file, which must be ASCII: any other byte is a
+    FileFormatError naming it and its line, counted as splitlines counts."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[: exc.start].decode("ascii") + "_").splitlines())
+        raise FileFormatError(path, line_no, f"non-ASCII byte {data[exc.start]:#04x}") from None
+
+
 def read_set(path: str | os.PathLike, expect_group: GroupSpec | None = None) -> GroupSet:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_set(fh.read(), path=path, expect_group=expect_group)
+    return parse_set(_read_ascii(path), path=path, expect_group=expect_group)
 
 
 def _format_value(kind: str, v) -> str:
@@ -211,8 +247,7 @@ def parse_function(text: str, *, path="<string>") -> FunctionTable:
 def read_table(path: str | os.PathLike) -> FunctionTable:
     """A function file's table, or a set file's indicator: the file is a
     function file when its first content line starts with "group="."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    text = _read_ascii(path)
     head = next(filter(None, (line.partition("#")[0].strip() for line in text.splitlines())), "")
     if head.startswith("group="):
         return parse_function(text, path=path)

@@ -177,6 +177,21 @@ def test_stats_bad_file_is_a_config_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("stats", b"\xef\xbb\xbfZ6\n1\n", "1: non-ASCII byte 0xef"),  # a UTF-8 byte order mark
+        ("structure", b"# set\r\nZ6\r\n1\r2 # caf\xc3\xa9\n", "4: non-ASCII byte 0xc3"),
+        ("spectrum", b"group=Z8 kind=int\n1 2\x0b3 \xff\n", "3: non-ASCII byte 0xff"),  # \x0b ends a line
+    ],
+)
+def test_a_non_ascii_byte_names_its_file_and_line(command, content, message, tmp_path, capsys):
+    p = tmp_path / "f.txt"
+    p.write_bytes(content)
+    assert main([command, str(p)]) == 2
+    assert capsys.readouterr().err == f"config error: {p}:{message}\n"
+
+
 def test_spectrum_round_trip(subgroup_file, tmp_path, capsys):
     out = tmp_path / "hat.fn"
     assert main(["spectrum", subgroup_file, "--out", str(out)]) == 0

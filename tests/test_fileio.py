@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -160,8 +161,61 @@ def _parsed(parse, text: str):
     return result.group, result.members.tolist()
 
 
-@given(set_files())
-@settings(max_examples=400, deadline=None)
+CANONICAL_GROUPS = ["Z101", "Z65536", "Z4xZ6", "Z4xZ6xZ8xZ16", "F2^1", "F2^5", "F2^14"]
+
+
+def _mutate(draw, token: str, n: int) -> str:
+    """token with one rare edit: a space or `_` put into it, a sign before
+    it, emptied, replaced by its factor, or padded to 19 digits with a
+    leading 0 or 1."""
+    kind = draw(st.sampled_from(["space", "sign", "underscore", "empty", "factor", "19 digits"]))
+    at = draw(st.integers(min_value=0, max_value=len(token)))
+    if kind == "space":
+        return token[:at] + " " + token[at:]
+    if kind == "sign":
+        return draw(st.sampled_from("+-")) + token
+    if kind == "underscore":
+        return token[:at] + "_" + token[at:]
+    if kind == "empty":
+        return ""
+    if kind == "factor":
+        return str(n)
+    return draw(st.sampled_from("01")) + token.zfill(18)
+
+
+@st.composite
+def canonical_set_files(draw, groups=CANONICAL_GROUPS) -> str:
+    """The text of a set file as the toolkit writes it (digits, `,` and LF
+    only, coordinates in range, sometimes with no final newline), now and
+    then with a repeated line or one token edited by _mutate."""
+    head = draw(st.sampled_from(groups))
+    factors = parse_group_text(head).factors
+    lines: list[str] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=24))):
+        if lines and draw(st.integers(0, 40)) == 0:
+            lines.append(draw(st.sampled_from(lines)))
+            continue
+        tokens = [str(draw(st.integers(min_value=0, max_value=n - 1))) for n in factors]
+        if draw(st.integers(0, 30)) == 0:
+            j = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+            tokens[j] = _mutate(draw, tokens[j], factors[j])
+        lines.append(",".join(tokens))
+    end = draw(st.sampled_from(["\n"] * 8 + [""]))
+    return "\n".join([head, *lines]) + end
+
+
+@given(st.one_of(set_files(), canonical_set_files()))
+@settings(max_examples=800, deadline=None)
+@example("Z101\n007\n")
+@example("Z101\n5\n:\n")  # ":" is the byte after "9"
+@example("Z101\n" + "0" * 16 + "42\n" + "9" * 18 + "\n")  # 18 digits, then out of range
+@example("Z101\n" + "0" * 18 + "5\n" + "1" + "0" * 17 + "7\n")  # 19 digits, then out of range
+@example("Z101\n" + "9" * 19 + "\n")  # past int64
+@example("Z4xZ6\n,1\n")
+@example("Z4xZ6xZ8xZ16\n,1,2,10\n")  # an empty token beside a two-digit one
+@example("Z101\n\u0663\n")  # a non-ASCII digit, which int() reads as 3
+@example("Z6\n\ud800\n")  # a lone surrogate, as the library API may pass
+@example("F2^3\n1,0,1\n0,1,1")  # no final newline
 @example("Z4xZ6\r\n1, 2\r\n\r\n# c\r\n+3,0_5\r1,02\n")
 @example("Z4xZ6\n1\n2,3,4\n")  # coordinate counts that only add up over the file
 @example("# a set\n\nQ8\n1\n")
@@ -193,6 +247,22 @@ def test_valid_set_files_never_reach_the_line_parser(text, monkeypatch):
     monkeypatch.setattr(fileio, "parse_element", fail)
     A = parse_set(text, path="f.set")
     assert (A.group, A.members.tolist()) == parse_set_direct(text, path="f.set")
+
+
+@pytest.mark.parametrize("spec", ["F2^1", "F2^5", "F2^14"])
+def test_what_the_toolkit_writes_never_reaches_int(spec, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a set file the toolkit wrote left the byte pass")
+
+    monkeypatch.setattr(fileio, "_int_tokens", fail)
+    monkeypatch.setattr(fileio, "parse_element", fail)
+    g = parse_group_text(spec)
+    rng = np.random.default_rng(7)
+    for size in [0, 1, 2, g.order // 3, g.order]:
+        A = group_set(g, rng.choice(g.order, size=size, replace=False))
+        back = parse_set(dump_set(A))
+        assert back.group == g
+        assert back.members.tolist() == A.members.tolist()
 
 
 def test_set_expect_group_mismatch():
