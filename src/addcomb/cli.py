@@ -39,7 +39,7 @@ import numpy as np
 
 from . import fileio, harness
 from .bohr import RegularRadiusError, find_regular_radius, make_bohr_spec, materialize, regularity_test
-from .groups import GroupMismatchError, SizeLimitError, format_group_text, parse_group_text
+from .groups import SizeLimitError, format_group_text, parse_group_text
 from .harmonic import dft
 from .report import CheckFailure, format_value
 from .setstat import profile
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (harness.ConfigError, fileio.FileFormatError, GroupMismatchError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # after exit 1, as HypothesisFailure is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -3,8 +3,9 @@ pipeline and the density regularization of structure.
 
 Vectors in a rank-n boolean space are Python ints whose bit i is coordinate i,
 which coincides with the group index of the corresponding element tuple.
-Independent (dissociated) subsets and their spans are grown by
-spectral.max_dissociated, not here.
+The one reduction, reduce_in_basis (coordinates in an echelon basis and the
+remainder), serves ints and int64 arrays alike.  Independent (dissociated)
+subsets and their spans are grown by spectral.max_dissociated, not here.
 """
 from __future__ import annotations
 
@@ -13,12 +14,24 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+def reduce_in_basis(basis: Sequence[int], v):
+    """(coords, rest) of v, an int or each entry of an int64 array, by an
+    echelon basis (distinct leading bits, highest first): bit i of coords
+    says row i was added, and rest, v plus those rows, has no row's leading
+    bit.  So rest labels v's coset of the span, and is 0 exactly on it."""
+    coords = v & 0
+    for i, row in enumerate(basis):
+        bit = v >> (row.bit_length() - 1) & 1
+        coords |= bit << i
+        v = v ^ bit * row
+    return coords, v
+
+
 def echelon_basis(vectors: Iterable[int]) -> list[int]:
     """Row-echelon basis (one row per pivot bit, highest pivot first)."""
     rows: list[int] = []
     for v in vectors:
-        for r in rows:
-            v = min(v, v ^ r)
+        v = reduce_in_basis(rows, v)[1]
         if v:
             rows.append(v)
             rows.sort(reverse=True)
@@ -26,21 +39,14 @@ def echelon_basis(vectors: Iterable[int]) -> list[int]:
 
 
 def reduce_vector(basis: Sequence[int], v: int) -> int:
-    for r in basis:
-        v = min(v, v ^ r)
-    return v
+    return reduce_in_basis(basis, v)[1]
 
 
 def _rref(vectors: Iterable[int]) -> tuple[list[int], list[int]]:
     """Reduced row echelon form; returns (rows, pivot bit positions)."""
     rows = echelon_basis(vectors)
-    pivots = [r.bit_length() - 1 for r in rows]
-    for i, r in enumerate(rows):
-        for j, p in enumerate(pivots):
-            if j != i and (r >> p) & 1:
-                r ^= rows[j]
-        rows[i] = r
-    return rows, pivots
+    rows = [reduce_in_basis(rows[i + 1 :], r)[1] for i, r in enumerate(rows)]  # no row has a bit at a higher pivot
+    return rows, [r.bit_length() - 1 for r in rows]
 
 
 def nullspace_basis(vectors: Iterable[int], n: int) -> list[int]:

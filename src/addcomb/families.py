@@ -12,12 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from . import f2
 from .groups import GroupSpec, boolean_group, make_group
-from .harmonic import prime_factors, wht_int
+from .harmonic import power_sums, prime_factors, wht_int
 from .report import CheckRecord, record_eq, record_ge, record_le, require
 from .setstat import GroupSet, group_set, higher_energy
 
@@ -64,18 +65,22 @@ def make_h_lambda(spec: HLambdaSpec, seed: int | None = None) -> GroupSet:
     h = f2.subspace_elements(spec.h_basis).tolist()
     lam = spec.lam
     if seed is not None:
-        rng = random.Random(seed)
-        chosen: list[int] = []
-        basis = list(spec.h_basis)
-        while len(chosen) < spec.lambda_size:
-            v = rng.randrange(1, spec.group.order)
-            if f2.reduce_vector(f2.echelon_basis(basis + chosen), v):
-                chosen.append(v)
-        lam = tuple(chosen)
+        lam = tuple(_independent_draws(random.Random(seed), spec.group, spec.h_basis, spec.lambda_size))
     out = group_set(spec.group, (x ^ v for x in h for v in lam))
     if len(out) != (1 << spec.k) * spec.lambda_size:
         raise AssertionError("H-coset union has the wrong size")
     return out
+
+
+def _independent_draws(rng: random.Random, g: GroupSpec, basis: Sequence[int], count: int) -> list[int]:
+    """count nonzero vectors of the 2-group g, each rng.randrange(1, |g|)
+    drawn until it is independent of basis and of the vectors kept before."""
+    chosen: list[int] = []
+    while len(chosen) < count:
+        v = rng.randrange(1, g.order)
+        if f2.reduce_vector(f2.echelon_basis([*basis, *chosen]), v):
+            chosen.append(v)
+    return chosen
 
 
 @dataclass
@@ -106,7 +111,6 @@ def verify_h_lambda(A: GroupSet, spec: HLambdaSpec) -> HLambdaReport:
     if g != spec.group:
         raise ValueError("set does not live on the spec's group")
     h = f2.subspace_elements(spec.h_basis)
-    h_members = h.tolist()
     records: list[CheckRecord] = []
     counts = A.autocorr.tolist()
     a = len(A)
@@ -115,7 +119,7 @@ def verify_h_lambda(A: GroupSet, spec: HLambdaSpec) -> HLambdaReport:
     if bad:
         raise AssertionError(f"slice at s={bad[0]} in H is not all of A")
     records.append(
-        record_eq("H-slices equal A", "family:slice_h", len(h_members), len(h_members))
+        record_eq("H-slices equal A", "family:slice_h", len(h), len(h))
     )
 
     off_h = A.autocorr != 0  # A - A
@@ -141,11 +145,8 @@ def verify_h_lambda(A: GroupSet, spec: HLambdaSpec) -> HLambdaReport:
         )
     )
 
-    ratios: list[tuple[int, Fraction]] = []
-    for k in range(2, 7):
-        e_k = higher_energy(A, k)
-        on_h = sum(counts[s] ** k for s in h_members)
-        ratios.append((k, Fraction(on_h, e_k)))
+    on_h = power_sums(A.autocorr[h], 6)
+    ratios = [(k, Fraction(on_h[k - 2], higher_energy(A, k))) for k in range(2, 7)]
     canonical = (spec.k, spec.lambda_size) == (3, 5)
     even = [r for k, r in ratios if k % 2 == 0]
     # a single coset puts all energy on H outright, so the climb is vacuous.
@@ -424,12 +425,7 @@ def make_planted(
     if cosets < 1:
         raise ValueError("need at least one coset")
     rng = random.Random(seed)
-    basis: list[int] = []
-    while len(basis) < subgroup_dim:
-        v = rng.randrange(1, g.order)
-        if f2.reduce_vector(f2.echelon_basis(basis), v):
-            basis.append(v)
-    rref = f2.echelon_basis(basis)
+    rref = f2.echelon_basis(_independent_draws(rng, g, (), subgroup_dim))
     sub = GroupSet(g, np.sort(f2.subspace_elements(rref)))
     reps: list[int] = []
     labels: set[int] = set()

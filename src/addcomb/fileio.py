@@ -149,7 +149,7 @@ def parse_set(text: str, *, path="<string>", expect_group: GroupSpec | None = No
         )
     members, first = np.unique(indices, return_index=True)  # first: where each element first appears
     if len(members) < len(indices):  # report the first line that repeats an earlier one
-        line_no, line = _numbered(rest, head + 2)[np.setdiff1d(np.arange(len(body)), first)[0]]
+        line_no, line = _numbered(rest, head + 2)[np.setdiff1d(np.arange(len(body)), first, assume_unique=True)[0]]
         raise FileFormatError(path, line_no, f"duplicate element {line!r}")
     return GroupSet(g, members)
 

@@ -8,8 +8,8 @@ when a value is a Fraction, which stays exact.  The L1 norm bounds every
 partial sum and every transform value, so sums and Walsh butterflies over
 an int64 table cannot overflow.  A product (a square, a power, a
 transform value times another) is taken in int64 only under a stated
-bound that keeps it and every partial sum below 2^63, as sum_of_squares
-and structure.phi_k do; otherwise it is taken on Python ints or objects.
+bound that keeps it and every partial sum below 2^63, as power_sums (the
+one kernel for sums of powers) and structure.phi_k do; else on Python ints.
 
 The transform convention carries no 1/N factor:
 
@@ -105,19 +105,31 @@ class FunctionTable:
     def l2_squared(self):
         mags = magnitudes(self.values)
         if self.kind == "int":
-            return sum_of_squares(mags)
+            return power_sums(mags, 2)[0]
         return sum((mags * mags).tolist())
 
 
-def sum_of_squares(values: np.ndarray) -> int:
-    """sum v^2 over an array of nonnegative integers, as a Python int: in
-    int64 when max(v) * sum(v), which bounds it, is below 2^63, and in
-    Python ints otherwise."""
-    if values.dtype == np.int64:
-        if int(values.max(initial=0)) * int(values.sum()) < 1 << 63:
-            return int((values * values).sum())
-        values = values.astype(object)
-    return sum((values * values).tolist())
+def power_sums(counts: np.ndarray, top: int) -> list:
+    """sum_x c(x)^k for k = 2..top, as Python ints, of nonnegative integers:
+    [s_2, ..., s_top] of an array, sums[k - 2][j] of column j of a table.
+    Since sum_x c^k <= max(c)^(k - 1) sum_x c, an int64 column (whose sum
+    fits int64) where that is below 2^63 at k = top is summed in int64, and
+    any other in Python ints.  Only a table with columns on both sides is
+    split into copies, so an int64 table summed in int64 is read in place."""
+    table = counts[:, None] if counts.ndim == 1 else counts
+    safe = np.zeros(table.shape[1], dtype=bool)
+    if table.dtype == np.int64:
+        peaks, masses = table.max(axis=0, initial=0).tolist(), table.sum(axis=0).tolist()
+        safe[:] = [m ** (top - 1) * s < 1 << 63 for m, s in zip(peaks, masses)]
+    sums = np.zeros((top - 1, table.shape[1]), dtype=object)
+    for cols, dtype in ((safe, np.int64), (~safe, object)):
+        part = (table if cols.all() else table[:, cols]).astype(dtype, copy=False)  # no masked copy of a whole table
+        power = part * part
+        for k in range(2, top + 1):
+            sums[k - 2, cols] = power.sum(axis=0).tolist()
+            if k < top:
+                power *= part  # in place: one product table at a time
+    return [row[0] for row in sums.tolist()] if counts.ndim == 1 else sums.tolist()
 
 
 def _int_array(values) -> np.ndarray:

@@ -54,7 +54,7 @@ from .families import (
     verify_katz_bound,
 )
 from .groups import GroupSpec, boolean_group, format_group_text, parse_group_text
-from .harmonic import dft_columns, magnitudes, transform_errors, wht_int_columns
+from .harmonic import dft_columns, magnitudes, power_sums, transform_errors, wht_int_columns
 from .report import CheckFailure, CheckRecord, format_value, record_eq
 from .setstat import (
     GroupSet,
@@ -600,12 +600,9 @@ def _parseval_suite(rng: random.Random, cfg: RunConfig, g: GroupSpec) -> list[Ch
         table = _draw_table(rng, g.order, len(instances[block]))
         lhs = g.order * (table * table).sum(axis=0)  # N * sum v^2 <= 64 N^2
         if g.is_boolean_space:
-            spectrum = wht_int_columns(g, table)
-            # every entry is at most the L1 norm 8N, so the sum of the
-            # squares is at most 64 N^3: int64 up to N = 2^18
-            if 64 * g.order**3 >= 1 << 63:
-                spectrum = spectrum.astype(object)
-            mismatches += int((lhs != (spectrum * spectrum).sum(axis=0)).sum())
+            # every entry is at most the L1 norm 8N in magnitude
+            rhs = power_sums(np.abs(wht_int_columns(g, table)), 2)[0]
+            mismatches += sum(l != r for l, r in zip(lhs.tolist(), rhs))
             continue
         mags = magnitudes(dft_columns(g, table))
         squares = (mags * mags).T  # one column of Python floats at a time
@@ -733,7 +730,7 @@ def run_structure(cfg: RunConfig) -> RunReport:
         mode = "subspace" if A.group.is_boolean_space else "bohr"
     if mode not in ("subspace", "bohr", "dichotomy"):
         raise ConfigError(f"unknown pipeline {mode!r}")
-    if mode != "dichotomy" and B is not A and not np.isin(B.members, A.members).all():  # dichotomy_M: A or -A
+    if mode != "dichotomy" and B is not A and not np.isin(B.members, A.members, assume_unique=True).all():  # dichotomy_M: A or -A
         raise ConfigError(f"B ({label_b}) is not a subset of A ({label_a})")
     A.group.require_transform()  # every pipeline and the profile read A's transform
     res = hyp = failure = None

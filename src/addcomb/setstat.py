@@ -24,7 +24,8 @@ a block of slices A_x pooled with their B's, with no shift loop, so
 every pair count here has one proof path.  Stacks and pair tables
 are cut in blocks of at most _BLOCK_ELEMENTS cells (column_blocks), so
 memory grows neither with the number of instances nor with the group
-order, and energies are summed in int64 only under a stated bound.
+order, and energies are summed by harmonic.power_sums, in int64 only
+under a stated bound.
 
 conv_counts and corr_counts, which the pipelines call, take the
 transform path (_columns of the two sets' kept transforms) when
@@ -78,6 +79,7 @@ from .harmonic import (
     idft_columns,
     indicator,
     magnitudes,
+    power_sums,
     transform_cost,
     wht_int_columns,
 )
@@ -257,7 +259,8 @@ def _join(g: GroupSpec, stacks: Sequence[SetStack]) -> SetStack:
 
 
 def group_set(g: GroupSpec, members: Iterable[int]) -> GroupSet:
-    return GroupSet(g, np.unique(list(members)))
+    a = np.sort(np.asarray(list(members)), axis=None)  # axis=None: a nested input is read flat
+    return GroupSet(g, a[np.r_[True, a[1:] != a[:-1]]] if a.size else a)
 
 
 # -- counting kernels -----------------------------------------------------------
@@ -430,23 +433,6 @@ def _support_stack(g: GroupSpec, counts: np.ndarray) -> SetStack:
     """The supports of the columns of a table of counts, as a stack."""
     owners, members = np.nonzero(counts.T)
     return SetStack._view(g, members, _starts(np.bincount(owners, minlength=counts.shape[1])))
-
-
-def _power_sums(counts: np.ndarray, top: int) -> list[list[int]]:
-    """sums[k - 2][j] = sum_x c(x)^k for k = 2..top and every column c of
-    counts, a table of nonnegative int64 counts, as Python ints.  Since
-    sum_x c^k <= max(c)^(k - 1) sum_x c, a column where that is below 2^63
-    at k = top is summed in int64, and any other in Python ints."""
-    peaks = counts.max(axis=0, initial=0).tolist()
-    masses = counts.sum(axis=0).tolist()  # pair counts: at most N^2 per column
-    safe = np.array([m ** (top - 1) * s < 1 << 63 for m, s in zip(peaks, masses)], dtype=bool)
-    sums = np.zeros((top - 1, counts.shape[1]), dtype=object)
-    for cols, table in ((safe, counts[:, safe]), (~safe, counts[:, ~safe].astype(object))):
-        power = table
-        for k in range(2, top + 1):
-            power = power * table
-            sums[k - 2, cols] = power.sum(axis=0).tolist()
-    return sums.tolist()
 
 
 def sumset(A: GroupSet, B: GroupSet) -> GroupSet:
@@ -705,8 +691,8 @@ def energy_difference_bounds(As: SetStack, Bs: SetStack, ks: Sequence[int]) -> l
 
     A block of pairs takes two stacks of pair counts, A + B, A o A and
     B o B on one transform of its sets, then (A+B) o A on one more of the
-    sums.  The energies are power sums of their columns (_power_sums), so
-    every side is an exact integer.
+    sums.  The energies are power sums of their columns
+    (harmonic.power_sums), so every side is an exact integer.
     """
     g = _pair_group(As, Bs)
     if len(ks) != len(As):
@@ -725,12 +711,12 @@ def energy_difference_bounds(As: SetStack, Bs: SetStack, ks: Sequence[int]) -> l
         counts = _columns(pool, hats, np.r_[j, j, j + c], np.r_[j + c, j, j + c], np.arange(3 * c) >= c)
         sums = _support_stack(g, counts[:, :c])
         diffs = np.count_nonzero(counts[:, c : 2 * c], axis=0).tolist()
-        e_b = _power_sums(counts[:, 2 * c :], 3)
+        e_b = power_sums(counts[:, 2 * c :], 3)
         del counts
         pool = _join(g, [A, sums])  # (A+B) o A on the A's transforms, the sums' in the B's place
         if hats is not None:
             hats[c:] = _hats(sums)
-        e_as = _power_sums(_columns(pool, hats, j + c, j, np.ones(c, dtype=bool)), 2)[0]
+        e_as = power_sums(_columns(pool, hats, j + c, j, np.ones(c, dtype=bool)), 2)[0]
         for i, (k, a, b) in enumerate(zip(ks[block], A.sizes.tolist(), B.sizes.tolist())):
             lhs = e_b[k - 2][i] * e_as[i] ** k * diffs[i]
             rhs = a ** (2 * k + 2) * b ** (2 * k)
@@ -741,13 +727,13 @@ def energy_difference_bounds(As: SetStack, Bs: SetStack, ks: Sequence[int]) -> l
 
 def higher_energies(As: SetStack, top: int) -> list[dict[int, int]]:
     """E_k(A) for k = 2..top and every set A of As: exact power sums of the
-    columns of stacked autocorrelations A o A (_power_sums)."""
+    columns of stacked autocorrelations A o A (harmonic.power_sums)."""
     if top < 2:
         raise ValueError("need k >= 2")
     out: list[dict[int, int]] = []
     for block in column_blocks(len(As), As.group.order):
         S = As[block]
-        sums = _power_sums(corr_columns(S, S), top)
+        sums = power_sums(corr_columns(S, S), top)
         out.extend({k: sums[k - 2][j] for k in range(2, top + 1)} for j in range(len(S)))
     return out
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import f2
 from .bohr import BohrSet, dilate, find_regular_radius, make_bohr_spec, materialize, size_profile
 from .groups import GroupSpec, SizeLimitError, boolean_group
-from .harmonic import INT64_SAFE, FunctionTable, dft, magnitudes, sum_of_squares, transform_error
+from .harmonic import INT64_SAFE, FunctionTable, dft, magnitudes, power_sums, transform_error
 from .report import CheckFailure, CheckRecord, record_eq, record_ge, record_le, require
 from .setstat import GroupSet, corr_counts, higher_energy, sumset_size
 from .spectral import DissociatedWitness, Spectrum, chang_bound, max_dissociated, spectrum
@@ -467,7 +467,7 @@ def _extract(front: _Front, B: GroupSet, subgroup: bool) -> StructureResult:
     guaranteed = _density_floor(front.params, size, loss)
     (name, ref, note), density = _RECORDS[loss]
     per = size if subgroup else 1
-    energy = Fraction(sum_of_squares(counts), per)
+    energy = Fraction(power_sums(counts, 2)[0], per)
     records = [
         record_ge(name, ref, energy, guaranteed * len(B) * size / per, note=note.format(size=size)),
         record_ge(*density, Fraction(achieved), guaranteed, note=f"{head}, z={z}"),
@@ -715,7 +715,7 @@ def _certify_bohr_branch(
     inclusion = _verify_difference_membership(A, eta_set.members, "dichotomy:inclusion_bohr")
     final_spec = find_regular_radius(g, spec_star.gamma, tuple(eta * e for e in spec_star.eps))
     final = materialize(g, final_spec)
-    if not np.isin(final.members.members, eta_set.members.members).all():
+    if not np.isin(final.members.members, eta_set.members.members, assume_unique=True).all():
         raise AssertionError("regularized shrink left the verified dilate")
     final_inclusion = _verify_difference_membership(A, final.members, "dichotomy:inclusion_final")
     result.variant = Piece("bohr", final, z, Fraction(score, len(b_lo) + len(b_hi)))
@@ -742,7 +742,7 @@ def dichotomy_M(
         raise ValueError("need a nonempty set")
     if B_sub is None:
         B_sub = A
-    if not (np.isin(B_sub.members, A.members).all() or np.isin(B_sub.members, A.neg().members).all()):
+    if not any(np.isin(B_sub.members, S.members, assume_unique=True).all() for S in (A, A.neg())):
         raise ValueError("B_sub must be a subset of A or of -A")
     k = Fraction(A.diff_size, a)
     gate = record_le("smallness gate", "dichotomy:gate_M", 100 * k * k * a, g.order)
@@ -786,11 +786,11 @@ def _coset_decomposition(A: GroupSet, lset: BohrSet, M: Fraction, records: list[
     depend on which echelon basis, as its pivot set is L's own.
     """
     basis = f2.echelon_basis(f2.nullspace_basis(lset.spec.gamma, A.group.rank))
-    _, labels = _coords_in_basis(basis, A.members)
+    _, labels = f2.reduce_in_basis(basis, A.members)
     # |A intersect (L + z)| for every coset of L that meets A
     counts = np.unique(labels, return_counts=True)[1]
     a = len(A)
-    sq_sum = sum_of_squares(counts)
+    sq_sum = power_sums(counts, 2)[0]
     records.append(
         require(
             record_ge(
@@ -854,18 +854,6 @@ class RegularizationTrace:
         return GroupSet(self.original.group, np.sort(lifted))  # the lift is one to one
 
 
-def _coords_in_basis(basis: list[int], v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(coords, rest) for each entry of v, reduced by an echelon basis: its
-    coordinates in the basis, and the remainder, which labels its coset of
-    the span (f2.reduce_vector) and is 0 exactly on the span."""
-    coords = np.zeros_like(v)
-    for i, row in enumerate(basis):
-        bit = v >> (row.bit_length() - 1) & 1
-        coords |= bit << i
-        v = v ^ bit * row
-    return coords, v
-
-
 def regularize_density(A: GroupSet) -> RegularizationTrace:
     """Pass to denser and denser pieces until 100 K^2 delta exceeds 1.
 
@@ -919,7 +907,7 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
         # density is then >= 1/2, still past the doubling floor)
         lbasis = f2.echelon_basis(piece.bohr.members.members.tolist()) or [1]
         z = piece.z
-        coords, rest = _coords_in_basis(lbasis, cur.members ^ z)
+        coords, rest = f2.reduce_in_basis(lbasis, cur.members ^ z)
         new_g = boolean_group(len(lbasis))
         new_set = GroupSet(new_g, np.sort(coords[rest == 0]))  # the members in L + z
         density_after = Fraction(len(new_set), new_g.order)

@@ -129,6 +129,42 @@ def test_a_repeated_structure_run_on_f2_16_takes_its_tables_from_the_heap(tmp_pa
     assert faults < 64
 
 
+_BENCH_COMMANDS = """
+import json, sys
+from addcomb.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_the_benchmarked_commands_never_import_numpy_ma(tmp_path):
+    # numpy 2.4's np.unique without index or count outputs, which np.isin's
+    # sort path calls unless told its inputs are unique, asks
+    # np.ma.is_masked, and the first such call imports numpy.ma (some 20 ms
+    # inside a timed op).  A fresh process, since any earlier test may have
+    # imported it into this one.
+    planted = make_planted(boolean_group(13), subgroup_dim=4, cosets=1, noise=0, seed=1).set
+    write_set(tmp_path / "P.set", planted)
+    write_set(tmp_path / "B.set", group_set(planted.group, planted.members[::2]))
+    write_set(tmp_path / "Z.set", group_set(make_group((4096,)), range(3, 4096, 37)))
+    runs = [
+        ["structure", "P.set", "--mode", "dichotomy"],
+        ["structure", "P.set", "--b", "B.set"],
+        ["structure", "Z.set"],
+        ["example", "h-lambda", "--n", "9", "--k", "3", "--lambda", "4"],
+        ["example", "katz", "--p", "5", "--d", "4"],
+        ["verify", "--seed", "1"],
+    ]
+    runs = [argv + ["--out", f"r{i}.json"] for i, argv in enumerate(runs)]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-c", _BENCH_COMMANDS, json.dumps(runs)]
+    done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 def test_stats_reports_oversized_group(tmp_path, capsys):
     p = tmp_path / "big.set"
     p.write_text("Z20000000\n0\n")
@@ -301,6 +337,15 @@ def test_structure_with_params_file(subgroup_file, tmp_path, capsys):
     assert main(["structure", subgroup_file, "--params", str(pf), "--summary"]) == 0
     out = capsys.readouterr().out
     assert "pass" in out
+
+
+@pytest.mark.parametrize("text", ["{", '{"zeta": }', "[1, 2"])
+def test_structure_params_that_are_no_json_exit_2(text, subgroup_file, tmp_path, capsys):
+    # json.JSONDecodeError is a ValueError, which the exit-2 clause names
+    pf = tmp_path / "params.json"
+    pf.write_text(text)
+    assert main(["structure", subgroup_file, "--params", str(pf)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 @pytest.mark.parametrize("key, raw", [("c_local", "1/16"), ("k0_pad", 20), ("c_chang", "1/100")])

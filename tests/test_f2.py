@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from itertools import combinations
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from addcomb.f2 import (
     echelon_basis,
     nullspace_basis,
+    reduce_in_basis,
     reduce_vector,
     subspace_elements,
 )
@@ -159,6 +162,26 @@ def test_reduce_vector_respects_addition(vectors, v, w):
     basis = echelon_basis(vectors)
     rv, rw = reduce_vector(basis, v), reduce_vector(basis, w)
     assert reduce_vector(basis, v ^ w) == reduce_vector(basis, rv ^ rw)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=(1 << 20) - 1), max_size=8),
+    st.lists(st.integers(min_value=0, max_value=(1 << 20) - 1), max_size=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_reduce_in_basis_on_an_array_matches_each_entry(vectors, values):
+    basis = echelon_basis(vectors)
+    coords, rest = reduce_in_basis(basis, np.array(values, dtype=np.int64))
+    assert coords.dtype == rest.dtype == np.int64
+    pairs = [reduce_in_basis(basis, v) for v in values]
+    assert coords.tolist() == [c for c, _ in pairs]
+    assert rest.tolist() == [r for _, r in pairs]
+    pivots = sum(1 << (row.bit_length() - 1) for row in basis)
+    for v, (c, r) in zip(values, pairs):
+        picked = [row for i, row in enumerate(basis) if c >> i & 1]
+        assert c < 1 << len(basis) and r & pivots == 0
+        assert functools.reduce(operator.xor, picked, r) == v
+        assert reduce_vector(basis, v) == r
 
 
 def test_independent_subset_of_large_generating_family():

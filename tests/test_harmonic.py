@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addcomb.groups import (
@@ -24,7 +25,7 @@ from addcomb.harmonic import (
     dft_columns,
     idft_columns,
     indicator,
-    sum_of_squares,
+    power_sums,
     transform_cost,
     transform_error,
     wht_int,
@@ -255,8 +256,77 @@ def test_l2_squared_is_exact_on_either_side_of_2_63(values):
 def test_sum_of_squares_takes_python_ints_past_the_bound(counts):
     # past the bound an int64 sum would wrap, so matching the Python-int
     # oracle shows which path ran
-    got = sum_of_squares(np.array(counts, dtype=np.int64))
+    [got] = power_sums(np.array(counts, dtype=np.int64), 2)
     assert type(got) is int and got == sum(c * c for c in counts)
+
+
+def _root_below(x: int, k: int) -> int:
+    """The largest r >= 0 with r^k < x, for x >= 1."""
+    r = int(x ** (1 / k))
+    while r**k >= x:
+        r -= 1
+    while (r + 1) ** k < x:
+        r += 1
+    return r
+
+
+@st.composite
+def _power_tables(draw):
+    """(counts, top): a 1-D array or an (N, m) int64 table of nonnegative
+    counts, m = 0 included, whose columns put max^(top - 1) * sum just
+    below, at or above 2^63: each column's peak is the largest m0 with
+    N m0^top <= 2^63, moved by -1..1, taken by all or by some entries."""
+    top = draw(st.integers(2, 6))
+    rows = draw(st.integers(0, 6))
+    width = None if draw(st.booleans()) else draw(st.integers(0, 4))
+    columns = []
+    for _ in range(1 if width is None else width):
+        peak = _root_below((1 << 63) // max(rows, 1) + 1, top) + draw(st.integers(-1, 1))
+        col = [peak] * rows
+        if rows and draw(st.booleans()):  # the peak once, other entries below it
+            col[1:] = draw(st.lists(st.integers(0, peak), min_size=rows - 1, max_size=rows - 1))
+        columns.append(col)
+    table = np.array(columns, dtype=np.int64).reshape(len(columns), rows).T
+    return (table[:, 0] if width is None else np.ascontiguousarray(table)), top
+
+
+@given(_power_tables())
+@example((np.full(2, 1 << 31, dtype=np.int64), 2))  # max * sum = 2^63 = the sum itself
+@example((np.full((1, 1), 1 << 21, dtype=np.int64), 3))  # max^2 * sum = 2^63 = the cube
+@example((np.array([[1 << 12, 1 << 12], [1 << 12, 3]], dtype=np.int64), 5))  # one column each side
+@example((np.zeros((0, 3), dtype=np.int64), 4))  # an empty table
+@settings(max_examples=200, deadline=None)
+def test_power_sums_match_python_ints(case):
+    # an int64 sum past 2^63 would wrap, so a column summed on the wrong
+    # side of the bound misses the oracle
+    counts, top = case
+    columns = [counts.tolist()] if counts.ndim == 1 else counts.T.tolist()
+    want = [[sum(c**k for c in col) for col in columns] for k in range(2, top + 1)]
+    got = power_sums(counts, top)
+    if counts.ndim == 1:
+        got = [[s] for s in got]
+    assert got == want
+    assert all(type(s) is int for row in got for s in row)
+
+
+@pytest.mark.parametrize("top", [2, 3, 6])
+def test_power_sums_read_an_int64_safe_table_in_place(top):
+    # each column has N m^(top - 1) * m < 2^63 <= N m^top * m, so its bound
+    # is met only at the exponent top - 1.  Summed in int64 the kernel
+    # allocates one product table; a masked copy of the table, or Python
+    # ints (some 40 bytes an entry), would take twice that or more.
+    rows = 1 << 12
+    peak = _root_below((1 << 63) // rows, top)
+    assert rows * peak ** (top + 1) >= 1 << 63
+    table = np.full((rows, 4), peak, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        sums = power_sums(table, top)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums == [[rows * peak**k] * 4 for k in range(2, top + 1)]
+    assert peak_bytes < 1.5 * table.nbytes
 
 
 def test_table_length_guard():

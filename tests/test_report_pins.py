@@ -42,6 +42,14 @@ PINNED = {
     "verify-multiblock-F2^6": "50beb037ce451ca51415280d3b84ce159898bdaad214e4694e4c01c2b7635b1f",
     "verify-multiblock-Z24": "d5f7a6107937e266492694021d3666743960775d3d6b4780c5a5c7b6c7c79c97",
     "certify-2eps-subgroup-f2-12": "4185e768d45172bd7eead0d11bf9805e39e760c63c737a2ad1333f7da67e1832",
+    "h-lambda-seed-0": "76ab65369b8ccb21854267a571d7691f5463a2089efe4baea7d1a6cd8fa5f30c",
+    "h-lambda-seed-1": "5fb88f145e410c05b704c872d3df021491615ca252a9e50ac40b7c4c5968e483",
+    "h-lambda-seed-2": "d725cca12fa977da38242914d31f6d9d51adc243346001cb7a46220cf0ba1dc5",
+    "h-lambda-seed-3": "4139e11a3b6c153f538c61637d381e72d1222ed4948ecc302fdef482300b5fb2",
+    "h-lambda-seed-7": "b0842cab1f79012d685ae6e258f08ca864e97791566aec58fc50aabca6f90809",
+    "planted-seed-1": "a3cb7d885cc41226cbed4fab12110e9fed4194fc203c9c6e30284a6e807bdf7b",
+    "planted-seed-2": "5279fe35f348c65ee47e0194ab84115fa3292c1e383c0c08d8e4076bd4388e1d",
+    "planted-seed-5": "9152f124336d932e8d3ecbaee79032001d2b0020cf4873517f5273901b12974d",
 }
 
 
@@ -115,3 +123,23 @@ def test_difference_subset_result_on_a_subgroup_of_f2_12_is_pinned():
     assert res.kind == "SubspacePiece"
     text = json.dumps(structure_result_dict(res), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED["certify-2eps-subgroup-f2-12"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+def test_seeded_h_lambda_body_is_pinned(in_tmp, seed):
+    # the seed draws Lambda through the shared independent-vector loop, so
+    # any change in how many rng.randrange calls it makes moves the body
+    args = ["example", "h-lambda", "--n", "10", "--k", "3", "--lambda", "4", "--seed", str(seed)]
+    assert main(args + ["--out", "h.json"]) == 0
+    assert _body_digest("h.json") == PINNED[f"h-lambda-seed-{seed}"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_planted_config_source_body_is_pinned(in_tmp, seed):
+    # a planted set draws its subgroup basis through the same loop, then its
+    # coset representatives and noise points from the same rng
+    source = {"kind": "planted", "n": 12, "dim": 4, "cosets": 3, "noise": 5}
+    with open("c.json", "w") as fh:
+        json.dump({"kind": "structure", "seed": seed, "sets": [source]}, fh)
+    assert main(["verify", "--config", "c.json", "--out", "p.json"]) == 0
+    assert _body_digest("p.json") == PINNED[f"planted-seed-{seed}"]

@@ -22,7 +22,7 @@ from addcomb.groups import (
     make_group,
     parse_group_text,
 )
-from addcomb.harmonic import _error_scale, magnitudes, sum_of_squares, transform_cost, transform_error
+from addcomb.harmonic import _error_scale, magnitudes, power_sums, transform_cost, transform_error
 from addcomb.setstat import (
     GroupSet,
     SetStack,
@@ -76,6 +76,29 @@ def test_group_set_sorts_and_dedupes():
     assert A.members.tolist() == [1, 3, 7]
     assert len(A) == 3
     assert [i in A for i in range(10)] == [i in {1, 3, 7} for i in range(10)]
+
+
+@pytest.mark.parametrize(
+    "members, want",
+    [([], []), (iter([]), []), (np.array([], dtype=np.int32), []), ([4, 4, 4], [4]),
+     ((9, 0, 9, 0, 5), [0, 5, 9]), (np.array([3, 1, 3], dtype=np.uint8), [1, 3])],
+    ids=["empty", "empty-iterator", "empty-int32", "one-repeated", "tuple", "uint8"],
+)
+def test_group_set_keeps_int64_members_on_every_input(members, want):
+    A = group_set(make_group((10,)), members)
+    assert A.members.dtype == np.int64
+    assert A.members.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "members",
+    [[-1, 2], [3, -1], [1.5], [2.0, 1.0], [1, 2.5], [float("nan")], [1 << 63], [1 << 64], [-1, 1 << 63], [10]],
+    ids=["negative", "negative-last", "float", "integral-floats", "mixed-float", "nan", "2^63", "2^64",
+         "negative-and-2^63", "past-the-order"],
+)
+def test_group_set_refuses_what_is_no_element_index(members):
+    with pytest.raises(GroupMismatchError, match="strictly sorted integer element indices in range"):
+        group_set(make_group((10,)), members)
 
 
 # each group with a twin of the same order that is another group
@@ -185,9 +208,9 @@ def test_mismatched_groups_rejected():
 def test_energy_matches_quadruple_count(g):
     rng = random.Random(g.order + 9)
     A, B = _random_set(g, rng), _random_set(g, rng)
-    # E(A, B) is the sum of squares of B o A
-    assert sum_of_squares(corr_counts(B, A)) == energy_direct(A, B)
-    assert sum_of_squares(corr_counts(A, A)) == higher_energy(A, 2)
+    # E(A, B) is the sum of squares of B o A, E_k(A) the k-th power sum of A o A
+    assert power_sums(corr_counts(B, A), 2) == [energy_direct(A, B)]
+    assert power_sums(corr_counts(A, A), 4) == [higher_energy(A, k) for k in (2, 3, 4)]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
