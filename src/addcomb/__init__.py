@@ -68,10 +68,7 @@ from .setstat import (
 )
 from .spectral import chang_bound, max_dissociated, spectrum
 from .structure import (
-    DensityGuaranteeFailed,
     EnergyJump,
-    HypothesisFailure,
-    InclusionFailed,
     LargeCoefficient,
     NoJump,
     Piece,
@@ -95,7 +92,6 @@ __all__ = [
     "BohrSpec",
     "CheckFailure",
     "CheckRecord",
-    "DensityGuaranteeFailed",
     "EnergyJump",
     "FiniteField",
     "FunctionTable",
@@ -103,8 +99,6 @@ __all__ = [
     "GroupSet",
     "GroupSpec",
     "HLambdaSpec",
-    "HypothesisFailure",
-    "InclusionFailed",
     "LargeCoefficient",
     "NoJump",
     "Piece",

@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .groups import GroupMismatchError, GroupSpec, neg_index_many
-from .report import CheckRecord, record_ge, record_le, require
+from .report import CheckFailure, CheckRecord, record_ge, record_le, require
 from .setstat import GroupSet, column_blocks
 
 _CHUNK = 1 << 16
@@ -58,12 +58,14 @@ _RADIUS_ROUNDS = (256, 1024, 4096)
 _RADIUS_DENOM = 1 << 30
 
 
-class RegularRadiusError(RuntimeError):
-    """No candidate radius passed the regularity grid; carries the trace."""
+class RegularRadiusError(CheckFailure):
+    """No candidate radius passed the regularity grid.  The record is the
+    best candidate's worst grid margin (ten times the margin, an integer)
+    against 1; sizes lists every candidate as (rho, |B|)."""
 
-    def __init__(self, message: str, trace: list[tuple[Fraction, int]]):
-        super().__init__(message)
-        self.trace = trace
+    def __init__(self, record: CheckRecord, message: str, sizes: list[tuple[Fraction, int]]):
+        super().__init__(record, message=message)
+        self.sizes = sizes
 
 
 @dataclass(frozen=True)
@@ -444,14 +446,15 @@ def find_regular_radius(g: GroupSpec, gamma: Sequence[int], eps) -> BohrSpec:
     """Search rho in (1/2, 1) so that B(Gamma, rho * eps) passes the grid test.
 
     Geometric sweep of 256 candidate factors, densified by 4x up to twice:
-    the schedule _RADIUS_ROUNDS, read at each call.  Exhaustion raises with
-    the full size-vs-radius trace; that signals a grid too coarse for this
-    instance, not a structural impossibility.
+    the schedule _RADIUS_ROUNDS, read at each call.  Exhaustion raises
+    RegularRadiusError with the full size-vs-radius list; that signals a
+    grid too coarse for this instance, not a structural impossibility.
     """
     base = make_bohr_spec(g, gamma, eps)
     counter, scale = _counter(base)
     d = base.d
-    trace: list[tuple[Fraction, int]] = []
+    sizes: list[tuple[Fraction, int]] = []
+    worsts: list[int] = []  # each candidate's worst grid margin
     seen: set[Fraction] = set()
     for points in _RADIUS_ROUNDS:
         for i in range(points):
@@ -462,16 +465,19 @@ def find_regular_radius(g: GroupSpec, gamma: Sequence[int], eps) -> BohrSpec:
             if d == 0:
                 return dilate(base, rho)
             counts = _grid_counts(counter, rho * scale, d)
-            trace.append((rho, counts[0]))
-            if min(_grid_margins(counts)) > 0:
+            sizes.append((rho, counts[0]))
+            worsts.append(min(_grid_margins(counts)))
+            if worsts[-1] > 0:
                 return dilate(base, rho)
-    lines = [f"  rho={r}  size={s}" for r, s in trace[:64]]
-    if len(trace) > 64:
-        lines.append(f"  ... {len(trace) - 64} more candidates")
+    lines = [f"  rho={r}  size={s}" for r, s in sizes[:64]]
+    if len(sizes) > 64:
+        lines.append(f"  ... {len(sizes) - 64} more candidates")
     raise RegularRadiusError(
+        record_ge("regular radius", "bohr:regular_radius", max(worsts, default=0), 1,
+                  note=f"best worst grid margin (x10) of {len(sizes)} candidate radii"),
         "no regular radius found in (eps/2, eps) after densification; size-vs-radius trace:\n"
         + "\n".join(lines),
-        trace,
+        sizes,
     )
 
 

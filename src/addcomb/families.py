@@ -4,7 +4,7 @@ and random or planted generators for the harness.
 H+Lambda sets realize the extreme case where all higher energy concentrates
 on a small subgroup.  Katz index sets are discrete logarithms of g+j over
 F_{p^d}; their nonprincipal transform values stay below (d-1) sqrt(p), which
-is re-verified here as a hard assertion.
+is re-verified here as a required record (a CheckFailure when it fails).
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import numpy as np
 
 from . import f2
 from .groups import GroupSpec, boolean_group, make_group
-from .harmonic import power_sums, prime_factors, wht_int
+from .harmonic import dft, power_sums, prime_factors
 from .report import CheckRecord, record_eq, record_ge, record_le, require
 from .setstat import GroupSet, group_set, higher_energy
+from .structure import phi_k
 
 _H_LAMBDA_N_MAX = 20
 
@@ -104,46 +105,34 @@ def verify_h_lambda(A: GroupSet, spec: HLambdaSpec) -> HLambdaReport:
     every s in H, so every slice A intersect (A + s) is H-invariant, and it
     is two H-cosets iff it has 2|H| members.  Ratios r_k, k = 2..6, measure
     how much of E_k lives on H; on the canonical (k=3, lambda=5) shape they
-    must increase strictly over even k.  Failures raise; this family is
-    fully understood, so any violation is a bug witness.
+    must increase strictly over even k.  The slice and partition records
+    are required, as is the climb on the canonical shape: this family is
+    fully understood, so a failure (a CheckFailure naming the first failing
+    slice) is a bug witness.
     """
     g = A.group
     if g != spec.group:
         raise ValueError("set does not live on the spec's group")
     h = f2.subspace_elements(spec.h_basis)
     records: list[CheckRecord] = []
-    counts = A.autocorr.tolist()
+    corr = A.autocorr
     a = len(A)
 
-    bad = h[A.autocorr[h] != a].tolist()
-    if bad:
-        raise AssertionError(f"slice at s={bad[0]} in H is not all of A")
-    records.append(
-        record_eq("H-slices equal A", "family:slice_h", len(h), len(h))
-    )
+    bad = h[corr[h] != a].tolist()
+    note = f"slice at s={bad[0]} in H is not all of A" if bad else ""
+    records.append(require(record_eq("H-slices equal A", "family:slice_h", len(h) - len(bad), len(h), note=note)))
 
-    off_h = A.autocorr != 0  # A - A
+    off_h = corr != 0  # A - A
     off_h[h] = False
     outside = np.flatnonzero(off_h)
     two_cosets = 2 * (1 << spec.k)
-    bad = outside[A.autocorr[outside] != two_cosets].tolist()
+    bad = outside[corr[outside] != two_cosets].tolist()
+    note = f"each of size {two_cosets}"
     if bad:
-        raise AssertionError(f"slice at s={bad[0]} has size {counts[bad[0]]}, expected {two_cosets}")
-    records.append(
-        record_eq(
-            "outside slices are two H-cosets",
-            "family:slice_two_cosets",
-            len(outside),
-            len(outside),
-            note=f"each of size {two_cosets}",
-        )
-    )
-
-    records.append(
-        require(
-            record_eq("slice partition", "family:slice_partition", sum(counts), a * a)
-        )
-    )
+        note += f"; slice at s={bad[0]} has size {corr[bad[0]]}"
+    records.append(require(record_eq("outside slices are two H-cosets", "family:slice_two_cosets",
+                                     len(outside) - len(bad), len(outside), note=note)))
+    records.append(require(record_eq("slice partition", "family:slice_partition", int(corr.sum()), a * a)))
 
     on_h = power_sums(A.autocorr[h], 6)
     ratios = [(k, Fraction(on_h[k - 2], higher_energy(A, k))) for k in range(2, 7)]
@@ -168,7 +157,7 @@ def verify_h_lambda(A: GroupSet, spec: HLambdaSpec) -> HLambdaReport:
     perp_elems = f2.subspace_elements(h_perp).tolist() if h_perp is not None else list(range(g.order))
     h_hat = 1 << spec.k
     for k in (2, 3):
-        phi_hat = wht_int(g, [c**k for c in counts])
+        phi_hat = dft(phi_k(A, k)).values
         expected = h_hat ** (k + 1)
         vals = [Fraction(int(phi_hat[chi]), expected) for chi in perp_elems if chi]
         if vals:
@@ -345,31 +334,22 @@ class KatzReport:
 
 
 def verify_katz_bound(A: GroupSet, field: FiniteField) -> KatzReport:
-    """Hard-assert the peak bound (d-1) sqrt(p) and report the derived chain.
+    """Require the peak bound (d-1) sqrt(p) and report the derived chain.
 
-    The bound is a theorem for these sets, so a proven excess raises: the
-    lower end of the peak's enclosure above it.  The chain: peak^2 <=
-    (d-1)^2 |A| <= (d-1)^2 |A|^2 / K, plus the smallness comparison
-    K^2 |A| / N vs |A|^3 / N.
+    The bound is a theorem for these sets, so a proven excess raises its
+    CheckFailure: the lower end of the peak's enclosure above it.  The
+    chain: peak^2 <= (d-1)^2 |A| <= (d-1)^2 |A|^2 / K, plus the smallness
+    comparison K^2 |A| / N vs |A|^3 / N.
     """
     p, d = field.p, field.d
     a = len(A)
     n = A.group.order
     peak = A.peak
     bound_sq = (d - 1) ** 2 * p
-    if peak.lo > bound_sq:
-        raise AssertionError(
-            f"index-set peak {peak.lo} exceeds the (d-1)^2 p bound {bound_sq}"
-        )
     k = Fraction(A.diff_size, a)
     records = [
-        record_le(
-            "index-set peak bound",
-            "family:katz_peak",
-            peak.lo,
-            bound_sq,
-            note=f"(d-1)^2 p = {bound_sq}",
-        ),
+        require(record_le("index-set peak bound", "family:katz_peak", peak.lo, bound_sq,
+                          note=f"(d-1)^2 p = {bound_sq}")),
         record_le(
             "peak capacity via |A|",
             "family:katz_chain_a",

@@ -79,9 +79,11 @@ def parse_element(g: GroupSpec, text: str, *, path="<string>", line_no=0) -> int
 
 
 def dump_set(A: GroupSet) -> str:
-    lines = [format_group_text(A.group)]
-    lines.extend(format_element(A.group, i) for i in A.members.tolist())
-    return "\n".join(lines) + "\n"
+    """The set file of A: its group line, then one line of coordinates per
+    member (format_element's text), read off one (members, rank) table."""
+    g = A.group
+    table = A.members[:, None] // np.array(g.strides, dtype=np.int64) % np.array(g.factors, dtype=np.int64)
+    return "\n".join([format_group_text(g), *(",".join(map(str, row)) for row in table.tolist())]) + "\n"
 
 
 def write_set(path: str | os.PathLike, A: GroupSet) -> None:

@@ -71,8 +71,6 @@ from .setstat import (
 )
 from .spectral import ChangReport
 from .structure import (
-    DensityGuaranteeFailed,
-    HypothesisFailure,
     StructureParams,
     StructureResult,
     dichotomy_M,
@@ -689,8 +687,8 @@ def _energy_mono_suite(rng: random.Random, cfg: RunConfig, g: GroupSpec) -> list
 def run_verify(cfg: RunConfig) -> RunReport:
     """Run the configured suites; the report is complete even on failure.
 
-    A tripped hard assertion inside a suite lands in the records with its
-    anchor, in place of the suite's other records, and stops that suite
+    A CheckFailure raised inside a suite lands in the records as its failed
+    record, in place of the suite's other records, and stops that suite
     only; the caller turns report.ok into the exit status.
     """
     if cfg.kind != "verify":
@@ -742,12 +740,12 @@ def run_structure(cfg: RunConfig) -> RunReport:
             params = build_params(cfg.params, A, B)
             res = (extract_subspace if mode == "subspace" else extract_bohr)(A, B, params)
             hyp = res.hypotheses
-    except (CheckFailure, HypothesisFailure, DensityGuaranteeFailed) as exc:
-        # a failed gate, hypothesis or certificate is a result: the report
-        # keeps its record (and a certificate's trace), and report.ok
-        # carries the failure to the exit status
+    except CheckFailure as exc:
+        # a failed check (a gate, hypothesis, certificate, jump search or
+        # radius search) is a result: the report keeps its record (and a
+        # certificate's trace), and report.ok carries it to the exit status
         report.records.append(exc.record.to_dict())
-        if isinstance(exc, DensityGuaranteeFailed):
+        if exc.trace is not None:
             failure = {"message": str(exc), **_jsonable(exc.trace)}
     report.timings["structure"] = time.perf_counter() - started
 

@@ -4,6 +4,12 @@ Every asserted inequality in the toolkit is logged as a CheckRecord whose
 `ref` is a stable identifier naming the mathematical fact being tested
 (e.g. "parseval", "bohr:size-lower").  Reports serialise exact values as
 strings so that integer and rational quantities survive the round trip.
+
+A failed check is raised one way: CheckFailure, carrying its failed
+record (require raises it).  A failed certificate adds a trace of what
+it tried, which a structure report keeps.  An internal consistency
+check that fails is a program fault, not a check: it raises
+AssertionError, which no handler turns into a failed check.
 """
 
 from __future__ import annotations
@@ -16,14 +22,15 @@ from .groups import SizeLimitError
 
 
 class CheckFailure(RuntimeError):
-    """An asserted identity or inequality failed; carries the offending record."""
+    """An asserted identity or inequality failed; carries the failed record,
+    and the trace of a failed certificate (None elsewhere)."""
 
-    def __init__(self, record: "CheckRecord"):
-        super().__init__(
-            f"check {record.name} [{record.ref}] failed: "
-            f"lhs={record.lhs} rhs={record.rhs} ({record.note})"
-        )
+    def __init__(self, record: "CheckRecord", *, message: str | None = None, trace: dict | None = None):
+        if message is None:
+            message = f"check {record.name} [{record.ref}] failed: lhs={record.lhs} rhs={record.rhs} ({record.note})"
+        super().__init__(message)
         self.record = record
+        self.trace = trace
 
 
 @dataclass

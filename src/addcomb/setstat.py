@@ -259,7 +259,15 @@ def _join(g: GroupSpec, stacks: Sequence[SetStack]) -> SetStack:
 
 
 def group_set(g: GroupSpec, members: Iterable[int]) -> GroupSet:
-    a = np.sort(np.asarray(list(members)), axis=None)  # axis=None: a nested input is read flat
+    """The set of these element indices, sorted and deduplicated.  Nested
+    input (coordinate tuples, a 2-D array) is refused, not read flat."""
+    try:
+        a = np.asarray(list(members))  # a ragged nesting raises here
+        if a.ndim != 1:
+            raise ValueError
+    except ValueError:
+        raise GroupMismatchError("group_set takes a flat sequence of element indices, not nested input") from None
+    a = np.sort(a)
     return GroupSet(g, a[np.r_[True, a[1:] != a[:-1]]] if a.size else a)
 
 

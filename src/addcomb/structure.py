@@ -10,7 +10,12 @@ is B(Lambda, 1/2) as every phase there is 0 or 1/2 (kind "subgroup"); the
 regular Bohr set at the paper's radius elsewhere (kind "bohr").  The piece
 is returned when its density floor and mass record hold by direct count;
 a failed certificate is raised as a theory-violation witness, never
-papered over.
+papered over.  Every failed check here, a hypothesis, a gate, a
+certificate, a membership recount or the energy-jump search, raises
+report.CheckFailure with its failed record; a failed certificate adds
+the trace of its one attempt.  A broken internal invariant (a transform
+sign, an annihilator dimension, the regularization loop's own bounds)
+raises AssertionError: a program fault, not a failed check.
 
 Drivers, each calling the core once: extract_subspace, extract_bohr, the
 2-eps dichotomy (large Fourier coefficient or a structured piece inside
@@ -44,39 +49,23 @@ _K0_PAD = 10  # jump-search depth past the least t^e >= y^pad
 _K0_MAX = 1 << 20
 
 
-class NoJump(RuntimeError):
-    """No energy jump up to k0; with valid hypotheses this flags a bug."""
+class NoJump(CheckFailure):
+    """No energy jump up to k0; with valid hypotheses this flags a bug.  The
+    record counts the k in [2, k0] where the jump held (none) against 1;
+    energies lists E_1, ..., E_(k0+1)."""
 
-    def __init__(self, message: str, energies: list[int], k0: int, m_star: Fraction):
-        super().__init__(message)
+    def __init__(self, record: CheckRecord, message: str, energies: list[int], k0: int, m_star: Fraction):
+        super().__init__(record, message=message)
         self.energies = energies
         self.k0 = k0
         self.m_star = m_star
 
 
-class DensityGuaranteeFailed(RuntimeError):
-    """A certified density bound failed the direct count; carries its record and trace."""
-
-    def __init__(self, message: str, trace: dict, record: CheckRecord):
-        super().__init__(message)
-        self.trace = trace
-        self.record = record
-
-
-class InclusionFailed(RuntimeError):
-    """A claimed subset relation has explicit counterexamples."""
-
-    def __init__(self, message: str, missing: list[int]):
-        super().__init__(message)
-        self.missing = missing
-
-
-class HypothesisFailure(ValueError):
-    """An input fails the gating hypotheses of the requested driver."""
-
-    def __init__(self, record: CheckRecord):
-        super().__init__(f"hypothesis not met: {record.name}: lhs={record.lhs} rhs={record.rhs}")
-        self.record = record
+def _gate(record: CheckRecord) -> CheckRecord:
+    """require for a driver's hypothesis, raised as "hypothesis not met"."""
+    if not record.ok:
+        raise CheckFailure(record, message=f"hypothesis not met: {record.name}: lhs={record.lhs} rhs={record.rhs}")
+    return record
 
 
 @dataclass(frozen=True)
@@ -307,11 +296,10 @@ def find_energy_jump(B: GroupSet, params: StructureParams) -> EnergyJump:
         if e_next * m_star.numerator >= b * e_k * m_star.denominator:
             return EnergyJump(k=k, e_k=e_k, e_next=e_next, m_star=m_star, k0=k0)
         e_k = e_next
+    jump = record_ge("energy jump", "structure:energy_jump", 0, 1,
+                     note=f"k in [2, {k0}] with E_(k+1) >= |B| E_k / m_star")
     raise NoJump(
-        f"no energy jump in [2, {k0}] at m_star={m_star}; E_k table: {energies[:12]}...",
-        energies,
-        k0,
-        m_star,
+        jump, f"no energy jump in [2, {k0}] at m_star={m_star}; E_k table: {energies[:12]}...", energies, k0, m_star
     )
 
 
@@ -362,7 +350,7 @@ class _Front:
     witness: DissociatedWitness
 
     def trace(self, attempts: list[dict]) -> dict:
-        """The trace of a DensityGuaranteeFailed raised on this front."""
+        """The trace of a failed certificate raised on this front."""
         return {"k": self.jump.k, "lambda": self.witness.members.tolist(), "witness_mode": self.witness.mode,
                 "attempts": attempts}
 
@@ -370,8 +358,7 @@ class _Front:
 def _pipeline_front(A: GroupSet, B: GroupSet, params: StructureParams) -> _Front:
     report = check_hypotheses(A, B, params)
     if not report.core_ok:
-        bad = next(r for r in report.records if not r.ok)
-        raise HypothesisFailure(bad)
+        _gate(next(r for r in report.records if not r.ok))
     jump = find_energy_jump(B, params)
     phi = phi_k(B, jump.k)
     phi_hat = dft(phi)
@@ -475,9 +462,8 @@ def _extract(front: _Front, B: GroupSet, subgroup: bool) -> StructureResult:
     attempts = [{**shows, "size": size, "achieved": achieved, "guaranteed": guaranteed}]
     failed = [r for r in records if not r.ok]
     if failed:
-        raise DensityGuaranteeFailed(
-            f"the piece failed the direct count ({head})", front.trace(attempts), failed[-1]
-        )
+        raise CheckFailure(failed[-1], message=f"the piece failed the direct count ({head})",
+                           trace=front.trace(attempts))
     diagnostics = {
         "eps_spectrum": front.eps,
         "eps_clamped": front.clamped,
@@ -613,9 +599,7 @@ def certify_difference_subset(A: GroupSet, eps_param: Fraction | int) -> Structu
     order = g.order
     k = Fraction(A.diff_size, a)
     delta = Fraction(a, order)
-    gate = record_le("smallness gate", "dichotomy:gate_2eps", 100 * k * k * delta, eps)
-    if not gate.ok:
-        raise HypothesisFailure(gate)
+    gate = _gate(record_le("smallness gate", "dichotomy:gate_2eps", 100 * k * k * delta, eps))
     large = _large_coefficient(
         A, (2 - eps) * a * a / k, strict=False, ref="dichotomy:large_2eps", gate=gate, diagnostics={}
     )
@@ -655,27 +639,18 @@ def _majority(
     need = (Fraction(1, 2) + eps / 8) * size
     cert = record_ge(name, "dichotomy:half_plus", Fraction(score), need, note=note)
     if not cert.ok:
-        raise DensityGuaranteeFailed(
-            f"2-eps {name} failed the direct count ({note})",
-            front.trace([{"size": size, "achieved": score, "guaranteed": need}]),
-            cert,
-        )
+        raise CheckFailure(cert, message=f"2-eps {name} failed the direct count ({note})",
+                           trace=front.trace([{"size": size, "achieved": score, "guaranteed": need}]))
     return cert, need
 
 
 def _verify_difference_membership(A: GroupSet, piece: GroupSet, ref: str) -> CheckRecord:
+    """require: the members of piece in A-A, those with (A o A)(x) > 0,
+    are all of piece.  A failed record's note names the first few missing."""
     missing = piece.members[A.autocorr[piece.members] == 0].tolist()
-    if missing:
-        raise InclusionFailed(
-            f"{len(missing)} members are outside A-A (first few: {missing[:5]})", missing
-        )
-    return record_eq(
-        "difference-set membership",
-        ref,
-        len(piece) - len(missing),
-        len(piece),
-        note="every member has (A o A)(x) > 0",
-    )
+    note = (f"{len(missing)} members are outside A-A (first few: {missing[:5]})" if missing
+            else "every member has (A o A)(x) > 0")
+    return require(record_eq("difference-set membership", ref, len(piece) - len(missing), len(piece), note=note))
 
 
 def _certify_bohr_branch(
@@ -745,9 +720,7 @@ def dichotomy_M(
     if not any(np.isin(B_sub.members, S.members, assume_unique=True).all() for S in (A, A.neg())):
         raise ValueError("B_sub must be a subset of A or of -A")
     k = Fraction(A.diff_size, a)
-    gate = record_le("smallness gate", "dichotomy:gate_M", 100 * k * k * a, g.order)
-    if not gate.ok:
-        raise HypothesisFailure(gate)
+    gate = _gate(record_le("smallness gate", "dichotomy:gate_M", 100 * k * k * a, g.order))
     if M is None:
         M = Fraction(math.ceil(Fraction(A.peak.hi) * k / (a * a)))
         M = max(Fraction(1), min(M, k))

@@ -451,6 +451,21 @@ def test_regularity_grid_on_an_irregular_set_and_an_exhausted_sweep():
         _assert_regularity_matches_oracle(g, [1], [eps], (1,))
 
 
+def test_an_exhausted_radius_sweep_raises_a_failed_record():
+    # the sweep of the test above: its one candidate is B(1, 1/60) = {0}
+    g = make_group((60,))
+    rho = Fraction(round(2**-0.5 * 2**30), 2**30)
+    with pytest.raises(CheckFailure) as exc, mock.patch.object(bohr, "_RADIUS_ROUNDS", (1,)):
+        find_regular_radius(g, [1], [Fraction(1, 60) / rho])
+    assert isinstance(exc.value, RegularRadiusError) and exc.value.trace is None
+    record = exc.value.record
+    # the best candidate's worst grid margin, ten times the oracle's margin, against 1
+    _, worst, _ = regularity_grid_direct(g, [1], [Fraction(1, 60)])
+    assert (record.ref, record.ok, record.lhs, record.rhs) == ("bohr:regular_radius", False, str(10 * worst), "1")
+    assert exc.value.sizes == [(rho, 1)]
+    assert str(exc.value).startswith("no regular radius found in (eps/2, eps)")
+
+
 def test_counter_exact_off_the_float_range():
     """A radius shape past the double range uses the integer scan, as any
     shape of unequal radii does; a dilation past the double range is one

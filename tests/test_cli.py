@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from addcomb import cli, families, harness, setstat
+from addcomb import bohr, cli, f2, families, harness, setstat, structure
 from addcomb.cli import main
 from addcomb.families import make_planted
 from addcomb.fileio import dump_set, parse_set, read_table, write_set
@@ -310,6 +310,66 @@ def test_structure_gate_failure_still_writes_its_report(tmp_path, capsys):
     assert (record["lhs"], record["rhs"]) == ("9859600/53", "4096")
     assert data["results"][0]["result"] is None
     assert data["results"][0]["size"] == len(inst.set)
+
+
+def test_a_core_hypothesis_failure_through_params_exits_1_with_its_record(subgroup_file, tmp_path, capsys):
+    # an energy cap m' far below E(B) K' / |B|^3 = 1 on a subgroup
+    pf, out = tmp_path / "params.json", tmp_path / "r.json"
+    pf.write_text(json.dumps({"m_prime": "1/1000"}))
+    assert main(["structure", subgroup_file, "--params", str(pf), "--out", str(out)]) == 1
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    (record,) = data["records"]
+    assert (record["ref"], record["ok"], record["rhs"]) == ("structure:energy_cap", False, "64/125")
+    assert data["results"][0]["result"] is None and "failure" not in data["results"][0]
+
+
+def test_an_internal_assertion_propagates_out_of_main(subgroup_file, monkeypatch, capsys):
+    # a short annihilator basis breaks an internal invariant, not a checked inequality
+    real = f2.nullspace_basis
+    monkeypatch.setattr(f2, "nullspace_basis", lambda vectors, n: real(vectors, n)[:-1])
+    with pytest.raises(AssertionError, match="annihilator dimension disagrees"):
+        main(["structure", subgroup_file])
+    assert "check failed:" not in capsys.readouterr().err
+
+
+def test_a_failed_jump_search_writes_its_report(subgroup_file, tmp_path, monkeypatch, capsys):
+    # m_star below 1 admits no jump, as E_(k+1) <= |B| E_k
+    monkeypatch.setattr(structure.StructureParams, "m_star", property(lambda self: Fraction(1, 2)))
+    out = tmp_path / "r.json"
+    assert main(["structure", subgroup_file, "--out", str(out)]) == 1
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    assert data["ok"] is False
+    failed = [r for r in data["records"] if not r["ok"]]
+    assert [r["ref"] for r in failed] == ["structure:energy_jump"]
+    assert data["results"][0]["result"] is None and "failure" not in data["results"][0]
+
+
+def test_a_failed_jump_search_past_the_int_text_limit_writes_its_report(subgroup_file, tmp_path, monkeypatch, capsys):
+    # a tension near 1 and a large m' put k0 at 6961, where E_k0 of the
+    # 8-point subgroup, 8^(k0 + 1), has more than 4300 digits; the failed
+    # record holds counts, not energies, so it still has a text form
+    monkeypatch.setattr(structure.StructureParams, "m_star", property(lambda self: Fraction(1, 2)))
+    pf, out = tmp_path / "params.json", tmp_path / "r.json"
+    pf.write_text(json.dumps({"m_prime": 1000, "t": "101/100"}))
+    assert main(["structure", subgroup_file, "--params", str(pf), "--out", str(out)]) == 1
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    failed = [r for r in data["records"] if not r["ok"]]
+    assert [(r["ref"], r["lhs"], r["rhs"]) for r in failed] == [("structure:energy_jump", "0", "1")]
+    assert failed[0]["note"].startswith("k in [2, 6961] ")
+
+
+def test_an_exhausted_radius_search_writes_its_report(tmp_path, monkeypatch, capsys):
+    p, out = tmp_path / "A.txt", tmp_path / "r.json"
+    write_set(p, group_set(make_group((1000,)), range(0, 1000, 10)))
+    monkeypatch.setattr(bohr, "_RADIUS_ROUNDS", ())
+    assert main(["structure", str(p), "--out", str(out)]) == 1
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    failed = [r for r in data["records"] if not r["ok"]]
+    assert [(r["ref"], r["lhs"], r["rhs"]) for r in failed] == [("bohr:regular_radius", "0", "1")]
 
 
 @pytest.mark.parametrize("group", ["Z16", "F2^4"])

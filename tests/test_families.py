@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from addcomb import families
 from addcomb.families import (
     FiniteField,
     HLambdaSpec,
@@ -17,6 +18,7 @@ from addcomb.families import (
     verify_katz_bound,
 )
 from addcomb.groups import boolean_group, make_group
+from addcomb.report import CheckFailure
 from addcomb.setstat import (
     corr_counts,
     group_set,
@@ -63,18 +65,39 @@ def test_h_lambda_slices_directly():
             assert len(slice_direct(A, s)) == 16
 
 
-@pytest.mark.parametrize("drop, add, message", [
-    ({13}, {13 ^ 16 ^ 32}, "slice at s=1 in H is not all of A"),  # one point moved out of its coset
+@pytest.mark.parametrize("drop, add, ref, note", [
+    # one point moved out of its coset
+    ({13}, {13 ^ 16 ^ 32}, "family:slice_h", "slice at s=1 in H is not all of A"),
     # coset 128 + H swapped for 56 + H: 8 + 16 = 32 + 56, so the slice at 24 holds four cosets
-    (set(range(128, 136)), set(range(56, 64)), "slice at s=24 has size 32, expected 16"),
-])
-def test_perturbed_h_lambda_raises_at_the_first_failing_slice(drop, add, message):
+    (set(range(128, 136)), set(range(56, 64)), "family:slice_two_cosets",
+     "each of size 16; slice at s=24 has size 32"),
+], ids=["drop0-add0-slice at s=1 in H is not all of A", "drop1-add1-slice at s=24 has size 32, expected 16"])
+def test_perturbed_h_lambda_raises_at_the_first_failing_slice(drop, add, ref, note):
     spec = HLambdaSpec(n=8, k=3, lambda_size=5)
     A = make_h_lambda(spec)
     B = group_set(A.group, sorted(set(A.members.tolist()) - drop | add))
-    with pytest.raises(AssertionError) as err:
+    with pytest.raises(CheckFailure) as err:
         verify_h_lambda(B, spec)
-    assert str(err.value) == message
+    record = err.value.record
+    assert (record.ref, record.ok, record.note) == (ref, False, note)
+    # lhs counts the slices that hold, rhs the slices checked (H is the first 8 indices)
+    members = B.members.tolist()
+    if ref == "family:slice_h":
+        holds = [slice_direct(B, s) == members for s in range(8)]
+    else:
+        holds = [len(slice_direct(B, s)) == 16 for s in range(8, 256) if slice_direct(B, s)]
+    assert (record.lhs, record.rhs) == (str(sum(holds)), str(len(holds)))
+
+
+def test_canonical_h_lambda_raises_when_the_even_k_climb_falls(monkeypatch):
+    spec = HLambdaSpec(n=8, k=3, lambda_size=5)
+    A = make_h_lambda(spec)
+    # E_k read 10^k times too large: the H share r_k falls with k
+    real = families.higher_energy
+    monkeypatch.setattr(families, "higher_energy", lambda B, k: real(B, k) * 10**k)
+    with pytest.raises(CheckFailure) as err:
+        verify_h_lambda(A, spec)
+    assert (err.value.record.ref, err.value.record.lhs) == ("family:r_k_monotone", "0")
 
 
 def test_h_lambda_other_shapes():
@@ -162,6 +185,17 @@ def test_katz_peak_matches_direct_transform():
     rep = verify_katz_bound(A, f)
     direct = peak_direct(A)
     assert rep.peak_sq == pytest.approx(direct, rel=1e-9)
+
+
+def test_katz_peak_bound_raises_on_a_set_past_it():
+    f = make_finite_field(5, 2)
+    # the interval {0, ..., 4} of Z24 has its peak |A_hat(1)|^2 near 21.8, past (d-1)^2 p = 5
+    A = group_set(make_group((f.order,)), range(5))
+    assert peak_direct(A) > 5
+    with pytest.raises(CheckFailure) as err:
+        verify_katz_bound(A, f)
+    record = err.value.record
+    assert (record.ref, record.ok, record.rhs) == ("family:katz_peak", False, "5")
 
 
 def test_field_rejects_bad_parameters():

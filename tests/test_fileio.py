@@ -21,7 +21,7 @@ from addcomb.fileio import (
     write_function,
     write_set,
 )
-from addcomb.groups import GroupMismatchError, boolean_group, make_group, parse_group_text
+from addcomb.groups import GroupMismatchError, boolean_group, format_group_text, make_group, parse_group_text
 from addcomb.harmonic import FunctionTable
 from addcomb.setstat import group_set
 
@@ -32,6 +32,18 @@ def test_element_round_trip():
     g = make_group((4, 6))
     for i in range(g.order):
         assert parse_element(g, format_element(g, i)) == i
+
+
+@given(st.sampled_from([(2,) * 5, (2,) * 12, (10,), (1000,), (65536,), (3, 4), (4, 6, 10), (7, 11, 2), (11,)]),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_dump_set_writes_format_element_of_every_member(factors, data):
+    g = make_group(factors)
+    members = data.draw(st.sets(st.integers(0, g.order - 1), max_size=min(g.order, 300)))
+    A = group_set(g, members)
+    lines = [format_element(g, i) for i in sorted(members)]
+    assert dump_set(A) == "\n".join([format_group_text(g), *lines]) + "\n"
+    assert parse_set(dump_set(A)) == A
 
 
 def test_element_errors_carry_line_numbers():

@@ -101,6 +101,17 @@ def test_group_set_refuses_what_is_no_element_index(members):
         group_set(make_group((10,)), members)
 
 
+@pytest.mark.parametrize(
+    "members",
+    [[(0, 1), (1, 0)], [[1, 2], [3, 4]], np.array([[0, 1], [1, 0]]), np.arange(6).reshape(2, 3), [(0, 1), 2]],
+    ids=["coordinate-tuples", "nested-lists", "2-d-array", "2-d-arange", "ragged"],
+)
+def test_group_set_refuses_nested_input(members):
+    # coordinate tuples are no element indices: read flat, [(0, 1), (1, 0)] was the set {0, 1}
+    with pytest.raises(GroupMismatchError, match="flat sequence of element indices"):
+        group_set(make_group((2, 2)), members)
+
+
 # each group with a twin of the same order that is another group
 _TWINS = [
     (make_group((18,)), make_group((2, 9))),

@@ -20,7 +20,7 @@ from addcomb.fileio import write_set
 from addcomb.groups import SizeLimitError, boolean_group, make_group
 from addcomb.harmonic import FunctionTable
 from addcomb.harness import derive_params, structure_result_dict
-from addcomb.report import format_value
+from addcomb.report import CheckFailure, format_value
 from addcomb.setstat import (
     corr_counts,
     group_set,
@@ -28,9 +28,6 @@ from addcomb.setstat import (
 )
 from addcomb.spectral import DissociatedWitness
 from addcomb.structure import (
-    DensityGuaranteeFailed,
-    HypothesisFailure,
-    InclusionFailed,
     NoJump,
     StructureParams,
     certify_difference_subset,
@@ -190,6 +187,11 @@ def test_no_jump_when_m_star_below_one():
     # energies list starts at E_1 = b^2
     assert exc.value.energies[0] == len(A) ** 2
     assert exc.value.energies[1] == higher_energy(A, 2)
+    assert exc.value.energies[-1] == higher_energy(A, params.k0 + 1)
+    # a failed check: the orders k in [2, k0] where the jump held, none, against 1
+    assert isinstance(exc.value, CheckFailure) and exc.value.trace is None
+    record = exc.value.record
+    assert (record.ref, record.ok, record.lhs, record.rhs) == ("structure:energy_jump", False, "0", "1")
 
 
 def test_phi_k_is_the_correlation_power():
@@ -381,8 +383,9 @@ def test_check_hypotheses_energy_capacity_failure():
     )
     rep = check_hypotheses(A, A, tight)
     assert not rep.core_ok
-    with pytest.raises(HypothesisFailure):
+    with pytest.raises(CheckFailure, match="^hypothesis not met") as exc:
         extract_subspace(A, A, tight)
+    assert exc.value.record == next(r for r in rep.records if not r.ok)
 
 
 def test_extract_subspace_certificate_verified_independently():
@@ -599,7 +602,7 @@ def test_dichotomy_exactly_one_branch_fires():
 def test_dichotomy_gate_failure_is_surfaced():
     A = make_h_lambda(HLambdaSpec(n=8, k=3, lambda_size=5))
     # 100 K^2 a = 100 * (11/5)^2 * 40 = 19360 > 256 = N
-    with pytest.raises(HypothesisFailure) as exc:
+    with pytest.raises(CheckFailure, match="^hypothesis not met: smallness gate") as exc:
         dichotomy_M(A)
     assert exc.value.record.ref == "dichotomy:gate_M"
 
@@ -674,8 +677,9 @@ def test_certify_difference_subset_counts_the_autocorrelation_once(monkeypatch):
 def test_certify_gate_failure():
     g = make_group((30,))
     A = group_set(g, range(10))
-    with pytest.raises(HypothesisFailure):
+    with pytest.raises(CheckFailure) as exc:
         certify_difference_subset(A, Fraction(1, 2))
+    assert (exc.value.record.ref, exc.value.record.ok) == ("dichotomy:gate_2eps", False)
 
 
 def test_certify_eps_validation():
@@ -822,7 +826,7 @@ def _cyclic_subgroup_instance():
 )
 def test_a_zeroed_recount_raises_after_one_piece_recount(A, extract, ref, monkeypatch):
     pieces = _zero_corr_counts(monkeypatch)
-    with pytest.raises(DensityGuaranteeFailed) as exc:
+    with pytest.raises(CheckFailure) as exc:
         extract(A, A, derive_params(A, A))
     trace = exc.value.trace
     assert set(trace) == {"k", "lambda", "witness_mode", "attempts"}
@@ -843,7 +847,7 @@ def test_extract_bohr_counts_the_whole_group_once_when_lambda_is_empty(monkeypat
     # B = G: phi is constant, so its spectrum is {0} and Lambda is empty
     A = group_set(make_group((12,)), range(12))
     pieces = _zero_corr_counts(monkeypatch)
-    with pytest.raises(DensityGuaranteeFailed) as exc:
+    with pytest.raises(CheckFailure) as exc:
         extract_bohr(A, A, derive_params(A, A))
     assert exc.value.trace["lambda"] == []
     assert len(exc.value.trace["attempts"]) == 1
@@ -886,9 +890,12 @@ def test_structure_command_writes_the_report_of_a_failed_certificate(A, ref, tmp
 def test_difference_membership_names_a_point_outside_a_minus_a():
     g = make_group((20,))
     A = group_set(g, [0, 1])  # A - A = {0, 1, 19}
-    with pytest.raises(InclusionFailed) as exc:
+    with pytest.raises(CheckFailure) as exc:
         structure._verify_difference_membership(A, group_set(g, [0, 5, 19]), "dichotomy:inclusion_bohr")
-    assert exc.value.missing == [5]
+    record = exc.value.record
+    # the record counts the members in A - A; its note names those missing
+    assert (record.ref, record.ok, record.lhs, record.rhs) == ("dichotomy:inclusion_bohr", False, "2", "3")
+    assert record.note == "1 members are outside A-A (first few: [5])"
     assert "[5]" in str(exc.value)
     rec = structure._verify_difference_membership(A, group_set(g, [0, 19]), "dichotomy:inclusion_bohr")
     assert rec.ok and rec.lhs == rec.rhs == "2"
@@ -908,7 +915,7 @@ def test_two_eps_majority_failure_carries_the_certify_trace(monkeypatch):
     # the certify step's recount is real; the two dilate recounts read zero
     A = group_set(make_group((1009,)), [5])
     pieces = _zero_corr_counts(monkeypatch, zero=lambda call: call > 1)
-    with pytest.raises(DensityGuaranteeFailed) as exc:
+    with pytest.raises(CheckFailure) as exc:
         certify_difference_subset(A, Fraction(1, 2))
     assert len(pieces) == 3
     trace = exc.value.trace
