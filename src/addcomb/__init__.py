@@ -78,8 +78,7 @@ from .structure import (
     certify_difference_subset,
     check_hypotheses,
     dichotomy_M,
-    extract_bohr,
-    extract_subspace,
+    extract,
     find_energy_jump,
     phi_k,
     regularize_density,
@@ -118,8 +117,7 @@ __all__ = [
     "dichotomy_M",
     "dilate",
     "energy_difference_bounds",
-    "extract_bohr",
-    "extract_subspace",
+    "extract",
     "find_energy_jump",
     "find_regular_radius",
     "format_group_text",

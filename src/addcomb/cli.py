@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
-import json
 import sys
 from fractions import Fraction
 
@@ -157,10 +156,7 @@ def _cmd_bohr(args) -> int:
 
 
 def _cmd_structure(args) -> int:
-    params = {}
-    if args.params:
-        with open(args.params, "r", encoding="utf-8") as fh:
-            params = json.load(fh)
+    params = harness.read_json(args.params) if args.params else {}
     sets = [{"kind": "file", "path": args.setfile}]
     if args.b:
         sets.append({"kind": "file", "path": args.b})

@@ -74,8 +74,7 @@ from .structure import (
     StructureParams,
     StructureResult,
     dichotomy_M,
-    extract_bohr,
-    extract_subspace,
+    extract,
 )
 
 SCHEMA = "addcomb-report/1"
@@ -184,12 +183,18 @@ def _group_value(raw, where: str) -> GroupSpec:
         raise ConfigError(str(exc)) from None
 
 
-def load_configs(path: str) -> list[RunConfig]:
+def read_json(path: str):
+    """The JSON value in the file at path; an unreadable file or malformed
+    JSON is a ConfigError that names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def load_configs(path: str) -> list[RunConfig]:
+    data = read_json(path)
     if isinstance(data, dict) and "experiments" in data:
         items = data["experiments"]
         shared = {k: v for k, v in data.items() if k != "experiments"}
@@ -738,7 +743,7 @@ def run_structure(cfg: RunConfig) -> RunReport:
             res = dichotomy_M(A, M=M, B_sub=B)
         else:
             params = build_params(cfg.params, A, B)
-            res = (extract_subspace if mode == "subspace" else extract_bohr)(A, B, params)
+            res = extract(A, B, params, "subgroup" if mode == "subspace" else "bohr")
             hyp = res.hypotheses
     except CheckFailure as exc:
         # a failed check (a gate, hypothesis, certificate, jump search or

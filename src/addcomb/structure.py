@@ -3,24 +3,26 @@
 The central pipeline: detect the first higher-energy jump of B, form
 phi(x) = |B_x|^k at the jump exponent, read off the large spectrum of phi,
 take a maximal dissociated set Lambda inside it, and intersect B with a
-translate of a Bohr set of Lambda.  One core (_extract) builds one piece
-and recounts it once.  Every piece is a Piece, a translate of a Bohr set
-with its spec and members: on a 2-group the annihilator of Lambda, which
-is B(Lambda, 1/2) as every phase there is 0 or 1/2 (kind "subgroup"); the
-regular Bohr set at the paper's radius elsewhere (kind "bohr").  The piece
-is returned when its density floor and mass record hold by direct count;
-a failed certificate is raised as a theory-violation witness, never
-papered over.  Every failed check here, a hypothesis, a gate, a
-certificate, a membership recount or the energy-jump search, raises
-report.CheckFailure with its failed record; a failed certificate adds
-the trace of its one attempt.  A broken internal invariant (a transform
+translate of a Bohr set of Lambda.  extract(A, B, params, kind) is the one
+entry point: it checks the kind's precondition and runs the core
+(_extract), which builds one piece and recounts it once.  Every piece is a
+Piece, a translate of a Bohr set with its spec and members: on a 2-group
+the annihilator of Lambda, which is B(Lambda, 1/2) as every phase there is
+0 or 1/2 (kind "subgroup"); the regular Bohr set at the paper's radius
+elsewhere (kind "bohr").  The piece is returned when its density floor and
+mass record hold by direct count; a failed certificate is raised as a
+theory-violation witness, never papered over.  Every failed check here, a
+hypothesis, a gate, a certificate, a membership recount or the energy-jump
+search, raises report.CheckFailure with its failed record; a failed
+certificate adds the trace of its one attempt.  A broken internal invariant (a transform
 sign, an annihilator dimension, the regularization loop's own bounds)
 raises AssertionError: a program fault, not a failed check.
 
-Drivers, each calling the core once: extract_subspace, extract_bohr, the
-2-eps dichotomy (large Fourier coefficient or a structured piece inside
-A-A) and the M-dichotomy with its coset decomposition; the density
-regularization loop runs extract_subspace.  The paper's argument does not
+Four drivers reach the pipeline, each through extract: harness's
+structure run, the 2-eps dichotomy (certify_difference_subset: a large
+Fourier coefficient or a structured piece inside A-A), the M-dichotomy
+(dichotomy_M) with its coset decomposition, and the density regularization
+loop (regularize_density), once per round.  The paper's argument does not
 go through a Bogolyubov-type 3B' subspace (Sanders 2012), and none is
 searched for here.
 """
@@ -349,11 +351,6 @@ class _Front:
     spec: Spectrum
     witness: DissociatedWitness
 
-    def trace(self, attempts: list[dict]) -> dict:
-        """The trace of a failed certificate raised on this front."""
-        return {"k": self.jump.k, "lambda": self.witness.members.tolist(), "witness_mode": self.witness.mode,
-                "attempts": attempts}
-
 
 def _pipeline_front(A: GroupSet, B: GroupSet, params: StructureParams) -> _Front:
     report = check_hypotheses(A, B, params)
@@ -407,14 +404,14 @@ _RECORDS = {
 }
 
 
-def _piece(g: GroupSpec, lam: np.ndarray, params: StructureParams, subgroup: bool) -> tuple[BohrSet, dict]:
+def _piece(g: GroupSpec, lam: np.ndarray, params: StructureParams, kind: str) -> tuple[BohrSet, dict]:
     """The one piece a pipeline recounts, as a Bohr set, and the fields its
-    attempt entry shows.  On a subgroup pipeline (a 2-group) it is the
+    attempt entry shows.  A "subgroup" piece (on a 2-group) is the
     annihilator of Lambda, B(Lambda, 1/2), its members spanned from a
-    nullspace basis.  Otherwise it is the regular Bohr set of Lambda at the
+    nullspace basis.  A "bohr" piece is the regular Bohr set of Lambda at the
     paper's radius rho = c zeta / (m_star |Lambda|), c = _C_LOCAL; with
     Lambda empty that Bohr set is the whole group."""
-    if subgroup:
+    if kind == "subgroup":
         basis = f2.nullspace_basis(lam.tolist(), g.rank)
         if len(basis) != g.rank - len(lam):
             raise AssertionError("annihilator dimension disagrees with the dissociated rank")
@@ -436,17 +433,25 @@ def _piece(g: GroupSpec, lam: np.ndarray, params: StructureParams, subgroup: boo
     return materialize(g, spec), shows
 
 
-def _extract(front: _Front, B: GroupSet, subgroup: bool) -> StructureResult:
-    """The certified piece of the front's witness, recounted once: a
-    subgroup Piece on a subgroup pipeline and a Bohr one otherwise, with
-    the diagnostics it reports.  The piece P passes when achieved = max_x
-    |B intersect (P+x)| reaches the floor of its zeta loss (the key of
-    _RECORDS) and its mass record holds; otherwise the failure is raised
-    with its one attempt in the trace and the failed density record (or
-    mass record).  A Bohr piece also reports its attempt, the radius
-    sufficiency record and the span checks."""
+def _trace(result: StructureResult, attempts: list[dict]) -> dict:
+    """The trace of a failed certificate raised on the piece of result: the
+    jump order, Lambda (the piece's characters), the witness mode and the
+    attempts."""
+    return {"k": result.jump.k, "lambda": list(result.variant.bohr.spec.gamma),
+            "witness_mode": result.witness_mode, "attempts": attempts}
+
+
+def _extract(front: _Front, B: GroupSet, kind: str) -> StructureResult:
+    """The certified piece of the front's witness, recounted once: a Piece
+    of the given kind, with the diagnostics it reports.  The piece P passes
+    when achieved = max_x |B intersect (P+x)| reaches the floor of its zeta
+    loss (the key of _RECORDS) and its mass record holds; otherwise the
+    failure is raised with its one attempt in the trace and the failed
+    density record (or mass record).  A Bohr piece also reports its
+    attempt, the radius sufficiency record and the span checks."""
     lam = front.witness.members
-    bohr, shows = _piece(B.group, lam, front.params, subgroup)
+    subgroup = kind == "subgroup"
+    bohr, shows = _piece(B.group, lam, front.params, kind)
     size, loss = len(bohr), 1 if subgroup else 2
     head = f"{'codim' if subgroup else 'dim'} {len(lam)}"
     counts = corr_counts(bohr.members, B)
@@ -459,12 +464,15 @@ def _extract(front: _Front, B: GroupSet, subgroup: bool) -> StructureResult:
         record_ge(name, ref, energy, guaranteed * len(B) * size / per, note=note.format(size=size)),
         record_ge(*density, Fraction(achieved), guaranteed, note=f"{head}, z={z}"),
     ]
+    result = StructureResult(variant=Piece(kind, bohr, z, Fraction(achieved, size)), achieved=Fraction(achieved),
+                             guaranteed=guaranteed, records=records, jump=front.jump,
+                             witness_mode=front.witness.mode, hypotheses=front.report)
     attempts = [{**shows, "size": size, "achieved": achieved, "guaranteed": guaranteed}]
     failed = [r for r in records if not r.ok]
     if failed:
         raise CheckFailure(failed[-1], message=f"the piece failed the direct count ({head})",
-                           trace=front.trace(attempts))
-    diagnostics = {
+                           trace=_trace(result, attempts))
+    result.diagnostics = {
         "eps_spectrum": front.eps,
         "eps_clamped": front.clamped,
         "spectrum_size": len(front.spec),
@@ -472,20 +480,11 @@ def _extract(front: _Front, B: GroupSet, subgroup: bool) -> StructureResult:
         "chang": chang_bound(front.phi, front.spec, front.witness),
     }
     if not subgroup:
-        diagnostics["attempts"] = attempts
+        result.diagnostics["attempts"] = attempts
         if len(lam):
-            diagnostics["sufficiency"] = shows["sufficiency"]
-        diagnostics.update(_bohr_span_diagnostics(B, front))
-    return StructureResult(
-        variant=Piece("subgroup" if subgroup else "bohr", bohr, z, Fraction(achieved, size)),
-        achieved=Fraction(achieved),
-        guaranteed=guaranteed,
-        records=records,
-        jump=front.jump,
-        witness_mode=front.witness.mode,
-        diagnostics=diagnostics,
-        hypotheses=front.report,
-    )
+            result.diagnostics["sufficiency"] = shows["sufficiency"]
+        result.diagnostics.update(_bohr_span_diagnostics(B, front))
+    return result
 
 
 def _bohr_span_diagnostics(B: GroupSet, front: _Front) -> dict:
@@ -522,31 +521,29 @@ def _bohr_span_diagnostics(B: GroupSet, front: _Front) -> dict:
     return out
 
 
-def extract_subspace(A: GroupSet, B: GroupSet, params: StructureParams) -> StructureResult:
-    """Jump pipeline on a 2-group: a subspace translate dense in B.
+def extract(A: GroupSet, B: GroupSet, params: StructureParams, kind: str) -> StructureResult:
+    """The jump pipeline's one entry point: a translate of a piece of the
+    given kind (a Piece.kind word) dense in B.
 
-    Asserts, by direct count, that the returned translate z satisfies
-    |B intersect (L+z)| >= (1-zeta) omega |L| / (t (m+kappa)).
+    "subgroup" runs on a 2-group only: the annihilator L of Lambda, with
+    |B intersect (L+z)| >= (1-zeta) omega |L| / (t (m+kappa)) asserted by
+    direct count.  "bohr" runs on any group with zeta < 1/2: the regular
+    Bohr set B_* of Lambda at the paper's radius rho = c zeta / (m_star
+    |Lambda|), c = 1/32, with |B intersect (B_*+z)| >= (1-2 zeta) omega
+    |B_*| / (t (m+kappa)) and the translate energy sum_x |B intersect
+    (B_*+x)|^2 >= that floor times |B| |B_*| asserted by direct count.  A
+    failed count is raised with the piece's one attempt in its trace; an
+    unmet precondition or an unknown kind is a ValueError.
     """
-    if not A.group.is_boolean_space:
-        raise ValueError("subspace extraction needs a 2-group; on other groups use --mode bohr (extract_bohr)")
-    return _extract(_pipeline_front(A, B, params), B, subgroup=True)
-
-
-def extract_bohr(A: GroupSet, B: GroupSet, params: StructureParams) -> StructureResult:
-    """Jump pipeline with a Bohr piece on any group: a regular Bohr set
-    dense in B.
-
-    B_* is the regular Bohr set of Lambda at the paper's radius rho =
-    c zeta / (m_star |Lambda|), c = 1/32.  Asserts |B intersect (B_*+z)| >=
-    (1-2 zeta) omega |B_*| / (t (m+kappa)) by direct count, together with
-    the translate energy sum_x |B intersect (B_*+x)|^2 >= that floor times
-    |B| |B_*|.  If either fails, the failure is raised with the piece's one
-    attempt in its trace.
-    """
-    if not 0 < params.zeta < Fraction(1, 2):
-        raise ValueError("Bohr extraction needs zeta < 1/2")
-    return _extract(_pipeline_front(A, B, params), B, subgroup=False)
+    if kind == "subgroup":
+        if not A.group.is_boolean_space:
+            raise ValueError("subspace extraction needs a 2-group; on other groups use --mode bohr")
+    elif kind == "bohr":
+        if not 0 < params.zeta < Fraction(1, 2):
+            raise ValueError("Bohr extraction needs zeta < 1/2")
+    else:
+        raise ValueError(f"unknown piece kind {kind!r}: expected 'subgroup' or 'bohr'")
+    return _extract(_pipeline_front(A, B, params), B, kind)
 
 
 def _auto_m_prime(k: Fraction, m: Fraction, kappa: Fraction) -> Fraction:
@@ -616,15 +613,14 @@ def certify_difference_subset(A: GroupSet, eps_param: Fraction | int) -> Structu
         t=1 + kappa,
         omega=Fraction(1),
     )
-    front = _pipeline_front(A, b, params)
-    result = _extract(front, b, subgroup=g.is_boolean_space)
+    result = extract(A, b, params, "subgroup" if g.is_boolean_space else "bohr")
     if not g.is_boolean_space:
-        return _certify_bohr_branch(A, front, result, eps, gate)
+        return _certify_bohr_branch(A, result, eps, gate)
     # on a 2-group -A = A, so the pipeline's count against b is the count
     # against A: result.achieved = |A intersect (L + z)| at the best z
     lset = result.variant.bohr
     cert, result.guaranteed = _majority(
-        front, "majority-overlap certificate", result.achieved, len(lset), eps, f"z={result.variant.z}"
+        result, "majority-overlap certificate", result.achieved, len(lset), eps, f"z={result.variant.z}"
     )
     inclusion = _verify_difference_membership(A, lset.members, "dichotomy:inclusion_subspace")
     result.records.extend([gate, cert, inclusion])
@@ -632,15 +628,15 @@ def certify_difference_subset(A: GroupSet, eps_param: Fraction | int) -> Structu
 
 
 def _majority(
-    front: _Front, name: str, score: int | Fraction, size: int, eps: Fraction, note: str
+    result: StructureResult, name: str, score: int | Fraction, size: int, eps: Fraction, note: str
 ) -> tuple[CheckRecord, Fraction]:
     """The 2-eps majority record, score >= (1/2 + eps/8) size, and that
-    floor.  A failed count is raised with the certify step's trace."""
+    floor.  A failed count is raised with the trace of result's piece."""
     need = (Fraction(1, 2) + eps / 8) * size
     cert = record_ge(name, "dichotomy:half_plus", Fraction(score), need, note=note)
     if not cert.ok:
         raise CheckFailure(cert, message=f"2-eps {name} failed the direct count ({note})",
-                           trace=front.trace([{"size": size, "achieved": score, "guaranteed": need}]))
+                           trace=_trace(result, [{"size": size, "achieved": score, "guaranteed": need}]))
     return cert, need
 
 
@@ -653,9 +649,7 @@ def _verify_difference_membership(A: GroupSet, piece: GroupSet, ref: str) -> Che
     return require(record_eq("difference-set membership", ref, len(piece) - len(missing), len(piece), note=note))
 
 
-def _certify_bohr_branch(
-    A: GroupSet, front: _Front, result: StructureResult, eps: Fraction, gate: CheckRecord
-) -> StructureResult:
+def _certify_bohr_branch(A: GroupSet, result: StructureResult, eps: Fraction, gate: CheckRecord) -> StructureResult:
     g = A.group
     piece = result.variant
     spec_star = piece.bohr.spec
@@ -684,7 +678,7 @@ def _certify_bohr_branch(
     hi_counts = corr_counts(b_hi.members, A)
     score, z = _argmax(lo_counts + hi_counts)
     cert, need = _majority(
-        front, "two-dilate majority certificate", score, len(b_lo) + len(b_hi), eps, f"j={chosen} of {steps}, z={z}"
+        result, "two-dilate majority certificate", score, len(b_lo) + len(b_hi), eps, f"j={chosen} of {steps}, z={z}"
     )
     eta_set = materialize(g, dilate(spec_star, eta))
     inclusion = _verify_difference_membership(A, eta_set.members, "dichotomy:inclusion_bohr")
@@ -734,7 +728,7 @@ def dichotomy_M(
         return large
     params = _m_params(M, Fraction(len(B_sub), a))
     subgroup = g.is_boolean_space
-    result = _extract(_pipeline_front(A, B_sub, params), B_sub, subgroup)
+    result = extract(A, B_sub, params, "subgroup" if subgroup else "bohr")
     eight_m = record_ge(
         "piece density vs omega/(8M)",
         "dichotomy:density_8M",
@@ -874,11 +868,12 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
         # the argument keeps for m > 1/(16 delta), can never be reached.
         if m_exact > 1 / (16 * delta):
             raise AssertionError(f"peak ratio m={m_exact} passed 1/(16 delta) under the loop gate")
-        piece = extract_subspace(cur, cur, _m_params(m_exact, Fraction(1))).variant
-        # a zero-dimensional piece is a single point; keep one spare
-        # direction so the quotient stays a representable group (the kept
-        # density is then >= 1/2, still past the doubling floor)
-        lbasis = f2.echelon_basis(piece.bohr.members.members.tolist()) or [1]
+        piece = extract(cur, cur, _m_params(m_exact, Fraction(1)), "subgroup").variant
+        # L's echelon basis, from Lambda's nullspace.  A zero-dimensional
+        # piece is a single point; keep one spare direction so the quotient
+        # stays a representable group (the kept density is then >= 1/2,
+        # still past the doubling floor)
+        lbasis = f2.echelon_basis(f2.nullspace_basis(piece.bohr.spec.gamma, cur_g.rank)) or [1]
         z = piece.z
         coords, rest = f2.reduce_in_basis(lbasis, cur.members ^ z)
         new_g = boolean_group(len(lbasis))

@@ -45,8 +45,7 @@ from addcomb.structure import (
     check_hypotheses,
     certify_difference_subset,
     dichotomy_M,
-    extract_bohr,
-    extract_subspace,
+    extract,
     regularize_density,
 )
 
@@ -291,7 +290,7 @@ def test_criterion_08_subspace_extraction_on_fifty_instances():
             if not hyp.core_ok:
                 failures.append(f"{label}: hypotheses rejected")
                 continue
-            res = extract_subspace(A, A, params)
+            res = extract(A, A, params, "subgroup")
             if res.witness_mode != "exact":
                 failures.append(f"{label}: witness mode {res.witness_mode}")
             piece = res.variant
@@ -440,8 +439,8 @@ def test_criterion_12_bohr_subspace_agreement():
     def work(failures):
         for label, A in _matching_instances():
             params = derive_params(A, A)
-            res_s = extract_subspace(A, A, params)
-            res_b = extract_bohr(A, A, params)
+            res_s = extract(A, A, params, "subgroup")
+            res_b = extract(A, A, params, "bohr")
             spec = res_b.variant.bohr.spec
             if not all(e < Fraction(1, 2) for e in spec.eps):
                 failures.append(f"{label}: radius reached 1/2")

@@ -408,6 +408,19 @@ def test_structure_params_that_are_no_json_exit_2(text, subgroup_file, tmp_path,
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+def test_structure_params_that_are_no_json_name_their_file(subgroup_file, tmp_path, capsys):
+    # the params file is read as verify --config reads a config: its path
+    # leads the message
+    pf = tmp_path / "bad.json"
+    pf.write_text("{'zeta': 1}")
+    assert main(["structure", subgroup_file, "--params", str(pf)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {pf}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+    )
+    assert main(["structure", subgroup_file, "--params", str(tmp_path / "none.json")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {tmp_path / 'none.json'}: ")
+
+
 @pytest.mark.parametrize("key, raw", [("c_local", "1/16"), ("k0_pad", 20), ("c_chang", "1/100")])
 def test_structure_params_reject_the_proof_constants(key, raw, subgroup_file, tmp_path, capsys):
     pf = tmp_path / "params.json"
@@ -539,7 +552,7 @@ def test_structure_subspace_mode_off_a_2_group_names_the_bohr_mode(tmp_path, cap
     path = _structure_set_file(tmp_path, "Z4096")
     assert main(["structure", path, "--mode", "subspace"]) == 2
     assert capsys.readouterr().err == (
-        "config error: subspace extraction needs a 2-group; on other groups use --mode bohr (extract_bohr)\n"
+        "config error: subspace extraction needs a 2-group; on other groups use --mode bohr\n"
     )
 
 
@@ -806,6 +819,81 @@ def test_malformed_example_sources_are_config_errors(source, message, tmp_path, 
     err = capsys.readouterr().err
     assert err.strip() == message
     assert "Traceback" not in err
+
+
+# Random experiment objects for verify --config: the known keys, each with a
+# well-typed value, or a wrong-typed one about one time in five.  Groups have
+# order <= 1024, instances <= 8, and example recipes p^d <= 1024 and n <= 10,
+# so every run is small; a file source reads an F2^8 set or a missing file
+# ("set" and "missing" below).
+def _mostly(valid, wrong):
+    return st.integers(0, 4).flatmap(lambda i: wrong if i == 4 else valid)
+
+
+_FUZZ_GROUPS = _mostly(st.sampled_from(["Z2", "Z16", "Z101", "F2^4", "F2^10", "Z1024", "Z4xZ6", "Z3xZ5xZ7"]),
+                       st.sampled_from(["Z0", "Zx", "F2^x", "", 12, None, ["Z4"]]))
+_FUZZ_SIZES = _mostly(st.integers(0, 10), st.sampled_from([-1, "3", "x", None, 2.5, [1], True]))
+_KATZ = [(p, d) for p in (2, 3, 5, 7, 31) for d in range(1, 11) if p**d <= 1024]
+_FUZZ_SOURCES = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("random"), "group": _FUZZ_GROUPS,
+                           "size": _mostly(st.integers(0, 64), _FUZZ_SIZES)}),
+    st.fixed_dictionaries({"kind": st.just("subgroup"), "n": _FUZZ_SIZES, "dim": _FUZZ_SIZES}),
+    st.fixed_dictionaries({"kind": st.just("planted"), "n": _FUZZ_SIZES, "dim": _FUZZ_SIZES, "cosets": _FUZZ_SIZES},
+                          optional={"noise": _FUZZ_SIZES}),
+    st.fixed_dictionaries({"kind": st.just("literal"), "group": _FUZZ_GROUPS,
+                           "members": _mostly(st.lists(st.integers(0, 100), max_size=8),
+                                              st.sampled_from([[-1], [1100], [[0, 1], [1, 0]], 5, "x", [1.5]]))}),
+    st.fixed_dictionaries({"kind": st.just("h-lambda"), "n": _FUZZ_SIZES, "k": _FUZZ_SIZES, "lambda": _FUZZ_SIZES},
+                          optional={"seed": _mostly(st.integers(0, 9), st.sampled_from([None, [1]]))}),
+    st.builds(lambda pd: {"kind": "katz", "p": pd[0], "d": pd[1]},
+              _mostly(st.sampled_from(_KATZ), st.sampled_from([(4, 2), (1, 3), (3, 0), (3, None), ("x", 2)]))),
+    st.fixed_dictionaries({"kind": st.just("file"), "path": _mostly(st.just("set"), st.sampled_from(["missing", 7]))}),
+    st.sampled_from([{}, {"kind": "nope"}, {"kind": "random", "group": "Z16", "size": 3, "extra": 1}]),
+)
+_FUZZ_EXPERIMENTS = st.fixed_dictionaries(
+    {"kind": _mostly(st.sampled_from(["verify", "structure", "example"]), st.sampled_from(["nope", 3, None])),
+     "seed": _mostly(st.integers(0, 9), st.sampled_from(["s", None, [1], 1.5])),
+     "sets": _mostly(st.lists(_FUZZ_SOURCES, min_size=1, max_size=2), st.sampled_from(["abc", [1], 5, []])),
+     "instances": _mostly(st.integers(0, 8), st.sampled_from([-1, "3", "x", None, 2.5, [1]]))},
+    optional={
+        "name": _mostly(st.text(max_size=4), st.sampled_from([3, None])),
+        "group": _FUZZ_GROUPS,
+        "pipeline": _mostly(st.sampled_from(["auto", "subspace", "bohr", "dichotomy"]), st.sampled_from(["nope", 1])),
+        "params": _mostly(
+            st.dictionaries(st.sampled_from(["m", "m_prime", "kappa", "zeta", "t", "omega"]),
+                            st.sampled_from(["1/2", 2, "3", "1/8", "3/2", "101/100", "1/1000"]), max_size=3),
+            st.sampled_from([{"zeta": "0"}, {"m": -1}, {"t": None}, {"m": "abc"}, {"c_local": 1}, [1], "x"])),
+        "suites": _mostly(st.lists(st.sampled_from(list(harness._SUITES)), max_size=3),
+                          st.sampled_from([["nope"], "parseval", 5, None])),
+        "output": _mostly(st.none(), st.sampled_from([3, [1]])),
+    },
+)
+
+
+def _resolve_paths(value, paths: dict):
+    """value with every file source's placeholder path made a real path."""
+    if isinstance(value, list):
+        return [_resolve_paths(v, paths) for v in value]
+    if isinstance(value, dict):
+        if value.get("kind") == "file" and value.get("path") in paths:
+            return {**value, "path": paths[value["path"]]}
+        return {k: _resolve_paths(v, paths) for k, v in value.items()}
+    return value
+
+
+@given(config=st.one_of(
+    _FUZZ_EXPERIMENTS,
+    st.builds(lambda shared, items: {**shared, "experiments": items},
+              _FUZZ_EXPERIMENTS, st.lists(_FUZZ_EXPERIMENTS, max_size=2)),
+    st.sampled_from([[], 3, "x", {"experiments": 5}, {"experiments": [1]}]),
+))
+@settings(max_examples=150, deadline=None)
+def test_random_experiment_configs_exit_without_a_traceback(config, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("config")
+    paths = {"set": _structure_set_file(tmp, "F2^8"), "missing": str(tmp / "none.txt")}
+    given = tmp / "given.json"
+    given.write_text(json.dumps(_resolve_paths(config, paths)))
+    _exit_without_a_traceback(["verify", "--config", str(given), "--summary"])
 
 
 def test_output_must_be_a_path(tmp_path, capsys):

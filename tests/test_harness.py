@@ -35,7 +35,7 @@ from addcomb.harness import (
 from addcomb.fileio import parse_set, write_set
 from addcomb.report import CheckFailure, record_eq
 from addcomb.setstat import GroupSet, SetStack, group_set
-from addcomb.structure import check_hypotheses, dichotomy_M, extract_subspace
+from addcomb.structure import check_hypotheses, dichotomy_M
 
 
 def _verify_cfg(**kw):

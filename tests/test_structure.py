@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from addcomb import setstat, spectral, structure
+from addcomb import f2, setstat, spectral, structure
 from addcomb.bohr import find_regular_radius, materialize
 from addcomb.cli import main
 from addcomb.families import make_h_lambda, make_planted, HLambdaSpec
@@ -33,8 +33,7 @@ from addcomb.structure import (
     certify_difference_subset,
     check_hypotheses,
     dichotomy_M,
-    extract_bohr,
-    extract_subspace,
+    extract,
     find_energy_jump,
     phi_k,
     regularize_density,
@@ -301,7 +300,7 @@ def test_bohr_span_mass_on_a_2_group_past_eleven_characters():
     g = boolean_group(11)
     A = group_set(g, random.Random(3).sample(range(g.order), 200))
     params = derive_params(A, A)
-    res = extract_bohr(A, A, params)
+    res = extract(A, A, params, "bohr")
     assert res.variant.dim == 11 and "span_checks" not in res.diagnostics
     k = res.jump.k
     corr = corr_direct(A, A)
@@ -324,7 +323,7 @@ def test_bohr_witness_on_a_long_progression_is_the_heaviest_first_greedy():
     g = make_group((1000,))
     A = group_set(g, range(333))
     params = derive_params(A, A)
-    res = extract_bohr(A, A, params)
+    res = extract(A, A, params, "bohr")
     assert res.witness_mode == "greedy" and all(r.ok for r in res.records)
     assert list(res.variant.bohr.spec.gamma) == [1, 2, 4] and res.variant.dim == 3
     front = structure._pipeline_front(A, A, params)
@@ -345,7 +344,7 @@ def test_extract_bohr_reads_the_span_its_witness_grew(monkeypatch):
         members |= {(start + i * step) % g.order for i in range(48)}
     A = group_set(g, sorted(members))
     params = derive_params(A, A)
-    res = extract_bohr(A, A, params)
+    res = extract(A, A, params, "bohr")
     assert res.witness_mode == "greedy" and res.variant.dim <= 10
     assert "spectral_mass" in res.diagnostics
     front = structure._pipeline_front(A, A, params)
@@ -384,14 +383,14 @@ def test_check_hypotheses_energy_capacity_failure():
     rep = check_hypotheses(A, A, tight)
     assert not rep.core_ok
     with pytest.raises(CheckFailure, match="^hypothesis not met") as exc:
-        extract_subspace(A, A, tight)
+        extract(A, A, tight, "subgroup")
     assert exc.value.record == next(r for r in rep.records if not r.ok)
 
 
 def test_extract_subspace_certificate_verified_independently():
     A = _subgroup(10, 3)
     params = derive_params(A, A)
-    res = extract_subspace(A, A, params)
+    res = extract(A, A, params, "subgroup")
     piece = res.variant
     # direct recount of the certified overlap
     overlap = _count_overlap(A, piece.bohr.members.members, piece.z)
@@ -409,7 +408,7 @@ def test_extract_subspace_recovers_planted_subgroup():
     spec = HLambdaSpec(n=8, k=3, lambda_size=5)
     A = make_h_lambda(spec)
     params = derive_params(A, A)
-    res = extract_subspace(A, A, params)
+    res = extract(A, A, params, "subgroup")
     piece = res.variant
     # the translate is fully inside A: every subspace point lands in A
     assert res.achieved == len(piece.bohr)
@@ -427,7 +426,7 @@ def test_subgroup_piece_is_the_bohr_set_of_lambda_at_one_half(n, data):
         if f2_rank(lam + [v]) > len(lam):
             lam.append(v)
     params = StructureParams(m=1, m_prime=2, kappa=1, zeta=Fraction(1, 8), t=2)
-    bohr, _ = structure._piece(g, np.array(lam, dtype=np.int64), params, subgroup=True)
+    bohr, _ = structure._piece(g, np.array(lam, dtype=np.int64), params, "subgroup")
     annihilator = [x for x in range(g.order) if all(bin(v & x).count("1") % 2 == 0 for v in lam)]
     assert bohr.spec.gamma == tuple(lam) and set(bohr.spec.eps) <= {Fraction(1, 2)}
     assert materialize(g, bohr.spec).members.members.tolist() == annihilator
@@ -437,15 +436,16 @@ def test_subgroup_piece_is_the_bohr_set_of_lambda_at_one_half(n, data):
 def test_extract_subspace_rejects_general_groups():
     g = make_group((15,))
     A = group_set(g, [0, 1, 2])
-    with pytest.raises(ValueError):
-        extract_subspace(A, A, StructureParams(m=1, m_prime=2, kappa=1, zeta=Fraction(1, 8), t=2))
+    params = StructureParams(m=1, m_prime=2, kappa=1, zeta=Fraction(1, 8), t=2)
+    with pytest.raises(ValueError, match="^subspace extraction needs a 2-group; on other groups use --mode bohr$"):
+        extract(A, A, params, "subgroup")
 
 
 def test_extract_bohr_certificate_verified_independently():
     g = make_group((101,))
     A = group_set(g, [5])
     params = derive_params(A, A, zeta=Fraction(1, 4))
-    res = extract_bohr(A, A, params)
+    res = extract(A, A, params, "bohr")
     piece = res.variant
     overlap = _count_overlap(A, piece.bohr.members.members, piece.z)
     assert overlap == res.achieved
@@ -461,8 +461,16 @@ def test_extract_bohr_needs_small_zeta():
     g = make_group((101,))
     A = group_set(g, [5])
     params = StructureParams(m=1, m_prime=2, kappa=1, zeta=Fraction(3, 4), t=2)
-    with pytest.raises(ValueError):
-        extract_bohr(A, A, params)
+    with pytest.raises(ValueError, match="^Bohr extraction needs zeta < 1/2$"):
+        extract(A, A, params, "bohr")
+
+
+@pytest.mark.parametrize("kind", ["subspace", "Bohr", "", None])
+def test_extract_refuses_an_unknown_kind_before_any_work(kind, monkeypatch):
+    A = _subgroup(8, 3)
+    monkeypatch.setattr(structure, "_pipeline_front", mock.Mock(side_effect=AssertionError("pipeline ran")))
+    with pytest.raises(ValueError, match="^unknown piece kind"):
+        extract(A, A, derive_params(A, A), kind)
 
 
 def test_dichotomy_structured_branch_on_subgroup():
@@ -554,7 +562,7 @@ def _reported_size_ratio(res, g):
 
 def test_size_ratio_is_the_piece_over_the_group_order():
     A, params = _cyclic_subgroup_instance()
-    reported, recounted = _reported_size_ratio(extract_bohr(A, A, params), A.group)
+    reported, recounted = _reported_size_ratio(extract(A, A, params, "bohr"), A.group)
     assert reported == recounted == Fraction(1, 10)
     # the 2-eps Bohr branch reports its final regularized shrink, not B_*
     g = make_group((1009,))
@@ -730,6 +738,27 @@ def test_regularize_branches_are_all_piece_steps():
         assert Fraction(len(direct), len(span)) == trace.final_delta
 
 
+def test_regularize_reads_each_piece_basis_off_lambda(monkeypatch):
+    # L's echelon basis comes from Lambda's nullspace, never from the 2^dim
+    # members of the piece: no echelon call sees more vectors than the rank
+    # (here the piece is a 16-point subspace of F2^14)
+    A = make_planted(boolean_group(14), subgroup_dim=4, cosets=3, noise=0, seed=14).set
+    real = f2.echelon_basis
+    sizes = []
+
+    def counting(vectors):
+        vectors = list(vectors)
+        sizes.append(len(vectors))
+        return real(vectors)
+
+    monkeypatch.setattr(f2, "echelon_basis", counting)
+    trace = regularize_density(A)
+    assert trace.steps and sizes
+    assert max(sizes) <= A.group.rank
+    lifted = trace.lift()
+    assert set(lifted.members) <= set(A.members) and len(lifted) == len(trace.final_set)
+
+
 def test_regularize_on_subgroup_stops_at_full_density():
     H = _subgroup(12, 3)
     trace = regularize_density(H)
@@ -767,7 +796,7 @@ def test_extract_subspace_correlates_b_with_itself_once(monkeypatch):
     for module in (setstat, structure):
         monkeypatch.setattr(module, "corr_counts", counting)
     B = group_set(A.group, A.members)  # a fresh set, so nothing is cached yet
-    extract_subspace(B, B, params)
+    extract(B, B, params, "subgroup")
     assert self_pairs == [B.members.tolist()]
 
 
@@ -776,7 +805,7 @@ def test_extract_bohr_recounts_its_one_piece_at_the_paper_radius(monkeypatch):
     real = structure.corr_counts
     calls = []
     monkeypatch.setattr(structure, "corr_counts", lambda X, Y=None: calls.append(X) or real(X, Y))
-    res = extract_bohr(A, A, params)
+    res = extract(A, A, params, "bohr")
     piece = res.variant
     assert [X.members.tolist() for X in calls] == [piece.bohr.members.members.tolist()]
     [attempt] = res.diagnostics["attempts"]
@@ -817,24 +846,24 @@ def _cyclic_subgroup_instance():
 
 
 @pytest.mark.parametrize(
-    "A, extract, ref",
+    "A, kind, ref",
     [
-        (_subgroup(10, 3), extract_subspace, "structure:density_subspace"),
-        (_cyclic_subgroup_instance()[0], extract_bohr, "structure:density_bohr"),
+        (_subgroup(10, 3), "subgroup", "structure:density_subspace"),
+        (_cyclic_subgroup_instance()[0], "bohr", "structure:density_bohr"),
     ],
     ids=["F2^10", "Z1000"],
 )
-def test_a_zeroed_recount_raises_after_one_piece_recount(A, extract, ref, monkeypatch):
+def test_a_zeroed_recount_raises_after_one_piece_recount(A, kind, ref, monkeypatch):
     pieces = _zero_corr_counts(monkeypatch)
     with pytest.raises(CheckFailure) as exc:
-        extract(A, A, derive_params(A, A))
+        extract(A, A, derive_params(A, A), kind)
     trace = exc.value.trace
     assert set(trace) == {"k", "lambda", "witness_mode", "attempts"}
     assert len(pieces) == 1
     [attempt] = trace["attempts"]
     assert attempt["size"] == len(pieces[0])
     assert attempt["achieved"] == 0 and attempt["guaranteed"] > 0
-    if extract is extract_bohr:
+    if kind == "bohr":
         assert trace["lambda"] == [100, 200, 400]
         assert attempt["c_local"] == structure._C_LOCAL and attempt["sufficiency"] is not None
     # the failed record is the piece's density certificate
@@ -848,7 +877,7 @@ def test_extract_bohr_counts_the_whole_group_once_when_lambda_is_empty(monkeypat
     A = group_set(make_group((12,)), range(12))
     pieces = _zero_corr_counts(monkeypatch)
     with pytest.raises(CheckFailure) as exc:
-        extract_bohr(A, A, derive_params(A, A))
+        extract(A, A, derive_params(A, A), "bohr")
     assert exc.value.trace["lambda"] == []
     assert len(exc.value.trace["attempts"]) == 1
     assert pieces == [list(range(12))]
@@ -906,7 +935,7 @@ def test_extract_bohr_materializes_one_radius_on_a_first_radius_pass(monkeypatch
     real = structure.materialize
     calls = []
     monkeypatch.setattr(structure, "materialize", lambda g, spec: calls.append(spec) or real(g, spec))
-    res = extract_bohr(A, A, params)
+    res = extract(A, A, params, "bohr")
     assert len(res.diagnostics["attempts"]) == 1
     assert calls == [res.variant.bohr.spec]
 
@@ -915,11 +944,21 @@ def test_two_eps_majority_failure_carries_the_certify_trace(monkeypatch):
     # the certify step's recount is real; the two dilate recounts read zero
     A = group_set(make_group((1009,)), [5])
     pieces = _zero_corr_counts(monkeypatch, zero=lambda call: call > 1)
+    calls = []
+    real_extract = structure.extract
+    monkeypatch.setattr(structure, "extract", lambda *args: calls.append(args) or real_extract(*args))
     with pytest.raises(CheckFailure) as exc:
         certify_difference_subset(A, Fraction(1, 2))
     assert len(pieces) == 3
     trace = exc.value.trace
     assert set(trace) == {"k", "lambda", "witness_mode", "attempts"}
+    # the jump order and Lambda are those extract reports on the same input
+    monkeypatch.undo()
+    [args] = calls
+    assert args[3] == "bohr"
+    res = extract(*args)
+    assert trace["k"] == res.jump.k
+    assert trace["lambda"] == list(res.variant.bohr.spec.gamma) and trace["witness_mode"] == res.witness_mode
     [attempt] = trace["attempts"]
     assert attempt["achieved"] == 0
     assert attempt["size"] == len(pieces[1]) + len(pieces[2])
