@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
+import os
 import sys
 from fractions import Fraction
 
@@ -203,8 +204,14 @@ def _cmd_verify(args) -> int:
         if args.group:
             d["group"] = args.group
         configs = [harness.config_from_dict(d)]
+    paths = [cfg.output or args.out for cfg in configs]
+    owners: dict[str, harness.RunConfig] = {}  # each report file, by its real path, to its experiment
+    for cfg, path in zip(configs, paths):
+        first = owners.setdefault(os.path.realpath(path), cfg) if path else cfg
+        if first is not cfg:
+            raise harness.ConfigError(f"experiments {first.name!r} and {cfg.name!r} both write their report to {path}")
     reports = harness.run_all(configs)
-    codes = [_emit(report, cfg.output or args.out, args.summary) for cfg, report in zip(configs, reports)]
+    codes = [_emit(report, path, args.summary) for path, report in zip(paths, reports)]
     return max(codes, default=EXIT_OK)
 
 

@@ -3,9 +3,11 @@
 A config is JSON: either one experiment object or {"experiments": [...]}.
 Each experiment carries a kind ("verify" | "structure" | "example"), set
 sources, parameter overrides, and a seed (mandatory whenever a randomized
-generator or suite is requested).  Reports serialize to JSON with timings
-kept out of the body, so identical config + seed gives a byte-identical
-body.
+generator or suite is requested).  Every value a config, a set source or
+a parameter file gives is read by one typed reader, _take, which refuses
+a value of the wrong type (a float or a bool where an integer belongs)
+rather than coerce it.  Reports serialize to JSON with timings kept out
+of the body, so identical config + seed gives a byte-identical body.
 
 Each verify suite is declared once, by its @_suite line: its name, the
 groups it runs on in turn by default, and its least group order.  Every
@@ -103,7 +105,7 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     suites: tuple[str, ...] = field(default_factory=lambda: tuple(_SUITES))
     instances: int = 25
-    seed: int | None = None
+    seed: int | float | str | None = None
     output: str | None = None
 
     def to_dict(self) -> dict:
@@ -117,70 +119,88 @@ class RunConfig:
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
+_MISSING = object()
+
+# each kind of configured value: the JSON types it is read from (a bool is
+# never a number), the words an error names it by, and its reader
+_KINDS: dict[str, tuple[tuple[type, ...], str, Callable]] = {
+    "int": ((int, str), "an integer", int),
+    "rational": ((int, float, str), 'a rational (an integer, a float or "p/q" text)', Fraction),
+    "str": ((str,), "a string", str),
+    "group": ((str,), "a group such as 'Z4xZ6'", parse_group_text),
+    "list": ((list, tuple), "a list", list),
+    "dict": ((dict,), "an object", dict),
+    "seed": ((int, float, str), "a number or a string", lambda value: value),  # what random.Random takes
+}
+
+
+def _take(d: dict, key: str, kind: str, where: str = "", default=_MISSING):
+    """Pop d[key] and read it as a value of `kind` (see _KINDS); a kind
+    ending in "?" also takes null, as None.  A missing key gives default;
+    with no default, or a value of the wrong type, it is a ConfigError that
+    names the key (inside `where`, when given).  A group past the caps
+    raises SizeLimitError."""
+    if key not in d:
+        if default is _MISSING:
+            raise ConfigError(f"{where or 'config'} missing field {key!r}")
+        return default
+    value = d.pop(key)
+    if value is None and kind.endswith("?"):
+        return None
+    kind = kind.rstrip("?")
+    types, what, read = _KINDS[kind]
+    name = f"{where}: {key}" if where else key
+    why = ""
+    if isinstance(value, types) and not isinstance(value, bool):
+        try:
+            return read(value)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            why = f" ({exc})" if kind == "group" else ""
+    raise ConfigError(f"{name} must be {what}, got {value!r}{why}")
+
+
 def config_from_dict(d: dict) -> RunConfig:
-    unknown = set(d).difference(_CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kind = d.get("kind", "verify")
-    if kind not in ("verify", "structure", "example"):
+    d = dict(d)
+    cfg = RunConfig(
+        kind=_take(d, "kind", "str", default="verify"),
+        name=_take(d, "name", "str", default="run"),
+        group=_take(d, "group", "group?", default=None),
+        sets=_take(d, "sets", "list", default=[]),
+        pipeline=_take(d, "pipeline", "str", default="auto"),
+        params=_take(d, "params", "dict", default={}),
+        suites=tuple(_take(d, "suites", "list", default=_SUITES)),
+        instances=_take(d, "instances", "int", default=25),
+        seed=_take(d, "seed", "seed?", default=None),
+        output=_take(d, "output", "str?", default=None),
+    )
+    if d:
+        raise ConfigError(f"unknown config keys: {sorted(d)}")
+    kind, group = cfg.kind, cfg.group
+    if kind not in _RUNNERS:
         raise ConfigError(f"unknown run kind {kind!r}")
-    group = _group_value(d["group"], "group") if d.get("group") else None
-    suites = d.get("suites", tuple(_SUITES))
-    if not isinstance(suites, (list, tuple)) or not all(isinstance(s, str) for s in suites):
-        raise ConfigError(f"suites must be a list of suite names, got {suites!r}")
-    bad = [s for s in suites if s not in _SUITES]
+    if not all(isinstance(s, str) for s in cfg.suites):
+        raise ConfigError(f"suites must be a list of suite names, got {list(cfg.suites)!r}")
+    bad = [s for s in cfg.suites if s not in _SUITES]
     if kind == "verify" and bad:
         raise ConfigError(f"unknown suites: {bad}; known: {sorted(_SUITES)}")
-    try:
-        instances = int(d.get("instances", 25))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"instances must be an integer, got {d['instances']!r}") from None
+    if cfg.instances < 0:
+        raise ConfigError("instances must be nonnegative")
     if kind == "verify" and group is not None:
-        for s in suites:
-            need = _SUITES[s].min_order(instances)
+        for s in cfg.suites:
+            need = _SUITES[s].min_order(cfg.instances)
             if group.order < need:
                 raise ConfigError(
                     f"suite {s} needs a group of order at least {need}, "
                     f"got {format_group_text(group)} of order {group.order}"
                 )
-    sets = d.get("sets", [])
-    if not isinstance(sets, (list, tuple)) or not all(isinstance(s, dict) for s in sets):
-        raise ConfigError(f"sets must be a list of set-source objects, got {sets!r}")
-    params = d.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"params must be an object, got {params!r}")
-    output = d.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError(f"output must be a path or null, got {output!r}")
-    cfg = RunConfig(
-        kind=kind,
-        name=str(d.get("name", "run")),
-        group=group,
-        sets=list(sets),
-        pipeline=str(d.get("pipeline", "auto")),
-        params=dict(params),
-        suites=tuple(suites),
-        instances=instances,
-        seed=d.get("seed"),
-        output=output,
-    )
-    if cfg.instances < 0:
-        raise ConfigError("instances must be nonnegative")
+    if not all(isinstance(s, dict) for s in cfg.sets):
+        raise ConfigError(f"sets must be a list of set-source objects, got {cfg.sets!r}")
     randomized = (kind == "verify" and bool(cfg.suites)) or any(
         s.get("kind") in ("random", "planted") for s in cfg.sets
     )
     if randomized and cfg.seed is None:
         raise ConfigError("seed is mandatory for randomized runs")
     return cfg
-
-
-def _group_value(raw, where: str) -> GroupSpec:
-    if not isinstance(raw, str):
-        raise ConfigError(f"{where} must be a string, got {raw!r}")
-    try:
-        return parse_group_text(raw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def read_json(path: str):
@@ -221,98 +241,69 @@ def load_configs(path: str) -> list[RunConfig]:
 
 
 def realize_source(
-    source: dict, default_group: GroupSpec | None, seed: int | None
+    source: dict, default_group: GroupSpec | None, seed: int | float | str | None
 ) -> tuple[str, GroupSet, HLambdaSpec | FiniteField | None]:
     """The labelled set a set-source object describes, and the HLambdaSpec
     or FiniteField an h-lambda or katz set is built from (None for other
     kinds).  A missing field, or one of the wrong type, raises ConfigError."""
-    kind = source.get("kind")
-    opts = {k: v for k, v in source.items() if k != "kind"}
+    opts = dict(source)
+    kind = opts.pop("kind", None)
     where = f"set source {kind!r}"
-
-    def _group() -> GroupSpec:
-        if "group" in opts:
-            return _group_value(opts.pop("group"), f"{where}: group")
-        if default_group is None:
+    if kind in ("literal", "random"):
+        g = _take(opts, "group", "group", where, default_group)
+        if g is None:
             raise ConfigError(f"{where} needs a group")
-        return default_group
+    if kind in ("random", "planted") and seed is None:
+        raise ConfigError(f"{where} needs a seed")
 
-    def _int(key: str, *default) -> int:
-        raw = opts.pop(key, *default)
-        try:
-            return int(raw)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{where}: {key} must be an integer, got {raw!r}") from None
-
-    def _seed(raw):
-        # what random.Random accepts from JSON
-        if raw is not None and not isinstance(raw, (int, float, str)):
-            raise ConfigError(f"{where}: seed must be a number or a string, got {raw!r}")
-        return raw
-
-    def _need_seed() -> int:
-        if seed is None:
-            raise ConfigError(f"{where} needs a seed")
-        return _seed(seed)
-
-    def _members(g: GroupSpec) -> GroupSet:
-        members = opts.pop("members")
-        if not isinstance(members, list):
-            raise ConfigError(f"{where}: members must be a list, got {members!r}")
+    recipe = None
+    if kind == "file":
+        path = _take(opts, "path", "str", where)
+        A = fileio.read_set(path, expect_group=default_group)
+        label = f"file:{path}"
+    elif kind == "literal":
+        members = _take(opts, "members", "list", where)
         tuples = bool(members) and isinstance(members[0], (list, tuple))
         for m in members:
             if tuples != isinstance(m, (list, tuple)) or any(type(c) is not int for c in (m if tuples else [m])):
                 raise ConfigError(f"{where}: member {m!r} is not an integer index or a list of integer coordinates")
-        if tuples:
-            members = [g.index(tuple(m)) for m in members]
-        return group_set(g, members)
-
-    recipe = None
-    try:
-        if kind == "file":
-            path = opts.pop("path")
-            if not isinstance(path, str):
-                raise ConfigError(f"{where}: path must be a string, got {path!r}")
-            A = fileio.read_set(path, expect_group=default_group)
-            label = f"file:{path}"
-        elif kind == "literal":
-            A = _members(_group())
-            label = f"literal[{len(A)}]"
-        elif kind == "random":
-            g = _group()
-            size = _int("size")
-            A = make_random_set(g, size, _need_seed())
-            label = f"random[{size}]"
-        elif kind == "subgroup":
-            n = _int("n")
-            dim = _int("dim")
-            if not 0 <= dim <= n:
-                raise ConfigError(f"subgroup dim {dim} out of range for n={n}")
-            A = group_set(boolean_group(n), range(1 << dim))
-            label = f"subgroup[{n},{dim}]"
-        elif kind == "planted":
-            n = _int("n")
-            inst = make_planted(
-                boolean_group(n),
-                subgroup_dim=_int("dim"),
-                cosets=_int("cosets"),
-                noise=_int("noise", 0),
-                seed=_need_seed(),
-            )
-            A = inst.set
-            label = f"planted[{n}]"
-        elif kind == "h-lambda":
-            recipe = HLambdaSpec(n=_int("n"), k=_int("k"), lambda_size=_int("lambda"))
-            A = make_h_lambda(recipe, seed=_seed(opts.pop("seed", None)))
-            label = f"h-lambda[{recipe.n},{recipe.k},{recipe.lambda_size}]"
-        elif kind == "katz":
-            recipe = make_finite_field(_int("p"), _int("d"))
-            A = make_katz_set(recipe)
-            label = f"katz[{recipe.p},{recipe.d}]"
-        else:
-            raise ConfigError(f"unknown set source kind {kind!r}")
-    except KeyError as exc:
-        raise ConfigError(f"{where} missing field {exc}") from None
+        A = group_set(g, [g.index(tuple(m)) for m in members] if tuples else members)
+        label = f"literal[{len(A)}]"
+    elif kind == "random":
+        size = _take(opts, "size", "int", where)
+        A = make_random_set(g, size, seed)
+        label = f"random[{size}]"
+    elif kind == "subgroup":
+        n = _take(opts, "n", "int", where)
+        dim = _take(opts, "dim", "int", where)
+        if not 0 <= dim <= n:
+            raise ConfigError(f"subgroup dim {dim} out of range for n={n}")
+        A = group_set(boolean_group(n), range(1 << dim))
+        label = f"subgroup[{n},{dim}]"
+    elif kind == "planted":
+        n = _take(opts, "n", "int", where)
+        inst = make_planted(
+            boolean_group(n),
+            subgroup_dim=_take(opts, "dim", "int", where),
+            cosets=_take(opts, "cosets", "int", where),
+            noise=_take(opts, "noise", "int", where, 0),
+            seed=seed,
+        )
+        A = inst.set
+        label = f"planted[{n}]"
+    elif kind == "h-lambda":
+        recipe = HLambdaSpec(
+            n=_take(opts, "n", "int", where), k=_take(opts, "k", "int", where),
+            lambda_size=_take(opts, "lambda", "int", where),
+        )
+        A = make_h_lambda(recipe, seed=_take(opts, "seed", "seed?", where, None))
+        label = f"h-lambda[{recipe.n},{recipe.k},{recipe.lambda_size}]"
+    elif kind == "katz":
+        recipe = make_finite_field(_take(opts, "p", "int", where), _take(opts, "d", "int", where))
+        A = make_katz_set(recipe)
+        label = f"katz[{recipe.p},{recipe.d}]"
+    else:
+        raise ConfigError(f"unknown set source kind {kind!r}")
     if opts:
         raise ConfigError(f"{where}: unused fields {sorted(opts)}")
     return label, A, recipe
@@ -500,20 +491,18 @@ def derive_params(
     )
 
 
-def _override(key: str, raw) -> Fraction:
-    """One parameter override as given in a config: a rational (an int, a
-    float or "p/q" text)."""
-    try:
-        return Fraction(raw)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ConfigError(f"bad structure parameter {key}={raw!r}: {exc}") from None
+def _overrides(given: dict, names: Sequence[str]) -> dict[str, Fraction]:
+    """The parameter overrides of a config, each named in names and read as
+    a rational; any other key is a ConfigError."""
+    rest = dict(given)
+    values = {key: _take(rest, key, "rational", "params") for key in names if key in rest}
+    if rest:
+        raise ConfigError(f"unknown parameter overrides: {sorted(rest)}")
+    return values
 
 
 def build_params(overrides: dict, A: GroupSet, B: GroupSet) -> StructureParams:
-    unknown = set(overrides) - {f.name for f in fields(StructureParams)}
-    if unknown:
-        raise ConfigError(f"unknown parameter overrides: {sorted(unknown)}")
-    values = {key: _override(key, raw) for key, raw in overrides.items()}
+    values = _overrides(overrides, [f.name for f in fields(StructureParams)])
     base = derive_params(A, B, **{k: v for k, v in values.items() if k in ("zeta", "t")})
     try:
         return replace(base, **values)
@@ -739,7 +728,7 @@ def run_structure(cfg: RunConfig) -> RunReport:
     res = hyp = failure = None
     try:
         if mode == "dichotomy":
-            M = _override("m", cfg.params["m"]) if "m" in cfg.params else None
+            M = _overrides(cfg.params, ["m"]).get("m")
             res = dichotomy_M(A, M=M, B_sub=B)
         else:
             params = build_params(cfg.params, A, B)

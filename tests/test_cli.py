@@ -821,6 +821,107 @@ def test_malformed_example_sources_are_config_errors(source, message, tmp_path, 
     assert "Traceback" not in err
 
 
+_TRIANGLE = {"seed": 1, "suites": ["triangle"], "group": "Z15"}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({**_TRIANGLE, "instances": 2.5}, "instances must be an integer, got 2.5"),
+        ({**_TRIANGLE, "instances": True}, "instances must be an integer, got True"),
+        ({"kind": "structure", "sets": [{"kind": "subgroup", "n": 4.9, "dim": True}]},
+         "set source 'subgroup': n must be an integer, got 4.9"),
+        ({"kind": "structure", "sets": [{"kind": "subgroup", "n": 4, "dim": True}]},
+         "set source 'subgroup': dim must be an integer, got True"),
+        ({**_TRIANGLE, "seed": [1]}, "seed must be a number or a string, got [1]"),
+        ({**_TRIANGLE, "name": 5}, "name must be a string, got 5"),
+        ({**_TRIANGLE, "pipeline": 1}, "pipeline must be a string, got 1"),
+    ],
+    ids=["instances-float", "instances-bool", "n-float", "dim-bool", "seed-list", "name-int", "pipeline-int"],
+)
+def test_config_values_of_the_wrong_type_exit_2_naming_their_key(config, message, tmp_path, capsys):
+    # none is truncated, read as 1 or turned into text
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps(config))
+    assert main(["verify", "--config", str(given), "--out", str(tmp_path / "r.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["auto", "dichotomy"])
+def test_a_bool_parameter_override_exits_2_naming_its_key(mode, subgroup_file, tmp_path, capsys):
+    pf = tmp_path / "params.json"
+    pf.write_text(json.dumps({"m": True}))
+    assert main(["structure", subgroup_file, "--params", str(pf), "--mode", mode]) == 2
+    assert capsys.readouterr().err == 'config error: params: m must be a rational (an integer, a float or "p/q" text), got True\n'
+
+
+def test_an_integer_string_is_an_integer(tmp_path, capsys):
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps({**_TRIANGLE, "instances": "3"}))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--config", str(given), "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert report["config"]["instances"] == 3
+    assert report["records"][0]["note"].startswith("3 tuple families on Z15")
+
+
+def _planted_f2_12(path) -> str:
+    write_set(path, make_planted(boolean_group(12), subgroup_dim=4, cosets=2, noise=0, seed=3).set)
+    return str(path)
+
+
+@pytest.mark.parametrize("params", [{"zeta": "1/4"}, {"bogus": 1}, {"m": 1, "t": 2}])
+def test_dichotomy_refuses_every_override_but_m(params, tmp_path, capsys):
+    # the dichotomy reads M alone; the extraction parameters mean nothing to it
+    pf = tmp_path / "params.json"
+    pf.write_text(json.dumps(params))
+    argv = ["structure", _planted_f2_12(tmp_path / "P.txt"), "--mode", "dichotomy", "--params", str(pf)]
+    assert main(argv + ["--out", str(tmp_path / "d.json")]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown parameter overrides")
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_dichotomy_takes_an_m_override(tmp_path, capsys):
+    pf = tmp_path / "params.json"
+    pf.write_text(json.dumps({"m": 1}))
+    argv = ["structure", _planted_f2_12(tmp_path / "P.txt"), "--mode", "dichotomy", "--params", str(pf)]
+    assert main(argv + ["--out", str(tmp_path / "d.json")]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "d.json").read_text())["config"]["params"] == {"m": 1}
+
+
+@pytest.mark.parametrize("outputs", [[None, None], ["same", "same"], ["same", None]])
+def test_verify_refuses_two_reports_bound_for_one_file(outputs, tmp_path, capsys):
+    # with --out, an experiment without an output of its own writes there
+    out = tmp_path / "same.json"
+    experiments = [
+        {"name": name, "suites": ["triangle"], **({"output": str(out)} if o else {})}
+        for name, o in zip(("first", "second"), outputs)
+    ]
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps({"seed": 1, "group": "Z15", "experiments": experiments}))
+    assert main(["verify", "--config", str(given), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: experiments 'first' and 'second' both write their report to {out}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_verify_writes_each_experiment_to_its_own_output(tmp_path, capsys):
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    experiments = [{"name": f"e{i}", "suites": ["triangle"], "output": str(o)} for i, o in enumerate(outs)]
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps({"seed": 1, "group": "Z15", "experiments": experiments}))
+    assert main(["verify", "--config", str(given), "--out", str(tmp_path / "unused.json")]) == 0
+    capsys.readouterr()
+    assert [json.loads(o.read_text())["config"]["name"] for o in outs] == ["e0", "e1"]
+    assert not (tmp_path / "unused.json").exists()
+
+
 # Random experiment objects for verify --config: the known keys, each with a
 # well-typed value, or a wrong-typed one about one time in five.  Groups have
 # order <= 1024, instances <= 8, and example recipes p^d <= 1024 and n <= 10,

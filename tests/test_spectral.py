@@ -165,6 +165,24 @@ def test_spectrum_general_group_includes_borderline():
     assert 0 in spec.members
 
 
+def test_spectrum_keeps_a_coefficient_at_the_cut_that_computes_below_it():
+    # on Z48, fhat(12) is a Gaussian integer of modulus exactly 1 = eps * |A|,
+    # which the float transform gives as 0.9999999999999999: only the proven
+    # transform error keeps 12 in Spec_eps
+    A = group_set(make_group((48,)), [0, 6, 13, 20, 25, 26, 33, 40, 42, 43, 47])
+    f = A.indicator()
+    assert magnitudes(dft(f).values)[12] < 1
+    assert 12 in spectrum(f, Fraction(1, 11)).members
+
+
+def test_at_least_steps_a_float_cut_up_to_the_exact_one():
+    # float(1/3) lies below 1/3, so it must not pass the cut 1/3
+    third = Fraction(1, 3)
+    assert float(third) < third
+    assert spectral._at_least(np.array([float(third)]), third).tolist() == [False]
+    assert spectral._at_least(np.array([math.nextafter(float(third), 1)]), third).tolist() == [True]
+
+
 def test_spectrum_threshold_validation():
     g = make_group((6,))
     f = FunctionTable(g, [1, 0, 0, 0, 0, 0], "int")
