@@ -37,13 +37,12 @@ import ctypes
 import functools
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from . import fileio, harness
 from .bohr import find_regular_radius, make_bohr_spec, materialize, regularity_test
-from .groups import SizeLimitError, format_group_text, parse_group_text
+from .groups import SizeLimitError, format_group_text
 from .harmonic import dft
 from .report import CheckFailure, format_value
 from .setstat import profile
@@ -70,15 +69,9 @@ def _keep_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _parse_fractions(text: str) -> list[Fraction]:
-    try:
-        return [Fraction(part) for part in text.split(",") if part.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise harness.ConfigError(f"bad fraction list {text!r}: {exc}") from None
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _option(args, name: str, kind: str):
+    """Option --name read as a config value of kind: a refusal names the option."""
+    return harness._take({f"--{name}": getattr(args, name)}, f"--{name}", kind)
 
 
 def _emit(report: harness.RunReport, out: str | None, summary: bool) -> int:
@@ -91,7 +84,7 @@ def _emit(report: harness.RunReport, out: str | None, summary: bool) -> int:
 
 def _cmd_stats(args) -> int:
     A = fileio.read_set(args.setfile)
-    prof = profile(A, energy_orders=_parse_ints(args.k))
+    prof = profile(A, energy_orders=_option(args, "k", "ints"))
     payload = {
         "group": format_group_text(A.group),
         "size": prof.size,
@@ -133,9 +126,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_bohr(args) -> int:
-    g = parse_group_text(args.group)
-    gamma = _parse_ints(args.gamma)
-    eps = _parse_fractions(args.eps)
+    g = _option(args, "group", "group")
+    gamma = _option(args, "gamma", "ints")
+    eps = _option(args, "eps", "rationals")
     if args.regularize:
         spec = find_regular_radius(g, gamma, eps)
     else:
@@ -158,18 +151,11 @@ def _cmd_bohr(args) -> int:
 
 def _cmd_structure(args) -> int:
     params = harness.read_json(args.params) if args.params else {}
-    sets = [{"kind": "file", "path": args.setfile}]
-    if args.b:
-        sets.append({"kind": "file", "path": args.b})
-    cfg = harness.config_from_dict(
-        {
-            "kind": "structure",
-            "name": args.setfile,
-            "sets": sets,
-            "pipeline": args.mode,
-            "params": params,
-        }
-    )
+    paths = [args.setfile, args.b] if args.b else [args.setfile]
+    cfg = harness.config_from_dict({
+        "kind": "structure", "name": args.setfile, "sets": [{"kind": "file", "path": p} for p in paths],
+        "pipeline": args.mode, "params": params,
+    })
     report = harness.run_structure(cfg)
     failure = report.results[0].get("failure")
     if failure:
@@ -245,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("structure", help="run an extraction pipeline on a set file")
     p.add_argument("setfile")
     p.add_argument("--b", default=None, help="subset file (defaults to the set itself)")
-    p.add_argument("--mode", default="auto", choices=["auto", "subspace", "bohr", "dichotomy"])
+    p.add_argument("--mode", default="auto", choices=harness.PIPELINES)
     p.add_argument("--params", default=None, help="JSON file of parameter overrides")
     p.add_argument("--out", default=None)
     p.add_argument("--summary", action="store_true")

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import f2
-from .groups import GroupSpec, boolean_group, make_group
+from .groups import GroupSpec, SizeLimitError, boolean_group, make_group
 from .harmonic import dft, power_sums, prime_factors
 from .report import CheckRecord, record_eq, record_ge, record_le, require
 from .setstat import GroupSet, group_set, higher_energy
@@ -41,7 +41,7 @@ class HLambdaSpec:
         if self.k + self.lambda_size > self.n:
             raise ValueError("k + lambda_size must fit inside n coordinates")
         if self.n > _H_LAMBDA_N_MAX:
-            raise ValueError(f"ambient dimension capped at {_H_LAMBDA_N_MAX}")
+            raise SizeLimitError(f"ambient dimension {self.n} past the cap {_H_LAMBDA_N_MAX}")
 
     @property
     def group(self) -> GroupSpec:
@@ -264,10 +264,12 @@ def _element_order_full(
 def make_finite_field(p: int, d: int) -> FiniteField:
     """Deterministic field: lex-smallest monic irreducible modulus, and the
     lex-smallest full-order generator."""
-    # the cap first: it bounds p by 2^20, so the trial division below
-    # takes at most 2^10 steps
-    if d < 1 or p**d > 1 << 20:
-        raise ValueError("need d >= 1 with p^d <= 2^20")
+    # the cap first, without p^d past d = 20: it bounds p by 2^20, so the
+    # trial division below takes at most 2^10 steps
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
+    if p > 1 and (d > 20 or p**d > 1 << 20):
+        raise SizeLimitError(f"field order {p}^{d} past the cap 2^20")
     if prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     modulus = None

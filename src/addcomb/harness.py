@@ -90,6 +90,8 @@ class _Suite(NamedTuple):
 
 _SUITES: dict[str, _Suite] = {}  # in the order the suites run by default
 
+PIPELINES = ("auto", "subspace", "bohr", "dichotomy")  # auto: subspace on a 2-group, else bohr
+
 
 class ConfigError(ValueError):
     """Unusable run configuration."""
@@ -128,6 +130,8 @@ _KINDS: dict[str, tuple[tuple[type, ...], str, Callable]] = {
     "rational": ((int, float, str), 'a rational (an integer, a float or "p/q" text)', Fraction),
     "str": ((str,), "a string", str),
     "group": ((str,), "a group such as 'Z4xZ6'", parse_group_text),
+    "ints": ((str,), "a comma list of integers", lambda text: [int(p) for p in text.split(",") if p.strip()]),
+    "rationals": ((str,), "a comma list of rationals", lambda text: [Fraction(p) for p in text.split(",") if p.strip()]),
     "list": ((list, tuple), "a list", list),
     "dict": ((dict,), "an object", dict),
     "seed": ((int, float, str), "a number or a string", lambda value: value),  # what random.Random takes
@@ -178,6 +182,8 @@ def config_from_dict(d: dict) -> RunConfig:
     kind, group = cfg.kind, cfg.group
     if kind not in _RUNNERS:
         raise ConfigError(f"unknown run kind {kind!r}")
+    if cfg.pipeline not in PIPELINES:
+        raise ConfigError(f"unknown pipeline {cfg.pipeline!r}; known: {list(PIPELINES)}")
     if not all(isinstance(s, str) for s in cfg.suites):
         raise ConfigError(f"suites must be a list of suite names, got {list(cfg.suites)!r}")
     bad = [s for s in cfg.suites if s not in _SUITES]
@@ -264,10 +270,17 @@ def realize_source(
     elif kind == "literal":
         members = _take(opts, "members", "list", where)
         tuples = bool(members) and isinstance(members[0], (list, tuple))
+        seen: set[int] = set()
         for m in members:
             if tuples != isinstance(m, (list, tuple)) or any(type(c) is not int for c in (m if tuples else [m])):
                 raise ConfigError(f"{where}: member {m!r} is not an integer index or a list of integer coordinates")
-        A = group_set(g, [g.index(tuple(m)) for m in members] if tuples else members)
+            fits = len(m) == g.rank and all(0 <= c < n for c, n in zip(m, g.factors)) if tuples else 0 <= m < g.order
+            if not fits:
+                raise ConfigError(f"{where}: member {m!r} is out of range for {format_group_text(g)}")
+            if (index := g.index(tuple(m)) if tuples else m) in seen:
+                raise ConfigError(f"{where}: member {m!r} is listed twice")
+            seen.add(index)
+        A = group_set(g, seen)
         label = f"literal[{len(A)}]"
     elif kind == "random":
         size = _take(opts, "size", "int", where)
@@ -502,10 +515,10 @@ def _overrides(given: dict, names: Sequence[str]) -> dict[str, Fraction]:
 
 
 def build_params(overrides: dict, A: GroupSet, B: GroupSet) -> StructureParams:
-    values = _overrides(overrides, [f.name for f in fields(StructureParams)])
-    base = derive_params(A, B, **{k: v for k, v in values.items() if k in ("zeta", "t")})
+    """derive_params with the overrides put in; omega is |B|/|A|, a fact of the input, never one."""
+    values = _overrides(overrides, ("m", "m_prime", "kappa", "zeta", "t"))
     try:
-        return replace(base, **values)
+        return replace(derive_params(A, B), **values)
     except ValueError as exc:
         raise ConfigError(f"bad structure parameters: {exc}") from None
 
@@ -720,16 +733,15 @@ def run_structure(cfg: RunConfig) -> RunReport:
     mode = cfg.pipeline
     if mode == "auto":
         mode = "subspace" if A.group.is_boolean_space else "bohr"
-    if mode not in ("subspace", "bohr", "dichotomy"):
-        raise ConfigError(f"unknown pipeline {mode!r}")
-    if mode != "dichotomy" and B is not A and not np.isin(B.members, A.members, assume_unique=True).all():  # dichotomy_M: A or -A
-        raise ConfigError(f"B ({label_b}) is not a subset of A ({label_a})")
+    # the bounds are for dense subsets of A; the dichotomy also takes B inside -A
+    hosts = (A, A.neg()) if mode == "dichotomy" and B is not A else (A,)
+    if B is not A and not any(np.isin(B.members, S.members, assume_unique=True).all() for S in hosts):
+        raise ConfigError(f"B ({label_b}) is not a subset of A ({label_a}){' or of -A' if len(hosts) > 1 else ''}")
     A.group.require_transform()  # every pipeline and the profile read A's transform
     res = hyp = failure = None
     try:
         if mode == "dichotomy":
-            M = _overrides(cfg.params, ["m"]).get("m")
-            res = dichotomy_M(A, M=M, B_sub=B)
+            res = dichotomy_M(A, M=_overrides(cfg.params, ["m"]).get("m"), B_sub=B)
         else:
             params = build_params(cfg.params, A, B)
             res = extract(A, B, params, "subgroup" if mode == "subspace" else "bohr")

@@ -446,7 +446,7 @@ def _structure_set_file(tmp_path, group: str) -> str:
 @pytest.mark.parametrize("group", ["Z4096", "F2^12"])
 def test_structure_b_outside_a_is_a_config_error(group, mode, tmp_path, capsys):
     # 300 random points of the group and 100 more from the rest: the bounds
-    # are for dense subsets of A, and dichotomy keeps its own A-or-minus-A check
+    # are for dense subsets of A (or of -A, under the dichotomy)
     g = parse_group_text(group)
     rng = random.Random(g.order)
     picks = rng.sample(range(g.order), 400)
@@ -456,8 +456,20 @@ def test_structure_b_outside_a_is_a_config_error(group, mode, tmp_path, capsys):
     argv = ["structure", str(paths[0]), "--b", str(paths[1]), "--mode", mode, "--out", str(tmp_path / "r.json")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "subset" in err
+    assert err.startswith(f"config error: B (file:{paths[1]}) is not a subset of A (file:{paths[0]})")
+    assert err.endswith(" or of -A\n" if mode == "dichotomy" else ")\n")
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("mode, code", [("dichotomy", 0), ("bohr", 2)])
+def test_only_the_dichotomy_takes_b_inside_minus_a(mode, code, tmp_path, capsys):
+    # B = -{1, 2} lies in -A but not in A = {1, 2, 5}
+    paths = [tmp_path / "A.txt", tmp_path / "B.txt"]
+    for path, members in zip(paths, ([1, 2, 5], [4094, 4095])):
+        write_set(path, group_set(make_group((4096,)), members))
+    assert main(["structure", str(paths[0]), "--b", str(paths[1]), "--mode", mode, "--summary"]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else f"config error: B (file:{paths[1]}) is not a subset of A (file:{paths[0]})\n")
 
 
 def _exit_without_a_traceback(argv) -> int:
@@ -538,7 +550,7 @@ _MAGNITUDES = st.one_of(
 
 
 @given(group=st.sampled_from(["F2^8", "Z4096"]),
-       params=st.dictionaries(st.sampled_from(["m", "m_prime", "kappa", "zeta", "t", "omega"]), _MAGNITUDES,
+       params=st.dictionaries(st.sampled_from(["m", "m_prime", "kappa", "zeta", "t"]), _MAGNITUDES,
                               min_size=1, max_size=3))
 @settings(max_examples=150, deadline=None)
 def test_structure_params_of_any_magnitude_exit_without_a_traceback(group, params, tmp_path_factory):
@@ -643,8 +655,26 @@ def test_example_katz_checks_the_cap_before_primality(monkeypatch, capsys):
         raise AssertionError(f"trial division of {n}")
 
     monkeypatch.setattr(families, "prime_factors", no_trial_division)
-    assert main(["example", "katz", "--p", "2305843009213693951", "--d", "2"]) == 2
-    assert capsys.readouterr().err.strip() == "config error: need d >= 1 with p^d <= 2^20"
+    assert main(["example", "katz", "--p", "2305843009213693951", "--d", "2"]) == 3
+    assert capsys.readouterr().err == "resource cap: field order 2305843009213693951^2 past the cap 2^20\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["h-lambda", "--n", "21", "--k", "1", "--lambda", "1"], 3, "resource cap: ambient dimension 21 past the cap 20"),
+        (["katz", "--p", "3", "--d", "30000000"], 3, "resource cap: field order 3^30000000 past the cap 2^20"),
+        (["katz", "--p", "3", "--d", "0"], 2, "config error: need d >= 1, got 0"),
+        (["katz", "--p", "1", "--d", "30000000"], 2, "config error: 1 is not prime"),
+    ],
+    ids=["h-lambda-n-21", "katz-3^30000000", "katz-d-0", "katz-p-1"],
+)
+def test_example_caps_exit_3_at_once(argv, code, message, capsys):
+    # 3^30000000 is never formed: past d = 20 every p >= 2 is over the cap
+    started = time.perf_counter()
+    assert main(["example", *argv]) == code
+    assert time.perf_counter() - started < 5
+    assert capsys.readouterr().err == message + "\n"
 
 
 def test_verify_from_flags(tmp_path, capsys):
@@ -805,6 +835,26 @@ def test_non_integer_literal_members_are_config_errors(group, members, tmp_path,
 
 
 @pytest.mark.parametrize(
+    "group, members, message",
+    [
+        ("Z6", [1, 9], "member 9 is out of range for Z6"),
+        ("Z6", [-1, 2], "member -1 is out of range for Z6"),
+        ("Z4xZ6", [[1, 9]], "member [1, 9] is out of range for Z4xZ6"),
+        ("Z4xZ6", [[1, 2, 0]], "member [1, 2, 0] is out of range for Z4xZ6"),
+        ("Z10", [0, 3, 3, 6, 9], "member 3 is listed twice"),
+        ("Z4xZ6", [[1, 2], [3, 5], [1, 2]], "member [1, 2] is listed twice"),
+    ],
+    ids=["index-past-order", "index-negative", "coordinate-past-factor", "rank-3", "index-twice", "coordinates-twice"],
+)
+def test_literal_members_out_of_range_or_listed_twice_are_config_errors(group, members, message, tmp_path, capsys):
+    # as a set file's repeated line is: none is dropped or read modulo the group
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps({"kind": "structure", "sets": [{"kind": "literal", "group": group, "members": members}]}))
+    assert main(["verify", "--config", str(given)]) == 2
+    assert capsys.readouterr().err == f"config error: set source 'literal': {message}\n"
+
+
+@pytest.mark.parametrize(
     "source, message",
     [
         ({"kind": "katz", "d": 2}, "config error: set source 'katz' missing field 'p'"),
@@ -856,6 +906,45 @@ def test_a_bool_parameter_override_exits_2_naming_its_key(mode, subgroup_file, t
     pf.write_text(json.dumps({"m": True}))
     assert main(["structure", subgroup_file, "--params", str(pf), "--mode", mode]) == 2
     assert capsys.readouterr().err == 'config error: params: m must be a rational (an integer, a float or "p/q" text), got True\n'
+
+
+@pytest.mark.parametrize(
+    "argv, given, code, message",
+    [
+        (["stats", "A", "--k", "2.5", "--out", "r.json"], None, 2,
+         "config error: --k must be a comma list of integers, got '2.5'\n"),
+        (["bohr", "--group", "Q8", "--gamma", "1", "--eps", "1/4"], None, 2,
+         "config error: --group must be a group such as 'Z4xZ6', got 'Q8' (cannot parse group factor 'Q8')\n"),
+        (["bohr", "--group", "Z10", "--gamma", "1,x", "--eps", "1/4"], None, 2,
+         "config error: --gamma must be a comma list of integers, got '1,x'\n"),
+        (["bohr", "--group", "Z10", "--gamma", "1", "--eps", "1/0"], None, 2,
+         "config error: --eps must be a comma list of rationals, got '1/0'\n"),
+        (["bohr", "--group", "Z33554432", "--gamma", "1", "--eps", "1/4"], None, 3,
+         "resource cap: group order 33554432 exceeds the supported cap 16777216\n"),
+        (["structure", "A", "--params", "given.json", "--out", "r.json"], {"omega": "1/2"}, 2,
+         "config error: unknown parameter overrides: ['omega']\n"),
+        (["structure", "A", "--params", "given.json", "--out", "r.json"], {"zeta": "2"}, 2,
+         "config error: bad structure parameters: zeta must lie in (0, 1), got 2\n"),
+        (["verify", "--config", "given.json"], {**_TRIANGLE, "pipeline": "nope", "output": "r.json"}, 2,
+         "config error: unknown pipeline 'nope'; known: ['auto', 'subspace', 'bohr', 'dichotomy']\n"),
+        (["verify", "--config", "given.json"],
+         {"kind": "example", "sets": [{"kind": "katz", "p": 3, "d": 2}], "pipeline": "nope", "output": "r.json"}, 2,
+         "config error: unknown pipeline 'nope'; known: ['auto', 'subspace', 'bohr', 'dichotomy']\n"),
+    ],
+    ids=["k-float", "group-q8", "gamma-x", "eps-zero-den", "group-past-cap", "omega", "zeta-2",
+         "pipeline-verify", "pipeline-example"],
+)
+def test_option_and_override_refusals_name_their_value(argv, given, code, message, tmp_path, monkeypatch, capsys):
+    # every command-line option goes through the config reader, and every
+    # --params override is one that can change a run; none writes a report
+    monkeypatch.chdir(tmp_path)
+    write_set("A", families.make_h_lambda(families.HLambdaSpec(n=8, k=3, lambda_size=5)))
+    if given is not None:
+        (tmp_path / "given.json").write_text(json.dumps(given))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_an_integer_string_is_an_integer(tmp_path, capsys):
@@ -961,7 +1050,7 @@ _FUZZ_EXPERIMENTS = st.fixed_dictionaries(
         "group": _FUZZ_GROUPS,
         "pipeline": _mostly(st.sampled_from(["auto", "subspace", "bohr", "dichotomy"]), st.sampled_from(["nope", 1])),
         "params": _mostly(
-            st.dictionaries(st.sampled_from(["m", "m_prime", "kappa", "zeta", "t", "omega"]),
+            st.dictionaries(st.sampled_from(["m", "m_prime", "kappa", "zeta", "t"]),
                             st.sampled_from(["1/2", 2, "3", "1/8", "3/2", "101/100", "1/1000"]), max_size=3),
             st.sampled_from([{"zeta": "0"}, {"m": -1}, {"t": None}, {"m": "abc"}, {"c_local": 1}, [1], "x"])),
         "suites": _mostly(st.lists(st.sampled_from(list(harness._SUITES)), max_size=3),

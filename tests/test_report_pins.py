@@ -7,7 +7,8 @@ refactor that keeps behaviour must keep these digests; a change that alters
 a body on purpose updates the digest and says so in CHANGES.md.
 
 One more case pins the result of the 2-eps dichotomy (no CLI mode runs
-it) the same way, through `harness.structure_result_dict`.
+it) the same way, through `harness.structure_result_dict`, and two pin
+the whole stdout of `stats` and `bohr`, which print no timings.
 
 Only exact paths are pinned here: 2-group transforms are integer Walsh
 transforms and the chosen verify suites count exactly.  Bodies on general
@@ -50,6 +51,8 @@ PINNED = {
     "planted-seed-1": "a3cb7d885cc41226cbed4fab12110e9fed4194fc203c9c6e30284a6e807bdf7b",
     "planted-seed-2": "5279fe35f348c65ee47e0194ab84115fa3292c1e383c0c08d8e4076bd4388e1d",
     "planted-seed-5": "9152f124336d932e8d3ecbaee79032001d2b0020cf4873517f5273901b12974d",
+    "stats-h-lambda": "de0877e64abf7fd7f033b5ee8fe82cf77b8ad3246bb587c293a1d28c6e5474c6",
+    "bohr-Z101": "350c92fa34127c453962a02adb285b8130f0d45c447359eaf31ee9ba7e3c3a18",
 }
 
 
@@ -143,3 +146,18 @@ def test_planted_config_source_body_is_pinned(in_tmp, seed):
         json.dump({"kind": "structure", "seed": seed, "sets": [source]}, fh)
     assert main(["verify", "--config", "c.json", "--out", "p.json"]) == 0
     assert _body_digest("p.json") == PINNED[f"planted-seed-{seed}"]
+
+
+@pytest.mark.parametrize(
+    "case, argv",
+    [
+        ("stats-h-lambda", ["stats", "A.txt", "--k", "2,3,4"]),
+        ("bohr-Z101", ["bohr", "--group", "Z101", "--gamma", "1,7", "--eps", "1/4,1/3", "--regularize"]),
+    ],
+)
+def test_stats_and_bohr_stdout_is_pinned(in_tmp, capsys, case, argv):
+    # the README's commands; their option values go through the config reader
+    assert main(["example", "h-lambda", "--n", "8", "--k", "3", "--lambda", "5", "--set-out", "A.txt"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == PINNED[case]
