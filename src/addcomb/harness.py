@@ -9,6 +9,10 @@ a value of the wrong type (a float or a bool where an integer belongs)
 rather than coerce it.  Reports serialize to JSON with timings kept out
 of the body, so identical config + seed gives a byte-identical body.
 
+A structure run's pipeline is auto (the group's piece; its mode reads
+"subspace" on a 2-group), bohr or dichotomy; its parameters are
+structure.derive_params with the config's overrides put in.
+
 Each verify suite is declared once, by its @_suite line: its name, the
 groups it runs on in turn by default, and its least group order.  Every
 suite draws all of a group's instances first, as one setstat.SetStack
@@ -65,16 +69,15 @@ from .setstat import (
     energy_difference_bounds,
     group_set,
     higher_energies,
-    higher_energy,
     katz_koester_stack,
     profile,
-    sumset_size,
     triangle_stack,
 )
 from .spectral import ChangReport
 from .structure import (
     StructureParams,
     StructureResult,
+    derive_params,
     dichotomy_M,
     extract,
 )
@@ -90,7 +93,7 @@ class _Suite(NamedTuple):
 
 _SUITES: dict[str, _Suite] = {}  # in the order the suites run by default
 
-PIPELINES = ("auto", "subspace", "bohr", "dichotomy")  # auto: subspace on a 2-group, else bohr
+PIPELINES = ("auto", "bohr", "dichotomy")  # auto: the group's own piece; bohr: a Bohr piece on any group
 
 
 class ConfigError(ValueError):
@@ -469,39 +472,7 @@ def structure_result_dict(res: StructureResult) -> dict:
     return out
 
 
-# -- parameter derivation ------------------------------------------------------
-
-
-def derive_params(
-    A: GroupSet,
-    B: GroupSet,
-    *,
-    zeta: Fraction = Fraction(1, 8),
-    t: Fraction = Fraction(2),
-) -> StructureParams:
-    """Tightest parameters the capacity hypotheses allow for this (A, B).
-
-    m, m', kappa are set to the exact attained ratios, m from the upper end
-    of the peak's enclosure, so check_hypotheses passes by construction and
-    the guarantees are as strong as the data permits.
-    """
-    g = A.group
-    a, b, order = len(A), len(B), g.order
-    s = sumset_size(A, B)
-    k = Fraction(s, a)
-    k_prime = Fraction(A.diff_size, a)
-    m = max(Fraction(A.peak.hi) * k / a**2, Fraction(1, a))
-    eb = higher_energy(B, 2)
-    m_prime = max(Fraction(eb) * k_prime / b**3, m)
-    kappa = Fraction(s * s, a * order)
-    omega = Fraction(b, a)
-    # highly structured sets close the t-window almost to 1; stay inside it
-    t_max = m_prime * (m + kappa) / omega
-    if 1 < t_max < t:
-        t = t_max
-    return StructureParams(
-        m=m, m_prime=m_prime, kappa=kappa, zeta=zeta, t=t, omega=omega
-    )
+# -- parameter overrides -------------------------------------------------------
 
 
 def _overrides(given: dict, names: Sequence[str]) -> dict[str, Fraction]:
@@ -744,7 +715,7 @@ def run_structure(cfg: RunConfig) -> RunReport:
             res = dichotomy_M(A, M=_overrides(cfg.params, ["m"]).get("m"), B_sub=B)
         else:
             params = build_params(cfg.params, A, B)
-            res = extract(A, B, params, "subgroup" if mode == "subspace" else "bohr")
+            res = extract(A, B, params, bohr=mode == "bohr")
             hyp = res.hypotheses
     except CheckFailure as exc:
         # a failed check (a gate, hypothesis, certificate, jump search or

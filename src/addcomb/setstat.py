@@ -449,7 +449,9 @@ def sumset(A: GroupSet, B: GroupSet) -> GroupSet:
 
 
 def sumset_size(A: GroupSet, B: GroupSet) -> int:
-    """|A + B|, read from A's cache when B is A."""
+    """|A + B|, read from A's cache when B is A, or is -A: A + (-A) = A - A."""
+    if B._source is A or A._source is B:
+        return A.diff_size
     return A.sum_size if B is A else len(sumset(A, B))
 
 

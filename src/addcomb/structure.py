@@ -3,20 +3,22 @@
 The central pipeline: detect the first higher-energy jump of B, form
 phi(x) = |B_x|^k at the jump exponent, read off the large spectrum of phi,
 take a maximal dissociated set Lambda inside it, and intersect B with a
-translate of a Bohr set of Lambda.  extract(A, B, params, kind) is the one
-entry point: it checks the kind's precondition and runs the core
+translate of a Bohr set of Lambda.  extract(A, B, params) is the one
+entry point: the group decides the piece kind, and extract runs the core
 (_extract), which builds one piece and recounts it once.  Every piece is a
 Piece, a translate of a Bohr set with its spec and members: on a 2-group
 the annihilator of Lambda, which is B(Lambda, 1/2) as every phase there is
 0 or 1/2 (kind "subgroup"); the regular Bohr set at the paper's radius
-elsewhere (kind "bohr").  The piece is returned when its density floor and
-mass record hold by direct count; a failed certificate is raised as a
-theory-violation witness, never papered over.  Every failed check here, a
-hypothesis, a gate, a certificate, a membership recount or the energy-jump
-search, raises report.CheckFailure with its failed record; a failed
-certificate adds the trace of its one attempt.  A broken internal invariant (a transform
-sign, an annihilator dimension, the regularization loop's own bounds)
-raises AssertionError: a program fault, not a failed check.
+elsewhere, or on a 2-group when asked for (kind "bohr").  check_hypotheses
+states the hypotheses and derive_params meets them, both reading _measure.
+The piece is returned when its density floor and mass record hold by direct
+count; a failed certificate is raised as a theory-violation witness, never
+papered over.  Every failed check here, a hypothesis, a gate, a
+certificate, a membership recount or the energy-jump search, raises
+report.CheckFailure with its failed record; a failed certificate adds the
+trace of its one attempt.  A broken internal invariant (a transform sign,
+an annihilator dimension, the regularization loop's own bounds) raises
+AssertionError: a program fault, not a failed check.
 
 Four drivers reach the pipeline, each through extract: harness's
 structure run, the 2-eps dichotomy (certify_difference_subset: a large
@@ -40,7 +42,7 @@ from .bohr import BohrSet, dilate, find_regular_radius, make_bohr_spec, material
 from .groups import GroupSpec, SizeLimitError, boolean_group
 from .harmonic import INT64_SAFE, FunctionTable, dft, magnitudes, power_sums, transform_error
 from .report import CheckFailure, CheckRecord, record_eq, record_ge, record_le, require
-from .setstat import GroupSet, corr_counts, higher_energy, sumset_size
+from .setstat import GroupSet, Peak, corr_counts, higher_energy, sumset_size
 from .spectral import DissociatedWitness, Spectrum, chang_bound, max_dissociated, spectrum
 
 _PI_UPPER = Fraction(355, 113)  # exceeds pi, so it is safe in upper bounds
@@ -217,6 +219,17 @@ def _argmax(values: np.ndarray) -> tuple[int, int]:
     return int(values[arg]), arg
 
 
+def _measure(A: GroupSet, B: GroupSet) -> tuple[int, Fraction, Fraction, Peak, int]:
+    """What the hypotheses read off (A, B): |A+B|, K = |A+B|/|A|, K' = |A-A|/|A|, the peak and E(B)."""
+    if A.group != B.group:
+        raise ValueError("A and B must live on the same group")
+    a = len(A)
+    if a == 0 or len(B) == 0:
+        raise ValueError("hypothesis check needs nonempty sets")
+    s = sumset_size(A, B)
+    return s, Fraction(s, a), Fraction(A.diff_size, a), A.peak, higher_energy(B, 2)
+
+
 def check_hypotheses(A: GroupSet, B: GroupSet, params: StructureParams) -> HypothesisReport:
     """Evaluate every pipeline hypothesis exactly; reporting only.
 
@@ -225,15 +238,8 @@ def check_hypotheses(A: GroupSet, B: GroupSet, params: StructureParams) -> Hypot
     recorded as advisory context.  The peak capacity is checked with the
     upper end of the peak's enclosure, so it holds for the true peak.
     """
-    if A.group != B.group:
-        raise ValueError("A and B must live on the same group")
+    s, k, k_prime, peak, eb = _measure(A, B)
     a, b, order = len(A), len(B), A.group.order
-    if a == 0 or b == 0:
-        raise ValueError("hypothesis check needs nonempty sets")
-    s = sumset_size(A, B)
-    k = Fraction(s, a)
-    k_prime = Fraction(A.diff_size, a)
-    peak = A.peak
     records = []
     records.append(
         record_eq(
@@ -249,7 +255,6 @@ def check_hypotheses(A: GroupSet, B: GroupSet, params: StructureParams) -> Hypot
             note=f"peak at x={peak.arg}",
         )
     )
-    eb = higher_energy(B, 2)
     records.append(
         record_le(
             "energy capacity",
@@ -277,6 +282,23 @@ def check_hypotheses(A: GroupSet, B: GroupSet, params: StructureParams) -> Hypot
         )
     )
     return HypothesisReport(delta=Fraction(a, order), k_prime=k_prime, records=records, core_ok=core_ok)
+
+
+def derive_params(A: GroupSet, B: GroupSet) -> StructureParams:
+    """The tightest parameters check_hypotheses' core conditions allow for
+    (A, B): omega = |B|/|A|, and each capacity met with equality (m at least
+    1/|A|, m' at least m), so they pass by construction.  zeta is 1/8, and t
+    is 2 or the narrower t-window, which highly structured sets close almost
+    to 1."""
+    s, k, k_prime, peak, eb = _measure(A, B)
+    a, b = len(A), len(B)
+    m = max(Fraction(peak.hi) * k / a**2, Fraction(1, a))
+    m_prime = max(Fraction(eb) * k_prime / b**3, m)
+    kappa = Fraction(s * s, a * A.group.order)
+    omega = Fraction(b, a)
+    t_max = m_prime * (m + kappa) / omega
+    t = t_max if 1 < t_max < 2 else Fraction(2)
+    return StructureParams(m=m, m_prime=m_prime, kappa=kappa, zeta=Fraction(1, 8), t=t, omega=omega)
 
 
 def find_energy_jump(B: GroupSet, params: StructureParams) -> EnergyJump:
@@ -521,28 +543,24 @@ def _bohr_span_diagnostics(B: GroupSet, front: _Front) -> dict:
     return out
 
 
-def extract(A: GroupSet, B: GroupSet, params: StructureParams, kind: str) -> StructureResult:
-    """The jump pipeline's one entry point: a translate of a piece of the
-    given kind (a Piece.kind word) dense in B.
+def extract(A: GroupSet, B: GroupSet, params: StructureParams, *, bohr: bool = False) -> StructureResult:
+    """The jump pipeline's one entry point: a translate of a piece dense in
+    B, its kind decided by the group.
 
-    "subgroup" runs on a 2-group only: the annihilator L of Lambda, with
-    |B intersect (L+z)| >= (1-zeta) omega |L| / (t (m+kappa)) asserted by
-    direct count.  "bohr" runs on any group with zeta < 1/2: the regular
-    Bohr set B_* of Lambda at the paper's radius rho = c zeta / (m_star
-    |Lambda|), c = 1/32, with |B intersect (B_*+z)| >= (1-2 zeta) omega
-    |B_*| / (t (m+kappa)) and the translate energy sum_x |B intersect
-    (B_*+x)|^2 >= that floor times |B| |B_*| asserted by direct count.  A
-    failed count is raised with the piece's one attempt in its trace; an
-    unmet precondition or an unknown kind is a ValueError.
+    On a 2-group the piece is the annihilator L of Lambda (kind
+    "subgroup"), with |B intersect (L+z)| >= (1-zeta) omega |L| / (t
+    (m+kappa)) asserted by direct count.  Elsewhere, or on a 2-group with
+    bohr=True, it is the regular Bohr set B_* of Lambda at the paper's
+    radius rho = c zeta / (m_star |Lambda|), c = 1/32 (kind "bohr"), with
+    |B intersect (B_*+z)| >= (1-2 zeta) omega |B_*| / (t (m+kappa)) and
+    the translate energy sum_x |B intersect (B_*+x)|^2 >= that floor times
+    |B| |B_*| asserted by direct count; it needs zeta < 1/2, a ValueError
+    before any work otherwise.  A failed count is raised with the piece's
+    one attempt in its trace.
     """
-    if kind == "subgroup":
-        if not A.group.is_boolean_space:
-            raise ValueError("subspace extraction needs a 2-group; on other groups use --mode bohr")
-    elif kind == "bohr":
-        if not 0 < params.zeta < Fraction(1, 2):
-            raise ValueError("Bohr extraction needs zeta < 1/2")
-    else:
-        raise ValueError(f"unknown piece kind {kind!r}: expected 'subgroup' or 'bohr'")
+    kind = "bohr" if bohr or not A.group.is_boolean_space else "subgroup"
+    if kind == "bohr" and params.zeta >= Fraction(1, 2):
+        raise ValueError("Bohr extraction needs zeta < 1/2")
     return _extract(_pipeline_front(A, B, params), B, kind)
 
 
@@ -613,8 +631,8 @@ def certify_difference_subset(A: GroupSet, eps_param: Fraction | int) -> Structu
         t=1 + kappa,
         omega=Fraction(1),
     )
-    result = extract(A, b, params, "subgroup" if g.is_boolean_space else "bohr")
-    if not g.is_boolean_space:
+    result = extract(A, b, params)
+    if result.variant.kind == "bohr":
         return _certify_bohr_branch(A, result, eps, gate)
     # on a 2-group -A = A, so the pipeline's count against b is the count
     # against A: result.achieved = |A intersect (L + z)| at the best z
@@ -727,8 +745,7 @@ def dichotomy_M(
     if large is not None:
         return large
     params = _m_params(M, Fraction(len(B_sub), a))
-    subgroup = g.is_boolean_space
-    result = extract(A, B_sub, params, "subgroup" if subgroup else "bohr")
+    result = extract(A, B_sub, params)
     eight_m = record_ge(
         "piece density vs omega/(8M)",
         "dichotomy:density_8M",
@@ -738,7 +755,7 @@ def dichotomy_M(
     )
     result.records.extend([gate, require(eight_m)])
     result.diagnostics["m"] = M
-    if subgroup and B_sub == A:
+    if result.variant.kind == "subgroup" and B_sub == A:
         result.diagnostics["decomposition"] = _coset_decomposition(A, result.variant.bohr, M, result.records)
     return result
 
@@ -868,7 +885,7 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
         # the argument keeps for m > 1/(16 delta), can never be reached.
         if m_exact > 1 / (16 * delta):
             raise AssertionError(f"peak ratio m={m_exact} passed 1/(16 delta) under the loop gate")
-        piece = extract(cur, cur, _m_params(m_exact, Fraction(1)), "subgroup").variant
+        piece = extract(cur, cur, _m_params(m_exact, Fraction(1))).variant
         # L's echelon basis, from Lambda's nullspace.  A zero-dimensional
         # piece is a single point; keep one spare direction so the quotient
         # stays a representable group (the kept density is then >= 1/2,

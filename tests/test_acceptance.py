@@ -33,7 +33,6 @@ from addcomb.families import (
 )
 from addcomb.groups import boolean_group, make_group
 from addcomb.harmonic import FunctionTable, dft, wht_int
-from addcomb.harness import derive_params
 from addcomb.setstat import (
     energy_difference_bounds,
     group_set,
@@ -44,6 +43,7 @@ from addcomb.setstat import (
 from addcomb.structure import (
     check_hypotheses,
     certify_difference_subset,
+    derive_params,
     dichotomy_M,
     extract,
     regularize_density,
@@ -290,7 +290,7 @@ def test_criterion_08_subspace_extraction_on_fifty_instances():
             if not hyp.core_ok:
                 failures.append(f"{label}: hypotheses rejected")
                 continue
-            res = extract(A, A, params, "subgroup")
+            res = extract(A, A, params)
             if res.witness_mode != "exact":
                 failures.append(f"{label}: witness mode {res.witness_mode}")
             piece = res.variant
@@ -439,8 +439,8 @@ def test_criterion_12_bohr_subspace_agreement():
     def work(failures):
         for label, A in _matching_instances():
             params = derive_params(A, A)
-            res_s = extract(A, A, params, "subgroup")
-            res_b = extract(A, A, params, "bohr")
+            res_s = extract(A, A, params)
+            res_b = extract(A, A, params, bohr=True)
             spec = res_b.variant.bohr.spec
             if not all(e < Fraction(1, 2) for e in spec.eps):
                 failures.append(f"{label}: radius reached 1/2")

@@ -442,7 +442,7 @@ def _structure_set_file(tmp_path, group: str) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("mode", ["auto", "subspace", "bohr", "dichotomy"])
+@pytest.mark.parametrize("mode", ["auto", "bohr", "dichotomy"])
 @pytest.mark.parametrize("group", ["Z4096", "F2^12"])
 def test_structure_b_outside_a_is_a_config_error(group, mode, tmp_path, capsys):
     # 300 random points of the group and 100 more from the rest: the bounds
@@ -560,12 +560,15 @@ def test_structure_params_of_any_magnitude_exit_without_a_traceback(group, param
     _exit_without_a_traceback(["structure", _structure_set_file(tmp, group), "--params", str(pf), "--summary"])
 
 
-def test_structure_subspace_mode_off_a_2_group_names_the_bohr_mode(tmp_path, capsys):
-    path = _structure_set_file(tmp_path, "Z4096")
-    assert main(["structure", path, "--mode", "subspace"]) == 2
-    assert capsys.readouterr().err == (
-        "config error: subspace extraction needs a 2-group; on other groups use --mode bohr\n"
-    )
+@pytest.mark.parametrize("group", ["F2^8", "Z4096"])
+def test_the_retired_subspace_mode_exits_2_and_writes_no_report(group, tmp_path, capsys):
+    # auto takes the subspace piece on a 2-group, so --mode subspace is no choice
+    path = _structure_set_file(tmp_path, group)
+    with pytest.raises(SystemExit) as exc:
+        main(["structure", path, "--mode", "subspace", "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert "argument --mode: invalid choice: 'subspace'" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 _STRUCTURE_GROUPS = [f"F2^{n}" for n in range(1, 7)] + [f"Z{n}" for n in range(2, 129)] + ["Z4xZ6", "Z3xZ5xZ7"]
@@ -577,7 +580,7 @@ def structure_inputs(draw) -> tuple[str, list[int], str]:
     group = draw(st.sampled_from(_STRUCTURE_GROUPS))
     order = parse_group_text(group).order
     members = draw(st.sets(st.integers(0, order - 1), min_size=1, max_size=order))
-    return group, sorted(members), draw(st.sampled_from(["auto", "subspace", "bohr", "dichotomy"]))
+    return group, sorted(members), draw(st.sampled_from(["auto", "bohr", "dichotomy"]))
 
 
 @given(structure_inputs())
@@ -589,9 +592,6 @@ def test_structure_exit_codes_on_random_subsets(case):
         path, out = os.path.join(tmp, "a.set"), os.path.join(tmp, "r.json")
         write_set(path, group_set(g, members))
         code = _exit_without_a_traceback(["structure", path, "--mode", mode, "--out", out])
-        if mode == "subspace" and not g.is_boolean_space:
-            assert code == 2
-            return
         assert code in (0, 1)
         # a failed check is a result: its report is still written
         with open(out, encoding="utf-8") as fh:
@@ -926,13 +926,16 @@ def test_a_bool_parameter_override_exits_2_naming_its_key(mode, subgroup_file, t
         (["structure", "A", "--params", "given.json", "--out", "r.json"], {"zeta": "2"}, 2,
          "config error: bad structure parameters: zeta must lie in (0, 1), got 2\n"),
         (["verify", "--config", "given.json"], {**_TRIANGLE, "pipeline": "nope", "output": "r.json"}, 2,
-         "config error: unknown pipeline 'nope'; known: ['auto', 'subspace', 'bohr', 'dichotomy']\n"),
+         "config error: unknown pipeline 'nope'; known: ['auto', 'bohr', 'dichotomy']\n"),
         (["verify", "--config", "given.json"],
          {"kind": "example", "sets": [{"kind": "katz", "p": 3, "d": 2}], "pipeline": "nope", "output": "r.json"}, 2,
-         "config error: unknown pipeline 'nope'; known: ['auto', 'subspace', 'bohr', 'dichotomy']\n"),
+         "config error: unknown pipeline 'nope'; known: ['auto', 'bohr', 'dichotomy']\n"),
+        (["verify", "--config", "given.json"],
+         {"kind": "structure", "sets": [{"kind": "file", "path": "A"}], "pipeline": "subspace", "output": "r.json"}, 2,
+         "config error: unknown pipeline 'subspace'; known: ['auto', 'bohr', 'dichotomy']\n"),
     ],
     ids=["k-float", "group-q8", "gamma-x", "eps-zero-den", "group-past-cap", "omega", "zeta-2",
-         "pipeline-verify", "pipeline-example"],
+         "pipeline-verify", "pipeline-example", "pipeline-subspace"],
 )
 def test_option_and_override_refusals_name_their_value(argv, given, code, message, tmp_path, monkeypatch, capsys):
     # every command-line option goes through the config reader, and every
@@ -1048,7 +1051,7 @@ _FUZZ_EXPERIMENTS = st.fixed_dictionaries(
     optional={
         "name": _mostly(st.text(max_size=4), st.sampled_from([3, None])),
         "group": _FUZZ_GROUPS,
-        "pipeline": _mostly(st.sampled_from(["auto", "subspace", "bohr", "dichotomy"]), st.sampled_from(["nope", 1])),
+        "pipeline": _mostly(st.sampled_from(["auto", "bohr", "dichotomy"]), st.sampled_from(["nope", "subspace", 1])),
         "params": _mostly(
             st.dictionaries(st.sampled_from(["m", "m_prime", "kappa", "zeta", "t"]),
                             st.sampled_from(["1/2", 2, "3", "1/8", "3/2", "101/100", "1/1000"]), max_size=3),

@@ -21,7 +21,6 @@ from addcomb.harness import (
     RunConfig,
     build_params,
     config_from_dict,
-    derive_params,
     load_configs,
     realize_source,
     run_all,
@@ -35,7 +34,7 @@ from addcomb.harness import (
 from addcomb.fileio import parse_set, write_set
 from addcomb.report import CheckFailure, record_eq
 from addcomb.setstat import GroupSet, SetStack, group_set
-from addcomb.structure import check_hypotheses, dichotomy_M
+from addcomb.structure import check_hypotheses, derive_params, dichotomy_M
 
 
 def _verify_cfg(**kw):

@@ -19,7 +19,7 @@ from addcomb.families import make_h_lambda, make_planted, HLambdaSpec
 from addcomb.fileio import write_set
 from addcomb.groups import SizeLimitError, boolean_group, make_group
 from addcomb.harmonic import FunctionTable
-from addcomb.harness import derive_params, structure_result_dict
+from addcomb.harness import structure_result_dict
 from addcomb.report import CheckFailure, format_value
 from addcomb.setstat import (
     corr_counts,
@@ -32,6 +32,7 @@ from addcomb.structure import (
     StructureParams,
     certify_difference_subset,
     check_hypotheses,
+    derive_params,
     dichotomy_M,
     extract,
     find_energy_jump,
@@ -300,7 +301,7 @@ def test_bohr_span_mass_on_a_2_group_past_eleven_characters():
     g = boolean_group(11)
     A = group_set(g, random.Random(3).sample(range(g.order), 200))
     params = derive_params(A, A)
-    res = extract(A, A, params, "bohr")
+    res = extract(A, A, params, bohr=True)
     assert res.variant.dim == 11 and "span_checks" not in res.diagnostics
     k = res.jump.k
     corr = corr_direct(A, A)
@@ -323,7 +324,7 @@ def test_bohr_witness_on_a_long_progression_is_the_heaviest_first_greedy():
     g = make_group((1000,))
     A = group_set(g, range(333))
     params = derive_params(A, A)
-    res = extract(A, A, params, "bohr")
+    res = extract(A, A, params)
     assert res.witness_mode == "greedy" and all(r.ok for r in res.records)
     assert list(res.variant.bohr.spec.gamma) == [1, 2, 4] and res.variant.dim == 3
     front = structure._pipeline_front(A, A, params)
@@ -344,7 +345,7 @@ def test_extract_bohr_reads_the_span_its_witness_grew(monkeypatch):
         members |= {(start + i * step) % g.order for i in range(48)}
     A = group_set(g, sorted(members))
     params = derive_params(A, A)
-    res = extract(A, A, params, "bohr")
+    res = extract(A, A, params)
     assert res.witness_mode == "greedy" and res.variant.dim <= 10
     assert "spectral_mass" in res.diagnostics
     front = structure._pipeline_front(A, A, params)
@@ -375,6 +376,56 @@ def test_check_hypotheses_binds_omega():
     assert not rep2.core_ok
 
 
+@st.composite
+def _sets_with_a_subset(draw):
+    """A 2-group, a cyclic group or a product of order <= 256, a random
+    nonempty A and a random nonempty B inside it (A itself, at times)."""
+    shape = draw(st.sampled_from(["2-group", "cyclic", "product"]))
+    if shape == "2-group":
+        factors = (2,) * draw(st.integers(1, 8))
+    elif shape == "cyclic":
+        factors = (draw(st.integers(2, 256)),)
+    else:
+        first = draw(st.integers(2, 16))
+        factors = (first, draw(st.integers(2, 256 // first)))
+    g = make_group(factors)
+    members = sorted(draw(st.sets(st.integers(0, g.order - 1), min_size=1, max_size=g.order)))
+    A = group_set(g, members)
+    if draw(st.booleans()):
+        return A, A
+    return A, group_set(g, draw(st.sets(st.sampled_from(members), min_size=1)))
+
+
+@given(_sets_with_a_subset())
+@settings(max_examples=150, deadline=None)
+def test_derived_params_meet_the_hypotheses_they_are_derived_from(sets):
+    A, B = sets
+    report = check_hypotheses(A, B, derive_params(A, B))
+    assert report.core_ok
+    records = {r.ref: r for r in report.records}
+    # omega is |B|/|A| and kappa is |A+B|^2/(|A| N): both bind with equality
+    for ref in ("structure:omega", "structure:sumset_cap"):
+        assert records[ref].ok and records[ref].lhs == records[ref].rhs
+
+
+def test_the_2_eps_dichotomy_counts_no_sums_of_a_with_minus_a(monkeypatch):
+    # |A + (-A)| is |A - A|, which A's own correlation already counts
+    A = group_set(make_group((401,)), [7])
+    minus = sorted(A.neg().members.tolist())
+    real = setstat._pair_counts
+    sums = []
+
+    def counting(X, Y, reflect):
+        if not reflect:
+            sums.append(sorted([X.members.tolist(), Y.members.tolist()]))
+        return real(X, Y, reflect)
+
+    monkeypatch.setattr(setstat, "_pair_counts", counting)
+    res = certify_difference_subset(A, Fraction(1, 2))
+    assert res.kind == "BohrPiece" and all(r.ok for r in res.records)
+    assert sorted([A.members.tolist(), minus]) not in sums
+
+
 def test_check_hypotheses_energy_capacity_failure():
     A = _subgroup(8, 3)
     tight = StructureParams(
@@ -383,14 +434,14 @@ def test_check_hypotheses_energy_capacity_failure():
     rep = check_hypotheses(A, A, tight)
     assert not rep.core_ok
     with pytest.raises(CheckFailure, match="^hypothesis not met") as exc:
-        extract(A, A, tight, "subgroup")
+        extract(A, A, tight)
     assert exc.value.record == next(r for r in rep.records if not r.ok)
 
 
 def test_extract_subspace_certificate_verified_independently():
     A = _subgroup(10, 3)
     params = derive_params(A, A)
-    res = extract(A, A, params, "subgroup")
+    res = extract(A, A, params)
     piece = res.variant
     # direct recount of the certified overlap
     overlap = _count_overlap(A, piece.bohr.members.members, piece.z)
@@ -408,7 +459,7 @@ def test_extract_subspace_recovers_planted_subgroup():
     spec = HLambdaSpec(n=8, k=3, lambda_size=5)
     A = make_h_lambda(spec)
     params = derive_params(A, A)
-    res = extract(A, A, params, "subgroup")
+    res = extract(A, A, params)
     piece = res.variant
     # the translate is fully inside A: every subspace point lands in A
     assert res.achieved == len(piece.bohr)
@@ -433,19 +484,30 @@ def test_subgroup_piece_is_the_bohr_set_of_lambda_at_one_half(n, data):
     assert bohr.members.members.tolist() == annihilator
 
 
-def test_extract_subspace_rejects_general_groups():
-    g = make_group((15,))
-    A = group_set(g, [0, 1, 2])
-    params = StructureParams(m=1, m_prime=2, kappa=1, zeta=Fraction(1, 8), t=2)
-    with pytest.raises(ValueError, match="^subspace extraction needs a 2-group; on other groups use --mode bohr$"):
-        extract(A, A, params, "subgroup")
+@pytest.mark.parametrize(
+    "A, kind",
+    [
+        (_subgroup(8, 3), "subgroup"),
+        (group_set(make_group((15,)), [0, 1, 2]), "bohr"),
+        (group_set(make_group((2, 4, 3)), [0, 1, 5, 9]), "bohr"),
+    ],
+    ids=["F2^8", "Z15", "Z2xZ4xZ3"],
+)
+def test_extract_picks_the_piece_kind_from_the_group(A, kind):
+    # the annihilator on a 2-group, the regular Bohr set elsewhere; bohr=True
+    # keeps the Bohr piece on a 2-group too
+    params = derive_params(A, A)
+    res = extract(A, A, params)
+    assert res.variant.kind == kind
+    assert res.kind == {"subgroup": "SubspacePiece", "bohr": "BohrPiece"}[kind]
+    assert extract(A, A, params, bohr=True).variant.kind == "bohr"
 
 
 def test_extract_bohr_certificate_verified_independently():
     g = make_group((101,))
     A = group_set(g, [5])
-    params = derive_params(A, A, zeta=Fraction(1, 4))
-    res = extract(A, A, params, "bohr")
+    params = dataclasses.replace(derive_params(A, A), zeta=Fraction(1, 4))
+    res = extract(A, A, params)
     piece = res.variant
     overlap = _count_overlap(A, piece.bohr.members.members, piece.z)
     assert overlap == res.achieved
@@ -462,15 +524,26 @@ def test_extract_bohr_needs_small_zeta():
     A = group_set(g, [5])
     params = StructureParams(m=1, m_prime=2, kappa=1, zeta=Fraction(3, 4), t=2)
     with pytest.raises(ValueError, match="^Bohr extraction needs zeta < 1/2$"):
-        extract(A, A, params, "bohr")
+        extract(A, A, params)
 
 
 @pytest.mark.parametrize("kind", ["subspace", "Bohr", "", None])
 def test_extract_refuses_an_unknown_kind_before_any_work(kind, monkeypatch):
+    # the group picks the kind and bohr is keyword-only, so a kind word
+    # passed in the old fourth place is refused, never read as bohr=True
     A = _subgroup(8, 3)
     monkeypatch.setattr(structure, "_pipeline_front", mock.Mock(side_effect=AssertionError("pipeline ran")))
-    with pytest.raises(ValueError, match="^unknown piece kind"):
+    with pytest.raises(TypeError, match="positional argument"):
         extract(A, A, derive_params(A, A), kind)
+
+
+@pytest.mark.parametrize("zeta", [Fraction(1, 2), Fraction(3, 4)], ids=["1/2", "3/4"])
+def test_a_bohr_piece_on_a_2_group_refuses_a_large_zeta_before_any_work(zeta, monkeypatch):
+    A = _subgroup(8, 3)
+    params = dataclasses.replace(derive_params(A, A), zeta=zeta)
+    monkeypatch.setattr(structure, "_pipeline_front", mock.Mock(side_effect=AssertionError("pipeline ran")))
+    with pytest.raises(ValueError, match="^Bohr extraction needs zeta < 1/2$"):
+        extract(A, A, params, bohr=True)
 
 
 def test_dichotomy_structured_branch_on_subgroup():
@@ -562,7 +635,7 @@ def _reported_size_ratio(res, g):
 
 def test_size_ratio_is_the_piece_over_the_group_order():
     A, params = _cyclic_subgroup_instance()
-    reported, recounted = _reported_size_ratio(extract(A, A, params, "bohr"), A.group)
+    reported, recounted = _reported_size_ratio(extract(A, A, params), A.group)
     assert reported == recounted == Fraction(1, 10)
     # the 2-eps Bohr branch reports its final regularized shrink, not B_*
     g = make_group((1009,))
@@ -796,7 +869,7 @@ def test_extract_subspace_correlates_b_with_itself_once(monkeypatch):
     for module in (setstat, structure):
         monkeypatch.setattr(module, "corr_counts", counting)
     B = group_set(A.group, A.members)  # a fresh set, so nothing is cached yet
-    extract(B, B, params, "subgroup")
+    extract(B, B, params)
     assert self_pairs == [B.members.tolist()]
 
 
@@ -805,7 +878,7 @@ def test_extract_bohr_recounts_its_one_piece_at_the_paper_radius(monkeypatch):
     real = structure.corr_counts
     calls = []
     monkeypatch.setattr(structure, "corr_counts", lambda X, Y=None: calls.append(X) or real(X, Y))
-    res = extract(A, A, params, "bohr")
+    res = extract(A, A, params)
     piece = res.variant
     assert [X.members.tolist() for X in calls] == [piece.bohr.members.members.tolist()]
     [attempt] = res.diagnostics["attempts"]
@@ -856,7 +929,7 @@ def _cyclic_subgroup_instance():
 def test_a_zeroed_recount_raises_after_one_piece_recount(A, kind, ref, monkeypatch):
     pieces = _zero_corr_counts(monkeypatch)
     with pytest.raises(CheckFailure) as exc:
-        extract(A, A, derive_params(A, A), kind)
+        extract(A, A, derive_params(A, A))
     trace = exc.value.trace
     assert set(trace) == {"k", "lambda", "witness_mode", "attempts"}
     assert len(pieces) == 1
@@ -877,7 +950,7 @@ def test_extract_bohr_counts_the_whole_group_once_when_lambda_is_empty(monkeypat
     A = group_set(make_group((12,)), range(12))
     pieces = _zero_corr_counts(monkeypatch)
     with pytest.raises(CheckFailure) as exc:
-        extract(A, A, derive_params(A, A), "bohr")
+        extract(A, A, derive_params(A, A))
     assert exc.value.trace["lambda"] == []
     assert len(exc.value.trace["attempts"]) == 1
     assert pieces == [list(range(12))]
@@ -935,7 +1008,7 @@ def test_extract_bohr_materializes_one_radius_on_a_first_radius_pass(monkeypatch
     real = structure.materialize
     calls = []
     monkeypatch.setattr(structure, "materialize", lambda g, spec: calls.append(spec) or real(g, spec))
-    res = extract(A, A, params, "bohr")
+    res = extract(A, A, params)
     assert len(res.diagnostics["attempts"]) == 1
     assert calls == [res.variant.bohr.spec]
 
@@ -946,7 +1019,7 @@ def test_two_eps_majority_failure_carries_the_certify_trace(monkeypatch):
     pieces = _zero_corr_counts(monkeypatch, zero=lambda call: call > 1)
     calls = []
     real_extract = structure.extract
-    monkeypatch.setattr(structure, "extract", lambda *args: calls.append(args) or real_extract(*args))
+    monkeypatch.setattr(structure, "extract", lambda *args, **kw: calls.append((args, kw)) or real_extract(*args, **kw))
     with pytest.raises(CheckFailure) as exc:
         certify_difference_subset(A, Fraction(1, 2))
     assert len(pieces) == 3
@@ -954,9 +1027,9 @@ def test_two_eps_majority_failure_carries_the_certify_trace(monkeypatch):
     assert set(trace) == {"k", "lambda", "witness_mode", "attempts"}
     # the jump order and Lambda are those extract reports on the same input
     monkeypatch.undo()
-    [args] = calls
-    assert args[3] == "bohr"
-    res = extract(*args)
+    [(args, kw)] = calls
+    res = extract(*args, **kw)
+    assert res.variant.kind == "bohr"
     assert trace["k"] == res.jump.k
     assert trace["lambda"] == list(res.variant.bohr.spec.gamma) and trace["witness_mode"] == res.witness_mode
     [attempt] = trace["attempts"]
