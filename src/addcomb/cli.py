@@ -83,8 +83,11 @@ def _emit(report: harness.RunReport, out: str | None, summary: bool) -> int:
 
 
 def _cmd_stats(args) -> int:
+    orders = _option(args, "k", "ints")
+    if any(k < 2 for k in orders):
+        raise harness.ConfigError(f"--k: energy orders start at 2, got {args.k!r}")
     A = fileio.read_set(args.setfile)
-    prof = profile(A, energy_orders=_option(args, "k", "ints"))
+    prof = profile(A, energy_orders=orders)
     payload = {
         "group": format_group_text(A.group),
         "size": prof.size,
@@ -129,10 +132,12 @@ def _cmd_bohr(args) -> int:
     g = _option(args, "group", "group")
     gamma = _option(args, "gamma", "ints")
     eps = _option(args, "eps", "rationals")
-    if args.regularize:
-        spec = find_regular_radius(g, gamma, eps)
-    else:
+    try:  # BohrSpec's checks of the characters against the group and of the radii
         spec = make_bohr_spec(g, gamma, eps)
+    except ValueError as exc:
+        raise harness.ConfigError(f"--gamma {args.gamma} --eps {args.eps}: {exc}") from None
+    if args.regularize:
+        spec = find_regular_radius(g, spec.gamma, spec.eps)
     b = materialize(g, spec)
     verdict = regularity_test(b)
     payload = {

@@ -324,8 +324,6 @@ def make_katz_set(field: FiniteField) -> GroupSet:
 
 @dataclass
 class KatzReport:
-    field_p: int
-    field_d: int
     peak_sq: int | float  # upper end of the peak's enclosure
     bound_sq: int
     records: list[CheckRecord]
@@ -372,7 +370,7 @@ def verify_katz_bound(A: GroupSet, field: FiniteField) -> KatzReport:
             Fraction(a**3, n),
         ),
     ]
-    return KatzReport(field_p=p, field_d=d, peak_sq=peak.hi, bound_sq=bound_sq, records=records)
+    return KatzReport(peak_sq=peak.hi, bound_sq=bound_sq, records=records)
 
 
 # -- random and planted instances --------------------------------------------------

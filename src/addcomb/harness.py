@@ -237,9 +237,7 @@ def load_configs(path: str) -> list[RunConfig]:
     for item in items:
         if not isinstance(item, dict):
             raise ConfigError(f"{path}: each experiment must be an object")
-        merged = dict(shared)
-        merged.update(item)
-        configs.append(config_from_dict(merged))
+        configs.append(config_from_dict({**shared, **item}))
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError(f"{path}: duplicate experiment names")
@@ -308,16 +306,21 @@ def realize_source(
         A = inst.set
         label = f"planted[{n}]"
     elif kind == "h-lambda":
-        recipe = HLambdaSpec(
-            n=_take(opts, "n", "int", where), k=_take(opts, "k", "int", where),
-            lambda_size=_take(opts, "lambda", "int", where),
-        )
+        n, k, lam = (_take(opts, key, "int", where) for key in ("n", "k", "lambda"))
+        try:  # HLambdaSpec's checks of the three sizes
+            recipe = HLambdaSpec(n=n, k=k, lambda_size=lam)
+        except ValueError as exc:
+            raise ConfigError(f"{where} with n={n}, k={k}, lambda={lam}: {exc}") from None
         A = make_h_lambda(recipe, seed=_take(opts, "seed", "seed?", where, None))
-        label = f"h-lambda[{recipe.n},{recipe.k},{recipe.lambda_size}]"
+        label = f"h-lambda[{n},{k},{lam}]"
     elif kind == "katz":
-        recipe = make_finite_field(_take(opts, "p", "int", where), _take(opts, "d", "int", where))
-        A = make_katz_set(recipe)
-        label = f"katz[{recipe.p},{recipe.d}]"
+        p, d = (_take(opts, key, "int", where) for key in ("p", "d"))
+        try:  # a prime p, and d >= 2 so that the set is defined
+            recipe = make_finite_field(p, d)
+            A = make_katz_set(recipe)
+        except ValueError as exc:
+            raise ConfigError(f"{where} with p={p}, d={d}: {exc}") from None
+        label = f"katz[{p},{d}]"
     else:
         raise ConfigError(f"unknown set source kind {kind!r}")
     if opts:
@@ -765,30 +768,18 @@ def run_example(cfg: RunConfig) -> RunReport:
             raise ConfigError(f"example source must be h-lambda or katz, got {kind!r}")
         started = time.perf_counter()
         label, A, recipe = realize_source(source, None, cfg.seed)
+        entry = {"family": label, "set_text": fileio.dump_set(A)}
         if kind == "h-lambda":
             rep = verify_h_lambda(A, recipe)
-            report.add_records(rep.records)
-            entry = {
-                "family": label,
-                "set_text": fileio.dump_set(A),
-                "ratios": [[k, format_value(r)] for k, r in rep.ratios],
-                "alignment": {
-                    str(k): [format_value(lo), format_value(hi)]
-                    for k, (lo, hi) in rep.phi_alignment.items()
-                },
-            }
+            entry["ratios"] = [[k, format_value(r)] for k, r in rep.ratios]
+            entry["alignment"] = {str(k): [format_value(lo), format_value(hi)]
+                                  for k, (lo, hi) in rep.phi_alignment.items()}
         else:
             rep = verify_katz_bound(A, recipe)
-            report.add_records(rep.records)
-            entry = {
-                "family": label,
-                "set_text": fileio.dump_set(A),
-                "peak_sq": format_value(rep.peak_sq),
-                "bound_sq": format_value(rep.bound_sq),
-                "modulus": list(recipe.modulus),
-                "generator": list(recipe.generator),
-            }
-        report.timings[entry["family"]] = time.perf_counter() - started
+            entry.update(peak_sq=format_value(rep.peak_sq), bound_sq=format_value(rep.bound_sq),
+                         modulus=list(recipe.modulus), generator=list(recipe.generator))
+        report.add_records(rep.records)
+        report.timings[label] = time.perf_counter() - started
         report.results.append(entry)
     return report
 

@@ -15,7 +15,7 @@ AssertionError, which no handler turns into a failed check.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import SizeLimitError

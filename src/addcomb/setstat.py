@@ -44,7 +44,8 @@ transform on 2-groups, the complex DFT elsewhere), its autocorrelation
 A o A as an int64 array, the energy histogram (each distinct nonzero
 value of A o A with its multiplicity, as Python ints, so E_k =
 sum m * c^k is exact at every k), |A - A| (the support of A o A), |A + A|
-(the same number on 2-groups) and the peak coefficient, held as an
+(the same number on 2-groups), |A + B| for each other set B sumset_size
+counted (keyed by B, which A then holds) and the peak coefficient, held as an
 enclosure [lo, hi] of |A_hat|^2 from harmonic.transform_error (lo == hi on
 2-groups, where the transform is exact).  A.neg() is a plain -A that
 holds A and reads A's autocorrelation and A's transform, conjugated,
@@ -170,6 +171,11 @@ class GroupSet:
         if self.group.is_boolean_space:
             return self.diff_size
         return len(sumset(self, self))
+
+    @cached_property
+    def _sum_sizes(self) -> dict["GroupSet", int]:
+        """|A + B| for each other set B that sumset_size was asked for."""
+        return {}
 
     @cached_property
     def peak(self) -> "Peak":
@@ -449,10 +455,15 @@ def sumset(A: GroupSet, B: GroupSet) -> GroupSet:
 
 
 def sumset_size(A: GroupSet, B: GroupSet) -> int:
-    """|A + B|, read from A's cache when B is A, or is -A: A + (-A) = A - A."""
+    """|A + B|, read from A's cache when B is A, or is -A: A + (-A) = A - A;
+    any other B is counted once and kept on A under B."""
     if B._source is A or A._source is B:
         return A.diff_size
-    return A.sum_size if B is A else len(sumset(A, B))
+    if B is A:
+        return A.sum_size
+    if B not in A._sum_sizes:
+        A._sum_sizes[B] = len(sumset(A, B))
+    return A._sum_sizes[B]
 
 
 @dataclass(frozen=True)

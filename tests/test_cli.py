@@ -165,6 +165,25 @@ def test_the_benchmarked_commands_never_import_numpy_ma(tmp_path):
     assert done.stdout.split() == ["False"]
 
 
+@pytest.mark.parametrize(
+    "module, loads",
+    [
+        ("addcomb", []),
+        ("addcomb.f2", ["f2"]),
+        ("addcomb.setstat", ["groups", "harmonic", "report", "setstat"]),
+    ],
+)
+def test_a_module_loads_only_the_layers_below_it(module, loads):
+    # the package re-exports nothing, so importing one layer never loads
+    # the pipeline above it.  A fresh process, since this one has them all.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, {module}; print(*sorted(m for m in sys.modules if m.startswith('addcomb.')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [f"addcomb.{m}" for m in loads]
+
+
 def test_stats_reports_oversized_group(tmp_path, capsys):
     p = tmp_path / "big.set"
     p.write_text("Z20000000\n0\n")
@@ -664,8 +683,9 @@ def test_example_katz_checks_the_cap_before_primality(monkeypatch, capsys):
     [
         (["h-lambda", "--n", "21", "--k", "1", "--lambda", "1"], 3, "resource cap: ambient dimension 21 past the cap 20"),
         (["katz", "--p", "3", "--d", "30000000"], 3, "resource cap: field order 3^30000000 past the cap 2^20"),
-        (["katz", "--p", "3", "--d", "0"], 2, "config error: need d >= 1, got 0"),
-        (["katz", "--p", "1", "--d", "30000000"], 2, "config error: 1 is not prime"),
+        (["katz", "--p", "3", "--d", "0"], 2, "config error: set source 'katz' with p=3, d=0: need d >= 1, got 0"),
+        (["katz", "--p", "1", "--d", "30000000"], 2,
+         "config error: set source 'katz' with p=1, d=30000000: 1 is not prime"),
     ],
     ids=["h-lambda-n-21", "katz-3^30000000", "katz-d-0", "katz-p-1"],
 )
@@ -933,9 +953,28 @@ def test_a_bool_parameter_override_exits_2_naming_its_key(mode, subgroup_file, t
         (["verify", "--config", "given.json"],
          {"kind": "structure", "sets": [{"kind": "file", "path": "A"}], "pipeline": "subspace", "output": "r.json"}, 2,
          "config error: unknown pipeline 'subspace'; known: ['auto', 'bohr', 'dichotomy']\n"),
+        (["stats", "A", "--k", "1", "--out", "r.json"], None, 2,
+         "config error: --k: energy orders start at 2, got '1'\n"),
+        (["bohr", "--group", "Z10", "--gamma", "1", "--eps", "2"], None, 2,
+         "config error: --gamma 1 --eps 2: radius 2 outside (0, 1]\n"),
+        (["bohr", "--group", "Z10", "--gamma", "1", "--eps", "0"], None, 2,
+         "config error: --gamma 1 --eps 0: radius 0 outside (0, 1]\n"),
+        (["bohr", "--group", "Z10", "--gamma", "12", "--eps", "1/4"], None, 2,
+         "config error: --gamma 12 --eps 1/4: character index 12 out of range\n"),
+        (["bohr", "--group", "Z10", "--gamma", "1,2", "--eps", "1/4,1/3,1/5"], None, 2,
+         "config error: --gamma 1,2 --eps 1/4,1/3,1/5: one radius per character required\n"),
+        (["example", "h-lambda", "--n", "5", "--k", "3", "--lambda", "5", "--out", "r.json"], None, 2,
+         "config error: set source 'h-lambda' with n=5, k=3, lambda=5: k + lambda_size must fit inside n coordinates\n"),
+        (["example", "h-lambda", "--n", "5", "--k", "-1", "--lambda", "5", "--out", "r.json"], None, 2,
+         "config error: set source 'h-lambda' with n=5, k=-1, lambda=5: need k >= 0 and lambda_size >= 1\n"),
+        (["example", "katz", "--p", "4", "--d", "2", "--out", "r.json"], None, 2,
+         "config error: set source 'katz' with p=4, d=2: 4 is not prime\n"),
+        (["example", "katz", "--p", "3", "--d", "1", "--out", "r.json"], None, 2,
+         "config error: set source 'katz' with p=3, d=1: need d >= 2 so that g + j never vanishes\n"),
     ],
     ids=["k-float", "group-q8", "gamma-x", "eps-zero-den", "group-past-cap", "omega", "zeta-2",
-         "pipeline-verify", "pipeline-example", "pipeline-subspace"],
+         "pipeline-verify", "pipeline-example", "pipeline-subspace", "k-1", "eps-2", "eps-0", "gamma-12",
+         "eps-count", "h-lambda-k-lambda-past-n", "h-lambda-k-negative", "katz-p-4", "katz-d-1"],
 )
 def test_option_and_override_refusals_name_their_value(argv, given, code, message, tmp_path, monkeypatch, capsys):
     # every command-line option goes through the config reader, and every

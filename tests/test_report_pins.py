@@ -36,6 +36,7 @@ PINNED = {
     "example-h-lambda": "846d5574221f3c2fa0e7f506e497c6d2a69d2149c369b48b9e699c1c5bc56369",
     "structure-h-lambda": "ca52def3596846983025d39196404ce524897cfad5a1adcecac7dabcb657795f",
     "dichotomy-planted-f2-12": "5d4c93959a82fd334140f5a298ffd0e5ade2b80b346e3a0105aa48bc00ae4bb8",
+    "structure-b-half-planted-f2-12": "91946cb85dd8aa09b5885c2daf9ee75283fb80447ccec3bb9881badf98bc0c3c",
     "verify-seed-7": "8499cbb4cfe2d001f9fbf42a168291f0be9a9c546d4c252a623f5b37d1bc3cf7",
     "verify-kk-Z4xZ6": "2836e7cfef2e2021e564f4df40ddfab3f2d0521c2ad5b384e70e8966d6e97cb2",
     "verify-kk-F2^5": "b7e3833b1606688ce6fba09ed7fe0cd78e6d3e1c0b55f3c5a162d3aa46ad89fb",
@@ -85,6 +86,27 @@ def test_dichotomy_body_on_planted_f2_12_is_pinned(in_tmp):
     write_set("P.txt", inst.set)
     assert main(["structure", "P.txt", "--mode", "dichotomy", "--out", "d.json"]) == 0
     assert _body_digest("d.json") == PINNED["dichotomy-planted-f2-12"]
+
+
+def test_a_b_run_counts_a_plus_b_once_and_keeps_its_body(in_tmp, monkeypatch):
+    # derive_params and check_hypotheses both read |A+B|; B is every other
+    # member of the planted set, so neither A's cache nor -A answers it
+    A = make_planted(boolean_group(12), subgroup_dim=4, cosets=2, noise=0, seed=3).set
+    B = group_set(A.group, A.members[::2])
+    write_set("P.txt", A)
+    write_set("B.txt", B)
+    real = setstat._pair_counts
+    sums = []
+
+    def counting(X, Y, reflect):
+        if not reflect:
+            sums.append(sorted([X.members.tolist(), Y.members.tolist()]))
+        return real(X, Y, reflect)
+
+    monkeypatch.setattr(setstat, "_pair_counts", counting)
+    assert main(["structure", "P.txt", "--b", "B.txt", "--out", "s.json"]) == 0
+    assert sums.count(sorted([A.members.tolist(), B.members.tolist()])) == 1
+    assert _body_digest("s.json") == PINNED["structure-b-half-planted-f2-12"]
 
 
 def test_verify_seed_7_body_is_pinned(in_tmp):
