@@ -84,6 +84,8 @@ def _emit(report: harness.RunReport, out: str | None, summary: bool) -> int:
 
 def _cmd_stats(args) -> int:
     orders = _option(args, "k", "ints")
+    if not orders:
+        raise harness.ConfigError(f"--k: name at least one energy order, got {args.k!r}")
     if any(k < 2 for k in orders):
         raise harness.ConfigError(f"--k: energy orders start at 2, got {args.k!r}")
     A = fileio.read_set(args.setfile)

@@ -8,8 +8,11 @@ entry point: the group decides the piece kind, and extract runs the core
 (_extract), which builds one piece and recounts it once.  Every piece is a
 Piece, a translate of a Bohr set with its spec and members: on a 2-group
 the annihilator of Lambda, which is B(Lambda, 1/2) as every phase there is
-0 or 1/2 (kind "subgroup"); the regular Bohr set at the paper's radius
-elsewhere, or on a 2-group when asked for (kind "bohr").  check_hypotheses
+0 or 1/2 (kind "subgroup", from _annihilator, with the echelon basis the
+coset decomposition and the regularization loop read); the regular Bohr
+set at the paper's radius elsewhere, or on a 2-group when asked for (kind
+"bohr", from _paper_bohr).  _extract picks the builder, and the zeta loss,
+at its one kind branch.  check_hypotheses
 states the hypotheses and derive_params meets them, both reading _measure.
 The piece is returned when its density floor and mass record hold by direct
 count; a failed certificate is raised as a theory-violation witness, never
@@ -34,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NoReturn
 
 import numpy as np
 
@@ -174,12 +178,14 @@ class Piece:
     """A translate bohr + z of a Bohr set dense in B.  kind is "subgroup"
     (zeta loss 1) for the annihilator of Lambda on a 2-group, the Bohr set
     B(Lambda, 1/2), and "bohr" (zeta loss 2) otherwise; dim is |Lambda|, the
-    codimension of a subgroup piece."""
+    codimension of a subgroup piece, and basis its echelon basis (None for
+    a Bohr piece)."""
 
     kind: str
     bohr: BohrSet
     z: int
     density: Fraction
+    basis: tuple[int, ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -350,13 +356,6 @@ def _check_phi_transform_sign(phi: FunctionTable, phi_hat: FunctionTable) -> Non
         raise AssertionError(f"transform of a correlation power went negative at {bad[:5].tolist()}")
 
 
-def _spectrum_threshold(params: StructureParams) -> tuple[Fraction, bool]:
-    eps = params.zeta / params.m_star
-    if eps > 1:
-        return Fraction(1), True
-    return eps, False
-
-
 @dataclass(frozen=True)
 class _Front:
     """What the pipeline computes before it builds a piece: the hypotheses,
@@ -382,7 +381,9 @@ def _pipeline_front(A: GroupSet, B: GroupSet, params: StructureParams) -> _Front
     phi = phi_k(B, jump.k)
     phi_hat = dft(phi)
     _check_phi_transform_sign(phi, phi_hat)
-    eps, clamped = _spectrum_threshold(params)
+    eps = params.zeta / params.m_star  # the spectrum threshold, clamped at 1
+    clamped = eps > 1
+    eps = min(eps, Fraction(1))
     spec = spectrum(phi, eps, fhat=phi_hat)
     witness = max_dissociated(B.group, weights=spec.weights)  # heaviest first, by one argmax per pick
     return _Front(params, report, jump, phi, phi_hat, eps, clamped, spec, witness)
@@ -426,19 +427,22 @@ _RECORDS = {
 }
 
 
-def _piece(g: GroupSpec, lam: np.ndarray, params: StructureParams, kind: str) -> tuple[BohrSet, dict]:
-    """The one piece a pipeline recounts, as a Bohr set, and the fields its
-    attempt entry shows.  A "subgroup" piece (on a 2-group) is the
-    annihilator of Lambda, B(Lambda, 1/2), its members spanned from a
-    nullspace basis.  A "bohr" piece is the regular Bohr set of Lambda at the
-    paper's radius rho = c zeta / (m_star |Lambda|), c = _C_LOCAL; with
-    Lambda empty that Bohr set is the whole group."""
-    if kind == "subgroup":
-        basis = f2.nullspace_basis(lam.tolist(), g.rank)
-        if len(basis) != g.rank - len(lam):
-            raise AssertionError("annihilator dimension disagrees with the dissociated rank")
-        members = GroupSet(g, np.sort(f2.subspace_elements(basis)))
-        return BohrSet(make_bohr_spec(g, lam.tolist(), Fraction(1, 2)), members), {}
+def _annihilator(g: GroupSpec, lam: np.ndarray) -> tuple[BohrSet, tuple[int, ...]]:
+    """The subgroup piece on a 2-group: the annihilator of Lambda, which is
+    B(Lambda, 1/2), and its echelon basis (distinct leading bits, highest
+    first), spanned from Lambda's nullspace."""
+    basis = f2.echelon_basis(f2.nullspace_basis(lam.tolist(), g.rank))
+    if len(basis) != g.rank - len(lam):
+        raise AssertionError("annihilator dimension disagrees with the dissociated rank")
+    members = GroupSet(g, np.sort(f2.subspace_elements(basis)))
+    return BohrSet(make_bohr_spec(g, lam.tolist(), Fraction(1, 2)), members), tuple(basis)
+
+
+def _paper_bohr(g: GroupSpec, lam: np.ndarray, params: StructureParams) -> tuple[BohrSet, dict]:
+    """The Bohr piece: the regular Bohr set of Lambda at the paper's radius
+    rho = c zeta / (m_star |Lambda|), c = _C_LOCAL, and the fields its
+    attempt entry shows.  With Lambda empty that Bohr set is the whole
+    group."""
     rho = _C_LOCAL * params.zeta / (params.m_star * max(len(lam), 1))
     shows = {"c_local": _C_LOCAL, "rho": rho, "sufficiency": None}
     if len(lam):
@@ -455,12 +459,13 @@ def _piece(g: GroupSpec, lam: np.ndarray, params: StructureParams, kind: str) ->
     return materialize(g, spec), shows
 
 
-def _trace(result: StructureResult, attempts: list[dict]) -> dict:
-    """The trace of a failed certificate raised on the piece of result: the
+def _fail(record: CheckRecord, message: str, result: StructureResult, attempt: dict) -> NoReturn:
+    """Raise a failed certificate on the piece of result with its trace: the
     jump order, Lambda (the piece's characters), the witness mode and the
-    attempts."""
-    return {"k": result.jump.k, "lambda": list(result.variant.bohr.spec.gamma),
-            "witness_mode": result.witness_mode, "attempts": attempts}
+    one attempt."""
+    trace = {"k": result.jump.k, "lambda": list(result.variant.bohr.spec.gamma),
+             "witness_mode": result.witness_mode, "attempts": [attempt]}
+    raise CheckFailure(record, message=message, trace=trace)
 
 
 def _extract(front: _Front, B: GroupSet, kind: str) -> StructureResult:
@@ -472,37 +477,38 @@ def _extract(front: _Front, B: GroupSet, kind: str) -> StructureResult:
     density record (or mass record).  A Bohr piece also reports its
     attempt, the radius sufficiency record and the span checks."""
     lam = front.witness.members
-    subgroup = kind == "subgroup"
-    bohr, shows = _piece(B.group, lam, front.params, kind)
-    size, loss = len(bohr), 1 if subgroup else 2
-    head = f"{'codim' if subgroup else 'dim'} {len(lam)}"
+    if kind == "subgroup":
+        bohr, basis = _annihilator(B.group, lam)
+        shows, loss, word, per = {}, 1, "codim", len(bohr)
+    else:
+        bohr, shows = _paper_bohr(B.group, lam, front.params)
+        basis, loss, word, per = None, 2, "dim", 1
+    size, head = len(bohr), f"{word} {len(lam)}"
     counts = corr_counts(bohr.members, B)
     achieved, z = _argmax(counts)
     guaranteed = _density_floor(front.params, size, loss)
     (name, ref, note), density = _RECORDS[loss]
-    per = size if subgroup else 1
     energy = Fraction(power_sums(counts, 2)[0], per)
     records = [
         record_ge(name, ref, energy, guaranteed * len(B) * size / per, note=note.format(size=size)),
         record_ge(*density, Fraction(achieved), guaranteed, note=f"{head}, z={z}"),
     ]
-    result = StructureResult(variant=Piece(kind, bohr, z, Fraction(achieved, size)), achieved=Fraction(achieved),
-                             guaranteed=guaranteed, records=records, jump=front.jump,
-                             witness_mode=front.witness.mode, hypotheses=front.report)
-    attempts = [{**shows, "size": size, "achieved": achieved, "guaranteed": guaranteed}]
+    result = StructureResult(variant=Piece(kind, bohr, z, Fraction(achieved, size), basis),
+                             achieved=Fraction(achieved), guaranteed=guaranteed, records=records,
+                             jump=front.jump, witness_mode=front.witness.mode, hypotheses=front.report)
+    attempt = {**shows, "size": size, "achieved": achieved, "guaranteed": guaranteed}
     failed = [r for r in records if not r.ok]
     if failed:
-        raise CheckFailure(failed[-1], message=f"the piece failed the direct count ({head})",
-                           trace=_trace(result, attempts))
+        _fail(failed[-1], f"the piece failed the direct count ({head})", result, attempt)
     result.diagnostics = {
         "eps_spectrum": front.eps,
         "eps_clamped": front.clamped,
         "spectrum_size": len(front.spec),
-        "codim_bound" if subgroup else "dim_bound": _codim_diagnostic(front.report, front.params),
+        f"{word}_bound": _codim_diagnostic(front.report, front.params),
         "chang": chang_bound(front.phi, front.spec, front.witness),
     }
-    if not subgroup:
-        result.diagnostics["attempts"] = attempts
+    if shows:
+        result.diagnostics["attempts"] = [attempt]
         if len(lam):
             result.diagnostics["sufficiency"] = shows["sufficiency"]
         result.diagnostics.update(_bohr_span_diagnostics(B, front))
@@ -653,8 +659,8 @@ def _majority(
     need = (Fraction(1, 2) + eps / 8) * size
     cert = record_ge(name, "dichotomy:half_plus", Fraction(score), need, note=note)
     if not cert.ok:
-        raise CheckFailure(cert, message=f"2-eps {name} failed the direct count ({note})",
-                           trace=_trace(result, [{"size": size, "achieved": score, "guaranteed": need}]))
+        _fail(cert, f"2-eps {name} failed the direct count ({note})", result,
+              {"size": size, "achieved": score, "guaranteed": need})
     return cert, need
 
 
@@ -756,59 +762,33 @@ def dichotomy_M(
     result.records.extend([gate, require(eight_m)])
     result.diagnostics["m"] = M
     if result.variant.kind == "subgroup" and B_sub == A:
-        result.diagnostics["decomposition"] = _coset_decomposition(A, result.variant.bohr, M, result.records)
+        result.diagnostics["decomposition"] = _coset_decomposition(A, result.variant, M, result.records)
     return result
 
 
-def _coset_decomposition(A: GroupSet, lset: BohrSet, M: Fraction, records: list[CheckRecord]) -> dict:
-    """Cosets of the subspace L = B(Lambda, 1/2) holding at least |L|/(16M)
-    points of A each.
+def _coset_decomposition(A: GroupSet, piece: Piece, M: Fraction, records: list[CheckRecord]) -> dict:
+    """Cosets of the subspace L = B(Lambda, 1/2) of a subgroup piece holding
+    at least |L|/(16M) points of A each.
 
     Asserts that these cosets cover at least |A|/(16M) points and that
-    their count times |L| stays below 16M|A|.  The coset labels come from an
-    echelon basis of L spanned from Lambda's nullspace; the label does not
-    depend on which echelon basis, as its pivot set is L's own.
+    their count times |L| stays below 16M|A|.  The coset labels come from
+    the piece's echelon basis; the label does not depend on which echelon
+    basis, as its pivot set is L's own.
     """
-    basis = f2.echelon_basis(f2.nullspace_basis(lset.spec.gamma, A.group.rank))
-    _, labels = f2.reduce_in_basis(basis, A.members)
+    size = len(piece.bohr)
+    _, labels = f2.reduce_in_basis(piece.basis, A.members)
     # |A intersect (L + z)| for every coset of L that meets A
     counts = np.unique(labels, return_counts=True)[1]
     a = len(A)
     sq_sum = power_sums(counts, 2)[0]
-    records.append(
-        require(
-            record_ge(
-                "coset energy floor",
-                "dichotomy:coset_energy",
-                Fraction(sq_sum),
-                Fraction(a * len(lset), 1) / (8 * M),
-                note="sum of squared coset counts",
-            )
-        )
-    )
-    cut = Fraction(len(lset)) / (16 * M)
+    records.append(require(record_ge("coset energy floor", "dichotomy:coset_energy", Fraction(sq_sum),
+                                     Fraction(a * size, 1) / (8 * M), note="sum of squared coset counts")))
+    cut = Fraction(size) / (16 * M)
     heavy = [c for c in counts.tolist() if c >= cut]
     covered = sum(heavy)
-    records.append(
-        require(
-            record_ge(
-                "heavy-coset coverage",
-                "dichotomy:coset_coverage",
-                Fraction(covered),
-                Fraction(a) / (16 * M),
-            )
-        )
-    )
-    records.append(
-        require(
-            record_le(
-                "heavy-coset count",
-                "dichotomy:coset_count",
-                len(heavy) * len(lset),
-                16 * M * a,
-            )
-        )
-    )
+    records.append(require(record_ge("heavy-coset coverage", "dichotomy:coset_coverage", Fraction(covered),
+                                     Fraction(a) / (16 * M))))
+    records.append(require(record_le("heavy-coset count", "dichotomy:coset_count", len(heavy) * size, 16 * M * a)))
     return {"heavy_cosets": len(heavy), "covered": covered, "cut": cut}
 
 
@@ -886,11 +866,11 @@ def regularize_density(A: GroupSet) -> RegularizationTrace:
         if m_exact > 1 / (16 * delta):
             raise AssertionError(f"peak ratio m={m_exact} passed 1/(16 delta) under the loop gate")
         piece = extract(cur, cur, _m_params(m_exact, Fraction(1))).variant
-        # L's echelon basis, from Lambda's nullspace.  A zero-dimensional
+        # L's echelon basis, as the piece carries it.  A zero-dimensional
         # piece is a single point; keep one spare direction so the quotient
         # stays a representable group (the kept density is then >= 1/2,
         # still past the doubling floor)
-        lbasis = f2.echelon_basis(f2.nullspace_basis(piece.bohr.spec.gamma, cur_g.rank)) or [1]
+        lbasis = list(piece.basis) or [1]
         z = piece.z
         coords, rest = f2.reduce_in_basis(lbasis, cur.members ^ z)
         new_g = boolean_group(len(lbasis))

@@ -955,6 +955,10 @@ def test_a_bool_parameter_override_exits_2_naming_its_key(mode, subgroup_file, t
          "config error: unknown pipeline 'subspace'; known: ['auto', 'bohr', 'dichotomy']\n"),
         (["stats", "A", "--k", "1", "--out", "r.json"], None, 2,
          "config error: --k: energy orders start at 2, got '1'\n"),
+        (["stats", "A", "--k", "", "--out", "r.json"], None, 2,
+         "config error: --k: name at least one energy order, got ''\n"),
+        (["stats", "A", "--k", ",", "--out", "r.json"], None, 2,
+         "config error: --k: name at least one energy order, got ','\n"),
         (["bohr", "--group", "Z10", "--gamma", "1", "--eps", "2"], None, 2,
          "config error: --gamma 1 --eps 2: radius 2 outside (0, 1]\n"),
         (["bohr", "--group", "Z10", "--gamma", "1", "--eps", "0"], None, 2,
@@ -973,8 +977,8 @@ def test_a_bool_parameter_override_exits_2_naming_its_key(mode, subgroup_file, t
          "config error: set source 'katz' with p=3, d=1: need d >= 2 so that g + j never vanishes\n"),
     ],
     ids=["k-float", "group-q8", "gamma-x", "eps-zero-den", "group-past-cap", "omega", "zeta-2",
-         "pipeline-verify", "pipeline-example", "pipeline-subspace", "k-1", "eps-2", "eps-0", "gamma-12",
-         "eps-count", "h-lambda-k-lambda-past-n", "h-lambda-k-negative", "katz-p-4", "katz-d-1"],
+         "pipeline-verify", "pipeline-example", "pipeline-subspace", "k-1", "k-empty", "k-comma", "eps-2", "eps-0",
+         "gamma-12", "eps-count", "h-lambda-k-lambda-past-n", "h-lambda-k-negative", "katz-p-4", "katz-d-1"],
 )
 def test_option_and_override_refusals_name_their_value(argv, given, code, message, tmp_path, monkeypatch, capsys):
     # every command-line option goes through the config reader, and every

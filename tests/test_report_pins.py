@@ -36,6 +36,7 @@ PINNED = {
     "example-h-lambda": "846d5574221f3c2fa0e7f506e497c6d2a69d2149c369b48b9e699c1c5bc56369",
     "structure-h-lambda": "ca52def3596846983025d39196404ce524897cfad5a1adcecac7dabcb657795f",
     "dichotomy-planted-f2-12": "5d4c93959a82fd334140f5a298ffd0e5ade2b80b346e3a0105aa48bc00ae4bb8",
+    "structure-bohr-planted-f2-12": "9453c7c90b3a130d64fe0ff59f247d5cb630b4f3b20465aae300c2652fa9e9ac",
     "structure-b-half-planted-f2-12": "91946cb85dd8aa09b5885c2daf9ee75283fb80447ccec3bb9881badf98bc0c3c",
     "verify-seed-7": "8499cbb4cfe2d001f9fbf42a168291f0be9a9c546d4c252a623f5b37d1bc3cf7",
     "verify-kk-Z4xZ6": "2836e7cfef2e2021e564f4df40ddfab3f2d0521c2ad5b384e70e8966d6e97cb2",
@@ -86,6 +87,20 @@ def test_dichotomy_body_on_planted_f2_12_is_pinned(in_tmp):
     write_set("P.txt", inst.set)
     assert main(["structure", "P.txt", "--mode", "dichotomy", "--out", "d.json"]) == 0
     assert _body_digest("d.json") == PINNED["dichotomy-planted-f2-12"]
+
+
+def test_bohr_body_on_planted_f2_12_is_pinned(in_tmp):
+    # the regular Bohr piece on a 2-group: its attempt, radius sufficiency
+    # and span mass, every one an exact count
+    inst = make_planted(boolean_group(12), subgroup_dim=4, cosets=2, noise=0, seed=3)
+    write_set("P.txt", inst.set)
+    assert main(["structure", "P.txt", "--mode", "bohr", "--out", "b.json"]) == 0
+    with open("b.json", "r", encoding="utf-8") as fh:
+        result = json.load(fh)["results"][0]["result"]
+    assert result["kind"] == "BohrPiece"
+    assert (result["witness"]["dim"], result["witness"]["size"]) == (7, 32)
+    assert {"attempts", "sufficiency", "spectral_mass", "dim_bound"} <= set(result["diagnostics"])
+    assert _body_digest("b.json") == PINNED["structure-bohr-planted-f2-12"]
 
 
 def test_a_b_run_counts_a_plus_b_once_and_keeps_its_body(in_tmp, monkeypatch):

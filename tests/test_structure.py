@@ -476,12 +476,16 @@ def test_subgroup_piece_is_the_bohr_set_of_lambda_at_one_half(n, data):
     for v in data.draw(st.lists(st.integers(1, g.order - 1), max_size=n)):
         if f2_rank(lam + [v]) > len(lam):
             lam.append(v)
-    params = StructureParams(m=1, m_prime=2, kappa=1, zeta=Fraction(1, 8), t=2)
-    bohr, _ = structure._piece(g, np.array(lam, dtype=np.int64), params, "subgroup")
+    bohr, basis = structure._annihilator(g, np.array(lam, dtype=np.int64))
     annihilator = [x for x in range(g.order) if all(bin(v & x).count("1") % 2 == 0 for v in lam)]
     assert bohr.spec.gamma == tuple(lam) and set(bohr.spec.eps) <= {Fraction(1, 2)}
     assert materialize(g, bohr.spec).members.members.tolist() == annihilator
     assert bohr.members.members.tolist() == annihilator
+    # the basis the piece carries is in echelon form (distinct leading bits,
+    # highest first) and spans exactly the piece's members
+    leads = [row.bit_length() - 1 for row in basis]
+    assert 0 not in basis and leads == sorted(set(leads), reverse=True)
+    assert sorted(span_direct(g, basis)) == annihilator
 
 
 @pytest.mark.parametrize(
@@ -546,9 +550,20 @@ def test_a_bohr_piece_on_a_2_group_refuses_a_large_zeta_before_any_work(zeta, mo
         extract(A, A, params, bohr=True)
 
 
-def test_dichotomy_structured_branch_on_subgroup():
+def _counting_nullspace(monkeypatch) -> list:
+    calls = []
+    real = f2.nullspace_basis
+    monkeypatch.setattr(f2, "nullspace_basis", lambda vectors, n: calls.append(n) or real(vectors, n))
+    return calls
+
+
+def test_dichotomy_structured_branch_on_subgroup(monkeypatch):
+    # the coset decomposition reads the basis the piece carries: Lambda's
+    # nullspace is spanned once, by the piece builder
+    calls = _counting_nullspace(monkeypatch)
     H = _subgroup(10, 3)
     res = dichotomy_M(H)
+    assert len(calls) == 1 and res.variant.basis is not None
     assert res.kind == "SubspacePiece"
     assert all(r.ok for r in res.records)
     deco = res.diagnostics["decomposition"]
@@ -825,9 +840,12 @@ def test_regularize_reads_each_piece_basis_off_lambda(monkeypatch):
         return real(vectors)
 
     monkeypatch.setattr(f2, "echelon_basis", counting)
+    nullspaces = _counting_nullspace(monkeypatch)
     trace = regularize_density(A)
     assert trace.steps and sizes
     assert max(sizes) <= A.group.rank
+    # one nullspace per round, spanned by the piece builder and read off the piece
+    assert len(nullspaces) == len(trace.steps)
     lifted = trace.lift()
     assert set(lifted.members) <= set(A.members) and len(lifted) == len(trace.final_set)
 
