@@ -38,10 +38,6 @@ def echelon_basis(vectors: Iterable[int]) -> list[int]:
     return rows
 
 
-def reduce_vector(basis: Sequence[int], v: int) -> int:
-    return reduce_in_basis(basis, v)[1]
-
-
 def _rref(vectors: Iterable[int]) -> tuple[list[int], list[int]]:
     """Reduced row echelon form; returns (rows, pivot bit positions)."""
     rows = echelon_basis(vectors)

@@ -79,7 +79,7 @@ def _independent_draws(rng: random.Random, g: GroupSpec, basis: Sequence[int], c
     chosen: list[int] = []
     while len(chosen) < count:
         v = rng.randrange(1, g.order)
-        if f2.reduce_vector(f2.echelon_basis([*basis, *chosen]), v):
+        if f2.reduce_in_basis(f2.echelon_basis([*basis, *chosen]), v)[1]:
             chosen.append(v)
     return chosen
 
@@ -233,9 +233,6 @@ class FiniteField:
     @property
     def order(self) -> int:
         return self.p**self.d - 1
-
-    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return _poly_mod(_poly_mul(a, b, self.p), self.modulus, self.p)
 
     def ind(self, e: tuple[int, ...]) -> int:
         return self.log_table[_poly_trim(e)]
@@ -415,7 +412,7 @@ def make_planted(
         if attempts > 10000 * cosets:
             raise ValueError("not enough distinct cosets available")
         z = rng.randrange(g.order)
-        label = f2.reduce_vector(rref, z)
+        label = f2.reduce_in_basis(rref, z)[1]
         if label not in labels:
             labels.add(label)
             reps.append(z)

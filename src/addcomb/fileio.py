@@ -58,10 +58,6 @@ def _numbered(lines: list[str], start: int = 1) -> list[tuple[int, str]]:
     return [(no, line) for no, line in enumerate(lines, start=start) if line]
 
 
-def format_element(g: GroupSpec, index: int) -> str:
-    return ",".join(str(c) for c in g.unindex(index))
-
-
 def parse_element(g: GroupSpec, text: str, *, path="<string>", line_no=0) -> int:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != g.rank:
@@ -79,8 +75,8 @@ def parse_element(g: GroupSpec, text: str, *, path="<string>", line_no=0) -> int
 
 
 def dump_set(A: GroupSet) -> str:
-    """The set file of A: its group line, then one line of coordinates per
-    member (format_element's text), read off one (members, rank) table."""
+    """The set file of A: its group line, then one line of comma-separated
+    coordinates per member, read off one (members, rank) table."""
     g = A.group
     table = A.members[:, None] // np.array(g.strides, dtype=np.int64) % np.array(g.factors, dtype=np.int64)
     return "\n".join([format_group_text(g), *(",".join(map(str, row)) for row in table.tolist())]) + "\n"

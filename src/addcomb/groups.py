@@ -6,6 +6,9 @@ through the self-dual pairing; exact Bohr membership is counted in integers
 by `bohr._ExactCounter`, never through floating-point phases.  Element
 indices pack coordinates in mixed radix with coordinate 0 as the least
 significant digit; on 2-groups the index is the plain bit packing.
+Index arithmetic has one implementation, the vector kernels
+add_index_many, sub_index_many and neg_index_many; GroupSpec's scalar
+add_index, neg_index and sub_index are one-element calls of them.
 """
 
 from __future__ import annotations
@@ -94,28 +97,17 @@ class GroupSpec:
             out.append(a)
         return tuple(out)
 
+    # The scalar forms of the vector kernels below, the one index
+    # arithmetic.  Nothing in the package calls them; they stay only
+    # because bench/tracer.py wraps them by name, and go with ROADMAP item 2.
     def add_index(self, i: int, j: int) -> int:
-        if self.is_boolean_space:
-            return i ^ j
-        out = 0
-        for s, n in zip(self.strides, self.factors):
-            i2, a = divmod(i, n)
-            j2, b = divmod(j, n)
-            out += ((a + b) % n) * s
-            i, j = i2, j2
-        return out
+        return int(add_index_many(self, np.array([i], dtype=np.int64), j)[0])
 
     def neg_index(self, i: int) -> int:
-        if self.is_boolean_space:
-            return i
-        out = 0
-        for s, n in zip(self.strides, self.factors):
-            i, a = divmod(i, n)
-            out += ((-a) % n) * s
-        return out
+        return int(neg_index_many(self, np.array([i], dtype=np.int64))[0])
 
     def sub_index(self, i: int, j: int) -> int:
-        return self.add_index(i, self.neg_index(j))
+        return int(sub_index_many(self, np.array([i], dtype=np.int64), j)[0])
 
 
 def make_group(factors: Sequence[int]) -> GroupSpec:

@@ -2,7 +2,10 @@
 
 Everything here is written the slow, obvious way on purpose: direct
 character sums, double loops over set members, explicit norm comparisons
-with Fraction arithmetic.  No numpy transforms, no bitset tricks.
+with Fraction arithmetic.  No numpy transforms, no bitset tricks.  The
+group arithmetic is this module's own digit arithmetic on the factor
+tuple: from the package it reads only a group's factors, order and rank,
+parse_group_text, and a set's members, and calls no GroupSpec method.
 """
 
 from __future__ import annotations
@@ -17,16 +20,57 @@ import numpy as np
 from addcomb.groups import GroupSpec, SizeLimitError, parse_group_text
 from addcomb.setstat import GroupSet
 
+# -- index arithmetic, from the factor tuple alone -----------------------------
+# An index packs coordinates in mixed radix, coordinate 0 the least
+# significant digit.  Sums and differences are taken digit by digit; on a
+# 2-group they are i ^ j and negation is the identity, which is the group
+# law there (and keeps the F2^n oracles fast).
+
+
+def element_coords(g: GroupSpec, i: int) -> tuple[int, ...]:
+    """The coordinates of index i, coordinate 0 first."""
+    out = []
+    for n in g.factors:
+        i, a = divmod(i, n)
+        out.append(a)
+    return tuple(out)
+
+
+def _digitwise(g: GroupSpec, i: int, j: int, sign: int) -> int:
+    """The index whose digit k is a_k + sign * b_k mod n_k, for the digits
+    a of i and b of j."""
+    if g.order == 1 << len(g.factors):  # every factor is 2
+        return i ^ j
+    out, weight = 0, 1
+    for n in g.factors:
+        i, a = divmod(i, n)
+        j, b = divmod(j, n)
+        out += (a + sign * b) % n * weight
+        weight *= n
+    return out
+
+
+def element_add(g: GroupSpec, i: int, j: int) -> int:
+    return _digitwise(g, i, j, 1)
+
+
+def element_sub(g: GroupSpec, i: int, j: int) -> int:
+    return _digitwise(g, i, j, -1)
+
+
+def element_neg(g: GroupSpec, i: int) -> int:
+    return _digitwise(g, 0, i, -1)
+
 
 def dft_direct(g: GroupSpec, values) -> list[complex]:
     """fhat(t) = sum_x f(x) conj(chi_t(x)), one character sum per t."""
     n = g.order
     out = []
     for t in range(n):
-        tc = g.unindex(t)
+        tc = element_coords(g, t)
         acc = 0j
         for x in range(n):
-            xc = g.unindex(x)
+            xc = element_coords(g, x)
             phase = sum(Fraction(a * b, f) for a, b, f in zip(tc, xc, g.factors))
             acc += complex(values[x]) * cmath.exp(-2j * cmath.pi * float(phase))
         out.append(acc)
@@ -55,11 +99,11 @@ def dft_entry_fsum(g: GroupSpec, values, t: int) -> complex:
     t . x is reduced exactly, as an integer mod N, before its one float
     step, so the sum is within a few ulps of sum |f(x)| of the exact value."""
     n = g.order
-    tc = g.unindex(t)
+    tc = element_coords(g, t)
     re, im = [], []
     for x, v in enumerate(values):
         if v:
-            r = sum(a * b * (n // f) for a, b, f in zip(tc, g.unindex(x), g.factors)) % n
+            r = sum(a * b * (n // f) for a, b, f in zip(tc, element_coords(g, x), g.factors)) % n
             angle = 2 * math.pi * r / n
             re.append(v * math.cos(angle))
             im.append(-v * math.sin(angle))
@@ -73,7 +117,7 @@ def corr_direct(A: GroupSet, B: GroupSet) -> list[int]:
     out = [0] * g.order
     for a in A.members.tolist():
         for b in B.members.tolist():
-            out[g.sub_index(b, a)] += 1
+            out[element_sub(g, b, a)] += 1
     return out
 
 
@@ -83,7 +127,7 @@ def conv_direct(A: GroupSet, B: GroupSet) -> list[int]:
     out = [0] * g.order
     for a in A.members.tolist():
         for b in B.members.tolist():
-            out[g.add_index(a, b)] += 1
+            out[element_add(g, a, b)] += 1
     return out
 
 
@@ -145,8 +189,8 @@ def parse_set_direct(text: str, path: str = "<string>") -> tuple[GroupSpec, list
 
 def coords_direct(g: GroupSpec, idx) -> np.ndarray:
     """The (len, rank) table of coordinates of an index array, one
-    g.unindex call per index."""
-    return np.array([g.unindex(i) for i in np.asarray(idx).tolist()], dtype=np.int64).reshape(-1, g.rank)
+    element_coords call per index."""
+    return np.array([element_coords(g, i) for i in np.asarray(idx).tolist()], dtype=np.int64).reshape(-1, g.rank)
 
 
 def sorted_set(indices) -> list[int]:
@@ -157,23 +201,23 @@ def sorted_set(indices) -> list[int]:
 
 def translate_direct(A: GroupSet, x: int) -> list[int]:
     g = A.group
-    return sorted_set(g.add_index(a, x) for a in A.members.tolist())
+    return sorted_set(element_add(g, a, x) for a in A.members.tolist())
 
 
 def neg_direct(A: GroupSet) -> list[int]:
-    return sorted_set(A.group.neg_index(a) for a in A.members.tolist())
+    return sorted_set(element_neg(A.group, a) for a in A.members.tolist())
 
 
 def slice_direct(A: GroupSet, x: int) -> list[int]:
     """A_x = A intersect (A + x): the y in A with y - x in A."""
     g = A.group
     a = set(A.members.tolist())
-    return sorted_set(y for y in a if g.sub_index(y, x) in a)
+    return sorted_set(y for y in a if element_sub(g, y, x) in a)
 
 
 def sumset_direct(A: GroupSet, B: GroupSet) -> set[int]:
     g = A.group
-    return {g.add_index(a, b) for a in A.members.tolist() for b in B.members.tolist()}
+    return {element_add(g, a, b) for a in A.members.tolist() for b in B.members.tolist()}
 
 
 def katz_koester_direct(
@@ -184,9 +228,9 @@ def katz_koester_direct(
     g = A.group
     a = set(A.members.tolist())
     s = sumset_direct(A, B) if sums is None else set(sums.members.tolist())
-    a_x = {y for y in a if g.sub_index(y, x) in a}
-    left = {g.add_index(b, y) for b in B.members.tolist() for y in a_x}
-    right = {y for y in s if g.sub_index(y, x) in s}
+    a_x = {y for y in a if element_sub(g, y, x) in a}
+    left = {element_add(g, b, y) for b in B.members.tolist() for y in a_x}
+    right = {y for y in s if element_sub(g, y, x) in s}
     return len(left), len(right), left <= right
 
 
@@ -198,7 +242,7 @@ def triangle_direct(g: GroupSpec, W, Y, X, Z) -> tuple[int, int]:
     X, Z = set(X), set(Z)
 
     def minus(t, x):
-        return tuple(g.sub_index(c, x) for c in t)
+        return tuple(element_sub(g, c, x) for c in t)
 
     y_diag = {minus(y, z) for y in Y for z in Z}
     big = {minus(w + y + (z,), x) for w in W for y in Y for z in Z for x in X}
@@ -207,13 +251,13 @@ def triangle_direct(g: GroupSpec, W, Y, X, Z) -> tuple[int, int]:
 
 def difference_direct(A: GroupSet, B: GroupSet) -> set[int]:
     g = A.group
-    return {g.sub_index(a, b) for a in A.members.tolist() for b in B.members.tolist()}
+    return {element_sub(g, a, b) for a in A.members.tolist() for b in B.members.tolist()}
 
 
 def energy_direct(A: GroupSet, B: GroupSet) -> int:
     """Quadruples (a1, b1, a2, b2) with a1 - b1 = a2 - b2."""
     g = A.group
-    diffs = Counter(g.sub_index(a, b) for a in A.members.tolist() for b in B.members.tolist())
+    diffs = Counter(element_sub(g, a, b) for a in A.members.tolist() for b in B.members.tolist())
     return sum(m * m for m in diffs.values())
 
 
@@ -250,10 +294,10 @@ def bohr_members_direct(g: GroupSpec, gamma, eps) -> set[int]:
     eps = [Fraction(e) for e in eps]
     members = set()
     for x in range(g.order):
-        xc = g.unindex(x)
+        xc = element_coords(g, x)
         ok = True
         for t, e in zip(gamma, eps):
-            tc = g.unindex(t)
+            tc = element_coords(g, t)
             phase = sum(Fraction(a * b, f) for a, b, f in zip(tc, xc, g.factors)) % 1
             if min(phase, 1 - phase) >= e:
                 ok = False
@@ -268,7 +312,7 @@ def phases_direct(g: GroupSpec, gamma) -> np.ndarray:
     gamma_j and element x, where c_j = sum_i t_i x_i (N / f_i) mod N at
     gamma_j = t and x = (x_0, ..., x_{r-1}).  The coordinates of every
     index come from the group description alone: axis 0 is the least
-    significant digit, as in g.unindex."""
+    significant digit, as in element_coords."""
     n = g.order
     rest, coords = np.arange(n, dtype=np.int64), []
     for f in g.factors:
@@ -276,7 +320,7 @@ def phases_direct(g: GroupSpec, gamma) -> np.ndarray:
         coords.append(x)
     out = np.zeros((len(gamma), n), dtype=np.int64)
     for j, t in enumerate(gamma):
-        c = sum(a * (n // f) * x for a, f, x in zip(g.unindex(t), g.factors, coords)) % n
+        c = sum(a * (n // f) * x for a, f, x in zip(element_coords(g, t), g.factors, coords)) % n
         out[j] = np.minimum(c, n - c)
     return out
 
@@ -288,11 +332,11 @@ def bohr_members_int_direct(g: GroupSpec, gamma, eps) -> set[int]:
     n = g.order
     rows = []
     for t, e in zip(gamma, eps):
-        weights = [a * (n // f) for a, f in zip(g.unindex(t), g.factors)]
+        weights = [a * (n // f) for a, f in zip(element_coords(g, t), g.factors)]
         rows.append((weights, Fraction(e).numerator, Fraction(e).denominator))
     members = set()
     for x in range(n):
-        xc = g.unindex(x)
+        xc = element_coords(g, x)
         ok = True
         for weights, p, q in rows:
             c = sum(w * a for w, a in zip(weights, xc)) % n
@@ -347,8 +391,8 @@ def span_direct(g: GroupSpec, lam) -> set[int]:
     """All {0, +1, -1} combinations of the given frequencies."""
     acc = {0}
     for t in lam:
-        nt = g.neg_index(t)
-        acc = {g.add_index(s, c) for s in acc for c in (0, t, nt)}
+        nt = element_neg(g, t)
+        acc = {element_add(g, s, c) for s in acc for c in (0, t, nt)}
     return acc
 
 
@@ -382,9 +426,9 @@ def dissociated_direct(g: GroupSpec, members) -> bool:
     members = list(members)
     total = [(0, ())]
     for t in members:
-        nt = g.neg_index(t)
+        nt = element_neg(g, t)
         total = [
-            (g.add_index(s, c), coeffs + (sign,))
+            (element_add(g, s, c), coeffs + (sign,))
             for s, coeffs in total
             for c, sign in ((0, 0), (t, 1), (nt, -1))
         ]
@@ -397,7 +441,7 @@ def vanishing_signed_sums(g: GroupSpec, members) -> int:
     3^k sums, coordinate by coordinate, as numpy arrays."""
     acc = [np.zeros(1, dtype=np.int64) for _ in g.factors]
     for t in members:
-        tc = g.unindex(t)
+        tc = element_coords(g, t)
         acc = [
             np.concatenate((a, (a + c) % n, (a - c) % n))
             for a, c, n in zip(acc, tc, g.factors)
@@ -406,3 +450,23 @@ def vanishing_signed_sums(g: GroupSpec, members) -> int:
     for a in acc:
         zero &= a == 0
     return int(zero.sum())
+
+
+def field_mul_direct(p: int, modulus, a, b) -> tuple[int, ...]:
+    """a * b in F_p[x] / (modulus), polynomials as coefficient tuples
+    (constant term first) and modulus monic: the schoolbook product, then
+    long division by the modulus from the top coefficient down.  The
+    remainder has its trailing zeros dropped, so 1 is (1,) and 0 is ()."""
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    d = len(modulus) - 1
+    for top in range(len(prod) - 1, d - 1, -1):
+        q = prod[top] % p
+        for j, m in enumerate(modulus):
+            prod[top - d + j] -= q * m
+    rest = [c % p for c in prod[:d]]
+    while rest and rest[-1] == 0:
+        rest.pop()
+    return tuple(rest)

@@ -25,7 +25,7 @@ from addcomb.setstat import (
     higher_energy,
 )
 
-from .oracles import difference_direct, peak_direct, slice_direct
+from .oracles import difference_direct, field_mul_direct, peak_direct, slice_direct
 
 
 def test_canonical_h_lambda_statistics():
@@ -152,7 +152,7 @@ def test_finite_field_log_is_a_homomorphism():
         for _ in range(40):
             x = rng.choice(nonzero)
             y = rng.choice(nonzero)
-            assert (f.ind(x) + f.ind(y)) % (q - 1) == f.ind(f.mul(x, y))
+            assert (f.ind(x) + f.ind(y)) % (q - 1) == f.ind(field_mul_direct(p, f.modulus, x, y))
 
 
 def test_finite_field_generator_order():
@@ -160,7 +160,7 @@ def test_finite_field_generator_order():
     acc = (1,)
     seen = set()
     for _ in range(f.order):
-        acc = f.mul(acc, f.generator)
+        acc = field_mul_direct(f.p, f.modulus, acc, f.generator)
         seen.add(acc)
     assert len(seen) == f.order
     assert acc == (1,)

@@ -44,6 +44,7 @@ from .oracles import (
     bohr_members_int_direct,
     corr_direct,
     difference_direct,
+    element_add,
     f2_rank,
     greedy_dissociated_direct,
     span_direct,
@@ -60,7 +61,7 @@ def _subgroup(n, dim):
 def _count_overlap(B, piece_members, z):
     g = B.group
     b = set(B.members.tolist())
-    return sum(1 for s in piece_members.tolist() if g.add_index(s, z) in b)
+    return sum(1 for s in piece_members.tolist() if element_add(g, s, z) in b)
 
 
 def test_params_validation():
@@ -589,7 +590,7 @@ def test_dichotomy_structured_branch_on_a_general_group(tmp_path):
     piece = bohr_members_int_direct(g, w["gamma"], w["radii"])
     assert len(piece) == 8
     a = set(A.members.tolist())
-    overlap = sum(g.add_index(x, w["z"]) in a for x in piece)
+    overlap = sum(element_add(g, x, w["z"]) in a for x in piece)
     M = Fraction(result["diagnostics"]["m"])
     assert Fraction(result["achieved"]) == overlap >= Fraction(len(piece), 8 * M)  # omega = 1
     assert Fraction(w["size_ratio"]) == Fraction(len(piece), g.order)
