@@ -148,7 +148,13 @@ class _ExactCounter:
         self.cum: np.ndarray | None = None
         if all(r == 1 for r in shape):
             self.keys = _keys(g, self.weights)
-            self.cum = np.bincount(self.keys, minlength=g.order // 2 + 1).cumsum(dtype=np.int32)
+            # the keys' histogram, counted _CHUNK keys at a time (bincount
+            # would copy every key to int64) and summed in place; an int32
+            # one keeps add.at on its fast loop
+            cum = np.zeros(g.order // 2 + 1, dtype=np.int32)
+            for start in range(0, g.order, _CHUNK):
+                np.add.at(cum, self.keys[start : start + _CHUNK], np.int32(1))
+            self.cum = np.cumsum(cum, out=cum)
 
     def counts(self, nums: Sequence[int], den: int) -> list[int]:
         """|B| at every query sigma = num / den > 0 of the batch: the
@@ -267,7 +273,8 @@ def _phase_blocks(g: GroupSpec, weights: np.ndarray, batch: int):
         cut += 1
     row = _outer_sum(tables[:cut], n, d)[:, None, :] - np.int32(n)
     rows = -(-n // width)  # the padded values of a top digit lie past the last row
-    lead = _outer_sum(tables[cut:], n, d)[:, :rows, None]
+    lead = _outer_sum(tables[cut:], n, d)[:, :rows, None].copy()
+    del table, tables  # the blocks read row and lead alone
     per = _CHUNK // width
     buf = np.empty((min(batch, d), min(per, rows), width), dtype=np.int32)
     tmp = np.empty_like(buf)

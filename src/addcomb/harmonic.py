@@ -38,6 +38,19 @@ the same level order, only at permuted addresses, and after log2 N levels
 the permutation is the identity.  So every entry is still a partial Walsh
 sum, at most the L1 norm in magnitude (the int64 rule above stands), and a
 float level still rounds once per entry (transform_error's u per level).
+
+That bound also sets the butterfly's width.  Every caller of the integer
+transform states a bound on its columns' L1 norms (the largest set size
+for indicators, N ceil(sqrt(|A| |B|)) for setstat's product columns, the
+table's own norm for wht_int), and a table of _RADIX4_CELLS cells or more
+runs in int16 below 2^15, int32 below 2^31 and int64 otherwise, each
+level's entries staying within the bound, then writes its last level
+straight into the int64 output.  Such a table also takes two levels per
+pass (radix 4, after one radix-2 level when log2 N is odd): the pass makes
+the two levels' additions of the same operands in the same order, only
+storing the first level's sums and differences in quarters rather than
+interleaved, so its values are those of two radix-2 levels, bit for bit
+in floats too.
 """
 
 from __future__ import annotations
@@ -55,6 +68,13 @@ from .groups import GroupMismatchError, GroupSpec
 INT64_SAFE = 1 << 62
 _U = 2.0**-53  # unit roundoff of binary64
 _BLUESTEIN_MIN = 50  # pocketfft never takes Bluestein's algorithm below this length
+# The fewest cells of a Walsh table that runs narrow, two levels per pass
+# (_wht).  Measured: _wht timed whole with that path forced on and off, on
+# N x k tables of N = 2^5..2^16 and k = 1..4 (0/1 indicators, width int16,
+# and values of an int32 bound), numpy 2.4 on a 2-vCPU x86 VM.  At 2^12
+# cells the path lost 2-20 us of 60-75 us; at 2^13 it tied or won up to
+# 20 us of 100-115 us, and from 2^14 on it won 5-55%.
+_RADIX4_CELLS = 1 << 13
 
 Kind = str  # 'int' | 'real' | 'complex'
 
@@ -137,13 +157,18 @@ def _int_array(values) -> np.ndarray:
         arr = np.asarray(values, dtype=np.int64)
     except OverflowError:
         return np.array([int(v) for v in values], dtype=object)
-    if max(int(arr.max()), -int(arr.min())) * arr.size < INT64_SAFE:
-        return arr  # N * max|v| bounds the L1 norm
+    if _peak_bound(arr) < INT64_SAFE:
+        return arr
     # |-2^63| wraps to -2^63, which reads as 2^63 in uint64; summing the
     # two 32-bit halves apart keeps both sums exact up to 2^31 entries.
     mags = np.abs(arr).view(np.uint64)
     l1 = (int((mags >> 32).sum()) << 32) + int((mags & 0xFFFFFFFF).sum())
     return arr if l1 < INT64_SAFE else arr.astype(object)
+
+
+def _peak_bound(arr: np.ndarray) -> int:
+    """N * max|v|, a bound on the L1 norm of an int64 array."""
+    return max(int(arr.max()), -int(arr.min())) * arr.size
 
 
 def indicator(g: GroupSpec, indices: Sequence[int]) -> FunctionTable:
@@ -155,48 +180,110 @@ def indicator(g: GroupSpec, indices: Sequence[int]) -> FunctionTable:
 # -- Walsh-Hadamard (2-groups) -------------------------------------------------
 
 
-def _wht(arr: np.ndarray) -> np.ndarray:
+def _width(bound: int):
+    """The narrowest of int16, int32 and int64 that holds every integer of
+    magnitude at most bound."""
+    return np.int16 if bound < 1 << 15 else np.int32 if bound < 1 << 31 else np.int64
+
+
+def _wht(arr: np.ndarray, bound: int | None = None) -> np.ndarray:
     """Walsh-Hadamard butterfly along axis 0 into a fresh array of arr's
-    dtype and memory layout (of every column, when arr is a table of
-    columns), in the constant-geometry layout of the module docstring.
+    memory layout (of every column, when arr is a table of columns), in the
+    constant-geometry layout of the module docstring.  An integer arr, each
+    of whose columns has L1 norm at most bound < 2^62, comes out int64; a
+    complex128 or object arr in its own dtype.
 
     Level j adds and subtracts the pairs of entries whose indices differ in
     bit j, as the in-place butterfly's level of span 2^j does: the input
     index rotated right j times has bit j last, so the pairs are the even
     and odd entries, and writing their sums to the low half and their
-    differences to the high half rotates the index once more.  The values
-    are those of the in-place butterfly, bit for bit in floats too."""
-    a = arr.copy(order="K")
-    b = np.empty_like(a)
-    half = a.shape[0] // 2
-    for _ in range(a.shape[0].bit_length() - 1):
-        even, odd = a[0::2], a[1::2]
-        np.add(even, odd, out=b[:half])
-        np.subtract(even, odd, out=b[half:])
-        a, b = b, a
-    return a
+    differences to the high half rotates the index once more.
+
+    A table of _RADIX4_CELLS cells or more computes in _width(bound) (its
+    own dtype if not integer) and takes two levels per pass, after one
+    radix-2 level when log2 N is odd.  A pass reads the entries x0..x3 at
+    indices 4i..4i + 3, writes x0 + x1, x0 - x1, x2 + x3 and x2 - x3 to the
+    quarters of a spare buffer, and then the sums and differences of its
+    two halves, (x0 + x1) +- (x2 + x3) and (x0 - x1) +- (x2 - x3), to the
+    quarters of its output, which rotates the index twice.  These are the
+    two levels' additions of the same operands, so the values are those of
+    the in-place butterfly, bit for bit in floats too.  Every ufunc
+    computes in the pass's dtype, or, reading arr, in the wider of arr's
+    dtype and that (where arr is wider, casting the output is cheaper).
+    The passes before the last keep their output in a narrow view of the
+    output's memory (_narrow_view), which the last pass reads into the
+    spare buffer before it writes the int64 output: no table is cast back,
+    and the narrow path allocates less than the int64 one.  A smaller
+    table runs one level per pass in its output dtype: there a pass's
+    extra numpy calls cost more than its narrower reads save."""
+    n = arr.shape[0]
+    levels = n.bit_length() - 1
+    out = np.empty_like(arr, dtype=np.int64 if arr.dtype.kind == "i" else arr.dtype)
+    fours = levels // 2 if arr.size >= _RADIX4_CELLS else 0
+    work = _width(bound) if fours and out.dtype == np.int64 else out.dtype
+    home = out if work == out.dtype else _narrow_view(out, work)
+    spare = np.empty_like(arr, dtype=work)
+    half, quarter = n // 2, n // 4
+    # the first pass reads arr in the wider of its dtype and work
+    step = np.promote_types(arr.dtype, work)
+    # the radix-2 levels alternate between spare and home, ending in home
+    src, dst, other = (arr, home, spare) if (levels - 2 * fours) % 2 else (arr, spare, home)
+    for _ in range(levels - 2 * fours):
+        even, odd = src[0::2], src[1::2]
+        np.add(even, odd, out=dst[:half], dtype=step)
+        np.subtract(even, odd, out=dst[half:], dtype=step)
+        src, dst, other, step = dst, other, dst, work
+    for left in range(fours - 1, -1, -1):
+        dst = home if left else out
+        x0, x1, x2, x3 = src[0::4], src[1::4], src[2::4], src[3::4]
+        np.add(x0, x1, out=spare[:quarter], dtype=step)
+        np.subtract(x0, x1, out=spare[quarter:half], dtype=step)
+        np.add(x2, x3, out=spare[half : half + quarter], dtype=step)
+        np.subtract(x2, x3, out=spare[half + quarter :], dtype=step)
+        np.add(spare[:half], spare[half:], out=dst[:half], dtype=work)
+        np.subtract(spare[:half], spare[half:], out=dst[half:], dtype=work)
+        src, step = dst, work
+    return out
+
+
+def _narrow_view(out: np.ndarray, work) -> np.ndarray:
+    """An array of out's shape and layout, packed in dtype work at the start
+    of out's memory."""
+    flip = out.ndim == 2 and not out.flags.c_contiguous
+    base = out.T if flip else out
+    view = base.reshape(-1).view(work)[: out.size].reshape(base.shape)
+    return view.T if flip else view
 
 
 def wht_int(g: GroupSpec, values: Sequence[int]) -> np.ndarray:
     """Exact integer Walsh-Hadamard transform (self-inverse up to N).
 
     int64 when the values make an int64 table (whose L1 norm bounds every
-    partial sum below 2^62), an object array of Python ints otherwise.
+    partial sum below 2^62), an object array of Python ints otherwise.  The
+    butterfly's width comes from _peak_bound, or from the L1 norm itself
+    where that bound is 2^15 or more.
     """
     if not g.is_boolean_space:
         raise GroupMismatchError("Walsh-Hadamard path needs a 2-group")
-    return _wht(FunctionTable(g, values, "int").values)
+    arr = FunctionTable(g, values, "int").values
+    if arr.dtype == object or arr.size < _RADIX4_CELLS:
+        return _wht(arr)  # no width to pick
+    bound = _peak_bound(arr)
+    if bound >= 1 << 15:  # an int64 table's L1 norm is below 2^62: its int64 sum is exact
+        bound = int(arr.sum()) if arr.min() >= 0 else int(np.abs(arr).sum())
+    return _wht(arr, bound)
 
 
-def wht_int_columns(g: GroupSpec, table: np.ndarray) -> np.ndarray:
+def wht_int_columns(g: GroupSpec, table: np.ndarray, bound: int) -> np.ndarray:
     """Exact integer Walsh-Hadamard transform of every column of an (N, k)
-    int64 table.  The caller keeps each column's L1 norm below 2^62, which
-    bounds every partial sum of the butterflies."""
+    integer table, as int64.  The caller states bound < 2^62, at least each
+    column's L1 norm, which bounds every partial sum of the butterflies, and
+    _wht runs them at the narrowest width that holds it."""
     if not g.is_boolean_space:
         raise GroupMismatchError("Walsh-Hadamard path needs a 2-group")
-    if table.dtype != np.int64 or table.ndim != 2 or table.shape[0] != g.order:
-        raise GroupMismatchError(f"need an int64 table of shape ({g.order}, k), got {table.dtype} {table.shape}")
-    return _wht(table)
+    if table.dtype.kind != "i" or table.ndim != 2 or table.shape[0] != g.order:
+        raise GroupMismatchError(f"need an integer table of shape ({g.order}, k), got {table.dtype} {table.shape}")
+    return _wht(table, bound)
 
 
 # -- mixed-radix DFT -------------------------------------------------------------

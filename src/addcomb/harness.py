@@ -580,7 +580,7 @@ def _parseval_suite(rng: random.Random, cfg: RunConfig, g: GroupSpec) -> list[Ch
         lhs = g.order * (table * table).sum(axis=0)  # N * sum v^2 <= 64 N^2
         if g.is_boolean_space:
             # every entry is at most the L1 norm 8N in magnitude
-            rhs = power_sums(np.abs(wht_int_columns(g, table)), 2)[0]
+            rhs = power_sums(np.abs(wht_int_columns(g, table, 8 * g.order)), 2)[0]
             mismatches += sum(l != r for l, r in zip(lhs.tolist(), rhs))
             continue
         mags = magnitudes(dft_columns(g, table))

@@ -354,7 +354,8 @@ def _columns(pool: SetStack, hats: np.ndarray | None, left: np.ndarray, right: n
     rows (_rows).  On 2-groups a column is one integer Walsh transform of
     its products, divided by N, exact in int64: a product column has L1
     norm at most sqrt(sum |A_hat|^2 sum |B_hat|^2) = N sqrt(|A| |B|) <=
-    N^2 <= 2^48 (Cauchy-Schwarz, Parseval, the membership cap).  Elsewhere
+    N^2 <= 2^48 (Cauchy-Schwarz, Parseval, the membership cap), and the
+    transform takes N ceil(sqrt(max |A| |B|)) as its columns' bound.  Elsewhere
     a column whose conv_errors bound is below 1/2 (one call for all) is the
     rounded inverse DFT of its products, and any other, or every one when
     hats is None, counts by pairs (_conv_loop), which negates A's members
@@ -369,8 +370,11 @@ def _columns(pool: SetStack, hats: np.ndarray | None, left: np.ndarray, right: n
         flip = reflect[fast] & (not g.is_boolean_space)  # -A = A on 2-groups
         # a single row broadcasts over every column (out[:, fast] repeats one product)
         products = (_rows(hats, left[fast], flip) * _rows(hats, right[fast])).T
-        out[:, fast] = (wht_int_columns(g, products) // n if g.is_boolean_space
-                        else np.rint(idft_columns(g, products).real))
+        if g.is_boolean_space:
+            bound = n * (math.isqrt(int((a[fast] * b[fast]).max()) - 1) + 1)  # N ceil(sqrt(|A| |B|))
+            out[:, fast] = wht_int_columns(g, products, bound) // n
+        else:
+            out[:, fast] = np.rint(idft_columns(g, products).real)
     for j in slow:
         out[:, j] = _conv_loop(g, pool[left[j]], pool[right[j]], reflect[j])
     return out
@@ -438,8 +442,8 @@ def _hats(S: SetStack) -> np.ndarray | None:
     g = S.group
     if not g.within_transform_cap:
         return None
-    if g.is_boolean_space:
-        return wht_int_columns(g, _indicator_table(S, np.int64)).T
+    if g.is_boolean_space:  # an indicator's L1 norm is its set's size
+        return wht_int_columns(g, _indicator_table(S, np.int16), int(S.sizes.max(initial=0))).T
     return dft_columns(g, _indicator_table(S, np.complex128)).T  # the DFT's own dtype: no copy
 
 

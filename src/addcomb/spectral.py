@@ -88,10 +88,12 @@ class DissociatedWitness:
         return GroupSet(self.group, np.flatnonzero(self.span_mask))
 
 
-def spectrum(f: FunctionTable, eps: Fraction | int, *, fhat: FunctionTable | None = None) -> Spectrum:
+def spectrum(f: FunctionTable, eps: Fraction | int, *, fhat: FunctionTable | None = None,
+             err: float | None = None) -> Spectrum:
     """Spec_eps(f), with its weight table for max_dissociated.
 
-    A caller that already holds dft(f) passes it as fhat.
+    A caller that already holds dft(f) passes it as fhat, and one that
+    holds transform_error(f) passes it as err.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
@@ -105,7 +107,7 @@ def spectrum(f: FunctionTable, eps: Fraction | int, *, fhat: FunctionTable | Non
         raise ValueError("transform passed to spectrum lives on another group")
     mags = magnitudes(fhat.values)
     thr = eps * Fraction(f.l1())
-    err = Fraction(transform_error(f))
+    err = Fraction(transform_error(f) if err is None else err)
     keep = _at_least(mags, thr - err)
     mags[~keep] = -1
     return Spectrum(group=g, eps=eps, members=read_only(np.flatnonzero(keep)), weights=read_only(mags))

@@ -346,12 +346,16 @@ def phi_k(B: GroupSet, k: int) -> FunctionTable:
     return table
 
 
-def _check_phi_transform_sign(phi: FunctionTable, phi_hat: FunctionTable) -> None:
+def _check_phi_transform_sign(phi_hat: FunctionTable, err: float) -> None:
     """A correlation power is positive definite: its transform is real and
-    >= 0.  Only a value the transform's proven error cannot explain fails."""
+    >= 0.  Only a value the transform's proven error err cannot explain
+    fails; the exact integer Walsh transform (err 0) is tested for a
+    negative entry alone."""
     w = phi_hat.values
-    err = transform_error(phi)
-    bad = np.flatnonzero((w.real < -err) | (np.abs(w.imag) > err))
+    if phi_hat.kind == "int":
+        bad = np.flatnonzero(w < 0)
+    else:
+        bad = np.flatnonzero((w.real < -err) | (np.abs(w.imag) > err))
     if bad.size:
         raise AssertionError(f"transform of a correlation power went negative at {bad[:5].tolist()}")
 
@@ -380,11 +384,12 @@ def _pipeline_front(A: GroupSet, B: GroupSet, params: StructureParams) -> _Front
     jump = find_energy_jump(B, params)
     phi = phi_k(B, jump.k)
     phi_hat = dft(phi)
-    _check_phi_transform_sign(phi, phi_hat)
+    err = transform_error(phi)
+    _check_phi_transform_sign(phi_hat, err)
     eps = params.zeta / params.m_star  # the spectrum threshold, clamped at 1
     clamped = eps > 1
     eps = min(eps, Fraction(1))
-    spec = spectrum(phi, eps, fhat=phi_hat)
+    spec = spectrum(phi, eps, fhat=phi_hat, err=err)
     witness = max_dissociated(B.group, weights=spec.weights)  # heaviest first, by one argmax per pick
     return _Front(params, report, jump, phi, phi_hat, eps, clamped, spec, witness)
 

@@ -815,19 +815,22 @@ def test_keys_and_scan_take_no_masked_store(factors, monkeypatch):
 def test_counter_build_memory_does_not_grow_with_d():
     # from order _CHUNK / 4 on, the keys are raised one character at a time:
     # the build holds the int32 keys and the int32 phase blocks of one
-    # character, then the histogram: bincount's int64 copy of the keys and
-    # its int64 counts, whatever d is.  It peaks near 16 bytes per element
-    # at d = 4 and at d = 16
-    g = make_group((32768,))
+    # character, then the int32 histogram, counted and summed in place,
+    # whatever d is.  At order 2^15 the phase blocks span the group and the
+    # build peaks near 14.9 bytes per element at d = 16; at 2^20 they span
+    # _CHUNK elements, and the keys and the histogram peak near 6.1 bytes
+    # per element.  Each bound is that peak plus at most 0.65 bytes per element
     rng = random.Random(5)
-    peaks = []
-    for d in (4, 16):
-        gamma = tuple(rng.randrange(1, g.order) for _ in range(d))
-        tracemalloc.start()
-        try:
-            bohr._ExactCounter(g, gamma, (Fraction(1),) * d)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert max(peaks) <= 17 * g.order
-    assert peaks[1] <= peaks[0] + g.order
+    for order, bound in ((32768, 15.5), (1 << 20, 6.5)):
+        g = make_group((order,))
+        peaks = []
+        for d in (4, 16):
+            gamma = tuple(rng.randrange(1, g.order) for _ in range(d))
+            tracemalloc.start()
+            try:
+                bohr._ExactCounter(g, gamma, (Fraction(1),) * d)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= bound * g.order
+        assert peaks[1] <= peaks[0] + g.order

@@ -70,14 +70,26 @@ def test_wht_int_columns_transforms_each_column():
     g = boolean_group(5)
     rng = random.Random(5)
     columns = [_random_values(g, rng, -9, 9) for _ in range(3)]
-    got = wht_int_columns(g, np.array(columns, dtype=np.int64).T)
+    got = wht_int_columns(g, np.array(columns, dtype=np.int64).T, 9 * g.order)
     assert got.shape == (g.order, 3)
     for col, values in zip(got.T.tolist(), columns):
         assert col == wht_int(g, values).tolist()
     with pytest.raises(GroupMismatchError):
-        wht_int_columns(make_group((4, 8)), np.zeros((32, 1), dtype=np.int64))
+        wht_int_columns(make_group((4, 8)), np.zeros((32, 1), dtype=np.int64), 0)
     with pytest.raises(GroupMismatchError):
-        wht_int_columns(g, np.zeros(g.order, dtype=np.int64))
+        wht_int_columns(g, np.zeros(g.order, dtype=np.int64), 0)
+    with pytest.raises(GroupMismatchError):
+        wht_int_columns(g, np.zeros((g.order, 1)), 0)
+
+
+def _at_l1(total: int, n: int = 13) -> list[int]:
+    """Nonnegative values on F2^n summing to total, so that the transform
+    at 0, the last of a chain of butterfly partial sums, is the L1 norm.
+    F2^13 is past harmonic._RADIX4_CELLS: the butterfly runs at the width
+    the L1 norm picks, in radix-4 passes after one radix-2 level."""
+    values = [total >> n] * (1 << n)
+    values[0] += total % (1 << n)
+    return values
 
 
 @pytest.mark.parametrize(
@@ -90,52 +102,104 @@ def test_wht_int_columns_transforms_each_column():
         ([1 << 58, -(1 << 58)] * 8, False),  # L1 = 2^62
         ([(1 << 62) - 1] + [1] * 15, False),
         ([1 << 63] + [0] * 15, False),  # beyond int64 altogether
+        # the widths' edges: int16 holds 2^15 - 1, int32 2^31 - 1; max|v| * N
+        # passes 2^15 in every case, so the exact L1 picks the width
+        (_at_l1((1 << 15) - 1), True),
+        (_at_l1(1 << 15), True),
+        (_at_l1((1 << 31) - 1), True),
+        (_at_l1(1 << 31), True),
     ],
 )
 def test_wht_int_path_at_the_int64_boundary(values, int64_path):
-    got = wht_int(boolean_group(4), values)
+    got = wht_int(boolean_group(len(values).bit_length() - 1), values)
     assert got.dtype == (np.int64 if int64_path else object)
     assert got.tolist() == walsh_direct(values)
 
 
+# column L1 caps on each side of the butterfly's int16, int32 and int64 widths
+_L1_CAPS = ((1 << 15) - 1, 1 << 15, (1 << 31) - 1, 1 << 31, (1 << 62) - 1)
+
+
 def _column_table(data, g, k, dtype, layout):
     """k columns on g in the C-order (N, k) layout or in setstat's table
-    layout, with int64, bigint or float complex entries."""
-    if dtype == "int64":
-        values = st.integers(-(1 << 40), 1 << 40)
-    elif dtype == "object":
-        values = st.integers(-(1 << 80), 1 << 80)
+    layout, with integer, bigint or float complex entries, and the largest
+    column L1 norm.  An integer column takes an L1 cap from _L1_CAPS, so a
+    stack mixes widths; a nonnegative one sums to its cap exactly, so its
+    transform at 0 reaches it.  The integer table is stored in int8, int16,
+    int32 or int64 where its values fit.  Bigint and complex columns spread
+    a drawn palette over the group by a seeded generator, so large orders
+    cost few draws."""
+    rng = np.random.default_rng(data.draw(st.integers(0, (1 << 32) - 1), label="seed"))
+    n = g.order
+    if dtype == "int":
+        columns = []
+        for _ in range(k):
+            cap = data.draw(st.sampled_from(_L1_CAPS), label="l1 cap")
+            step = cap // n
+            if data.draw(st.booleans(), label="nonnegative"):
+                col = rng.integers(0, step + 1, n)
+                col[0] += cap - int(col.sum())
+            else:
+                col = rng.integers(-step, step + 1, n)
+            columns.append(col.tolist())
+        peak = max(abs(v) for col in columns for v in col)
+        stored = data.draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64]), label="stored")
+        kind = stored if peak <= np.iinfo(stored).max else np.int64
     else:
-        part = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-        values = st.builds(complex, part, part)
-    columns = [data.draw(st.lists(values, min_size=g.order, max_size=g.order)) for _ in range(k)]
-    kind = {"int64": np.int64, "object": object, "complex128": np.complex128}[dtype]
-    table = np.array(columns, dtype=kind).T.copy() if layout == "C" else _table(g.order, k, kind)
+        if dtype == "object":
+            values = st.integers(-(1 << 80), 1 << 80)
+        else:
+            part = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+            values = st.builds(complex, part, part)
+        palette = data.draw(st.lists(values, min_size=1, max_size=16), label="palette")
+        columns = [[palette[i] for i in rng.integers(0, len(palette), n).tolist()] for _ in range(k)]
+        kind = {"object": object, "complex128": np.complex128}[dtype]
+    table = np.array(columns, dtype=kind).T.copy() if layout == "C" else _table(n, k, kind)
     if layout != "C":
         for j, col in enumerate(columns):
             table[:, j] = col
-    return table, columns
+    l1 = max(sum(abs(v) for v in col) for col in columns) if dtype == "int" else None
+    return table, columns, l1
 
 
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_walsh_butterfly_matches_the_list_butterfly(data):
-    g = boolean_group(data.draw(st.integers(1, 10), label="n"))
+    # orders 11..13 reach harmonic._RADIX4_CELLS cells with k large enough,
+    # and the odd ones take the leftover radix-2 level
+    g = boolean_group(data.draw(st.integers(1, 10) | st.integers(11, 13), label="n"))
     layout = data.draw(st.sampled_from(["C", "stack"]), label="layout")
     k = data.draw(st.integers(1, 5), label="k")
-    dtype = data.draw(st.sampled_from(["int64", "object", "complex128"]), label="dtype")
-    table, columns = _column_table(data, g, k, dtype, layout)
-    if dtype == "int64":
-        got = wht_int_columns(g, table)
+    dtype = data.draw(st.sampled_from(["int", "object", "complex128"]), label="dtype")
+    table, columns, l1 = _column_table(data, g, k, dtype, layout)
+    if dtype == "int":
+        got = wht_int_columns(g, table, l1)
+        assert got.dtype == np.int64
     elif dtype == "object":
         got = harmonic._wht(table)  # wht_int's path past int64, on a stack
+        assert got.dtype == object
     else:
         got = dft_columns(g, table)  # the float path: the same additions, bit for bit
-    assert got.dtype == table.dtype
+        assert got.dtype == np.complex128
     assert got.flags.c_contiguous == table.flags.c_contiguous
     assert got.flags.f_contiguous == table.flags.f_contiguous
     for j, col in enumerate(columns):
         assert got[:, j].tolist() == walsh_direct(col)
+
+
+@pytest.mark.parametrize("n", [4, 13])  # below and past harmonic._RADIX4_CELLS
+@pytest.mark.parametrize("stored", [np.int8, np.int16, np.int32])
+def test_walsh_butterfly_widens_a_table_stored_narrower_than_its_sums(stored, n):
+    # entries at the stored dtype's extremes: the first level's sums pass
+    # them, so the butterfly must add at its own width from the first pass
+    g = boolean_group(n)
+    top = int(np.iinfo(stored).max)
+    table = np.full((2, g.order), top, dtype=stored)
+    table[1, 1::2] = -top
+    got = wht_int_columns(g, table.T, top * g.order)
+    assert got.dtype == np.int64
+    for j in range(2):
+        assert got[:, j].tolist() == walsh_direct(table[j].tolist())
 
 
 def test_walsh_butterfly_at_the_transform_cap():

@@ -18,7 +18,7 @@ from addcomb.cli import main
 from addcomb.families import make_h_lambda, make_planted, HLambdaSpec
 from addcomb.fileio import write_set
 from addcomb.groups import SizeLimitError, boolean_group, make_group
-from addcomb.harmonic import FunctionTable
+from addcomb.harmonic import FunctionTable, transform_error
 from addcomb.harness import structure_result_dict
 from addcomb.report import CheckFailure, format_value
 from addcomb.setstat import (
@@ -606,6 +606,28 @@ def _two_ap_set():
     lambda: make_planted(boolean_group(10), 5, 2, 4, seed=3).set,
     _two_ap_set,
 ], ids=["planted-F2^10", "two-APs-Z1024"])
+def test_the_front_bounds_phi_hat_once(make_a, monkeypatch):
+    # the sign check and the spectrum share one transform_error(phi), and
+    # the spectrum is the one its own bound gives
+    A = make_a()
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return transform_error(f)
+    monkeypatch.setattr(structure, "transform_error", counted)
+    monkeypatch.setattr(spectral, "transform_error", counted)
+    front = structure._pipeline_front(A, A, derive_params(A, A))
+    assert calls == [front.phi]
+    fresh = spectral.spectrum(front.phi, front.eps)
+    assert np.array_equal(front.spec.members, fresh.members)
+    assert np.array_equal(front.spec.weights, fresh.weights)
+
+
+@pytest.mark.parametrize("make_a", [
+    lambda: make_planted(boolean_group(10), 5, 2, 4, seed=3).set,
+    _two_ap_set,
+], ids=["planted-F2^10", "two-APs-Z1024"])
 @given(half=st.randoms(use_true_random=False))
 @settings(max_examples=12, deadline=None)
 def test_structure_on_a_random_half_of_a_through_b(make_a, half, tmp_path_factory):
@@ -1064,6 +1086,7 @@ def test_a_negative_transform_of_phi_is_named_by_its_indices(group, kind):
     g = make_group(group)
     phi = FunctionTable(g, [1] * 16, "int")
     phi_hat = FunctionTable(g, [16] + [0] * 14 + [-1], kind)
-    structure._check_phi_transform_sign(phi, FunctionTable(g, [16] + [0] * 15, kind))
+    err = transform_error(phi)
+    structure._check_phi_transform_sign(FunctionTable(g, [16] + [0] * 15, kind), err)
     with pytest.raises(AssertionError, match=r"went negative at \[15\]$"):
-        structure._check_phi_transform_sign(phi, phi_hat)
+        structure._check_phi_transform_sign(phi_hat, err)
