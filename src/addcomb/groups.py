@@ -99,7 +99,7 @@ class GroupSpec:
 
     # The scalar forms of the vector kernels below, the one index
     # arithmetic.  Nothing in the package calls them; they stay only
-    # because bench/tracer.py wraps them by name, and go with ROADMAP item 2.
+    # because bench/tracer.py wraps them by name, and go with ROADMAP item 26.
     def add_index(self, i: int, j: int) -> int:
         return int(add_index_many(self, np.array([i], dtype=np.int64), j)[0])
 

@@ -233,6 +233,8 @@ def load_configs(path: str) -> list[RunConfig]:
         raise ConfigError(f"{path}: top level must be an object")
     if not isinstance(items, list):
         raise ConfigError(f"{path}: experiments must be a list")
+    if not items:
+        raise ConfigError(f"{path}: experiments must list at least one experiment")
     configs = []
     for item in items:
         if not isinstance(item, dict):

@@ -1046,6 +1046,17 @@ def test_verify_refuses_two_reports_bound_for_one_file(outputs, tmp_path, capsys
     assert not out.exists()
 
 
+def test_an_empty_experiment_list_is_a_config_error(tmp_path, capsys):
+    # a run of nothing would exit 0, print nothing and write no report
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps({"experiments": [], "seed": 1}))
+    assert main(["verify", "--config", str(given), "--out", str(tmp_path / "r.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {given}: experiments must list at least one experiment\n"
+    assert captured.out == ""
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_verify_writes_each_experiment_to_its_own_output(tmp_path, capsys):
     outs = [tmp_path / "a.json", tmp_path / "b.json"]
     experiments = [{"name": f"e{i}", "suites": ["triangle"], "output": str(o)} for i, o in enumerate(outs)]
