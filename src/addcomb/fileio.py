@@ -32,6 +32,7 @@ import numpy as np
 
 from .groups import GroupMismatchError, GroupSpec, format_group_text, parse_group_text
 from .harmonic import FunctionTable
+from .report import format_value
 from .setstat import GroupSet
 
 
@@ -170,7 +171,7 @@ def read_set(path: str | os.PathLike, expect_group: GroupSpec | None = None) -> 
 
 def _format_value(kind: str, v) -> str:
     if kind == "int":
-        return str(int(v))
+        return format_value(int(v))
     if kind == "real":
         if isinstance(v, Fraction):
             return f"{v.numerator}/{v.denominator}"
@@ -200,8 +201,11 @@ def dump_function(table: FunctionTable) -> str:
 
 
 def write_function(path: str | os.PathLike, table: FunctionTable) -> None:
+    """Write the table's file; an entry past the limit on int text raises
+    SizeLimitError before the file is opened."""
+    text = dump_function(table)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dump_function(table))
+        fh.write(text)
 
 
 def parse_function(text: str, *, path="<string>") -> FunctionTable:

@@ -11,7 +11,10 @@ of the body, so identical config + seed gives a byte-identical body.
 
 A structure run's pipeline is auto (the group's piece; its mode reads
 "subspace" on a 2-group), bohr or dichotomy; its parameters are
-structure.derive_params with the config's overrides put in.
+structure.derive_params with the config's overrides put in.  Its report
+states each record once, in the top-level records: the hypothesis
+records, then the certificate's.  The result entry keeps only the
+hypotheses' core_ok, and structure_result_dict writes no records.
 
 Each verify suite is declared once, by its @_suite line: its name, the
 groups it runs on in turn by default, and its least group order.  Every
@@ -240,9 +243,13 @@ def load_configs(path: str) -> list[RunConfig]:
         if not isinstance(item, dict):
             raise ConfigError(f"{path}: each experiment must be an object")
         configs.append(config_from_dict({**shared, **item}))
-    names = [c.name for c in configs]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"{path}: duplicate experiment names")
+    positions: dict[str, list[int]] = {}
+    for i, c in enumerate(configs):
+        positions.setdefault(c.name, []).append(i)
+    for name, at in positions.items():
+        if len(at) > 1:
+            where = ", ".join(f"experiments[{i}]" for i in at)
+            raise ConfigError(f"{path}: duplicate experiment name {name!r} at {where}")
     return configs
 
 
@@ -449,7 +456,6 @@ def structure_result_dict(res: StructureResult) -> dict:
         "achieved": format_value(res.achieved),
         "guaranteed": format_value(res.guaranteed),
         "witness_mode": res.witness_mode,
-        "records": [r.to_dict() for r in res.records],
         "diagnostics": _jsonable(res.diagnostics),
     }
     if res.jump is not None:
@@ -747,10 +753,7 @@ def run_structure(cfg: RunConfig) -> RunReport:
     if failure is not None:
         entry["failure"] = failure
     if hyp is not None:
-        entry["hypotheses"] = {
-            "core_ok": hyp.core_ok,
-            "records": [r.to_dict() for r in hyp.records],
-        }
+        entry["hypotheses"] = {"core_ok": hyp.core_ok}
         report.add_records(hyp.records)
     if res is not None:
         report.add_records(res.records)

@@ -213,18 +213,15 @@ def max_dissociated(
 
 @dataclass(frozen=True)
 class ChangReport:
-    """Witness size of a spectrum next to the C/eps^2 log bound.
+    """The C/eps^2 log bound of a spectrum, and whether its witness fits it.
 
-    dim is the size of the max_dissociated witness: the additive dimension
-    of the spectrum on 2-groups, and a lower bound on it elsewhere.
+    ok says the max_dissociated witness (the additive dimension of the
+    spectrum on 2-groups, a lower bound on it elsewhere) is at most the
+    bound; the spectrum, eps and the witness are the caller's own.
     """
 
-    eps: Fraction
     c_chang: Fraction
     bound: float
-    spectrum_size: int
-    dim: int
-    witness_mode: str
     ok: bool
 
 
@@ -251,12 +248,4 @@ def chang_bound(f: FunctionTable, spec: Spectrum, witness: DissociatedWitness) -
         bound = float(CHANG_AUDIT_CONSTANT) * float(eps) ** -2 * log_ratio if log_ratio else 0.0
     except (OverflowError, ZeroDivisionError):  # eps^-2 past the double range: no bound
         bound = math.inf
-    return ChangReport(
-        eps=eps,
-        c_chang=CHANG_AUDIT_CONSTANT,
-        bound=bound,
-        spectrum_size=len(spec),
-        dim=len(witness),
-        witness_mode=witness.mode,
-        ok=len(witness) <= max(1.0, bound),
-    )
+    return ChangReport(c_chang=CHANG_AUDIT_CONSTANT, bound=bound, ok=len(witness) <= max(1.0, bound))

@@ -480,7 +480,8 @@ def _extract(front: _Front, B: GroupSet, kind: str) -> StructureResult:
     loss (the key of _RECORDS) and its mass record holds; otherwise the
     failure is raised with its one attempt in the trace and the failed
     density record (or mass record).  A Bohr piece also reports its
-    attempt, the radius sufficiency record and the span checks."""
+    attempt, which holds the radius sufficiency record, and the span
+    checks."""
     lam = front.witness.members
     if kind == "subgroup":
         bohr, basis = _annihilator(B.group, lam)
@@ -514,8 +515,6 @@ def _extract(front: _Front, B: GroupSet, kind: str) -> StructureResult:
     }
     if shows:
         result.diagnostics["attempts"] = [attempt]
-        if len(lam):
-            result.diagnostics["sufficiency"] = shows["sufficiency"]
         result.diagnostics.update(_bohr_span_diagnostics(B, front))
     return result
 

@@ -8,6 +8,7 @@ compared exactly.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -32,7 +33,7 @@ from addcomb.families import (
     verify_katz_bound,
 )
 from addcomb.groups import boolean_group, make_group
-from addcomb.harmonic import FunctionTable, dft, wht_int
+from addcomb.harmonic import FunctionTable, dft, transform_error, wht_int
 from addcomb.setstat import (
     energy_difference_bounds,
     group_set,
@@ -51,8 +52,6 @@ from addcomb.structure import (
 
 from .conftest import register_criterion
 from .oracles import difference_direct, element_add, higher_energy_direct
-
-_DFT_REL_TOL = 1e-6
 
 
 def _run(number, label, budget, worker):
@@ -96,10 +95,13 @@ def test_criterion_01_parseval():
                     if rhs != lhs:
                         failures.append(f"{g.factors} #{i}: {rhs} != {lhs}")
                 else:
-                    hat = dft(FunctionTable(group=g, kind="int", values=f))
-                    rhs = sum(abs(v) ** 2 for v in hat.values)
-                    if abs(rhs - lhs) > _DFT_REL_TOL * max(lhs, 1):
-                        failures.append(f"{g.factors} #{i}: residual {abs(rhs - lhs)}")
+                    # both sides are squared 2-norms of the transform, and the
+                    # computed one is within transform_error of the exact one
+                    table = FunctionTable(group=g, kind="int", values=f)
+                    rhs = math.fsum(abs(v) ** 2 for v in dft(table).values)
+                    gap, bound = abs(math.sqrt(rhs) - math.sqrt(lhs)), transform_error(table)
+                    if gap > bound:
+                        failures.append(f"{g.factors} #{i}: norm gap {gap} past {bound}")
 
     _run(1, "Parseval on 100 random integer tables per group, five groups", 5.0, work)
 

@@ -165,6 +165,23 @@ def test_the_benchmarked_commands_never_import_numpy_ma(tmp_path):
     assert done.stdout.split() == ["False"]
 
 
+def test_the_readme_library_snippet_prints_what_the_readme_says(tmp_path):
+    # the block under "## Library", as `sed -n '/^## Library$/,/^```$/p'
+    # README.md | sed '1,3d;$d'` cuts it, run in a fresh process as a reader
+    # runs it; its last line is a comment holding what it prints
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    with open(os.path.join(os.path.dirname(src), "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("## Library")
+    code = lines[start + 3 : lines.index("```", start)]
+    assert code[-1].startswith("# SubspacePiece ")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", "\n".join(code)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == code[-1].removeprefix("# ") + "\n"
+
+
 @pytest.mark.parametrize(
     "module, loads",
     [
@@ -275,6 +292,16 @@ def test_spectrum_of_function_file(tmp_path, capsys):
     p.write_text("group=Z6 kind=int\n0 2\n3 4\n")
     assert main(["spectrum", str(p)]) == 0
     capsys.readouterr()
+
+
+def test_spectrum_past_the_int_text_limit_exits_3_and_writes_no_file(tmp_path, capsys):
+    # four 4300-digit entries, the default limit, read back; their Walsh sum
+    # at 0 has one digit more, and no text
+    p, out = tmp_path / "f.fn", tmp_path / "o.txt"
+    p.write_text("group=F2^2 kind=int\n" + "".join(f"{i} {'9' * 4300}\n" for i in range(4)))
+    assert main(["spectrum", str(p), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "resource cap: a value past the 4300-digit limit of int text\n"
+    assert not out.exists()
 
 
 def test_bohr_command(capsys):
@@ -459,6 +486,52 @@ def _structure_set_file(tmp_path, group: str) -> str:
     path = tmp_path / f"{group}.txt"
     write_set(path, A)
     return str(path)
+
+
+def _dicts(node, path=()):
+    """Every dict of a JSON body with its path, the body first."""
+    if isinstance(node, dict):
+        yield path, node
+        for key, value in node.items():
+            yield from _dicts(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _dicts(value, path + (i,))
+
+
+@pytest.mark.parametrize("subset", [False, True], ids=["A", "b-half"])
+@pytest.mark.parametrize("mode", ["auto", "bohr", "dichotomy"])
+@pytest.mark.parametrize("group", ["Z4096", "F2^12"])
+def test_a_structure_body_states_each_record_once(group, mode, subset, tmp_path, capsys):
+    # the 8-point subgroup {512 i} of Z4096 and a planted set of F2^12 pass
+    # every mode, with B = A and with B every other member of A
+    if group == "Z4096":
+        A = group_set(make_group((4096,)), range(0, 4096, 512))
+    else:
+        A = make_planted(boolean_group(12), subgroup_dim=4, cosets=2, noise=0, seed=3).set
+    path, out = tmp_path / "A.txt", tmp_path / "r.json"
+    write_set(path, A)
+    argv = ["structure", str(path), "--mode", mode, "--out", str(out)]
+    if subset:
+        write_set(tmp_path / "B.txt", group_set(A.group, A.members[::2]))
+        argv += ["--b", str(tmp_path / "B.txt")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    body = json.loads(out.read_text())
+    records = [tuple(d[k] for k in ("name", "ref", "lhs", "rhs", "note")) for _, d in _dicts(body) if "ref" in d]
+    assert len(set(records)) == len(records)
+    [entry] = body["results"]
+    result = entry["result"]
+    if mode == "dichotomy":
+        assert "hypotheses" not in entry
+    else:
+        assert entry["hypotheses"] == {"core_ok": True}
+    assert "records" not in result
+    # a Bohr piece's radius sufficiency is in its one attempt, and only there
+    holders = [p for p, d in _dicts(body) if "sufficiency" in d]
+    attempt = ("results", 0, "result", "diagnostics", "attempts", 0)
+    assert holders == ([attempt] if result["kind"] == "BohrPiece" else [])
+    assert set(result["diagnostics"]["chang"]) == {"c_chang", "bound", "ok"}
 
 
 @pytest.mark.parametrize("mode", ["auto", "bohr", "dichotomy"])

@@ -188,12 +188,13 @@ def test_load_configs_shared_keys_and_duplicates(tmp_path):
                 "seed": 9,
                 "experiments": [
                     {"name": "a", "suites": ["parseval"]},
+                    {"name": "b", "suites": ["triangle"]},
                     {"name": "a", "suites": ["triangle"]},
                 ],
             }
         )
     )
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"duplicate experiment name 'a' at experiments\[0\], experiments\[2\]$"):
         load_configs(str(p2))
     p3 = tmp_path / "bad.json"
     p3.write_text("[1, 2]")

@@ -7,7 +7,8 @@ refactor that keeps behaviour must keep these digests; a change that alters
 a body on purpose updates the digest and says so in CHANGES.md.
 
 One more case pins the result of the 2-eps dichotomy (no CLI mode runs
-it) the same way, through `harness.structure_result_dict`, and two pin
+it) the same way, through `harness.structure_result_dict` with its
+records beside it, and two pin
 the whole stdout of `stats` and `bohr`, which print no timings.
 
 Only exact paths are pinned here: 2-group transforms are integer Walsh
@@ -34,25 +35,25 @@ from addcomb.structure import certify_difference_subset
 
 PINNED = {
     "example-h-lambda": "846d5574221f3c2fa0e7f506e497c6d2a69d2149c369b48b9e699c1c5bc56369",
-    "structure-h-lambda": "ca52def3596846983025d39196404ce524897cfad5a1adcecac7dabcb657795f",
-    "dichotomy-planted-f2-12": "5d4c93959a82fd334140f5a298ffd0e5ade2b80b346e3a0105aa48bc00ae4bb8",
-    "structure-bohr-planted-f2-12": "9453c7c90b3a130d64fe0ff59f247d5cb630b4f3b20465aae300c2652fa9e9ac",
-    "structure-b-half-planted-f2-12": "91946cb85dd8aa09b5885c2daf9ee75283fb80447ccec3bb9881badf98bc0c3c",
+    "structure-h-lambda": "24598437d28dece62653fd43b995be077d57eb7c4726d53dd881f6fb6385e2ea",
+    "dichotomy-planted-f2-12": "63b613d06babbbc5bdcbb2c624de95ca97a7f1d3db1f88fbdd07f4922a34f40e",
+    "structure-bohr-planted-f2-12": "740e7efc1b9ec7f87e978891b9fe5e871f8e1cbe4de2d523b5d98c591d88d28c",
+    "structure-b-half-planted-f2-12": "c170146909c322719ec6fd55f5ce75db2210548871f1bcecaa8eeb1c89aca820",
     "verify-seed-7": "8499cbb4cfe2d001f9fbf42a168291f0be9a9c546d4c252a623f5b37d1bc3cf7",
     "verify-kk-Z4xZ6": "2836e7cfef2e2021e564f4df40ddfab3f2d0521c2ad5b384e70e8966d6e97cb2",
     "verify-kk-F2^5": "b7e3833b1606688ce6fba09ed7fe0cd78e6d3e1c0b55f3c5a162d3aa46ad89fb",
     "verify-parseval-F2^8": "a6ee3a11c77df0399ae78e59fff529466f046885ec945d267dca0aed978598a9",
     "verify-multiblock-F2^6": "50beb037ce451ca51415280d3b84ce159898bdaad214e4694e4c01c2b7635b1f",
     "verify-multiblock-Z24": "d5f7a6107937e266492694021d3666743960775d3d6b4780c5a5c7b6c7c79c97",
-    "certify-2eps-subgroup-f2-12": "4185e768d45172bd7eead0d11bf9805e39e760c63c737a2ad1333f7da67e1832",
+    "certify-2eps-subgroup-f2-12": "91e8b5cc3a30a2ee714f9a68ffa547700cf50e3d15605f68525cf96d336617c7",
     "h-lambda-seed-0": "76ab65369b8ccb21854267a571d7691f5463a2089efe4baea7d1a6cd8fa5f30c",
     "h-lambda-seed-1": "5fb88f145e410c05b704c872d3df021491615ca252a9e50ac40b7c4c5968e483",
     "h-lambda-seed-2": "d725cca12fa977da38242914d31f6d9d51adc243346001cb7a46220cf0ba1dc5",
     "h-lambda-seed-3": "4139e11a3b6c153f538c61637d381e72d1222ed4948ecc302fdef482300b5fb2",
     "h-lambda-seed-7": "b0842cab1f79012d685ae6e258f08ca864e97791566aec58fc50aabca6f90809",
-    "planted-seed-1": "a3cb7d885cc41226cbed4fab12110e9fed4194fc203c9c6e30284a6e807bdf7b",
-    "planted-seed-2": "5279fe35f348c65ee47e0194ab84115fa3292c1e383c0c08d8e4076bd4388e1d",
-    "planted-seed-5": "9152f124336d932e8d3ecbaee79032001d2b0020cf4873517f5273901b12974d",
+    "planted-seed-1": "88c0de148b2023a21af4474352fd56d2b81de9f506fa78677ae53da433fb0cd3",
+    "planted-seed-2": "356ddcda8285c103b7bb2fc294d3cc9d16699ed010fb582f4087e88eddb084ea",
+    "planted-seed-5": "900156e9c4be60ca6baefb134ab26508cc4324abd94647edc61ef609e3cddf00",
     "stats-h-lambda": "de0877e64abf7fd7f033b5ee8fe82cf77b8ad3246bb587c293a1d28c6e5474c6",
     "bohr-Z101": "350c92fa34127c453962a02adb285b8130f0d45c447359eaf31ee9ba7e3c3a18",
 }
@@ -90,8 +91,8 @@ def test_dichotomy_body_on_planted_f2_12_is_pinned(in_tmp):
 
 
 def test_bohr_body_on_planted_f2_12_is_pinned(in_tmp):
-    # the regular Bohr piece on a 2-group: its attempt, radius sufficiency
-    # and span mass, every one an exact count
+    # the regular Bohr piece on a 2-group: its attempt with its radius
+    # sufficiency, and its span mass, every one an exact count
     inst = make_planted(boolean_group(12), subgroup_dim=4, cosets=2, noise=0, seed=3)
     write_set("P.txt", inst.set)
     assert main(["structure", "P.txt", "--mode", "bohr", "--out", "b.json"]) == 0
@@ -99,7 +100,8 @@ def test_bohr_body_on_planted_f2_12_is_pinned(in_tmp):
         result = json.load(fh)["results"][0]["result"]
     assert result["kind"] == "BohrPiece"
     assert (result["witness"]["dim"], result["witness"]["size"]) == (7, 32)
-    assert {"attempts", "sufficiency", "spectral_mass", "dim_bound"} <= set(result["diagnostics"])
+    assert {"attempts", "spectral_mass", "dim_bound"} <= set(result["diagnostics"])
+    assert result["diagnostics"]["attempts"][0]["sufficiency"]["ok"] is True
     assert _body_digest("b.json") == PINNED["structure-bohr-planted-f2-12"]
 
 
@@ -158,10 +160,12 @@ def test_parseval_verify_body_on_f2_8_is_pinned(in_tmp):
 
 def test_difference_subset_result_on_a_subgroup_of_f2_12_is_pinned():
     # the 2-eps dichotomy's subspace branch, on criterion 10's subgroup of
-    # dimension 3, where every count and transform is exact
+    # dimension 3, where every count and transform is exact; its records
+    # are pinned beside its result, as a report lists them
     res = certify_difference_subset(group_set(boolean_group(12), range(1 << 3)), Fraction(1, 2))
     assert res.kind == "SubspacePiece"
-    text = json.dumps(structure_result_dict(res), indent=2, sort_keys=True) + "\n"
+    body = {"records": [r.to_dict() for r in res.records], "result": structure_result_dict(res)}
+    text = json.dumps(body, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED["certify-2eps-subgroup-f2-12"]
 
 

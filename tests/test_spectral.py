@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -216,10 +217,11 @@ def test_chang_bound_audit_on_subgroup_indicator():
     H = group_set(g, range(8))
     f = indicator(g, H.members)
     spec = spectrum(f, Fraction(1, 2))
-    rep = chang_bound(f, spec, max_dissociated(g, spec.members))
+    witness = max_dissociated(g, spec.members)
+    rep = chang_bound(f, spec, witness)
     assert rep.ok is True
-    assert rep.dim <= rep.bound
-    assert rep.spectrum_size == 8
+    assert len(witness) <= rep.bound
+    assert len(spec) == 8
 
 
 def test_chang_bound_reads_membership_off_the_weight_table():
@@ -227,12 +229,11 @@ def test_chang_bound_reads_membership_off_the_weight_table():
     f = indicator(g, [0, 1, 2, 3, 20, 21, 40])
     spec = spectrum(f, Fraction(1, 4))
     witness = max_dissociated(g, weights=spec.weights)
-    assert chang_bound(f, spec, witness).dim == len(witness)
     # a member of weight exactly 0 is still in the spectrum
     weights = np.array(spec.weights)
     weights[witness.members[-1]] = 0
     tied = Spectrum(g, spec.eps, spec.members, read_only(weights.copy()))
-    assert chang_bound(f, tied, witness).dim == len(witness)
+    assert chang_bound(f, tied, witness) == chang_bound(f, spec, witness)
     weights[witness.members[-1]] = -1
     with pytest.raises(ValueError, match="not drawn from"):
         chang_bound(f, Spectrum(g, spec.eps, spec.members, read_only(weights)), witness)
@@ -245,11 +246,12 @@ def test_chang_bound_reuses_a_matching_spectrum_and_witness():
     spec = spectrum(f, eps)
     witness = max_dissociated(g, list(spec.members))
     rep = chang_bound(f, spec, witness)
-    assert (rep.eps, rep.spectrum_size, rep.dim, rep.witness_mode) == (eps, len(spec), len(witness), witness.mode)
+    # the report restates none of its inputs: eps, the spectrum and the witness
+    assert [fd.name for fd in fields(rep)] == ["c_chang", "bound", "ok"]
     ratio = float(f.l2_squared()) * g.order / float(f.l1()) ** 2
     assert rep.c_chang == CHANG_AUDIT_CONSTANT
     assert rep.bound == float(CHANG_AUDIT_CONSTANT) * float(eps) ** -2 * math.log(ratio)
-    assert rep.ok is (rep.dim <= max(1.0, rep.bound))
+    assert rep.ok is (len(witness) <= max(1.0, rep.bound))
     outside = next(t for t in range(1, g.order) if t not in spec.members)
     stray = max_dissociated(g, [outside])
     with pytest.raises(ValueError, match="not drawn from"):

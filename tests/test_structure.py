@@ -125,6 +125,15 @@ def test_k0_bracket_matches_the_power_loop(m, m_prime, kappa, t):
     assert p.k0 == _k0_by_loop(p)
 
 
+@pytest.mark.parametrize("offset", [63, 64, 70])
+def test_k0_past_a_power_of_t_is_settled_by_one_exact_power(offset):
+    # y = 4 + 2^(1 - offset) lies just past t^2 = 4: the log bracket of
+    # pad ln y / ln t straddles 20, so e starts at 20 and the exact powers
+    # raise it once, to 21
+    p = StructureParams(m=1, m_prime=2 + Fraction(1, 2**offset), kappa=1, zeta=Fraction(1, 8), t=2)
+    assert p.k0 == _k0_by_loop(p) == 31
+
+
 @pytest.mark.parametrize("t", [Fraction("1.000001"), 1 + Fraction(1, 10**300)])
 def test_k0_past_the_cap_is_refused_before_a_power_is_formed(t, monkeypatch):
     p = StructureParams(m=2, m_prime=4, kappa=1, zeta=Fraction(1, 8), t=t)
